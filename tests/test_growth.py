@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hu_shadow import growth
 from hu_shadow import (
     AnalysisOptions,
     ClassificationKind,
@@ -127,6 +128,154 @@ class TestPeriodicDetection:
         # classifier must not take the unstable branch
         cls = classify(profile_of(periodic_linear(), 1000))
         assert cls.kind is ClassificationKind.CONVERGENT_BELOW_ONE
+
+
+def _exhaustive_scan(profile, max_period, tol):
+    """Fit every (period, prefix) candidate in turn: the reference scan."""
+    if max_period < 2:
+        return None
+    horizon = profile.horizon
+    for m in range(2, max_period + 1):
+        if horizon < 4 * m:
+            break
+        for prefix in range(0, horizon // 4 + 1):
+            fit = growth._fit_period(profile, m, prefix, tol)
+            if fit is not None:
+                return fit
+    return None
+
+
+horizons = st.integers(16, 300)
+rate = st.floats(0.05, 20.0)
+
+
+@st.composite
+def periodic_profiles(draw):
+    coeffs = draw(st.lists(rate, min_size=1, max_size=6))
+    head = draw(st.lists(rate, max_size=12))
+    horizon = draw(horizons)
+    rates = head + coeffs * (horizon // len(coeffs) + 1)
+    return build_profile(rates[:horizon])
+
+
+@st.composite
+def near_constant_periodic_profiles(draw):
+    # classes whose laws differ by about the tolerance: the screens'
+    # margins decide these candidates
+    p = draw(rate)
+    period = draw(st.integers(2, 4))
+    factors = draw(st.lists(st.floats(-3e-6, 3e-6), min_size=period, max_size=period))
+    horizon = draw(horizons)
+    rates = [p * math.exp(f) for f in factors] * (horizon // period + 1)
+    return build_profile(rates[:horizon])
+
+
+profiles = st.one_of(
+    st.builds(lambda p, h: build_profile([p] * h), rate, horizons),
+    periodic_profiles(),
+    near_constant_periodic_profiles(),
+    st.builds(
+        lambda a, b, h: profile_of(index_scaled_linear(a, b), h),
+        st.floats(0.5, 5.0),
+        st.floats(0.5, 5.0),
+        horizons,
+    ),
+    st.builds(
+        lambda s, h: profile_of(affine_sinusoid(s), h), st.floats(1.1, 5.0), horizons
+    ),
+    st.lists(st.floats(1e-3, 1e3), min_size=16, max_size=300).map(build_profile),
+)
+
+
+def _count_polyfit(monkeypatch):
+    """Count numpy.polyfit calls made from growth, as the benchmark does."""
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def polyfit(self, *args, **kwargs):
+            calls.append(1)
+            return np.polyfit(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "np", CountingNumpy())
+    return calls
+
+
+class TestScreenedScan:
+    # the exhaustive reference scan, not the code under test, sets the pace
+    @settings(max_examples=120, deadline=None)
+    @given(
+        profile=profiles,
+        tol=st.sampled_from([1e-4, 1e-6]),
+        max_period=st.integers(2, 8),
+    )
+    def test_matches_exhaustive_scan(self, profile, tol, max_period):
+        expected = _exhaustive_scan(profile, max_period, tol)
+        assert detect_periodic_scaled(profile, max_period, tol) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        coeffs=st.lists(rate, min_size=2, max_size=3, unique=True),
+        horizon=horizons,
+        tol=st.sampled_from([1e-4, 1e-6]),
+        kick=st.floats(-6.0, 6.0),
+        at=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_matches_exhaustive_scan_near_residual_threshold(
+        self, coeffs, horizon, tol, kick, at
+    ):
+        # one rate off by a few tolerances bends its class's log-products
+        # by about the tolerance, where the residual bound's margin decides
+        rates = (coeffs * (horizon // len(coeffs) + 1))[:horizon]
+        rates[int(at * horizon)] *= math.exp(kick * tol)
+        profile = build_profile(rates)
+        expected = _exhaustive_scan(profile, 8, tol)
+        assert detect_periodic_scaled(profile, 8, tol) == expected
+
+    @pytest.mark.parametrize(
+        "system, horizon",
+        [
+            (periodic_linear(), 1000),
+            (index_scaled_linear(), 1000),
+            (power_two_parity(), 1000),
+            (affine_sinusoid(), 1000),
+            (periodic_linear(), 10_000),
+            (index_scaled_linear(), 10_000),
+            (affine_sinusoid(), 10_000),
+        ],
+        ids=lambda v: v if isinstance(v, int) else v.family.value,
+    )
+    def test_families_match_exhaustive_scan(self, system, horizon):
+        profile = profile_of(system, horizon)
+        opts = AnalysisOptions()
+        expected = _exhaustive_scan(profile, opts.max_period, opts.tol)
+        assert detect_periodic_scaled(profile, opts.max_period, opts.tol) == expected
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            profile_of(index_scaled_linear(), 10_000),
+            profile_of(affine_sinusoid(), 10_000),
+            build_profile([0.7] * 10_000),
+        ],
+        ids=["index_scaled_linear", "affine_sinusoid", "constant"],
+    )
+    def test_polyfit_calls_do_not_grow_with_horizon(self, profile, monkeypatch):
+        # the exhaustive scan fits more than 17,000 classes on each
+        calls = _count_polyfit(monkeypatch)
+        assert detect_periodic_scaled(profile, 8, 1e-4) is None
+        assert len(calls) <= 24
+
+    def test_nonfinite_profile_is_fitted_exhaustively(self, monkeypatch):
+        profile = profile_of(power_two_parity(), 1030)  # rates overflow from 1025
+        assert not np.all(np.isfinite(profile.log_partial))
+        calls = _count_polyfit(monkeypatch)
+        expected = _exhaustive_scan(profile, 2, 1e-4)
+        exhaustive = len(calls)
+        assert detect_periodic_scaled(profile, 2, 1e-4) == expected
+        assert len(calls) == 2 * exhaustive
 
 
 class TestRatioCheck:

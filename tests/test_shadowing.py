@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hu_shadow import shadowing
 from hu_shadow import (
     HypothesisViolation,
     PolicyKind,
@@ -88,6 +89,110 @@ class TestClosedFormBounds:
         assert val > 0
         with pytest.raises(ValueError):
             early_index_bound(rates, 20, 3, SQRT_3_2, 1e-3)
+
+
+def _reference_bound(rates, n, eps, gap):
+    """The per-index bound evaluated afresh: the reference for the sweep."""
+    log_prod = 0.0
+    S = 0.0
+    for i in range(1, n):
+        p = rates[i - 1]
+        if p <= 0:
+            raise ValueError("growth rate must be positive")
+        log_prod += math.log(p)
+        S = S * p + 1.0
+    prod = math.exp(log_prod) if log_prod < 700 else math.inf
+    return prod * gap + S * eps
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@st.composite
+def rate_lists(draw):
+    rates = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=150))
+    if draw(st.booleans()):
+        # log-product past 700: prod saturates to inf, and 0*inf is NaN
+        rates[:0] = [1e300, 1e300, 1e300]
+    return rates
+
+
+class TestSoundBoundSweep:
+    @given(
+        rates=rate_lists(),
+        eps=st.floats(0, 1e-2),
+        gap=st.one_of(st.just(0.0), st.floats(0, 1.0)),
+    )
+    def test_sweep_equals_per_index_bounds(self, rates, eps, gap):
+        horizon = len(rates)
+        sweep = list(shadowing._accumulated_rate_bounds(rates, horizon, eps, gap))
+        expected = [_reference_bound(rates, n, eps, gap) for n in range(1, horizon + 1)]
+        assert len(sweep) == horizon
+        assert all(_same(x, y) for x, y in zip(sweep, expected))
+        assert all(
+            _same(accumulated_rate_bound(rates, n, eps, gap), y)
+            for n, y in enumerate(expected, start=1)
+        )
+        assert _same(max(sweep), max(expected))
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-3, 0.37])
+    @pytest.mark.parametrize("horizon", [1000, 3385, 4000])
+    @pytest.mark.parametrize(
+        "system", [periodic_linear(), index_scaled_linear(), affine_sinusoid()],
+        ids=lambda s: s.family.value,
+    )
+    def test_family_rates_sampled_indices(self, system, horizon, gap):
+        rates = system.rates(horizon)
+        sweep = list(shadowing._accumulated_rate_bounds(rates, horizon, 1e-3, gap))
+        for n in [*range(1, horizon, 97), horizon]:
+            assert _same(sweep[n - 1], _reference_bound(rates, n, 1e-3, gap))
+
+    def test_constructions_report_the_reference_maximum(self):
+        horizon = 400
+        sys = periodic_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
+        rates = sys.rates(horizon)
+        result = shadow_contracting(sys, pseudo, SQRT_3_2)
+        assert result.meta.sound_bound == max(
+            _reference_bound(rates, n, 1e-3, 0.0) for n in range(1, horizon + 1)
+        )
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
+        rates = sys.rates(horizon)
+        result = shadow_expanding(sys, pseudo, SQRT_3_2)
+        gap = abs(result.d[0])
+        assert result.meta.sound_bound == max(
+            _reference_bound(rates, n, 1e-3, gap) for n in range(1, horizon + 1)
+        )
+
+    def test_nonpositive_rate_rejected(self):
+        rates = [0.5, 2.0, 0.0, 1.5]
+        with pytest.raises(ValueError, match="growth rate must be positive"):
+            max(shadowing._accumulated_rate_bounds(rates, 5, 1e-3, 0.0))
+        with pytest.raises(ValueError, match="growth rate must be positive"):
+            accumulated_rate_bound(rates, 4, 1e-3, 0.0)
+        assert accumulated_rate_bound(rates, 3, 1e-3, 0.0) == _reference_bound(
+            rates, 3, 1e-3, 0.0
+        )
+
+    def test_constructions_do_not_evaluate_the_bound_per_index(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return accumulated_rate_bound(*args)
+
+        monkeypatch.setattr(shadowing, "accumulated_rate_bound", counting)
+        horizon = 3000
+        sys = periodic_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
+        shadow_contracting(sys, pseudo, SQRT_3_2)
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
+        assert pseudo.horizon == horizon
+        shadow_expanding(sys, pseudo, SQRT_3_2)
+        assert len(calls) <= 1
 
 
 class TestTelescopeIdentity:
