@@ -15,6 +15,7 @@ from .errors import (
     HuShadowError,
     HypothesisViolation,
     NonContraction,
+    RateRangeError,
     UnsupportedFamily,
 )
 from .growth import (

@@ -23,3 +23,7 @@ class NonContraction(HuShadowError):
 
 class UnsupportedFamily(HuShadowError):
     """The requested operation is not available for this map family."""
+
+
+class RateRangeError(HuShadowError, ValueError):
+    """A growth rate is outside (0, inf), e.g. a rate that underflowed to 0."""

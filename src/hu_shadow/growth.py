@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import RateRangeError
 from .systems import MapSystem
 
 
@@ -45,8 +46,13 @@ def build_profile(rates: Sequence[float]) -> GrowthProfile:
     arr = np.asarray(rates, dtype=float)
     if arr.size == 0:
         raise ValueError("rate sequence must be nonempty")
-    if np.any(arr <= 0.0):
-        raise ValueError("growth rate must be positive")
+    nonpositive = arr <= 0.0
+    if nonpositive.any():
+        first = int(np.argmax(nonpositive))
+        raise RateRangeError(
+            "growth rate must be positive: "
+            f"p_n = {float(arr[first])!r} at n = {first + 1}"
+        )
     log_partial = np.cumsum(np.log(arr))
     n = np.arange(1, arr.size + 1, dtype=float)
     avg = np.exp(log_partial / n)
@@ -362,15 +368,16 @@ def double_factorial_envelope(k: int) -> tuple[float, float, float]:
 def double_factorial_envelope_holds(k_max: int) -> bool:
     """Exact integer check of the envelope for every k <= k_max.
 
-    Maintains the ratio as an integer pair and compares squares by
-    cross-multiplication, so the verdict carries no rounding at all.
+    Maintains the squared ratio as a running integer pair, each step
+    multiplying in only the small factors (2k-1)^2 and (2k)^2, and compares
+    by cross-multiplication, so the verdict carries no rounding at all.
     """
-    num, den = 1, 1
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    num_sq, den_sq = 1, 1
     for k in range(1, k_max + 1):
-        num *= 2 * k - 1
-        den *= 2 * k
-        num_sq = num * num
-        den_sq = den * den
+        num_sq *= (2 * k - 1) ** 2
+        den_sq *= (2 * k) ** 2
         if den_sq > num_sq * (4 * k + 1):  # value < 1/sqrt(4k+1)
             return False
         if num_sq * (3 * k + 1) > den_sq:  # value > 1/sqrt(3k+1)

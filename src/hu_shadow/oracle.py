@@ -153,6 +153,63 @@ def sup_error_for_start(
     return worst
 
 
+def _sup_errors(
+    sys: MapSystem, pseudo: PseudoOrbit, starts: np.ndarray, horizon: int
+) -> np.ndarray:
+    """:func:`sup_error_for_start` for every start point of ``starts`` at once.
+
+    Bit-identical to the scalar function elementwise: each step repeats
+    its float operations in the same order.  The product c_n * b is
+    written out as Python's complex product (numpy's may fuse the
+    multiply-add), the modulus is ``hypot`` as in ``abs(complex)``, and
+    the running maximum keeps the first argument unless the second is
+    greater, as ``max`` does.
+
+    A start point fails where the scalar function would raise: a modulus
+    that overflows from finite parts (``abs`` raises
+    :class:`OverflowError`) or a failing map evaluation.  If any fails,
+    the exception of the first failing one in ``starts`` is raised, as a
+    loop over the scalar function would.
+    """
+    failures: dict[int, Exception] = {}  # start index -> its first exception
+
+    def modulus(d: np.ndarray) -> np.ndarray:
+        x = np.hypot(d.real, d.imag)
+        for i in np.flatnonzero(np.isinf(x) & np.isfinite(d.real) & np.isfinite(d.imag)):
+            failures.setdefault(int(i), OverflowError("absolute value too large"))
+        return x
+
+    def mapped(n: int, i: int, z: complex) -> complex:
+        try:
+            return sys.eval_map(n, z)
+        except (ArithmeticError, ValueError) as exc:
+            failures.setdefault(i, exc)
+            return complex(math.nan, math.nan)
+
+    b = np.asarray(starts, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = modulus(b - pseudo.value(1))
+        for n in range(1, min(horizon, pseudo.horizon)):
+            if sys.is_linear:
+                try:
+                    c = sys.coefficient(n)
+                except (ArithmeticError, ValueError) as exc:
+                    for i in range(b.size):
+                        failures.setdefault(i, exc)
+                    break
+                step = np.empty_like(b)
+                step.real = c.real * b.real - c.imag * b.imag
+                step.imag = c.real * b.imag + c.imag * b.real
+                b = step
+            else:
+                b = np.array([mapped(n, i, z) for i, z in enumerate(b)], dtype=complex)
+            x = modulus(b - pseudo.value(n + 1))
+            worst = np.where(x > worst, x, worst)
+    if failures:
+        raise failures[min(failures)]
+    return worst
+
+
 def best_b1_search(
     sys: MapSystem,
     pseudo: PseudoOrbit,
@@ -167,23 +224,28 @@ def best_b1_search(
     followed by ``refinements`` rounds of 4x zoom around the incumbent.
     The incumbent is carried between rounds, so the reported sup error
     never increases; the result is an upper bound on the true optimum.
+
+    Each round evaluates its whole grid as one array and returns exactly
+    what a loop over :func:`sup_error_for_start` in row-major order (real
+    part outer) with a strict ``<`` update would return.
     """
     if grid < 2 or refinements < 0:
         raise ValueError("need grid >= 2 and refinements >= 0")
     center = complex(region.center)
     radius = float(region.radius)
     best_b1 = center
-    best_err = sup_error_for_start(sys, pseudo, center, horizon)
+    best_err = float(_sup_errors(sys, pseudo, np.array([center]), horizon)[0])
     for _ in range(refinements + 1):
-        res = np.linspace(center.real - radius, center.real + radius, grid)
-        ims = np.linspace(center.imag - radius, center.imag + radius, grid)
-        for re in res:
-            for im in ims:
-                cand = complex(re, im)
-                err = sup_error_for_start(sys, pseudo, cand, horizon)
-                if err < best_err:
-                    best_err = err
-                    best_b1 = cand
+        cands = np.empty((grid, grid), dtype=complex)
+        cands.real = np.linspace(center.real - radius, center.real + radius, grid)[:, None]
+        cands.imag = np.linspace(center.imag - radius, center.imag + radius, grid)
+        cands = cands.ravel()
+        errs = _sup_errors(sys, pseudo, cands, horizon)
+        better = errs < best_err  # NaN never qualifies
+        if better.any():
+            i = int(np.argmin(np.where(better, errs, np.inf)))
+            best_err = float(errs[i])
+            best_b1 = complex(cands[i])
         center = best_b1
         radius /= 4.0
     return best_b1, best_err

@@ -56,6 +56,25 @@ class TestAnalyze:
         assert periodic["m"] == 2
         assert periodic["values"][0] == pytest.approx(0.5, abs=1e-9)
 
+    def test_underflowed_rates_exit_with_reason(self, tmp_path, capsys):
+        # the parity family's even rates underflow to 0.0 from n = 1072 on
+        rc = main(
+            [
+                "analyze",
+                "--config",
+                str(fixture_path("unstable_parity")),
+                "--horizon",
+                "2000",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RateRangeError"
+        assert err["reason"].startswith("growth rate must be positive")
+        assert err["reason"].endswith("at n = 1072")
+
 
 class TestShadow:
     def test_nonlinear_fixture_passes(self, tmp_path):

@@ -1,6 +1,7 @@
 """Growth profiles, classification, periodic detection and ratio checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hu_shadow import growth
 from hu_shadow import (
     AnalysisOptions,
     ClassificationKind,
+    RateRangeError,
     affine_sinusoid,
     build_profile,
     classify,
@@ -56,6 +58,13 @@ class TestProfile:
             build_profile([1.0, 0.0])
         with pytest.raises(ValueError):
             build_profile([])
+
+    def test_nonpositive_rate_names_first_bad_index(self):
+        with pytest.raises(RateRangeError, match=r"positive: p_n = -2\.0 at n = 3$"):
+            build_profile([1.0, 0.5, -2.0, 0.0])
+        # the parity family's even rates underflow to 0.0 past n = 1071
+        with pytest.raises(RateRangeError, match="at n = 1072$"):
+            profile_of(power_two_parity(), 2000)
 
 
 class TestClassification:
@@ -314,3 +323,35 @@ class TestDoubleFactorialEnvelope:
 
     def test_exact_check(self):
         assert double_factorial_envelope_holds(200)
+
+    def test_nonpositive_k_max_rejected(self):
+        for k_max in (0, -1):
+            with pytest.raises(ValueError, match="k_max must be >= 1"):
+                double_factorial_envelope_holds(k_max)
+
+    def test_verdict_equals_direct_fraction_evaluation(self):
+        value = Fraction(1)
+        holds = True
+        for k in range(1, 401):
+            value *= Fraction(2 * k - 1, 2 * k)
+            holds = holds and Fraction(1, 4 * k + 1) <= value**2 <= Fraction(1, 3 * k + 1)
+            assert double_factorial_envelope_holds(k) == holds
+
+    @pytest.mark.parametrize("k_max", [1, 2, 1000, 2000])
+    def test_verdict_equals_resquaring_check(self, k_max):
+        assert double_factorial_envelope_holds(k_max) == _resquaring_envelope_holds(k_max)
+
+
+def _resquaring_envelope_holds(k_max: int) -> bool:
+    """The original check, re-squaring the full ratio at every step (the oracle)."""
+    num, den = 1, 1
+    for k in range(1, k_max + 1):
+        num *= 2 * k - 1
+        den *= 2 * k
+        num_sq = num * num
+        den_sq = den * den
+        if den_sq > num_sq * (4 * k + 1):  # value < 1/sqrt(4k+1)
+            return False
+        if num_sq * (3 * k + 1) > den_sq:  # value > 1/sqrt(3k+1)
+            return False
+    return True
