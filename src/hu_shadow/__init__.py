@@ -72,12 +72,10 @@ from .shadowing import (
     uniform_contraction_bound,
 )
 from .systems import (
-    DomainKind,
     Family,
     MapSystem,
     PolicyKind,
     PseudoOrbit,
-    RateKind,
     ResidualPolicy,
     affine_sinusoid,
     generate_pseudo_orbit,

@@ -6,8 +6,9 @@ Four subcommands, all driven by a scenario file:
 * ``shadow``      -- shadowing orbit CSV plus a summary JSON with a
   bound-check verdict.
 * ``instability`` -- divergence witness CSV plus JSON.
-* ``reproduce``   -- runs the four shipped fixtures and emits a single
-  JSON report with one pass/fail entry per documented claim.
+* ``reproduce``   -- runs the four shipped fixtures through the
+  ``shadow`` and ``instability`` pipeline and emits a single JSON report
+  with one pass/fail entry per documented claim.
 
 Exit status 0 means every checked claim passed, 1 means a bound check or
 hypothesis failed (the reason is in the emitted JSON), 2 means the
@@ -18,7 +19,6 @@ atomically and are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -27,13 +27,15 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from . import FIXTURE_NAMES, fixture_path
+from . import fixture_path
 from .errors import ConfigError, HuShadowError
+# perfbench/tracer.py wraps detect_periodic_scaled here, as it does every
+# pipeline name this module imports, so the import stays though unused.
 from .growth import Classification, ClassificationKind, classify, detect_periodic_scaled, profile_of
 from .instability import witness_divergence
-from .scenario import Scenario, load_scenario
-from .shadowing import ShadowResult, shadow_contracting, shadow_expanding
-from .systems import PolicyKind, ResidualPolicy, generate_pseudo_orbit
+from .scenario import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
+from .shadowing import shadow_contracting, shadow_expanding
+from .systems import generate_pseudo_orbit
 
 #: Environment variable overriding the output directory.
 OUTPUT_DIR_ENV = "HU_SHADOW_OUT"
@@ -89,6 +91,26 @@ def _classification_payload(cls: Classification) -> dict:
     return payload
 
 
+def _summary(
+    cls: Classification, epsilon: float, horizon: int, method: str, verdict: str, **measured
+) -> dict:
+    """The keys every subcommand's JSON shares; ``measured`` fills the rest."""
+    summary = {
+        "classification": _classification_payload(cls),
+        "K": cls.K,
+        "epsilon": epsilon,
+        "horizon": horizon,
+        "sup_err": None,
+        "bound": None,
+        "method": method,
+        "truncation": None,
+        "iterations": None,
+        "verdict": verdict,
+    }
+    summary.update(measured)
+    return summary
+
+
 def _analysis_horizon(scenario: Scenario) -> int:
     return max(scenario.horizon, 4 * scenario.analysis.window, MIN_ANALYSIS_HORIZON)
 
@@ -117,19 +139,10 @@ def _cmd_analyze(scenario: Scenario, out: Path) -> int:
     ]
     _write_csv(out / "profile.csv", ["n", "rate", "log_partial", "avg"], rows)
 
-    summary = {
-        "classification": _classification_payload(cls),
-        "K": cls.K,
-        "epsilon": scenario.epsilon,
-        "horizon": horizon,
-        "sup_err": None,
-        "bound": None,
-        "method": "analyze",
-        "truncation": None,
-        "iterations": None,
-        "verdict": "pass",
-    }
-    _write_json(out / "classification.json", summary)
+    _write_json(
+        out / "classification.json",
+        _summary(cls, scenario.epsilon, horizon, "analyze", "pass"),
+    )
     return 0
 
 
@@ -180,27 +193,28 @@ def _cmd_shadow(scenario: Scenario, out: Path) -> int:
     )
 
     verdict = "pass" if result.bound_ok else "fail"
-    summary = {
-        "classification": _classification_payload(cls),
-        "K": cls.K,
-        "epsilon": scenario.epsilon,
-        "horizon": horizon,
-        "sup_err": result.sup_diff,
-        "bound": result.bound,
-        "method": result.method.value,
-        "truncation": result.meta.truncation,
-        "iterations": result.meta.iterations,
-        "verdict": verdict,
-    }
+    summary = _summary(
+        cls,
+        scenario.epsilon,
+        horizon,
+        result.method.value,
+        verdict,
+        sup_err=result.sup_diff,
+        bound=result.bound,
+        truncation=result.meta.truncation,
+        iterations=result.meta.iterations,
+    )
     _write_json(out / "summary.json", summary)
     return 0 if verdict == "pass" else 1
 
 
-def _cmd_instability(scenario: Scenario, out: Path) -> int:
+def _run_witness(scenario: Scenario) -> tuple:
     cls = _classify_scenario(scenario)
-    witness = witness_divergence(
-        scenario.system, scenario.epsilon, scenario.horizon, cls
-    )
+    return cls, witness_divergence(scenario.system, scenario.epsilon, scenario.horizon, cls)
+
+
+def _cmd_instability(scenario: Scenario, out: Path) -> int:
+    cls, witness = _run_witness(scenario)
 
     rows = []
     ok = True
@@ -240,18 +254,13 @@ def _cmd_instability(scenario: Scenario, out: Path) -> int:
     )
 
     verdict = "pass" if (ok and witness.samples) else "fail"
-    summary = {
-        "classification": _classification_payload(cls),
-        "K": None,
-        "epsilon": witness.epsilon,
-        "horizon": witness.horizon,
-        "sup_err": None,
-        "bound": None,
-        "method": "divergence_witness",
-        "truncation": None,
-        "iterations": None,
-        "verdict": verdict,
-        "witness": {
+    summary = _summary(
+        cls,
+        witness.epsilon,
+        witness.horizon,
+        "divergence_witness",
+        verdict,
+        witness={
             "m": witness.m,
             "prefix": witness.prefix,
             "p_idx": witness.p_idx,
@@ -261,7 +270,7 @@ def _cmd_instability(scenario: Scenario, out: Path) -> int:
             "C_p": witness.C_p,
             "samples": len(witness.samples),
         },
-    }
+    )
     _write_json(out / "witness.json", summary)
     return 0 if verdict == "pass" else 1
 
@@ -278,25 +287,28 @@ def _claim(name: str, ok: bool, observed, required) -> dict:
     }
 
 
+def _classification_claim(
+    name: str, cls: Classification, kind: ClassificationKind, K: float, tol: float
+) -> dict:
+    return _claim(
+        name,
+        cls.kind is kind and abs(cls.K - K) < tol,
+        {"kind": cls.kind.value, "K": cls.K},
+        {"kind": kind.value, "K": K, "tol": tol},
+    )
+
+
 def _reproduce_claims() -> list:
+    """Run the shipped fixtures through ``shadow`` and ``instability``'s own
+    pipeline and check the documented claims against those runs."""
     claims = []
     sqrt32 = math.sqrt(1.5)
+    below = ClassificationKind.CONVERGENT_BELOW_ONE
+    above = ClassificationKind.CONVERGENT_ABOVE_ONE
 
     # contracting fixture: averaged rate sqrt(2/3), bound K*eps/(K-1)
-    sc = load_scenario(fixture_path("contracting_periodic"))
-    profile = profile_of(sc.system, 1000)
-    cls = classify(profile, sc.system, sc.analysis)
-    claims.append(
-        _claim(
-            "contracting_classification",
-            cls.kind is ClassificationKind.CONVERGENT_BELOW_ONE
-            and abs(cls.K - sqrt32) < 1e-6,
-            {"kind": cls.kind.value, "K": cls.K},
-            {"kind": "convergent_below_one", "K": sqrt32, "tol": 1e-6},
-        )
-    )
-    pseudo = generate_pseudo_orbit(sc.system, sc.a1, sc.epsilon, sc.residual, sc.horizon)
-    result = shadow_contracting(sc.system, pseudo, cls.K)
+    cls, _, result = _run_shadow(load_scenario(fixture_path("contracting_periodic")))
+    claims.append(_classification_claim("contracting_classification", cls, below, sqrt32, 1e-6))
     claims.append(
         _claim(
             "contracting_sup_bound",
@@ -309,19 +321,8 @@ def _reproduce_claims() -> list:
 
     # expanding fixture: averaged rate sqrt(3/2), bound 2*eps/ln K
     sc = load_scenario(fixture_path("expanding_alternating"))
-    profile = profile_of(sc.system, 1000)
-    cls = classify(profile, sc.system, sc.analysis)
-    claims.append(
-        _claim(
-            "expanding_classification",
-            cls.kind is ClassificationKind.CONVERGENT_ABOVE_ONE
-            and abs(cls.K - sqrt32) < 1e-3,
-            {"kind": cls.kind.value, "K": cls.K},
-            {"kind": "convergent_above_one", "K": sqrt32, "tol": 1e-3},
-        )
-    )
-    pseudo = generate_pseudo_orbit(sc.system, sc.a1, sc.epsilon, sc.residual, sc.horizon)
-    result = shadow_expanding(sc.system, pseudo, cls.K, sc.shadow)
+    cls, _, result = _run_shadow(sc)
+    claims.append(_classification_claim("expanding_classification", cls, above, sqrt32, 1e-3))
     claims.append(
         _claim(
             "expanding_true_orbit",
@@ -342,15 +343,12 @@ def _reproduce_claims() -> list:
 
     # unstable fixture: period-2 scaled products, divergent witness
     sc = load_scenario(fixture_path("unstable_parity"))
-    profile = profile_of(sc.system, _analysis_horizon(sc))
-    fit = detect_periodic_scaled(profile, sc.analysis.max_period, sc.analysis.tol)
-    fit_ok = (
-        fit is not None
-        and fit.m == 2
-        and abs(fit.values[0] - 0.5) < 1e-9
-        and abs(fit.values[1] - 0.25) < 1e-9
-        and abs(fit.constants[0] - 4.0) < 1e-9
-        and abs(fit.constants[1] - 1.0) < 1e-9
+    cls, witness = _run_witness(sc)
+    fit = cls.periodic
+    required = {"m": 2, "values": [0.5, 0.25], "constants": [4.0, 1.0], "tol": 1e-9}
+    want = required["values"] + required["constants"]
+    fit_ok = fit is not None and fit.m == 2 and all(
+        abs(got - w) < required["tol"] for got, w in zip(fit.values + fit.constants, want)
     )
     claims.append(
         _claim(
@@ -359,21 +357,18 @@ def _reproduce_claims() -> list:
             None
             if fit is None
             else {"m": fit.m, "values": list(fit.values), "constants": list(fit.constants)},
-            {"m": 2, "values": [0.5, 0.25], "constants": [4.0, 1.0], "tol": 1e-9},
+            required,
         )
     )
-    cls = classify(profile, sc.system, sc.analysis)
-    witness = witness_divergence(sc.system, sc.epsilon, sc.horizon, cls)
     by_n = {s.n: s for s in witness.samples}
     threshold = sc.epsilon * 4.0**10 / 2.0
     growth_ok = 21 in by_n and by_n[21].observed_error >= threshold
-    ratios = []
     by_k = {s.k: s for s in witness.samples}
-    for k in sorted(by_k):
-        if k >= 5 and k + 1 in by_k:
-            ratios.append(
-                10.0 ** (by_k[k + 1].log10_observed_error - by_k[k].log10_observed_error)
-            )
+    ratios = [
+        10.0 ** (by_k[k + 1].log10_observed_error - by_k[k].log10_observed_error)
+        for k in sorted(by_k)
+        if k >= 5 and k + 1 in by_k
+    ]
     ratio_ok = bool(ratios) and all(abs(r - 4.0) <= 0.04 for r in ratios)
     claims.append(
         _claim(
@@ -389,18 +384,8 @@ def _reproduce_claims() -> list:
 
     # nonlinear fixture: averaged rate 3, fixed-point tail series
     sc = load_scenario(fixture_path("nonlinear_sinusoid"))
-    profile = profile_of(sc.system, 1000)
-    cls = classify(profile, sc.system, sc.analysis)
-    claims.append(
-        _claim(
-            "nonlinear_classification",
-            cls.kind is ClassificationKind.CONVERGENT_ABOVE_ONE and abs(cls.K - 3.0) < 1e-3,
-            {"kind": cls.kind.value, "K": cls.K},
-            {"kind": "convergent_above_one", "K": 3.0, "tol": 1e-3},
-        )
-    )
-    pseudo = generate_pseudo_orbit(sc.system, sc.a1, sc.epsilon, sc.residual, sc.horizon)
-    result = shadow_expanding(sc.system, pseudo, cls.K, sc.shadow)
+    cls, _, result = _run_shadow(sc)
+    claims.append(_classification_claim("nonlinear_classification", cls, above, 3.0, 1e-3))
     bound = 2.0 * sc.epsilon / math.log(3.0) * (1.0 + 1e-3)
     claims.append(
         _claim(
@@ -469,14 +454,11 @@ def main(argv: Optional[list] = None) -> int:
             if not args.config:
                 parser.error(f"command {args.command!r} requires --config")
             scenario = load_scenario(args.config)
-            if args.horizon is not None:
-                if args.horizon < 1:
-                    raise ConfigError("horizon: must be a positive integer")
-                scenario = dataclasses.replace(scenario, horizon=args.horizon)
-            if args.epsilon is not None:
-                if args.epsilon < 0:
-                    raise ConfigError("epsilon: must be nonnegative")
-                scenario = dataclasses.replace(scenario, epsilon=args.epsilon)
+            overrides = {"horizon": args.horizon, "epsilon": args.epsilon}
+            overrides = {k: v for k, v in overrides.items() if v is not None}
+            if overrides:
+                # re-read, so a flag meets the same checks as a file value
+                scenario = scenario_from_dict({**scenario_to_dict(scenario), **overrides})
         out = _resolve_out(scenario, args)
         if args.command == "analyze":
             return _cmd_analyze(scenario, out)

@@ -4,17 +4,19 @@ A scenario fully determines one experiment.  All defaults are made
 explicit on load, unknown keys are rejected, and a loaded scenario
 round-trips losslessly through :func:`scenario_to_dict`.
 
-Rational parameters may be written as strings ("1/3"), which keeps the
-exact-arithmetic oracle applicable; plain JSON numbers are accepted too.
+Integer fields take JSON integers.  Every other numeric field takes a
+finite JSON number or an exact rational string ("1/3"), which keeps the
+exact-arithmetic oracle applicable.  Anything else raises ConfigError.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from .errors import ConfigError
 from .growth import AnalysisOptions
@@ -30,13 +32,10 @@ from .systems import (
     power_two_parity,
 )
 
-_NumberLike = Union[int, float, str]
-
 
 @dataclass(frozen=True)
 class OutputOptions:
     directory: str = "out"
-    formats: tuple = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -52,30 +51,36 @@ class Scenario:
     output: OutputOptions
 
 
-def _parse_number(value: Any, where: str):
-    """Accept ints, floats and exact-fraction strings like "1/3"."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return value
+def _real(value: Any, where: str) -> Union[int, float, Fraction]:
+    """A finite real: a JSON int or float, or an exact rational string like "1/3"."""
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{where}: cannot parse {value!r} as a number") from exc
-    raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"{where}: cannot parse {value!r} as a number") from None
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or rational beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}: expected a finite number")
+    return value
 
 
-def _parse_complex(value: Any, where: str) -> complex:
+def _integer(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _complex(value: Any, where: str) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise ConfigError(f"{where}: complex values are [re, im] pairs")
-        return complex(
-            float(_parse_number(value[0], where)), float(_parse_number(value[1], where))
-        )
-    return complex(float(_parse_number(value, where)))
+        return complex(float(_real(value[0], where)), float(_real(value[1], where)))
+    return complex(float(_real(value, where)))
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -84,14 +89,16 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _section(raw: dict, key: str, allowed: set) -> dict:
+    """The object ``raw[key]`` (empty when absent), with its keys checked."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: expected an object")
+    _reject_unknown(section, allowed, key)
+    return section
+
+
 def _build_system(cfg: dict) -> MapSystem:
-    if not isinstance(cfg, dict):
-        raise ConfigError("system: expected an object")
-    _reject_unknown(
-        cfg,
-        {"family", "coeffs", "odd_scale", "even_inverse_scale", "base", "even_shift", "slope"},
-        "system",
-    )
     try:
         family = Family(cfg.get("family", ""))
     except ValueError:
@@ -104,29 +111,23 @@ def _build_system(cfg: dict) -> MapSystem:
             coeffs = cfg.get("coeffs")
             if not isinstance(coeffs, list) or not coeffs:
                 raise ConfigError("system.coeffs: expected a nonempty list")
-            return periodic_linear(
-                tuple(_parse_number(c, "system.coeffs") for c in coeffs)
-            )
+            return periodic_linear(tuple(_real(c, "system.coeffs") for c in coeffs))
         if family is Family.INDEX_SCALED_LINEAR:
             return index_scaled_linear(
-                _parse_number(cfg.get("odd_scale", 3), "system.odd_scale"),
-                _parse_number(cfg.get("even_inverse_scale", 2), "system.even_inverse_scale"),
+                _real(cfg.get("odd_scale", 3), "system.odd_scale"),
+                _real(cfg.get("even_inverse_scale", 2), "system.even_inverse_scale"),
             )
         if family is Family.POWER_TWO_PARITY:
             return power_two_parity(
-                int(cfg.get("base", 2)), int(cfg.get("even_shift", 3))
+                _integer(cfg.get("base", 2), "system.base"),
+                _integer(cfg.get("even_shift", 3), "system.even_shift"),
             )
-        return affine_sinusoid(float(_parse_number(cfg.get("slope", 3), "system.slope")))
+        return affine_sinusoid(float(_real(cfg.get("slope", 3), "system.slope")))
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from exc
 
 
-def _build_policy(cfg: Any) -> ResidualPolicy:
-    if cfg is None:
-        return ResidualPolicy()
-    if not isinstance(cfg, dict):
-        raise ConfigError("residual: expected an object")
-    _reject_unknown(cfg, {"kind", "theta"}, "residual")
+def _build_policy(cfg: dict) -> ResidualPolicy:
     try:
         kind = PolicyKind(cfg.get("kind", PolicyKind.CONSTANT_REAL.value))
     except ValueError:
@@ -134,8 +135,7 @@ def _build_policy(cfg: Any) -> ResidualPolicy:
             f"residual.kind: unknown kind {cfg.get('kind')!r}; "
             f"expected one of {[k.value for k in PolicyKind]}"
         ) from None
-    theta = float(_parse_number(cfg.get("theta", 0.0), "residual.theta"))
-    return ResidualPolicy(kind=kind, theta=theta)
+    return ResidualPolicy(kind=kind, theta=float(_real(cfg.get("theta", 0.0), "residual.theta")))
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -148,64 +148,53 @@ def scenario_from_dict(raw: dict) -> Scenario:
     )
     if "system" not in raw:
         raise ConfigError("scenario: missing required key 'system'")
-    system_cfg = raw["system"]
+    system_cfg = _section(
+        raw,
+        "system",
+        {"family", "coeffs", "odd_scale", "even_inverse_scale", "base", "even_shift", "slope"},
+    )
     system = _build_system(system_cfg)
 
-    a1 = _parse_complex(raw.get("a1", 1), "a1")
-    epsilon = float(_parse_number(raw.get("epsilon", 1e-3), "epsilon"))
+    a1 = _complex(raw.get("a1", 1), "a1")
+    epsilon = float(_real(raw.get("epsilon", 1e-3), "epsilon"))
     if epsilon < 0:
         raise ConfigError("epsilon: must be nonnegative")
-    horizon = raw.get("horizon", 200)
-    if not isinstance(horizon, int) or horizon < 1:
+    horizon = _integer(raw.get("horizon", 200), "horizon")
+    if horizon < 1:
         raise ConfigError("horizon: must be a positive integer")
 
-    analysis_cfg = raw.get("analysis", {})
-    if not isinstance(analysis_cfg, dict):
-        raise ConfigError("analysis: expected an object")
-    _reject_unknown(analysis_cfg, {"window", "tol", "max_period"}, "analysis")
+    analysis_cfg = _section(raw, "analysis", {"window", "tol", "max_period"})
     analysis = AnalysisOptions(
-        window=int(analysis_cfg.get("window", 32)),
-        tol=float(_parse_number(analysis_cfg.get("tol", 1e-4), "analysis.tol")),
-        max_period=int(analysis_cfg.get("max_period", 8)),
+        window=_integer(analysis_cfg.get("window", 32), "analysis.window"),
+        tol=float(_real(analysis_cfg.get("tol", 1e-4), "analysis.tol")),
+        max_period=_integer(analysis_cfg.get("max_period", 8), "analysis.max_period"),
     )
     if analysis.window < 1 or analysis.tol <= 0 or analysis.max_period < 2:
         raise ConfigError("analysis: window >= 1, tol > 0, max_period >= 2 required")
 
-    shadow_cfg = raw.get("shadow", {})
-    if not isinstance(shadow_cfg, dict):
-        raise ConfigError("shadow: expected an object")
-    _reject_unknown(shadow_cfg, {"tol", "max_iter", "tail_fraction"}, "shadow")
+    shadow_cfg = _section(raw, "shadow", {"tol", "max_iter", "tail_fraction"})
     shadow = ShadowOptions(
-        tol=float(_parse_number(shadow_cfg.get("tol", 1e-12), "shadow.tol")),
-        max_iter=int(shadow_cfg.get("max_iter", 100)),
-        tail_fraction=float(
-            _parse_number(shadow_cfg.get("tail_fraction", 1e-3), "shadow.tail_fraction")
-        ),
+        tol=float(_real(shadow_cfg.get("tol", 1e-12), "shadow.tol")),
+        max_iter=_integer(shadow_cfg.get("max_iter", 100), "shadow.max_iter"),
+        tail_fraction=float(_real(shadow_cfg.get("tail_fraction", 1e-3), "shadow.tail_fraction")),
     )
     if shadow.tol <= 0 or shadow.max_iter < 1 or not 0 < shadow.tail_fraction < 1:
         raise ConfigError("shadow: tol > 0, max_iter >= 1, 0 < tail_fraction < 1 required")
 
-    output_cfg = raw.get("output", {})
-    if not isinstance(output_cfg, dict):
-        raise ConfigError("output: expected an object")
-    _reject_unknown(output_cfg, {"directory", "formats"}, "output")
-    formats = output_cfg.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or not set(formats) <= {"csv", "json"}:
-        raise ConfigError("output.formats: subset of ['csv', 'json'] expected")
-    output = OutputOptions(
-        directory=str(output_cfg.get("directory", "out")), formats=tuple(formats)
-    )
+    directory = _section(raw, "output", {"directory"}).get("directory", "out")
+    if not isinstance(directory, str) or not directory:
+        raise ConfigError("output.directory: expected a nonempty string")
 
     return Scenario(
         system=system,
         system_config=system_cfg,
         a1=a1,
         epsilon=epsilon,
-        residual=_build_policy(raw.get("residual")),
+        residual=_build_policy(_section(raw, "residual", {"kind", "theta"})),
         horizon=horizon,
         analysis=analysis,
         shadow=shadow,
-        output=output,
+        output=OutputOptions(directory=directory),
     )
 
 
@@ -242,5 +231,5 @@ def scenario_to_dict(s: Scenario) -> dict:
             "max_iter": s.shadow.max_iter,
             "tail_fraction": s.shadow.tail_fraction,
         },
-        "output": {"directory": s.output.directory, "formats": list(s.output.formats)},
+        "output": {"directory": s.output.directory},
     }

@@ -48,26 +48,12 @@ class Family(str, Enum):
     AFFINE_SINUSOID = "affine_sinusoid"
 
 
-class RateKind(str, Enum):
-    #: p_n is an upper Lipschitz bound: |F(n,u)-F(n,v)| <= p_n |u-v|.
-    CONTRACTING_BOUND = "contracting_bound"
-    #: p_n is a lower expansion bound: |F(n,u)-F(n,v)| >= p_n |u-v|.
-    EXPANDING_BOUND = "expanding_bound"
-
-
-class DomainKind(str, Enum):
-    COMPLEX_PLANE = "complex_plane"
-    REAL_LINE = "real_line"
-
-
 @dataclass(frozen=True)
 class MapSystem:
     """A time-indexed family of maps with known growth rates."""
 
     family: Family
     params: tuple
-    rate_kind: RateKind
-    domain_kind: DomainKind
 
     # -- linear structure ------------------------------------------------
 
@@ -206,48 +192,28 @@ def periodic_linear(coeffs: Sequence[Number] = (2, Fraction(1, 3))) -> MapSystem
         raise ValueError("periodic_linear needs at least one coefficient")
     if any(abs(complex(c)) == 0 for c in coeffs):
         raise ValueError("growth rate must be positive")
-    return MapSystem(
-        family=Family.PERIODIC_LINEAR,
-        params=coeffs,
-        rate_kind=RateKind.CONTRACTING_BOUND,
-        domain_kind=DomainKind.COMPLEX_PLANE,
-    )
+    return MapSystem(family=Family.PERIODIC_LINEAR, params=coeffs)
 
 
 def index_scaled_linear(odd_scale: Number = 3, even_inverse_scale: Number = 2) -> MapSystem:
     """Linear maps c_n z with c_n = odd_scale*n (odd n), 1/(even_inverse_scale*n) (even n)."""
     if complex(odd_scale) == 0 or complex(even_inverse_scale) == 0:
         raise ValueError("growth rate must be positive")
-    return MapSystem(
-        family=Family.INDEX_SCALED_LINEAR,
-        params=(odd_scale, even_inverse_scale),
-        rate_kind=RateKind.EXPANDING_BOUND,
-        domain_kind=DomainKind.COMPLEX_PLANE,
-    )
+    return MapSystem(family=Family.INDEX_SCALED_LINEAR, params=(odd_scale, even_inverse_scale))
 
 
 def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
     """Linear maps c_n z with c_n = base^n (odd n), base^-(n+even_shift) (even n)."""
     if base <= 0:
         raise ValueError("growth rate must be positive")
-    return MapSystem(
-        family=Family.POWER_TWO_PARITY,
-        params=(base, even_shift),
-        rate_kind=RateKind.CONTRACTING_BOUND,
-        domain_kind=DomainKind.COMPLEX_PLANE,
-    )
+    return MapSystem(family=Family.POWER_TWO_PARITY, params=(base, even_shift))
 
 
 def affine_sinusoid(slope: float = 3.0) -> MapSystem:
     """Real maps x -> slope*x + sin(x/n)/n; expanding rate slope - 1/n^2."""
     if slope <= 1.0:
         raise ValueError("affine_sinusoid requires slope > 1 for a positive expanding rate")
-    return MapSystem(
-        family=Family.AFFINE_SINUSOID,
-        params=(slope,),
-        rate_kind=RateKind.EXPANDING_BOUND,
-        domain_kind=DomainKind.REAL_LINE,
-    )
+    return MapSystem(family=Family.AFFINE_SINUSOID, params=(slope,))
 
 
 # -- residual policies ---------------------------------------------------

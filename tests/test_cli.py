@@ -1,13 +1,20 @@
 """End-to-end CLI behaviour: artifacts, verdicts, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from hu_shadow import fixture_path
 from hu_shadow.cli import OUTPUT_DIR_ENV, main
+
+#: Exit codes and file checksums of the 9 shipped-fixture invocations, as
+#: recorded for the benchmark (read only).
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+FIXTURES_CLI = json.loads(REFERENCES.read_text())["workloads"]["fixtures-cli"]
 
 
 def run(args, monkeypatch=None, env_out=None):
@@ -201,19 +208,54 @@ class TestUsageAndConfig:
         rc = main(["analyze", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
 
-    def test_invalid_override(self, tmp_path):
+    @pytest.mark.parametrize("flag, value", [("--horizon", "0"), ("--epsilon", "nan")])
+    def test_invalid_override(self, tmp_path, flag, value):
         rc = main(
             [
                 "shadow",
                 "--config",
                 str(fixture_path("nonlinear_sinusoid")),
-                "--horizon",
-                "0",
+                flag,
+                value,
                 "--out",
                 str(tmp_path),
             ]
         )
         assert rc == 2
+
+    # each of these once ended in a traceback or a silent bad run
+    @pytest.mark.parametrize(
+        "fixture, key, value",
+        [
+            ("unstable_parity", "system.base", "[1]"),
+            ("nonlinear_sinusoid", "analysis.window", '"x"'),
+            ("nonlinear_sinusoid", "analysis.window", "32.0"),
+            ("nonlinear_sinusoid", "shadow.max_iter", "null"),
+            ("nonlinear_sinusoid", "system.slope", '"1e999"'),
+            ("nonlinear_sinusoid", "a1", "[1e999, 0]"),
+            ("nonlinear_sinusoid", "epsilon", "NaN"),
+            ("nonlinear_sinusoid", "epsilon", "1e999"),
+            ("nonlinear_sinusoid", "analysis.tol", "NaN"),
+            ("nonlinear_sinusoid", "horizon", "true"),
+            ("nonlinear_sinusoid", "output.directory", "null"),
+        ],
+    )
+    def test_bad_scenario_value_is_a_config_error(self, tmp_path, capsys, fixture, key, value):
+        raw = json.loads(fixture_path(fixture).read_text())
+        *sections, leaf = key.split(".")
+        target = raw
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[leaf] = "@VALUE@"
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(raw).replace('"@VALUE@"', value))
+        rc = main(["shadow", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"hu-shadow: config error: {key}")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
@@ -256,6 +298,23 @@ class TestReproduce:
         rc = main(["reproduce", "--out", str(tmp_path)])
         report = json.loads((tmp_path / "reproduce.json").read_text())
         assert (rc == 0) == (report["failed"] == 0)
+
+
+class TestByteIdentity:
+    """Every shipped-fixture invocation writes exactly the recorded bytes."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES_CLI))
+    def test_outputs_match_references(self, tmp_path, name):
+        command, _, fixture = name.partition(".")
+        argv = [command] + (["--config", str(fixture_path(fixture))] if fixture else [])
+        rc = main(argv + ["--out", str(tmp_path)])
+        written = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.rglob("*")
+            if p.is_file()
+        }
+        assert rc == FIXTURES_CLI[name]["exit"]
+        assert written == FIXTURES_CLI[name]["files"]
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ from hu_shadow import (
     scenario_to_dict,
 )
 from hu_shadow import FIXTURE_NAMES
+from hu_shadow.cli import main
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -92,9 +93,11 @@ class TestLoading:
         sc = scenario_from_dict(dict(MINIMAL, a1=[1.5, -0.5]))
         assert sc.a1 == 1.5 - 0.5j
 
-    def test_bad_formats_rejected(self):
-        with pytest.raises(ConfigError, match="formats"):
-            scenario_from_dict(dict(MINIMAL, output={"formats": ["xml"]}))
+    def test_formats_is_an_unknown_key(self, tmp_path, capsys):
+        # output.formats was parsed but never honoured; it is no longer a key
+        path = write_scenario(tmp_path, dict(MINIMAL, output={"formats": ["csv", "json"]}))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "output: unknown keys ['formats']" in capsys.readouterr().err
 
 
 class TestRoundTrip:

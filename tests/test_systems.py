@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import (
-    DomainKind,
     Family,
     PolicyKind,
     PseudoOrbit,
-    RateKind,
     ResidualPolicy,
     UnsupportedFamily,
     affine_sinusoid,
@@ -90,9 +88,6 @@ class TestFactories:
             affine_sinusoid(slope=0.5)
 
     def test_kinds(self):
-        assert periodic_linear().rate_kind is RateKind.CONTRACTING_BOUND
-        assert index_scaled_linear().rate_kind is RateKind.EXPANDING_BOUND
-        assert affine_sinusoid().domain_kind is DomainKind.REAL_LINE
         assert power_two_parity().family is Family.POWER_TWO_PARITY
 
 
