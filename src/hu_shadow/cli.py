@@ -31,7 +31,14 @@ from . import fixture_path
 from .errors import ConfigError, HuShadowError
 # perfbench/tracer.py wraps detect_periodic_scaled here, as it does every
 # pipeline name this module imports, so the import stays though unused.
-from .growth import Classification, ClassificationKind, classify, detect_periodic_scaled, profile_of
+from .growth import (
+    Classification,
+    ClassificationKind,
+    build_profile,
+    classify,
+    detect_periodic_scaled,
+    profile_of,
+)
 from .instability import witness_divergence
 from .scenario import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 from .shadowing import shadow_contracting, shadow_expanding
@@ -125,17 +132,13 @@ def _classify_scenario(scenario: Scenario) -> Classification:
 
 def _cmd_analyze(scenario: Scenario, out: Path) -> int:
     horizon = _analysis_horizon(scenario)
-    profile = profile_of(scenario.system, horizon)
+    rates = scenario.system.rates(horizon)
+    profile = build_profile(rates)
     cls = classify(profile, scenario.system, scenario.analysis)
 
     rows = [
-        [
-            str(n),
-            _fmt(scenario.system.growth_rate(n)),
-            _fmt(profile.log_sum(n)),
-            _fmt(profile.avg[n - 1]),
-        ]
-        for n in range(1, horizon + 1)
+        [str(n), _fmt(rate), _fmt(profile.log_sum(n)), _fmt(profile.avg[n - 1])]
+        for n, rate in enumerate(rates, 1)
     ]
     _write_csv(out / "profile.csv", ["n", "rate", "log_partial", "avg"], rows)
 

@@ -155,6 +155,7 @@ def witness_divergence(
 
     policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
     pseudo = generate_pseudo_orbit(sys, 1.0, eps, policy, horizon + 1)
+    coeffs, rates = sys.tables(horizon)
 
     samples = []
     # propagate d_{n+1} = q_n d_n - r_n (b_1 = a_1) and the partial sum
@@ -173,7 +174,7 @@ def witness_divergence(
     T_overflowed = False
     log10_limit = math.log10(LOG_DOMAIN_LIMIT)
     for n in range(1, horizon + 1):
-        p_n = sys.growth_rate(n)
+        p_n = rates[n - 1]
         lp10 = sys.log_growth_rate(n) / math.log(10.0)
         if not T_overflowed and T > 0.0 and (
             not math.isfinite(p_n) or math.log10(T) + lp10 > log10_limit
@@ -195,7 +196,11 @@ def witness_divergence(
         if d_overflowed:
             log10_d = _log10_add(log10_d + lp10, log10_eps)
         elif n <= pseudo.horizon - 1:
-            q = sys.eval_q(n, pseudo.value(n) + d, pseudo.value(n))
+            # c_n is finite here: the pseudo-orbit stops at the first that is not
+            if coeffs is None:
+                q = sys.eval_q(n, pseudo.value(n) + d, pseudo.value(n))
+            else:
+                q = coeffs[n - 1]
             d = q * d - pseudo.residual(n)
         if n % m == p_idx % m and n > fit.prefix:
             k = (n - p_idx) // m

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import UnsupportedFamily
-from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy
+from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,16 @@ class SearchRegion:
 def sup_error_for_start(
     sys: MapSystem, pseudo: PseudoOrbit, b1: complex, horizon: int
 ) -> float:
-    """sup_{n<=horizon} |b_n - a_n| for the true orbit started at b1."""
+    """sup_{n<=horizon} |b_n - a_n| for the true orbit started at b1.
+
+    A modulus that overflows from finite parts raises OverflowError; a
+    NaN distance is NaN (see :func:`~hu_shadow.systems.modulus`).
+    """
     b = complex(b1)
-    worst = abs(b - pseudo.value(1))
+    worst = modulus(b - pseudo.value(1))
     for n in range(1, min(horizon, pseudo.horizon)):
         b = sys.eval_map(n, b)
-        worst = max(worst, abs(b - pseudo.value(n + 1)))
+        worst = max(worst, modulus(b - pseudo.value(n + 1)))
     return worst
 
 
@@ -161,19 +165,19 @@ def _sup_errors(
     Bit-identical to the scalar function elementwise: each step repeats
     its float operations in the same order.  The product c_n * b is
     written out as Python's complex product (numpy's may fuse the
-    multiply-add), the modulus is ``hypot`` as in ``abs(complex)``, and
+    multiply-add), the modulus is C ``hypot`` as in ``modulus``, and
     the running maximum keeps the first argument unless the second is
     greater, as ``max`` does.
 
     A start point fails where the scalar function would raise: a modulus
-    that overflows from finite parts (``abs`` raises
+    that overflows from finite parts (``modulus`` raises
     :class:`OverflowError`) or a failing map evaluation.  If any fails,
     the exception of the first failing one in ``starts`` is raised, as a
     loop over the scalar function would.
     """
     failures: dict[int, Exception] = {}  # start index -> its first exception
 
-    def modulus(d: np.ndarray) -> np.ndarray:
+    def moduli(d: np.ndarray) -> np.ndarray:
         x = np.hypot(d.real, d.imag)
         for i in np.flatnonzero(np.isinf(x) & np.isfinite(d.real) & np.isfinite(d.imag)):
             failures.setdefault(int(i), OverflowError("absolute value too large"))
@@ -188,7 +192,7 @@ def _sup_errors(
 
     b = np.asarray(starts, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = modulus(b - pseudo.value(1))
+        worst = moduli(b - pseudo.value(1))
         for n in range(1, min(horizon, pseudo.horizon)):
             if sys.is_linear:
                 try:
@@ -203,7 +207,7 @@ def _sup_errors(
                 b = step
             else:
                 b = np.array([mapped(n, i, z) for i, z in enumerate(b)], dtype=complex)
-            x = modulus(b - pseudo.value(n + 1))
+            x = moduli(b - pseudo.value(n + 1))
             worst = np.where(x > worst, x, worst)
     if failures:
         raise failures[min(failures)]
@@ -227,12 +231,19 @@ def best_b1_search(
 
     Each round evaluates its whole grid as one array and returns exactly
     what a loop over :func:`sup_error_for_start` in row-major order (real
-    part outer) with a strict ``<`` update would return.
+    part outer) with a strict ``<`` update would return.  A region whose
+    grid span is not finite raises ValueError: its grid would hold NaN.
     """
     if grid < 2 or refinements < 0:
         raise ValueError("need grid >= 2 and refinements >= 0")
     center = complex(region.center)
     radius = float(region.radius)
+    for part in (center.real, center.imag):
+        if not math.isfinite((part + radius) - (part - radius)):
+            raise ValueError(
+                f"search grid around {center!r} with radius {radius!r} "
+                "spans past the float range"
+            )
     best_b1 = center
     best_err = float(_sup_errors(sys, pseudo, np.array([center]), horizon)[0])
     for _ in range(refinements + 1):

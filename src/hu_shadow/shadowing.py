@@ -27,6 +27,7 @@ O(horizon^2) cost.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -227,10 +228,10 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
         raise HypothesisViolation(f"K must exceed 1, got {K}")
     horizon = pseudo.horizon
     eps = pseudo.epsilon
-    rates = sys.rates(horizon)
+    coeffs, rates = sys.tables(horizon)
     b = [pseudo.value(1)]
     for n in range(1, horizon):
-        b.append(sys.eval_map(n, b[-1]))
+        b.append(_apply(sys, coeffs, n, b[-1]))
     d = tuple(b[i] - pseudo.a[i] for i in range(horizon))
     sup = max(abs(x) for x in d)
     sound = max(_accumulated_rate_bounds(rates, horizon, eps, 0.0))
@@ -243,7 +244,7 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     meta = ShadowMeta(
         truncation=0,
         iterations=1,
-        residual_sup=_relative_residual_sup(sys, b),
+        residual_sup=_relative_residual_sup(sys, coeffs, b),
         sound_bound=sound,
     )
     return ShadowResult(
@@ -287,7 +288,9 @@ def shadow_expanding(
     eps = pseudo.epsilon
     bound = 2.0 * eps / math.log(K)
 
-    J, capped = _pick_truncation(sys, horizon, eps, bound, opts.tail_fraction, K)
+    # one table serves the tail past the horizon, the quotients and the sound bound
+    coeffs, rates = sys.tables(horizon + TAIL_CAP_MARGIN)
+    J, capped = _pick_truncation(rates, horizon, eps, bound, opts.tail_fraction, K)
     ext = generate_pseudo_orbit(
         sys, pseudo.value(1), eps, pseudo.policy, max(J + 1, horizon)
     )
@@ -305,7 +308,11 @@ def shadow_expanding(
         new_d = [0j] * (n_ext + 1)
         # d_{J+1} = 0; backward recurrence d_n = (r_n + d_{n+1}) / q_n
         for n in range(J, 0, -1):
-            q = sys.eval_q(n, a[n - 1] + d[n - 1], a[n - 1])
+            # every c_n with n <= J is finite: ext stops at the first that is not
+            if coeffs is None:
+                q = sys.eval_q(n, a[n - 1] + d[n - 1], a[n - 1])
+            else:
+                q = coeffs[n - 1]
             if abs(q) < DEGENERATE_QUOTIENT_LIMIT:
                 raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
             r_n = ext.residual(n) if n <= len(ext.r) else 0j
@@ -332,12 +339,11 @@ def shadow_expanding(
             )
     b = tuple(a[i] + d[i] for i in range(horizon))
     d_out = tuple(d[:horizon])
-    rates = sys.rates(horizon)
     sound = max(_accumulated_rate_bounds(rates, horizon, eps, abs(d[0])))
     meta = ShadowMeta(
         truncation=J,
         iterations=iterations,
-        residual_sup=_relative_residual_sup(sys, b),
+        residual_sup=_relative_residual_sup(sys, coeffs, b),
         sound_bound=sound,
         truncation_capped=capped,
     )
@@ -347,7 +353,7 @@ def shadow_expanding(
 
 
 def _pick_truncation(
-    sys: MapSystem,
+    rates: Sequence[float],
     horizon: int,
     eps: float,
     bound: float,
@@ -358,7 +364,8 @@ def _pick_truncation(
 
     The tail of the series for d_horizon beyond J is bounded by
     eps * sum_{j>J} prod_{i=horizon..j} 1/p_i; the unmeasured remainder
-    past the cap is closed geometrically with ratio 1/K.
+    past the cap is closed geometrically with ratio 1/K.  ``rates`` holds
+    p_1 .. p_cap.
     """
     cap = horizon + TAIL_CAP_MARGIN
     if eps == 0.0:
@@ -366,8 +373,8 @@ def _pick_truncation(
     target = tail_fraction * bound if bound > 0 else 0.0
     log_c = 0.0  # log of prod_{i=horizon..j} 1/p_i
     tail_terms = []  # c_j for j = horizon..cap
-    for j in range(horizon, cap + 1):
-        log_c -= math.log(sys.growth_rate(j))
+    for p in rates[horizon - 1 : cap]:
+        log_c -= math.log(p)
         tail_terms.append(math.exp(log_c))
     remainder = tail_terms[-1] / (K - 1.0)
     # suffix[i] = sum of terms past index i, plus the geometric remainder
@@ -384,10 +391,25 @@ def _pick_truncation(
     return cap, True
 
 
-def _relative_residual_sup(sys: MapSystem, b: Sequence[complex]) -> float:
+def _relative_residual_sup(
+    sys: MapSystem, coeffs: Optional[list], b: Sequence[complex]
+) -> float:
     """sup_n |b_{n+1} - F(n, b_n)| / max(1, |b_n|)."""
     worst = 0.0
     for n in range(1, len(b)):
-        res = abs(b[n] - sys.eval_map(n, b[n - 1]))
+        res = abs(b[n] - _apply(sys, coeffs, n, b[n - 1]))
         worst = max(worst, res / max(1.0, abs(b[n - 1])))
     return worst
+
+
+def _apply(sys: MapSystem, coeffs: Optional[list], n: int, z: complex) -> complex:
+    """F(n, z) from the coefficient table of ``sys.tables``.
+
+    A non-finite entry (an overflowing c_n) and the nonlinear family go
+    through ``eval_map``, so a step fails exactly where it would.
+    """
+    if coeffs is not None:
+        c = coeffs[n - 1]
+        if cmath.isfinite(c):
+            return c * z
+    return sys.eval_map(n, z)

@@ -19,6 +19,11 @@ Four parameterized families are built in:
 Only these parameterized families are supported: their difference
 quotients can be evaluated exactly, which the shadowing constructions
 rely on.
+
+A linear family also gives c_1 .. c_H as one table built in a single
+pass (:meth:`MapSystem.coefficients`), and :meth:`MapSystem.tables` the
+rates with it; the per-step loops of the constructions read these
+instead of re-deriving c_n and p_n one index at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import UnsupportedFamily
 
@@ -66,6 +73,45 @@ class MapSystem:
         c = self._raw_coefficient(n)
         return complex(c)
 
+    def coefficients(self, horizon: int) -> list[complex]:
+        """c_1 .. c_horizon of a linear family, computed in one pass.
+
+        Entry n is bit-equal to ``coefficient(n)``.  Where that raises
+        OverflowError (c_n past the float range) the entry is the
+        infinity of c_n's sign, as IEEE rounding gives; callers that must
+        fail where ``eval_map`` fails fall back to it at non-finite
+        entries.  Rational parameters are carried as integer pairs, so no
+        ``Fraction`` is built per step: int true division rounds the
+        exact quotient correctly, as ``Fraction.__float__`` does.
+        """
+        count = max(horizon, 0)
+        if self.family is Family.PERIODIC_LINEAR:
+            cycle = [_as_complex(c) for c in self.params]
+            return (cycle * (count // len(cycle) + 1))[:count]
+        table = [0j] * count
+        odd, even = range(1, count + 1, 2), range(2, count + 1, 2)
+        if self.family is Family.INDEX_SCALED_LINEAR:
+            odd_scale, even_inverse_scale = self.params
+            table[0::2] = _products(odd_scale, odd)
+            table[1::2] = _reciprocals(even_inverse_scale, even)
+            return table
+        if self.family is Family.POWER_TWO_PARITY:
+            base, even_shift = self.params
+            if not _rational(base):  # float powers round per index
+                return [
+                    _float_power(float(base), _parity_exponent(n, even_shift))
+                    for n in range(1, count + 1)
+                ]
+            for ns in (odd, even):
+                if ns:  # c_{n+2} = c_n * base**(e_{n+2} - e_n) along a parity class
+                    first = _parity_exponent(ns[0], even_shift)
+                    step = _parity_exponent(ns[0] + 2, even_shift) - first
+                    table[ns[0] - 1::2] = _geometric(
+                        Fraction(base) ** first, Fraction(base) ** step, len(ns)
+                    )
+            return table
+        raise UnsupportedFamily(f"{self.family.value} is not linear")
+
     def rational_coefficient(self, n: int) -> Fraction:
         """The multiplier c_n as an exact rational.
 
@@ -96,11 +142,10 @@ class MapSystem:
             ) else 1.0 / (even_inverse_scale * n)
         if self.family is Family.POWER_TWO_PARITY:
             base, even_shift = self.params
-            if n % 2 == 1:
-                return base**n if _rational(base) else float(base) ** n
-            if _rational(base):
-                return Fraction(1, base ** (n + even_shift))
-            return float(base) ** -(n + even_shift)
+            e = _parity_exponent(n, even_shift)
+            if not _rational(base):
+                return float(base) ** e
+            return base**e if e >= 0 else Fraction(1, base**-e)
         raise UnsupportedFamily(f"{self.family.value} is not linear")
 
     # -- evaluation ------------------------------------------------------
@@ -151,21 +196,19 @@ class MapSystem:
         """
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
-        if self.is_linear:
-            try:
-                return abs(self.coefficient(n))
-            except OverflowError:
-                return math.inf
-        (slope,) = self.params
-        return float(slope) - 1.0 / n**2
+        if not self.is_linear:
+            return _expanding_rate(self.params[0], n)
+        try:
+            return modulus(self.coefficient(n))
+        except OverflowError:
+            return math.inf
 
     def log_growth_rate(self, n: int) -> float:
         """ln p_n, finite even when p_n itself overflows a float."""
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
         if not self.is_linear:
-            (slope,) = self.params
-            return math.log(float(slope) - 1.0 / n**2)
+            return math.log(_expanding_rate(self.params[0], n))
         c = self._raw_coefficient(n)
         if isinstance(c, Fraction):
             return math.log(abs(c.numerator)) - math.log(c.denominator)
@@ -175,7 +218,105 @@ class MapSystem:
 
     def rates(self, horizon: int) -> list[float]:
         """Growth rates p_1 .. p_horizon."""
-        return [self.growth_rate(n) for n in range(1, horizon + 1)]
+        return self.tables(horizon)[1]
+
+    def tables(self, horizon: int) -> tuple[Optional[list[complex]], list[float]]:
+        """(c_1 .. c_horizon, p_1 .. p_horizon) from one coefficient table.
+
+        The coefficients are ``None`` for the nonlinear family.  Each rate
+        is bit-equal to ``growth_rate(n)``: |c_n| by C ``hypot``, as
+        ``abs(complex)`` computes it, and ``inf`` past the float range.
+        """
+        if not self.is_linear:
+            ns = range(1, horizon + 1)
+            return None, [_expanding_rate(self.params[0], n) for n in ns]
+        coeffs = self.coefficients(horizon)
+        table = np.array(coeffs, dtype=complex)
+        with np.errstate(over="ignore"):
+            return coeffs, np.hypot(table.real, table.imag).tolist()
+
+
+def modulus(z: complex) -> float:
+    """|z| by C ``hypot``, as ``abs(complex)`` and ``numpy.hypot`` compute it.
+
+    Raises OverflowError where finite parts overflow, as ``abs`` does.
+    With a NaN part the result is NaN (``inf`` if the other part is
+    infinite): CPython's ``abs(complex)`` leaves errno alone there, so a
+    stale ERANGE from an earlier failed call would raise instead.
+    """
+    if math.isnan(z.real) or math.isnan(z.imag):
+        return math.hypot(z.real, z.imag)
+    return abs(z)
+
+
+def _expanding_rate(slope: float, n: int) -> float:
+    """slope - 1/n^2, the affine sinusoid's expanding rate."""
+    return float(slope) - 1.0 / n**2
+
+
+def _parity_exponent(n: int, even_shift: int) -> int:
+    """e with c_n = base**e in ``power_two_parity``."""
+    return n if n % 2 == 1 else -(n + even_shift)
+
+
+def _as_complex(c: Number) -> complex:
+    """complex(c), or the infinity of c's sign where that overflows."""
+    try:
+        return complex(c)
+    except OverflowError:
+        return complex(math.inf if c > 0 else -math.inf, 0.0)
+
+
+def _quotient(num: int, den: int) -> complex:
+    """complex(Fraction(num, den)) without building the Fraction."""
+    try:
+        return complex(num / den)
+    except OverflowError:
+        return complex(math.inf if (num > 0) == (den > 0) else -math.inf, 0.0)
+
+
+def _products(scale: Number, ns: range) -> list[complex]:
+    """complex(scale * n) for n in ns."""
+    if _rational(scale):
+        return [_quotient(scale.numerator * n, scale.denominator) for n in ns]
+    return [complex(scale * n) for n in ns]
+
+
+def _reciprocals(scale: Number, ns: range) -> list[complex]:
+    """complex(Fraction(1, scale * n)) for n in ns; 1.0 / (scale * n) for a float scale."""
+    if _rational(scale):
+        return [_quotient(scale.denominator, scale.numerator * n) for n in ns]
+    return [complex(1.0 / (scale * n)) for n in ns]
+
+
+def _float_power(base: float, e: int) -> complex:
+    """complex(base ** e) for base > 0, inf where it overflows."""
+    try:
+        return complex(base**e)
+    except OverflowError:
+        return complex(math.inf, 0.0)
+
+
+def _geometric(value: Fraction, ratio: Fraction, count: int) -> list[complex]:
+    """complex(value * ratio**k) for k < count, for positive value and ratio.
+
+    A running integer product, not reduced: the correctly rounded
+    quotient depends only on its exact value.  Once a value leaves the
+    float range (inf or 0.0) in the direction the ratio moves it, every
+    later one rounds to the same limit, so the rest are filled in.
+    """
+    num, den = value.numerator, value.denominator
+    rnum, rden = ratio.numerator, ratio.denominator
+    out = []
+    for k in range(count):
+        c = _quotient(num, den)
+        out.append(c)
+        if (c.real == math.inf and rnum >= rden) or (c.real == 0.0 and rnum <= rden):
+            out.extend([c] * (count - k - 1))
+            break
+        num *= rnum
+        den *= rden
+    return out
 
 
 def _rational(x: Number) -> bool:
@@ -292,13 +433,19 @@ def generate_pseudo_orbit(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    # an overflowing c_n is inf in the table: the step is not finite and
+    # truncates where eval_map's OverflowError would
+    coeffs = sys.coefficients(horizon - 1) if sys.is_linear else None
     a = [complex(a1)]
     r: list[complex] = []
     truncated = False
     for n in range(1, horizon):
         r_n = policy.residual(n, epsilon)
         try:
-            nxt = sys.eval_map(n, a[-1]) + r_n
+            if coeffs is None:
+                nxt = sys.eval_map(n, a[-1]) + r_n
+            else:
+                nxt = coeffs[n - 1] * a[-1] + r_n
         except OverflowError:
             truncated = True
             break

@@ -197,6 +197,21 @@ class TestInstability:
         err = json.loads(capsys.readouterr().err)
         assert "no witness" in err["reason"]
 
+    def test_negative_even_shift_exits_with_json(self, tmp_path, capsys):
+        # base^-(n+shift) has a positive exponent for n < 5; it once raised
+        # TypeError from Fraction(1, float)
+        raw = json.loads(fixture_path("unstable_parity").read_text())
+        raw["system"]["even_shift"] = -5
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(raw))
+        rc = main(["instability", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc in (0, 1)
+        if rc == 0:
+            assert json.loads((tmp_path / "out" / "witness.json").read_text())["verdict"] == "pass"
+        else:
+            err = json.loads(capsys.readouterr().err)
+            assert set(err) == {"error", "reason"}
+
 
 class TestUsageAndConfig:
     def test_missing_config_flag(self, tmp_path, capsys):

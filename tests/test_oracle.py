@@ -1,5 +1,6 @@
 """Exact rational oracle and the brute-force start-point search."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -136,6 +137,31 @@ class TestStartPointSearch:
         with pytest.raises(ValueError):
             best_b1_search(sys, pseudo, 10, SearchRegion(1.0, 0.1), grid=1)
 
+    @pytest.mark.parametrize(
+        "center, radius",
+        [
+            (0.0, 9e307),  # 2*radius overflows
+            (1.7e308j, 1e307),  # center + radius overflows
+            (complex(math.inf, 0.0), 1.0),
+            (0.0, math.nan),
+        ],
+    )
+    def test_grid_span_past_float_range_rejected(self, center, radius):
+        # linspace's span was inf, so its grid held NaN start points
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 6)
+        with pytest.raises(ValueError, match="spans past the float range"):
+            best_b1_search(sys, pseudo, 6, SearchRegion(center, radius), grid=4, refinements=1)
+
+    def test_nan_start_after_a_failed_call_is_nan(self):
+        # abs(complex) of a NaN once reported the ERANGE left by the failed
+        # cmath.sin as OverflowError('absolute value too large')
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 6)
+        with pytest.raises(OverflowError):
+            cmath.sin(1 + 1000j)
+        assert math.isnan(sup_error_for_start(sys, pseudo, complex(math.nan, 0.0), 6))
+
 
 def _scalar_best_b1_search(
     sys: MapSystem,
@@ -145,11 +171,21 @@ def _scalar_best_b1_search(
     grid: int = 64,
     refinements: int = 6,
 ) -> tuple[complex, float]:
-    """The original scalar search, one start point at a time (the oracle)."""
+    """The original scalar search, one start point at a time (the oracle).
+
+    It refuses the regions the search refuses, with the same message, so
+    that both reject a grid span past the float range alike.
+    """
     if grid < 2 or refinements < 0:
         raise ValueError("need grid >= 2 and refinements >= 0")
     center = complex(region.center)
     radius = float(region.radius)
+    for part in (center.real, center.imag):
+        if not math.isfinite((part + radius) - (part - radius)):
+            raise ValueError(
+                f"search grid around {center!r} with radius {radius!r} "
+                "spans past the float range"
+            )
     best_b1 = center
     best_err = sup_error_for_start(sys, pseudo, center, horizon)
     for _ in range(refinements + 1):

@@ -12,6 +12,7 @@ from hu_shadow import shadowing
 from hu_shadow import (
     HypothesisViolation,
     PolicyKind,
+    PseudoOrbit,
     ResidualPolicy,
     ShadowMethod,
     ShadowOptions,
@@ -345,3 +346,20 @@ class TestOverflowDiscipline:
         )
         with pytest.raises(OverflowError):
             telescope_difference(sys, pseudo, 1.0, 5)
+
+    def test_overflowing_coefficient_fails_where_eval_map_fails(self):
+        # the coefficient table holds inf for c_1025 = 2^1025; a pseudo-orbit
+        # the system did not generate reaches that step, where eval_map
+        # raises, and the propagation must raise the same error there
+        sys = power_two_parity()
+        pseudo = PseudoOrbit(
+            a=(1e-300 + 0j,) * 1100,
+            r=(0j,) * 1099,
+            epsilon=0.0,
+            horizon=1100,
+            policy=ResidualPolicy(kind=PolicyKind.ZERO),
+        )
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            sys.eval_map(1025, 1.0)
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            shadow_contracting(sys, pseudo, 2.0)

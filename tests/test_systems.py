@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hu_shadow import (
     Family,
+    MapSystem,
     PolicyKind,
     PseudoOrbit,
     ResidualPolicy,
@@ -19,6 +20,8 @@ from hu_shadow import (
     index_scaled_linear,
     periodic_linear,
     power_two_parity,
+    profile_of,
+    shadow_expanding,
 )
 
 
@@ -72,6 +75,15 @@ class TestCoefficients:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             periodic_linear().coefficient(0)
+
+    def test_negative_even_shift(self):
+        # c_n = 2^-(n-5) at even n: a positive exponent below n = 5
+        sys = power_two_parity(2, -5)
+        assert [sys.rational_coefficient(n) for n in (2, 4, 6, 8)] == [
+            8, 2, Fraction(1, 2), Fraction(1, 8)
+        ]
+        assert sys.coefficient(4) == 2 + 0j
+        assert sys.log_growth_rate(2) == math.log(8)
 
 
 class TestFactories:
@@ -219,3 +231,125 @@ class TestPseudoOrbit:
                 - pseudo.residual(n)
             )
             assert err <= 1e-12 * max(1.0, abs(pseudo.value(n + 1)))
+
+
+def _bits(z: complex) -> tuple:
+    """The exact bits of a complex, NaN and the sign of zero included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def _scalar_entry(sys: MapSystem, n: int) -> complex:
+    """coefficient(n), or the infinity of c_n's sign where it overflows."""
+    try:
+        return sys.coefficient(n)
+    except OverflowError:
+        try:
+            positive = sys.rational_coefficient(n) > 0
+        except (UnsupportedFamily, OverflowError):  # a float power of a positive base
+            positive = True
+        return complex(math.inf if positive else -math.inf, 0.0)
+
+
+def _assert_tables_match_scalar_rule(sys: MapSystem, horizon: int, ns=None) -> None:
+    coeffs = sys.coefficients(horizon)
+    rates = sys.rates(horizon)
+    assert len(coeffs) == len(rates) == horizon
+    for n in ns or range(1, horizon + 1):
+        assert _bits(coeffs[n - 1]) == _bits(_scalar_entry(sys, n)), n
+        assert rates[n - 1].hex() == sys.growth_rate(n).hex(), n
+
+
+#: systems whose tables are compared at H = 12,000: every index up to
+#: 2,000, which covers the parity family's overflow (odd n >= 1025) and
+#: underflow (even n >= 1072 for base 2) indices, and every 7th one after
+TABLE_SYSTEMS = {
+    "periodic_default": periodic_linear(),
+    "periodic_mixed": periodic_linear((3, Fraction(-2, 7), 0.3, 1.5 - 0.5j, -0.75j)),
+    # moduli where math.hypot and C hypot (abs, numpy.hypot) round apart
+    "periodic_hypot": periodic_linear((2.08 + 2.111j, 0.911 + 1.119j, 2.768 + 0.845j)),
+    "periodic_out_of_range": MapSystem(
+        Family.PERIODIC_LINEAR, (Fraction(10**400, 3), -(10**400), Fraction(1, 10**400))
+    ),
+    "index_default": index_scaled_linear(),
+    "index_fraction": index_scaled_linear(Fraction(7, 3), Fraction(-5, 2)),
+    "index_float": index_scaled_linear(2.9, -1.7),
+    "index_out_of_range": index_scaled_linear(-(10**305), 10**305),
+    "parity_float": power_two_parity(2.0, 3),
+    "parity_fraction": power_two_parity(Fraction(3, 2), -4),
+    # the even class starts past the float range and moves back into it
+    "parity_back_from_inf": power_two_parity(2, -2000),
+    "parity_back_from_zero": power_two_parity(Fraction(1, 2), -2000),
+    **{
+        f"parity_{base}_{shift}": power_two_parity(base, shift)
+        for base in (2, 3)
+        for shift in (-5, 0, 3)
+    },
+}
+
+rational = st.one_of(
+    st.integers(-50, 50).filter(bool),
+    st.fractions(min_value=-50, max_value=50, max_denominator=1000).filter(bool),
+    st.integers(10**300, 10**310),
+)
+finite = st.floats(-1e3, 1e3)
+real = st.one_of(rational, finite.filter(lambda x: abs(x) > 1e-300))
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("name", sorted(TABLE_SYSTEMS))
+    def test_every_entry_equals_the_scalar_rule(self, name):
+        ns = [*range(1, 2001), *range(2001, 12_001, 7)]
+        _assert_tables_match_scalar_rule(TABLE_SYSTEMS[name], 12_000, ns)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sys=st.one_of(
+            st.lists(st.one_of(real, st.builds(complex, finite, finite)), min_size=1, max_size=5)
+            .filter(lambda cs: all(abs(complex(c)) > 0 for c in cs if not isinstance(c, int)))
+            .map(lambda cs: MapSystem(Family.PERIODIC_LINEAR, tuple(cs))),
+            # built directly: the factory's complex() check overflows on huge ints
+            st.builds(lambda *scales: MapSystem(Family.INDEX_SCALED_LINEAR, scales), real, real),
+            st.builds(
+                power_two_parity,
+                st.one_of(
+                    st.integers(1, 7),
+                    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).filter(bool),
+                    st.floats(0.1, 9.0),
+                ),
+                st.integers(-9, 9),
+            ),
+        ),
+        horizon=st.integers(0, 300),
+    )
+    def test_tables_equal_scalar_rule(self, sys, horizon):
+        _assert_tables_match_scalar_rule(sys, horizon)
+
+    def test_sinusoid_rates_and_no_coefficients(self):
+        sys = affine_sinusoid(2.5)
+        coeffs, rates = sys.tables(500)
+        assert coeffs is None
+        assert [r.hex() for r in rates] == [sys.growth_rate(n).hex() for n in range(1, 501)]
+        assert rates[:3] == [2.5 - 1.0, 2.5 - 0.25, 2.5 - 1.0 / 9]
+        with pytest.raises(UnsupportedFamily):
+            sys.coefficients(3)
+
+    def test_nonpositive_horizon_is_empty(self):
+        for horizon in (0, -3):
+            assert power_two_parity().coefficients(horizon) == []
+            assert periodic_linear().rates(horizon) == []
+
+    def test_pipeline_reads_the_table(self, monkeypatch):
+        # the parent made tens of thousands of scalar calls at this size
+        calls = []
+        for method in ("eval_map", "eval_q", "growth_rate"):
+            original = getattr(MapSystem, method)
+            monkeypatch.setattr(
+                MapSystem,
+                method,
+                lambda self, *args, _f=original, _m=method: calls.append(_m) or _f(self, *args),
+            )
+        sys = index_scaled_linear()
+        profile_of(sys, 10_000)
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 10_000)
+        shadow_expanding(sys, pseudo, math.sqrt(1.5))
+        assert len(calls) <= 5, len(calls)
