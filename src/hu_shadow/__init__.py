@@ -16,6 +16,7 @@ from .errors import (
     HypothesisViolation,
     NonContraction,
     RateRangeError,
+    TruncatedOrbit,
     UnsupportedFamily,
 )
 from .growth import (

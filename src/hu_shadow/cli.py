@@ -168,6 +168,12 @@ def _run_shadow(scenario: Scenario) -> tuple:
 def _cmd_shadow(scenario: Scenario, out: Path) -> int:
     cls, pseudo, result = _run_shadow(scenario)
     horizon = pseudo.horizon
+    if horizon < scenario.horizon:
+        print(
+            f"hu-shadow: note: the pseudo-orbit reached n = {horizon} of the requested "
+            f"horizon {scenario.horizon}; its next value leaves the representable range",
+            file=sys.stderr,
+        )
 
     rows = []
     for n in range(1, horizon + 1):

@@ -368,18 +368,38 @@ def double_factorial_envelope(k: int) -> tuple[float, float, float]:
 def double_factorial_envelope_holds(k_max: int) -> bool:
     """Exact integer check of the envelope for every k <= k_max.
 
-    Maintains the squared ratio as a running integer pair, each step
-    multiplying in only the small factors (2k-1)^2 and (2k)^2, and compares
-    by cross-multiplication, so the verdict carries no rounding at all.
+    (2k-1)!!/(2k)!! is C(2k,k)/4^k, so the bounds 1/sqrt(4k+1) <= value
+    <= 1/sqrt(3k+1) say c^2 (4k+1) >= 16^k >= c^2 (3k+1) for the one
+    running integer c = C(2k,k), updated by the exact division
+    c*(4k-2)//k.  Each comparison is decided by :func:`_square_cmp`
+    without squaring c, so the verdict carries no rounding at all and
+    the integers stay about 2k bits long.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    num_sq, den_sq = 1, 1
+    c = 1  # C(2k, k)
     for k in range(1, k_max + 1):
-        num_sq *= (2 * k - 1) ** 2
-        den_sq *= (2 * k) ** 2
-        if den_sq > num_sq * (4 * k + 1):  # value < 1/sqrt(4k+1)
+        c = c * (4 * k - 2) // k
+        if _square_cmp(c, 4 * k + 1, k) < 0:  # value < 1/sqrt(4k+1)
             return False
-        if num_sq * (3 * k + 1) > den_sq:  # value > 1/sqrt(3k+1)
+        if _square_cmp(c, 3 * k + 1, k) > 0:  # value > 1/sqrt(3k+1)
             return False
     return True
+
+
+def _square_cmp(c: int, m: int, k: int) -> int:
+    """The sign of c^2 m - 16^k, for c >= 0 and m >= 1.
+
+    With s = isqrt(m), so s^2 <= m < (s+1)^2: c*s > 4^k proves the sign
+    is +1 and c*(s+1) <= 4^k proves it is -1.  Only when 4^k lies in
+    [c*s, c*(s+1)) is c*c*m compared with 16^k directly.
+    """
+    power = 1 << (2 * k)  # 4^k
+    s = math.isqrt(m)
+    low = c * s
+    if low > power:
+        return 1
+    if low + c <= power:
+        return -1
+    diff = c * c * m - power * power
+    return (diff > 0) - (diff < 0)

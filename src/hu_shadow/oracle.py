@@ -2,8 +2,9 @@
 
 These routines deliberately avoid the analytic constructions they are
 used to validate.  ``exact_propagate`` and ``exact_difference`` run the
-recurrences in :class:`fractions.Fraction` arithmetic, so their output
-carries no rounding at all; ``best_b1_search`` finds a near-optimal
+recurrences in exact rational arithmetic (``exact_propagate`` on reduced
+integer pairs, the others in :class:`fractions.Fraction`), so their
+output carries no rounding at all; ``best_b1_search`` finds a near-optimal
 shadowing start point by refined grid evaluation, an upper bound on the
 true optimum by construction.
 
@@ -66,29 +67,91 @@ def exact_propagate(
 
     Supported policies are constant-real and zero; others have no exact
     rational form.
+
+    The three recurrences (P*c, S*|c| + 1 and c*a + r) run on reduced
+    integer pairs with the cross-gcd steps of ``Fraction`` arithmetic,
+    and each entry is stored as a ``Fraction`` without reducing it
+    again, so every value equals the plain ``Fraction`` loop's.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if policy is None:
         policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
     coeffs = _rational_coefficients(sys, horizon)
-    a = [Fraction(a1)]
+    if horizon > 1:  # the residual is the same at every step
+        r = policy.rational_residual(1, Fraction(eps))
+        rn, rd = r.numerator, r.denominator
+    first = Fraction(a1)
+    a = [first]
     products = []
     sums = []
-    prod = Fraction(1)
-    S = Fraction(0)
-    for n in range(1, horizon + 1):
-        c = coeffs[n - 1]
-        prod *= c
-        p = abs(c)
-        S = S * p + 1
-        products.append(prod)
-        sums.append(S)
+    an, ad = first.numerator, first.denominator
+    pn, pd = 1, 1  # prod_{j<=n} c_j
+    sn, sd = 0, 1  # S_n
+    for n, c in enumerate(coeffs, 1):
+        cn, cd = c.numerator, c.denominator
+        pn, pd = _mul(pn, pd, cn, cd)
+        sn, sd = _mul(sn, sd, abs(cn), cd)
+        sn += sd  # S*p + 1 is reduced: gcd(sn + sd, sd) = gcd(sn, sd) = 1
+        products.append(_coprime(pn, pd))
+        sums.append(_coprime(sn, sd))
         if n < horizon:
-            a.append(c * a[-1] + policy.rational_residual(n, Fraction(eps)))
+            an, ad = _mul(cn, cd, an, ad)
+            an, ad = _add(an, ad, rn, rd)
+            a.append(_coprime(an, ad))
     return RationalOrbit(
         a=tuple(a), coefficient_products=tuple(products), partial_sums=tuple(sums)
     )
+
+
+# Fraction(n, d) for coprime n and d > 0, built without a second gcd
+# (Python 3.12 replaced the ``_normalize`` flag by ``_from_coprime_ints``).
+_coprime = getattr(Fraction, "_from_coprime_ints", None) or (
+    lambda n, d: Fraction(n, d, _normalize=False)
+)
+
+
+def _gcd(x: int, y: int) -> int:
+    """math.gcd(x, y), found from the low bits when either is a power of two.
+
+    For x = 2^j > 0, gcd(x, y) is the lowest set bit of y, y & -y, capped
+    at x (and x itself for y = 0).  The parity family's c_n are powers of
+    two, and this saves a bigint gcd against them at every step.
+    """
+    if x > 0 and not x & (x - 1):
+        return min(x, y & -y) if y else x
+    if y > 0 and not y & (y - 1):
+        return min(y, x & -x) if x else y
+    return math.gcd(x, y)
+
+
+def _cancel(x: int, y: int) -> tuple[int, int]:
+    """(x/g, y/g) for g = gcd(x, y) > 0; a shift where g is a power of two."""
+    g = _gcd(x, y)
+    if g & (g - 1):
+        return x // g, y // g
+    shift = g.bit_length() - 1
+    return x >> shift, y >> shift
+
+
+def _mul(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """(na/da) * (nb/db) for reduced pairs, as ``Fraction._mul`` reduces it."""
+    na, db = _cancel(na, db)
+    nb, da = _cancel(nb, da)
+    return na * nb, db * da
+
+
+def _add(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """(na/da) + (nb/db) for reduced pairs, as ``Fraction._add`` reduces it."""
+    g = _gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
 
 
 def exact_difference(

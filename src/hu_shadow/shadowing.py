@@ -33,7 +33,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .errors import DegenerateQuotient, HypothesisViolation, NonContraction
+from .errors import (
+    DegenerateQuotient,
+    HypothesisViolation,
+    NonContraction,
+    RateRangeError,
+    TruncatedOrbit,
+)
 from .systems import MapSystem, PseudoOrbit, generate_pseudo_orbit
 
 #: |q| below this is treated as a degenerate quotient.
@@ -281,6 +287,10 @@ def shadow_expanding(
     repeat until the sup-change falls below ``opts.tol``.  Contraction
     is measured, not assumed: a sup-change increasing over three
     consecutive iterations aborts with :class:`NonContraction`.
+
+    A nonpositive rate in the tail estimate raises :class:`RateRangeError`,
+    and an extension orbit that leaves the representable range before the
+    pseudo-orbit's horizon raises :class:`TruncatedOrbit`.
     """
     if K <= 1.0:
         raise HypothesisViolation(f"K must exceed 1, got {K}")
@@ -294,6 +304,11 @@ def shadow_expanding(
     ext = generate_pseudo_orbit(
         sys, pseudo.value(1), eps, pseudo.policy, max(J + 1, horizon)
     )
+    if ext.horizon < horizon:
+        raise TruncatedOrbit(
+            f"the extension orbit reaches only n = {ext.horizon} of the "
+            f"pseudo-orbit's horizon {horizon}: its next value leaves the representable range"
+        )
     J = min(J, ext.horizon - 1)
 
     n_ext = ext.horizon
@@ -365,7 +380,8 @@ def _pick_truncation(
     The tail of the series for d_horizon beyond J is bounded by
     eps * sum_{j>J} prod_{i=horizon..j} 1/p_i; the unmeasured remainder
     past the cap is closed geometrically with ratio 1/K.  ``rates`` holds
-    p_1 .. p_cap.
+    p_1 .. p_cap; a nonpositive one among those read raises
+    :class:`RateRangeError`.
     """
     cap = horizon + TAIL_CAP_MARGIN
     if eps == 0.0:
@@ -373,7 +389,9 @@ def _pick_truncation(
     target = tail_fraction * bound if bound > 0 else 0.0
     log_c = 0.0  # log of prod_{i=horizon..j} 1/p_i
     tail_terms = []  # c_j for j = horizon..cap
-    for p in rates[horizon - 1 : cap]:
+    for n, p in enumerate(rates[horizon - 1 : cap], horizon):
+        if p <= 0:
+            raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
         log_c -= math.log(p)
         tail_terms.append(math.exp(log_c))
     remainder = tail_terms[-1] / (K - 1.0)

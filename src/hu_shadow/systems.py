@@ -120,6 +120,8 @@ class MapSystem:
         silently promoted to their binary values.
         """
         c = self._raw_coefficient(n)
+        if type(c) is Fraction:  # immutable: no copy needed
+            return c
         if isinstance(c, (int, Fraction)):
             return Fraction(c)
         raise UnsupportedFamily(
@@ -209,6 +211,13 @@ class MapSystem:
             raise ValueError(f"step index must be >= 1, got {n}")
         if not self.is_linear:
             return math.log(_expanding_rate(self.params[0], n))
+        if self.family is Family.POWER_TWO_PARITY and not _rational(self.params[0]):
+            base, even_shift = self.params
+            e = _parity_exponent(n, even_shift)
+            c = _float_power(float(base), e).real
+            if 0.0 < c < math.inf:
+                return math.log(c)
+            return e * math.log(float(base))  # base**e is past the float range
         c = self._raw_coefficient(n)
         if isinstance(c, Fraction):
             return math.log(abs(c.numerator)) - math.log(c.denominator)

@@ -159,6 +159,22 @@ class TestShadow:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["horizon"] == 25
 
+    def test_shortened_horizon_is_noted_on_stderr(self, tmp_path, capsys):
+        args = ["shadow", "--config", str(fixture_path("nonlinear_sinusoid")), "--out", str(tmp_path)]
+        assert main([*args, "--horizon", "5000"]) == 0
+        err = capsys.readouterr().err
+        assert err == (
+            "hu-shadow: note: the pseudo-orbit reached n = 629 of the requested horizon 5000; "
+            "its next value leaves the representable range\n"
+        )
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["horizon"] == 629
+        with open(tmp_path / "orbit.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 629
+        # a horizon that is reached is not noted
+        assert main([*args, "--horizon", "600"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unstable_fixture_has_no_construction(self, tmp_path, capsys):
         rc = main(
             ["shadow", "--config", str(fixture_path("unstable_parity")), "--out", str(tmp_path)]

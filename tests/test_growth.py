@@ -355,3 +355,55 @@ def _resquaring_envelope_holds(k_max: int) -> bool:
         if num_sq * (3 * k + 1) > den_sq:  # value > 1/sqrt(3k+1)
             return False
     return True
+
+
+def _direct_square_cmp(c: int, m: int, k: int) -> int:
+    diff = c * c * m - 16**k
+    return (diff > 0) - (diff < 0)
+
+
+@st.composite
+def screen_boundaries(draw):
+    """(c, m, k) with c*s == 4^k or c*(s+1) == 4^k, s = isqrt(m), or a neighbour."""
+    k = draw(st.integers(1, 300))
+    lower = draw(st.booleans())  # c*s == 4^k, else c*(s+1) == 4^k
+    j = draw(st.integers(0 if lower else 1, min(2 * k, 60)))
+    s = (1 << j) if lower else (1 << j) - 1
+    m = draw(st.integers(max(s * s, 1), (s + 1) ** 2 - 1))
+    c = (1 << (2 * k - j)) + draw(st.integers(-1, 1))
+    return c, m, k
+
+
+class TestScreenedSquareComparison:
+    @given(c=st.integers(0, 2**700), m=st.integers(1, 10**6), k=st.integers(0, 400))
+    def test_equals_direct_comparison(self, c, m, k):
+        assert growth._square_cmp(c, m, k) == _direct_square_cmp(c, m, k)
+
+    @given(case=screen_boundaries())
+    def test_equals_direct_comparison_at_screen_boundaries(self, case):
+        assert growth._square_cmp(*case) == _direct_square_cmp(*case)
+
+    @pytest.mark.parametrize(
+        "c, m, k, sign",
+        [
+            (2, 4, 1, 0),  # k = 1: value 1/2 = 1/sqrt(3k+1), the envelope's equality
+            (2, 5, 1, 1),  # c*s == 4^k with m > s^2
+            (4, 1, 1, 0),  # c*s == 4^k with m = s^2
+            (2, 3, 1, -1),  # c*(s+1) == 4^k
+            (3, 2, 1, 1),  # c*s < 4^k < c*(s+1): the direct comparison
+            (0, 7, 3, -1),
+        ],
+    )
+    def test_frozen_signs(self, c, m, k, sign):
+        assert growth._square_cmp(c, m, k) == sign == _direct_square_cmp(c, m, k)
+
+    @given(k=st.integers(1, 2000))
+    @settings(max_examples=30)
+    def test_envelope_bounds_at_central_binomials(self, k):
+        c = math.comb(2 * k, k)
+        assert growth._square_cmp(c, 4 * k + 1, k) == 1
+        assert growth._square_cmp(c, 3 * k + 1, k) == (0 if k == 1 else -1)
+
+
+def test_verdict_equals_resquaring_check_at_ten_thousand():
+    assert double_factorial_envelope_holds(10**4) == _resquaring_envelope_holds(10**4)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hu_shadow import oracle
 from hu_shadow import (
     MapSystem,
     PolicyKind,
@@ -362,3 +363,126 @@ class TestVectorisedSearch:
         )
         best_b1_search(sys, pseudo, 12, region, grid=64, refinements=6)
         assert len(calls) == 0
+
+
+# -- integer-pair exact orbit ----------------------------------------------
+
+
+def _fraction_exact_propagate(sys, a1, eps, horizon, policy=None):
+    """``exact_propagate`` as a plain ``Fraction`` loop (the reference)."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if policy is None:
+        policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
+    coeffs = [sys.rational_coefficient(n) for n in range(1, horizon + 1)]
+    a = [Fraction(a1)]
+    products = []
+    sums = []
+    prod = Fraction(1)
+    S = Fraction(0)
+    for n in range(1, horizon + 1):
+        c = coeffs[n - 1]
+        prod *= c
+        p = abs(c)
+        S = S * p + 1
+        products.append(prod)
+        sums.append(S)
+        if n < horizon:
+            a.append(c * a[-1] + policy.rational_residual(n, Fraction(eps)))
+    return a, products, sums
+
+
+def _pairs(values):
+    assert all(type(x) is Fraction for x in values)
+    return [(x.numerator, x.denominator) for x in values]
+
+
+def _assert_orbit_matches_fraction_loop(sys, a1, eps, horizon, policy=None):
+    orbit = exact_propagate(sys, a1, eps, horizon, policy)
+    a, products, sums = _fraction_exact_propagate(sys, a1, eps, horizon, policy)
+    assert _pairs(orbit.a) == _pairs(a)
+    assert _pairs(orbit.coefficient_products) == _pairs(products)
+    assert _pairs(orbit.partial_sums) == _pairs(sums)
+
+
+nonzero_rational = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+).filter(bool)
+
+rational_systems = st.one_of(
+    st.lists(nonzero_rational, min_size=1, max_size=4).map(periodic_linear),
+    st.builds(
+        index_scaled_linear,
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    ),
+    st.builds(
+        power_two_parity,
+        st.one_of(
+            st.integers(1, 7),
+            st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).filter(bool),
+        ),
+        st.integers(-9, 9),
+    ),
+)
+
+
+class TestIntegerPairOrbit:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sys=rational_systems,
+        a1=st.sampled_from([Fraction(0), Fraction(-7, 4), Fraction(1, 3), Fraction(-22, 7), 1]),
+        eps=st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(7, 3)]),
+        kind=st.sampled_from([PolicyKind.ZERO, PolicyKind.CONSTANT_REAL]),
+        horizon=st.integers(1, 300),
+    )
+    def test_equals_fraction_loop(self, sys, a1, eps, kind, horizon):
+        _assert_orbit_matches_fraction_loop(sys, a1, eps, horizon, ResidualPolicy(kind=kind))
+
+    @pytest.mark.parametrize("factory", [periodic_linear, index_scaled_linear, power_two_parity])
+    def test_benchmark_families_at_3000(self, factory):
+        _assert_orbit_matches_fraction_loop(factory(), Fraction(1), Fraction(1, 1000), 3000)
+
+    def test_unsupported_policy_needs_a_second_step(self):
+        # the residual is read only for a_2 on, as in the Fraction loop
+        phase = ResidualPolicy(kind=PolicyKind.CONSTANT_PHASE, theta=1.0)
+        _assert_orbit_matches_fraction_loop(periodic_linear(), Fraction(1), Fraction(1, 1000), 1, phase)
+        with pytest.raises(UnsupportedFamily):
+            exact_propagate(periodic_linear(), Fraction(1), Fraction(1, 1000), 2, phase)
+
+
+big_power_of_two = st.integers(0, 4000).map(lambda j: 1 << j)
+gcd_operand = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.just(0),
+    big_power_of_two,
+    big_power_of_two.map(lambda x: -x),
+    st.tuples(big_power_of_two, st.integers(-(2**40), 2**40)).map(lambda t: t[0] * t[1]),
+)
+
+
+class TestPairHelpers:
+    @settings(max_examples=300)
+    @given(x=gcd_operand, y=gcd_operand)
+    def test_gcd_equals_math_gcd(self, x, y):
+        assert oracle._gcd(x, y) == math.gcd(x, y)
+        assert oracle._gcd(y, x) == math.gcd(x, y)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(0, 0), (1, 0), (0, 1), (1, 1), (2**4000, 0), (2**4000, -(2**4001)), (8, -12)],
+        ids=["0,0", "1,0", "0,1", "1,1", "2^4000,0", "2^4000,-2^4001", "8,-12"],
+    )
+    def test_gcd_edge_cases(self, x, y):
+        assert oracle._gcd(x, y) == math.gcd(x, y)
+        assert oracle._gcd(y, x) == math.gcd(x, y)
+
+    @given(n=st.integers(-(2**200), 2**200), d=st.integers(1, 2**200))
+    def test_coprime_keeps_the_pair(self, n, d):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        value = oracle._coprime(n, d)
+        assert type(value) is Fraction
+        assert value.numerator == n and value.denominator == d
+        assert value == Fraction(n, d)

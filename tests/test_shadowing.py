@@ -10,12 +10,17 @@ from hypothesis import strategies as st
 
 from hu_shadow import shadowing
 from hu_shadow import (
+    Family,
+    HuShadowError,
     HypothesisViolation,
+    MapSystem,
     PolicyKind,
     PseudoOrbit,
+    RateRangeError,
     ResidualPolicy,
     ShadowMethod,
     ShadowOptions,
+    TruncatedOrbit,
     accumulated_rate_bound,
     affine_sinusoid,
     bounded_factor_expanding_bound,
@@ -363,3 +368,35 @@ class TestOverflowDiscipline:
             sys.eval_map(1025, 1.0)
         with pytest.raises(OverflowError, match="int too large to convert to float"):
             shadow_contracting(sys, pseudo, 2.0)
+
+
+def _constant_pseudo_orbit(kind: PolicyKind) -> PseudoOrbit:
+    """a_n = 1, r_n = 0 at horizon 1100 with epsilon 1e-3, built by hand."""
+    return PseudoOrbit(
+        a=(1 + 0j,) * 1100,
+        r=(0j,) * 1099,
+        epsilon=1e-3,
+        horizon=1100,
+        policy=ResidualPolicy(kind=kind),
+    )
+
+
+class TestExpandingNamedErrors:
+    @pytest.mark.parametrize("kind", [PolicyKind.CONSTANT_REAL, PolicyKind.ZERO])
+    def test_extension_short_of_the_horizon(self, kind):
+        # c_1 = 10^300 sends the extension orbit past the representable
+        # range at n = 5, long before the pseudo-orbit's horizon 1100
+        sys = MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**300), Fraction(1, 10**300), 3))
+        with pytest.raises(TruncatedOrbit, match=r"reaches only n = 4 of the pseudo-orbit's horizon 1100"):
+            shadow_expanding(sys, _constant_pseudo_orbit(kind), 2.0)
+
+    @pytest.mark.parametrize("kind", [PolicyKind.CONSTANT_REAL, PolicyKind.ZERO])
+    def test_underflowed_rate_in_the_tail_estimate(self, kind):
+        # p_n = 0.0 at every n = 2 mod 3: the first the tail estimate reads is n = 1100
+        sys = MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**400, 3), Fraction(3, 10**400)))
+        with pytest.raises(RateRangeError, match=r"p_n = 0\.0 at n = 1100"):
+            shadow_expanding(sys, _constant_pseudo_orbit(kind), 2.0)
+
+    def test_errors_are_package_errors(self):
+        assert issubclass(TruncatedOrbit, HuShadowError)
+        assert issubclass(RateRangeError, HuShadowError)

@@ -353,3 +353,39 @@ class TestCoefficientTable:
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 10_000)
         shadow_expanding(sys, pseudo, math.sqrt(1.5))
         assert len(calls) <= 5, len(calls)
+
+
+def _float_power_log_rate(base: float, even_shift: int, n: int):
+    """ln p_n for a float parity base by the direct rule, None where it fails."""
+    e = n if n % 2 == 1 else -(n + even_shift)
+    try:
+        return math.log(abs(complex(float(base) ** e)))
+    except (OverflowError, ValueError):
+        return None
+
+
+class TestFloatBaseLogRate:
+    def test_base_two_past_the_float_range(self):
+        sys = power_two_parity(2.0, 3)
+        failed = 0
+        for n in range(1, 3001):
+            got = sys.log_growth_rate(n)
+            exponent = n if n % 2 == 1 else -(n + 3)
+            assert math.isfinite(got)
+            assert got == pytest.approx(exponent * math.log(2), rel=1e-12)
+            direct = _float_power_log_rate(2.0, 3, n)
+            if direct is None:
+                failed += 1
+            else:
+                assert got == direct
+        assert failed > 0  # the direct rule overflows (odd n >= 1025) and underflows
+
+    @pytest.mark.parametrize("base, even_shift", [(1.5, -4), (0.5, 3), (3.0, 0)])
+    def test_other_bases_finite_and_equal_where_direct_rule_works(self, base, even_shift):
+        sys = power_two_parity(base, even_shift)
+        for n in range(1, 4001):
+            got = sys.log_growth_rate(n)
+            assert math.isfinite(got)
+            direct = _float_power_log_rate(base, even_shift, n)
+            if direct is not None:
+                assert got == direct
