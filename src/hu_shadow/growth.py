@@ -46,7 +46,7 @@ def build_profile(rates: Sequence[float]) -> GrowthProfile:
     arr = np.asarray(rates, dtype=float)
     if arr.size == 0:
         raise ValueError("rate sequence must be nonempty")
-    nonpositive = arr <= 0.0
+    nonpositive = ~(arr > 0.0)  # NaN included; inf is allowed
     if nonpositive.any():
         first = int(np.argmax(nonpositive))
         raise RateRangeError(

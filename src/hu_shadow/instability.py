@@ -173,52 +173,54 @@ def witness_divergence(
     log10_T = -math.inf
     T_overflowed = False
     log10_limit = math.log10(LOG_DOMAIN_LIMIT)
-    for n in range(1, horizon + 1):
-        p_n = rates[n - 1]
-        lp10 = sys.log_growth_rate(n) / math.log(10.0)
+    ln10 = math.log(10.0)
+    log10, isfinite = math.log10, math.isfinite
+    log_growth_rate = sys.log_growth_rate
+    a, r = pseudo.a, pseudo.r
+    steps = len(r)  # the pseudo-orbit's last step index
+    resonant = p_idx % m
+    for n, p_n in enumerate(rates, 1):
+        lp10 = log_growth_rate(n) / ln10
         if not T_overflowed and T > 0.0 and (
-            not math.isfinite(p_n) or math.log10(T) + lp10 > log10_limit
+            not isfinite(p_n) or log10(T) + lp10 > log10_limit
         ):
             T_overflowed = True
-            log10_T = math.log10(T)
+            log10_T = log10(T)
         if T_overflowed:
             log10_T = _log10_add(log10_T + lp10, 0.0)
         else:
             T = T * p_n + 1.0
         ad = abs(d)
         if not d_overflowed and ad > 0.0 and (
-            not math.isfinite(p_n)
-            or n > pseudo.horizon - 1
-            or math.log10(ad) + lp10 > log10_limit
+            not isfinite(p_n) or n > steps or log10(ad) + lp10 > log10_limit
         ):
             d_overflowed = True
-            log10_d = math.log10(ad)
+            log10_d = log10(ad)
         if d_overflowed:
             log10_d = _log10_add(log10_d + lp10, log10_eps)
-        elif n <= pseudo.horizon - 1:
+        elif n <= steps:
             # c_n is finite here: the pseudo-orbit stops at the first that is not
             if coeffs is None:
-                q = sys.eval_q(n, pseudo.value(n) + d, pseudo.value(n))
+                q = sys.eval_q(n, a[n - 1] + d, a[n - 1])
             else:
                 q = coeffs[n - 1]
-            d = q * d - pseudo.residual(n)
-        if n % m == p_idx % m and n > fit.prefix:
+            d = q * d - r[n - 1]
+        if n % m == resonant and n > fit.prefix:
             k = (n - p_idx) // m
             if k < 1:
                 continue
             lb_log10 = divergence_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k)
-            obs_log10 = log10_d if d_overflowed else (
-                math.log10(abs(d)) if abs(d) > 0 else -math.inf
-            )
+            ad = abs(d)
+            obs_log10 = log10_d if d_overflowed else (log10(ad) if ad > 0 else -math.inf)
             samples.append(
                 WitnessSample(
                     k=k,
                     n=n,
                     lower_bound=10.0**lb_log10 if lb_log10 < 300 else math.inf,
                     S_n=T if not T_overflowed else math.inf,
-                    observed_error=abs(d) if not d_overflowed else math.inf,
+                    observed_error=ad if not d_overflowed else math.inf,
                     log10_lower_bound=lb_log10,
-                    log10_S_n=math.log10(T) if not T_overflowed else log10_T,
+                    log10_S_n=log10(T) if not T_overflowed else log10_T,
                     log10_observed_error=obs_log10,
                     log_domain=d_overflowed,
                 )

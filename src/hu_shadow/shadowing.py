@@ -18,11 +18,16 @@ Both constructions also evaluate the always-sound finite-horizon bound
 bounds can be exceeded by finite data whenever the partial sums
 oscillate above their limiting value.  They report its maximum over
 n = 1..horizon, taken in one sweep: ``_accumulated_rate_bounds`` runs
-the recurrence of ``accumulated_rate_bound`` once and yields its value
-at every n.  Each value is produced by the same floating-point
-operations, in the same order, as a fresh per-index evaluation, so the
-maximum is bit-identical to the per-index one at O(horizon) instead of
-O(horizon^2) cost.
+the recurrence of ``accumulated_rate_bound`` once, in one loop over the
+rates, and returns the list of its values at every n.  Each value is
+produced by the same floating-point operations, in the same order, as a
+fresh per-index evaluation, so the maximum is bit-identical to the
+per-index one at O(horizon) instead of O(horizon^2) cost.
+
+The per-step loops read the coefficient table of ``MapSystem.tables``
+and make no call where the step is a table multiply: a finite rate
+|c_n| proves c_n finite, and only the other steps (and the nonlinear
+family) go through ``eval_map`` or ``eval_q``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DegenerateQuotient,
@@ -113,31 +118,35 @@ def accumulated_rate_bound(
         raise ValueError(f"n must be >= 1, got {n}")
     if len(rates) < n - 1:
         raise ValueError(f"need rates p_1..p_{n - 1}, got {len(rates)}")
-    *_, last = _accumulated_rate_bounds(rates, n, eps, gap)
-    return last
+    return _accumulated_rate_bounds(rates, n, eps, gap)[-1]
 
 
 def _accumulated_rate_bounds(
     rates: Sequence[float], horizon: int, eps: float, gap: float
-) -> Iterator[float]:
+) -> list[float]:
     """accumulated_rate_bound(rates, n, eps, gap) for n = 1..horizon.
 
     One running recurrence: the n-th value extends the (n-1)-th by the
     single rate p_{n-1}, with exactly the arithmetic of a fresh
     evaluation, so every value (and hence the built-in ``max`` over them,
     NaN from 0*inf included) is bit-identical at O(horizon) total cost.
+    ``math.log`` and ``math.exp`` are kept: numpy's are not bit-equal.
+    A rate that is not positive (NaN included) raises
+    :class:`RateRangeError`; ``inf`` is allowed.
     """
+    if horizon < 1:
+        return []
+    log, exp, inf = math.log, math.exp, math.inf
     log_prod = 0.0
     S = 0.0
-    for i in range(horizon):
-        if i:
-            p = rates[i - 1]
-            if p <= 0:
-                raise ValueError("growth rate must be positive")
-            log_prod += math.log(p)
-            S = S * p + 1.0
-        prod = math.exp(log_prod) if log_prod < 700 else math.inf
-        yield prod * gap + S * eps
+    out = [1.0 * gap + S * eps]  # n = 1: the empty product exp(0.0) = 1.0
+    for n, p in enumerate(rates[: horizon - 1], 1):
+        if not p > 0:
+            raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
+        log_prod += log(p)
+        S = S * p + 1.0
+        out.append((exp(log_prod) if log_prod < 700 else inf) * gap + S * eps)
+    return out
 
 
 def perturbation_partial_sum(rates: Sequence[float], n: int) -> float:
@@ -235,11 +244,15 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     horizon = pseudo.horizon
     eps = pseudo.epsilon
     coeffs, rates = sys.tables(horizon)
-    b = [pseudo.value(1)]
-    for n in range(1, horizon):
-        b.append(_apply(sys, coeffs, n, b[-1]))
-    d = tuple(b[i] - pseudo.a[i] for i in range(horizon))
-    sup = max(abs(x) for x in d)
+    cs, ps = _step_table(coeffs, rates)
+    inf = math.inf
+    z = pseudo.value(1)
+    b = [z]
+    for n, c, p in zip(range(1, horizon), cs, ps):
+        z = c * z if p < inf else _apply(sys, c, n, z)
+        b.append(z)
+    d = tuple([x - y for x, y in zip(b, pseudo.a)])
+    sup = max([abs(x) for x in d])
     sound = max(_accumulated_rate_bounds(rates, horizon, eps, 0.0))
     if sup > sound * 1.05 + 1e-15:
         raise HypothesisViolation(
@@ -250,7 +263,7 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     meta = ShadowMeta(
         truncation=0,
         iterations=1,
-        residual_sup=_relative_residual_sup(sys, coeffs, b),
+        residual_sup=_relative_residual_sup(sys, cs, ps, b),
         sound_bound=sound,
     )
     return ShadowResult(
@@ -288,7 +301,8 @@ def shadow_expanding(
     is measured, not assumed: a sup-change increasing over three
     consecutive iterations aborts with :class:`NonContraction`.
 
-    A nonpositive rate in the tail estimate raises :class:`RateRangeError`,
+    A rate in the tail estimate that is not positive (NaN included)
+    raises :class:`RateRangeError`,
     and an extension orbit that leaves the representable range before the
     pseudo-orbit's horizon raises :class:`TruncatedOrbit`.
     """
@@ -312,7 +326,11 @@ def shadow_expanding(
     J = min(J, ext.horizon - 1)
 
     n_ext = ext.horizon
-    a = list(ext.a)
+    a = ext.a
+    r = ext.r[:J]  # r_1 .. r_J: every n <= J has a residual, as J < ext.horizon
+    if coeffs is not None:
+        _check_linear_quotients(coeffs, rates, J)
+        quotients = coeffs[J - 1 :: -1] if J else []  # q_J .. q_1
     d = [0j] * (n_ext + 1)
     scale = max(1.0, abs(a[0]))
     iterations = 0
@@ -320,22 +338,20 @@ def shadow_expanding(
     increasing = 0
     while True:
         iterations += 1
-        new_d = [0j] * (n_ext + 1)
+        if coeffs is None:
+            quotients = _nonlinear_quotients(sys, a, d, J)
         # d_{J+1} = 0; backward recurrence d_n = (r_n + d_{n+1}) / q_n
-        for n in range(J, 0, -1):
-            # every c_n with n <= J is finite: ext stops at the first that is not
-            if coeffs is None:
-                q = sys.eval_q(n, a[n - 1] + d[n - 1], a[n - 1])
-            else:
-                q = coeffs[n - 1]
-            if abs(q) < DEGENERATE_QUOTIENT_LIMIT:
-                raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
-            r_n = ext.residual(n) if n <= len(ext.r) else 0j
-            new_d[n - 1] = (r_n + new_d[n]) / q
-        change = max(abs(new_d[i] - d[i]) for i in range(horizon))
-        d = new_d
+        backward = []  # d_J .. d_1
+        nxt = 0j
+        for r_n, q in zip(reversed(r), quotients):
+            nxt = (r_n + nxt) / q
+            backward.append(nxt)
+        new_d = backward[::-1] + [0j] * (n_ext + 1 - J)
         if sys.is_linear or eps == 0.0:
+            d = new_d
             break
+        change = max([abs(x - y) for x, y in zip(new_d[:horizon], d)])
+        d = new_d
         if change < opts.tol * scale:
             break
         if change > prev_change:
@@ -352,19 +368,52 @@ def shadow_expanding(
             raise NonContraction(
                 f"no fixed point within {opts.max_iter} iterations"
             )
-    b = tuple(a[i] + d[i] for i in range(horizon))
+    b = tuple([x + y for x, y in zip(a[:horizon], d)])
     d_out = tuple(d[:horizon])
     sound = max(_accumulated_rate_bounds(rates, horizon, eps, abs(d[0])))
+    cs, ps = _step_table(coeffs, rates)
     meta = ShadowMeta(
         truncation=J,
         iterations=iterations,
-        residual_sup=_relative_residual_sup(sys, coeffs, b),
+        residual_sup=_relative_residual_sup(sys, cs, ps, b),
         sound_bound=sound,
         truncation_capped=capped,
     )
     return ShadowResult(
         b=b, d=d_out, bound=bound, method=ShadowMethod.EXPANDING_TAIL_SERIES, meta=meta
     )
+
+
+def _check_linear_quotients(coeffs: list, rates: Sequence[float], J: int) -> None:
+    """The degenerate-quotient check of q_J .. q_1 = c_J .. c_1, in that order.
+
+    Every such c_n is finite (the extension orbit stops at the first that
+    is not), so its rate is |c_n| by C ``hypot``, or ``inf`` exactly where
+    ``abs(c_n)`` overflows.  When every rate lies in [limit, inf) no check
+    can fail; otherwise the scan meets the first failure, a
+    :class:`DegenerateQuotient` or ``abs``'s OverflowError, where the
+    recurrence would.
+    """
+    head = rates[:J]
+    if not head or (min(head) >= DEGENERATE_QUOTIENT_LIMIT and max(head) < math.inf):
+        return
+    for n in range(J, 0, -1):
+        if abs(coeffs[n - 1]) < DEGENERATE_QUOTIENT_LIMIT:
+            raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
+
+
+def _nonlinear_quotients(
+    sys: MapSystem, a: Sequence[complex], d: Sequence[complex], J: int
+) -> list[complex]:
+    """q_J .. q_1 with q_n = q_n(a_n + d_n, a_n), each checked as it is made."""
+    eval_q = sys.eval_q
+    quotients = []
+    for n in range(J, 0, -1):
+        q = eval_q(n, a[n - 1] + d[n - 1], a[n - 1])
+        if abs(q) < DEGENERATE_QUOTIENT_LIMIT:
+            raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
+        quotients.append(q)
+    return quotients
 
 
 def _pick_truncation(
@@ -380,8 +429,8 @@ def _pick_truncation(
     The tail of the series for d_horizon beyond J is bounded by
     eps * sum_{j>J} prod_{i=horizon..j} 1/p_i; the unmeasured remainder
     past the cap is closed geometrically with ratio 1/K.  ``rates`` holds
-    p_1 .. p_cap; a nonpositive one among those read raises
-    :class:`RateRangeError`.
+    p_1 .. p_cap; one among those read that is not positive (NaN
+    included) raises :class:`RateRangeError`.
     """
     cap = horizon + TAIL_CAP_MARGIN
     if eps == 0.0:
@@ -390,7 +439,7 @@ def _pick_truncation(
     log_c = 0.0  # log of prod_{i=horizon..j} 1/p_i
     tail_terms = []  # c_j for j = horizon..cap
     for n, p in enumerate(rates[horizon - 1 : cap], horizon):
-        if p <= 0:
+        if not p > 0:
             raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
         log_c -= math.log(p)
         tail_terms.append(math.exp(log_c))
@@ -410,24 +459,39 @@ def _pick_truncation(
 
 
 def _relative_residual_sup(
-    sys: MapSystem, coeffs: Optional[list], b: Sequence[complex]
+    sys: MapSystem, cs: list, ps: list, b: Sequence[complex]
 ) -> float:
-    """sup_n |b_{n+1} - F(n, b_n)| / max(1, |b_n|)."""
+    """sup_n |b_{n+1} - F(n, b_n)| / max(1, |b_n|), from ``_step_table`` rows."""
+    inf = math.inf
     worst = 0.0
-    for n in range(1, len(b)):
-        res = abs(b[n] - _apply(sys, coeffs, n, b[n - 1]))
-        worst = max(worst, res / max(1.0, abs(b[n - 1])))
+    for n, c, p, z, nxt in zip(range(1, len(b)), cs, ps, b, b[1:]):
+        res = abs(nxt - (c * z if p < inf else _apply(sys, c, n, z)))
+        m = abs(z)
+        x = res / (m if m > 1.0 else 1.0)  # max(1.0, m), NaN included
+        if x > worst:  # max(worst, x), NaN included
+            worst = x
     return worst
 
 
-def _apply(sys: MapSystem, coeffs: Optional[list], n: int, z: complex) -> complex:
-    """F(n, z) from the coefficient table of ``sys.tables``.
+def _step_table(coeffs: Optional[list], rates: list) -> tuple[list, list]:
+    """Rows (c_n, p_n) for the step ``c * z if p < inf else _apply(...)``.
 
-    A non-finite entry (an overflowing c_n) and the nonlinear family go
-    through ``eval_map``, so a step fails exactly where it would.
+    A finite rate |c_n| proves c_n finite, so those steps are a plain
+    multiply.  The nonlinear family has no table: its rows are
+    (None, inf), and every step goes through ``eval_map``.
     """
-    if coeffs is not None:
-        c = coeffs[n - 1]
-        if cmath.isfinite(c):
-            return c * z
+    if coeffs is None:
+        return [None] * len(rates), [math.inf] * len(rates)
+    return coeffs, rates
+
+
+def _apply(sys: MapSystem, c: Optional[complex], n: int, z: complex) -> complex:
+    """F(n, z) for a table entry c_n whose rate is not finite.
+
+    A non-finite entry (an overflowing c_n) and the nonlinear family
+    (``None``) go through ``eval_map``, so a step fails exactly where it
+    would; a finite c_n with an overflowing modulus is a plain multiply.
+    """
+    if c is not None and cmath.isfinite(c):
+        return c * z
     return sys.eval_map(n, z)

@@ -82,7 +82,9 @@ class MapSystem:
         fail where ``eval_map`` fails fall back to it at non-finite
         entries.  Rational parameters are carried as integer pairs, so no
         ``Fraction`` is built per step: int true division rounds the
-        exact quotient correctly, as ``Fraction.__float__`` does.
+        exact quotient correctly, as ``Fraction.__float__`` does, and so
+        does one float64 division of integers below 2**53, which
+        :func:`_rational_table` uses for the index-scaled family.
         """
         count = max(horizon, 0)
         if self.family is Family.PERIODIC_LINEAR:
@@ -209,15 +211,18 @@ class MapSystem:
         """ln p_n, finite even when p_n itself overflows a float."""
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
-        if not self.is_linear:
-            return math.log(_expanding_rate(self.params[0], n))
-        if self.family is Family.POWER_TWO_PARITY and not _rational(self.params[0]):
+        if self.family is Family.POWER_TWO_PARITY:
             base, even_shift = self.params
             e = _parity_exponent(n, even_shift)
-            c = _float_power(float(base), e).real
-            if 0.0 < c < math.inf:
-                return math.log(c)
-            return e * math.log(float(base))  # base**e is past the float range
+            if isinstance(base, int):  # the reduced c_n is base**e or Fraction(1, base**-e)
+                return math.log(base**e) if e >= 0 else 0.0 - math.log(base**-e)
+            if not isinstance(base, Fraction):
+                c = _float_power(float(base), e).real
+                if 0.0 < c < math.inf:
+                    return math.log(c)
+                return e * math.log(float(base))  # base**e is past the float range
+        elif not self.is_linear:
+            return math.log(_expanding_rate(self.params[0], n))
         c = self._raw_coefficient(n)
         if isinstance(c, Fraction):
             return math.log(abs(c.numerator)) - math.log(c.denominator)
@@ -284,18 +289,46 @@ def _quotient(num: int, den: int) -> complex:
         return complex(math.inf if (num > 0) == (den > 0) else -math.inf, 0.0)
 
 
+#: Integers below this convert to float64 exactly.
+EXACT_INT_LIMIT = 2**53
+
+
 def _products(scale: Number, ns: range) -> list[complex]:
-    """complex(scale * n) for n in ns."""
+    """complex(scale * n) for n in ns; (p*n)/q for a rational p/q, see
+    :func:`_rational_table`."""
     if _rational(scale):
-        return [_quotient(scale.numerator * n, scale.denominator) for n in ns]
+        return _rational_table(scale.numerator, scale.denominator, ns, invert=False)
     return [complex(scale * n) for n in ns]
 
 
 def _reciprocals(scale: Number, ns: range) -> list[complex]:
-    """complex(Fraction(1, scale * n)) for n in ns; 1.0 / (scale * n) for a float scale."""
+    """complex(Fraction(1, scale * n)) for n in ns, q/(p*n) for a rational
+    p/q (see :func:`_rational_table`); 1.0 / (scale * n) for a float scale."""
     if _rational(scale):
-        return [_quotient(scale.denominator, scale.numerator * n) for n in ns]
+        return _rational_table(scale.numerator, scale.denominator, ns, invert=True)
     return [complex(1.0 / (scale * n)) for n in ns]
+
+
+def _rational_table(p: int, q: int, ns: range, invert: bool) -> list[complex]:
+    """complex((p*n)/q) for n in ns, or complex(q/(p*n)) if ``invert``.
+
+    Where q and |p*n| are below 2**53 the quotients are taken in float64
+    arrays: both operands convert exactly, so one IEEE division gives the
+    correctly rounded quotient, as int true division does.  Larger
+    integers, and p = 0, go through ``_quotient``.
+    """
+    if q >= EXACT_INT_LIMIT or p == 0:
+        head = ns[:0]
+    else:
+        head = range(ns.start, min(ns.stop, (EXACT_INT_LIMIT - 1) // abs(p) + 1), ns.step)
+    tail = ns[len(head):]
+    exact = []
+    if head:
+        scaled = np.arange(head.start, head.stop, head.step, dtype=float) * p
+        exact = (q / scaled if invert else scaled / q).astype(complex).tolist()
+    if invert:
+        return exact + [_quotient(q, p * n) for n in tail]
+    return exact + [_quotient(p * n, q) for n in tail]
 
 
 def _float_power(base: float, e: int) -> complex:
@@ -335,11 +368,19 @@ def _rational(x: Number) -> bool:
 # -- factories -----------------------------------------------------------
 
 
+def _require_finite(*params: Number) -> None:
+    """ValueError for a NaN or infinite parameter."""
+    for x in params:
+        if not _rational(x) and not cmath.isfinite(complex(x)):
+            raise ValueError(f"parameters must be finite, got {x!r}")
+
+
 def periodic_linear(coeffs: Sequence[Number] = (2, Fraction(1, 3))) -> MapSystem:
     """Linear maps whose coefficients cycle through ``coeffs``."""
     coeffs = tuple(coeffs)
     if not coeffs:
         raise ValueError("periodic_linear needs at least one coefficient")
+    _require_finite(*coeffs)
     if any(abs(complex(c)) == 0 for c in coeffs):
         raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.PERIODIC_LINEAR, params=coeffs)
@@ -347,6 +388,7 @@ def periodic_linear(coeffs: Sequence[Number] = (2, Fraction(1, 3))) -> MapSystem
 
 def index_scaled_linear(odd_scale: Number = 3, even_inverse_scale: Number = 2) -> MapSystem:
     """Linear maps c_n z with c_n = odd_scale*n (odd n), 1/(even_inverse_scale*n) (even n)."""
+    _require_finite(odd_scale, even_inverse_scale)
     if complex(odd_scale) == 0 or complex(even_inverse_scale) == 0:
         raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.INDEX_SCALED_LINEAR, params=(odd_scale, even_inverse_scale))
@@ -354,6 +396,7 @@ def index_scaled_linear(odd_scale: Number = 3, even_inverse_scale: Number = 2) -
 
 def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
     """Linear maps c_n z with c_n = base^n (odd n), base^-(n+even_shift) (even n)."""
+    _require_finite(base, even_shift)
     if base <= 0:
         raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.POWER_TWO_PARITY, params=(base, even_shift))
@@ -361,6 +404,7 @@ def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
 
 def affine_sinusoid(slope: float = 3.0) -> MapSystem:
     """Real maps x -> slope*x + sin(x/n)/n; expanding rate slope - 1/n^2."""
+    _require_finite(slope)
     if slope <= 1.0:
         raise ValueError("affine_sinusoid requires slope > 1 for a positive expanding rate")
     return MapSystem(family=Family.AFFINE_SINUSOID, params=(slope,))
@@ -437,32 +481,52 @@ def generate_pseudo_orbit(
     policy: ResidualPolicy,
     horizon: int,
 ) -> PseudoOrbit:
-    """Propagate a_1 forward under F with policy-generated residuals."""
+    """Propagate a_1 forward under F with policy-generated residuals.
+
+    ``epsilon`` must be finite and nonnegative.  The residual of the three
+    constant policies is read once; ``low_discrepancy_phase`` reads it per
+    step.  A linear family steps through its coefficient table, so a step
+    makes no call; the nonlinear family steps through ``eval_map``.
+    Generation stops at the first value that is not finite or exceeds
+    ``OVERFLOW_LIMIT`` in either part.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    # an overflowing c_n is inf in the table: the step is not finite and
-    # truncates where eval_map's OverflowError would
-    coeffs = sys.coefficients(horizon - 1) if sys.is_linear else None
-    a = [complex(a1)]
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    steps = range(1, horizon)
+    if policy.kind is PolicyKind.LOW_DISCREPANCY_PHASE:
+        residuals = (policy.residual(n, epsilon) for n in steps)
+    else:
+        residuals = [policy.residual(1, epsilon)] * len(steps) if steps else []
+    z = complex(a1)
+    a = [z]
     r: list[complex] = []
     truncated = False
-    for n in range(1, horizon):
-        r_n = policy.residual(n, epsilon)
-        try:
-            if coeffs is None:
-                nxt = sys.eval_map(n, a[-1]) + r_n
-            else:
-                nxt = coeffs[n - 1] * a[-1] + r_n
-        except OverflowError:
-            truncated = True
-            break
-        if not _finite(nxt):
-            truncated = True
-            break
-        a.append(nxt)
-        r.append(r_n)
+    if sys.is_linear:
+        # an overflowing c_n is inf in the table: the step is not finite and
+        # truncates where eval_map's OverflowError would.  Complex * and +
+        # give inf or NaN, they do not raise.
+        for c, r_n in zip(sys.coefficients(horizon - 1), residuals):
+            z = c * z + r_n
+            if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):
+                truncated = True
+                break
+            a.append(z)
+            r.append(r_n)
+    else:
+        eval_map = sys.eval_map
+        for n, r_n in zip(steps, residuals):
+            try:
+                z = eval_map(n, z) + r_n
+            except OverflowError:  # cmath.sin past the float range
+                truncated = True
+                break
+            if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):
+                truncated = True
+                break
+            a.append(z)
+            r.append(r_n)
     return PseudoOrbit(
         a=tuple(a),
         r=tuple(r),
@@ -470,13 +534,4 @@ def generate_pseudo_orbit(
         horizon=len(a),
         policy=policy,
         truncated=truncated,
-    )
-
-
-def _finite(z: complex) -> bool:
-    return (
-        math.isfinite(z.real)
-        and math.isfinite(z.imag)
-        and abs(z.real) <= OVERFLOW_LIMIT
-        and abs(z.imag) <= OVERFLOW_LIMIT
     )

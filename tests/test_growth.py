@@ -59,6 +59,12 @@ class TestProfile:
         with pytest.raises(ValueError):
             build_profile([])
 
+    def test_nan_rate_rejected_with_its_index(self):
+        # passed before: the profile was all NaN and classify said undetermined
+        with pytest.raises(RateRangeError, match=r"p_n = nan at n = 2"):
+            build_profile([0.5, math.nan, 2.0])
+        assert build_profile([0.5, math.inf]).log_partial[1] == math.inf
+
     def test_nonpositive_rate_names_first_bad_index(self):
         with pytest.raises(RateRangeError, match=r"positive: p_n = -2\.0 at n = 3$"):
             build_profile([1.0, 0.5, -2.0, 0.0])
@@ -405,5 +411,29 @@ class TestScreenedSquareComparison:
         assert growth._square_cmp(c, 3 * k + 1, k) == (0 if k == 1 else -1)
 
 
-def test_verdict_equals_resquaring_check_at_ten_thousand():
-    assert double_factorial_envelope_holds(10**4) == _resquaring_envelope_holds(10**4)
+def _running_square_envelope_holds(k_max: int) -> bool:
+    """The running-square check, verbatim: the squared ratio as a running integer pair.
+
+    It forms the same exact num^2 and den^2 as the re-squaring check and
+    makes the same two comparisons at each k, at O(k) multiplications.
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    num_sq, den_sq = 1, 1
+    for k in range(1, k_max + 1):
+        num_sq *= (2 * k - 1) ** 2
+        den_sq *= (2 * k) ** 2
+        if den_sq > num_sq * (4 * k + 1):  # value < 1/sqrt(4k+1)
+            return False
+        if num_sq * (3 * k + 1) > den_sq:  # value > 1/sqrt(3k+1)
+            return False
+    return True
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 1000, 2000])
+def test_running_square_and_resquaring_references_agree(k_max):
+    assert _running_square_envelope_holds(k_max) == _resquaring_envelope_holds(k_max)
+
+
+def test_verdict_equals_running_square_check_at_ten_thousand():
+    assert double_factorial_envelope_holds(10**4) == _running_square_envelope_holds(10**4)

@@ -1,6 +1,7 @@
 """Divergence witnesses for periodic-below-one systems."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +9,23 @@ from hypothesis import strategies as st
 
 from hu_shadow import (
     ClassificationKind,
+    DivergenceWitness,
     HypothesisViolation,
+    PolicyKind,
+    ResidualPolicy,
+    WitnessSample,
     classify,
     default_witness_horizon,
     divergence_lower_bound,
     divergence_lower_bound_log10,
+    generate_pseudo_orbit,
     periodic_linear,
     perturbation_partial_sum,
     power_two_parity,
     profile_of,
     witness_divergence,
 )
+from hu_shadow.instability import LOG_DOMAIN_LIMIT, _log10_add
 
 
 def parity_classification(horizon=160):
@@ -117,3 +124,148 @@ class TestWitness:
             assert s.observed_error == pytest.approx(
                 s_ref.observed_error * eps / 1e-3, rel=1e-9
             )
+
+
+def _per_call_witness_divergence(sys, eps, horizon, cls):
+    """The witness loop with a call per step, kept verbatim as the reference."""
+    if cls.kind is not ClassificationKind.PERIODIC_BELOW_ONE or cls.periodic is None:
+        raise HypothesisViolation(
+            f"classification is {cls.kind.value}, no witness"
+        )
+    fit = cls.periodic
+    ks = fit.rate_factors
+    p_pos = min(range(len(ks)), key=lambda i: ks[i])
+    q_pos = max(range(len(ks)), key=lambda i: ks[i])
+    K_p, K_q = ks[p_pos], ks[q_pos]
+    if not K_q > K_p:
+        raise HypothesisViolation("rate factors are all equal; no witness")
+    p_idx, q_idx = p_pos + 1, q_pos + 1
+    C_p = fit.constants[p_pos]
+    m = fit.m
+    if horizon is None:
+        horizon = default_witness_horizon(K_p, K_q, p_idx, q_idx, m, C_p)
+    if eps < 0:
+        raise ValueError("epsilon must be nonnegative")
+
+    policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
+    pseudo = generate_pseudo_orbit(sys, 1.0, eps, policy, horizon + 1)
+    coeffs, rates = sys.tables(horizon)
+
+    samples = []
+    log10_eps = math.log10(eps) if eps > 0 else -math.inf
+    d = 0j
+    log10_d = -math.inf
+    d_overflowed = False
+    T = 0.0
+    log10_T = -math.inf
+    T_overflowed = False
+    log10_limit = math.log10(LOG_DOMAIN_LIMIT)
+    for n in range(1, horizon + 1):
+        p_n = rates[n - 1]
+        lp10 = sys.log_growth_rate(n) / math.log(10.0)
+        if not T_overflowed and T > 0.0 and (
+            not math.isfinite(p_n) or math.log10(T) + lp10 > log10_limit
+        ):
+            T_overflowed = True
+            log10_T = math.log10(T)
+        if T_overflowed:
+            log10_T = _log10_add(log10_T + lp10, 0.0)
+        else:
+            T = T * p_n + 1.0
+        ad = abs(d)
+        if not d_overflowed and ad > 0.0 and (
+            not math.isfinite(p_n)
+            or n > pseudo.horizon - 1
+            or math.log10(ad) + lp10 > log10_limit
+        ):
+            d_overflowed = True
+            log10_d = math.log10(ad)
+        if d_overflowed:
+            log10_d = _log10_add(log10_d + lp10, log10_eps)
+        elif n <= pseudo.horizon - 1:
+            if coeffs is None:
+                q = sys.eval_q(n, pseudo.value(n) + d, pseudo.value(n))
+            else:
+                q = coeffs[n - 1]
+            d = q * d - pseudo.residual(n)
+        if n % m == p_idx % m and n > fit.prefix:
+            k = (n - p_idx) // m
+            if k < 1:
+                continue
+            lb_log10 = divergence_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k)
+            obs_log10 = log10_d if d_overflowed else (
+                math.log10(abs(d)) if abs(d) > 0 else -math.inf
+            )
+            samples.append(
+                WitnessSample(
+                    k=k,
+                    n=n,
+                    lower_bound=10.0**lb_log10 if lb_log10 < 300 else math.inf,
+                    S_n=T if not T_overflowed else math.inf,
+                    observed_error=abs(d) if not d_overflowed else math.inf,
+                    log10_lower_bound=lb_log10,
+                    log10_S_n=math.log10(T) if not T_overflowed else log10_T,
+                    log10_observed_error=obs_log10,
+                    log_domain=d_overflowed,
+                )
+            )
+    return DivergenceWitness(
+        m=m,
+        prefix=fit.prefix,
+        p_idx=p_idx,
+        q_idx=q_idx,
+        K_p=K_p,
+        K_q=K_q,
+        C_p=C_p,
+        epsilon=eps,
+        horizon=horizon,
+        samples=tuple(samples),
+        pseudo=pseudo,
+    )
+
+
+def _witness_bits(w) -> tuple:
+    """Every field, floats by their bits (NaN and the sign of zero included)."""
+    def bits(x):
+        return x.hex() if isinstance(x, float) else x
+
+    samples = tuple(tuple(bits(getattr(s, f)) for f in s.__dataclass_fields__) for s in w.samples)
+    head = tuple(bits(getattr(w, f)) for f in w.__dataclass_fields__ if f not in ("samples", "pseudo"))
+    return head, samples, w.pseudo
+
+
+def _witness_outcome(build, *args):
+    try:
+        return _witness_bits(build(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestLeanWitnessLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.one_of(
+            st.integers(2, 5),
+            st.floats(1.5, 5.0),
+            st.fractions(min_value=Fraction(3, 2), max_value=5, max_denominator=7),
+        ),
+        even_shift=st.integers(2, 8),
+        eps=st.one_of(st.just(0.0), st.floats(0, 1e-2)),
+        horizon=st.one_of(st.integers(1, 80), st.integers(600, 1300)),
+    )
+    def test_bit_identical_to_per_call_loop(self, base, even_shift, eps, horizon):
+        sys = power_two_parity(base, even_shift)
+        cls = classify(profile_of(sys, 160))
+        assert _witness_outcome(witness_divergence, sys, eps, horizon, cls) == (
+            _witness_outcome(_per_call_witness_divergence, sys, eps, horizon, cls)
+        )
+
+    @pytest.mark.parametrize("horizon", [1000, 1200, None])
+    def test_benchmark_setting_past_the_float_range(self, horizon):
+        sys = power_two_parity()
+        cls = parity_classification(400)
+        new = witness_divergence(sys, 1e-3, horizon, cls)
+        assert any(s.log_domain for s in new.samples) == (horizon == 1200)
+        assert _witness_bits(new) == _witness_bits(
+            _per_call_witness_divergence(sys, 1e-3, horizon, cls)
+        )

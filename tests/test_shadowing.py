@@ -1,5 +1,6 @@
 """Shadowing constructions, closed-form bounds and the telescoping identity."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -10,16 +11,20 @@ from hypothesis import strategies as st
 
 from hu_shadow import shadowing
 from hu_shadow import (
+    DegenerateQuotient,
     Family,
     HuShadowError,
     HypothesisViolation,
     MapSystem,
+    NonContraction,
     PolicyKind,
     PseudoOrbit,
     RateRangeError,
     ResidualPolicy,
+    ShadowMeta,
     ShadowMethod,
     ShadowOptions,
+    ShadowResult,
     TruncatedOrbit,
     accumulated_rate_bound,
     affine_sinusoid,
@@ -400,3 +405,369 @@ class TestExpandingNamedErrors:
     def test_errors_are_package_errors(self):
         assert issubclass(TruncatedOrbit, HuShadowError)
         assert issubclass(RateRangeError, HuShadowError)
+
+
+# -- the loops with a call per step, kept verbatim as references ----------
+
+
+def _per_call_accumulated_rate_bounds(rates, horizon, eps, gap):
+    log_prod = 0.0
+    S = 0.0
+    for i in range(horizon):
+        if i:
+            p = rates[i - 1]
+            if p <= 0:
+                raise ValueError("growth rate must be positive")
+            log_prod += math.log(p)
+            S = S * p + 1.0
+        prod = math.exp(log_prod) if log_prod < 700 else math.inf
+        yield prod * gap + S * eps
+
+
+def _per_call_apply(sys, coeffs, n, z):
+    if coeffs is not None:
+        c = coeffs[n - 1]
+        if cmath.isfinite(c):
+            return c * z
+    return sys.eval_map(n, z)
+
+
+def _per_call_relative_residual_sup(sys, coeffs, b):
+    worst = 0.0
+    for n in range(1, len(b)):
+        res = abs(b[n] - _per_call_apply(sys, coeffs, n, b[n - 1]))
+        worst = max(worst, res / max(1.0, abs(b[n - 1])))
+    return worst
+
+
+def _per_call_shadow_contracting(sys, pseudo, K):
+    if K <= 1.0:
+        raise HypothesisViolation(f"K must exceed 1, got {K}")
+    horizon = pseudo.horizon
+    eps = pseudo.epsilon
+    coeffs, rates = sys.tables(horizon)
+    b = [pseudo.value(1)]
+    for n in range(1, horizon):
+        b.append(_per_call_apply(sys, coeffs, n, b[-1]))
+    d = tuple(b[i] - pseudo.a[i] for i in range(horizon))
+    sup = max(abs(x) for x in d)
+    sound = max(_per_call_accumulated_rate_bounds(rates, horizon, eps, 0.0))
+    if sup > sound * 1.05 + 1e-15:
+        raise HypothesisViolation(
+            f"measured sup-difference {sup:.3e} exceeds the sound rate bound "
+            f"{sound:.3e}; the system is not contracting as classified"
+        )
+    bound = K * eps / (K - 1.0)
+    meta = ShadowMeta(
+        truncation=0,
+        iterations=1,
+        residual_sup=_per_call_relative_residual_sup(sys, coeffs, b),
+        sound_bound=sound,
+    )
+    return ShadowResult(
+        b=tuple(b), d=d, bound=bound, method=ShadowMethod.CONTRACTING_DIRECT, meta=meta
+    )
+
+
+def _per_call_shadow_expanding(sys, pseudo, K, opts=ShadowOptions()):
+    if K <= 1.0:
+        raise HypothesisViolation(f"K must exceed 1, got {K}")
+    horizon = pseudo.horizon
+    eps = pseudo.epsilon
+    bound = 2.0 * eps / math.log(K)
+
+    coeffs, rates = sys.tables(horizon + shadowing.TAIL_CAP_MARGIN)
+    J, capped = shadowing._pick_truncation(rates, horizon, eps, bound, opts.tail_fraction, K)
+    ext = generate_pseudo_orbit(
+        sys, pseudo.value(1), eps, pseudo.policy, max(J + 1, horizon)
+    )
+    if ext.horizon < horizon:
+        raise TruncatedOrbit(
+            f"the extension orbit reaches only n = {ext.horizon} of the "
+            f"pseudo-orbit's horizon {horizon}: its next value leaves the representable range"
+        )
+    J = min(J, ext.horizon - 1)
+
+    n_ext = ext.horizon
+    a = list(ext.a)
+    d = [0j] * (n_ext + 1)
+    scale = max(1.0, abs(a[0]))
+    iterations = 0
+    prev_change = math.inf
+    increasing = 0
+    while True:
+        iterations += 1
+        new_d = [0j] * (n_ext + 1)
+        for n in range(J, 0, -1):
+            if coeffs is None:
+                q = sys.eval_q(n, a[n - 1] + d[n - 1], a[n - 1])
+            else:
+                q = coeffs[n - 1]
+            if abs(q) < shadowing.DEGENERATE_QUOTIENT_LIMIT:
+                raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
+            r_n = ext.residual(n) if n <= len(ext.r) else 0j
+            new_d[n - 1] = (r_n + new_d[n]) / q
+        change = max(abs(new_d[i] - d[i]) for i in range(horizon))
+        d = new_d
+        if sys.is_linear or eps == 0.0:
+            break
+        if change < opts.tol * scale:
+            break
+        if change > prev_change:
+            increasing += 1
+            if increasing >= 3:
+                raise NonContraction(
+                    "sup-change increased over 3 consecutive iterations; "
+                    "epsilon is too large for the tail series to contract"
+                )
+        else:
+            increasing = 0
+        prev_change = change
+        if iterations >= opts.max_iter:
+            raise NonContraction(
+                f"no fixed point within {opts.max_iter} iterations"
+            )
+    b = tuple(a[i] + d[i] for i in range(horizon))
+    d_out = tuple(d[:horizon])
+    sound = max(_per_call_accumulated_rate_bounds(rates, horizon, eps, abs(d[0])))
+    meta = ShadowMeta(
+        truncation=J,
+        iterations=iterations,
+        residual_sup=_per_call_relative_residual_sup(sys, coeffs, b),
+        sound_bound=sound,
+        truncation_capped=capped,
+    )
+    return ShadowResult(
+        b=b, d=d_out, bound=bound, method=ShadowMethod.EXPANDING_TAIL_SERIES, meta=meta
+    )
+
+
+def _bits(x) -> tuple:
+    """The exact bits of a float or complex, NaN and the sign of zero included."""
+    z = complex(x)
+    return z.real.hex(), z.imag.hex()
+
+
+def _result_bits(result: ShadowResult) -> tuple:
+    meta = result.meta
+    return (
+        tuple(_bits(z) for z in result.b),
+        tuple(_bits(z) for z in result.d),
+        _bits(result.bound),
+        result.method,
+        meta.truncation,
+        meta.iterations,
+        _bits(meta.residual_sup),
+        _bits(meta.sound_bound),
+        meta.truncation_capped,
+    )
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the error's type and message.
+
+    The sound-bound rate guard names the bad index and the reference's
+    does not: any "growth rate must be positive" error is the same outcome.
+    """
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        if str(exc).startswith("growth rate must be positive"):
+            return "growth rate must be positive"
+        return type(exc), str(exc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _shadow_outcome(construct, *args):
+    return _outcome(lambda: _result_bits(construct(*args)))
+
+
+shadow_systems = st.one_of(
+    st.lists(
+        st.one_of(
+            st.integers(-4, 4).filter(bool),
+            st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool),
+            st.floats(-4.0, 4.0).filter(lambda x: abs(x) > 1e-3),
+            st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(
+                lambda z: abs(z) > 1e-3
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    ).map(periodic_linear),
+    st.builds(
+        index_scaled_linear,
+        st.one_of(st.integers(-5, 5).filter(bool), st.floats(0.5, 5.0)),
+        st.one_of(st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=7), st.floats(0.5, 5.0)),
+    ),
+    st.builds(power_two_parity, st.one_of(st.integers(1, 3), st.floats(0.5, 3.0)), st.integers(-4, 4)),
+)
+lean_policies = st.builds(ResidualPolicy, st.sampled_from(list(PolicyKind)), st.floats(-7.0, 7.0))
+
+
+class TestLeanConstructions:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sys=shadow_systems,
+        a1=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        eps=st.floats(0, 1e-2),
+        policy=lean_policies,
+        horizon=st.one_of(st.integers(1, 120), st.integers(1000, 1100)),
+        K=st.floats(1.01, 8.0),
+    )
+    def test_linear_bit_identical_to_per_call_loops(self, sys, a1, eps, policy, horizon, K):
+        pseudo = generate_pseudo_orbit(sys, a1, eps, policy, horizon)
+        for new, old in (
+            (shadow_contracting, _per_call_shadow_contracting),
+            (shadow_expanding, _per_call_shadow_expanding),
+        ):
+            assert _shadow_outcome(new, sys, pseudo, K) == _shadow_outcome(old, sys, pseudo, K)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        slope=st.floats(1.5, 4.0),
+        a1=st.floats(-2.0, 2.0),
+        eps=st.floats(0, 1e-2),
+        policy=lean_policies,
+        horizon=st.integers(1, 60),
+        tail_fraction=st.sampled_from([1e-1, 1e-3, 1e-6]),
+    )
+    def test_nonlinear_bit_identical_to_per_call_loops(self, slope, a1, eps, policy, horizon, tail_fraction):
+        sys = affine_sinusoid(slope)
+        pseudo = generate_pseudo_orbit(sys, a1, eps, policy, horizon)
+        opts = ShadowOptions(tail_fraction=tail_fraction)
+        K = slope - 0.25
+        assert _shadow_outcome(shadow_expanding, sys, pseudo, K, opts) == _shadow_outcome(
+            _per_call_shadow_expanding, sys, pseudo, K, opts
+        )
+        assert _shadow_outcome(shadow_contracting, sys, pseudo, K) == _shadow_outcome(
+            _per_call_shadow_contracting, sys, pseudo, K
+        )
+
+    @pytest.mark.parametrize(
+        "sys, horizon, K",
+        [
+            (periodic_linear(), 10_000, SQRT_3_2),
+            (index_scaled_linear(), 3385, SQRT_3_2),
+            (affine_sinusoid(), 629, 3.0),
+            (power_two_parity(), 1025, 2.0),
+        ],
+        ids=["periodic", "index_scaled", "sinusoid", "parity"],
+    )
+    def test_benchmark_settings(self, sys, horizon, K):
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
+        for new, old in (
+            (shadow_contracting, _per_call_shadow_contracting),
+            (shadow_expanding, _per_call_shadow_expanding),
+        ):
+            assert _shadow_outcome(new, sys, pseudo, K) == _shadow_outcome(old, sys, pseudo, K)
+
+    @pytest.mark.parametrize("kind", [PolicyKind.CONSTANT_REAL, PolicyKind.ZERO])
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            power_two_parity(),
+            MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**300), Fraction(1, 10**300), 3)),
+            MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**400, 3), Fraction(3, 10**400))),
+            periodic_linear((1e-301, 2.0)),  # a degenerate quotient
+            periodic_linear((1e308 + 1e308j, 0.5)),  # |c_1| overflows, c_1 is finite
+        ],
+        ids=["parity", "short_extension", "underflowed_rate", "degenerate", "modulus_overflow"],
+    )
+    def test_hand_built_orbits(self, sys, kind):
+        pseudo = _constant_pseudo_orbit(kind)
+        for new, old in (
+            (shadow_contracting, _per_call_shadow_contracting),
+            (shadow_expanding, _per_call_shadow_expanding),
+        ):
+            assert _shadow_outcome(new, sys, pseudo, 2.0) == _shadow_outcome(old, sys, pseudo, 2.0)
+
+
+class TestLeanSweeps:
+    @given(
+        rates=rate_lists(),
+        eps=st.floats(0, 1e-2),
+        gap=st.one_of(st.just(0.0), st.floats(0, 1.0)),
+    )
+    def test_sound_bound_list_equals_per_call_generator(self, rates, eps, gap):
+        for horizon in (len(rates), len(rates) + 1):
+            sweep = shadowing._accumulated_rate_bounds(rates, horizon, eps, gap)
+            expected = list(_per_call_accumulated_rate_bounds(rates, horizon, eps, gap))
+            assert [_bits(x) for x in sweep] == [_bits(x) for x in expected]
+
+    def test_sound_bound_keeps_libm_exp_and_log(self):
+        # 20,000 log-products spread over (-700, 700): numpy's SIMD exp and
+        # log round some of them apart from libm's
+        rng = random.Random(7)
+        rates = [math.exp(rng.uniform(-0.7, 0.7)) for _ in range(20_000)]
+        sweep = shadowing._accumulated_rate_bounds(rates, 20_001, 1e-3, 0.5)
+        expected = list(_per_call_accumulated_rate_bounds(rates, 20_001, 1e-3, 0.5))
+        assert [x.hex() for x in sweep] == [x.hex() for x in expected]
+
+    def test_residual_sup_fails_where_the_per_call_fails(self, monkeypatch):
+        # c_1025 = 2^1025 overflows: both loops must reach eval_map at the
+        # same steps and raise the same OverflowError there
+        sys = power_two_parity()
+        b = (1e-300 + 0j,) * 1100
+        coeffs, rates = sys.tables(1100)
+        outcomes = []
+        for run in (
+            lambda: _per_call_relative_residual_sup(sys, coeffs, b),
+            lambda: shadowing._relative_residual_sup(sys, *shadowing._step_table(coeffs, rates), b),
+        ):
+            calls = []
+            original = MapSystem.eval_map
+            monkeypatch.setattr(
+                MapSystem, "eval_map", lambda self, n, z: calls.append(n) or original(self, n, z)
+            )
+            with pytest.raises(OverflowError) as info:
+                run()
+            monkeypatch.undo()
+            outcomes.append((str(info.value), calls))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == [1025]
+
+    @given(
+        values=st.lists(
+            st.complex_numbers(allow_nan=True, allow_infinity=True), min_size=1, max_size=40
+        ),
+        coefficients=st.lists(
+            st.one_of(
+                st.complex_numbers(allow_nan=True, allow_infinity=True),
+                st.floats(allow_nan=True, allow_infinity=True).map(complex),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_residual_sup_running_max_equals_builtin_max(self, values, coefficients):
+        # NaN, inf and overflowing moduli included; max(worst, x) and
+        # max(1.0, m) are the reference
+        sys = MapSystem(Family.PERIODIC_LINEAR, tuple(coefficients))
+        coeffs, rates = sys.tables(len(values))
+        abs(1j)  # clear a stale errno: CPython 3.11's abs(complex) of a NaN reports it
+        expected = _outcome(lambda: _bits(_per_call_relative_residual_sup(sys, coeffs, values)))
+        abs(1j)
+        got = _outcome(
+            lambda: _bits(
+                shadowing._relative_residual_sup(sys, *shadowing._step_table(coeffs, rates), values)
+            )
+        )
+        assert got == expected
+
+
+class TestNonFiniteRates:
+    def test_pick_truncation_rejects_nan(self):
+        # returned (210, True) before
+        with pytest.raises(RateRangeError, match=r"p_n = nan at n = 10"):
+            shadowing._pick_truncation([math.nan] * 300, 10, 1e-3, 0.01, 1e-3, 2.0)
+
+    def test_sound_bound_rejects_nan(self):
+        # returned nan before
+        with pytest.raises(RateRangeError, match=r"p_n = nan at n = 2"):
+            accumulated_rate_bound([0.5, math.nan, 0.5], 4, 1e-3, 0.0)
+
+    def test_sound_bound_allows_inf(self):
+        # the parity profile past n = 1024 has inf rates
+        assert accumulated_rate_bound([0.5, math.inf, 0.5], 4, 1e-3, 1.0) == math.inf

@@ -23,6 +23,7 @@ from hu_shadow import (
     profile_of,
     shadow_expanding,
 )
+from hu_shadow.systems import OVERFLOW_LIMIT
 
 
 class TestCoefficients:
@@ -389,3 +390,217 @@ class TestFloatBaseLogRate:
             direct = _float_power_log_rate(base, even_shift, n)
             if direct is not None:
                 assert got == direct
+
+
+# -- the loop with a call per step, kept verbatim as the reference --------
+
+
+def _per_call_finite(z: complex) -> bool:
+    return (
+        math.isfinite(z.real)
+        and math.isfinite(z.imag)
+        and abs(z.real) <= OVERFLOW_LIMIT
+        and abs(z.imag) <= OVERFLOW_LIMIT
+    )
+
+
+def _per_call_generate_pseudo_orbit(sys, a1, epsilon, policy, horizon):
+    """The per-step loop that reads the residual and tests finiteness by call."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    coeffs = sys.coefficients(horizon - 1) if sys.is_linear else None
+    a = [complex(a1)]
+    r = []
+    truncated = False
+    for n in range(1, horizon):
+        r_n = policy.residual(n, epsilon)
+        try:
+            if coeffs is None:
+                nxt = sys.eval_map(n, a[-1]) + r_n
+            else:
+                nxt = coeffs[n - 1] * a[-1] + r_n
+        except OverflowError:
+            truncated = True
+            break
+        if not _per_call_finite(nxt):
+            truncated = True
+            break
+        a.append(nxt)
+        r.append(r_n)
+    return PseudoOrbit(
+        a=tuple(a),
+        r=tuple(r),
+        epsilon=epsilon,
+        horizon=len(a),
+        policy=policy,
+        truncated=truncated,
+    )
+
+
+def _orbit_bits(orbit: PseudoOrbit) -> tuple:
+    return (
+        tuple(_bits(z) for z in orbit.a),
+        tuple(_bits(z) for z in orbit.r),
+        orbit.epsilon,
+        orbit.horizon,
+        orbit.policy,
+        orbit.truncated,
+    )
+
+
+def _orbit_outcome(generate, *args):
+    try:
+        return _orbit_bits(generate(*args))
+    except Exception as exc:  # the same error must surface
+        return type(exc), str(exc)
+
+
+orbit_systems = st.one_of(
+    st.lists(st.one_of(real, st.builds(complex, finite, finite)), min_size=1, max_size=4)
+    .filter(lambda cs: all(0 < abs(complex(c)) < math.inf for c in cs if not isinstance(c, int)))
+    .map(lambda cs: MapSystem(Family.PERIODIC_LINEAR, tuple(cs))),
+    st.builds(lambda *scales: MapSystem(Family.INDEX_SCALED_LINEAR, scales), real, real),
+    st.builds(
+        power_two_parity,
+        st.one_of(
+            st.integers(1, 4),
+            st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=5).filter(bool),
+            st.floats(0.25, 4.0),
+        ),
+        st.integers(-6, 6),
+    ),
+    st.builds(affine_sinusoid, st.floats(1.01, 4.0)),
+)
+start_points = st.one_of(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    # near the truncation limit: the first steps already leave the range
+    st.builds(complex, st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+    st.floats(9e299, 1e300).map(complex),
+)
+residual_policies = st.builds(
+    ResidualPolicy, st.sampled_from(list(PolicyKind)), st.floats(-10.0, 10.0)
+)
+
+
+class TestLeanOrbitLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sys=orbit_systems,
+        a1=start_points,
+        eps=st.one_of(st.floats(0, 1e-2), st.floats(0, 1e3)),
+        policy=residual_policies,
+        horizon=st.one_of(st.integers(1, 80), st.integers(1000, 1100)),
+    )
+    def test_bit_identical_to_per_call_loop(self, sys, a1, eps, policy, horizon):
+        assert _orbit_outcome(generate_pseudo_orbit, sys, a1, eps, policy, horizon) == (
+            _orbit_outcome(_per_call_generate_pseudo_orbit, sys, a1, eps, policy, horizon)
+        )
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize(
+        "sys, a1",
+        [
+            (power_two_parity(), 1.0),  # truncates past n = 1024
+            (power_two_parity(2.0, 3), 1.0 - 0.5j),
+            (index_scaled_linear(), 1e300),
+            (periodic_linear((2, 1.5 - 0.5j)), 1e299 + 1e299j),
+            (affine_sinusoid(), 1.0),  # truncates at n = 629
+        ],
+        ids=["parity", "parity_float", "index_near_limit", "periodic_complex", "sinusoid"],
+    )
+    def test_truncating_orbits(self, sys, a1, kind):
+        policy = ResidualPolicy(kind=kind, theta=0.7)
+        new = generate_pseudo_orbit(sys, a1, 1e-3, policy, 1200)
+        assert _orbit_bits(new) == _orbit_bits(
+            _per_call_generate_pseudo_orbit(sys, a1, 1e-3, policy, 1200)
+        )
+        assert new.truncated
+
+    def test_low_discrepancy_residual_is_read_per_step(self):
+        policy = ResidualPolicy(kind=PolicyKind.LOW_DISCREPANCY_PHASE)
+        pseudo = generate_pseudo_orbit(periodic_linear(), 1.0, 1e-3, policy, 6)
+        assert pseudo.r == tuple(policy.residual(n, 1e-3) for n in range(1, 6))
+        assert len(set(pseudo.r)) == 5
+
+    def test_constant_residual_is_read_once(self, monkeypatch):
+        calls = []
+        original = ResidualPolicy.residual
+        monkeypatch.setattr(
+            ResidualPolicy, "residual", lambda self, n, eps: calls.append(n) or original(self, n, eps)
+        )
+        generate_pseudo_orbit(periodic_linear(), 1.0, 1e-3, ResidualPolicy(), 500)
+        assert calls == [1]
+
+
+class TestNonFiniteInputs:
+    def test_periodic_nan_coefficient_rejected(self):
+        # accepted before: the profile was all NaN and classify said undetermined
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            periodic_linear((float("nan"), 0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_factories_reject_non_finite_parameters(self, bad):
+        for build in (
+            lambda: periodic_linear((2, bad)),
+            lambda: index_scaled_linear(bad, 2),
+            lambda: index_scaled_linear(3, bad),
+            lambda: power_two_parity(bad, 3),
+            lambda: affine_sinusoid(bad),
+        ):
+            with pytest.raises(ValueError, match="parameters must be finite"):
+                build()
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        # returned a horizon-1 orbit before
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            generate_pseudo_orbit(periodic_linear(), 1.0, eps, ResidualPolicy(), 10)
+
+
+def _fraction_log_growth_rate(sys: MapSystem, n: int) -> float:
+    """ln p_n of a rational parity system by the reduced Fraction rule."""
+    c = sys.rational_coefficient(n)
+    return math.log(abs(c.numerator)) - math.log(c.denominator)
+
+
+class TestIntegerBaseLogRate:
+    @pytest.mark.parametrize("base, even_shift", [(2, 3), (3, -5), (1, 0), (7, 2), (2, -2000)])
+    def test_equals_reduced_fraction_rule(self, base, even_shift):
+        sys = power_two_parity(base, even_shift)
+        for n in [*range(1, 1200), *range(1200, 4000, 37)]:
+            assert sys.log_growth_rate(n).hex() == _fraction_log_growth_rate(sys, n).hex(), n
+
+
+#: rational scales whose table switches from float64 to ``_quotient`` inside
+#: n <= 2001: |p| * n reaches 2**53 near n = 1000, or q is at 2**53
+SWITCH_SCALES = [
+    2**53 // 1000 + 1,
+    Fraction(2**53 // 999 + 2, 7),
+    Fraction(5, 2**53 - 1),
+    Fraction(5, 2**53 + 1),
+    Fraction(2**52 + 1, 2**53 - 3),
+]
+
+
+class TestRationalTableSwitch:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("scale", SWITCH_SCALES)
+    def test_every_entry_equals_the_scalar_rule(self, scale, sign):
+        for sys in (
+            index_scaled_linear(sign * scale, 2),
+            index_scaled_linear(3, sign * scale),
+        ):
+            _assert_tables_match_scalar_rule(sys, 2001)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.integers(1, 2**60),
+        q=st.integers(1, 2**60),
+        sign=st.sampled_from([1, -1]),
+        horizon=st.integers(0, 40),
+    )
+    def test_random_scales_equal_the_scalar_rule(self, p, q, sign, horizon):
+        scale = Fraction(sign * p, q)
+        _assert_tables_match_scalar_rule(index_scaled_linear(scale, scale), horizon)
