@@ -226,7 +226,8 @@ def _cmd_instability(scenario: Scenario, out: Path) -> int:
     cls, witness = _run_witness(scenario)
 
     rows = []
-    ok = True
+    # epsilon 0 makes a true orbit: nothing diverges, yet no sample fails (-inf < -inf)
+    ok = scenario.epsilon > 0
     log10_eps = math.log10(scenario.epsilon) if scenario.epsilon > 0 else -math.inf
     for s in witness.samples:
         # the analytic bound is on the perturbation sum; the observed

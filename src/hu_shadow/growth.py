@@ -366,40 +366,46 @@ def double_factorial_envelope(k: int) -> tuple[float, float, float]:
 
 
 def double_factorial_envelope_holds(k_max: int) -> bool:
-    """Exact integer check of the envelope for every k <= k_max.
+    """Certified check of the envelope for every k <= k_max: a float
+    screen with an exact fallback.
 
-    (2k-1)!!/(2k)!! is C(2k,k)/4^k, so the bounds 1/sqrt(4k+1) <= value
-    <= 1/sqrt(3k+1) say c^2 (4k+1) >= 16^k >= c^2 (3k+1) for the one
-    running integer c = C(2k,k), updated by the exact division
-    c*(4k-2)//k.  Each comparison is decided by :func:`_square_cmp`
-    without squaring c, so the verdict carries no rounding at all and
-    the integers stay about 2k bits long.
+    (2k-1)!!/(2k)!! is r = C(2k,k)/4^k, and the bounds 1/sqrt(4k+1) <= r
+    <= 1/sqrt(3k+1) say r^2 (4k+1) >= 1 >= r^2 (3k+1).  The running float
+    r^ = r^_{k-1} * ((2k-1)/(2k)) carries 2k roundings at step k, a
+    relative error of at most gamma_2k = 2ku/(1 - 2ku), u = 2^-53.
+    :func:`_envelope_screen` decides each sign this bound allows, and
+    :func:`_square_cmp` on C(2k,k) the rest: up to k = 10^4 only k = 1,
+    where c^2 * 4 = 16.  So every per-k decision is the exact check's.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    c = 1  # C(2k, k)
+    r = 1.0
     for k in range(1, k_max + 1):
-        c = c * (4 * k - 2) // k
-        if _square_cmp(c, 4 * k + 1, k) < 0:  # value < 1/sqrt(4k+1)
-            return False
-        if _square_cmp(c, 3 * k + 1, k) > 0:  # value > 1/sqrt(3k+1)
-            return False
+        r *= (2 * k - 1) / (2 * k)
+        for m, fails in ((4 * k + 1, -1), (3 * k + 1, 1)):  # r < or > its bound
+            sign = _envelope_screen(r, m, k)
+            if sign is None:
+                sign = _square_cmp(math.comb(2 * k, k), m, k)
+            if sign == fails:
+                return False
     return True
 
 
-def _square_cmp(c: int, m: int, k: int) -> int:
-    """The sign of c^2 m - 16^k, for c >= 0 and m >= 1.
+def _envelope_screen(r: float, m: int, k: int) -> Optional[int]:
+    """The sign of t - 1, t = r_exact^2 m, from the running float r at step
+    k; None where floats cannot decide it.
 
-    With s = isqrt(m), so s^2 <= m < (s+1)^2: c*s > 4^k proves the sign
-    is +1 and c*(s+1) <= 4^k proves it is -1.  Only when 4^k lies in
-    [c*s, c*(s+1)) is c*c*m compared with 16^k directly.
+    t^ = fl(fl(r*r) * m) adds two roundings (m < 2^53 converts exactly),
+    so t^ = t (1 + theta) with |theta| <= gamma_{4k+2} <= tol = (4k+2) 2^-52
+    while (4k+2) u <= 1/2.  t^ - 1 is exact for t^ in [1/2, 2] (Sterbenz)
+    and at least 1/2 in size outside it, so |t^ - 1| > tol proves the sign.
     """
-    power = 1 << (2 * k)  # 4^k
-    s = math.isqrt(m)
-    low = c * s
-    if low > power:
-        return 1
-    if low + c <= power:
-        return -1
-    diff = c * c * m - power * power
+    d = r * r * m - 1.0
+    tol = (4 * k + 2) * 2.0**-52
+    return 1 if d > tol else -1 if d < -tol else None
+
+
+def _square_cmp(c: int, m: int, k: int) -> int:
+    """The sign of c^2 m - 16^k."""
+    diff = c * c * m - (1 << (4 * k))
     return (diff > 0) - (diff < 0)

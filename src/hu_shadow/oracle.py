@@ -23,7 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import UnsupportedFamily
-from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus
+from .systems import (
+    Family, MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, _parity_exponent, modulus
+)
 
 
 @dataclass(frozen=True)
@@ -48,12 +50,51 @@ class RationalOrbit:
         return self.partial_sums[n - 1]
 
 
-def _rational_coefficients(sys: MapSystem, horizon: int) -> list[Fraction]:
+def _rational_coefficients(sys: MapSystem, horizon: int) -> list[tuple[int, int]]:
+    """c_1 .. c_horizon as reduced (numerator, denominator) pairs, in one pass.
+
+    Entry n is the pair of ``sys.rational_coefficient(n)``, the sign on
+    the numerator.  Parameters that are not all int or ``Fraction``, or a
+    zero that c_n divides by, go through that method, which raises at the
+    first index that reads one.
+    """
     if not sys.is_linear:
-        raise UnsupportedFamily(
-            "exact arithmetic is only available for linear families"
-        )
-    return [sys.rational_coefficient(n) for n in range(1, horizon + 1)]
+        raise UnsupportedFamily("exact arithmetic is only available for linear families")
+    count = max(horizon, 0)
+    params = sys.params
+    divisors = {Family.INDEX_SCALED_LINEAR: params[1:], Family.POWER_TWO_PARITY: params[:1]}
+    if not all(isinstance(x, (int, Fraction)) for x in params) or 0 in divisors.get(sys.family, ()):
+        coeffs = map(sys.rational_coefficient, range(1, count + 1))
+        return [(c.numerator, c.denominator) for c in coeffs]
+    if sys.family is Family.PERIODIC_LINEAR:
+        cycle = [(c.numerator, c.denominator) for c in params]
+        return (cycle * (count // len(cycle) + 1))[:count]
+    table = [(0, 1)] * count
+    odd, even = range(1, count + 1, 2), range(2, count + 1, 2)
+    if sys.family is Family.INDEX_SCALED_LINEAR:
+        # p*n/q and q/(p*n), with gcd(p, q) = 1 so that gcd(n, q) reduces both
+        (p, q), (u, v) = [(x.numerator, x.denominator) for x in params]
+        u, v = (-u, -v) if u < 0 else (u, v)
+        table[0::2] = [(p * n // (g := math.gcd(n, q)), q // g) for n in odd]
+        table[1::2] = [(v // (g := math.gcd(n, v)), u * n // g) for n in even]
+        return table
+    base, even_shift = params
+    bn, bd = base.numerator, base.denominator
+    for ns in filter(None, (odd, even)):
+        # base**e along a parity class from running powers over |e|: a running
+        # product of the pairs is not reduced where e crosses zero (8/1 * 1/4)
+        exponents = [_parity_exponent(n, even_shift) for n in ns]
+        low = min(map(abs, exponents))
+        xs, ys = [bn**low], [bd**low]
+        for _ in range((max(map(abs, exponents)) - low) // 2):
+            xs.append(xs[-1] * bn * bn)
+            ys.append(ys[-1] * bd * bd)
+        slots = [(abs(e) - low) // 2 for e in exponents]
+        table[ns[0] - 1::2] = [
+            (xs[i], ys[i]) if e >= 0 else (ys[i], xs[i]) if xs[i] > 0 else (-ys[i], -xs[i])
+            for e, i in zip(exponents, slots)
+        ]
+    return table
 
 
 def exact_propagate(
@@ -68,10 +109,11 @@ def exact_propagate(
     Supported policies are constant-real and zero; others have no exact
     rational form.
 
-    The three recurrences (P*c, S*|c| + 1 and c*a + r) run on reduced
-    integer pairs with the cross-gcd steps of ``Fraction`` arithmetic,
-    and each entry is stored as a ``Fraction`` without reducing it
-    again, so every value equals the plain ``Fraction`` loop's.
+    One loop over the pair table of :func:`_rational_coefficients` runs
+    P*c, S*|c| + 1 and c*a + r on reduced integer pairs, with the cross-gcd
+    steps of ``Fraction._mul`` and ``_add``, a gcd against 1 skipped and a
+    power-of-two gcd divided out by a shift.  Each entry is stored without
+    a second gcd, so every value equals the plain ``Fraction`` loop's.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -83,32 +125,50 @@ def exact_propagate(
         rn, rd = r.numerator, r.denominator
     first = Fraction(a1)
     a = [first]
-    products = []
-    sums = []
+    products, sums = [], []
     an, ad = first.numerator, first.denominator
     pn, pd = 1, 1  # prod_{j<=n} c_j
     sn, sd = 0, 1  # S_n
-    for n, c in enumerate(coeffs, 1):
-        cn, cd = c.numerator, c.denominator
-        pn, pd = _mul(pn, pd, cn, cd)
-        sn, sd = _mul(sn, sd, abs(cn), cd)
-        sn += sd  # S*p + 1 is reduced: gcd(sn + sd, sd) = gcd(sn, sd) = 1
-        products.append(_coprime(pn, pd))
-        sums.append(_coprime(sn, sd))
-        if n < horizon:
-            an, ad = _mul(cn, cd, an, ad)
-            an, ad = _add(an, ad, rn, rd)
-            a.append(_coprime(an, ad))
+    for n, (cn, cd) in enumerate(coeffs, 1):
+        un = -cn if cn < 0 else cn
+        # x/y * m/cd for (x/y, m) = (P, c_n), (S, |c_n|) and (a_n, c_n), as
+        # Fraction._mul reduces it: gcd(x, cd) and gcd(m, y) cancel first
+        steps = []
+        for x, y, m in ((pn, pd, cn), (sn, sd, un), (an, ad, cn)):
+            xd = cd
+            if cd != 1 and (g := _gcd(x, cd)) != 1:
+                s = (g & -g).bit_length() - 1  # g = 2^s h: shift, as // by 2^s is slow
+                x, xd = (x >> s) // (g >> s), (cd >> s) // (g >> s)
+            if un != 1 and (g := _gcd(un, y)) != 1:
+                s = (g & -g).bit_length() - 1
+                m, y = (m >> s) // (g >> s), (y >> s) // (g >> s)
+            steps.append((x * m, xd * y))
+        (pn, pd), (sn, sd), (an, ad) = steps
+        sn += sd  # S*|c| + 1 is reduced: gcd(sn + sd, sd) = gcd(sn, sd) = 1
+        products.append(_from_coprime_ints(pn, pd))
+        sums.append(_from_coprime_ints(sn, sd))
+        if n < horizon:  # a + r, as Fraction._add reduces it
+            g = _gcd(ad, rd)
+            if g == 1:
+                an, ad = an * rd + ad * rn, ad * rd
+            else:
+                s = ad // g
+                t = an * (rd // g) + rn * s
+                g2 = _gcd(t, g)
+                an, ad = (t, s * rd) if g2 == 1 else (t // g2, s * (rd // g2))
+            a.append(_from_coprime_ints(an, ad))
     return RationalOrbit(
         a=tuple(a), coefficient_products=tuple(products), partial_sums=tuple(sums)
     )
 
 
-# Fraction(n, d) for coprime n and d > 0, built without a second gcd
-# (Python 3.12 replaced the ``_normalize`` flag by ``_from_coprime_ints``).
-_coprime = getattr(Fraction, "_from_coprime_ints", None) or (
-    lambda n, d: Fraction(n, d, _normalize=False)
-)
+def _from_coprime_ints(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for coprime n and d > 0: sets the two slots, without
+    a gcd, as Python 3.12's ``Fraction._from_coprime_ints`` does."""
+    value = object.__new__(Fraction)
+    value._numerator = n
+    value._denominator = d
+    return value
 
 
 def _gcd(x: int, y: int) -> int:
@@ -125,35 +185,6 @@ def _gcd(x: int, y: int) -> int:
     return math.gcd(x, y)
 
 
-def _cancel(x: int, y: int) -> tuple[int, int]:
-    """(x/g, y/g) for g = gcd(x, y) > 0; a shift where g is a power of two."""
-    g = _gcd(x, y)
-    if g & (g - 1):
-        return x // g, y // g
-    shift = g.bit_length() - 1
-    return x >> shift, y >> shift
-
-
-def _mul(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
-    """(na/da) * (nb/db) for reduced pairs, as ``Fraction._mul`` reduces it."""
-    na, db = _cancel(na, db)
-    nb, da = _cancel(nb, da)
-    return na * nb, db * da
-
-
-def _add(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
-    """(na/da) + (nb/db) for reduced pairs, as ``Fraction._add`` reduces it."""
-    g = _gcd(da, db)
-    if g == 1:
-        return na * db + da * nb, da * db
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = _gcd(t, g)
-    if g2 == 1:
-        return t, s * db
-    return t // g2, s * (db // g2)
-
-
 def exact_difference(
     sys: MapSystem,
     a1: Fraction,
@@ -162,7 +193,7 @@ def exact_difference(
     horizon: int,
 ) -> list[Fraction]:
     """d_n = b_n - a_n by exact direct propagation of both orbits."""
-    coeffs = _rational_coefficients(sys, horizon)
+    coeffs = [_from_coprime_ints(*c) for c in _rational_coefficients(sys, horizon)]
     a = Fraction(a1)
     b = Fraction(b1)
     out = [b - a]
@@ -185,7 +216,7 @@ def exact_telescope(
     (prod_{j<n} c_j)(b_1 - a_1) - sum_{j<n} r_j prod_{j<i<n} c_i; for a
     linear family the quotients are the coefficients themselves.
     """
-    coeffs = _rational_coefficients(sys, n)
+    coeffs = [_from_coprime_ints(*c) for c in _rational_coefficients(sys, n)]
     prod = Fraction(1)
     acc = Fraction(0)
     for j in range(1, n):

@@ -130,7 +130,8 @@ def _accumulated_rate_bounds(
     single rate p_{n-1}, with exactly the arithmetic of a fresh
     evaluation, so every value (and hence the built-in ``max`` over them,
     NaN from 0*inf included) is bit-identical at O(horizon) total cost.
-    ``math.log`` and ``math.exp`` are kept: numpy's are not bit-equal.
+    ``math.log`` and ``math.exp`` are kept: numpy's are not bit-equal.  A
+    zero gap skips the exp: below 700, exp(log_prod) * gap is 0.0 * gap.
     A rate that is not positive (NaN included) raises
     :class:`RateRangeError`; ``inf`` is allowed.
     """
@@ -145,7 +146,7 @@ def _accumulated_rate_bounds(
             raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
         log_prod += log(p)
         S = S * p + 1.0
-        out.append((exp(log_prod) if log_prod < 700 else inf) * gap + S * eps)
+        out.append(((exp(log_prod) if gap else 0.0) if log_prod < 700 else inf) * gap + S * eps)
     return out
 
 

@@ -199,6 +199,18 @@ class TestInstability:
         errors = [float(r["observed_error"]) for r in rows]
         assert errors == sorted(errors)
 
+    def test_zero_epsilon_fails_without_divergence(self, tmp_path):
+        # epsilon 0 makes the pseudo-orbit a true orbit, so every observed
+        # error is 0; -inf < -inf is false, and this once passed
+        config = str(fixture_path("unstable_parity"))
+        rc = main(["instability", "--config", config, "--epsilon", "0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert json.loads((tmp_path / "witness.json").read_text())["verdict"] == "fail"
+        with open(tmp_path / "witness.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        assert all(float(r["observed_error"]) == 0.0 for r in rows)
+
     def test_stable_fixture_refused(self, tmp_path, capsys):
         rc = main(
             [

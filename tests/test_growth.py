@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import growth
@@ -409,6 +409,74 @@ class TestScreenedSquareComparison:
         c = math.comb(2 * k, k)
         assert growth._square_cmp(c, 4 * k + 1, k) == 1
         assert growth._square_cmp(c, 3 * k + 1, k) == (0 if k == 1 else -1)
+
+
+#: u = 2^-53, the unit roundoff of float64
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+class TestEnvelopeScreen:
+    def test_every_float_decision_is_the_exact_sign_to_ten_thousand(self):
+        # the running float as the check forms it; c = C(2k, k) exactly
+        r, c = 1.0, 1
+        deferred = []
+        for k in range(1, 10**4 + 1):
+            r *= (2 * k - 1) / (2 * k)
+            c = c * (4 * k - 2) // k
+            for m in (4 * k + 1, 3 * k + 1):
+                sign = growth._envelope_screen(r, m, k)
+                if sign is None:
+                    deferred.append((k, m))
+                else:
+                    assert sign == growth._square_cmp(c, m, k), (k, m)
+        # k = 1 meets the upper bound with equality (c^2 * 4 = 16): only
+        # the exact path can decide it
+        assert deferred == [(1, 4)]
+
+    @settings(max_examples=200)
+    @given(k=st.integers(1, 10**4), upper=st.booleans(), offset=st.floats(-1.0, 1.0))
+    def test_values_within_the_error_bound_are_deferred(self, k, upper, offset):
+        # r within gamma_2k of 1/sqrt(m) could be a rounded true value on
+        # either side of the bound, so the screen must not decide it
+        m = 3 * k + 1 if upper else 4 * k + 1
+        r0 = 1.0 / math.sqrt(m)
+        r = r0 + round(offset * 2 * k) * math.ulp(r0)
+        gamma = 2 * k * UNIT_ROUNDOFF / (1 - 2 * k * UNIT_ROUNDOFF)
+        assume((1 - gamma) ** 2 <= Fraction(r) ** 2 * m <= (1 + gamma) ** 2)
+        assert growth._envelope_screen(r, m, k) is None
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 21, 341, 5461, 10**4])
+    def test_values_next_to_the_bounds_are_deferred(self, k):
+        # 3k + 1 = 4^j for k = 1, 5, 21, 341, 5461: 1/sqrt(3k+1) is a float
+        for m in (4 * k + 1, 3 * k + 1):
+            r0 = 1.0 / math.sqrt(m)
+            for r in (r0, math.nextafter(r0, 0.0), math.nextafter(r0, 1.0)):
+                assert growth._envelope_screen(r, m, k) is None
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 50, 400])
+    def test_exact_fallback_alone_gives_the_same_verdict(self, k_max, monkeypatch):
+        # a screen that defers everything leaves the exact path to decide
+        monkeypatch.setattr(growth, "_envelope_screen", lambda r, m, k: None)
+        assert double_factorial_envelope_holds(k_max) == _running_square_envelope_holds(k_max)
+
+    @pytest.mark.parametrize("k_bad", [1, 7])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_a_screened_violation_fails_the_check(self, k_bad, upper, monkeypatch):
+        screen = growth._envelope_screen
+        violation = 1 if upper else -1
+
+        def failing(r, m, k):
+            return violation if k == k_bad and (m == 3 * k + 1) == upper else screen(r, m, k)
+
+        monkeypatch.setattr(growth, "_envelope_screen", failing)
+        assert not double_factorial_envelope_holds(k_bad)
+        if k_bad > 1:
+            assert double_factorial_envelope_holds(k_bad - 1)
+
+    def test_an_exact_violation_fails_the_check(self, monkeypatch):
+        # k = 1's upper bound is the one comparison the exact path decides
+        monkeypatch.setattr(growth, "_square_cmp", lambda c, m, k: 1)
+        assert not double_factorial_envelope_holds(1)
 
 
 def _running_square_envelope_holds(k_max: int) -> bool:

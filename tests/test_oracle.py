@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hu_shadow import oracle
 from hu_shadow import (
+    Family,
     MapSystem,
     PolicyKind,
     PseudoOrbit,
@@ -482,7 +483,119 @@ class TestPairHelpers:
     def test_coprime_keeps_the_pair(self, n, d):
         g = math.gcd(n, d)
         n, d = n // g, d // g
-        value = oracle._coprime(n, d)
+        value = oracle._from_coprime_ints(n, d)
         assert type(value) is Fraction
         assert value.numerator == n and value.denominator == d
         assert value == Fraction(n, d)
+
+
+# -- rational coefficient table ---------------------------------------------
+
+
+def _per_index_rational_coefficients(sys, horizon):
+    """The coefficient list as one ``rational_coefficient`` call per index (the reference)."""
+    if not sys.is_linear:
+        raise UnsupportedFamily(
+            "exact arithmetic is only available for linear families"
+        )
+    return [sys.rational_coefficient(n) for n in range(1, horizon + 1)]
+
+
+def _table_outcome(build, sys, horizon):
+    """(num, den) pairs of a coefficient list, or the type and message it raised."""
+    try:
+        coeffs = build(sys, horizon)
+    except (UnsupportedFamily, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return [c if isinstance(c, tuple) else (c.numerator, c.denominator) for c in coeffs]
+
+
+class TestRationalTable:
+    @settings(max_examples=150, deadline=None)
+    @given(sys=rational_systems)
+    def test_every_pair_equals_the_scalar_rule(self, sys):
+        table = oracle._rational_coefficients(sys, 300)
+        assert all(type(x) is int for pair in table for x in pair)
+        assert table == [
+            (c.numerator, c.denominator) for c in _per_index_rational_coefficients(sys, 300)
+        ]
+
+    @pytest.mark.parametrize("factory", [periodic_linear, index_scaled_linear, power_two_parity])
+    def test_benchmark_families_at_3000(self, factory):
+        sys = factory()
+        assert _table_outcome(oracle._rational_coefficients, sys, 3000) == _table_outcome(
+            _per_index_rational_coefficients, sys, 3000
+        )
+
+    @pytest.mark.parametrize("shift", [-9, -8, -3, -2, -1, 0])
+    @pytest.mark.parametrize("base", [2, 3, Fraction(3, 2), Fraction(1, 9), -2, Fraction(-3, 2)])
+    def test_parity_exponents_crossing_zero(self, base, shift):
+        # even n has e = -(n + shift) >= 0 for n <= -shift, so the even
+        # class steps through e = 0 (even shift) or from 1 to -1 (odd shift).
+        # The factory refuses a negative base; a MapSystem built directly
+        # still keeps the sign on the numerator.
+        sys = MapSystem(Family.POWER_TWO_PARITY, (base, shift))
+        for horizon in (0, 1, 2, 3, 12, 25):
+            assert _table_outcome(oracle._rational_coefficients, sys, horizon) == _table_outcome(
+                _per_index_rational_coefficients, sys, horizon
+            )
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            periodic_linear((2, 0.5)),
+            periodic_linear((Fraction(1, 3), 1 + 1j, 2)),
+            periodic_linear((2.0,)),
+            index_scaled_linear(3.0, 2),
+            index_scaled_linear(3, 2.0),
+            index_scaled_linear(Fraction(1, 3), 1j),
+            power_two_parity(2.0, 3),
+            affine_sinusoid(),
+        ],
+        ids=[
+            "periodic-float-second",
+            "periodic-complex-second",
+            "periodic-float-only",
+            "index-float-odd",
+            "index-float-even",
+            "index-complex-even",
+            "parity-float-base",
+            "sinusoid",
+        ],
+    )
+    def test_unsupported_parameters_raise_as_the_scalar_rule(self, sys):
+        # the scalar rule raises at the first index whose c_n reads an
+        # inexact parameter, so short horizons may still succeed
+        for horizon in (0, 1, 2, 3, 7):
+            assert _table_outcome(oracle._rational_coefficients, sys, horizon) == _table_outcome(
+                _per_index_rational_coefficients, sys, horizon
+            )
+        raised = _table_outcome(oracle._rational_coefficients, sys, 7)
+        assert raised[0] is UnsupportedFamily
+
+    @pytest.mark.parametrize(
+        "params",
+        [(Family.INDEX_SCALED_LINEAR, (3, 0)), (Family.POWER_TWO_PARITY, (0, 3))],
+        ids=["index-zero-even-scale", "parity-zero-base"],
+    )
+    def test_a_zero_divisor_raises_as_the_scalar_rule(self, params):
+        # the factories refuse these; a MapSystem built directly must raise
+        # where the scalar rule does, not store a zero denominator
+        sys = MapSystem(*params)
+        for horizon in (0, 1, 2, 5):
+            assert _table_outcome(oracle._rational_coefficients, sys, horizon) == _table_outcome(
+                _per_index_rational_coefficients, sys, horizon
+            )
+        assert _table_outcome(oracle._rational_coefficients, sys, 5)[0] is ZeroDivisionError
+
+    @settings(max_examples=30, deadline=None)
+    @given(sys=rational_systems, a1=small_fraction, b1=small_fraction)
+    def test_difference_and_telescope_read_the_table(self, sys, a1, b1):
+        residuals = [Fraction(1, 1000)] * 19
+        direct = exact_difference(sys, a1, b1, residuals, 20)
+        a, b = a1, b1
+        for n in range(1, 21):
+            assert direct[n - 1] == b - a
+            assert exact_telescope(sys, a1, b1, residuals, n) == b - a
+            c = sys.rational_coefficient(n)
+            a, b = c * a + residuals[0], c * b

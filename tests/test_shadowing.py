@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -542,6 +543,28 @@ def _per_call_shadow_expanding(sys, pseudo, K, opts=ShadowOptions()):
     )
 
 
+def _float_bits(x: float) -> int:
+    """The 64 bits of a float, so NaNs of either sign differ."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _exp_every_step_accumulated_rate_bounds(rates, horizon, eps, gap):
+    """``_accumulated_rate_bounds`` before it skipped exp for a zero gap, verbatim."""
+    if horizon < 1:
+        return []
+    log, exp, inf = math.log, math.exp, math.inf
+    log_prod = 0.0
+    S = 0.0
+    out = [1.0 * gap + S * eps]  # n = 1: the empty product exp(0.0) = 1.0
+    for n, p in enumerate(rates[: horizon - 1], 1):
+        if not p > 0:
+            raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
+        log_prod += log(p)
+        S = S * p + 1.0
+        out.append((exp(log_prod) if log_prod < 700 else inf) * gap + S * eps)
+    return out
+
+
 def _bits(x) -> tuple:
     """The exact bits of a float or complex, NaN and the sign of zero included."""
     z = complex(x)
@@ -704,6 +727,25 @@ class TestLeanSweeps:
         sweep = shadowing._accumulated_rate_bounds(rates, 20_001, 1e-3, 0.5)
         expected = list(_per_call_accumulated_rate_bounds(rates, 20_001, 1e-3, 0.5))
         assert [x.hex() for x in sweep] == [x.hex() for x in expected]
+
+    @pytest.mark.parametrize("eps", [0.0, -0.0, 1e-3])
+    @pytest.mark.parametrize("gap", [0.0, -0.0, 1e-3])
+    def test_zero_gap_skips_exp_bit_identically(self, gap, eps):
+        # the log-product climbs past 700 (inf * 0.0 is NaN), falls back
+        # below it and below exp's underflow (-745), and ends at inf
+        rng = random.Random(3)
+        rates = [math.exp(rng.uniform(-3, 3)) for _ in range(200)]
+        rates += [1e300] * 3 + [1e-300] * 6 + rates + [math.inf, 2.0]
+        sweep = shadowing._accumulated_rate_bounds(rates, len(rates) + 1, eps, gap)
+        expected = _exp_every_step_accumulated_rate_bounds(rates, len(rates) + 1, eps, gap)
+        assert [_float_bits(x) for x in sweep] == [_float_bits(x) for x in expected]
+
+    @given(rates=rate_lists(), eps=st.sampled_from([0.0, -0.0, 1e-3]))
+    def test_zero_gap_skip_on_drawn_rates(self, rates, eps):
+        for gap in (0.0, -0.0):
+            sweep = shadowing._accumulated_rate_bounds(rates, len(rates) + 1, eps, gap)
+            expected = _exp_every_step_accumulated_rate_bounds(rates, len(rates) + 1, eps, gap)
+            assert [_float_bits(x) for x in sweep] == [_float_bits(x) for x in expected]
 
     def test_residual_sup_fails_where_the_per_call_fails(self, monkeypatch):
         # c_1025 = 2^1025 overflows: both loops must reach eval_map at the
