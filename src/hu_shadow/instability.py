@@ -175,12 +175,11 @@ def witness_divergence(
     log10_limit = math.log10(LOG_DOMAIN_LIMIT)
     ln10 = math.log(10.0)
     log10, isfinite = math.log10, math.isfinite
-    log_growth_rate = sys.log_growth_rate
     a, r = pseudo.a, pseudo.r
     steps = len(r)  # the pseudo-orbit's last step index
     resonant = p_idx % m
-    for n, p_n in enumerate(rates, 1):
-        lp10 = log_growth_rate(n) / ln10
+    for n, (p_n, log_p) in enumerate(zip(rates, sys.log_rates(horizon)), 1):
+        lp10 = log_p / ln10
         if not T_overflowed and T > 0.0 and (
             not isfinite(p_n) or log10(T) + lp10 > log10_limit
         ):

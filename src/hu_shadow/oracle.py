@@ -9,8 +9,9 @@ shadowing start point by refined grid evaluation, an upper bound on the
 true optimum by construction.
 
 Exact arithmetic is restricted to the linear families with rational
-parameters and real rational data; the sinusoid family is transcendental
-and has no rational orbit.
+parameters and real rational data, and reads c_n from the exact pair
+table of ``MapSystem.coefficient_pairs``, the family rule stated in
+:mod:`hu_shadow.systems`; the sinusoid family has no rational orbit.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedFamily
-from .systems import (
-    Family, MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, _parity_exponent, modulus
-)
+from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus
 
 
 @dataclass(frozen=True)
@@ -50,53 +48,6 @@ class RationalOrbit:
         return self.partial_sums[n - 1]
 
 
-def _rational_coefficients(sys: MapSystem, horizon: int) -> list[tuple[int, int]]:
-    """c_1 .. c_horizon as reduced (numerator, denominator) pairs, in one pass.
-
-    Entry n is the pair of ``sys.rational_coefficient(n)``, the sign on
-    the numerator.  Parameters that are not all int or ``Fraction``, or a
-    zero that c_n divides by, go through that method, which raises at the
-    first index that reads one.
-    """
-    if not sys.is_linear:
-        raise UnsupportedFamily("exact arithmetic is only available for linear families")
-    count = max(horizon, 0)
-    params = sys.params
-    divisors = {Family.INDEX_SCALED_LINEAR: params[1:], Family.POWER_TWO_PARITY: params[:1]}
-    if not all(isinstance(x, (int, Fraction)) for x in params) or 0 in divisors.get(sys.family, ()):
-        coeffs = map(sys.rational_coefficient, range(1, count + 1))
-        return [(c.numerator, c.denominator) for c in coeffs]
-    if sys.family is Family.PERIODIC_LINEAR:
-        cycle = [(c.numerator, c.denominator) for c in params]
-        return (cycle * (count // len(cycle) + 1))[:count]
-    table = [(0, 1)] * count
-    odd, even = range(1, count + 1, 2), range(2, count + 1, 2)
-    if sys.family is Family.INDEX_SCALED_LINEAR:
-        # p*n/q and q/(p*n), with gcd(p, q) = 1 so that gcd(n, q) reduces both
-        (p, q), (u, v) = [(x.numerator, x.denominator) for x in params]
-        u, v = (-u, -v) if u < 0 else (u, v)
-        table[0::2] = [(p * n // (g := math.gcd(n, q)), q // g) for n in odd]
-        table[1::2] = [(v // (g := math.gcd(n, v)), u * n // g) for n in even]
-        return table
-    base, even_shift = params
-    bn, bd = base.numerator, base.denominator
-    for ns in filter(None, (odd, even)):
-        # base**e along a parity class from running powers over |e|: a running
-        # product of the pairs is not reduced where e crosses zero (8/1 * 1/4)
-        exponents = [_parity_exponent(n, even_shift) for n in ns]
-        low = min(map(abs, exponents))
-        xs, ys = [bn**low], [bd**low]
-        for _ in range((max(map(abs, exponents)) - low) // 2):
-            xs.append(xs[-1] * bn * bn)
-            ys.append(ys[-1] * bd * bd)
-        slots = [(abs(e) - low) // 2 for e in exponents]
-        table[ns[0] - 1::2] = [
-            (xs[i], ys[i]) if e >= 0 else (ys[i], xs[i]) if xs[i] > 0 else (-ys[i], -xs[i])
-            for e, i in zip(exponents, slots)
-        ]
-    return table
-
-
 def exact_propagate(
     sys: MapSystem,
     a1: Fraction,
@@ -109,7 +60,7 @@ def exact_propagate(
     Supported policies are constant-real and zero; others have no exact
     rational form.
 
-    One loop over the pair table of :func:`_rational_coefficients` runs
+    One loop over the pair table of ``MapSystem.coefficient_pairs`` runs
     P*c, S*|c| + 1 and c*a + r on reduced integer pairs, with the cross-gcd
     steps of ``Fraction._mul`` and ``_add``, a gcd against 1 skipped and a
     power-of-two gcd divided out by a shift.  Each entry is stored without
@@ -119,7 +70,7 @@ def exact_propagate(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if policy is None:
         policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
-    coeffs = _rational_coefficients(sys, horizon)
+    coeffs = sys.coefficient_pairs(horizon)
     if horizon > 1:  # the residual is the same at every step
         r = policy.rational_residual(1, Fraction(eps))
         rn, rd = r.numerator, r.denominator
@@ -193,7 +144,7 @@ def exact_difference(
     horizon: int,
 ) -> list[Fraction]:
     """d_n = b_n - a_n by exact direct propagation of both orbits."""
-    coeffs = [_from_coprime_ints(*c) for c in _rational_coefficients(sys, horizon)]
+    coeffs = [_from_coprime_ints(*c) for c in sys.coefficient_pairs(horizon)]
     a = Fraction(a1)
     b = Fraction(b1)
     out = [b - a]
@@ -216,7 +167,7 @@ def exact_telescope(
     (prod_{j<n} c_j)(b_1 - a_1) - sum_{j<n} r_j prod_{j<i<n} c_i; for a
     linear family the quotients are the coefficients themselves.
     """
-    coeffs = [_from_coprime_ints(*c) for c in _rational_coefficients(sys, n)]
+    coeffs = [_from_coprime_ints(*c) for c in sys.coefficient_pairs(n)]
     prod = Fraction(1)
     acc = Fraction(0)
     for j in range(1, n):

@@ -11,6 +11,7 @@ exact-arithmetic oracle applicable.  Anything else raises ConfigError.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -21,16 +22,7 @@ from typing import Any, Union
 from .errors import ConfigError
 from .growth import AnalysisOptions
 from .shadowing import ShadowOptions
-from .systems import (
-    Family,
-    MapSystem,
-    PolicyKind,
-    ResidualPolicy,
-    affine_sinusoid,
-    index_scaled_linear,
-    periodic_linear,
-    power_two_parity,
-)
+from .systems import FACTORIES, Family, MapSystem, PolicyKind, ResidualPolicy
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,25 @@ def _section(raw: dict, key: str, allowed: set) -> dict:
     return section
 
 
+def _reals(value: Any, where: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: expected a nonempty list")
+    return tuple(_real(c, where) for c in value)
+
+
+#: How each factory parameter is read; any other is a :func:`_real`.
+#: A key left out takes the factory's default through the same reader, so
+#: ``coeffs`` (a tuple default, which no JSON value is) stays required.
+_READERS = {
+    "coeffs": _reals,
+    "base": _integer,
+    "even_shift": _integer,
+    "slope": lambda value, where: float(_real(value, where)),
+}
+
+
 def _build_system(cfg: dict) -> MapSystem:
+    """The family's factory called with its own keys; any other key is an error."""
     try:
         family = Family(cfg.get("family", ""))
     except ValueError:
@@ -106,23 +116,15 @@ def _build_system(cfg: dict) -> MapSystem:
             f"system.family: unknown family {cfg.get('family')!r}; "
             f"expected one of {[f.value for f in Family]}"
         ) from None
+    factory = FACTORIES[family]
+    keys = inspect.signature(factory).parameters.values()
+    _reject_unknown(cfg, {"family", *(key.name for key in keys)}, "system")
+    args = [
+        _READERS.get(key.name, _real)(cfg.get(key.name, key.default), f"system.{key.name}")
+        for key in keys
+    ]
     try:
-        if family is Family.PERIODIC_LINEAR:
-            coeffs = cfg.get("coeffs")
-            if not isinstance(coeffs, list) or not coeffs:
-                raise ConfigError("system.coeffs: expected a nonempty list")
-            return periodic_linear(tuple(_real(c, "system.coeffs") for c in coeffs))
-        if family is Family.INDEX_SCALED_LINEAR:
-            return index_scaled_linear(
-                _real(cfg.get("odd_scale", 3), "system.odd_scale"),
-                _real(cfg.get("even_inverse_scale", 2), "system.even_inverse_scale"),
-            )
-        if family is Family.POWER_TWO_PARITY:
-            return power_two_parity(
-                _integer(cfg.get("base", 2), "system.base"),
-                _integer(cfg.get("even_shift", 3), "system.even_shift"),
-            )
-        return affine_sinusoid(float(_real(cfg.get("slope", 3), "system.slope")))
+        return factory(*args)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from exc
 
@@ -148,11 +150,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     )
     if "system" not in raw:
         raise ConfigError("scenario: missing required key 'system'")
-    system_cfg = _section(
-        raw,
-        "system",
-        {"family", "coeffs", "odd_scale", "even_inverse_scale", "base", "even_shift", "slope"},
-    )
+    system_cfg = raw["system"]
+    if not isinstance(system_cfg, dict):
+        raise ConfigError("system: expected an object")
     system = _build_system(system_cfg)
 
     a1 = _complex(raw.get("a1", 1), "a1")

@@ -207,7 +207,8 @@ def telescope_difference(
     Evaluates (prod_{j<n} q_j)(b_1 - a_1) - sum_{j<n} r_j prod_{j<i<n} q_i
     with q_j = q_j(b_j, a_j), the true orbit b propagated alongside the
     pseudo-orbit.  The result is an identity: it must agree with direct
-    propagation of b_n - a_n.
+    propagation of b_n - a_n.  A linear family reads q_j = c_j from its
+    coefficient table, and steps as the constructions do (see ``_apply``).
     """
     if not 1 <= n <= pseudo.horizon:
         raise ValueError(f"n must be in 1..{pseudo.horizon}, got {n}")
@@ -215,11 +216,12 @@ def telescope_difference(
     a1 = pseudo.value(1)
     prod_q = 1.0 + 0j
     acc = 0j  # sum_{k<=j} r_k prod_{k<i<=j} q_i
-    for j in range(1, n):
-        q = sys.eval_q(j, b, pseudo.value(j))
+    coeffs = sys.coefficients(n - 1) if sys.is_linear else [None] * (n - 1)
+    for j, c in enumerate(coeffs, 1):
+        q = c if c is not None and cmath.isfinite(c) else sys.eval_q(j, b, pseudo.value(j))
         prod_q *= q
         acc = acc * q + pseudo.residual(j)
-        b = sys.eval_map(j, b)
+        b = _apply(sys, c, j, b)
     out = prod_q * (complex(b1) - a1) - acc
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise OverflowError(

@@ -20,16 +20,16 @@ Only these parameterized families are supported: their difference
 quotients can be evaluated exactly, which the shadowing constructions
 rely on.
 
-A linear family also gives c_1 .. c_H as one table built in a single
-pass (:meth:`MapSystem.coefficients`), and :meth:`MapSystem.tables` the
-rates with it; the per-step loops of the constructions read these
-instead of re-deriving c_n and p_n one index at a time.
+Each linear family states its multiplier c_n twice, over a range of steps:
+as floats and as exact reduced pairs.  The rates, the log rates and the
+scalars (``coefficient(n)``, ``growth_rate(n)`` ...) all read these two.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from math import gcd
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -62,95 +62,148 @@ class MapSystem:
     family: Family
     params: tuple
 
+    def __post_init__(self) -> None:
+        # c_n divides by the index-scaled even scale and by the parity base
+        divisor = {Family.INDEX_SCALED_LINEAR: 1, Family.POWER_TWO_PARITY: 0}.get(self.family)
+        if divisor is not None and self.params[divisor] == 0:
+            raise ValueError("growth rate must be positive")
+
     # -- linear structure ------------------------------------------------
 
     @property
     def is_linear(self) -> bool:
         return self.family is not Family.AFFINE_SINUSOID
 
-    def coefficient(self, n: int) -> complex:
-        """Exact multiplier c_n of a linear family (F(n,z) = c_n z)."""
-        c = self._raw_coefficient(n)
-        return complex(c)
-
     def coefficients(self, horizon: int) -> list[complex]:
-        """c_1 .. c_horizon of a linear family, computed in one pass.
+        """c_1 .. c_horizon of a linear family as floats, in one pass."""
+        return self._floats(range(1, horizon + 1))
 
-        Entry n is bit-equal to ``coefficient(n)``.  Where that raises
-        OverflowError (c_n past the float range) the entry is the
-        infinity of c_n's sign, as IEEE rounding gives; callers that must
-        fail where ``eval_map`` fails fall back to it at non-finite
-        entries.  Rational parameters are carried as integer pairs, so no
-        ``Fraction`` is built per step: int true division rounds the
-        exact quotient correctly, as ``Fraction.__float__`` does, and so
-        does one float64 division of integers below 2**53, which
-        :func:`_rational_table` uses for the index-scaled family.
-        """
-        count = max(horizon, 0)
+    def coefficient_pairs(self, horizon: int) -> list[tuple[int, int]]:
+        """c_1 .. c_horizon as exact reduced pairs, in one pass; raises where
+        ``rational_coefficient`` raises, at the first such step."""
+        pairs = self._pairs(range(1, horizon + 1))
+        if None in pairs:
+            self.rational_coefficient(pairs.index(None) + 1)
+        return pairs
+
+    def log_rates(self, horizon: int) -> list[float]:
+        """ln p_1 .. ln p_horizon, finite where p_n itself overflows a float."""
+        return self._log_rates(range(1, horizon + 1))
+
+    def _floats(self, ns: range) -> list[complex]:
+        """c_n for the consecutive steps ns, correctly rounded to complex, and
+        the infinity of its sign past the float range (where ``eval_map``
+        raises).  Rational parameters are carried as integer pairs."""
         if self.family is Family.PERIODIC_LINEAR:
-            cycle = [_as_complex(c) for c in self.params]
-            return (cycle * (count // len(cycle) + 1))[:count]
-        table = [0j] * count
-        odd, even = range(1, count + 1, 2), range(2, count + 1, 2)
+            cycle = [_quotient(*x) if (x := _exact(c)) else complex(c) for c in self.params]
+            return _cycle(cycle, ns)
+        table = [0j] * len(ns)
         if self.family is Family.INDEX_SCALED_LINEAR:
-            odd_scale, even_inverse_scale = self.params
-            table[0::2] = _products(odd_scale, odd)
-            table[1::2] = _reciprocals(even_inverse_scale, even)
+            # scale*n at odd steps, 1/(scale*n) at even ones; see _rational_table
+            for steps, scale, invert in zip(_parity_classes(ns), self.params, (False, True)):
+                table[steps.start - ns.start::2] = (
+                    _rational_table(*_exact(scale), steps, invert) if _rational(scale)
+                    else [complex(1.0 / (scale * n) if invert else scale * n) for n in steps]
+                )
             return table
         if self.family is Family.POWER_TWO_PARITY:
             base, even_shift = self.params
-            if not _rational(base):  # float powers round per index
-                return [
-                    _float_power(float(base), _parity_exponent(n, even_shift))
-                    for n in range(1, count + 1)
-                ]
-            for ns in (odd, even):
-                if ns:  # c_{n+2} = c_n * base**(e_{n+2} - e_n) along a parity class
-                    first = _parity_exponent(ns[0], even_shift)
-                    step = _parity_exponent(ns[0] + 2, even_shift) - first
-                    table[ns[0] - 1::2] = _geometric(
-                        Fraction(base) ** first, Fraction(base) ** step, len(ns)
-                    )
+            for steps, exponents in _parity_exponents(ns, even_shift):
+                if not _rational(base):  # float powers round per index
+                    table[steps.start - ns.start::2] = [_float_power(base, e) for e in exponents]
+                else:  # c_{n+2} = c_n * base**(e_{n+2} - e_n)
+                    first, ratio = Fraction(base) ** exponents[0], Fraction(base) ** exponents.step
+                    table[steps.start - ns.start::2] = _geometric(first, ratio, len(steps))
             return table
         raise UnsupportedFamily(f"{self.family.value} is not linear")
 
-    def rational_coefficient(self, n: int) -> Fraction:
-        """The multiplier c_n as an exact rational.
+    def _pairs(self, ns: range) -> list[Optional[tuple[int, int]]]:
+        """c_n for the consecutive steps ns as reduced (numerator, denominator)
+        pairs, the sign on the numerator; ``None`` where c_n reads a float or
+        complex parameter, whose binary value is not the rational meant."""
+        if self.family is Family.PERIODIC_LINEAR:
+            return _cycle([_exact(c) for c in self.params], ns)
+        table: list[Optional[tuple[int, int]]] = [None] * len(ns)
+        if self.family is Family.INDEX_SCALED_LINEAR:
+            # p*n/q and q/(p*n), with gcd(p, q) = 1 so that gcd(n, q) reduces both
+            odd, even = _parity_classes(ns)
+            if odd_scale := _exact(self.params[0]):
+                p, q = odd_scale
+                table[odd.start - ns.start::2] = [(p * n // (g := gcd(n, q)), q // g) for n in odd]
+            if even_scale := _exact(self.params[1]):
+                u, v = even_scale if even_scale[0] > 0 else (-even_scale[0], -even_scale[1])
+                table[even.start - ns.start::2] = [
+                    (v // (g := gcd(n, v)), u * n // g) for n in even
+                ]
+            return table
+        if self.family is Family.POWER_TWO_PARITY:
+            base, even_shift = self.params
+            if not _rational(base):
+                return table
+            bn, bd = _exact(base)
+            for steps, exponents in _parity_exponents(ns, even_shift):
+                # base**e from running powers over |e|, least where e crosses zero:
+                # a running product of the pairs would not be reduced there (8/1 * 1/4)
+                first, last = abs(exponents[0]), abs(exponents[-1])
+                low = min(first, last) if (exponents[0] < 0) == (exponents[-1] < 0) else first % 2
+                xs, ys = [bn**low], [bd**low]
+                for _ in range((max(first, last) - low) // 2):
+                    xs.append(xs[-1] * bn * bn)
+                    ys.append(ys[-1] * bd * bd)
+                table[steps.start - ns.start::2] = [
+                    (xs[i], ys[i]) if e >= 0 else (ys[i], xs[i]) if xs[i] > 0 else (-ys[i], -xs[i])
+                    for e in exponents
+                    for i in [(abs(e) - low) // 2]
+                ]
+            return table
+        raise UnsupportedFamily(f"{self.family.value} is not linear")
 
-        Only available when the family parameters are rational; float
-        parameters raise :class:`UnsupportedFamily` since they would be
-        silently promoted to their binary values.
-        """
-        c = self._raw_coefficient(n)
-        if type(c) is Fraction:  # immutable: no copy needed
-            return c
-        if isinstance(c, (int, Fraction)):
-            return Fraction(c)
-        raise UnsupportedFamily(
-            f"family {self.family.value} with non-rational parameters has "
-            "no exact coefficient"
-        )
+    def _log_rates(self, ns: range) -> list[float]:
+        """ln p_n for n in ns: ln|num| - ln den from the exact pair, else
+        ln |c_n| of the float entry, and e*ln(base) for a float parity base
+        whose power base**e is past the float range."""
+        log = math.log
+        if not self.is_linear:
+            return [log(_expanding_rate(self.params[0], n)) for n in ns]
+        pairs = self._pairs(ns)
+        if None not in pairs:
+            return [log(abs(num)) - log(den) for num, den in pairs]
+        out = []
+        for n, pair, c in zip(ns, pairs, self._floats(ns)):
+            if pair is not None:
+                out.append(log(abs(pair[0])) - log(pair[1]))
+            elif 0.0 < (p := modulus(c)) < math.inf or self.family is not Family.POWER_TWO_PARITY:
+                out.append(log(p))  # inf, NaN or a math domain error at zero, as ln |c_n|
+            else:
+                out.append(_parity_exponent(n, self.params[1]) * log(float(self.params[0])))
+        return out
 
-    def _raw_coefficient(self, n: int) -> Number:
+    def coefficient(self, n: int) -> complex:
+        """c_n (F(n,z) = c_n z): entry n of :meth:`coefficients`, but a finite
+        c_n past the float range raises OverflowError.  Rational parameters
+        read the exact pair, which is integer work."""
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
-        if self.family is Family.PERIODIC_LINEAR:
-            coeffs = self.params
-            return coeffs[(n - 1) % len(coeffs)]
-        if self.family is Family.INDEX_SCALED_LINEAR:
-            odd_scale, even_inverse_scale = self.params
-            if n % 2 == 1:
-                return odd_scale * n
-            return Fraction(1, even_inverse_scale * n) if _rational(
-                even_inverse_scale
-            ) else 1.0 / (even_inverse_scale * n)
-        if self.family is Family.POWER_TWO_PARITY:
-            base, even_shift = self.params
-            e = _parity_exponent(n, even_shift)
-            if not _rational(base):
-                return float(base) ** e
-            return base**e if e >= 0 else Fraction(1, base**-e)
-        raise UnsupportedFamily(f"{self.family.value} is not linear")
+        if all(map(_rational, self.params)):
+            ((num, den),) = self._pairs(range(n, n + 1))
+            return complex(num if den == 1 else num / den)
+        (c,) = self._floats(range(n, n + 1))
+        if cmath.isinf(c) and all(_rational(x) or cmath.isfinite(x) for x in self.params):
+            raise OverflowError(f"c_{n} is past the float range")
+        return c
+
+    def rational_coefficient(self, n: int) -> Fraction:
+        """c_n as a ``Fraction``; :class:`UnsupportedFamily` where it reads a
+        float or complex parameter."""
+        if n < 1:
+            raise ValueError(f"step index must be >= 1, got {n}")
+        (pair,) = self._pairs(range(n, n + 1))
+        if pair is None:
+            raise UnsupportedFamily(
+                f"family {self.family.value} with non-rational parameters has "
+                "no exact coefficient"
+            )
+        return Fraction(*pair)
 
     # -- evaluation ------------------------------------------------------
 
@@ -192,12 +245,8 @@ class MapSystem:
         return slope + (cmath.sin(u / n) - cmath.sin(v / n)) / (n * (u - v))
 
     def growth_rate(self, n: int) -> float:
-        """Per-step growth rate p_n (always positive).
-
-        Rates past the floating-point range (the parity family's odd
-        coefficients from n = 1024 on) are reported as ``inf``; use
-        :meth:`log_growth_rate` for a finite value there.
-        """
+        """Per-step growth rate p_n (always positive); ``inf`` past the float
+        range, where :meth:`log_growth_rate` is still finite."""
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
         if not self.is_linear:
@@ -211,24 +260,7 @@ class MapSystem:
         """ln p_n, finite even when p_n itself overflows a float."""
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
-        if self.family is Family.POWER_TWO_PARITY:
-            base, even_shift = self.params
-            e = _parity_exponent(n, even_shift)
-            if isinstance(base, int):  # the reduced c_n is base**e or Fraction(1, base**-e)
-                return math.log(base**e) if e >= 0 else 0.0 - math.log(base**-e)
-            if not isinstance(base, Fraction):
-                c = _float_power(float(base), e).real
-                if 0.0 < c < math.inf:
-                    return math.log(c)
-                return e * math.log(float(base))  # base**e is past the float range
-        elif not self.is_linear:
-            return math.log(_expanding_rate(self.params[0], n))
-        c = self._raw_coefficient(n)
-        if isinstance(c, Fraction):
-            return math.log(abs(c.numerator)) - math.log(c.denominator)
-        if isinstance(c, int):
-            return math.log(abs(c))
-        return math.log(abs(complex(c)))
+        return self._log_rates(range(n, n + 1))[0]
 
     def rates(self, horizon: int) -> list[float]:
         """Growth rates p_1 .. p_horizon."""
@@ -273,12 +305,23 @@ def _parity_exponent(n: int, even_shift: int) -> int:
     return n if n % 2 == 1 else -(n + even_shift)
 
 
-def _as_complex(c: Number) -> complex:
-    """complex(c), or the infinity of c's sign where that overflows."""
-    try:
-        return complex(c)
-    except OverflowError:
-        return complex(math.inf if c > 0 else -math.inf, 0.0)
+def _parity_classes(ns: range) -> tuple[range, range]:
+    """The odd and the even steps of the consecutive steps ``ns``."""
+    return range(ns.start | 1, ns.stop, 2), range(ns.start + ns.start % 2, ns.stop, 2)
+
+
+def _parity_exponents(ns: range, even_shift: int) -> list[tuple[range, range]]:
+    """(steps, exponents) for the odd and the even steps of ``ns`` that hold
+    any: the :func:`_parity_exponent` of each step, as a range."""
+    odd, even = _parity_classes(ns)
+    classes = (odd, odd), (even, range(-(even.start + even_shift), -(even.stop + even_shift), -2))
+    return [(steps, exponents) for steps, exponents in classes if steps]
+
+
+def _cycle(cycle: list, ns: range) -> list:
+    """Entries n in ns of the sequence that repeats ``cycle`` from n = 1."""
+    shift = (ns.start - 1) % len(cycle)
+    return (cycle * (len(ns) // len(cycle) + 2))[shift : shift + len(ns)]
 
 
 def _quotient(num: int, den: int) -> complex:
@@ -291,22 +334,6 @@ def _quotient(num: int, den: int) -> complex:
 
 #: Integers below this convert to float64 exactly.
 EXACT_INT_LIMIT = 2**53
-
-
-def _products(scale: Number, ns: range) -> list[complex]:
-    """complex(scale * n) for n in ns; (p*n)/q for a rational p/q, see
-    :func:`_rational_table`."""
-    if _rational(scale):
-        return _rational_table(scale.numerator, scale.denominator, ns, invert=False)
-    return [complex(scale * n) for n in ns]
-
-
-def _reciprocals(scale: Number, ns: range) -> list[complex]:
-    """complex(Fraction(1, scale * n)) for n in ns, q/(p*n) for a rational
-    p/q (see :func:`_rational_table`); 1.0 / (scale * n) for a float scale."""
-    if _rational(scale):
-        return _rational_table(scale.numerator, scale.denominator, ns, invert=True)
-    return [complex(1.0 / (scale * n)) for n in ns]
 
 
 def _rational_table(p: int, q: int, ns: range, invert: bool) -> list[complex]:
@@ -332,9 +359,9 @@ def _rational_table(p: int, q: int, ns: range, invert: bool) -> list[complex]:
 
 
 def _float_power(base: float, e: int) -> complex:
-    """complex(base ** e) for base > 0, inf where it overflows."""
+    """complex(float(base) ** e) for base > 0, inf where it overflows."""
     try:
-        return complex(base**e)
+        return complex(float(base) ** e)
     except OverflowError:
         return complex(math.inf, 0.0)
 
@@ -362,7 +389,14 @@ def _geometric(value: Fraction, ratio: Fraction, count: int) -> list[complex]:
 
 
 def _rational(x: Number) -> bool:
-    return isinstance(x, (int, Fraction))
+    return type(x) is int or type(x) is Fraction  # isinstance on a Fraction is slow
+
+
+def _exact(x: Number) -> Optional[tuple[int, int]]:
+    """(numerator, denominator) of an int or a Fraction, else None."""
+    if type(x) is int:
+        return x, 1
+    return (x._numerator, x._denominator) if type(x) is Fraction else None
 
 
 # -- factories -----------------------------------------------------------
@@ -389,7 +423,7 @@ def periodic_linear(coeffs: Sequence[Number] = (2, Fraction(1, 3))) -> MapSystem
 def index_scaled_linear(odd_scale: Number = 3, even_inverse_scale: Number = 2) -> MapSystem:
     """Linear maps c_n z with c_n = odd_scale*n (odd n), 1/(even_inverse_scale*n) (even n)."""
     _require_finite(odd_scale, even_inverse_scale)
-    if complex(odd_scale) == 0 or complex(even_inverse_scale) == 0:
+    if odd_scale == 0:
         raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.INDEX_SCALED_LINEAR, params=(odd_scale, even_inverse_scale))
 
@@ -397,7 +431,7 @@ def index_scaled_linear(odd_scale: Number = 3, even_inverse_scale: Number = 2) -
 def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
     """Linear maps c_n z with c_n = base^n (odd n), base^-(n+even_shift) (even n)."""
     _require_finite(base, even_shift)
-    if base <= 0:
+    if base < 0:
         raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.POWER_TWO_PARITY, params=(base, even_shift))
 
@@ -408,6 +442,15 @@ def affine_sinusoid(slope: float = 3.0) -> MapSystem:
     if slope <= 1.0:
         raise ValueError("affine_sinusoid requires slope > 1 for a positive expanding rate")
     return MapSystem(family=Family.AFFINE_SINUSOID, params=(slope,))
+
+
+#: The factory of each family; its parameter names are the family's keys.
+FACTORIES = {
+    Family.PERIODIC_LINEAR: periodic_linear,
+    Family.INDEX_SCALED_LINEAR: index_scaled_linear,
+    Family.POWER_TWO_PARITY: power_two_parity,
+    Family.AFFINE_SINUSOID: affine_sinusoid,
+}
 
 
 # -- residual policies ---------------------------------------------------

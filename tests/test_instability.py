@@ -26,6 +26,7 @@ from hu_shadow import (
     witness_divergence,
 )
 from hu_shadow.instability import LOG_DOMAIN_LIMIT, _log10_add
+from test_systems import reference_log_growth_rate  # the per-index rule, verbatim
 
 
 def parity_classification(horizon=160):
@@ -127,7 +128,8 @@ class TestWitness:
 
 
 def _per_call_witness_divergence(sys, eps, horizon, cls):
-    """The witness loop with a call per step, kept verbatim as the reference."""
+    """The witness loop with a call per step, kept verbatim as the reference
+    (ln p_n from the per-index rule that the log-rate table replaced)."""
     if cls.kind is not ClassificationKind.PERIODIC_BELOW_ONE or cls.periodic is None:
         raise HypothesisViolation(
             f"classification is {cls.kind.value}, no witness"
@@ -162,7 +164,7 @@ def _per_call_witness_divergence(sys, eps, horizon, cls):
     log10_limit = math.log10(LOG_DOMAIN_LIMIT)
     for n in range(1, horizon + 1):
         p_n = rates[n - 1]
-        lp10 = sys.log_growth_rate(n) / math.log(10.0)
+        lp10 = reference_log_growth_rate(sys, n) / math.log(10.0)
         if not T_overflowed and T > 0.0 and (
             not math.isfinite(p_n) or math.log10(T) + lp10 > log10_limit
         ):

@@ -32,6 +32,7 @@ from hu_shadow import (
     shadow_expanding,
     sup_error_for_start,
 )
+from test_systems import reference_rational_coefficient  # the per-index rule, verbatim
 
 SQRT_3_2 = math.sqrt(1.5)
 
@@ -375,7 +376,7 @@ def _fraction_exact_propagate(sys, a1, eps, horizon, policy=None):
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if policy is None:
         policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
-    coeffs = [sys.rational_coefficient(n) for n in range(1, horizon + 1)]
+    coeffs = [reference_rational_coefficient(sys, n) for n in range(1, horizon + 1)]
     a = [Fraction(a1)]
     products = []
     sums = []
@@ -493,12 +494,10 @@ class TestPairHelpers:
 
 
 def _per_index_rational_coefficients(sys, horizon):
-    """The coefficient list as one ``rational_coefficient`` call per index (the reference)."""
+    """The coefficient list by the per-index rule (the reference)."""
     if not sys.is_linear:
-        raise UnsupportedFamily(
-            "exact arithmetic is only available for linear families"
-        )
-    return [sys.rational_coefficient(n) for n in range(1, horizon + 1)]
+        raise UnsupportedFamily(f"{sys.family.value} is not linear")
+    return [reference_rational_coefficient(sys, n) for n in range(1, horizon + 1)]
 
 
 def _table_outcome(build, sys, horizon):
@@ -514,7 +513,7 @@ class TestRationalTable:
     @settings(max_examples=150, deadline=None)
     @given(sys=rational_systems)
     def test_every_pair_equals_the_scalar_rule(self, sys):
-        table = oracle._rational_coefficients(sys, 300)
+        table = MapSystem.coefficient_pairs(sys, 300)
         assert all(type(x) is int for pair in table for x in pair)
         assert table == [
             (c.numerator, c.denominator) for c in _per_index_rational_coefficients(sys, 300)
@@ -523,7 +522,7 @@ class TestRationalTable:
     @pytest.mark.parametrize("factory", [periodic_linear, index_scaled_linear, power_two_parity])
     def test_benchmark_families_at_3000(self, factory):
         sys = factory()
-        assert _table_outcome(oracle._rational_coefficients, sys, 3000) == _table_outcome(
+        assert _table_outcome(MapSystem.coefficient_pairs, sys, 3000) == _table_outcome(
             _per_index_rational_coefficients, sys, 3000
         )
 
@@ -536,7 +535,7 @@ class TestRationalTable:
         # still keeps the sign on the numerator.
         sys = MapSystem(Family.POWER_TWO_PARITY, (base, shift))
         for horizon in (0, 1, 2, 3, 12, 25):
-            assert _table_outcome(oracle._rational_coefficients, sys, horizon) == _table_outcome(
+            assert _table_outcome(MapSystem.coefficient_pairs, sys, horizon) == _table_outcome(
                 _per_index_rational_coefficients, sys, horizon
             )
 
@@ -567,26 +566,27 @@ class TestRationalTable:
         # the scalar rule raises at the first index whose c_n reads an
         # inexact parameter, so short horizons may still succeed
         for horizon in (0, 1, 2, 3, 7):
-            assert _table_outcome(oracle._rational_coefficients, sys, horizon) == _table_outcome(
+            assert _table_outcome(MapSystem.coefficient_pairs, sys, horizon) == _table_outcome(
                 _per_index_rational_coefficients, sys, horizon
             )
-        raised = _table_outcome(oracle._rational_coefficients, sys, 7)
+        raised = _table_outcome(MapSystem.coefficient_pairs, sys, 7)
         assert raised[0] is UnsupportedFamily
 
     @pytest.mark.parametrize(
         "params",
-        [(Family.INDEX_SCALED_LINEAR, (3, 0)), (Family.POWER_TWO_PARITY, (0, 3))],
-        ids=["index-zero-even-scale", "parity-zero-base"],
+        [
+            (Family.INDEX_SCALED_LINEAR, (3, 0)),
+            (Family.INDEX_SCALED_LINEAR, (3, 0.0)),
+            (Family.POWER_TWO_PARITY, (0, 3)),
+            (Family.POWER_TWO_PARITY, (Fraction(0), -9)),
+        ],
+        ids=["index-zero-even-scale", "index-float-zero", "parity-zero-base", "parity-zero-fraction"],
     )
-    def test_a_zero_divisor_raises_as_the_scalar_rule(self, params):
-        # the factories refuse these; a MapSystem built directly must raise
-        # where the scalar rule does, not store a zero denominator
-        sys = MapSystem(*params)
-        for horizon in (0, 1, 2, 5):
-            assert _table_outcome(oracle._rational_coefficients, sys, horizon) == _table_outcome(
-                _per_index_rational_coefficients, sys, horizon
-            )
-        assert _table_outcome(oracle._rational_coefficients, sys, 5)[0] is ZeroDivisionError
+    def test_a_zero_divisor_is_refused_at_construction(self, params):
+        # c_n divides by these parameters: a MapSystem built directly is
+        # refused as the factories refuse it, before any table is read
+        with pytest.raises(ValueError, match="growth rate must be positive"):
+            MapSystem(*params)
 
     @settings(max_examples=30, deadline=None)
     @given(sys=rational_systems, a1=small_fraction, b1=small_fraction)
@@ -597,5 +597,5 @@ class TestRationalTable:
         for n in range(1, 21):
             assert direct[n - 1] == b - a
             assert exact_telescope(sys, a1, b1, residuals, n) == b - a
-            c = sys.rational_coefficient(n)
+            c = reference_rational_coefficient(sys, n)
             a, b = c * a + residuals[0], c * b

@@ -1,6 +1,7 @@
 """Scenario file loading, validation and round-tripping."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,28 @@ class TestLoading:
     def test_complex_a1_pair(self):
         sc = scenario_from_dict(dict(MINIMAL, a1=[1.5, -0.5]))
         assert sc.a1 == 1.5 - 0.5j
+
+    @pytest.mark.parametrize(
+        "system, foreign",
+        [
+            (
+                {"family": "power_two_parity", "coeffs": [5, 7], "slope": "x", "odd_scale": None},
+                ["coeffs", "odd_scale", "slope"],
+            ),
+            ({"family": "periodic_linear", "coeffs": [2, "1/3"], "base": 2}, ["base"]),
+            ({"family": "index_scaled_linear", "even_shift": 3}, ["even_shift"]),
+            ({"family": "affine_sinusoid", "slope": 3, "odd_scale": 2}, ["odd_scale"]),
+        ],
+        ids=["parity", "periodic", "index", "sinusoid"],
+    )
+    def test_another_familys_key_is_refused(self, tmp_path, capsys, system, foreign):
+        # every family's keys used to be accepted, then ignored and round-tripped
+        message = f"system: unknown keys {foreign}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            scenario_from_dict(dict(MINIMAL, system=system))
+        path = write_scenario(tmp_path, dict(MINIMAL, system=system))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"hu-shadow: config error: {message}"]
 
     def test_formats_is_an_unknown_key(self, tmp_path, capsys):
         # output.formats was parsed but never honoured; it is no longer a key

@@ -2,12 +2,15 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hu_shadow
 from hu_shadow import (
     Family,
     MapSystem,
@@ -23,7 +26,7 @@ from hu_shadow import (
     profile_of,
     shadow_expanding,
 )
-from hu_shadow.systems import OVERFLOW_LIMIT
+from hu_shadow.systems import OVERFLOW_LIMIT, modulus
 
 
 class TestCoefficients:
@@ -239,13 +242,112 @@ def _bits(z: complex) -> tuple:
     return z.real.hex(), z.imag.hex()
 
 
-def _scalar_entry(sys: MapSystem, n: int) -> complex:
-    """coefficient(n), or the infinity of c_n's sign where it overflows."""
+# -- the per-index rule that the tables replaced, kept verbatim as the
+# reference (``self`` is the system) ------------------------------------
+
+
+def _parity_exponent(n: int, even_shift: int) -> int:
+    """e with c_n = base**e in ``power_two_parity``."""
+    return n if n % 2 == 1 else -(n + even_shift)
+
+
+def _rational(x) -> bool:
+    return isinstance(x, (int, Fraction))
+
+
+def _float_power(base: float, e: int) -> complex:
+    """complex(base ** e) for base > 0, inf where it overflows."""
     try:
-        return sys.coefficient(n)
+        return complex(base**e)
+    except OverflowError:
+        return complex(math.inf, 0.0)
+
+
+def _expanding_rate(slope: float, n: int) -> float:
+    """slope - 1/n^2, the affine sinusoid's expanding rate."""
+    return float(slope) - 1.0 / n**2
+
+
+def reference_raw_coefficient(self, n: int):
+    if n < 1:
+        raise ValueError(f"step index must be >= 1, got {n}")
+    if self.family is Family.PERIODIC_LINEAR:
+        coeffs = self.params
+        return coeffs[(n - 1) % len(coeffs)]
+    if self.family is Family.INDEX_SCALED_LINEAR:
+        odd_scale, even_inverse_scale = self.params
+        if n % 2 == 1:
+            return odd_scale * n
+        return Fraction(1, even_inverse_scale * n) if _rational(
+            even_inverse_scale
+        ) else 1.0 / (even_inverse_scale * n)
+    if self.family is Family.POWER_TWO_PARITY:
+        base, even_shift = self.params
+        e = _parity_exponent(n, even_shift)
+        if not _rational(base):
+            return float(base) ** e
+        return base**e if e >= 0 else Fraction(1, base**-e)
+    raise UnsupportedFamily(f"{self.family.value} is not linear")
+
+
+def reference_coefficient(self, n: int) -> complex:
+    c = reference_raw_coefficient(self, n)
+    return complex(c)
+
+
+def reference_rational_coefficient(self, n: int) -> Fraction:
+    c = reference_raw_coefficient(self, n)
+    if type(c) is Fraction:  # immutable: no copy needed
+        return c
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    raise UnsupportedFamily(
+        f"family {self.family.value} with non-rational parameters has "
+        "no exact coefficient"
+    )
+
+
+def reference_growth_rate(self, n: int) -> float:
+    if n < 1:
+        raise ValueError(f"step index must be >= 1, got {n}")
+    if not self.is_linear:
+        return _expanding_rate(self.params[0], n)
+    try:
+        return modulus(reference_coefficient(self, n))
+    except OverflowError:
+        return math.inf
+
+
+def reference_log_growth_rate(self, n: int) -> float:
+    if n < 1:
+        raise ValueError(f"step index must be >= 1, got {n}")
+    if self.family is Family.POWER_TWO_PARITY:
+        base, even_shift = self.params
+        e = _parity_exponent(n, even_shift)
+        if isinstance(base, int):  # the reduced c_n is base**e or Fraction(1, base**-e)
+            return math.log(base**e) if e >= 0 else 0.0 - math.log(base**-e)
+        if not isinstance(base, Fraction):
+            c = _float_power(float(base), e).real
+            if 0.0 < c < math.inf:
+                return math.log(c)
+            return e * math.log(float(base))  # base**e is past the float range
+    elif not self.is_linear:
+        return math.log(_expanding_rate(self.params[0], n))
+    c = reference_raw_coefficient(self, n)
+    if isinstance(c, Fraction):
+        return math.log(abs(c.numerator)) - math.log(c.denominator)
+    if isinstance(c, int):
+        return math.log(abs(c))
+    return math.log(abs(complex(c)))
+
+
+def _scalar_entry(sys: MapSystem, n: int) -> complex:
+    """The reference c_n, or the infinity of its sign where it overflows."""
+    try:
+        return reference_coefficient(sys, n)
     except OverflowError:
         try:
-            positive = sys.rational_coefficient(n) > 0
+            positive = reference_rational_coefficient(sys, n) > 0
         except (UnsupportedFamily, OverflowError):  # a float power of a positive base
             positive = True
         return complex(math.inf if positive else -math.inf, 0.0)
@@ -257,7 +359,7 @@ def _assert_tables_match_scalar_rule(sys: MapSystem, horizon: int, ns=None) -> N
     assert len(coeffs) == len(rates) == horizon
     for n in ns or range(1, horizon + 1):
         assert _bits(coeffs[n - 1]) == _bits(_scalar_entry(sys, n)), n
-        assert rates[n - 1].hex() == sys.growth_rate(n).hex(), n
+        assert rates[n - 1].hex() == reference_growth_rate(sys, n).hex(), n
 
 
 #: systems whose tables are compared at H = 12,000: every index up to
@@ -296,6 +398,24 @@ finite = st.floats(-1e3, 1e3)
 real = st.one_of(rational, finite.filter(lambda x: abs(x) > 1e-300))
 
 
+linear_systems = st.one_of(
+    st.lists(st.one_of(real, st.builds(complex, finite, finite)), min_size=1, max_size=5)
+    .filter(lambda cs: all(abs(complex(c)) > 0 for c in cs if not isinstance(c, int)))
+    .map(lambda cs: MapSystem(Family.PERIODIC_LINEAR, tuple(cs))),
+    # built directly: the factory's complex() check overflows on huge ints
+    st.builds(lambda *scales: MapSystem(Family.INDEX_SCALED_LINEAR, scales), real, real),
+    st.builds(
+        power_two_parity,
+        st.one_of(
+            st.integers(1, 7),
+            st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).filter(bool),
+            st.floats(0.1, 9.0),
+        ),
+        st.integers(-9, 9),
+    ),
+)
+
+
 class TestCoefficientTable:
     @pytest.mark.parametrize("name", sorted(TABLE_SYSTEMS))
     def test_every_entry_equals_the_scalar_rule(self, name):
@@ -303,25 +423,7 @@ class TestCoefficientTable:
         _assert_tables_match_scalar_rule(TABLE_SYSTEMS[name], 12_000, ns)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        sys=st.one_of(
-            st.lists(st.one_of(real, st.builds(complex, finite, finite)), min_size=1, max_size=5)
-            .filter(lambda cs: all(abs(complex(c)) > 0 for c in cs if not isinstance(c, int)))
-            .map(lambda cs: MapSystem(Family.PERIODIC_LINEAR, tuple(cs))),
-            # built directly: the factory's complex() check overflows on huge ints
-            st.builds(lambda *scales: MapSystem(Family.INDEX_SCALED_LINEAR, scales), real, real),
-            st.builds(
-                power_two_parity,
-                st.one_of(
-                    st.integers(1, 7),
-                    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).filter(bool),
-                    st.floats(0.1, 9.0),
-                ),
-                st.integers(-9, 9),
-            ),
-        ),
-        horizon=st.integers(0, 300),
-    )
+    @given(sys=linear_systems, horizon=st.integers(0, 300))
     def test_tables_equal_scalar_rule(self, sys, horizon):
         _assert_tables_match_scalar_rule(sys, horizon)
 
@@ -329,7 +431,9 @@ class TestCoefficientTable:
         sys = affine_sinusoid(2.5)
         coeffs, rates = sys.tables(500)
         assert coeffs is None
-        assert [r.hex() for r in rates] == [sys.growth_rate(n).hex() for n in range(1, 501)]
+        assert [r.hex() for r in rates] == [
+            reference_growth_rate(sys, n).hex() for n in range(1, 501)
+        ]
         assert rates[:3] == [2.5 - 1.0, 2.5 - 0.25, 2.5 - 1.0 / 9]
         with pytest.raises(UnsupportedFamily):
             sys.coefficients(3)
@@ -354,6 +458,64 @@ class TestCoefficientTable:
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 10_000)
         shadow_expanding(sys, pseudo, math.sqrt(1.5))
         assert len(calls) <= 5, len(calls)
+
+
+def _outcome(read, sys: MapSystem, n: int):
+    """The bits of a scalar read, or the type of the error it raised."""
+    try:
+        value = read(sys, n)
+    except (ArithmeticError, ValueError, UnsupportedFamily) as exc:
+        return type(exc)
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    return _bits(complex(value))
+
+
+class TestOneEntryReads:
+    """The scalars read one entry of the tables; at any step they equal
+    the per-index rule, and a table started at any step equals the
+    tail of the table started at step 1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sys=linear_systems, n=st.integers(1, 3000), count=st.integers(1, 9))
+    @example(sys=periodic_linear((2, Fraction(1, 3), 0.75)), n=5, count=4)  # cycle offset 1
+    @example(sys=index_scaled_linear(Fraction(7, 3), -5), n=2, count=3)  # even first step
+    @example(sys=index_scaled_linear(2.5, Fraction(3, 4)), n=7, count=2)  # odd first step
+    @example(sys=power_two_parity(3, -7), n=6, count=5)  # even exponents cross zero
+    @example(sys=power_two_parity(2.0, 3), n=1025, count=3)  # past the float range
+    def test_scalars_equal_the_per_index_rule(self, sys, n, count):
+        for read, reference in (
+            (MapSystem.coefficient, reference_coefficient),
+            (MapSystem.rational_coefficient, reference_rational_coefficient),
+            (MapSystem.growth_rate, reference_growth_rate),
+        ):
+            want = _outcome(reference, sys, n)
+            if want is OverflowError and read is MapSystem.rational_coefficient:
+                # the per-index rule computed a float power before refusing it
+                want = UnsupportedFamily
+            assert _outcome(read, sys, n) == want, read.__name__
+        assert sys.log_growth_rate(n).hex() == reference_log_growth_rate(sys, n).hex()
+        ns = range(n, n + count)
+        stop = n + count - 1
+        assert [_bits(c) for c in sys._floats(ns)] == [
+            _bits(c) for c in sys.coefficients(stop)[n - 1:]
+        ]
+        assert sys._pairs(ns) == sys._pairs(range(1, stop + 1))[n - 1:]
+        assert [x.hex() for x in sys._log_rates(ns)] == [
+            x.hex() for x in sys.log_rates(stop)[n - 1:]
+        ]
+
+    @pytest.mark.parametrize(
+        "sys, n",
+        [(power_two_parity(2.0, 3), 1025), (index_scaled_linear(1e308, 2), 3)],
+        ids=["float-power", "float-product"],
+    )
+    def test_a_finite_coefficient_past_the_float_range_overflows(self, sys, n):
+        with pytest.raises(OverflowError, match=f"c_{n} is past the float range"):
+            sys.coefficient(n)
+        assert sys.coefficients(n)[-1] == complex(math.inf, 0.0)
+        assert sys.growth_rate(n) == math.inf
+        assert sys.log_growth_rate(n) == reference_log_growth_rate(sys, n)
 
 
 def _float_power_log_rate(base: float, even_shift: int, n: int):
@@ -561,7 +723,7 @@ class TestNonFiniteInputs:
 
 def _fraction_log_growth_rate(sys: MapSystem, n: int) -> float:
     """ln p_n of a rational parity system by the reduced Fraction rule."""
-    c = sys.rational_coefficient(n)
+    c = reference_rational_coefficient(sys, n)
     return math.log(abs(c.numerator)) - math.log(c.denominator)
 
 
@@ -570,7 +732,9 @@ class TestIntegerBaseLogRate:
     def test_equals_reduced_fraction_rule(self, base, even_shift):
         sys = power_two_parity(base, even_shift)
         for n in [*range(1, 1200), *range(1200, 4000, 37)]:
-            assert sys.log_growth_rate(n).hex() == _fraction_log_growth_rate(sys, n).hex(), n
+            got = sys.log_growth_rate(n).hex()
+            assert got == _fraction_log_growth_rate(sys, n).hex(), n
+            assert got == reference_log_growth_rate(sys, n).hex(), n
 
 
 #: rational scales whose table switches from float64 to ``_quotient`` inside
@@ -604,3 +768,18 @@ class TestRationalTableSwitch:
     def test_random_scales_equal_the_scalar_rule(self, p, q, sign, horizon):
         scale = Fraction(sign * p, q)
         _assert_tables_match_scalar_rule(index_scaled_linear(scale, scale), horizon)
+
+
+class TestOneRulePerFamily:
+    def test_only_systems_branches_on_a_family(self):
+        # c_n is stated in systems.py alone; the other modules read its
+        # tables and may only build a family from its value
+        package = Path(hu_shadow.__file__).parent
+        member = re.compile(r"\bFamily\.[A-Z][A-Z_]*\b")
+        found = {
+            path.name: member.findall(path.read_text())
+            for path in sorted(package.glob("*.py"))
+            if path.name != "systems.py"
+        }
+        assert {name: hits for name, hits in found.items() if hits} == {}
+        assert len(found) >= 8  # every module was read
