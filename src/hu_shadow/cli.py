@@ -24,6 +24,8 @@ import math
 import os
 import sys
 import tempfile
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -53,11 +55,6 @@ OUTPUT_DIR_ENV = "HU_SHADOW_OUT"
 MIN_ANALYSIS_HORIZON = 1000
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits: enough for exact float round-trips."""
-    return format(float(x), ".17g")
-
-
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -77,10 +74,16 @@ def _write_json(path: Path, obj) -> None:
     _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list, row, rows: list) -> None:
+    """``header``, then one line per tuple of ``rows``.
+
+    ``row`` is the %-template of a line, or a list of one template per
+    line.  All lines are formatted in one ``%`` pass; ``%.17g``, 17
+    significant digits, is enough for exact float round-trips.
+    """
+    template = row * len(rows) if isinstance(row, str) else "".join(row)
+    body = template % tuple(chain.from_iterable(rows))
+    _write_atomic(path, ",".join(header) + "\n" + body)
 
 
 def _classification_payload(cls: Classification) -> dict:
@@ -136,11 +139,12 @@ def _cmd_analyze(scenario: Scenario, out: Path) -> int:
     profile = build_profile(rates)
     cls = classify(profile, scenario.system, scenario.analysis)
 
-    rows = [
-        [str(n), _fmt(rate), _fmt(profile.log_sum(n)), _fmt(profile.avg[n - 1])]
-        for n, rate in enumerate(rates, 1)
-    ]
-    _write_csv(out / "profile.csv", ["n", "rate", "log_partial", "avg"], rows)
+    _write_csv(
+        out / "profile.csv",
+        ["n", "rate", "log_partial", "avg"],
+        "%d,%.17g,%.17g,%.17g\n",
+        list(zip(range(1, horizon + 1), rates, profile.log_partial.tolist(), profile.avg.tolist())),
+    )
 
     _write_json(
         out / "classification.json",
@@ -175,30 +179,21 @@ def _cmd_shadow(scenario: Scenario, out: Path) -> int:
             file=sys.stderr,
         )
 
-    rows = []
-    for n in range(1, horizon + 1):
-        a = pseudo.value(n)
-        b = result.b[n - 1]
-        r = pseudo.residual(n) if n < horizon else 0j
-        abs_err = abs(result.d[n - 1])
-        rows.append(
-            [
-                str(n),
-                _fmt(a.real),
-                _fmt(a.imag),
-                _fmt(b.real),
-                _fmt(b.imag),
-                _fmt(r.real),
-                _fmt(r.imag),
-                _fmt(abs_err),
-                _fmt(result.bound),
-                _fmt(math.log10(abs_err)) if abs_err > 0.0 else "",
-            ]
-        )
+    residuals = pseudo.r[: horizon - 1] + (0j,)
+    abs_errs = [abs(d) for d in result.d[:horizon]]
+    log_errs = [math.log10(e) if e > 0.0 else None for e in abs_errs]
+    row = "%d" + ",%.17g" * 8 + ","
     _write_csv(
         out / "orbit.csv",
         ["n", "a_re", "a_im", "b_re", "b_im", "r_re", "r_im", "abs_err", "bound", "log10_abs_err"],
-        rows,
+        # "%.0s" takes the None of an error that is not positive and prints nothing
+        [row + ("%.0s\n" if e is None else "%.17g\n") for e in log_errs],
+        [
+            (n, a.real, a.imag, b.real, b.imag, r.real, r.imag, e, result.bound, log_e)
+            for n, a, b, r, e, log_e in zip(
+                range(1, horizon + 1), pseudo.a, result.b, residuals, abs_errs, log_errs
+            )
+        ],
     )
 
     verdict = "pass" if result.bound_ok else "fail"
@@ -225,7 +220,6 @@ def _run_witness(scenario: Scenario) -> tuple:
 def _cmd_instability(scenario: Scenario, out: Path) -> int:
     cls, witness = _run_witness(scenario)
 
-    rows = []
     # epsilon 0 makes a true orbit: nothing diverges, yet no sample fails (-inf < -inf)
     ok = scenario.epsilon > 0
     log10_eps = math.log10(scenario.epsilon) if scenario.epsilon > 0 else -math.inf
@@ -234,33 +228,22 @@ def _cmd_instability(scenario: Scenario, out: Path) -> int:
         # distance is epsilon times at least that sum
         if s.log10_observed_error < log10_eps + s.log10_lower_bound - 1e-9:
             ok = False
-        rows.append(
-            [
-                str(s.k),
-                str(s.n),
-                _fmt(s.lower_bound),
-                _fmt(s.S_n),
-                _fmt(s.observed_error),
-                _fmt(s.log10_lower_bound),
-                _fmt(s.log10_S_n),
-                _fmt(s.log10_observed_error),
-                "1" if s.log_domain else "0",
-            ]
-        )
+    header = [
+        "k",
+        "n",
+        "lower_bound",
+        "S_n",
+        "observed_error",
+        "log10_lower_bound",
+        "log10_S_n",
+        "log10_observed_error",
+        "log_domain",
+    ]
     _write_csv(
         out / "witness.csv",
-        [
-            "k",
-            "n",
-            "lower_bound",
-            "S_n",
-            "observed_error",
-            "log10_lower_bound",
-            "log10_S_n",
-            "log10_observed_error",
-            "log_domain",
-        ],
-        rows,
+        header,
+        "%d,%d" + ",%.17g" * 6 + ",%d\n",  # %d writes the bool log_domain as 1 or 0
+        list(map(attrgetter(*header), witness.samples)),
     )
 
     verdict = "pass" if (ok and witness.samples) else "fail"

@@ -141,6 +141,13 @@ def detect_periodic_scaled(
       most tol - 2*margin, those of ``np.polyfit`` are at most ``tol``,
       and the candidate is a single geometric law whatever its residuals.
 
+    The bend screen runs class by class and stops as soon as it rejects
+    every prefix of the period; the spread screen's suffix sums are built
+    only when some prefix survives the bend screen of every class.  On
+    the default index-scaled system (H = 10^3, 10^4) and sinusoid
+    (H = 10^3), the first class alone rejects every prefix at every
+    period.
+
     The margin is ``SCREEN_MARGIN`` times the data magnitude: max|L_n|,
     which bounds the rounding of the chord, of ``np.polyfit`` and of its
     residual evaluation, plus the class length times the largest chord
@@ -178,9 +185,7 @@ def _rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
         return rejected
     scale = float(np.max(np.abs(L)))
     bend_limit = 2.0 * (tol + SCREEN_MARGIN * scale)
-    slopes = np.empty((m, prefixes.size))
-    intercepts = np.empty((m, prefixes.size))
-    deviation = 0.0
+    classes = []
     for l in range(1, m + 1):
         ns = np.arange(l, horizon + 1, m)
         ys = L[ns - 1]
@@ -189,7 +194,13 @@ def _rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
         k1 = (k0 + last) // 2
         h = ys[k1] - (ys[k0] + (ys[last] - ys[k0]) * ((k1 - k0) / (last - k0)))
         rejected |= np.abs(h) >= bend_limit
-
+        if rejected.all():  # the spread screen cannot add a rejection
+            return rejected
+        classes.append((ns, ys, last, k0))
+    slopes = np.empty((m, prefixes.size))
+    intercepts = np.empty((m, prefixes.size))
+    deviation = 0.0
+    for l, (ns, ys, last, k0) in enumerate(classes, 1):
         k = np.arange(last + 1)
         chord = (ys[last] - ys[0]) / last
         z = ys - (ys[0] + chord * k)

@@ -16,6 +16,7 @@ table of ``MapSystem.coefficient_pairs``, the family rule stated in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -212,7 +213,9 @@ def _sup_errors(
     written out as Python's complex product (numpy's may fuse the
     multiply-add), the modulus is C ``hypot`` as in ``modulus``, and
     the running maximum keeps the first argument unless the second is
-    greater, as ``max`` does.
+    greater, as ``max`` does.  A linear family reads its coefficient table
+    once; a non-finite entry is read again by ``coefficient(n)``, which
+    raises where ``eval_map`` would.
 
     A start point fails where the scalar function would raise: a modulus
     that overflows from finite parts (``modulus`` raises
@@ -236,12 +239,16 @@ def _sup_errors(
             return complex(math.nan, math.nan)
 
     b = np.asarray(starts, dtype=complex)
+    steps = range(1, min(horizon, pseudo.horizon))
+    coeffs = sys.coefficients(len(steps)) if sys.is_linear else None
     with np.errstate(over="ignore", invalid="ignore"):
         worst = moduli(b - pseudo.value(1))
-        for n in range(1, min(horizon, pseudo.horizon)):
-            if sys.is_linear:
+        for n in steps:
+            if coeffs is not None:
                 try:
-                    c = sys.coefficient(n)
+                    c = coeffs[n - 1]
+                    if not cmath.isfinite(c):  # past the float range: as eval_map reads it
+                        c = sys.coefficient(n)
                 except (ArithmeticError, ValueError) as exc:
                     for i in range(b.size):
                         failures.setdefault(i, exc)

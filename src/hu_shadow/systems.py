@@ -415,7 +415,7 @@ def periodic_linear(coeffs: Sequence[Number] = (2, Fraction(1, 3))) -> MapSystem
     if not coeffs:
         raise ValueError("periodic_linear needs at least one coefficient")
     _require_finite(*coeffs)
-    if any(abs(complex(c)) == 0 for c in coeffs):
+    if any(c == 0 for c in coeffs):  # no float conversion: an int may pass the float range
         raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.PERIODIC_LINEAR, params=coeffs)
 
@@ -430,7 +430,9 @@ def index_scaled_linear(odd_scale: Number = 3, even_inverse_scale: Number = 2) -
 
 def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
     """Linear maps c_n z with c_n = base^n (odd n), base^-(n+even_shift) (even n)."""
-    _require_finite(base, even_shift)
+    if isinstance(even_shift, bool) or not isinstance(even_shift, int):
+        raise ValueError(f"even_shift must be an integer, got {even_shift!r}")
+    _require_finite(base)
     if base < 0:
         raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.POWER_TWO_PARITY, params=(base, even_shift))

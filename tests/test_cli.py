@@ -6,10 +6,18 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hu_shadow import fixture_path
+from hu_shadow import cli, fixture_path
 from hu_shadow.cli import OUTPUT_DIR_ENV, main
+from hu_shadow.growth import Classification, ClassificationKind, build_profile
+from hu_shadow.instability import DivergenceWitness, WitnessSample
+from hu_shadow.scenario import load_scenario
+from hu_shadow.shadowing import ShadowMeta, ShadowMethod, ShadowResult
+from hu_shadow.systems import PseudoOrbit, ResidualPolicy
 
 #: Exit codes and file checksums of the 9 shipped-fixture invocations, as
 #: recorded for the benchmark (read only).
@@ -371,3 +379,198 @@ class TestDeterminism:
             assert rc == 0
         assert (out_a / "orbit.csv").read_bytes() == (out_b / "orbit.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+
+# -- the per-cell CSV builders that the one-pass writers replace, verbatim --
+
+
+def _fmt(x: float) -> str:
+    """17 significant digits: enough for exact float round-trips."""
+    return format(float(x), ".17g")
+
+
+def _csv_text(header: list, rows: list) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _profile_text(rates, profile) -> str:
+    rows = [
+        [str(n), _fmt(rate), _fmt(profile.log_sum(n)), _fmt(profile.avg[n - 1])]
+        for n, rate in enumerate(rates, 1)
+    ]
+    return _csv_text(["n", "rate", "log_partial", "avg"], rows)
+
+
+def _orbit_text(pseudo, result) -> str:
+    horizon = pseudo.horizon
+    rows = []
+    for n in range(1, horizon + 1):
+        a = pseudo.value(n)
+        b = result.b[n - 1]
+        r = pseudo.residual(n) if n < horizon else 0j
+        abs_err = abs(result.d[n - 1])
+        rows.append(
+            [
+                str(n),
+                _fmt(a.real),
+                _fmt(a.imag),
+                _fmt(b.real),
+                _fmt(b.imag),
+                _fmt(r.real),
+                _fmt(r.imag),
+                _fmt(abs_err),
+                _fmt(result.bound),
+                _fmt(math.log10(abs_err)) if abs_err > 0.0 else "",
+            ]
+        )
+    return _csv_text(
+        ["n", "a_re", "a_im", "b_re", "b_im", "r_re", "r_im", "abs_err", "bound", "log10_abs_err"],
+        rows,
+    )
+
+
+def _witness_text(witness) -> str:
+    rows = []
+    for s in witness.samples:
+        rows.append(
+            [
+                str(s.k),
+                str(s.n),
+                _fmt(s.lower_bound),
+                _fmt(s.S_n),
+                _fmt(s.observed_error),
+                _fmt(s.log10_lower_bound),
+                _fmt(s.log10_S_n),
+                _fmt(s.log10_observed_error),
+                "1" if s.log_domain else "0",
+            ]
+        )
+    return _csv_text(
+        [
+            "k",
+            "n",
+            "lower_bound",
+            "S_n",
+            "observed_error",
+            "log10_lower_bound",
+            "log10_S_n",
+            "log10_observed_error",
+            "log_domain",
+        ],
+        rows,
+    )
+
+
+INF, NAN = math.inf, math.nan
+#: every kind of double a CSV cell can hold
+SPECIAL = [0.0, -0.0, INF, -INF, NAN, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+def _synthetic_orbit():
+    """A pseudo-orbit and a shadowing result holding every special double,
+    with a zero, a NaN and an infinite error (an empty log10 cell for the
+    first two)."""
+    values = [complex(x, y) for x, y in zip(SPECIAL, reversed(SPECIAL))]
+    pseudo = PseudoOrbit(
+        a=tuple(values),
+        r=tuple(values[1:]),
+        epsilon=1e-3,
+        horizon=len(values),
+        policy=ResidualPolicy(),
+    )
+    d = [0j, complex(NAN, 0.0), complex(INF, 1.0), 1e-320j, 0.1 + 0.2j, -0j, 3.0, -1e300]
+    result = ShadowResult(
+        b=tuple(reversed(values)),
+        d=tuple(d),
+        bound=0.1 + 0.2,
+        method=ShadowMethod.CONTRACTING_DIRECT,
+        meta=ShadowMeta(truncation=0, iterations=1, residual_sup=0.0, sound_bound=INF),
+    )
+    return pseudo, result
+
+
+def _synthetic_witness():
+    samples = tuple(
+        WitnessSample(
+            k=k,
+            n=2 * k + 1,
+            lower_bound=x,
+            S_n=SPECIAL[k - 1],
+            observed_error=1.0 / 3.0 * k,
+            log10_lower_bound=-x,
+            log10_S_n=x * k,
+            log10_observed_error=math.pi**k,
+            log_domain=k % 2 == 0,
+        )
+        for k, x in enumerate(SPECIAL, 1)
+    )
+    pseudo = PseudoOrbit(a=(1 + 0j,), r=(), epsilon=1e-3, horizon=1, policy=ResidualPolicy())
+    return DivergenceWitness(
+        m=2, prefix=0, p_idx=1, q_idx=2, K_p=2.0, K_q=4.0, C_p=4.0, epsilon=1e-3,
+        horizon=40, samples=samples, pseudo=pseudo,
+    )
+
+
+class TestOneFormatPass:
+    """Each CSV is formatted in one ``%`` pass, to the per-cell text."""
+
+    @given(x=st.floats())
+    def test_percent_format_equals_format(self, x):
+        assert "%.17g" % x == format(x, ".17g")
+        assert "%.17g" % np.float64(x) == format(float(np.float64(x)), ".17g")
+
+    @pytest.mark.parametrize(
+        "fixture, horizon",
+        [
+            ("contracting_periodic", None),
+            ("expanding_alternating", None),
+            ("nonlinear_sinusoid", None),
+            ("unstable_parity", None),
+            ("unstable_parity", 1030),  # rates past the float range: inf cells
+        ],
+    )
+    def test_profile_csv(self, tmp_path, fixture, horizon):
+        argv = ["analyze", "--config", str(fixture_path(fixture)), "--out", str(tmp_path)]
+        assert main(argv + (["--horizon", str(horizon)] if horizon else [])) == 0
+        scenario = load_scenario(fixture_path(fixture))
+        rates = scenario.system.rates(max(horizon or 0, cli._analysis_horizon(scenario)))
+        text = (tmp_path / "profile.csv").read_text()
+        assert text == _profile_text(rates, build_profile(rates))
+        assert ("inf" in text) == (horizon is not None)
+
+    @pytest.mark.parametrize(
+        "fixture", ["contracting_periodic", "expanding_alternating", "nonlinear_sinusoid"]
+    )
+    def test_orbit_csv(self, tmp_path, fixture):
+        scenario = load_scenario(fixture_path(fixture))
+        cli._cmd_shadow(scenario, tmp_path)
+        _, pseudo, result = cli._run_shadow(scenario)
+        assert (tmp_path / "orbit.csv").read_text() == _orbit_text(pseudo, result)
+
+    def test_orbit_csv_with_special_values(self, tmp_path, monkeypatch):
+        pseudo, result = _synthetic_orbit()
+        cls = Classification(kind=ClassificationKind.CONVERGENT_BELOW_ONE, K=2.0)
+        monkeypatch.setattr(cli, "_run_shadow", lambda scenario: (cls, pseudo, result))
+        cli._cmd_shadow(load_scenario(fixture_path("contracting_periodic")), tmp_path)
+        text = (tmp_path / "orbit.csv").read_text()
+        assert text == _orbit_text(pseudo, result)
+        assert text.splitlines()[1].endswith(",") and text.splitlines()[2].endswith(",")
+
+    def test_witness_csv(self, tmp_path):
+        scenario = load_scenario(fixture_path("unstable_parity"))
+        cli._cmd_instability(scenario, tmp_path)
+        _, witness = cli._run_witness(scenario)
+        assert witness.samples
+        assert (tmp_path / "witness.csv").read_text() == _witness_text(witness)
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_witness_csv_with_special_values(self, tmp_path, monkeypatch, empty):
+        witness = _synthetic_witness()
+        if empty:  # the header alone
+            witness = DivergenceWitness(**{**witness.__dict__, "samples": ()})
+        cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE)
+        monkeypatch.setattr(cli, "_run_witness", lambda scenario: (cls, witness))
+        cli._cmd_instability(load_scenario(fixture_path("unstable_parity")), tmp_path)
+        assert (tmp_path / "witness.csv").read_text() == _witness_text(witness)

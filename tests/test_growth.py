@@ -202,17 +202,22 @@ profiles = st.one_of(
 )
 
 
-def _count_polyfit(monkeypatch):
-    """Count numpy.polyfit calls made from growth, as the benchmark does."""
+def _count_numpy_calls(monkeypatch, counted):
+    """Count the calls of numpy function ``counted`` made from growth, as the
+    benchmark counts polyfit."""
     calls = []
 
     class CountingNumpy:
         def __getattr__(self, name):
-            return getattr(np, name)
+            function = getattr(np, name)
+            if name != counted:
+                return function
 
-        def polyfit(self, *args, **kwargs):
-            calls.append(1)
-            return np.polyfit(*args, **kwargs)
+            def call(*args, **kwargs):
+                calls.append(1)
+                return function(*args, **kwargs)
+
+            return call
 
     monkeypatch.setattr(growth, "np", CountingNumpy())
     return calls
@@ -279,18 +284,114 @@ class TestScreenedScan:
     )
     def test_polyfit_calls_do_not_grow_with_horizon(self, profile, monkeypatch):
         # the exhaustive scan fits more than 17,000 classes on each
-        calls = _count_polyfit(monkeypatch)
+        calls = _count_numpy_calls(monkeypatch, "polyfit")
         assert detect_periodic_scaled(profile, 8, 1e-4) is None
         assert len(calls) <= 24
 
     def test_nonfinite_profile_is_fitted_exhaustively(self, monkeypatch):
         profile = profile_of(power_two_parity(), 1030)  # rates overflow from 1025
         assert not np.all(np.isfinite(profile.log_partial))
-        calls = _count_polyfit(monkeypatch)
+        calls = _count_numpy_calls(monkeypatch, "polyfit")
         expected = _exhaustive_scan(profile, 2, 1e-4)
         exhaustive = len(calls)
         assert detect_periodic_scaled(profile, 2, 1e-4) == expected
         assert len(calls) == 2 * exhaustive
+
+
+def _reference_rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
+    """The screen without its early exit: every class and the spread screen
+    are built for every period (verbatim, the reference)."""
+    SCREEN_MARGIN = growth.SCREEN_MARGIN
+    horizon = L.size
+    prefixes = np.arange(horizon // 4 + 1)
+    rejected = np.zeros(prefixes.size, dtype=bool)
+    if not np.all(np.isfinite(L)):
+        return rejected
+    scale = float(np.max(np.abs(L)))
+    bend_limit = 2.0 * (tol + SCREEN_MARGIN * scale)
+    slopes = np.empty((m, prefixes.size))
+    intercepts = np.empty((m, prefixes.size))
+    deviation = 0.0
+    for l in range(1, m + 1):
+        ns = np.arange(l, horizon + 1, m)
+        ys = L[ns - 1]
+        last = ns.size - 1
+        k0 = (prefixes - l) // m + 1  # first class index past the prefix
+        k1 = (k0 + last) // 2
+        h = ys[k1] - (ys[k0] + (ys[last] - ys[k0]) * ((k1 - k0) / (last - k0)))
+        rejected |= np.abs(h) >= bend_limit
+
+        k = np.arange(last + 1)
+        chord = (ys[last] - ys[0]) / last
+        z = ys - (ys[0] + chord * k)
+        u = k - last / 2
+        sum_z = np.cumsum(z[::-1])[::-1]
+        sum_uz = np.cumsum((u * z)[::-1])[::-1]
+        count = last + 1.0 - k0
+        # the suffix k0..last has mean u of k0/2 and sum of squared
+        # centred indices count*(count^2 - 1)/12
+        slope_k = (sum_uz[k0] - k0 / 2 * sum_z[k0]) / (count * (count**2 - 1) / 12)
+        k_mean = (k0 + last) / 2
+        y_mean = ys[0] + chord * k_mean + sum_z[k0] / count
+        slope = (chord + slope_k) / m
+        slopes[l - 1] = slope
+        intercepts[l - 1] = y_mean - slope * (ns[0] + m * k_mean)
+        deviation = max(deviation, ns.size * float(np.max(np.abs(z))))
+    same_law = tol - 2.0 * SCREEN_MARGIN * (scale + deviation)
+    rejected |= (np.ptp(slopes, axis=0) <= same_law) & (
+        np.ptp(intercepts, axis=0) <= same_law
+    )
+    return rejected
+
+
+def _assert_same_masks(L, tol):
+    for m in range(2, 9):
+        if L.size < 4 * m:
+            break
+        got = growth._rejected_prefixes(L, m, tol)
+        expected = _reference_rejected_prefixes(L, m, tol)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), m
+
+
+def _family_log_partials(horizon):
+    """L_n of the four default systems; the parity one from its log rates,
+    which stay finite where its float rates leave the range."""
+    for sys in (periodic_linear(), index_scaled_linear(), affine_sinusoid()):
+        yield profile_of(sys, horizon).log_partial
+    yield np.cumsum(power_two_parity().log_rates(horizon))
+
+
+class TestEarlyExitScreen:
+    @settings(max_examples=150, deadline=None)
+    @given(profile=profiles, tol=st.sampled_from([1e-4, 1e-6]))
+    def test_mask_equals_full_screen(self, profile, tol):
+        _assert_same_masks(profile.log_partial, tol)
+
+    @pytest.mark.parametrize("horizon", [1000, 10_000])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_families_mask_equals_full_screen(self, horizon, tol):
+        for L in _family_log_partials(horizon):
+            _assert_same_masks(L, tol)
+
+    @pytest.mark.parametrize(
+        "L",
+        [
+            profile_of(power_two_parity(), 1030).log_partial,  # inf from n = 1025
+            np.array([0.5, math.nan] * 40),
+            np.array([1.0] * 40 + [-math.inf] * 40),
+        ],
+        ids=["parity_overflow", "nan", "minus_inf"],
+    )
+    def test_non_finite_mask_equals_full_screen(self, L):
+        _assert_same_masks(L, 1e-4)
+        assert not growth._rejected_prefixes(L, 2, 1e-4).any()
+
+    def test_stable_profile_builds_no_spread_screen(self, monkeypatch):
+        # the first class's bend screen rejects every prefix at every period
+        profile = profile_of(index_scaled_linear(), 10_000)
+        calls = _count_numpy_calls(monkeypatch, "cumsum")
+        assert detect_periodic_scaled(profile, 8, 1e-4) is None
+        assert calls == []
 
 
 class TestRatioCheck:

@@ -366,6 +366,43 @@ class TestVectorisedSearch:
         best_b1_search(sys, pseudo, 12, region, grid=64, refinements=6)
         assert len(calls) == 0
 
+    def test_linear_family_reads_the_coefficient_table_once(self, monkeypatch):
+        # the acceptance-9 search at H = 60, as the benchmark runs it
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 60)
+        region = SearchRegion(center=shadow_expanding(sys, pseudo, SQRT_3_2).b[0], radius=0.01)
+        calls = []
+        coefficient = MapSystem.coefficient
+        monkeypatch.setattr(
+            MapSystem, "coefficient", lambda self, n: calls.append(n) or coefficient(self, n)
+        )
+        best_b1_search(sys, pseudo, 60, region, grid=64, refinements=6)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            periodic_linear((2, 10**400)),  # c_2 past the float range: OverflowError
+            MapSystem(Family.PERIODIC_LINEAR, (2, math.inf)),  # c_2 = inf, no error
+            MapSystem(Family.PERIODIC_LINEAR, (2, complex(math.nan, 1.0))),
+        ],
+        ids=["int_past_float_range", "inf", "nan"],
+    )
+    def test_non_finite_table_entry_steps_as_the_scalar_loop(self, sys):
+        # generation truncates at such a step, so the pseudo-orbit is built directly
+        pseudo = PseudoOrbit(
+            a=(1.0 + 0j, 2.0 + 0j, 3.0 + 0j, 4.0 + 0j),
+            r=(0j, 0j, 0j),
+            epsilon=0.0,
+            horizon=4,
+            policy=ResidualPolicy(),
+        )
+        region = SearchRegion(center=1.0, radius=0.5)
+        args = (sys, pseudo, 4, region)
+        expected = _outcome(_scalar_best_b1_search, *args, grid=3, refinements=1)
+        got = _outcome(best_b1_search, *args, grid=3, refinements=1)
+        assert _same(got, expected), (got, expected)
+
 
 # -- integer-pair exact orbit ----------------------------------------------
 

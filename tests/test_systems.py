@@ -106,6 +106,22 @@ class TestFactories:
     def test_kinds(self):
         assert power_two_parity().family is Family.POWER_TWO_PARITY
 
+    @pytest.mark.parametrize("shift", [3.0, True, Fraction(3)])
+    def test_parity_shift_must_be_an_int(self, shift):
+        # built before, then every read ended in a bare TypeError
+        with pytest.raises(ValueError, match="even_shift must be an integer"):
+            power_two_parity(2, shift)
+
+    def test_zero_checks_on_ints_past_the_float_range(self):
+        # raised OverflowError from the zero check before
+        sys = periodic_linear((10**400,))
+        assert sys.coefficient_pairs(2) == [(10**400, 1)] * 2
+        assert sys.coefficients(1) == [complex(math.inf, 0.0)]
+        with pytest.raises(OverflowError):
+            sys.coefficient(1)
+        with pytest.raises(ValueError, match="growth rate must be positive"):
+            periodic_linear((10**400, 0))
+
 
 class TestEvaluation:
     def test_linear_map(self):
