@@ -107,6 +107,13 @@ _READERS = {
 }
 
 
+#: The parameters of each family's factory, read once: their names are the keys.
+_FACTORY_KEYS = {
+    family: tuple(inspect.signature(factory).parameters.values())
+    for family, factory in FACTORIES.items()
+}
+
+
 def _build_system(cfg: dict) -> MapSystem:
     """The family's factory called with its own keys; any other key is an error."""
     try:
@@ -117,7 +124,7 @@ def _build_system(cfg: dict) -> MapSystem:
             f"expected one of {[f.value for f in Family]}"
         ) from None
     factory = FACTORIES[family]
-    keys = inspect.signature(factory).parameters.values()
+    keys = _FACTORY_KEYS[family]
     _reject_unknown(cfg, {"family", *(key.name for key in keys)}, "system")
     args = [
         _READERS.get(key.name, _real)(cfg.get(key.name, key.default), f"system.{key.name}")

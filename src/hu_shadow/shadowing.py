@@ -12,6 +12,8 @@ Two constructions are provided:
   the orbit is recomposed as b = a + d.  Forward-propagating b instead
   would amplify rounding by the product of the rates and destroy the
   shadowing numerically.  The reported asymptotic bound is 2*eps/ln K.
+  The residuals past the horizon come from stepping the pseudo-orbit on
+  (see ``shadow_expanding`` for when it is generated again instead).
 
 Both constructions also evaluate the always-sound finite-horizon bound
 ``accumulated_rate_bound`` built from the measured rates; the asymptotic
@@ -45,7 +47,8 @@ from .errors import (
     RateRangeError,
     TruncatedOrbit,
 )
-from .systems import MapSystem, PseudoOrbit, generate_pseudo_orbit
+# perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
+from .systems import MapSystem, PseudoOrbit, _pseudo_orbit, generate_pseudo_orbit
 
 #: |q| below this is treated as a degenerate quotient.
 DEGENERATE_QUOTIENT_LIMIT = 1e-300
@@ -297,10 +300,16 @@ def shadow_expanding(
     rates) is below ``opts.tail_fraction`` of the asymptotic bound
     2*eps/ln K, capped at horizon + 200.
 
+    The residuals up to J come from stepping the orbit on through the table
+    built for the tail estimate: from its last value if ``generate_pseudo_orbit``
+    made it from this very ``sys`` object, else (built by hand, by
+    ``dataclasses.replace`` or from an equal system) again from a_1.
+
     For nonlinear families the quotients q_i depend on the still-unknown
     true orbit, so the series is iterated to a fixed point: start from
     b = a, evaluate q_i(b_i, a_i), recompute every d_n, set b = a + d,
-    repeat until the sup-change falls below ``opts.tol``.  Contraction
+    repeat until the sup-change falls below ``opts.tol``.  A q_i is
+    evaluated again only where its argument b_i moved.  Contraction
     is measured, not assumed: a sup-change increasing over three
     consecutive iterations aborts with :class:`NonContraction`.
 
@@ -318,9 +327,8 @@ def shadow_expanding(
     # one table serves the tail past the horizon, the quotients and the sound bound
     coeffs, rates = sys.tables(horizon + TAIL_CAP_MARGIN)
     J, capped = _pick_truncation(rates, horizon, eps, bound, opts.tail_fraction, K)
-    ext = generate_pseudo_orbit(
-        sys, pseudo.value(1), eps, pseudo.policy, max(J + 1, horizon)
-    )
+    head = pseudo if pseudo._source is sys else None  # a generated orbit is only stepped on
+    ext = _pseudo_orbit(sys, pseudo.value(1), eps, pseudo.policy, max(J + 1, horizon), coeffs, head)
     if ext.horizon < horizon:
         raise TruncatedOrbit(
             f"the extension orbit reaches only n = {ext.horizon} of the "
@@ -334,6 +342,8 @@ def shadow_expanding(
     if coeffs is not None:
         _check_linear_quotients(coeffs, rates, J)
         quotients = coeffs[J - 1 :: -1] if J else []  # q_J .. q_1
+    else:  # q_n = q_n(a_n + d_n, a_n), kept with the argument it was made at
+        quotients, points = [0j] * J, [None] * J
     d = [0j] * (n_ext + 1)
     scale = max(1.0, abs(a[0]))
     iterations = 0
@@ -342,7 +352,7 @@ def shadow_expanding(
     while True:
         iterations += 1
         if coeffs is None:
-            quotients = _nonlinear_quotients(sys, a, d, J)
+            _update_nonlinear_quotients(sys, a, d, quotients, points)
         # d_{J+1} = 0; backward recurrence d_n = (r_n + d_{n+1}) / q_n
         backward = []  # d_J .. d_1
         nxt = 0j
@@ -405,18 +415,23 @@ def _check_linear_quotients(coeffs: list, rates: Sequence[float], J: int) -> Non
             raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
 
 
-def _nonlinear_quotients(
-    sys: MapSystem, a: Sequence[complex], d: Sequence[complex], J: int
-) -> list[complex]:
-    """q_J .. q_1 with q_n = q_n(a_n + d_n, a_n), each checked as it is made."""
+def _update_nonlinear_quotients(
+    sys: MapSystem, a: Sequence[complex], d: Sequence[complex], quotients: list, points: list
+) -> None:
+    """q_J .. q_1 brought up to date with d: ``quotients[J - n]`` holds q_n and
+    ``points[J - n]`` the a_n + d_n it was made at.  Only a q_n whose argument
+    moved is made again, in the order J .. 1, and checked as it is made."""
     eval_q = sys.eval_q
-    quotients = []
-    for n in range(J, 0, -1):
-        q = eval_q(n, a[n - 1] + d[n - 1], a[n - 1])
-        if abs(q) < DEGENERATE_QUOTIENT_LIMIT:
-            raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
-        quotients.append(q)
-    return quotients
+    J = len(quotients)
+    for i, n in enumerate(range(J, 0, -1)):
+        v = a[n - 1]
+        u = v + d[n - 1]
+        if u != points[i]:
+            q = eval_q(n, u, v)
+            if abs(q) < DEGENERATE_QUOTIENT_LIMIT:
+                raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
+            quotients[i] = q
+            points[i] = u
 
 
 def _pick_truncation(

@@ -33,6 +33,7 @@ from math import gcd
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -503,6 +504,8 @@ class PseudoOrbit:
     ``a`` holds a_1 .. a_N and ``r`` holds r_1 .. r_{N-1}.  ``truncated``
     is set when generation stopped early because the orbit left the
     representable range; ``horizon`` is then the last finite index.
+    ``_source`` is the system whose steps made the orbit: ``None`` for one
+    built by hand or by ``dataclasses.replace``, and never compared or shown.
     """
 
     a: tuple
@@ -511,6 +514,7 @@ class PseudoOrbit:
     horizon: int
     policy: ResidualPolicy
     truncated: bool = False
+    _source: Optional[MapSystem] = field(default=None, init=False, repr=False, compare=False)
 
     def value(self, n: int) -> complex:
         return self.a[n - 1]
@@ -535,24 +539,44 @@ def generate_pseudo_orbit(
     Generation stops at the first value that is not finite or exceeds
     ``OVERFLOW_LIMIT`` in either part.
     """
+    return _pseudo_orbit(sys, a1, epsilon, policy, horizon, None)
+
+
+def _check_orbit_request(epsilon: float, horizon: int) -> None:
+    """The checks :func:`generate_pseudo_orbit` makes before any work."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    steps = range(1, horizon)
+
+
+def _pseudo_orbit(
+    sys: MapSystem, a1: complex, epsilon: float, policy: ResidualPolicy, horizon: int,
+    coeffs: Optional[list], head: Optional[PseudoOrbit] = None,
+) -> PseudoOrbit:
+    """:func:`generate_pseudo_orbit`, stepping a linear family through
+    ``coeffs`` when given: a table the caller already holds, c_1 .. c_M
+    with M >= horizon - 1.  ``head``, the same orbit generated by ``sys``
+    to a shorter horizon, is kept and stepped on from its last value."""
+    _check_orbit_request(epsilon, horizon)
+    start = 1 if head is None else head.horizon
+    steps = range(start, horizon)
     if policy.kind is PolicyKind.LOW_DISCREPANCY_PHASE:
         residuals = (policy.residual(n, epsilon) for n in steps)
     else:
         residuals = [policy.residual(1, epsilon)] * len(steps) if steps else []
-    z = complex(a1)
-    a = [z]
-    r: list[complex] = []
+    if head is None:
+        z = complex(a1)
+        a, r = [z], []
+    else:
+        a, r, z = list(head.a), list(head.r), head.a[-1]
     truncated = False
     if sys.is_linear:
         # an overflowing c_n is inf in the table: the step is not finite and
         # truncates where eval_map's OverflowError would.  Complex * and +
-        # give inf or NaN, they do not raise.
-        for c, r_n in zip(sys.coefficients(horizon - 1), residuals):
+        # give inf or NaN, they do not raise.  zip stops at the residuals.
+        table = sys.coefficients(horizon - 1) if coeffs is None else coeffs
+        for c, r_n in zip(islice(table, start - 1, None), residuals):
             z = c * z + r_n
             if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):
                 truncated = True
@@ -572,7 +596,7 @@ def generate_pseudo_orbit(
                 break
             a.append(z)
             r.append(r_n)
-    return PseudoOrbit(
+    orbit = PseudoOrbit(
         a=tuple(a),
         r=tuple(r),
         epsilon=epsilon,
@@ -580,3 +604,5 @@ def generate_pseudo_orbit(
         policy=policy,
         truncated=truncated,
     )
+    object.__setattr__(orbit, "_source", sys)  # init=False: only generation sets it
+    return orbit

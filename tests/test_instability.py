@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import (
+    Classification,
     ClassificationKind,
     DivergenceWitness,
     HypothesisViolation,
+    MapSystem,
+    PeriodicFit,
     PolicyKind,
     ResidualPolicy,
     WitnessSample,
@@ -251,7 +254,7 @@ class TestLeanWitnessLoop:
             st.floats(1.5, 5.0),
             st.fractions(min_value=Fraction(3, 2), max_value=5, max_denominator=7),
         ),
-        even_shift=st.integers(2, 8),
+        even_shift=st.integers(-6, 8),
         eps=st.one_of(st.just(0.0), st.floats(0, 1e-2)),
         horizon=st.one_of(st.integers(1, 80), st.integers(600, 1300)),
     )
@@ -271,3 +274,42 @@ class TestLeanWitnessLoop:
         assert _witness_bits(new) == _witness_bits(
             _per_call_witness_divergence(sys, 1e-3, horizon, cls)
         )
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 40, 1030])
+    @pytest.mark.parametrize(
+        "m, rate_factors, constants",
+        [
+            (2, (0.5, 4.0), (4.0, 1.0)),  # K_p < 1
+            (2, (2.0, 4.0), (-1.0, 1.0)),  # C_p < 0
+            (2, (2.0, 4.0), (0.0, 1.0)),
+            (2, (2.0, 4.0), (math.nan, 1.0)),
+            (2, (2.0, 4.0), (math.inf, 1.0)),
+            (1, (2.0, 4.0), (4.0, 1.0)),  # m < 2
+            (3, (2.0, 4.0, 3.0), (4.0, 1.0, 2.0)),
+        ],
+        ids=["K_p_below_one", "C_p_negative", "C_p_zero", "C_p_nan", "C_p_inf", "m_one", "m_three"],
+    )
+    def test_lower_bound_checks_raise_at_the_first_sample(self, m, rate_factors, constants, horizon):
+        fit = PeriodicFit(m=m, prefix=0, rate_factors=rate_factors, constants=constants, max_residual=0.0)
+        cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
+        sys = power_two_parity()
+        assert _witness_outcome(witness_divergence, sys, 1e-3, horizon, cls) == (
+            _witness_outcome(_per_call_witness_divergence, sys, 1e-3, horizon, cls)
+        )
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    @pytest.mark.parametrize("horizon", [2.5, -3, 40])
+    def test_orbit_checks_come_before_the_table(self, eps, horizon):
+        # a non-integer horizon fails in the table; a bad epsilon must be named first
+        cls = parity_classification()
+        outcome = _witness_outcome(witness_divergence, power_two_parity(), eps, horizon, cls)
+        assert outcome == _witness_outcome(_per_call_witness_divergence, power_two_parity(), eps, horizon, cls)
+        assert outcome[0] is ValueError
+
+    def test_one_coefficient_table_per_witness(self, monkeypatch):
+        cls = parity_classification()
+        calls = []
+        original = MapSystem._floats
+        monkeypatch.setattr(MapSystem, "_floats", lambda self, ns: calls.append(ns) or original(self, ns))
+        witness_divergence(power_two_parity(), 1e-3, 1000, cls)
+        assert calls == [range(1, 1001)]

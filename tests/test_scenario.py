@@ -1,5 +1,6 @@
 """Scenario file loading, validation and round-tripping."""
 
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -115,6 +116,14 @@ class TestLoading:
         path = write_scenario(tmp_path, dict(MINIMAL, system=system))
         assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"hu-shadow: config error: {message}"]
+
+    def test_factory_keys_are_read_at_import(self, monkeypatch):
+        calls = []
+        original = inspect.signature
+        monkeypatch.setattr(inspect, "signature", lambda *a, **k: calls.append(a) or original(*a, **k))
+        for name in FIXTURE_NAMES:
+            load_scenario(fixture_path(name))
+        assert calls == []
 
     def test_formats_is_an_unknown_key(self, tmp_path, capsys):
         # output.formats was parsed but never honoured; it is no longer a key

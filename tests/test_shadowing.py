@@ -1,6 +1,7 @@
 """Shadowing constructions, closed-form bounds and the telescoping identity."""
 
 import cmath
+import dataclasses
 import math
 import random
 import struct
@@ -705,6 +706,129 @@ class TestLeanConstructions:
             (shadow_expanding, _per_call_shadow_expanding),
         ):
             assert _shadow_outcome(new, sys, pseudo, 2.0) == _shadow_outcome(old, sys, pseudo, 2.0)
+
+
+class TestContinuedExtension:
+    """``shadow_expanding`` steps on an orbit that ``generate_pseudo_orbit``
+    made from the very system it is given, and generates any other again
+    from a_1, both through the table it holds: every provenance gives the
+    per-call construction's result."""
+
+    def test_equality_hash_and_repr_ignore_the_source(self):
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 50)
+        by_hand = PseudoOrbit(pseudo.a, pseudo.r, 1e-3, 50, ResidualPolicy())
+        assert pseudo._source is sys and by_hand._source is None
+        assert dataclasses.replace(pseudo)._source is None
+        assert pseudo == by_hand and hash(pseudo) == hash(by_hand)
+        assert repr(pseudo) == repr(by_hand)
+        assert "_source" not in repr(pseudo)
+        with pytest.raises(TypeError):
+            PseudoOrbit(pseudo.a, pseudo.r, 1e-3, 50, ResidualPolicy(), _source=sys)
+
+    @pytest.mark.parametrize(
+        "sys, a1, kind, horizon, K",
+        [
+            (affine_sinusoid(), 1.0, PolicyKind.CONSTANT_REAL, 1000, 3.0),  # truncated at 629
+            (affine_sinusoid(2.5), 0.3, PolicyKind.LOW_DISCREPANCY_PHASE, 40, 2.25),
+            (affine_sinusoid(), -0.7, PolicyKind.ZERO, 300, 3.0),
+            (power_two_parity(), 1.0, PolicyKind.CONSTANT_REAL, 1100, 2.0),  # p_n = 0.0 in the tail
+            (power_two_parity(Fraction(3, 2), -3), 1.0, PolicyKind.LOW_DISCREPANCY_PHASE, 1100, 1.2),
+            (index_scaled_linear(), 1.0, PolicyKind.LOW_DISCREPANCY_PHASE, 1100, SQRT_3_2),
+            (index_scaled_linear(2.5, 3), 1.0 + 1j, PolicyKind.CONSTANT_PHASE, 1100, 1.1),
+            (periodic_linear((3, 0.5 + 0.25j)), 2.0, PolicyKind.LOW_DISCREPANCY_PHASE, 1100, 1.1),
+        ],
+        ids=[
+            "sinusoid", "sinusoid_low_discrepancy", "sinusoid_zero", "parity_past_the_float_range",
+            "parity_fraction", "index_low_discrepancy", "index_phase", "periodic_complex",
+        ],
+    )
+    def test_every_provenance_gives_the_per_call_result(self, sys, a1, kind, horizon, K):
+        policy = ResidualPolicy(kind=kind, theta=0.7)
+        pseudo = generate_pseudo_orbit(sys, a1, 1e-3, policy, horizon)
+        twin = MapSystem(sys.family, sys.params)  # equal to sys, another object
+        orbits = {
+            "generated": pseudo,
+            "replaced": dataclasses.replace(pseudo),
+            "hand_built": PseudoOrbit(
+                pseudo.a, pseudo.r, pseudo.epsilon, pseudo.horizon, pseudo.policy, pseudo.truncated
+            ),
+            "twin": generate_pseudo_orbit(twin, a1, 1e-3, policy, horizon),
+        }
+        assert twin == sys and orbits["twin"]._source is twin
+        want = _shadow_outcome(_per_call_shadow_expanding, sys, pseudo, K)
+        for name, orbit in orbits.items():
+            assert orbit == pseudo
+            assert _shadow_outcome(shadow_expanding, sys, orbit, K) == want, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        slope=st.floats(1.5, 4.0),
+        a1=st.one_of(
+            st.floats(-2.0, 2.0),
+            st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+        ),
+        eps=st.floats(0, 1e-2),
+        policy=lean_policies,
+        horizon=st.integers(1, 1100),
+    )
+    def test_nonlinear_long_horizons(self, slope, a1, eps, policy, horizon):
+        sys = affine_sinusoid(slope)
+        pseudo = generate_pseudo_orbit(sys, a1, eps, policy, horizon)
+        K = slope - 0.25
+        assert _shadow_outcome(shadow_expanding, sys, pseudo, K) == _shadow_outcome(
+            _per_call_shadow_expanding, sys, pseudo, K
+        )
+
+    def test_no_second_generation_and_one_table(self, monkeypatch):
+        generated, tables = [], []
+        monkeypatch.setattr(
+            shadowing,
+            "generate_pseudo_orbit",
+            lambda *args: generated.append(args) or generate_pseudo_orbit(*args),
+        )
+        original = MapSystem._floats
+        monkeypatch.setattr(
+            MapSystem, "_floats", lambda self, ns: tables.append(ns) or original(self, ns)
+        )
+        for sys, K in ((index_scaled_linear(), SQRT_3_2), (affine_sinusoid(), 3.0)):
+            pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 1000)
+            tables.clear()
+            shadow_expanding(sys, pseudo, K)
+            shadow_expanding(sys, dataclasses.replace(pseudo), K)
+            assert generated == []
+            assert tables == ([range(1, 1201)] * 2 if sys.is_linear else [])
+
+    def test_a_generated_orbit_is_stepped_on_over_the_tail_only(self, monkeypatch):
+        calls = []
+        original = MapSystem.eval_map
+        monkeypatch.setattr(
+            MapSystem, "eval_map", lambda self, n, z: calls.append(n) or original(self, n, z)
+        )
+        sys = affine_sinusoid()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 300)
+        calls.clear()
+        J = shadow_expanding(sys, pseudo, 3.0).meta.truncation
+        stepped_on = calls[:]
+        calls.clear()
+        shadow_expanding(sys, dataclasses.replace(pseudo), 3.0)
+        # the same steps 300 .. J and work after them, without steps 1 .. 299
+        assert J > 300 and stepped_on[: J - 299] == list(range(300, J + 1))
+        assert calls == list(range(1, 300)) + stepped_on
+
+    def test_the_fixed_point_evaluates_only_the_quotients_that_moved(self, monkeypatch):
+        calls = []
+        original = MapSystem.eval_q
+        monkeypatch.setattr(
+            MapSystem, "eval_q", lambda self, *args: calls.append(args[0]) or original(self, *args)
+        )
+        sys = affine_sinusoid()
+        result = shadow_expanding(sys, generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 1000), 3.0)
+        J = result.meta.truncation
+        assert (J, result.meta.iterations) == (628, 4)
+        # every q_n once, then a few dozen: the per-call loop makes 4 * 628
+        assert sorted(set(calls)) == list(range(1, J + 1))
+        assert len(calls) < 2 * J
 
 
 class TestLeanSweeps:

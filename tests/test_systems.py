@@ -534,6 +534,32 @@ class TestOneEntryReads:
         assert sys.log_growth_rate(n) == reference_log_growth_rate(sys, n)
 
 
+class TestPrefixTables:
+    """A table built to horizon H is a prefix of the one built to N >= H:
+    ``shadow_expanding`` and ``witness_divergence`` step their orbits
+    through a longer table than ``generate_pseudo_orbit`` would build."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sys=st.one_of(linear_systems, st.builds(affine_sinusoid, st.floats(1.01, 9.0))),
+        H=st.one_of(st.integers(1, 300), st.integers(1000, 1100)),
+        extra=st.integers(0, 250),
+    )
+    @example(sys=power_two_parity(), H=1000, extra=200)  # odd steps overflow from 1025
+    @example(sys=power_two_parity(Fraction(3, 2), -4), H=1020, extra=60)
+    @example(sys=power_two_parity(2.0, 3), H=1024, extra=50)
+    @example(sys=index_scaled_linear(), H=3385, extra=200)  # the benchmark's reached horizon
+    @example(sys=affine_sinusoid(), H=629, extra=200)
+    def test_shorter_table_is_a_prefix(self, sys, H, extra):
+        N = H + extra
+        (short_c, short_p), (long_c, long_p) = sys.tables(H), sys.tables(N)
+        assert [x.hex() for x in short_p] == [x.hex() for x in long_p[:H]]
+        if sys.is_linear:
+            assert [_bits(c) for c in short_c] == [_bits(c) for c in long_c[:H]]
+        else:
+            assert short_c is long_c is None
+
+
 def _float_power_log_rate(base: float, even_shift: int, n: int):
     """ln p_n for a float parity base by the direct rule, None where it fails."""
     e = n if n % 2 == 1 else -(n + even_shift)
