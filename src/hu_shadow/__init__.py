@@ -16,7 +16,6 @@ from .errors import (
     HypothesisViolation,
     NonContraction,
     RateRangeError,
-    TruncatedOrbit,
     UnsupportedFamily,
 )
 from .growth import (

@@ -44,7 +44,7 @@ from .growth import (
 from .instability import witness_divergence
 from .scenario import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 from .shadowing import shadow_contracting, shadow_expanding
-from .systems import generate_pseudo_orbit
+from .systems import PolicyKind, generate_pseudo_orbit
 
 #: Environment variable overriding the output directory.
 OUTPUT_DIR_ENV = "HU_SHADOW_OUT"
@@ -213,6 +213,9 @@ def _cmd_shadow(scenario: Scenario, out: Path) -> int:
 
 
 def _run_witness(scenario: Scenario) -> tuple:
+    if scenario.residual.kind is not PolicyKind.CONSTANT_REAL:  # the witness's r_n is epsilon
+        kind = scenario.residual.kind.value
+        raise ConfigError(f"residual.kind: instability needs constant_real residuals, got {kind!r}")
     cls = _classify_scenario(scenario)
     return cls, witness_divergence(scenario.system, scenario.epsilon, scenario.horizon, cls)
 

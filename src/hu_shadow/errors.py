@@ -25,9 +25,5 @@ class UnsupportedFamily(HuShadowError):
     """The requested operation is not available for this map family."""
 
 
-class TruncatedOrbit(HuShadowError):
-    """An orbit a construction needs left the representable range too early."""
-
-
 class RateRangeError(HuShadowError, ValueError):
     """A growth rate is outside (0, inf), e.g. a rate that underflowed to 0."""

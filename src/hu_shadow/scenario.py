@@ -14,7 +14,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Union
@@ -67,6 +67,16 @@ def _integer(value: Any, where: str) -> int:
     return value
 
 
+def _float(value: Any, where: str) -> float:
+    return float(_real(value, where))
+
+
+def _text(value: Any, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: expected a nonempty string")
+    return value
+
+
 def _complex(value: Any, where: str) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
@@ -103,8 +113,21 @@ _READERS = {
     "coeffs": _reals,
     "base": _integer,
     "even_shift": _integer,
-    "slope": lambda value, where: float(_real(value, where)),
+    "slope": _float,
 }
+
+#: How an option field is read, by the type of its default.
+_OPTION_READERS = {int: _integer, float: _float, str: _text}
+
+
+def _options(raw: dict, key: str, cls: type):
+    """``raw[key]`` as a ``cls``: each field read by its default's type, or the default."""
+    options = fields(cls)
+    section = _section(raw, key, {f.name for f in options})
+    return cls(**{
+        f.name: _OPTION_READERS[type(f.default)](section.get(f.name, f.default), f"{key}.{f.name}")
+        for f in options
+    })
 
 
 #: The parameters of each family's factory, read once: their names are the keys.
@@ -170,27 +193,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if horizon < 1:
         raise ConfigError("horizon: must be a positive integer")
 
-    analysis_cfg = _section(raw, "analysis", {"window", "tol", "max_period"})
-    analysis = AnalysisOptions(
-        window=_integer(analysis_cfg.get("window", 32), "analysis.window"),
-        tol=float(_real(analysis_cfg.get("tol", 1e-4), "analysis.tol")),
-        max_period=_integer(analysis_cfg.get("max_period", 8), "analysis.max_period"),
-    )
+    analysis = _options(raw, "analysis", AnalysisOptions)
     if analysis.window < 1 or analysis.tol <= 0 or analysis.max_period < 2:
         raise ConfigError("analysis: window >= 1, tol > 0, max_period >= 2 required")
 
-    shadow_cfg = _section(raw, "shadow", {"tol", "max_iter", "tail_fraction"})
-    shadow = ShadowOptions(
-        tol=float(_real(shadow_cfg.get("tol", 1e-12), "shadow.tol")),
-        max_iter=_integer(shadow_cfg.get("max_iter", 100), "shadow.max_iter"),
-        tail_fraction=float(_real(shadow_cfg.get("tail_fraction", 1e-3), "shadow.tail_fraction")),
-    )
+    shadow = _options(raw, "shadow", ShadowOptions)
     if shadow.tol <= 0 or shadow.max_iter < 1 or not 0 < shadow.tail_fraction < 1:
         raise ConfigError("shadow: tol > 0, max_iter >= 1, 0 < tail_fraction < 1 required")
 
-    directory = _section(raw, "output", {"directory"}).get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory: expected a nonempty string")
+    output = _options(raw, "output", OutputOptions)
 
     return Scenario(
         system=system,
@@ -201,7 +212,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         horizon=horizon,
         analysis=analysis,
         shadow=shadow,
-        output=OutputOptions(directory=directory),
+        output=output,
     )
 
 
@@ -228,15 +239,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "epsilon": s.epsilon,
         "residual": {"kind": s.residual.kind.value, "theta": s.residual.theta},
         "horizon": s.horizon,
-        "analysis": {
-            "window": s.analysis.window,
-            "tol": s.analysis.tol,
-            "max_period": s.analysis.max_period,
-        },
-        "shadow": {
-            "tol": s.shadow.tol,
-            "max_iter": s.shadow.max_iter,
-            "tail_fraction": s.shadow.tail_fraction,
-        },
-        "output": {"directory": s.output.directory},
+        "analysis": asdict(s.analysis),
+        "shadow": asdict(s.shadow),
+        "output": asdict(s.output),
     }

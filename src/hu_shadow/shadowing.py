@@ -12,8 +12,8 @@ Two constructions are provided:
   the orbit is recomposed as b = a + d.  Forward-propagating b instead
   would amplify rounding by the product of the rates and destroy the
   shadowing numerically.  The reported asymptotic bound is 2*eps/ln K.
-  The residuals past the horizon come from stepping the pseudo-orbit on
-  (see ``shadow_expanding`` for when it is generated again instead).
+  The pseudo-orbit is used as it is handed in, as in ``shadow_contracting``,
+  and stepped on from its last value for the residuals past its horizon.
 
 Both constructions also evaluate the always-sound finite-horizon bound
 ``accumulated_rate_bound`` built from the measured rates; the asymptotic
@@ -45,7 +45,6 @@ from .errors import (
     HypothesisViolation,
     NonContraction,
     RateRangeError,
-    TruncatedOrbit,
 )
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PseudoOrbit, _pseudo_orbit, generate_pseudo_orbit
@@ -269,7 +268,9 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     meta = ShadowMeta(
         truncation=0,
         iterations=1,
-        residual_sup=_relative_residual_sup(sys, cs, ps, b),
+        # b_{n+1} - F(n, b_n) repeats the step that made b_{n+1}: it is 0, or NaN
+        # past the float range, which the sup skips, so the sup is 0.0 by construction
+        residual_sup=0.0,
         sound_bound=sound,
     )
     return ShadowResult(
@@ -300,10 +301,11 @@ def shadow_expanding(
     rates) is below ``opts.tail_fraction`` of the asymptotic bound
     2*eps/ln K, capped at horizon + 200.
 
-    The residuals up to J come from stepping the orbit on through the table
-    built for the tail estimate: from its last value if ``generate_pseudo_orbit``
-    made it from this very ``sys`` object, else (built by hand, by
-    ``dataclasses.replace`` or from an equal system) again from a_1.
+    The orbit is used as given up to its horizon H, however it was made.
+    The residuals from H to J come from stepping it on from a_H with its
+    own epsilon and policy, through the table built for the tail estimate;
+    J falls to the last index before the extension leaves the
+    representable range.
 
     For nonlinear families the quotients q_i depend on the still-unknown
     true orbit, so the series is iterated to a fixed point: start from
@@ -314,9 +316,7 @@ def shadow_expanding(
     consecutive iterations aborts with :class:`NonContraction`.
 
     A rate in the tail estimate that is not positive (NaN included)
-    raises :class:`RateRangeError`,
-    and an extension orbit that leaves the representable range before the
-    pseudo-orbit's horizon raises :class:`TruncatedOrbit`.
+    raises :class:`RateRangeError`.
     """
     if K <= 1.0:
         raise HypothesisViolation(f"K must exceed 1, got {K}")
@@ -327,13 +327,7 @@ def shadow_expanding(
     # one table serves the tail past the horizon, the quotients and the sound bound
     coeffs, rates = sys.tables(horizon + TAIL_CAP_MARGIN)
     J, capped = _pick_truncation(rates, horizon, eps, bound, opts.tail_fraction, K)
-    head = pseudo if pseudo._source is sys else None  # a generated orbit is only stepped on
-    ext = _pseudo_orbit(sys, pseudo.value(1), eps, pseudo.policy, max(J + 1, horizon), coeffs, head)
-    if ext.horizon < horizon:
-        raise TruncatedOrbit(
-            f"the extension orbit reaches only n = {ext.horizon} of the "
-            f"pseudo-orbit's horizon {horizon}: its next value leaves the representable range"
-        )
+    ext = _pseudo_orbit(sys, pseudo.value(1), eps, pseudo.policy, J + 1, coeffs, pseudo)
     J = min(J, ext.horizon - 1)
 
     n_ext = ext.horizon
@@ -400,12 +394,12 @@ def shadow_expanding(
 def _check_linear_quotients(coeffs: list, rates: Sequence[float], J: int) -> None:
     """The degenerate-quotient check of q_J .. q_1 = c_J .. c_1, in that order.
 
-    Every such c_n is finite (the extension orbit stops at the first that
-    is not), so its rate is |c_n| by C ``hypot``, or ``inf`` exactly where
-    ``abs(c_n)`` overflows.  When every rate lies in [limit, inf) no check
-    can fail; otherwise the scan meets the first failure, a
-    :class:`DegenerateQuotient` or ``abs``'s OverflowError, where the
-    recurrence would.
+    The rate of c_n is |c_n| by C ``hypot``: ``inf`` exactly where
+    ``abs(c_n)`` overflows or c_n is not finite (only a given orbit's own
+    steps can meet such a c_n: the extension stops at the first).  When
+    every rate lies in [limit, inf) no check can fail; otherwise the scan
+    meets the first failure, a :class:`DegenerateQuotient` or ``abs``'s
+    OverflowError, where the recurrence would.
     """
     head = rates[:J]
     if not head or (min(head) >= DEGENERATE_QUOTIENT_LIMIT and max(head) < math.inf):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from math import gcd
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
@@ -501,11 +501,10 @@ class ResidualPolicy:
 class PseudoOrbit:
     """An approximate orbit a_{n+1} = F(n, a_n) + r_n with |r_n| <= epsilon.
 
-    ``a`` holds a_1 .. a_N and ``r`` holds r_1 .. r_{N-1}.  ``truncated``
+    ``a`` holds a_1 .. a_N and ``r`` holds r_1 .. r_{N-1}, with N the
+    ``horizon``: any other lengths raise ``ValueError``.  ``truncated``
     is set when generation stopped early because the orbit left the
     representable range; ``horizon`` is then the last finite index.
-    ``_source`` is the system whose steps made the orbit: ``None`` for one
-    built by hand or by ``dataclasses.replace``, and never compared or shown.
     """
 
     a: tuple
@@ -514,7 +513,13 @@ class PseudoOrbit:
     horizon: int
     policy: ResidualPolicy
     truncated: bool = False
-    _source: Optional[MapSystem] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not len(self.a) == self.horizon == len(self.r) + 1:
+            raise ValueError(
+                "a pseudo-orbit needs len(a) == horizon == len(r) + 1, got "
+                f"len(a) = {len(self.a)}, horizon = {self.horizon}, len(r) = {len(self.r)}"
+            )
 
     def value(self, n: int) -> complex:
         return self.a[n - 1]
@@ -556,8 +561,8 @@ def _pseudo_orbit(
 ) -> PseudoOrbit:
     """:func:`generate_pseudo_orbit`, stepping a linear family through
     ``coeffs`` when given: a table the caller already holds, c_1 .. c_M
-    with M >= horizon - 1.  ``head``, the same orbit generated by ``sys``
-    to a shorter horizon, is kept and stepped on from its last value."""
+    with M >= horizon - 1.  ``head``, an orbit up to a shorter horizon, is
+    kept as given and stepped on from its last value; ``a1`` is then unused."""
     _check_orbit_request(epsilon, horizon)
     start = 1 if head is None else head.horizon
     steps = range(start, horizon)
@@ -596,7 +601,7 @@ def _pseudo_orbit(
                 break
             a.append(z)
             r.append(r_n)
-    orbit = PseudoOrbit(
+    return PseudoOrbit(
         a=tuple(a),
         r=tuple(r),
         epsilon=epsilon,
@@ -604,5 +609,3 @@ def _pseudo_orbit(
         policy=policy,
         truncated=truncated,
     )
-    object.__setattr__(orbit, "_source", sys)  # init=False: only generation sets it
-    return orbit

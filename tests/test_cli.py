@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import math
 from pathlib import Path
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hu_shadow import cli, fixture_path
+from hu_shadow import cli, fixture_path, growth
 from hu_shadow.cli import OUTPUT_DIR_ENV, main
 from hu_shadow.growth import Classification, ClassificationKind, build_profile
 from hu_shadow.instability import DivergenceWitness, WitnessSample
 from hu_shadow.scenario import load_scenario
 from hu_shadow.shadowing import ShadowMeta, ShadowMethod, ShadowResult
-from hu_shadow.systems import PseudoOrbit, ResidualPolicy
+from hu_shadow.systems import MapSystem, PseudoOrbit, ResidualPolicy
 
 #: Exit codes and file checksums of the 9 shipped-fixture invocations, as
 #: recorded for the benchmark (read only).
@@ -248,6 +249,22 @@ class TestInstability:
             err = json.loads(capsys.readouterr().err)
             assert set(err) == {"error", "reason"}
 
+    @pytest.mark.parametrize("kind", ["zero", "low_discrepancy_phase", "constant_phase"])
+    def test_other_residual_kinds_are_a_config_error(self, tmp_path, capsys, kind):
+        # the witness's pseudo-orbit has r_n = epsilon, whatever the scenario says
+        raw = json.loads(fixture_path("unstable_parity").read_text())
+        raw["residual"] = {"kind": kind}
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = main(["instability", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "hu-shadow: config error: residual.kind: instability needs constant_real "
+            f"residuals, got '{kind}'\n"
+        )
+        assert not out.exists()
+
 
 class TestUsageAndConfig:
     def test_missing_config_flag(self, tmp_path, capsys):
@@ -379,6 +396,35 @@ class TestDeterminism:
             assert rc == 0
         assert (out_a / "orbit.csv").read_bytes() == (out_b / "orbit.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+
+class TestTracerGuard:
+    """The benchmark's tracer finds every name it wraps, and puts each back."""
+
+    def test_a_traced_shadow_run_restores_every_name(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(REFERENCES.parent))  # perfbench/
+        tracer = importlib.import_module("tracer")
+
+        def bindings():
+            out = {("growth", "np"): growth.np}
+            for name, (home, users, _) in tracer.SPANS.items():
+                attr = name.split(".", 1)[1]
+                for owner in (home, *users):
+                    out[owner.__name__, attr] = getattr(owner, attr)
+            for method in tracer.METHOD_COUNTERS.values():
+                out["MapSystem", method] = getattr(MapSystem, method)
+            return out
+
+        before = bindings()
+        with tracer.Tracer().installed() as traced:
+            config = str(fixture_path("nonlinear_sinusoid"))
+            assert cli.main(["shadow", "--config", config, "--out", str(tmp_path)]) == 0
+        names = {span[0] for span in traced.spans}
+        assert {"cli.main", "systems.generate_pseudo_orbit", "shadowing.shadow_expanding"} <= names
+        assert traced.counts["systems.eval_map_calls"] > 0
+        after = bindings()
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
 
 
 # -- the per-cell CSV builders that the one-pass writers replace, verbatim --

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import shadowing
+from hu_shadow.systems import OVERFLOW_LIMIT
 from hu_shadow import (
     DegenerateQuotient,
     Family,
@@ -27,7 +28,6 @@ from hu_shadow import (
     ShadowMethod,
     ShadowOptions,
     ShadowResult,
-    TruncatedOrbit,
     accumulated_rate_bound,
     affine_sinusoid,
     bounded_factor_expanding_bound,
@@ -390,14 +390,6 @@ def _constant_pseudo_orbit(kind: PolicyKind) -> PseudoOrbit:
 
 class TestExpandingNamedErrors:
     @pytest.mark.parametrize("kind", [PolicyKind.CONSTANT_REAL, PolicyKind.ZERO])
-    def test_extension_short_of_the_horizon(self, kind):
-        # c_1 = 10^300 sends the extension orbit past the representable
-        # range at n = 5, long before the pseudo-orbit's horizon 1100
-        sys = MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**300), Fraction(1, 10**300), 3))
-        with pytest.raises(TruncatedOrbit, match=r"reaches only n = 4 of the pseudo-orbit's horizon 1100"):
-            shadow_expanding(sys, _constant_pseudo_orbit(kind), 2.0)
-
-    @pytest.mark.parametrize("kind", [PolicyKind.CONSTANT_REAL, PolicyKind.ZERO])
     def test_underflowed_rate_in_the_tail_estimate(self, kind):
         # p_n = 0.0 at every n = 2 mod 3: the first the tail estimate reads is n = 1100
         sys = MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**400, 3), Fraction(3, 10**400)))
@@ -405,7 +397,6 @@ class TestExpandingNamedErrors:
             shadow_expanding(sys, _constant_pseudo_orbit(kind), 2.0)
 
     def test_errors_are_package_errors(self):
-        assert issubclass(TruncatedOrbit, HuShadowError)
         assert issubclass(RateRangeError, HuShadowError)
 
 
@@ -471,7 +462,38 @@ def _per_call_shadow_contracting(sys, pseudo, K):
     )
 
 
-def _per_call_shadow_expanding(sys, pseudo, K, opts=ShadowOptions()):
+class TruncatedOrbit(HuShadowError):
+    """The regenerating reference's error for an orbit that generation from
+    a_1 does not take to its horizon; a generated orbit never meets it."""
+
+
+def _regenerated(sys, pseudo, horizon):
+    """The orbit generated again from a_1 with the orbit's own epsilon and
+    policy: the extension a generated orbit gets by stepping it on."""
+    return generate_pseudo_orbit(sys, pseudo.value(1), pseudo.epsilon, pseudo.policy, horizon)
+
+
+def _stepped_on(sys, pseudo, horizon):
+    """``pseudo`` as given, stepped on from a_H through ``eval_map`` with its
+    own epsilon and policy, stopping where generation would."""
+    a, r = list(pseudo.a), list(pseudo.r)
+    truncated = False
+    for n in range(pseudo.horizon, horizon):
+        r_n = pseudo.policy.residual(n, pseudo.epsilon)
+        try:
+            nxt = sys.eval_map(n, a[-1]) + r_n
+        except OverflowError:
+            truncated = True
+            break
+        if not (abs(nxt.real) <= OVERFLOW_LIMIT and abs(nxt.imag) <= OVERFLOW_LIMIT):
+            truncated = True
+            break
+        a.append(nxt)
+        r.append(r_n)
+    return PseudoOrbit(tuple(a), tuple(r), pseudo.epsilon, len(a), pseudo.policy, truncated)
+
+
+def _per_call_shadow_expanding(sys, pseudo, K, opts=ShadowOptions(), extend=_regenerated):
     if K <= 1.0:
         raise HypothesisViolation(f"K must exceed 1, got {K}")
     horizon = pseudo.horizon
@@ -480,9 +502,7 @@ def _per_call_shadow_expanding(sys, pseudo, K, opts=ShadowOptions()):
 
     coeffs, rates = sys.tables(horizon + shadowing.TAIL_CAP_MARGIN)
     J, capped = shadowing._pick_truncation(rates, horizon, eps, bound, opts.tail_fraction, K)
-    ext = generate_pseudo_orbit(
-        sys, pseudo.value(1), eps, pseudo.policy, max(J + 1, horizon)
-    )
+    ext = extend(sys, pseudo, max(J + 1, horizon))
     if ext.horizon < horizon:
         raise TruncatedOrbit(
             f"the extension orbit reaches only n = {ext.horizon} of the "
@@ -542,6 +562,11 @@ def _per_call_shadow_expanding(sys, pseudo, K, opts=ShadowOptions()):
     return ShadowResult(
         b=b, d=d_out, bound=bound, method=ShadowMethod.EXPANDING_TAIL_SERIES, meta=meta
     )
+
+
+def _per_call_shadow_given(sys, pseudo, K, opts=ShadowOptions()):
+    """The per-call construction on the orbit as given, stepped on from a_H."""
+    return _per_call_shadow_expanding(sys, pseudo, K, opts, _stepped_on)
 
 
 def _float_bits(x: float) -> int:
@@ -669,6 +694,23 @@ class TestLeanConstructions:
             _per_call_shadow_contracting, sys, pseudo, K
         )
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sys=st.one_of(shadow_systems, st.floats(1.5, 4.0).map(affine_sinusoid)),
+        a1=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        eps=st.floats(0, 1e-2),
+        policy=lean_policies,
+        horizon=st.one_of(st.integers(1, 120), st.integers(1000, 1100)),
+        K=st.floats(1.01, 8.0),
+    )
+    def test_contracting_residual_is_zero_by_construction(self, sys, a1, eps, policy, horizon, K):
+        # the per-call residual pass over b re-steps it with b's own arithmetic
+        result = _outcome(shadow_contracting, sys, generate_pseudo_orbit(sys, a1, eps, policy, horizon), K)
+        if isinstance(result, ShadowResult):
+            coeffs = sys.tables(horizon)[0]
+            assert _bits(_per_call_relative_residual_sup(sys, coeffs, result.b)) == _bits(0.0)
+            assert _bits(result.meta.residual_sup) == _bits(0.0)
+
     @pytest.mark.parametrize(
         "sys, horizon, K",
         [
@@ -692,39 +734,33 @@ class TestLeanConstructions:
         "sys",
         [
             power_two_parity(),
+            # generated from a_1 = 1, the orbit leaves the float range at n = 5
             MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**300), Fraction(1, 10**300), 3)),
             MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**400, 3), Fraction(3, 10**400))),
             periodic_linear((1e-301, 2.0)),  # a degenerate quotient
             periodic_linear((1e308 + 1e308j, 0.5)),  # |c_1| overflows, c_1 is finite
+            index_scaled_linear(1e308, 2),  # c_n = inf at every odd n > 1, up to the horizon
         ],
-        ids=["parity", "short_extension", "underflowed_rate", "degenerate", "modulus_overflow"],
+        ids=[
+            "parity", "short_extension", "underflowed_rate", "degenerate", "modulus_overflow",
+            "infinite_steps",
+        ],
     )
     def test_hand_built_orbits(self, sys, kind):
+        # a_n = 1 and r_n = 0, which generation does not reproduce: shadowed as given
         pseudo = _constant_pseudo_orbit(kind)
         for new, old in (
             (shadow_contracting, _per_call_shadow_contracting),
-            (shadow_expanding, _per_call_shadow_expanding),
+            (shadow_expanding, _per_call_shadow_given),
         ):
             assert _shadow_outcome(new, sys, pseudo, 2.0) == _shadow_outcome(old, sys, pseudo, 2.0)
 
 
 class TestContinuedExtension:
-    """``shadow_expanding`` steps on an orbit that ``generate_pseudo_orbit``
-    made from the very system it is given, and generates any other again
-    from a_1, both through the table it holds: every provenance gives the
-    per-call construction's result."""
-
-    def test_equality_hash_and_repr_ignore_the_source(self):
-        sys = index_scaled_linear()
-        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 50)
-        by_hand = PseudoOrbit(pseudo.a, pseudo.r, 1e-3, 50, ResidualPolicy())
-        assert pseudo._source is sys and by_hand._source is None
-        assert dataclasses.replace(pseudo)._source is None
-        assert pseudo == by_hand and hash(pseudo) == hash(by_hand)
-        assert repr(pseudo) == repr(by_hand)
-        assert "_source" not in repr(pseudo)
-        with pytest.raises(TypeError):
-            PseudoOrbit(pseudo.a, pseudo.r, 1e-3, 50, ResidualPolicy(), _source=sys)
+    """``shadow_expanding`` uses the orbit it is given up to its horizon H and
+    steps it on from a_H through the table it holds, however the orbit was
+    made: a generated orbit and every equal copy of it give the regenerating
+    per-call construction's result, and any other orbit is shadowed as given."""
 
     @pytest.mark.parametrize(
         "sys, a1, kind, horizon, K",
@@ -743,7 +779,7 @@ class TestContinuedExtension:
             "parity_fraction", "index_low_discrepancy", "index_phase", "periodic_complex",
         ],
     )
-    def test_every_provenance_gives_the_per_call_result(self, sys, a1, kind, horizon, K):
+    def test_every_copy_gives_the_regenerated_result(self, sys, a1, kind, horizon, K):
         policy = ResidualPolicy(kind=kind, theta=0.7)
         pseudo = generate_pseudo_orbit(sys, a1, 1e-3, policy, horizon)
         twin = MapSystem(sys.family, sys.params)  # equal to sys, another object
@@ -755,11 +791,58 @@ class TestContinuedExtension:
             ),
             "twin": generate_pseudo_orbit(twin, a1, 1e-3, policy, horizon),
         }
-        assert twin == sys and orbits["twin"]._source is twin
+        assert twin == sys and twin is not sys
         want = _shadow_outcome(_per_call_shadow_expanding, sys, pseudo, K)
+        assert want == _shadow_outcome(_per_call_shadow_given, sys, pseudo, K)
         for name, orbit in orbits.items():
             assert orbit == pseudo
             assert _shadow_outcome(shadow_expanding, sys, orbit, K) == want, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sys=st.one_of(shadow_systems, st.floats(1.5, 4.0).map(affine_sinusoid)),
+        a1=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+        eps=st.floats(0, 1e-2),
+        policy=lean_policies,
+        horizon=st.one_of(st.integers(1, 60), st.integers(1000, 1100)),
+        scale=st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+        K=st.floats(1.01, 8.0),
+    )
+    def test_a_hand_built_orbit_is_shadowed_as_given(self, sys, a1, eps, policy, horizon, scale, K):
+        # generation does not reproduce a_n scaled by a drawn factor
+        pseudo = generate_pseudo_orbit(sys, a1, eps, policy, horizon)
+        by_hand = dataclasses.replace(pseudo, a=tuple(scale * z for z in pseudo.a))
+        assert _shadow_outcome(shadow_expanding, sys, by_hand, K) == _shadow_outcome(
+            _per_call_shadow_given, sys, by_hand, K
+        )
+
+    def test_an_orbit_generation_does_not_reach_is_kept(self):
+        # generation from a_1 = 1 leaves the float range at n = 5, where the
+        # regenerating reference stops; the orbit as given is kept whole
+        sys = MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**300), Fraction(1, 10**300), 3))
+        pseudo = _constant_pseudo_orbit(PolicyKind.CONSTANT_REAL)
+        assert generate_pseudo_orbit(sys, 1.0, 1e-3, pseudo.policy, 1100).horizon == 4
+        with pytest.raises(TruncatedOrbit):
+            _per_call_shadow_expanding(sys, pseudo, 2.0)
+        result = shadow_expanding(sys, pseudo, 2.0)
+        assert len(result.b) == 1100 and result.meta.truncation >= 1100
+        assert result.b == tuple(a + d for a, d in zip(pseudo.a, result.d))
+
+    @pytest.mark.parametrize(
+        "a, r, horizon",
+        [((1j,) * 3, (0j,) * 2, 4), ((1j,) * 3, (0j,) * 3, 3), ((1j,) * 4, (0j,) * 3, 3), ((), (), 0)],
+        ids=["horizon_past_a", "r_as_long_as_a", "a_past_horizon", "empty"],
+    )
+    def test_malformed_lengths_are_refused(self, a, r, horizon):
+        message = (
+            rf"len\(a\) == horizon == len\(r\) \+ 1, got len\(a\) = {len(a)}, "
+            rf"horizon = {horizon}, len\(r\) = {len(r)}"
+        )
+        with pytest.raises(ValueError, match=message):
+            PseudoOrbit(a, r, 1e-3, horizon, ResidualPolicy())
+        pseudo = generate_pseudo_orbit(periodic_linear(), 1.0, 1e-3, ResidualPolicy(), 3)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(pseudo, a=a, r=r, horizon=horizon)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -799,7 +882,7 @@ class TestContinuedExtension:
             assert generated == []
             assert tables == ([range(1, 1201)] * 2 if sys.is_linear else [])
 
-    def test_a_generated_orbit_is_stepped_on_over_the_tail_only(self, monkeypatch):
+    def test_every_copy_is_stepped_on_over_the_tail_only(self, monkeypatch):
         calls = []
         original = MapSystem.eval_map
         monkeypatch.setattr(
@@ -810,11 +893,14 @@ class TestContinuedExtension:
         calls.clear()
         J = shadow_expanding(sys, pseudo, 3.0).meta.truncation
         stepped_on = calls[:]
-        calls.clear()
-        shadow_expanding(sys, dataclasses.replace(pseudo), 3.0)
-        # the same steps 300 .. J and work after them, without steps 1 .. 299
+        # the steps 300 .. J and the residual pass after them, without steps 1 .. 299
         assert J > 300 and stepped_on[: J - 299] == list(range(300, J + 1))
-        assert calls == list(range(1, 300)) + stepped_on
+        twin = generate_pseudo_orbit(MapSystem(sys.family, sys.params), 1.0, 1e-3, ResidualPolicy(), 300)
+        by_hand = PseudoOrbit(pseudo.a, pseudo.r, pseudo.epsilon, pseudo.horizon, pseudo.policy)
+        for copy in (dataclasses.replace(pseudo), by_hand, twin):
+            calls.clear()
+            shadow_expanding(sys, copy, 3.0)
+            assert calls == stepped_on
 
     def test_the_fixed_point_evaluates_only_the_quotients_that_moved(self, monkeypatch):
         calls = []
