@@ -26,4 +26,5 @@ class UnsupportedFamily(HuShadowError):
 
 
 class RateRangeError(HuShadowError, ValueError):
-    """A growth rate is outside (0, inf), e.g. a rate that underflowed to 0."""
+    """A growth rate is outside (0, inf): a rate that underflowed to 0, or a
+    coefficient past the float range at a step of a given orbit."""

@@ -16,7 +16,6 @@ table of ``MapSystem.coefficient_pairs``, the family rule stated in
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus
+from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus, _step_index
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,7 @@ class RationalOrbit:
 
     ``a[i]`` is a_{i+1}; ``coefficient_products[i]`` is prod_{j<=i+1} c_j;
     ``partial_sums[i]`` is S_{i+1} = sum_{j<=i+1} prod_{j<i'<=i+1} p_i'.
+    A step index outside 1..horizon raises ``ValueError``.
     """
 
     a: tuple
@@ -40,13 +40,13 @@ class RationalOrbit:
     partial_sums: tuple
 
     def value(self, n: int) -> Fraction:
-        return self.a[n - 1]
+        return self.a[_step_index(n, len(self.a))]
 
     def product(self, n: int) -> Fraction:
-        return self.coefficient_products[n - 1]
+        return self.coefficient_products[_step_index(n, len(self.a))]
 
     def partial_sum(self, n: int) -> Fraction:
-        return self.partial_sums[n - 1]
+        return self.partial_sums[_step_index(n, len(self.a))]
 
 
 def exact_propagate(
@@ -214,8 +214,7 @@ def _sup_errors(
     multiply-add), the modulus is C ``hypot`` as in ``modulus``, and
     the running maximum keeps the first argument unless the second is
     greater, as ``max`` does.  A linear family reads its coefficient table
-    once; a non-finite entry is read again by ``coefficient(n)``, which
-    raises where ``eval_map`` would.
+    once: its entries are the values ``eval_map`` multiplies by.
 
     A start point fails where the scalar function would raise: a modulus
     that overflows from finite parts (``modulus`` raises
@@ -245,14 +244,7 @@ def _sup_errors(
         worst = moduli(b - pseudo.value(1))
         for n in steps:
             if coeffs is not None:
-                try:
-                    c = coeffs[n - 1]
-                    if not cmath.isfinite(c):  # past the float range: as eval_map reads it
-                        c = sys.coefficient(n)
-                except (ArithmeticError, ValueError) as exc:
-                    for i in range(b.size):
-                        failures.setdefault(i, exc)
-                    break
+                c = coeffs[n - 1]
                 step = np.empty_like(b)
                 step.real = c.real * b.real - c.imag * b.imag
                 step.imag = c.real * b.imag + c.imag * b.real

@@ -26,10 +26,13 @@ produced by the same floating-point operations, in the same order, as a
 fresh per-index evaluation, so the maximum is bit-identical to the
 per-index one at O(horizon) instead of O(horizon^2) cost.
 
-The per-step loops read the coefficient table of ``MapSystem.tables``
-and make no call where the step is a table multiply: a finite rate
-|c_n| proves c_n finite, and only the other steps (and the nonlinear
-family) go through ``eval_map`` or ``eval_q``.
+The per-step loops of a linear family read the coefficient table of
+``MapSystem.tables`` and make no call: every step is a table multiply.
+Only the nonlinear family goes through ``eval_map`` or ``eval_q``.  Both
+constructions refuse, up front, a given orbit whose own steps pass
+through a c_n past the float range (the table's infinity) with
+:class:`RateRangeError`; a generated orbit never does, as generation
+truncates at such a step.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .errors import (
@@ -210,7 +214,7 @@ def telescope_difference(
     with q_j = q_j(b_j, a_j), the true orbit b propagated alongside the
     pseudo-orbit.  The result is an identity: it must agree with direct
     propagation of b_n - a_n.  A linear family reads q_j = c_j from its
-    coefficient table, and steps as the constructions do (see ``_apply``).
+    coefficient table and steps b_{j+1} = c_j b_j, as the constructions do.
     """
     if not 1 <= n <= pseudo.horizon:
         raise ValueError(f"n must be in 1..{pseudo.horizon}, got {n}")
@@ -220,10 +224,10 @@ def telescope_difference(
     acc = 0j  # sum_{k<=j} r_k prod_{k<i<=j} q_i
     coeffs = sys.coefficients(n - 1) if sys.is_linear else [None] * (n - 1)
     for j, c in enumerate(coeffs, 1):
-        q = c if c is not None and cmath.isfinite(c) else sys.eval_q(j, b, pseudo.value(j))
+        q = c if c is not None else sys.eval_q(j, b, pseudo.value(j))
         prod_q *= q
         acc = acc * q + pseudo.residual(j)
-        b = _apply(sys, c, j, b)
+        b = c * b if c is not None else sys.eval_map(j, b)
     out = prod_q * (complex(b1) - a1) - acc
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise OverflowError(
@@ -242,19 +246,21 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     reported bound K*eps/(K-1) is asymptotic; the measured differences
     are additionally checked against the always-sound finite-horizon
     ``accumulated_rate_bound``, and exceeding *that* by more than 5%
-    signals a misclassified system.
+    signals a misclassified system.  A c_n past the float range at a
+    step n < horizon raises :class:`RateRangeError` before any step.
     """
     if K <= 1.0:
         raise HypothesisViolation(f"K must exceed 1, got {K}")
     horizon = pseudo.horizon
     eps = pseudo.epsilon
     coeffs, rates = sys.tables(horizon)
-    cs, ps = _step_table(coeffs, rates)
-    inf = math.inf
+    _check_finite_steps(coeffs, rates, horizon - 1)
+    eval_map = sys.eval_map
+    steps = coeffs if coeffs is not None else repeat(None)
     z = pseudo.value(1)
     b = [z]
-    for n, c, p in zip(range(1, horizon), cs, ps):
-        z = c * z if p < inf else _apply(sys, c, n, z)
+    for n, c in zip(range(1, horizon), steps):
+        z = c * z if c is not None else eval_map(n, z)
         b.append(z)
     d = tuple([x - y for x, y in zip(b, pseudo.a)])
     sup = max([abs(x) for x in d])
@@ -269,7 +275,7 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
         truncation=0,
         iterations=1,
         # b_{n+1} - F(n, b_n) repeats the step that made b_{n+1}: it is 0, or NaN
-        # past the float range, which the sup skips, so the sup is 0.0 by construction
+        # where the step overflows, which the sup skips, so the sup is 0.0 by construction
         residual_sup=0.0,
         sound_bound=sound,
     )
@@ -316,7 +322,8 @@ def shadow_expanding(
     consecutive iterations aborts with :class:`NonContraction`.
 
     A rate in the tail estimate that is not positive (NaN included)
-    raises :class:`RateRangeError`.
+    raises :class:`RateRangeError`, and then a c_n past the float range
+    at a step n < horizon of the given orbit.
     """
     if K <= 1.0:
         raise HypothesisViolation(f"K must exceed 1, got {K}")
@@ -327,6 +334,7 @@ def shadow_expanding(
     # one table serves the tail past the horizon, the quotients and the sound bound
     coeffs, rates = sys.tables(horizon + TAIL_CAP_MARGIN)
     J, capped = _pick_truncation(rates, horizon, eps, bound, opts.tail_fraction, K)
+    _check_finite_steps(coeffs, rates, horizon - 1)
     ext = _pseudo_orbit(sys, pseudo.value(1), eps, pseudo.policy, J + 1, coeffs, pseudo)
     J = min(J, ext.horizon - 1)
 
@@ -334,7 +342,7 @@ def shadow_expanding(
     a = ext.a
     r = ext.r[:J]  # r_1 .. r_J: every n <= J has a residual, as J < ext.horizon
     if coeffs is not None:
-        _check_linear_quotients(coeffs, rates, J)
+        _check_linear_quotients(rates, J)
         quotients = coeffs[J - 1 :: -1] if J else []  # q_J .. q_1
     else:  # q_n = q_n(a_n + d_n, a_n), kept with the argument it was made at
         quotients, points = [0j] * J, [None] * J
@@ -378,11 +386,10 @@ def shadow_expanding(
     b = tuple([x + y for x, y in zip(a[:horizon], d)])
     d_out = tuple(d[:horizon])
     sound = max(_accumulated_rate_bounds(rates, horizon, eps, abs(d[0])))
-    cs, ps = _step_table(coeffs, rates)
     meta = ShadowMeta(
         truncation=J,
         iterations=iterations,
-        residual_sup=_relative_residual_sup(sys, cs, ps, b),
+        residual_sup=_relative_residual_sup(sys, coeffs, b),
         sound_bound=sound,
         truncation_capped=capped,
     )
@@ -391,21 +398,26 @@ def shadow_expanding(
     )
 
 
-def _check_linear_quotients(coeffs: list, rates: Sequence[float], J: int) -> None:
-    """The degenerate-quotient check of q_J .. q_1 = c_J .. c_1, in that order.
+def _check_finite_steps(coeffs: Optional[list], rates: Sequence[float], steps: int) -> None:
+    """:class:`RateRangeError` at the first n <= ``steps`` whose c_n is past
+    the float range: a given orbit's own step there leaves it.  A finite
+    c_n whose modulus overflows has the rate ``inf`` too, and passes."""
+    if coeffs is None or math.inf not in rates[:steps]:
+        return
+    for n, c in enumerate(coeffs[:steps], 1):
+        if not cmath.isfinite(c):
+            raise RateRangeError(f"coefficient past the float range: c_n = {c!r} at n = {n}")
 
-    The rate of c_n is |c_n| by C ``hypot``: ``inf`` exactly where
-    ``abs(c_n)`` overflows or c_n is not finite (only a given orbit's own
-    steps can meet such a c_n: the extension stops at the first).  When
-    every rate lies in [limit, inf) no check can fail; otherwise the scan
-    meets the first failure, a :class:`DegenerateQuotient` or ``abs``'s
-    OverflowError, where the recurrence would.
-    """
+
+def _check_linear_quotients(rates: Sequence[float], J: int) -> None:
+    """The degenerate-quotient check of q_J .. q_1 = c_J .. c_1, in that order,
+    on the rates |c_n| (C ``hypot``, as ``abs`` computes it): the first
+    failure is met where the recurrence would meet it."""
     head = rates[:J]
-    if not head or (min(head) >= DEGENERATE_QUOTIENT_LIMIT and max(head) < math.inf):
+    if not head or min(head) >= DEGENERATE_QUOTIENT_LIMIT:
         return
     for n in range(J, 0, -1):
-        if abs(coeffs[n - 1]) < DEGENERATE_QUOTIENT_LIMIT:
+        if rates[n - 1] < DEGENERATE_QUOTIENT_LIMIT:
             raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
 
 
@@ -471,39 +483,18 @@ def _pick_truncation(
 
 
 def _relative_residual_sup(
-    sys: MapSystem, cs: list, ps: list, b: Sequence[complex]
+    sys: MapSystem, coeffs: Optional[list], b: Sequence[complex]
 ) -> float:
-    """sup_n |b_{n+1} - F(n, b_n)| / max(1, |b_n|), from ``_step_table`` rows."""
-    inf = math.inf
+    """sup_n |b_{n+1} - F(n, b_n)| / max(1, |b_n|), with F(n, b_n) = c_n b_n
+    from the table ``coeffs`` of a linear family, else from ``eval_map``."""
+    eval_map = sys.eval_map
     worst = 0.0
-    for n, c, p, z, nxt in zip(range(1, len(b)), cs, ps, b, b[1:]):
-        res = abs(nxt - (c * z if p < inf else _apply(sys, c, n, z)))
+    steps = coeffs if coeffs is not None else repeat(None)
+    for n, c, z, nxt in zip(range(1, len(b)), steps, b, b[1:]):
+        res = abs(nxt - (c * z if c is not None else eval_map(n, z)))
         m = abs(z)
         x = res / (m if m > 1.0 else 1.0)  # max(1.0, m), NaN included
         if x > worst:  # max(worst, x), NaN included
             worst = x
     return worst
 
-
-def _step_table(coeffs: Optional[list], rates: list) -> tuple[list, list]:
-    """Rows (c_n, p_n) for the step ``c * z if p < inf else _apply(...)``.
-
-    A finite rate |c_n| proves c_n finite, so those steps are a plain
-    multiply.  The nonlinear family has no table: its rows are
-    (None, inf), and every step goes through ``eval_map``.
-    """
-    if coeffs is None:
-        return [None] * len(rates), [math.inf] * len(rates)
-    return coeffs, rates
-
-
-def _apply(sys: MapSystem, c: Optional[complex], n: int, z: complex) -> complex:
-    """F(n, z) for a table entry c_n whose rate is not finite.
-
-    A non-finite entry (an overflowing c_n) and the nonlinear family
-    (``None``) go through ``eval_map``, so a step fails exactly where it
-    would; a finite c_n with an overflowing modulus is a plain multiply.
-    """
-    if c is not None and cmath.isfinite(c):
-        return c * z
-    return sys.eval_map(n, z)

@@ -93,8 +93,8 @@ class MapSystem:
 
     def _floats(self, ns: range) -> list[complex]:
         """c_n for the consecutive steps ns, correctly rounded to complex, and
-        the infinity of its sign past the float range (where ``eval_map``
-        raises).  Rational parameters are carried as integer pairs."""
+        the infinity of its sign past the float range.  Rational parameters
+        are carried as integer pairs."""
         if self.family is Family.PERIODIC_LINEAR:
             cycle = [_quotient(*x) if (x := _exact(c)) else complex(c) for c in self.params]
             return _cycle(cycle, ns)
@@ -180,18 +180,15 @@ class MapSystem:
         return out
 
     def coefficient(self, n: int) -> complex:
-        """c_n (F(n,z) = c_n z): entry n of :meth:`coefficients`, but a finite
-        c_n past the float range raises OverflowError.  Rational parameters
-        read the exact pair, which is integer work."""
+        """c_n (F(n,z) = c_n z): entry n of :meth:`coefficients`, the infinity
+        of its sign past the float range.  Rational parameters read the
+        exact pair, which is integer work."""
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
         if all(map(_rational, self.params)):
             ((num, den),) = self._pairs(range(n, n + 1))
-            return complex(num if den == 1 else num / den)
-        (c,) = self._floats(range(n, n + 1))
-        if cmath.isinf(c) and all(_rational(x) or cmath.isfinite(x) for x in self.params):
-            raise OverflowError(f"c_{n} is past the float range")
-        return c
+            return _quotient(num, den)
+        return self._floats(range(n, n + 1))[0]
 
     def rational_coefficient(self, n: int) -> Fraction:
         """c_n as a ``Fraction``; :class:`UnsupportedFamily` where it reads a
@@ -254,7 +251,7 @@ class MapSystem:
             return _expanding_rate(self.params[0], n)
         try:
             return modulus(self.coefficient(n))
-        except OverflowError:
+        except OverflowError:  # |c_n| of finite parts past the float range
             return math.inf
 
     def log_growth_rate(self, n: int) -> float:
@@ -502,7 +499,8 @@ class PseudoOrbit:
     """An approximate orbit a_{n+1} = F(n, a_n) + r_n with |r_n| <= epsilon.
 
     ``a`` holds a_1 .. a_N and ``r`` holds r_1 .. r_{N-1}, with N the
-    ``horizon``: any other lengths raise ``ValueError``.  ``truncated``
+    ``horizon``: any other lengths raise ``ValueError``, as does a step
+    index outside 1..N (1..N-1 for a residual).  ``truncated``
     is set when generation stopped early because the orbit left the
     representable range; ``horizon`` is then the last finite index.
     """
@@ -522,10 +520,18 @@ class PseudoOrbit:
             )
 
     def value(self, n: int) -> complex:
-        return self.a[n - 1]
+        return self.a[_step_index(n, self.horizon)]
 
     def residual(self, n: int) -> complex:
-        return self.r[n - 1]
+        return self.r[_step_index(n, self.horizon - 1)]
+
+
+def _step_index(n: int, last: int) -> int:
+    """The position n - 1 of step n in a table of steps 1..last; ValueError
+    outside that range, where the index would wrap or run off the end."""
+    if not 1 <= n <= last:
+        raise ValueError(f"step index must be in 1..{last}, got {n}")
+    return n - 1
 
 
 def generate_pseudo_orbit(
@@ -578,8 +584,8 @@ def _pseudo_orbit(
     truncated = False
     if sys.is_linear:
         # an overflowing c_n is inf in the table: the step is not finite and
-        # truncates where eval_map's OverflowError would.  Complex * and +
-        # give inf or NaN, they do not raise.  zip stops at the residuals.
+        # truncates.  Complex * and + give inf or NaN, they do not raise.
+        # zip stops at the residuals.
         table = sys.coefficients(horizon - 1) if coeffs is None else coeffs
         for c, r_n in zip(islice(table, start - 1, None), residuals):
             z = c * z + r_n

@@ -51,6 +51,14 @@ class TestExactPropagation:
         assert orbit.partial_sum(5) == Fraction(49, 9)
         assert orbit.product(2) == Fraction(2, 3)
 
+    def test_step_index_outside_the_orbit_is_refused(self):
+        # index 0 read the entry at the horizon before: the index wrapped
+        orbit = exact_propagate(periodic_linear(), Fraction(1), Fraction(1, 1000), 5)
+        for read in (orbit.value, orbit.product, orbit.partial_sum):
+            for n in (0, -1, 6):
+                with pytest.raises(ValueError, match=rf"step index must be in 1\.\.5, got {n}$"):
+                    read(n)
+
     def test_matches_float_generation(self):
         sys = index_scaled_linear()
         orbit = exact_propagate(sys, Fraction(1), Fraction(1, 1000), 25)
@@ -382,7 +390,7 @@ class TestVectorisedSearch:
     @pytest.mark.parametrize(
         "sys",
         [
-            periodic_linear((2, 10**400)),  # c_2 past the float range: OverflowError
+            periodic_linear((2, 10**400)),  # c_2 past the float range: the int pair's inf
             MapSystem(Family.PERIODIC_LINEAR, (2, math.inf)),  # c_2 = inf, no error
             MapSystem(Family.PERIODIC_LINEAR, (2, complex(math.nan, 1.0))),
         ],

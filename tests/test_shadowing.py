@@ -359,10 +359,10 @@ class TestOverflowDiscipline:
         with pytest.raises(OverflowError):
             telescope_difference(sys, pseudo, 1.0, 5)
 
-    def test_overflowing_coefficient_fails_where_eval_map_fails(self):
-        # the coefficient table holds inf for c_1025 = 2^1025; a pseudo-orbit
-        # the system did not generate reaches that step, where eval_map
-        # raises, and the propagation must raise the same error there
+    def test_overflowing_coefficient_is_refused_before_any_step(self):
+        # c_1025 = 2^1025 reads inf from the table and from every scalar; a
+        # pseudo-orbit the system did not generate steps through it, and the
+        # construction names that step before it steps at all
         sys = power_two_parity()
         pseudo = PseudoOrbit(
             a=(1e-300 + 0j,) * 1100,
@@ -371,9 +371,8 @@ class TestOverflowDiscipline:
             horizon=1100,
             policy=ResidualPolicy(kind=PolicyKind.ZERO),
         )
-        with pytest.raises(OverflowError, match="int too large to convert to float"):
-            sys.eval_map(1025, 1.0)
-        with pytest.raises(OverflowError, match="int too large to convert to float"):
+        assert sys.coefficient(1025) == complex(math.inf, 0.0)
+        with pytest.raises(RateRangeError, match=r"c_n = \(inf\+0j\) at n = 1025"):
             shadow_contracting(sys, pseudo, 2.0)
 
 
@@ -731,24 +730,35 @@ class TestLeanConstructions:
 
     @pytest.mark.parametrize("kind", [PolicyKind.CONSTANT_REAL, PolicyKind.ZERO])
     @pytest.mark.parametrize(
-        "sys",
+        "sys, refusals",
         [
-            power_two_parity(),
+            # (contracting, expanding): a c_n past the float range in the orbit's own
+            # steps, after the tail estimate's underflowed rate where there is one
+            (power_two_parity(), (r"c_n = \(inf\+0j\) at n = 1025", r"p_n = 0\.0 at n = 1100")),
             # generated from a_1 = 1, the orbit leaves the float range at n = 5
-            MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**300), Fraction(1, 10**300), 3)),
-            MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**400, 3), Fraction(3, 10**400))),
-            periodic_linear((1e-301, 2.0)),  # a degenerate quotient
-            periodic_linear((1e308 + 1e308j, 0.5)),  # |c_1| overflows, c_1 is finite
-            index_scaled_linear(1e308, 2),  # c_n = inf at every odd n > 1, up to the horizon
+            (MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**300), Fraction(1, 10**300), 3)), None),
+            (
+                MapSystem(Family.PERIODIC_LINEAR, (Fraction(10**400, 3), Fraction(3, 10**400))),
+                (r"c_n = \(inf\+0j\) at n = 1$", r"p_n = 0\.0 at n = 1100"),
+            ),
+            (periodic_linear((1e-301, 2.0)), None),  # a degenerate quotient
+            (periodic_linear((1e308 + 1e308j, 0.5)), None),  # |c_1| overflows, c_1 is finite
+            # c_n = inf at every odd n > 1, up to the horizon
+            (index_scaled_linear(1e308, 2), (r"c_n = \(inf\+0j\) at n = 3$",) * 2),
         ],
         ids=[
             "parity", "short_extension", "underflowed_rate", "degenerate", "modulus_overflow",
             "infinite_steps",
         ],
     )
-    def test_hand_built_orbits(self, sys, kind):
+    def test_hand_built_orbits(self, sys, refusals, kind):
         # a_n = 1 and r_n = 0, which generation does not reproduce: shadowed as given
         pseudo = _constant_pseudo_orbit(kind)
+        if refusals is not None:
+            for construct, refusal in zip((shadow_contracting, shadow_expanding), refusals):
+                with pytest.raises(RateRangeError, match=refusal):
+                    construct(sys, pseudo, 2.0)
+            return
         for new, old in (
             (shadow_contracting, _per_call_shadow_contracting),
             (shadow_expanding, _per_call_shadow_given),
@@ -957,28 +967,20 @@ class TestLeanSweeps:
             expected = _exp_every_step_accumulated_rate_bounds(rates, len(rates) + 1, eps, gap)
             assert [_float_bits(x) for x in sweep] == [_float_bits(x) for x in expected]
 
-    def test_residual_sup_fails_where_the_per_call_fails(self, monkeypatch):
-        # c_1025 = 2^1025 overflows: both loops must reach eval_map at the
-        # same steps and raise the same OverflowError there
+    def test_residual_sup_equals_the_per_call_past_the_float_range(self, monkeypatch):
+        # c_1025 = 2^1025 is inf in the table and in eval_map: the per-call
+        # loop goes through eval_map there, the table loop makes no call
         sys = power_two_parity()
         b = (1e-300 + 0j,) * 1100
-        coeffs, rates = sys.tables(1100)
-        outcomes = []
-        for run in (
-            lambda: _per_call_relative_residual_sup(sys, coeffs, b),
-            lambda: shadowing._relative_residual_sup(sys, *shadowing._step_table(coeffs, rates), b),
-        ):
-            calls = []
-            original = MapSystem.eval_map
-            monkeypatch.setattr(
-                MapSystem, "eval_map", lambda self, n, z: calls.append(n) or original(self, n, z)
-            )
-            with pytest.raises(OverflowError) as info:
-                run()
-            monkeypatch.undo()
-            outcomes.append((str(info.value), calls))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1] == [1025]
+        coeffs = sys.coefficients(1100)
+        expected = _per_call_relative_residual_sup(sys, coeffs, b)
+        calls = []
+        original = MapSystem.eval_map
+        monkeypatch.setattr(
+            MapSystem, "eval_map", lambda self, n, z: calls.append(n) or original(self, n, z)
+        )
+        assert _bits(shadowing._relative_residual_sup(sys, coeffs, b)) == _bits(expected)
+        assert calls == []
 
     @given(
         values=st.lists(
@@ -997,15 +999,11 @@ class TestLeanSweeps:
         # NaN, inf and overflowing moduli included; max(worst, x) and
         # max(1.0, m) are the reference
         sys = MapSystem(Family.PERIODIC_LINEAR, tuple(coefficients))
-        coeffs, rates = sys.tables(len(values))
+        coeffs = sys.coefficients(len(values))
         abs(1j)  # clear a stale errno: CPython 3.11's abs(complex) of a NaN reports it
         expected = _outcome(lambda: _bits(_per_call_relative_residual_sup(sys, coeffs, values)))
         abs(1j)
-        got = _outcome(
-            lambda: _bits(
-                shadowing._relative_residual_sup(sys, *shadowing._step_table(coeffs, rates), values)
-            )
-        )
+        got = _outcome(lambda: _bits(shadowing._relative_residual_sup(sys, coeffs, values)))
         assert got == expected
 
 

@@ -117,8 +117,7 @@ class TestFactories:
         sys = periodic_linear((10**400,))
         assert sys.coefficient_pairs(2) == [(10**400, 1)] * 2
         assert sys.coefficients(1) == [complex(math.inf, 0.0)]
-        with pytest.raises(OverflowError):
-            sys.coefficient(1)
+        assert _bits(sys.coefficient(1)) == _bits(complex(math.inf, 0.0))
         with pytest.raises(ValueError, match="growth rate must be positive"):
             periodic_linear((10**400, 0))
 
@@ -233,6 +232,16 @@ class TestPseudoOrbit:
             generate_pseudo_orbit(sys, 1.0, -1.0, ResidualPolicy(), 10)
         with pytest.raises(ValueError):
             generate_pseudo_orbit(sys, 1.0, 1.0, ResidualPolicy(), 0)
+
+    def test_step_index_outside_the_orbit_is_refused(self):
+        # value(0) read a_5 and residual(0) read r_4 before: the index wrapped
+        pseudo = generate_pseudo_orbit(periodic_linear(), 1.0, 1e-3, ResidualPolicy(), 5)
+        assert (pseudo.value(1), pseudo.value(5)) == (pseudo.a[0], pseudo.a[4])
+        assert (pseudo.residual(1), pseudo.residual(4)) == (pseudo.r[0], pseudo.r[3])
+        for read, last in ((pseudo.value, 5), (pseudo.residual, 4)):
+            for n in (0, -1, last + 1):
+                with pytest.raises(ValueError, match=rf"step index must be in 1\.\.{last}, got {n}$"):
+                    read(n)
 
     @settings(max_examples=25)
     @given(
@@ -501,7 +510,7 @@ class TestOneEntryReads:
     @example(sys=power_two_parity(2.0, 3), n=1025, count=3)  # past the float range
     def test_scalars_equal_the_per_index_rule(self, sys, n, count):
         for read, reference in (
-            (MapSystem.coefficient, reference_coefficient),
+            (MapSystem.coefficient, _scalar_entry),
             (MapSystem.rational_coefficient, reference_rational_coefficient),
             (MapSystem.growth_rate, reference_growth_rate),
         ):
@@ -526,12 +535,32 @@ class TestOneEntryReads:
         [(power_two_parity(2.0, 3), 1025), (index_scaled_linear(1e308, 2), 3)],
         ids=["float-power", "float-product"],
     )
-    def test_a_finite_coefficient_past_the_float_range_overflows(self, sys, n):
-        with pytest.raises(OverflowError, match=f"c_{n} is past the float range"):
-            sys.coefficient(n)
+    def test_a_finite_coefficient_past_the_float_range_reads_the_infinity(self, sys, n):
+        assert _bits(sys.coefficient(n)) == _bits(complex(math.inf, 0.0))
         assert sys.coefficients(n)[-1] == complex(math.inf, 0.0)
         assert sys.growth_rate(n) == math.inf
         assert sys.log_growth_rate(n) == reference_log_growth_rate(sys, n)
+
+
+class TestOneFloatValue:
+    """Every float read of c_n is the table's entry: the infinity of its
+    sign past the float range, for rational and float parameters alike."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sys=linear_systems,
+        n=st.integers(1, 3000),
+        u=st.complex_numbers(max_magnitude=1e3),
+        v=st.complex_numbers(max_magnitude=1e3),
+        z=st.one_of(st.complex_numbers(max_magnitude=1e3), st.floats(-1e3, 1e3)),
+    )
+    @example(sys=power_two_parity(), n=1025, u=1j, v=0j, z=1.0)  # an int pair past the range
+    @example(sys=index_scaled_linear(1e308, 2), n=3, u=2.0, v=-1j, z=-3 + 0.5j)  # a float product
+    def test_scalar_reads_are_the_table_entry(self, sys, n, u, v, z):
+        c = sys.coefficients(n)[n - 1]
+        assert _bits(sys.coefficient(n)) == _bits(c)
+        assert _bits(sys.eval_q(n, u, v)) == _bits(c)
+        assert _bits(sys.eval_map(n, z)) == _bits(c * complex(z))
 
 
 class TestPrefixTables:
