@@ -19,24 +19,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .errors import HypothesisViolation
 from .growth import Classification, ClassificationKind, PeriodicFit
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, generate_pseudo_orbit
-from .systems import _check_orbit_request, _pseudo_orbit
+from .systems import OVERFLOW_LIMIT, _check_orbit_request, _pseudo_orbit
 
-#: Magnitudes past this are tracked in the log domain only.
-LOG_DOMAIN_LIMIT = 1e300
+#: log10 of the orbit layer's margin; a value past it is carried as its log10 only.
+LOG10_LIMIT = math.log10(OVERFLOW_LIMIT)
 
 
 def _log10_add(x: float, y: float) -> float:
-    """log10(10^x + 10^y) without leaving the log domain."""
-    if x == -math.inf:
-        return y
-    if y == -math.inf:
-        return x
+    """log10(10^x + 10^y) without leaving the log domain; x is finite."""
     hi, lo = (x, y) if x >= y else (y, x)
     return hi + math.log10(1.0 + 10.0 ** (lo - hi))
 
@@ -114,11 +111,9 @@ class DivergenceWitness:
 def default_witness_horizon(
     K_p: float, K_q: float, p_idx: int, q_idx: int, m: int, C_p: float
 ) -> int:
-    """Largest resonant index whose lower bound stays below 10^300."""
+    """Largest resonant index whose lower bound stays below ``OVERFLOW_LIMIT``."""
     k = 0
-    while (
-        divergence_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k + 1) < 300.0
-    ):
+    while divergence_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k + 1) < LOG10_LIMIT:
         k += 1
     return k * m + p_idx + 1
 
@@ -152,8 +147,6 @@ def witness_divergence(
     m = fit.m
     if horizon is None:
         horizon = default_witness_horizon(K_p, K_q, p_idx, q_idx, m, C_p)
-    if eps < 0:
-        raise ValueError("epsilon must be nonnegative")
 
     # the orbit steps through the table the loop reads, c_1 .. c_horizon; its
     # checks come first, so a bad epsilon is named where the table would fail
@@ -165,68 +158,64 @@ def witness_divergence(
     samples = []
     # propagate d_{n+1} = q_n d_n - r_n (b_1 = a_1) and the partial sum
     # T_n = T_{n-1} p_n + 1.  Once a value would exceed the float range
-    # it is carried as its log10; the recurrences become log-domain adds
-    # (the +1 and +eps terms stay significant after contracting steps,
-    # so they cannot be dropped).  The log-domain distance update is
-    # exact for positive real coefficients with constant-real residuals,
-    # the case every built-in periodic-below-one family falls into.
+    # it is carried as its log10 (log10_T, log10_d; None while in range);
+    # the recurrences become log-domain adds (the +1 and +eps terms stay
+    # significant after contracting steps, so they cannot be dropped).
+    # The log-domain distance update is exact for positive real
+    # coefficients with constant-real residuals, the case every built-in
+    # periodic-below-one family falls into.  log10_eps is -inf only at
+    # eps = 0, where d stays 0 and never leaves the float range.
     log10_eps = math.log10(eps) if eps > 0 else -math.inf
+    r_n = policy.residual(1, eps)  # the residual generation writes into every r_n
     d = 0j
-    log10_d = -math.inf
-    d_overflowed = False
+    log10_d = None
     T = 0.0
-    log10_T = -math.inf
-    T_overflowed = False
-    log10_limit = math.log10(LOG_DOMAIN_LIMIT)
+    log10_T = None
     ln10 = math.log(10.0)
     log10, isfinite = math.log10, math.isfinite
-    a, r = pseudo.a, pseudo.r
-    steps = len(r)  # the pseudo-orbit's last step index
+    a = pseudo.a
+    steps = len(pseudo.r)  # the pseudo-orbit's last step index
     resonant = p_idx % m
-    for n, (p_n, log_p) in enumerate(zip(rates, sys.log_rates(horizon)), 1):
+    table = coeffs if coeffs is not None else repeat(None)
+    for n, c, p_n, log_p in zip(range(1, horizon + 1), table, rates, sys.log_rates(horizon)):
         lp10 = log_p / ln10
-        if not T_overflowed and T > 0.0 and (
-            not isfinite(p_n) or log10(T) + lp10 > log10_limit
+        if log10_T is None and T > 0.0 and (
+            not isfinite(p_n) or log10(T) + lp10 > LOG10_LIMIT
         ):
-            T_overflowed = True
             log10_T = log10(T)
-        if T_overflowed:
+        if log10_T is not None:
             log10_T = _log10_add(log10_T + lp10, 0.0)
         else:
             T = T * p_n + 1.0
         ad = abs(d)
-        if not d_overflowed and ad > 0.0 and (
-            not isfinite(p_n) or n > steps or log10(ad) + lp10 > log10_limit
+        if log10_d is None and ad > 0.0 and (
+            not isfinite(p_n) or n > steps or log10(ad) + lp10 > LOG10_LIMIT
         ):
-            d_overflowed = True
             log10_d = log10(ad)
-        if d_overflowed:
+        if log10_d is not None:
             log10_d = _log10_add(log10_d + lp10, log10_eps)
         elif n <= steps:
             # c_n is finite here: the pseudo-orbit stops at the first that is not
-            if coeffs is None:
-                q = sys.eval_q(n, a[n - 1] + d, a[n - 1])
-            else:
-                q = coeffs[n - 1]
-            d = q * d - r[n - 1]
+            q = c if c is not None else sys.eval_q(n, a[n - 1] + d, a[n - 1])
+            d = q * d - r_n
         if n % m == resonant and n > fit.prefix:
             k = (n - p_idx) // m
             if k < 1:
                 continue
             lb_log10 = divergence_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k)
             ad = abs(d)
-            obs_log10 = log10_d if d_overflowed else (log10(ad) if ad > 0 else -math.inf)
+            obs_log10 = log10_d if log10_d is not None else (log10(ad) if ad > 0 else -math.inf)
             samples.append(
                 WitnessSample(
                     k=k,
                     n=n,
-                    lower_bound=10.0**lb_log10 if lb_log10 < 300 else math.inf,
-                    S_n=T if not T_overflowed else math.inf,
-                    observed_error=ad if not d_overflowed else math.inf,
+                    lower_bound=10.0**lb_log10 if lb_log10 < LOG10_LIMIT else math.inf,
+                    S_n=T if log10_T is None else math.inf,
+                    observed_error=ad if log10_d is None else math.inf,
                     log10_lower_bound=lb_log10,
-                    log10_S_n=log10(T) if not T_overflowed else log10_T,
+                    log10_S_n=log10(T) if log10_T is None else log10_T,
                     log10_observed_error=obs_log10,
-                    log_domain=d_overflowed,
+                    log_domain=log10_d is not None,
                 )
             )
     return DivergenceWitness(

@@ -15,16 +15,19 @@ Two constructions are provided:
   The pseudo-orbit is used as it is handed in, as in ``shadow_contracting``,
   and stepped on from its last value for the residuals past its horizon.
 
-Both constructions also evaluate the always-sound finite-horizon bound
-``accumulated_rate_bound`` built from the measured rates; the asymptotic
-bounds can be exceeded by finite data whenever the partial sums
-oscillate above their limiting value.  They report its maximum over
-n = 1..horizon, taken in one sweep: ``_accumulated_rate_bounds`` runs
-the recurrence of ``accumulated_rate_bound`` once, in one loop over the
-rates, and returns the list of its values at every n.  Each value is
-produced by the same floating-point operations, in the same order, as a
-fresh per-index evaluation, so the maximum is bit-identical to the
-per-index one at O(horizon) instead of O(horizon^2) cost.
+Both constructions also evaluate the finite-horizon bound
+``accumulated_rate_bound`` built from the measured rates, sound where
+p_n bounds |F(n,u) - F(n,v)|/|u - v| from above (every linear family;
+not the affine sinusoid, whose p_n bounds its expansion from below);
+the asymptotic bounds can be exceeded by finite data whenever the
+partial sums oscillate above their limiting value.  They report its
+maximum over n = 1..horizon, taken in one sweep:
+``_accumulated_rate_bounds`` runs the recurrence of
+``accumulated_rate_bound`` once, in one loop over the rates, and returns
+the list of its values at every n.  Each value is produced by the same
+floating-point operations, in the same order, as a fresh per-index
+evaluation, so the maximum is bit-identical to the per-index one at
+O(horizon) instead of O(horizon^2) cost.
 
 The per-step loops of a linear family read the coefficient table of
 ``MapSystem.tables`` and make no call: every step is a table multiply.
@@ -70,7 +73,7 @@ class ShadowMeta:
     truncation: int
     iterations: int
     residual_sup: float
-    #: Finite-horizon bound from the measured rates (always sound).
+    #: Finite-horizon bound from the measured rates (sound for every linear family).
     sound_bound: float
     #: True when the tail-series truncation hit its hard cap.
     truncation_capped: bool = False
@@ -116,9 +119,12 @@ def accumulated_rate_bound(
     The sum is evaluated by the stable recurrence S <- S*p + 1 and the
     product in the log domain, saturating to ``inf`` past exp(700).  This
     bound holds for every true orbit whose start is within ``gap`` of
-    the pseudo-orbit's start, with no assumption on the rates beyond
-    positivity.  The value is the n-th one of :func:`_accumulated_rate_bounds`,
-    so it is bit-identical to what the constructions maximise.
+    the pseudo-orbit's start where each p_j bounds
+    |F(j,u) - F(j,v)|/|u - v| from above: for every linear family, where
+    p_j = |c_j|.  The affine sinusoid's rates bound its expansion from
+    below, so there it is no bound: F'(1, 0) = 4 > p_1 = 2.  The value
+    is the n-th one of :func:`_accumulated_rate_bounds`, so it is
+    bit-identical to what the constructions maximise.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -214,7 +220,8 @@ def telescope_difference(
     with q_j = q_j(b_j, a_j), the true orbit b propagated alongside the
     pseudo-orbit.  The result is an identity: it must agree with direct
     propagation of b_n - a_n.  A linear family reads q_j = c_j from its
-    coefficient table and steps b_{j+1} = c_j b_j, as the constructions do.
+    coefficient table and steps b_{j+1} = c_j b_j, as the constructions do;
+    like them, it first refuses a c_j (j < n) past the float range.
     """
     if not 1 <= n <= pseudo.horizon:
         raise ValueError(f"n must be in 1..{pseudo.horizon}, got {n}")
@@ -222,8 +229,9 @@ def telescope_difference(
     a1 = pseudo.value(1)
     prod_q = 1.0 + 0j
     acc = 0j  # sum_{k<=j} r_k prod_{k<i<=j} q_i
-    coeffs = sys.coefficients(n - 1) if sys.is_linear else [None] * (n - 1)
-    for j, c in enumerate(coeffs, 1):
+    coeffs, rates = sys.tables(n - 1)
+    _check_finite_steps(coeffs, rates, n - 1)
+    for j, c in enumerate(coeffs if coeffs is not None else [None] * (n - 1), 1):
         q = c if c is not None else sys.eval_q(j, b, pseudo.value(j))
         prod_q *= q
         acc = acc * q + pseudo.residual(j)
@@ -244,10 +252,11 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
 
     ``K`` > 1 is the reciprocal of the limiting averaged rate.  The
     reported bound K*eps/(K-1) is asymptotic; the measured differences
-    are additionally checked against the always-sound finite-horizon
-    ``accumulated_rate_bound``, and exceeding *that* by more than 5%
-    signals a misclassified system.  A c_n past the float range at a
-    step n < horizon raises :class:`RateRangeError` before any step.
+    are additionally checked against the finite-horizon
+    ``accumulated_rate_bound``, sound for every linear family, and
+    exceeding *that* by more than 5% signals a misclassified system.
+    A c_n past the float range at a step n < horizon raises
+    :class:`RateRangeError` before any step.
     """
     if K <= 1.0:
         raise HypothesisViolation(f"K must exceed 1, got {K}")

@@ -17,6 +17,7 @@ from hu_shadow import (
     PolicyKind,
     ResidualPolicy,
     WitnessSample,
+    affine_sinusoid,
     classify,
     default_witness_horizon,
     divergence_lower_bound,
@@ -28,7 +29,8 @@ from hu_shadow import (
     profile_of,
     witness_divergence,
 )
-from hu_shadow.instability import LOG_DOMAIN_LIMIT, _log10_add
+from hu_shadow.instability import _log10_add
+from hu_shadow.systems import OVERFLOW_LIMIT
 from test_systems import reference_log_growth_rate  # the per-index rule, verbatim
 
 
@@ -164,7 +166,7 @@ def _per_call_witness_divergence(sys, eps, horizon, cls):
     T = 0.0
     log10_T = -math.inf
     T_overflowed = False
-    log10_limit = math.log10(LOG_DOMAIN_LIMIT)
+    log10_limit = math.log10(OVERFLOW_LIMIT)
     for n in range(1, horizon + 1):
         p_n = rates[n - 1]
         lp10 = reference_log_growth_rate(sys, n) / math.log(10.0)
@@ -305,6 +307,25 @@ class TestLeanWitnessLoop:
         outcome = _witness_outcome(witness_divergence, power_two_parity(), eps, horizon, cls)
         assert outcome == _witness_outcome(_per_call_witness_divergence, power_two_parity(), eps, horizon, cls)
         assert outcome[0] is ValueError
+
+    @pytest.mark.parametrize("horizon", [2, 40, 628, 629, 700, None])
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-3])
+    def test_nonlinear_family_bit_identical_to_per_call_loop(self, eps, horizon):
+        # the quotient comes from eval_q; the orbit from 1.0 truncates at n = 629,
+        # past which a nonzero distance is carried as its log10
+        fit = PeriodicFit(m=2, prefix=0, rate_factors=(2.0, 4.0), constants=(4.0, 1.0), max_residual=0.0)
+        cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
+        sys = affine_sinusoid()
+        outcome = _witness_outcome(witness_divergence, sys, eps, horizon, cls)
+        assert outcome == _witness_outcome(_per_call_witness_divergence, sys, eps, horizon, cls)
+        assert outcome[2].truncated == (horizon is None or horizon >= 629)
+
+    @pytest.mark.parametrize("sys", [affine_sinusoid(), power_two_parity()], ids=["sinusoid", "parity"])
+    @pytest.mark.parametrize("eps", [-1e-3, -math.inf])
+    def test_negative_epsilon_is_refused(self, sys, eps):
+        # the orbit layer's check refuses it, with that layer's message
+        with pytest.raises(ValueError):
+            witness_divergence(sys, eps, 40, parity_classification())
 
     def test_one_coefficient_table_per_witness(self, monkeypatch):
         cls = parity_classification()

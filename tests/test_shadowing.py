@@ -359,6 +359,21 @@ class TestOverflowDiscipline:
         with pytest.raises(OverflowError):
             telescope_difference(sys, pseudo, 1.0, 5)
 
+    @pytest.mark.parametrize("n", [4, 5, 10])
+    def test_telescope_refuses_a_coefficient_past_the_float_range(self, n):
+        # c_3 = 3e308 reads inf; the telescope names that step, as the constructions do
+        sys = index_scaled_linear(1e308, 2)
+        pseudo = PseudoOrbit(
+            a=(1 + 0j,) * 10,
+            r=(0j,) * 9,
+            epsilon=0.0,
+            horizon=10,
+            policy=ResidualPolicy(kind=PolicyKind.ZERO),
+        )
+        assert telescope_difference(sys, pseudo, 1.0, 3) == 0j
+        with pytest.raises(RateRangeError, match=r"c_n = \(inf\+0j\) at n = 3$"):
+            telescope_difference(sys, pseudo, 1.0, n)
+
     def test_overflowing_coefficient_is_refused_before_any_step(self):
         # c_1025 = 2^1025 reads inf from the table and from every scalar; a
         # pseudo-orbit the system did not generate steps through it, and the

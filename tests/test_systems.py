@@ -541,6 +541,34 @@ class TestOneEntryReads:
         assert sys.growth_rate(n) == math.inf
         assert sys.log_growth_rate(n) == reference_log_growth_rate(sys, n)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            MapSystem.coefficient,
+            MapSystem.rational_coefficient,
+            lambda sys, n: sys.eval_map(n, 1.0),
+            lambda sys, n: sys.eval_q(n, 2.0, 1.0),
+            MapSystem.growth_rate,
+            MapSystem.log_growth_rate,
+        ],
+        ids=["coefficient", "rational_coefficient", "eval_map", "eval_q", "growth_rate", "log_growth_rate"],
+    )
+    @pytest.mark.parametrize(
+        "sys",
+        [periodic_linear(), index_scaled_linear(), power_two_parity(), affine_sinusoid()],
+        ids=["periodic", "index_scaled", "parity", "sinusoid"],
+    )
+    def test_a_step_index_below_one_is_refused(self, sys, read, n):
+        with pytest.raises(ValueError, match=rf"^step index must be >= 1, got {n}$"):
+            read(sys, n)
+
+    def test_a_modulus_past_the_float_range_reads_inf(self):
+        # both parts are finite, |c_1| is not: abs raises, the rate is the table's inf
+        sys = periodic_linear((complex(1.5e308, 1.5e308),))
+        assert sys.growth_rate(1) == math.inf
+        assert sys.growth_rate(1) == sys.rates(1)[0]
+
 
 class TestOneFloatValue:
     """Every float read of c_n is the table's entry: the infinity of its
