@@ -19,6 +19,7 @@ atomically and are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -88,16 +89,8 @@ def _write_csv(path: Path, header: list, row, rows: list) -> None:
 
 def _classification_payload(cls: Classification) -> dict:
     payload = {"kind": cls.kind.value, "K": cls.K}
-    if cls.periodic is not None:
-        fit = cls.periodic
-        payload["periodic"] = {
-            "m": fit.m,
-            "prefix": fit.prefix,
-            "rate_factors": list(fit.rate_factors),
-            "values": list(fit.values),
-            "constants": list(fit.constants),
-            "max_residual": fit.max_residual,
-        }
+    if (fit := cls.periodic) is not None:
+        payload["periodic"] = {**dataclasses.asdict(fit), "values": list(fit.values)}
     return payload
 
 

@@ -239,8 +239,6 @@ def _fit_period(
         while start <= prefix:
             start += m
         ns = np.arange(start, horizon + 1, m, dtype=float)
-        if ns.size < 2:
-            return None
         ys = L[ns.astype(int) - 1]
         slope, intercept = np.polyfit(ns, ys, 1)
         resid = float(np.max(np.abs(ys - (slope * ns + intercept))))

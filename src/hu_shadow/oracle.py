@@ -206,22 +206,25 @@ def sup_error_for_start(
 def _sup_errors(
     sys: MapSystem, pseudo: PseudoOrbit, starts: np.ndarray, horizon: int
 ) -> np.ndarray:
-    """:func:`sup_error_for_start` for every start point of ``starts`` at once.
+    """:func:`sup_error_for_start` for every start point of ``starts``.
 
-    Bit-identical to the scalar function elementwise: each step repeats
-    its float operations in the same order.  The product c_n * b is
-    written out as Python's complex product (numpy's may fuse the
-    multiply-add), the modulus is C ``hypot`` as in ``modulus``, and
-    the running maximum keeps the first argument unless the second is
-    greater, as ``max`` does.  A linear family reads its coefficient table
-    once: its entries are the values ``eval_map`` multiplies by.
+    A nonlinear family loops over the scalar function itself.  A linear
+    family steps every start point at once through its coefficient table,
+    whose entries are the values ``eval_map`` multiplies by, bit-identical
+    to the scalar function elementwise: each step repeats its float
+    operations in the same order.  The product c_n * b is written out as
+    Python's complex product (numpy's may fuse the multiply-add), the
+    modulus is C ``hypot`` as in ``modulus``, and the running maximum
+    keeps the first argument unless the second is greater, as ``max`` does.
 
-    A start point fails where the scalar function would raise: a modulus
-    that overflows from finite parts (``modulus`` raises
-    :class:`OverflowError`) or a failing map evaluation.  If any fails,
-    the exception of the first failing one in ``starts`` is raised, as a
-    loop over the scalar function would.
+    A start point fails where the scalar function would raise; if any
+    fails, the first exception of the first failing one in ``starts`` is
+    raised, as a loop over the scalar function would.  On the linear path
+    that is a modulus that overflows from finite parts (``modulus``
+    raises :class:`OverflowError`).
     """
+    if not sys.is_linear:
+        return np.array([sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts])
     failures: dict[int, Exception] = {}  # start index -> its first exception
 
     def moduli(d: np.ndarray) -> np.ndarray:
@@ -230,27 +233,15 @@ def _sup_errors(
             failures.setdefault(int(i), OverflowError("absolute value too large"))
         return x
 
-    def mapped(n: int, i: int, z: complex) -> complex:
-        try:
-            return sys.eval_map(n, z)
-        except (ArithmeticError, ValueError) as exc:
-            failures.setdefault(i, exc)
-            return complex(math.nan, math.nan)
-
     b = np.asarray(starts, dtype=complex)
     steps = range(1, min(horizon, pseudo.horizon))
-    coeffs = sys.coefficients(len(steps)) if sys.is_linear else None
     with np.errstate(over="ignore", invalid="ignore"):
         worst = moduli(b - pseudo.value(1))
-        for n in steps:
-            if coeffs is not None:
-                c = coeffs[n - 1]
-                step = np.empty_like(b)
-                step.real = c.real * b.real - c.imag * b.imag
-                step.imag = c.real * b.imag + c.imag * b.real
-                b = step
-            else:
-                b = np.array([mapped(n, i, z) for i, z in enumerate(b)], dtype=complex)
+        for n, c in zip(steps, sys.coefficients(len(steps))):
+            step = np.empty_like(b)
+            step.real = c.real * b.real - c.imag * b.imag
+            step.imag = c.real * b.imag + c.imag * b.real
+            b = step
             x = moduli(b - pseudo.value(n + 1))
             worst = np.where(x > worst, x, worst)
     if failures:
@@ -273,10 +264,11 @@ def best_b1_search(
     The incumbent is carried between rounds, so the reported sup error
     never increases; the result is an upper bound on the true optimum.
 
-    Each round evaluates its whole grid as one array and returns exactly
-    what a loop over :func:`sup_error_for_start` in row-major order (real
-    part outer) with a strict ``<`` update would return.  A region whose
-    grid span is not finite raises ValueError: its grid would hold NaN.
+    Each round returns exactly what a loop over :func:`sup_error_for_start`
+    in row-major order (real part outer) with a strict ``<`` update would
+    return: a nonlinear family's grid is that loop, a linear family's is
+    evaluated as one array.  A region whose grid span is not finite
+    raises ValueError: its grid would hold NaN.
     """
     if grid < 2 or refinements < 0:
         raise ValueError("need grid >= 2 and refinements >= 0")

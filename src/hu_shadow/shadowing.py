@@ -136,7 +136,7 @@ def accumulated_rate_bound(
 def _accumulated_rate_bounds(
     rates: Sequence[float], horizon: int, eps: float, gap: float
 ) -> list[float]:
-    """accumulated_rate_bound(rates, n, eps, gap) for n = 1..horizon.
+    """accumulated_rate_bound(rates, n, eps, gap) for n = 1..horizon, horizon >= 1.
 
     One running recurrence: the n-th value extends the (n-1)-th by the
     single rate p_{n-1}, with exactly the arithmetic of a fresh
@@ -147,8 +147,6 @@ def _accumulated_rate_bounds(
     A rate that is not positive (NaN included) raises
     :class:`RateRangeError`; ``inf`` is allowed.
     """
-    if horizon < 1:
-        return []
     log, exp, inf = math.log, math.exp, math.inf
     log_prod = 0.0
     S = 0.0

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
+from sys import float_info
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -480,9 +481,15 @@ class ResidualPolicy:
         if self.kind is PolicyKind.CONSTANT_REAL:
             return complex(epsilon, 0.0)
         if self.kind is PolicyKind.CONSTANT_PHASE:
-            return epsilon * cmath.exp(1j * self.theta)
-        frac = math.fmod(n * GOLDEN_CONJUGATE, 1.0)
-        return epsilon * cmath.exp(2j * math.pi * frac)
+            r = epsilon * cmath.exp(1j * self.theta)
+        else:
+            r = epsilon * cmath.exp(2j * math.pi * math.fmod(n * GOLDEN_CONJUGATE, 1.0))
+        if 0.0 < epsilon < float_info.min:
+            # a subnormal product rounds each part to a coarse grid, and |r|
+            # can land above epsilon: step both parts toward zero
+            while abs(r) > epsilon:
+                r = complex(math.nextafter(r.real, 0.0), math.nextafter(r.imag, 0.0))
+        return r
 
     def rational_residual(self, n: int, epsilon: Fraction) -> Fraction:
         if self.kind is PolicyKind.ZERO:
@@ -568,7 +575,10 @@ def _pseudo_orbit(
     """:func:`generate_pseudo_orbit`, stepping a linear family through
     ``coeffs`` when given: a table the caller already holds, c_1 .. c_M
     with M >= horizon - 1.  ``head``, an orbit up to a shorter horizon, is
-    kept as given and stepped on from its last value; ``a1`` is then unused."""
+    kept as given and stepped on from its last value; ``a1`` is then unused.
+
+    One loop steps both kinds of family: a linear step multiplies by its
+    table entry, a nonlinear one calls ``eval_map``."""
     _check_orbit_request(epsilon, horizon)
     start = 1 if head is None else head.horizon
     steps = range(start, horizon)
@@ -581,32 +591,27 @@ def _pseudo_orbit(
         a, r = [z], []
     else:
         a, r, z = list(head.a), list(head.r), head.a[-1]
+    linear = sys.is_linear
+    if coeffs is None and linear:
+        coeffs = sys.coefficients(horizon - 1)
+    # x is c_n for a linear family and n for the nonlinear one: a step index
+    # beside c_n would cost a linear orbit about a tenth more.  An overflowing
+    # c_n is inf in the table, and cmath.sin past the float range raises:
+    # either way the step is not finite and truncates.  Complex * and + give
+    # inf or NaN, they do not raise.  zip stops at the residuals.
+    operands = islice(coeffs, start - 1, None) if linear else steps
+    eval_map = sys.eval_map
     truncated = False
-    if sys.is_linear:
-        # an overflowing c_n is inf in the table: the step is not finite and
-        # truncates.  Complex * and + give inf or NaN, they do not raise.
-        # zip stops at the residuals.
-        table = sys.coefficients(horizon - 1) if coeffs is None else coeffs
-        for c, r_n in zip(islice(table, start - 1, None), residuals):
-            z = c * z + r_n
-            if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):
-                truncated = True
-                break
-            a.append(z)
-            r.append(r_n)
-    else:
-        eval_map = sys.eval_map
-        for n, r_n in zip(steps, residuals):
-            try:
-                z = eval_map(n, z) + r_n
-            except OverflowError:  # cmath.sin past the float range
-                truncated = True
-                break
-            if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):
-                truncated = True
-                break
-            a.append(z)
-            r.append(r_n)
+    for x, r_n in zip(operands, residuals):
+        try:
+            z = (x * z if linear else eval_map(x, z)) + r_n
+        except OverflowError:
+            z = complex(math.nan, math.nan)
+        if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):
+            truncated = True
+            break
+        a.append(z)
+        r.append(r_n)
     return PseudoOrbit(
         a=tuple(a),
         r=tuple(r),

@@ -306,6 +306,15 @@ class TestUsageAndConfig:
             ("nonlinear_sinusoid", "analysis.tol", "NaN"),
             ("nonlinear_sinusoid", "horizon", "true"),
             ("nonlinear_sinusoid", "output.directory", "null"),
+            ("nonlinear_sinusoid", "epsilon", '"1/x"'),
+            ("nonlinear_sinusoid", "epsilon", "true"),
+            ("nonlinear_sinusoid", "a1", "[1, 2, 3]"),
+            ("nonlinear_sinusoid", "analysis", "[]"),
+            ("contracting_periodic", "system.coeffs", "[]"),
+            ("nonlinear_sinusoid", "residual.kind", '"spiral"'),
+            ("nonlinear_sinusoid", "system", "[]"),
+            ("nonlinear_sinusoid", "analysis", '{"window": 0}'),
+            ("nonlinear_sinusoid", "shadow", '{"tail_fraction": 1.0}'),
         ],
     )
     def test_bad_scenario_value_is_a_config_error(self, tmp_path, capsys, fixture, key, value):
@@ -324,6 +333,28 @@ class TestUsageAndConfig:
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_scenario_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text("[]")
+        rc = main(["shadow", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "hu-shadow: config error: scenario: expected a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_default_output_directories(self, tmp_path, monkeypatch):
+        # no HU_SHADOW_OUT and no --out: the scenario's directory, else "out",
+        # both relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        raw = json.loads(fixture_path("contracting_periodic").read_text())
+        raw.setdefault("output", {})["directory"] = "results"
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(raw))
+        assert main(["analyze", "--config", str(config)]) == 0
+        assert (tmp_path / "results" / "classification.json").exists()
+        main(["reproduce"])  # its exit status is TestReproduce's
+        assert (tmp_path / "out" / "reproduce.json").exists()
 
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"

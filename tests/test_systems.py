@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
+from sys import float_info
 
 import pytest
 from hypothesis import example, given, settings
@@ -91,9 +92,18 @@ class TestCoefficients:
 
 
 class TestFactories:
-    def test_zero_coefficient_rejected(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: periodic_linear((2, 0)),
+            lambda: index_scaled_linear(0, 2),
+            lambda: power_two_parity(-2),
+        ],
+        ids=["periodic_zero", "index_scaled_zero_odd_scale", "parity_negative_base"],
+    )
+    def test_zero_coefficient_rejected(self, build):
         with pytest.raises(ValueError, match="growth rate must be positive"):
-            periodic_linear((2, 0))
+            build()
 
     def test_empty_coefficients_rejected(self):
         with pytest.raises(ValueError):
@@ -173,8 +183,10 @@ class TestResidualPolicies:
         kind=st.sampled_from(list(PolicyKind)),
         theta=st.floats(0, 2 * math.pi),
         n=st.integers(1, 10**6),
-        eps=st.floats(0, 10),
+        eps=st.one_of(st.floats(0, 10), st.floats(0, float_info.min)),
     )
+    # a subnormal epsilon: the phase product's parts once rounded past it
+    @example(kind=PolicyKind.LOW_DISCREPANCY_PHASE, theta=0.0, n=46159, eps=2.2250738585e-313)
     def test_magnitude_within_epsilon(self, kind, theta, n, eps):
         policy = ResidualPolicy(kind=kind, theta=theta)
         assert abs(policy.residual(n, eps)) <= eps * (1 + 1e-12)
