@@ -23,6 +23,12 @@ rely on.
 Each linear family states its multiplier c_n twice, over a range of steps:
 as floats and as exact reduced pairs.  The rates, the log rates and the
 scalars (``coefficient(n)``, ``growth_rate(n)`` ...) all read these two.
+A float table is built over its whole range at once: the periodic cycle
+and its moduli are tiled; the index-scaled and parity families fill one
+complex array a parity class at a time, by float64 division where the
+integers convert exactly, by ``ldexp`` for a parity base 2**s, and by a
+running bigint product for any other rational base.  The sinusoid's rates
+are one array expression.
 """
 
 from __future__ import annotations
@@ -94,12 +100,20 @@ class MapSystem:
 
     def _floats(self, ns: range) -> list[complex]:
         """c_n for the consecutive steps ns, correctly rounded to complex, and
-        the infinity of its sign past the float range.  Rational parameters
-        are carried as integer pairs."""
+        the infinity of its sign past the float range."""
         if self.family is Family.PERIODIC_LINEAR:
-            cycle = [_quotient(*x) if (x := _exact(c)) else complex(c) for c in self.params]
-            return _cycle(cycle, ns)
-        table = [0j] * len(ns)
+            return _cycle(self._cycle_floats(), ns)
+        return self._float_table(ns).tolist()
+
+    def _cycle_floats(self) -> list[complex]:
+        """The cycle of ``periodic_linear``; rational entries are carried as
+        integer pairs."""
+        return [_quotient(*x) if (x := _exact(c)) else complex(c) for c in self.params]
+
+    def _float_table(self, ns: range) -> np.ndarray:
+        """:meth:`_floats` of an index-scaled or parity family as one complex
+        array, filled a parity class at a time over the whole range."""
+        table = np.empty(len(ns), dtype=complex)
         if self.family is Family.INDEX_SCALED_LINEAR:
             # scale*n at odd steps, 1/(scale*n) at even ones; see _rational_table
             for steps, scale, invert in zip(_parity_classes(ns), self.params, (False, True)):
@@ -110,8 +124,11 @@ class MapSystem:
             return table
         if self.family is Family.POWER_TWO_PARITY:
             base, even_shift = self.params
+            power = _power_of_two(base)
             for steps, exponents in _parity_exponents(ns, even_shift):
-                if not _rational(base):  # float powers round per index
+                if power is not None:  # base = 2**power: c_n = 2**(power*e)
+                    table[steps.start - ns.start::2] = _ldexp_table(power, exponents)
+                elif not _rational(base):  # float powers round per index
                     table[steps.start - ns.start::2] = [_float_power(base, e) for e in exponents]
                 else:  # c_{n+2} = c_n * base**(e_{n+2} - e_n)
                     first, ratio = Fraction(base) ** exponents[0], Fraction(base) ** exponents.step
@@ -166,7 +183,8 @@ class MapSystem:
         whose power base**e is past the float range."""
         log = math.log
         if not self.is_linear:
-            return [log(_expanding_rate(self.params[0], n)) for n in ns]
+            steps = np.arange(ns.start, ns.stop, dtype=float)
+            return list(map(log, _expanding_rate(self.params[0], steps).tolist()))
         pairs = self._pairs(ns)
         if None not in pairs:
             return [log(abs(num)) - log(den) for num, den in pairs]
@@ -273,12 +291,20 @@ class MapSystem:
         ``abs(complex)`` computes it, and ``inf`` past the float range.
         """
         if not self.is_linear:
-            ns = range(1, horizon + 1)
-            return None, [_expanding_rate(self.params[0], n) for n in ns]
-        coeffs = self.coefficients(horizon)
-        table = np.array(coeffs, dtype=complex)
-        with np.errstate(over="ignore"):
-            return coeffs, np.hypot(table.real, table.imag).tolist()
+            return None, _expanding_rate(self.params[0], np.arange(1.0, horizon + 1)).tolist()
+        ns = range(1, horizon + 1)
+        if self.family is Family.PERIODIC_LINEAR:
+            cycle = self._cycle_floats()
+            return _cycle(cycle, ns), _cycle(_moduli(np.array(cycle, dtype=complex)), ns)
+        table = self._float_table(ns)
+        return table.tolist(), _moduli(table)
+
+
+def _moduli(table: np.ndarray) -> list[float]:
+    """|c| of each entry of a complex array by C ``hypot``, as
+    ``abs(complex)`` computes it, and ``inf`` where that overflows."""
+    with np.errstate(over="ignore"):
+        return np.hypot(table.real, table.imag).tolist()
 
 
 def modulus(z: complex) -> float:
@@ -294,8 +320,10 @@ def modulus(z: complex) -> float:
     return abs(z)
 
 
-def _expanding_rate(slope: float, n: int) -> float:
-    """slope - 1/n^2, the affine sinusoid's expanding rate."""
+def _expanding_rate(slope: float, n: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
+    """slope - 1/n^2, the affine sinusoid's expanding rate, at one step index
+    or at a float array of them: below 2**53, ``n**2`` of the float is the
+    int's square correctly rounded, so both give the same bits."""
     return float(slope) - 1.0 / n**2
 
 
@@ -335,7 +363,7 @@ def _quotient(num: int, den: int) -> complex:
 EXACT_INT_LIMIT = 2**53
 
 
-def _rational_table(p: int, q: int, ns: range, invert: bool) -> list[complex]:
+def _rational_table(p: int, q: int, ns: range, invert: bool) -> np.ndarray:
     """complex((p*n)/q) for n in ns, or complex(q/(p*n)) if ``invert``.
 
     Where q and |p*n| are below 2**53 the quotients are taken in float64
@@ -347,14 +375,32 @@ def _rational_table(p: int, q: int, ns: range, invert: bool) -> list[complex]:
         head = ns[:0]
     else:
         head = range(ns.start, min(ns.stop, (EXACT_INT_LIMIT - 1) // abs(p) + 1), ns.step)
-    tail = ns[len(head):]
-    exact = []
+    table = np.empty(len(ns), dtype=complex)
     if head:
         scaled = np.arange(head.start, head.stop, head.step, dtype=float) * p
-        exact = (q / scaled if invert else scaled / q).astype(complex).tolist()
-    if invert:
-        return exact + [_quotient(q, p * n) for n in tail]
-    return exact + [_quotient(p * n, q) for n in tail]
+        table[:len(head)] = q / scaled if invert else scaled / q
+    table[len(head):] = [
+        _quotient(q, p * n) if invert else _quotient(p * n, q) for n in ns[len(head):]
+    ]
+    return table
+
+
+def _power_of_two(base: Number) -> Optional[int]:
+    """s with base = 2**s, for a positive rational base whose reduced
+    numerator and denominator are powers of two; else None."""
+    pair = _exact(base)
+    if pair is None or pair[0] <= 0 or pair[0] & (pair[0] - 1) or pair[1] & (pair[1] - 1):
+        return None
+    return pair[0].bit_length() - pair[1].bit_length()
+
+
+def _ldexp_table(power: int, exponents: range) -> np.ndarray:
+    """2**(power*e) for e in exponents, rounded to float from the exponent
+    alone.  ``ldexp`` rounds to nearest even, as ``_quotient``'s int true
+    division does: exact in the float range, a subnormal or 0.0 below it,
+    and ``inf`` above it, where the division overflows."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(1.0, power * np.arange(exponents.start, exponents.stop, exponents.step))
 
 
 def _float_power(base: float, e: int) -> complex:
@@ -365,8 +411,9 @@ def _float_power(base: float, e: int) -> complex:
         return complex(math.inf, 0.0)
 
 
-def _geometric(value: Fraction, ratio: Fraction, count: int) -> list[complex]:
-    """complex(value * ratio**k) for k < count, for positive value and ratio.
+def _geometric(value: Fraction, ratio: Fraction, count: int) -> np.ndarray:
+    """complex(value * ratio**k) for 0 <= k < count, count >= 1, for
+    positive value and ratio.
 
     A running integer product, not reduced: the correctly rounded
     quotient depends only on its exact value.  Once a value leaves the
@@ -375,16 +422,16 @@ def _geometric(value: Fraction, ratio: Fraction, count: int) -> list[complex]:
     """
     num, den = value.numerator, value.denominator
     rnum, rden = ratio.numerator, ratio.denominator
-    out = []
-    for k in range(count):
-        c = _quotient(num, den)
-        out.append(c)
+    values = []
+    for _ in range(count):
+        values.append(c := _quotient(num, den))
         if (c.real == math.inf and rnum >= rden) or (c.real == 0.0 and rnum <= rden):
-            out.extend([c] * (count - k - 1))
             break
         num *= rnum
         den *= rden
-    return out
+    table = np.full(count, values[-1], dtype=complex)
+    table[:len(values)] = values
+    return table
 
 
 def _rational(x: Number) -> bool:

@@ -330,7 +330,9 @@ class TestLeanWitnessLoop:
     def test_one_coefficient_table_per_witness(self, monkeypatch):
         cls = parity_classification()
         calls = []
-        original = MapSystem._floats
-        monkeypatch.setattr(MapSystem, "_floats", lambda self, ns: calls.append(ns) or original(self, ns))
+        original = MapSystem._float_table
+        monkeypatch.setattr(
+            MapSystem, "_float_table", lambda self, ns: calls.append(ns) or original(self, ns)
+        )
         witness_divergence(power_two_parity(), 1e-3, 1000, cls)
         assert calls == [range(1, 1001)]

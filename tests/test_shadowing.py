@@ -895,9 +895,9 @@ class TestContinuedExtension:
             "generate_pseudo_orbit",
             lambda *args: generated.append(args) or generate_pseudo_orbit(*args),
         )
-        original = MapSystem._floats
+        original = MapSystem._float_table
         monkeypatch.setattr(
-            MapSystem, "_floats", lambda self, ns: tables.append(ns) or original(self, ns)
+            MapSystem, "_float_table", lambda self, ns: tables.append(ns) or original(self, ns)
         )
         for sys, K in ((index_scaled_linear(), SQRT_3_2), (affine_sinusoid(), 3.0)):
             pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 1000)

@@ -424,6 +424,13 @@ TABLE_SYSTEMS = {
         for base in (2, 3)
         for shift in (-5, 0, 3)
     },
+    # bases 2**s read c_n from the exponent alone: 4 overflows from n = 513,
+    # 1/8 underflows from n = 359, 1/2 rounds the tie 2**-1075 to 0.0 at
+    # n = 1075; 2/3 stays on the running bigint product
+    "parity_4_3": power_two_parity(4, 3),
+    "parity_1/8_3": power_two_parity(Fraction(1, 8), 3),
+    "parity_1/2_3": power_two_parity(Fraction(1, 2), 3),
+    "parity_2/3_3": power_two_parity(Fraction(2, 3), 3),
 }
 
 rational = st.one_of(
@@ -619,6 +626,10 @@ class TestPrefixTables:
     @example(sys=power_two_parity(2.0, 3), H=1024, extra=50)
     @example(sys=index_scaled_linear(), H=3385, extra=200)  # the benchmark's reached horizon
     @example(sys=affine_sinusoid(), H=629, extra=200)
+    @example(sys=power_two_parity(4, 3), H=500, extra=50)  # odd steps overflow from 513
+    @example(sys=power_two_parity(Fraction(1, 8), 3), H=330, extra=40)
+    @example(sys=power_two_parity(Fraction(1, 2), 3), H=1070, extra=10)  # 0.0 from 1075
+    @example(sys=power_two_parity(Fraction(2, 3), 3), H=1740, extra=120)  # inf from 1748
     def test_shorter_table_is_a_prefix(self, sys, H, extra):
         N = H + extra
         (short_c, short_p), (long_c, long_p) = sys.tables(H), sys.tables(N)
@@ -627,6 +638,29 @@ class TestPrefixTables:
             assert [_bits(c) for c in short_c] == [_bits(c) for c in long_c[:H]]
         else:
             assert short_c is long_c is None
+
+
+class TestWholeRangeTables:
+    """Each table rule runs once over the whole range of steps, not once
+    per entry."""
+
+    def test_power_of_two_parity_makes_no_quotient_call(self, monkeypatch):
+        calls = []
+        quotient = hu_shadow.systems._quotient
+        monkeypatch.setattr(
+            hu_shadow.systems, "_quotient", lambda num, den: calls.append(num) or quotient(num, den)
+        )
+        power_two_parity().tables(10_000)
+        assert calls == []
+
+    def test_sinusoid_evaluates_its_rate_rule_once(self, monkeypatch):
+        calls = []
+        rate = hu_shadow.systems._expanding_rate
+        monkeypatch.setattr(
+            hu_shadow.systems, "_expanding_rate", lambda slope, n: calls.append(n) or rate(slope, n)
+        )
+        affine_sinusoid().tables(10_000)
+        assert len(calls) == 1
 
 
 def _float_power_log_rate(base: float, even_shift: int, n: int):
