@@ -6,7 +6,8 @@ round-trips losslessly through :func:`scenario_to_dict`.
 
 Integer fields take JSON integers.  Every other numeric field takes a
 finite JSON number or an exact rational string ("1/3"), which keeps the
-exact-arithmetic oracle applicable.  Anything else raises ConfigError.
+exact-arithmetic oracle applicable.  ``horizon`` and 4 * ``analysis.window``
+are at most :data:`MAX_HORIZON`.  Anything else raises ConfigError.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from .errors import ConfigError
 from .growth import AnalysisOptions
 from .shadowing import ShadowOptions
 from .systems import FACTORIES, Family, MapSystem, PolicyKind, ResidualPolicy
+
+
+#: Largest horizon a scenario may ask for, directly or as 4 * analysis.window:
+#: ten times the benchmark's largest.  Every step has its table entries, so a
+#: larger one is refused before any table is allocated.
+MAX_HORIZON = 10**5
 
 
 @dataclass(frozen=True)
@@ -192,10 +199,14 @@ def scenario_from_dict(raw: dict) -> Scenario:
     horizon = _integer(raw.get("horizon", 200), "horizon")
     if horizon < 1:
         raise ConfigError("horizon: must be a positive integer")
+    if horizon > MAX_HORIZON:
+        raise ConfigError(f"horizon: must be at most {MAX_HORIZON}, got {horizon}")
 
     analysis = _options(raw, "analysis", AnalysisOptions)
     if analysis.window < 1 or analysis.tol <= 0 or analysis.max_period < 2:
         raise ConfigError("analysis: window >= 1, tol > 0, max_period >= 2 required")
+    if analysis.window > MAX_HORIZON // 4:  # the CLI analyses at least 4 * window steps
+        raise ConfigError(f"analysis.window: must be at most {MAX_HORIZON // 4}")
 
     shadow = _options(raw, "shadow", ShadowOptions)
     if shadow.tol <= 0 or shadow.max_iter < 1 or not 0 < shadow.tail_fraction < 1:

@@ -140,10 +140,10 @@ def _accumulated_rate_bounds(
 
     One running recurrence: the n-th value extends the (n-1)-th by the
     single rate p_{n-1}, with exactly the arithmetic of a fresh
-    evaluation, so every value (and hence the built-in ``max`` over them,
-    NaN from 0*inf included) is bit-identical at O(horizon) total cost.
-    ``math.log`` and ``math.exp`` are kept: numpy's are not bit-equal.  A
-    zero gap skips the exp: below 700, exp(log_prod) * gap is 0.0 * gap.
+    evaluation, so every value (and hence the built-in ``max`` over them)
+    is bit-identical at O(horizon) total cost.  ``math.log`` and
+    ``math.exp`` are kept: numpy's are not bit-equal.  A zero gap takes
+    no product: 0.0 * gap, where inf * 0.0 past 700 would be NaN.
     A rate that is not positive (NaN included) raises
     :class:`RateRangeError`; ``inf`` is allowed.
     """
@@ -156,20 +156,19 @@ def _accumulated_rate_bounds(
             raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
         log_prod += log(p)
         S = S * p + 1.0
-        out.append(((exp(log_prod) if gap else 0.0) if log_prod < 700 else inf) * gap + S * eps)
+        out.append(((exp(log_prod) if log_prod < 700 else inf) if gap else 0.0) * gap + S * eps)
     return out
 
 
 def perturbation_partial_sum(rates: Sequence[float], n: int) -> float:
-    """S_n = sum_{j=1..n} prod_{i=j+1..n} p_i via S <- S*p + 1."""
+    """S_n = sum_{j=1..n} prod_{i=j+1..n} p_i via S <- S*p + 1: entry n + 1
+    of :func:`_accumulated_rate_bounds` with eps = 1 and a zero gap.  A
+    rate that is not positive (NaN included) raises :class:`RateRangeError`."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if len(rates) < n:
         raise ValueError(f"need rates p_1..p_{n}, got {len(rates)}")
-    S = 0.0
-    for i in range(1, n + 1):
-        S = S * rates[i - 1] + 1.0
-    return S
+    return _accumulated_rate_bounds(rates, n + 1, 1.0, 0.0)[-1]
 
 
 def bounded_factor_expanding_bound(

@@ -21,8 +21,9 @@ quotients can be evaluated exactly, which the shadowing constructions
 rely on.
 
 Each linear family states its multiplier c_n twice, over a range of steps:
-as floats and as exact reduced pairs.  The rates, the log rates and the
-scalars (``coefficient(n)``, ``growth_rate(n)`` ...) all read these two.
+as floats and as exact reduced pairs.  The rates and the log rates read
+these two, and the scalars ``coefficient(n)`` and ``growth_rate(n)`` are
+entry 0 of the float and rate tables of the one step n.
 A float table is built over its whole range at once: the periodic cycle
 and its moduli are tiled; the index-scaled and parity families fill one
 complex array a parity class at a time, by float64 division where the
@@ -87,15 +88,20 @@ class MapSystem:
         return self._floats(range(1, horizon + 1))
 
     def coefficient_pairs(self, horizon: int) -> list[tuple[int, int]]:
-        """c_1 .. c_horizon as exact reduced pairs, in one pass; raises where
-        ``rational_coefficient`` raises, at the first such step."""
+        """c_1 .. c_horizon as exact reduced pairs, in one pass;
+        :class:`UnsupportedFamily` where a c_n reads a float or complex
+        parameter."""
         pairs = self._pairs(range(1, horizon + 1))
         if None in pairs:
-            self.rational_coefficient(pairs.index(None) + 1)
+            raise UnsupportedFamily(
+                f"family {self.family.value} with non-rational parameters has "
+                "no exact coefficient"
+            )
         return pairs
 
     def log_rates(self, horizon: int) -> list[float]:
-        """ln p_1 .. ln p_horizon, finite where p_n itself overflows a float."""
+        """ln p_1 .. ln p_horizon; where p_n overflows a float, finite for
+        rational parameters and a float parity base, else ``inf``."""
         return self._log_rates(range(1, horizon + 1))
 
     def _floats(self, ns: range) -> list[complex]:
@@ -179,48 +185,26 @@ class MapSystem:
 
     def _log_rates(self, ns: range) -> list[float]:
         """ln p_n for n in ns: ln|num| - ln den from the exact pair, else
-        ln |c_n| of the float entry, and e*ln(base) for a float parity base
+        ln of the table's rate, and e*ln(base) for a float parity base
         whose power base**e is past the float range."""
         log = math.log
-        if not self.is_linear:
-            steps = np.arange(ns.start, ns.stop, dtype=float)
-            return list(map(log, _expanding_rate(self.params[0], steps).tolist()))
-        pairs = self._pairs(ns)
+        pairs = self._pairs(ns) if self.is_linear else [None] * len(ns)
         if None not in pairs:
             return [log(abs(num)) - log(den) for num, den in pairs]
         out = []
-        for n, pair, c in zip(ns, pairs, self._floats(ns)):
+        for n, pair, p in zip(ns, pairs, self._tables(ns)[1]):
             if pair is not None:
                 out.append(log(abs(pair[0])) - log(pair[1]))
-            elif 0.0 < (p := modulus(c)) < math.inf or self.family is not Family.POWER_TWO_PARITY:
-                out.append(log(p))  # inf, NaN or a math domain error at zero, as ln |c_n|
+            elif 0.0 < p < math.inf or self.family is not Family.POWER_TWO_PARITY:
+                out.append(log(p))  # inf, NaN or a math domain error at zero, as ln p_n
             else:
                 out.append(_parity_exponent(n, self.params[1]) * log(float(self.params[0])))
         return out
 
     def coefficient(self, n: int) -> complex:
         """c_n (F(n,z) = c_n z): entry n of :meth:`coefficients`, the infinity
-        of its sign past the float range.  Rational parameters read the
-        exact pair, which is integer work."""
-        if n < 1:
-            raise ValueError(f"step index must be >= 1, got {n}")
-        if all(map(_rational, self.params)):
-            ((num, den),) = self._pairs(range(n, n + 1))
-            return _quotient(num, den)
-        return self._floats(range(n, n + 1))[0]
-
-    def rational_coefficient(self, n: int) -> Fraction:
-        """c_n as a ``Fraction``; :class:`UnsupportedFamily` where it reads a
-        float or complex parameter."""
-        if n < 1:
-            raise ValueError(f"step index must be >= 1, got {n}")
-        (pair,) = self._pairs(range(n, n + 1))
-        if pair is None:
-            raise UnsupportedFamily(
-                f"family {self.family.value} with non-rational parameters has "
-                "no exact coefficient"
-            )
-        return Fraction(*pair)
+        of its sign past the float range."""
+        return self._floats(_step(n))[0]
 
     # -- evaluation ------------------------------------------------------
 
@@ -262,22 +246,9 @@ class MapSystem:
         return slope + (cmath.sin(u / n) - cmath.sin(v / n)) / (n * (u - v))
 
     def growth_rate(self, n: int) -> float:
-        """Per-step growth rate p_n (always positive); ``inf`` past the float
-        range, where :meth:`log_growth_rate` is still finite."""
-        if n < 1:
-            raise ValueError(f"step index must be >= 1, got {n}")
-        if not self.is_linear:
-            return _expanding_rate(self.params[0], n)
-        try:
-            return modulus(self.coefficient(n))
-        except OverflowError:  # |c_n| of finite parts past the float range
-            return math.inf
-
-    def log_growth_rate(self, n: int) -> float:
-        """ln p_n, finite even when p_n itself overflows a float."""
-        if n < 1:
-            raise ValueError(f"step index must be >= 1, got {n}")
-        return self._log_rates(range(n, n + 1))[0]
+        """Per-step growth rate p_n (always positive): entry n of
+        :meth:`rates`, ``inf`` past the float range."""
+        return self._tables(_step(n))[1][0]
 
     def rates(self, horizon: int) -> list[float]:
         """Growth rates p_1 .. p_horizon."""
@@ -287,12 +258,16 @@ class MapSystem:
         """(c_1 .. c_horizon, p_1 .. p_horizon) from one coefficient table.
 
         The coefficients are ``None`` for the nonlinear family.  Each rate
-        is bit-equal to ``growth_rate(n)``: |c_n| by C ``hypot``, as
-        ``abs(complex)`` computes it, and ``inf`` past the float range.
+        is |c_n| by C ``hypot``, as ``abs(complex)`` computes it, and
+        ``inf`` past the float range.
         """
+        return self._tables(range(1, horizon + 1))
+
+    def _tables(self, ns: range) -> tuple[Optional[list[complex]], list[float]]:
+        """:meth:`tables` for the consecutive steps ns."""
         if not self.is_linear:
-            return None, _expanding_rate(self.params[0], np.arange(1.0, horizon + 1)).tolist()
-        ns = range(1, horizon + 1)
+            steps = np.arange(ns.start, ns.stop, dtype=float)
+            return None, _expanding_rate(self.params[0], steps).tolist()
         if self.family is Family.PERIODIC_LINEAR:
             cycle = self._cycle_floats()
             return _cycle(cycle, ns), _cycle(_moduli(np.array(cycle, dtype=complex)), ns)
@@ -320,11 +295,18 @@ def modulus(z: complex) -> float:
     return abs(z)
 
 
-def _expanding_rate(slope: float, n: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
-    """slope - 1/n^2, the affine sinusoid's expanding rate, at one step index
-    or at a float array of them: below 2**53, ``n**2`` of the float is the
-    int's square correctly rounded, so both give the same bits."""
+def _expanding_rate(slope: float, n: np.ndarray) -> np.ndarray:
+    """slope - 1/n^2, the affine sinusoid's expanding rate, at a float array
+    of step indices: below 2**53 each is its int exactly, and ``n**2`` the
+    int's square correctly rounded."""
     return float(slope) - 1.0 / n**2
+
+
+def _step(n: int) -> range:
+    """The one step n as a range of steps; ValueError below 1."""
+    if n < 1:
+        raise ValueError(f"step index must be >= 1, got {n}")
+    return range(n, n + 1)
 
 
 def _parity_exponent(n: int, even_shift: int) -> int:

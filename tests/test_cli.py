@@ -16,7 +16,7 @@ from hu_shadow import cli, fixture_path, growth
 from hu_shadow.cli import OUTPUT_DIR_ENV, main
 from hu_shadow.growth import Classification, ClassificationKind, build_profile
 from hu_shadow.instability import DivergenceWitness, WitnessSample
-from hu_shadow.scenario import load_scenario
+from hu_shadow.scenario import MAX_HORIZON, load_scenario
 from hu_shadow.shadowing import ShadowMeta, ShadowMethod, ShadowResult
 from hu_shadow.systems import MapSystem, PseudoOrbit, ResidualPolicy
 
@@ -276,7 +276,9 @@ class TestUsageAndConfig:
         rc = main(["analyze", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
 
-    @pytest.mark.parametrize("flag, value", [("--horizon", "0"), ("--epsilon", "nan")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--horizon", "0"), ("--horizon", str(MAX_HORIZON + 1)), ("--epsilon", "nan")]
+    )
     def test_invalid_override(self, tmp_path, flag, value):
         rc = main(
             [
@@ -315,6 +317,9 @@ class TestUsageAndConfig:
             ("nonlinear_sinusoid", "system", "[]"),
             ("nonlinear_sinusoid", "analysis", '{"window": 0}'),
             ("nonlinear_sinusoid", "shadow", '{"tail_fraction": 1.0}'),
+            # past the cap: the tables of such a horizon were allocated unchecked
+            ("nonlinear_sinusoid", "horizon", str(MAX_HORIZON + 1)),
+            ("nonlinear_sinusoid", "analysis.window", str(MAX_HORIZON // 4 + 1)),
         ],
     )
     def test_bad_scenario_value_is_a_config_error(self, tmp_path, capsys, fixture, key, value):
@@ -333,6 +338,31 @@ class TestUsageAndConfig:
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override, flags",
+        [
+            ({"horizon": MAX_HORIZON + 1}, []),
+            ({"analysis": {"window": MAX_HORIZON // 4 + 1}}, []),
+            ({}, ["--horizon", str(MAX_HORIZON + 1)]),
+        ],
+        ids=["horizon", "window", "flag"],
+    )
+    def test_a_horizon_past_the_cap_is_refused_before_any_table(
+        self, tmp_path, capsys, monkeypatch, override, flags
+    ):
+        calls = []
+        for name in ("_tables", "_floats", "_pairs"):
+            monkeypatch.setattr(MapSystem, name, lambda self, ns, _n=name: calls.append(_n))
+        raw = {**json.loads(fixture_path("contracting_periodic").read_text()), **override}
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(raw))
+        rc = main(["shadow", "--config", str(config), "--out", str(tmp_path / "out"), *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("hu-shadow: config error: ") and err.count("\n") == 1
+        assert "must be at most" in err
+        assert calls == []
 
     def test_scenario_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "scenario.json"

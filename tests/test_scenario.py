@@ -3,7 +3,6 @@
 import inspect
 import json
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -18,6 +17,7 @@ from hu_shadow import (
 )
 from hu_shadow import FIXTURE_NAMES
 from hu_shadow.cli import main
+from hu_shadow.scenario import MAX_HORIZON
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -48,7 +48,7 @@ class TestLoading:
     def test_fraction_strings_stay_exact(self, tmp_path):
         payload = {"system": {"family": "periodic_linear", "coeffs": [2, "1/3"]}}
         sc = load_scenario(write_scenario(tmp_path, payload))
-        assert sc.system.rational_coefficient(2) == Fraction(1, 3)
+        assert sc.system.coefficient_pairs(2)[1] == (1, 3)
 
     def test_zero_coefficient_rejected(self, tmp_path):
         payload = {"system": {"family": "periodic_linear", "coeffs": [2, 0]}}
@@ -90,6 +90,16 @@ class TestLoading:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ConfigError, match="horizon"):
             scenario_from_dict(dict(MINIMAL, horizon=0))
+
+    def test_horizon_cap(self):
+        # a horizon or 4*window past the cap went straight to table allocation
+        assert scenario_from_dict(dict(MINIMAL, horizon=MAX_HORIZON)).horizon == MAX_HORIZON
+        window = MAX_HORIZON // 4
+        assert scenario_from_dict(dict(MINIMAL, analysis={"window": window})).analysis.window == window
+        with pytest.raises(ConfigError, match=rf"^horizon: must be at most {MAX_HORIZON}, got"):
+            scenario_from_dict(dict(MINIMAL, horizon=MAX_HORIZON + 1))
+        with pytest.raises(ConfigError, match=rf"^analysis.window: must be at most {window}$"):
+            scenario_from_dict(dict(MINIMAL, analysis={"window": window + 1}))
 
     def test_complex_a1_pair(self):
         sc = scenario_from_dict(dict(MINIMAL, a1=[1.5, -0.5]))
@@ -155,8 +165,7 @@ class TestRoundTrip:
     def test_expanding_fixture_matches_construction(self):
         sc = load_scenario(fixture_path("expanding_alternating"))
         assert sc.system.family is Family.INDEX_SCALED_LINEAR
-        assert sc.system.rational_coefficient(1) == 3
-        assert sc.system.rational_coefficient(2) == Fraction(1, 4)
+        assert sc.system.coefficient_pairs(2) == [(3, 1), (1, 4)]
         assert sc.horizon == 60
 
     def test_unknown_fixture(self):

@@ -79,6 +79,12 @@ class TestClosedFormBounds:
         assert perturbation_partial_sum(rates, 2) == 1.5
         assert perturbation_partial_sum(rates, 3) == 5.5
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_partial_sum_refuses_a_rate_that_is_not_positive(self, bad):
+        # returned a number (NaN for a NaN rate) before
+        with pytest.raises(RateRangeError, match=rf"p_n = {bad!r} at n = 2$"):
+            perturbation_partial_sum([2.0, bad, 3.0], 3)
+
     @given(
         rates=st.lists(st.floats(0.1, 3.0), min_size=4, max_size=40),
         eps=st.floats(0, 1e-2),
@@ -114,7 +120,7 @@ def _reference_bound(rates, n, eps, gap):
             raise ValueError("growth rate must be positive")
         log_prod += math.log(p)
         S = S * p + 1.0
-    prod = math.exp(log_prod) if log_prod < 700 else math.inf
+    prod = math.exp(log_prod) if log_prod < 700 else (math.inf if gap else 0.0)
     return prod * gap + S * eps
 
 
@@ -126,7 +132,7 @@ def _same(x, y):
 def rate_lists(draw):
     rates = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=150))
     if draw(st.booleans()):
-        # log-product past 700: prod saturates to inf, and 0*inf is NaN
+        # log-product past 700: prod saturates to inf, or to 0.0 for a zero gap
         rates[:0] = [1e300, 1e300, 1e300]
     return rates
 
@@ -427,7 +433,7 @@ def _per_call_accumulated_rate_bounds(rates, horizon, eps, gap):
                 raise ValueError("growth rate must be positive")
             log_prod += math.log(p)
             S = S * p + 1.0
-        prod = math.exp(log_prod) if log_prod < 700 else math.inf
+        prod = math.exp(log_prod) if log_prod < 700 else (math.inf if gap else 0.0)
         yield prod * gap + S * eps
 
 
@@ -589,7 +595,8 @@ def _float_bits(x: float) -> int:
 
 
 def _exp_every_step_accumulated_rate_bounds(rates, horizon, eps, gap):
-    """``_accumulated_rate_bounds`` before it skipped exp for a zero gap, verbatim."""
+    """``_accumulated_rate_bounds`` before it skipped exp for a zero gap, verbatim
+    but for a zero gap's product past exp(700): 0.0, where inf * 0.0 was NaN."""
     if horizon < 1:
         return []
     log, exp, inf = math.log, math.exp, math.inf
@@ -601,8 +608,16 @@ def _exp_every_step_accumulated_rate_bounds(rates, horizon, eps, gap):
             raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
         log_prod += log(p)
         S = S * p + 1.0
-        out.append((exp(log_prod) if log_prod < 700 else inf) * gap + S * eps)
+        out.append((exp(log_prod) if log_prod < 700 else (inf if gap else 0.0)) * gap + S * eps)
     return out
+
+
+def _loop_partial_sum(rates, n):
+    """``perturbation_partial_sum``'s own loop before it read the sweep, verbatim."""
+    S = 0.0
+    for i in range(1, n + 1):
+        S = S * rates[i - 1] + 1.0
+    return S
 
 
 def _bits(x) -> tuple:
@@ -954,6 +969,13 @@ class TestLeanSweeps:
             expected = list(_per_call_accumulated_rate_bounds(rates, horizon, eps, gap))
             assert [_bits(x) for x in sweep] == [_bits(x) for x in expected]
 
+    @given(rates=rate_lists())
+    def test_partial_sum_equals_its_own_loop(self, rates):
+        # prefixes past exp(700) included: a zero gap's term is 0.0 there, not NaN
+        for n in range(1, len(rates) + 1):
+            got = perturbation_partial_sum(rates, n)
+            assert _float_bits(got) == _float_bits(_loop_partial_sum(rates, n)), n
+
     def test_sound_bound_keeps_libm_exp_and_log(self):
         # 20,000 log-products spread over (-700, 700): numpy's SIMD exp and
         # log round some of them apart from libm's
@@ -1036,3 +1058,14 @@ class TestNonFiniteRates:
     def test_sound_bound_allows_inf(self):
         # the parity profile past n = 1024 has inf rates
         assert accumulated_rate_bound([0.5, math.inf, 0.5], 4, 1e-3, 1.0) == math.inf
+
+    @pytest.mark.parametrize("horizon", [3, 4, 5])
+    def test_zero_gap_bound_past_exp_700_is_a_number(self, horizon):
+        # ln(1e305) > 700: the zero-gap entry at n = 3 was inf * 0.0 = NaN, which
+        # max skipped, and the construction refused with a bound of about 1e-10
+        sys = periodic_linear((1, 10**305, Fraction(1, 10**306)))
+        pseudo = generate_pseudo_orbit(sys, 1e-300, 1e-10, ResidualPolicy(), horizon)
+        result = shadow_contracting(sys, pseudo, 2.154)
+        assert result.meta.sound_bound >= result.sup_diff >= 1e295
+        bounds = shadowing._accumulated_rate_bounds(sys.rates(horizon), horizon, 1e-10, 0.0)
+        assert not any(map(math.isnan, bounds))

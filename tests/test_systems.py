@@ -30,28 +30,24 @@ from hu_shadow import (
 from hu_shadow.systems import OVERFLOW_LIMIT, modulus
 
 
+def _exact_coefficients(sys: MapSystem, horizon: int) -> list[Fraction]:
+    """c_1 .. c_horizon as Fractions, from the exact pair table."""
+    return [Fraction(*pair) for pair in sys.coefficient_pairs(horizon)]
+
+
 class TestCoefficients:
     def test_periodic_cycle(self):
-        sys = periodic_linear((2, Fraction(1, 3)))
-        assert sys.rational_coefficient(1) == 2
-        assert sys.rational_coefficient(2) == Fraction(1, 3)
-        assert sys.rational_coefficient(3) == 2
-        assert sys.rational_coefficient(101) == 2
-        assert sys.rational_coefficient(102) == Fraction(1, 3)
+        c = _exact_coefficients(periodic_linear((2, Fraction(1, 3))), 102)
+        assert c[:3] == [2, Fraction(1, 3), 2]
+        assert c[100:] == [2, Fraction(1, 3)]
 
     def test_index_scaled(self):
-        sys = index_scaled_linear()
-        assert sys.rational_coefficient(1) == 3
-        assert sys.rational_coefficient(2) == Fraction(1, 4)
-        assert sys.rational_coefficient(5) == 15
-        assert sys.rational_coefficient(6) == Fraction(1, 12)
+        c = _exact_coefficients(index_scaled_linear(), 6)
+        assert c == [3, Fraction(1, 4), 9, Fraction(1, 8), 15, Fraction(1, 12)]
 
     def test_power_parity(self):
-        sys = power_two_parity()
-        assert sys.rational_coefficient(1) == 2
-        assert sys.rational_coefficient(2) == Fraction(1, 32)
-        assert sys.rational_coefficient(3) == 8
-        assert sys.rational_coefficient(4) == Fraction(1, 128)
+        c = _exact_coefficients(power_two_parity(), 4)
+        assert c == [2, Fraction(1, 32), 8, Fraction(1, 128)]
 
     def test_scaled_products_alternate(self):
         # the products decay along both parity classes, but at different
@@ -59,8 +55,8 @@ class TestCoefficients:
         sys = power_two_parity()
         prod = Fraction(1)
         values = []
-        for n in range(1, 9):
-            prod *= sys.rational_coefficient(n)
+        for c in _exact_coefficients(sys, 8):
+            prod *= c
             values.append(prod)
         assert values[0] / values[2] == 4
         assert values[2] / values[4] == 4
@@ -73,8 +69,12 @@ class TestCoefficients:
 
     def test_float_params_have_no_rational_coefficient(self):
         sys = periodic_linear((2, 0.3333333333333333))
-        with pytest.raises(UnsupportedFamily):
-            sys.rational_coefficient(2)
+        with pytest.raises(
+            UnsupportedFamily,
+            match=r"^family periodic_linear with non-rational parameters has no exact coefficient$",
+        ):
+            sys.coefficient_pairs(2)
+        assert sys.coefficient_pairs(1) == [(2, 1)]
         assert sys.coefficient(2) == pytest.approx(1 / 3)
 
     def test_bad_index(self):
@@ -84,11 +84,9 @@ class TestCoefficients:
     def test_negative_even_shift(self):
         # c_n = 2^-(n-5) at even n: a positive exponent below n = 5
         sys = power_two_parity(2, -5)
-        assert [sys.rational_coefficient(n) for n in (2, 4, 6, 8)] == [
-            8, 2, Fraction(1, 2), Fraction(1, 8)
-        ]
+        assert _exact_coefficients(sys, 8)[1::2] == [8, 2, Fraction(1, 2), Fraction(1, 8)]
         assert sys.coefficient(4) == 2 + 0j
-        assert sys.log_growth_rate(2) == math.log(8)
+        assert sys.log_rates(2)[1] == math.log(8)
 
 
 class TestFactories:
@@ -530,15 +528,15 @@ class TestOneEntryReads:
     def test_scalars_equal_the_per_index_rule(self, sys, n, count):
         for read, reference in (
             (MapSystem.coefficient, _scalar_entry),
-            (MapSystem.rational_coefficient, reference_rational_coefficient),
             (MapSystem.growth_rate, reference_growth_rate),
         ):
-            want = _outcome(reference, sys, n)
-            if want is OverflowError and read is MapSystem.rational_coefficient:
-                # the per-index rule computed a float power before refusing it
-                want = UnsupportedFamily
-            assert _outcome(read, sys, n) == want, read.__name__
-        assert sys.log_growth_rate(n).hex() == reference_log_growth_rate(sys, n).hex()
+            assert _outcome(read, sys, n) == _outcome(reference, sys, n), read.__name__
+        # the exact pair and the log rate of step n alone, as the range reads make them
+        (pair,) = sys._pairs(range(n, n + 1))
+        want = _outcome(reference_rational_coefficient, sys, n)
+        # the per-index rule computed a float power before refusing it
+        assert (pair or UnsupportedFamily) == (UnsupportedFamily if want is OverflowError else want)
+        assert sys._log_rates(range(n, n + 1))[0].hex() == reference_log_growth_rate(sys, n).hex()
         ns = range(n, n + count)
         stop = n + count - 1
         assert [_bits(c) for c in sys._floats(ns)] == [
@@ -558,20 +556,18 @@ class TestOneEntryReads:
         assert _bits(sys.coefficient(n)) == _bits(complex(math.inf, 0.0))
         assert sys.coefficients(n)[-1] == complex(math.inf, 0.0)
         assert sys.growth_rate(n) == math.inf
-        assert sys.log_growth_rate(n) == reference_log_growth_rate(sys, n)
+        assert sys.log_rates(n)[-1] == reference_log_growth_rate(sys, n)
 
     @pytest.mark.parametrize("n", [0, -1])
     @pytest.mark.parametrize(
         "read",
         [
             MapSystem.coefficient,
-            MapSystem.rational_coefficient,
             lambda sys, n: sys.eval_map(n, 1.0),
             lambda sys, n: sys.eval_q(n, 2.0, 1.0),
             MapSystem.growth_rate,
-            MapSystem.log_growth_rate,
         ],
-        ids=["coefficient", "rational_coefficient", "eval_map", "eval_q", "growth_rate", "log_growth_rate"],
+        ids=["coefficient", "eval_map", "eval_q", "growth_rate"],
     )
     @pytest.mark.parametrize(
         "sys",
@@ -587,6 +583,16 @@ class TestOneEntryReads:
         sys = periodic_linear((complex(1.5e308, 1.5e308),))
         assert sys.growth_rate(1) == math.inf
         assert sys.growth_rate(1) == sys.rates(1)[0]
+
+    @pytest.mark.parametrize(
+        "sys, horizon, n",
+        [(periodic_linear((complex(1.5e308, 1.5e308),)), 2, 1), (index_scaled_linear(1e308, 2), 4, 3)],
+        ids=["modulus", "product"],
+    )
+    def test_a_log_rate_past_the_float_range_reads_the_table(self, sys, horizon, n):
+        # the modulus case raised a bare OverflowError from abs before
+        assert sys.rates(horizon)[n - 1] == math.inf
+        assert sys.log_rates(horizon)[n - 1] == math.inf
 
 
 class TestOneFloatValue:
@@ -676,8 +682,7 @@ class TestFloatBaseLogRate:
     def test_base_two_past_the_float_range(self):
         sys = power_two_parity(2.0, 3)
         failed = 0
-        for n in range(1, 3001):
-            got = sys.log_growth_rate(n)
+        for n, got in enumerate(sys.log_rates(3000), 1):
             exponent = n if n % 2 == 1 else -(n + 3)
             assert math.isfinite(got)
             assert got == pytest.approx(exponent * math.log(2), rel=1e-12)
@@ -691,8 +696,7 @@ class TestFloatBaseLogRate:
     @pytest.mark.parametrize("base, even_shift", [(1.5, -4), (0.5, 3), (3.0, 0)])
     def test_other_bases_finite_and_equal_where_direct_rule_works(self, base, even_shift):
         sys = power_two_parity(base, even_shift)
-        for n in range(1, 4001):
-            got = sys.log_growth_rate(n)
+        for n, got in enumerate(sys.log_rates(4000), 1):
             assert math.isfinite(got)
             direct = _float_power_log_rate(base, even_shift, n)
             if direct is not None:
@@ -876,8 +880,9 @@ class TestIntegerBaseLogRate:
     @pytest.mark.parametrize("base, even_shift", [(2, 3), (3, -5), (1, 0), (7, 2), (2, -2000)])
     def test_equals_reduced_fraction_rule(self, base, even_shift):
         sys = power_two_parity(base, even_shift)
+        log_rates = sys.log_rates(4000)
         for n in [*range(1, 1200), *range(1200, 4000, 37)]:
-            got = sys.log_growth_rate(n).hex()
+            got = log_rates[n - 1].hex()
             assert got == _fraction_log_growth_rate(sys, n).hex(), n
             assert got == reference_log_growth_rate(sys, n).hex(), n
 
