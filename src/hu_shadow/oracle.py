@@ -63,9 +63,14 @@ def exact_propagate(
 
     One loop over the pair table of ``MapSystem.coefficient_pairs`` runs
     P*c, S*|c| + 1 and c*a + r on reduced integer pairs, with the cross-gcd
-    steps of ``Fraction._mul`` and ``_add``, a gcd against 1 skipped and a
-    power-of-two gcd divided out by a shift.  Each entry is stored without
-    a second gcd, so every value equals the plain ``Fraction`` loop's.
+    steps of ``Fraction._mul`` and ``_add``.  Whether a coefficient part
+    (|c_n|'s numerator, its denominator, the residual's denominator) is a
+    power of two is asked once, of that small part, never of a running
+    bigint.  A power-of-two part 2^k cancels by the trailing-zero count of
+    the other operand, capped at k, and multiplies by a shift; any other
+    part cancels by ``math.gcd`` and ``//``.  No gcd or product against 1
+    is taken.  Each entry is stored without a second gcd, so every value
+    equals the plain ``Fraction`` loop's.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -75,6 +80,7 @@ def exact_propagate(
     if horizon > 1:  # the residual is the same at every step
         r = policy.rational_residual(1, Fraction(eps))
         rn, rd = r.numerator, r.denominator
+        rk = _log2(rd)
     first = Fraction(a1)
     a = [first]
     products, sums = [], []
@@ -83,31 +89,23 @@ def exact_propagate(
     sn, sd = 0, 1  # S_n
     for n, (cn, cd) in enumerate(coeffs, 1):
         un = -cn if cn < 0 else cn
-        # x/y * m/cd for (x/y, m) = (P, c_n), (S, |c_n|) and (a_n, c_n), as
-        # Fraction._mul reduces it: gcd(x, cd) and gcd(m, y) cancel first
-        steps = []
-        for x, y, m in ((pn, pd, cn), (sn, sd, un), (an, ad, cn)):
-            xd = cd
-            if cd != 1 and (g := _gcd(x, cd)) != 1:
-                s = (g & -g).bit_length() - 1  # g = 2^s h: shift, as // by 2^s is slow
-                x, xd = (x >> s) // (g >> s), (cd >> s) // (g >> s)
-            if un != 1 and (g := _gcd(un, y)) != 1:
-                s = (g & -g).bit_length() - 1
-                m, y = (m >> s) // (g >> s), (y >> s) // (g >> s)
-            steps.append((x * m, xd * y))
-        (pn, pd), (sn, sd), (an, ad) = steps
+        uk, dk = _log2(un), _log2(cd)
+        pn, pd = _times(pn, pd, cn, cd, uk, dk)
+        sn, sd = _times(sn, sd, un, cd, uk, dk)
         sn += sd  # S*|c| + 1 is reduced: gcd(sn + sd, sd) = gcd(sn, sd) = 1
+        an, ad = _times(an, ad, cn, cd, uk, dk)
         products.append(_from_coprime_ints(pn, pd))
         sums.append(_from_coprime_ints(sn, sd))
         if n < horizon:  # a + r, as Fraction._add reduces it
-            g = _gcd(ad, rd)
-            if g == 1:
-                an, ad = an * rd + ad * rn, ad * rd
-            else:
-                s = ad // g
-                t = an * (rd // g) + rn * s
-                g2 = _gcd(t, g)
-                an, ad = (t, s * rd) if g2 == 1 else (t // g2, s * (rd // g2))
+            if rd != 1:  # g = gcd(ad, rd) = rd // rg; t = an*(rd/g) + rn*(ad/g)
+                ad, rg = _cancel(ad, rd, rk)
+                an = (an * rg if rg != 1 else an) + (ad * rn if rn != 1 else ad)
+                if (g := rd // rg) != 1:  # gcd(t, g) cancels too
+                    an, g = _cancel(an, g, _log2(g))
+                if (h := rg * g) != 1:
+                    ad *= h
+            elif rn:
+                an += ad * rn
             a.append(_from_coprime_ints(an, ad))
     return RationalOrbit(
         a=tuple(a), coefficient_products=tuple(products), partial_sums=tuple(sums)
@@ -123,18 +121,61 @@ def _from_coprime_ints(n: int, d: int) -> Fraction:
     return value
 
 
-def _gcd(x: int, y: int) -> int:
-    """math.gcd(x, y), found from the low bits when either is a power of two.
+def _log2(d: int) -> int:
+    """k for d = 2^k > 0, else -1."""
+    return d.bit_length() - 1 if not d & (d - 1) else -1
 
-    For x = 2^j > 0, gcd(x, y) is the lowest set bit of y, y & -y, capped
-    at x (and x itself for y = 0).  The parity family's c_n are powers of
-    two, and this saves a bigint gcd against them at every step.
+
+def _cancel(x: int, d: int, k: int) -> tuple[int, int]:
+    """(x // g, d // g) for g = gcd(x, d), d > 0 and k = ``_log2(d)``.
+
+    For d = 2^k, g is 2^s with s the trailing-zero count of x capped at k
+    (k for x = 0), read from the low bits of x, and both divisions are
+    shifts; no gcd is taken.
     """
-    if x > 0 and not x & (x - 1):
-        return min(x, y & -y) if y else x
-    if y > 0 and not y & (y - 1):
-        return min(y, x & -x) if x else y
-    return math.gcd(x, y)
+    if k >= 0:
+        low = x & (d - 1)
+        s = (low & -low).bit_length() - 1 if low else k
+        return (x >> s, d >> s) if s else (x, d)
+    g = math.gcd(x, d)
+    return (x // g, d // g) if g != 1 else (x, d)
+
+
+def _times(x: int, y: int, m: int, d: int, uk: int, dk: int) -> tuple[int, int]:
+    """x/y * m/d on coprime pairs (y, d > 0) as ``Fraction._mul`` reduces
+    it: gcd(x, d) and gcd(|m|, y) cancel first, so the product is reduced.
+
+    ``uk`` and ``dk`` are ``_log2`` of |m| and d.  A power-of-two part
+    cancels by a trailing-zero count and multiplies by a shift, any other
+    by ``math.gcd``, ``//`` and ``*``; a part that is 1 is skipped.
+    """
+    if dk < 0:
+        if (g := math.gcd(x, d)) != 1:
+            x, d = x // g, d // g
+    elif dk:  # d = 2^dk: 2^s = gcd(x, d), s = tz(x) capped at dk
+        low = x & (d - 1)
+        s = (low & -low).bit_length() - 1 if low else dk
+        if s:
+            x, dk = x >> s, dk - s
+    if uk < 0:
+        if (g := math.gcd(m, y)) != 1:
+            m, y = m // g, y // g
+    elif uk:  # |m| = 2^uk
+        low = y & ((1 << uk) - 1)
+        s = (low & -low).bit_length() - 1 if low else uk
+        if s:
+            y, uk = y >> s, uk - s
+    if uk < 0:
+        x *= m
+    elif m < 0:
+        x = -x << uk if uk else -x
+    elif uk:
+        x <<= uk
+    if dk < 0:
+        y *= d
+    elif dk:
+        y <<= dk
+    return x, y
 
 
 def exact_difference(
@@ -212,40 +253,53 @@ def _sup_errors(
     family steps every start point at once through its coefficient table,
     whose entries are the values ``eval_map`` multiplies by, bit-identical
     to the scalar function elementwise: each step repeats its float
-    operations in the same order.  The product c_n * b is written out as
-    Python's complex product (numpy's may fuse the multiply-add), the
-    modulus is C ``hypot`` as in ``modulus``, and the running maximum
-    keeps the first argument unless the second is greater, as ``max`` does.
+    operations in the same order.  The real and imaginary parts are
+    stepped in place through preallocated buffers; ``starts`` itself is
+    never written.  The product c_n * b is written out as Python's complex
+    product (numpy's may fuse the multiply-add), and the modulus is C
+    ``hypot`` as in ``modulus``.  The running maximum is ``numpy.fmax``:
+    against a later NaN modulus it keeps the running value, as ``max``
+    keeps its first argument.  A NaN first modulus ``max`` keeps to the
+    end, so a start whose first modulus is NaN is set to NaN at the end.
 
     A start point fails where the scalar function would raise; if any
     fails, the first exception of the first failing one in ``starts`` is
     raised, as a loop over the scalar function would.  On the linear path
-    that is a modulus that overflows from finite parts (``modulus``
-    raises :class:`OverflowError`).
+    every failure is a modulus that overflows from finite parts, which
+    ``modulus`` raises as the same :class:`OverflowError`, so the first
+    one found is raised.
     """
     if not sys.is_linear:
         return np.array([sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts])
-    failures: dict[int, Exception] = {}  # start index -> its first exception
+    starts = np.asarray(starts, dtype=complex)
+    re, im = starts.real.copy(), starts.imag.copy()  # b_n, stepped in place
+    new_re, t, d_re, d_im, x = (np.empty_like(re) for _ in range(5))
 
-    def moduli(d: np.ndarray) -> np.ndarray:
-        x = np.hypot(d.real, d.imag)
-        for i in np.flatnonzero(np.isinf(x) & np.isfinite(d.real) & np.isfinite(d.imag)):
-            failures.setdefault(int(i), OverflowError("absolute value too large"))
-        return x
+    def moduli(re: np.ndarray, im: np.ndarray, a: complex, out: np.ndarray) -> np.ndarray:
+        """|b - a| into out for b = re + i*im; OverflowError where finite
+        parts overflow."""
+        np.subtract(re, a.real, out=d_re)
+        np.subtract(im, a.imag, out=d_im)
+        np.hypot(d_re, d_im, out=out)
+        if np.isinf(out).any() and (np.isinf(out) & np.isfinite(d_re) & np.isfinite(d_im)).any():
+            raise OverflowError("absolute value too large")
+        return out
 
-    b = np.asarray(starts, dtype=complex)
     steps = range(1, min(horizon, pseudo.horizon))
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = moduli(b - pseudo.value(1))
+        worst = moduli(re, im, pseudo.value(1), np.empty_like(re))
+        first_nan = np.isnan(worst)
         for n, c in zip(steps, sys.coefficients(len(steps))):
-            step = np.empty_like(b)
-            step.real = c.real * b.real - c.imag * b.imag
-            step.imag = c.real * b.imag + c.imag * b.real
-            b = step
-            x = moduli(b - pseudo.value(n + 1))
-            worst = np.where(x > worst, x, worst)
-    if failures:
-        raise failures[min(failures)]
+            # re' = c.real*re - c.imag*im, im' = c.real*im + c.imag*re
+            np.multiply(re, c.real, out=new_re)
+            np.multiply(im, c.imag, out=t)
+            np.subtract(new_re, t, out=new_re)
+            np.multiply(re, c.imag, out=t)
+            np.multiply(im, c.real, out=im)
+            np.add(im, t, out=im)
+            re, new_re = new_re, re
+            np.fmax(worst, moduli(re, im, pseudo.value(n + 1), x), out=worst)
+    worst[first_nan] = np.nan
     return worst
 
 

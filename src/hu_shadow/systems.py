@@ -46,7 +46,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import UnsupportedFamily
+from .errors import RateRangeError, UnsupportedFamily
 
 Number = Union[int, float, Fraction]
 
@@ -196,7 +196,9 @@ class MapSystem:
             if pair is not None:
                 out.append(log(abs(pair[0])) - log(pair[1]))
             elif 0.0 < p < math.inf or self.family is not Family.POWER_TWO_PARITY:
-                out.append(log(p))  # inf, NaN or a math domain error at zero, as ln p_n
+                if p == 0.0:  # a float parameter's rate that underflowed
+                    raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
+                out.append(log(p))  # inf or NaN, as ln p_n
             else:
                 out.append(_parity_exponent(n, self.params[1]) * log(float(self.params[0])))
         return out

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import oracle
@@ -387,6 +387,33 @@ class TestVectorisedSearch:
         best_b1_search(sys, pseudo, 60, region, grid=64, refinements=6)
         assert calls == []
 
+    def test_nan_first_modulus_stays_nan(self):
+        # max() keeps a NaN first modulus throughout; numpy.fmax alone would
+        # replace it by the later finite moduli
+        sys = index_scaled_linear()
+        pseudo = PseudoOrbit(
+            a=(complex(math.nan, 0.0), 2.0 + 0j, 3.0 + 0j, 4.0 + 0j),
+            r=(0j, 0j, 0j),
+            epsilon=0.0,
+            horizon=4,
+            policy=ResidualPolicy(),
+        )
+        args = (sys, pseudo, 4, SearchRegion(center=1.0, radius=0.5))
+        expected = _outcome(_scalar_best_b1_search, *args, grid=3, refinements=1)
+        got = _outcome(best_b1_search, *args, grid=3, refinements=1)
+        assert _same(got, expected), (got, expected)
+        assert math.isnan(got[1])
+
+    def test_start_points_are_not_written(self):
+        # best_b1_search reads its candidates back after the call
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 12)
+        starts = np.array([1.0 + 0.5j, -2.0 + 0j, 0.25 - 1j])
+        kept = starts.copy()
+        errs = oracle._sup_errors(sys, pseudo, starts, 12)
+        assert np.array_equal(starts, kept)
+        assert errs.tolist() == [sup_error_for_start(sys, pseudo, b1, 12) for b1 in kept]
+
     @pytest.mark.parametrize(
         "sys",
         [
@@ -479,10 +506,44 @@ class TestIntegerPairOrbit:
     @settings(max_examples=80, deadline=None)
     @given(
         sys=rational_systems,
-        a1=st.sampled_from([Fraction(0), Fraction(-7, 4), Fraction(1, 3), Fraction(-22, 7), 1]),
-        eps=st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(7, 3)]),
+        a1=st.sampled_from(
+            [
+                Fraction(0),
+                Fraction(-7, 4),
+                Fraction(1, 3),
+                Fraction(-22, 7),
+                1,
+                Fraction(5, 8),
+                Fraction(-3, 32),
+            ]
+        ),
+        eps=st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(7, 3), Fraction(1, 1024)]),
         kind=st.sampled_from([PolicyKind.ZERO, PolicyKind.CONSTANT_REAL]),
         horizon=st.integers(1, 300),
+    )
+    # a negative power-of-two numerator and a power-of-two denominator, both
+    # applied by shifts; a base below 1 with a negative shift; and zero
+    # operands, which have no trailing-zero count
+    @example(
+        sys=periodic_linear((-8, Fraction(1, 4))),
+        a1=Fraction(-3, 32),
+        eps=Fraction(1, 1024),
+        kind=PolicyKind.CONSTANT_REAL,
+        horizon=40,
+    )
+    @example(
+        sys=power_two_parity(Fraction(1, 2), -3),
+        a1=Fraction(5, 8),
+        eps=Fraction(1, 1024),
+        kind=PolicyKind.CONSTANT_REAL,
+        horizon=40,
+    )
+    @example(
+        sys=periodic_linear((-8, Fraction(1, 4))),
+        a1=Fraction(0),
+        eps=Fraction(0),
+        kind=PolicyKind.CONSTANT_REAL,
+        horizon=40,
     )
     def test_equals_fraction_loop(self, sys, a1, eps, kind, horizon):
         _assert_orbit_matches_fraction_loop(sys, a1, eps, horizon, ResidualPolicy(kind=kind))
@@ -500,30 +561,43 @@ class TestIntegerPairOrbit:
 
 
 big_power_of_two = st.integers(0, 4000).map(lambda j: 1 << j)
-gcd_operand = st.one_of(
+pair_operand = st.one_of(
     st.integers(-(2**70), 2**70),
     st.just(0),
     big_power_of_two,
     big_power_of_two.map(lambda x: -x),
     st.tuples(big_power_of_two, st.integers(-(2**40), 2**40)).map(lambda t: t[0] * t[1]),
 )
+positive_part = st.one_of(st.integers(2, 2**70), big_power_of_two.filter(lambda d: d > 1))
 
 
 class TestPairHelpers:
     @settings(max_examples=300)
-    @given(x=gcd_operand, y=gcd_operand)
-    def test_gcd_equals_math_gcd(self, x, y):
-        assert oracle._gcd(x, y) == math.gcd(x, y)
-        assert oracle._gcd(y, x) == math.gcd(x, y)
+    @given(x=pair_operand, d=positive_part)
+    def test_cancel_divides_out_the_gcd(self, x, d):
+        g = math.gcd(x, d)
+        assert oracle._cancel(x, d, oracle._log2(d)) == (x // g, d // g)
 
     @pytest.mark.parametrize(
-        "x, y",
-        [(0, 0), (1, 0), (0, 1), (1, 1), (2**4000, 0), (2**4000, -(2**4001)), (8, -12)],
-        ids=["0,0", "1,0", "0,1", "1,1", "2^4000,0", "2^4000,-2^4001", "8,-12"],
+        "x, d",
+        [(0, 2), (0, 3), (1, 1), (1, 2), (0, 2**4000), (-(2**4001), 2**4000), (-12, 8)],
+        ids=["0,2", "0,3", "1,1", "1,2", "0,2^4000", "-2^4001,2^4000", "-12,8"],
     )
-    def test_gcd_edge_cases(self, x, y):
-        assert oracle._gcd(x, y) == math.gcd(x, y)
-        assert oracle._gcd(y, x) == math.gcd(x, y)
+    def test_cancel_edge_cases(self, x, d):
+        # a zero x has no trailing-zero count: the whole power of two cancels
+        g = math.gcd(x, d)
+        assert oracle._cancel(x, d, oracle._log2(d)) == (x // g, d // g)
+
+    @settings(max_examples=300)
+    @given(x=pair_operand, y=positive_part, m=pair_operand.filter(bool), d=positive_part)
+    @example(x=0, y=1, m=-(2**12), d=2**7)
+    @example(x=-(2**9) * 3, y=2**5 * 5, m=-(2**5), d=2**9)
+    @example(x=7, y=1, m=1, d=1)
+    def test_times_is_the_reduced_product(self, x, y, m, d):
+        a, c = Fraction(x, y), Fraction(m, d)  # _times takes reduced pairs
+        (x, y), (m, d) = a.as_integer_ratio(), c.as_integer_ratio()
+        got = oracle._times(x, y, m, d, oracle._log2(abs(m)), oracle._log2(d))
+        assert got == (a * c).as_integer_ratio()
 
     @given(n=st.integers(-(2**200), 2**200), d=st.integers(1, 2**200))
     def test_coprime_keeps_the_pair(self, n, d):

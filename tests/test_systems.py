@@ -17,6 +17,7 @@ from hu_shadow import (
     MapSystem,
     PolicyKind,
     PseudoOrbit,
+    RateRangeError,
     ResidualPolicy,
     UnsupportedFamily,
     affine_sinusoid,
@@ -593,6 +594,16 @@ class TestOneEntryReads:
         # the modulus case raised a bare OverflowError from abs before
         assert sys.rates(horizon)[n - 1] == math.inf
         assert sys.log_rates(horizon)[n - 1] == math.inf
+
+    def test_a_log_rate_of_an_underflowed_rate_is_refused_by_name(self):
+        # 1/(1e308 * 2) underflows to 0.0; math.log raised a bare 'math domain error'
+        sys = index_scaled_linear(3, 1e308)
+        assert sys.rates(2) == [3.0, 0.0]
+        message = "growth rate must be positive: p_n = 0.0 at n = 2"
+        with pytest.raises(RateRangeError, match=f"^{re.escape(message)}$"):
+            sys.log_rates(2)
+        with pytest.raises(RateRangeError, match=f"^{re.escape(message)}$"):
+            profile_of(sys, 2)
 
 
 class TestOneFloatValue:
