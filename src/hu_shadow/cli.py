@@ -42,7 +42,7 @@ from .growth import (
     detect_periodic_scaled,
     profile_of,
 )
-from .instability import witness_divergence
+from .instability import WitnessSample, witness_divergence
 from .scenario import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 from .shadowing import shadow_contracting, shadow_expanding
 from .systems import PolicyKind, generate_pseudo_orbit
@@ -224,17 +224,7 @@ def _cmd_instability(scenario: Scenario, out: Path) -> int:
         # distance is epsilon times at least that sum
         if s.log10_observed_error < log10_eps + s.log10_lower_bound - 1e-9:
             ok = False
-    header = [
-        "k",
-        "n",
-        "lower_bound",
-        "S_n",
-        "observed_error",
-        "log10_lower_bound",
-        "log10_S_n",
-        "log10_observed_error",
-        "log_domain",
-    ]
+    header = [f.name for f in dataclasses.fields(WitnessSample)]
     _write_csv(
         out / "witness.csv",
         header,

@@ -26,5 +26,6 @@ class UnsupportedFamily(HuShadowError):
 
 
 class RateRangeError(HuShadowError, ValueError):
-    """A growth rate is outside (0, inf): a rate that underflowed to 0, or a
-    coefficient past the float range at a step of a given orbit."""
+    """A growth rate is outside (0, inf): a rate that underflowed to 0, a
+    coefficient past the float range at a step of a given orbit, or a
+    periodic fit's class value past the float range."""

@@ -252,10 +252,10 @@ def _fit_period(
     distinct = (np.ptp(slopes) > tol) or (np.ptp(intercepts) > tol)
     if not distinct:
         return None
-    rate_factors = tuple(math.exp(-s) for s in slopes)
+    rate_factors = tuple(_class_exp("K", l, -s) for l, s in enumerate(slopes, 1))
     # L_n = L_prefix + ln C_l - (n - prefix) ln K_l along class l
     constants = tuple(
-        math.exp(intercepts[l] - L_prefix + prefix * slopes[l]) for l in range(m)
+        _class_exp("C", l + 1, intercepts[l] - L_prefix + prefix * slopes[l]) for l in range(m)
     )
     return PeriodicFit(
         m=m,
@@ -264,6 +264,15 @@ def _fit_period(
         constants=constants,
         max_residual=max_residual,
     )
+
+
+def _class_exp(name: str, l: int, x: float) -> float:
+    """e**x, class l's ``name`` in a periodic fit; RateRangeError past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        message = f"periodic fit: {name}_{l} = exp({float(x)!r}) is past the float range"
+        raise RateRangeError(message) from None
 
 
 def classify(

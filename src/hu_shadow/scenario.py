@@ -7,7 +7,8 @@ round-trips losslessly through :func:`scenario_to_dict`.
 Integer fields take JSON integers.  Every other numeric field takes a
 finite JSON number or an exact rational string ("1/3"), which keeps the
 exact-arithmetic oracle applicable.  ``horizon`` and 4 * ``analysis.window``
-are at most :data:`MAX_HORIZON`.  Anything else raises ConfigError.
+are at most :data:`MAX_HORIZON`, and each part of ``a1`` is ``OVERFLOW_LIMIT``
+in size at most.  Anything else raises ConfigError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Any, Union
 from .errors import ConfigError
 from .growth import AnalysisOptions
 from .shadowing import ShadowOptions
-from .systems import FACTORIES, Family, MapSystem, PolicyKind, ResidualPolicy
+from .systems import FACTORIES, OVERFLOW_LIMIT, Family, MapSystem, PolicyKind, ResidualPolicy
 
 
 #: Largest horizon a scenario may ask for, directly or as 4 * analysis.window:
@@ -193,6 +194,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     system = _build_system(system_cfg)
 
     a1 = _complex(raw.get("a1", 1), "a1")
+    if not (abs(a1.real) <= OVERFLOW_LIMIT and abs(a1.imag) <= OVERFLOW_LIMIT):
+        raise ConfigError(f"a1: each part must be at most {OVERFLOW_LIMIT:g} in magnitude")
     epsilon = float(_real(raw.get("epsilon", 1e-3), "epsilon"))
     if epsilon < 0:
         raise ConfigError("epsilon: must be nonnegative")

@@ -432,14 +432,20 @@ def _update_nonlinear_quotients(
 ) -> None:
     """q_J .. q_1 brought up to date with d: ``quotients[J - n]`` holds q_n and
     ``points[J - n]`` the a_n + d_n it was made at.  Only a q_n whose argument
-    moved is made again, in the order J .. 1, and checked as it is made."""
+    moved is made again, in the order J .. 1, and checked as it is made: one
+    that is not finite, or whose sine overflows, is a :class:`NonContraction`."""
     eval_q = sys.eval_q
     J = len(quotients)
     for i, n in enumerate(range(J, 0, -1)):
         v = a[n - 1]
         u = v + d[n - 1]
         if u != points[i]:
-            q = eval_q(n, u, v)
+            try:
+                q = eval_q(n, u, v)
+            except OverflowError:
+                q = complex(math.inf, 0.0)
+            if not cmath.isfinite(q):
+                raise NonContraction(f"q_{n} left the float range at b_{n} = {u!r}")
             if abs(q) < DEGENERATE_QUOTIENT_LIMIT:
                 raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
             quotients[i] = q

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from sys import float_info
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -211,16 +210,13 @@ class MapSystem:
     # -- evaluation ------------------------------------------------------
 
     def eval_map(self, n: int, z: complex) -> complex:
-        """Evaluate F(n, z)."""
+        """Evaluate F(n, z); the sinusoid's is one complex formula, NaN at a non-finite z."""
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
         if self.is_linear:
             return self.coefficient(n) * complex(z)
         (slope,) = self.params
         z = complex(z)
-        if z.imag == 0.0:
-            x = z.real
-            return complex(slope * x + math.sin(x / n) / n, 0.0)
         return slope * z + cmath.sin(z / n) / n
 
     def eval_q(self, n: int, u: complex, v: complex) -> complex:
@@ -237,14 +233,7 @@ class MapSystem:
         u = complex(u)
         v = complex(v)
         if u == v:
-            if u.imag == 0.0:
-                return complex(slope + math.cos(u.real / n) / n**2, 0.0)
             return slope + cmath.cos(u / n) / n**2
-        if u.imag == 0.0 and v.imag == 0.0:
-            x, y = u.real, v.real
-            return complex(
-                slope + (math.sin(x / n) - math.sin(y / n)) / (n * (x - y)), 0.0
-            )
         return slope + (cmath.sin(u / n) - cmath.sin(v / n)) / (n * (u - v))
 
     def growth_rate(self, n: int) -> float:
@@ -515,11 +504,10 @@ class ResidualPolicy:
             r = epsilon * cmath.exp(1j * self.theta)
         else:
             r = epsilon * cmath.exp(2j * math.pi * math.fmod(n * GOLDEN_CONJUGATE, 1.0))
-        if 0.0 < epsilon < float_info.min:
-            # a subnormal product rounds each part to a coarse grid, and |r|
-            # can land above epsilon: step both parts toward zero
-            while abs(r) > epsilon:
-                r = complex(math.nextafter(r.real, 0.0), math.nextafter(r.imag, 0.0))
+        # the rounded parts can put |r| above epsilon (one ulp for a normal one, more
+        # on a subnormal's coarse grid): step both toward zero, to |epsilon| if negative
+        while abs(r) > abs(epsilon):
+            r = complex(math.nextafter(r.real, 0.0), math.nextafter(r.imag, 0.0))
         return r
 
     def rational_residual(self, n: int, epsilon: Fraction) -> Fraction:

@@ -1,15 +1,18 @@
 """End-to-end CLI behaviour: artifacts, verdicts, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import importlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import cli, fixture_path, growth
@@ -18,7 +21,7 @@ from hu_shadow.growth import Classification, ClassificationKind, build_profile
 from hu_shadow.instability import DivergenceWitness, WitnessSample
 from hu_shadow.scenario import MAX_HORIZON, load_scenario
 from hu_shadow.shadowing import ShadowMeta, ShadowMethod, ShadowResult
-from hu_shadow.systems import MapSystem, PseudoOrbit, ResidualPolicy
+from hu_shadow.systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy
 
 #: Exit codes and file checksums of the 9 shipped-fixture invocations, as
 #: recorded for the benchmark (read only).
@@ -38,6 +41,16 @@ def run(args, monkeypatch=None, env_out=None):
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+
+
+#: A sinusoid scenario whose fixed point leaves the real line until eval_q overflows.
+QUOTIENT_OVERFLOW = {
+    "system": {"family": "affine_sinusoid", "slope": 1.05},
+    "a1": 0,
+    "epsilon": 1,
+    "residual": {"kind": "constant_phase", "theta": 1.0},
+    "horizon": 10,
+}
 
 
 class TestAnalyze:
@@ -91,8 +104,37 @@ class TestAnalyze:
         assert err["reason"].startswith("growth rate must be positive")
         assert err["reason"].endswith("at n = 1072")
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [([1e300, 1e300, 1e-300, 1e-300], "C_2 = exp(1381."), ([5e-324, 1e-320], "K_1 = exp(740.")],
+        ids=["constant", "rate_factor"],
+    )
+    def test_a_class_value_past_the_float_range_exits_with_reason(
+        self, tmp_path, capsys, coeffs, message
+    ):
+        # growth._fit_period's math.exp raised a bare OverflowError
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"system": {"family": "periodic_linear", "coeffs": coeffs}}))
+        rc = main(["analyze", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RateRangeError"
+        assert err["reason"].startswith(f"periodic fit: {message}")
+        assert not (tmp_path / "out").exists()
+
 
 class TestShadow:
+    def test_a_quotient_past_the_float_range_exits_with_reason(self, tmp_path, capsys):
+        # eval_q's cmath.sin overflowed off the real line: a bare OverflowError
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(QUOTIENT_OVERFLOW))
+        rc = main(["shadow", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonContraction"
+        assert err["reason"].startswith("q_111 left the float range")
+        assert not (tmp_path / "out").exists()
+
     def test_nonlinear_fixture_passes(self, tmp_path):
         rc = main(
             ["shadow", "--config", str(fixture_path("nonlinear_sinusoid")), "--out", str(tmp_path)]
@@ -303,6 +345,7 @@ class TestUsageAndConfig:
             ("nonlinear_sinusoid", "shadow.max_iter", "null"),
             ("nonlinear_sinusoid", "system.slope", '"1e999"'),
             ("nonlinear_sinusoid", "a1", "[1e999, 0]"),
+            ("nonlinear_sinusoid", "a1", "[1.7e308, 1.7e308]"),  # past generation's limit
             ("nonlinear_sinusoid", "epsilon", "NaN"),
             ("nonlinear_sinusoid", "epsilon", "1e999"),
             ("nonlinear_sinusoid", "analysis.tol", "NaN"),
@@ -681,3 +724,92 @@ class TestOneFormatPass:
         monkeypatch.setattr(cli, "_run_witness", lambda scenario: (cls, witness))
         cli._cmd_instability(load_scenario(fixture_path("unstable_parity")), tmp_path)
         assert (tmp_path / "witness.csv").read_text() == _witness_text(witness)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("fails", ["write", "replace"])
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch, fails):
+        text = "n\n1\n"
+        if fails == "write":
+            text += "\ud800"  # a lone surrogate has no encoding
+        else:
+            def refuse(src, dst):
+                raise OSError("replace refused")
+
+            monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(UnicodeEncodeError if fails == "write" else OSError):
+            cli._write_atomic(tmp_path / "out" / "profile.csv", text)
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+# -- fuzzer ---------------------------------------------------------------
+
+#: Parameters at the edges of the float range, and slopes next to one.
+EXTREME = [1e300, -1e300, 1e-300, 5e-324, -5e-324, 1e-320, 1.7e308, 1.0 + 2**-52, 1.05]
+fuzz_reals = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(EXTREME))
+fuzz_systems = st.one_of(
+    st.lists(fuzz_reals, min_size=1, max_size=4).map(
+        lambda coeffs: {"family": "periodic_linear", "coeffs": coeffs}
+    ),
+    st.builds(
+        lambda odd, even: {
+            "family": "index_scaled_linear", "odd_scale": odd, "even_inverse_scale": even
+        },
+        fuzz_reals,
+        fuzz_reals,
+    ),
+    st.builds(
+        lambda base, shift: {"family": "power_two_parity", "base": base, "even_shift": shift},
+        st.integers(0, 12),
+        st.integers(-8, 8),
+    ),
+    st.builds(
+        lambda slope: {"family": "affine_sinusoid", "slope": slope},
+        st.one_of(st.floats(1.0, 6.0), st.sampled_from(EXTREME)),
+    ),
+)
+fuzz_scenarios = st.fixed_dictionaries(
+    {
+        "system": fuzz_systems,
+        "a1": st.one_of(fuzz_reals, st.lists(fuzz_reals, min_size=2, max_size=2)),
+        "epsilon": st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-310, 1e-3, 1.0, 1e3, 1e300]), st.floats(0.0, 10.0)
+        ),
+        "residual": st.builds(
+            lambda kind, theta: {"kind": kind, "theta": theta},
+            st.sampled_from([kind.value for kind in PolicyKind]),
+            st.floats(-7.0, 7.0),
+        ),
+        "horizon": st.one_of(st.integers(1, 200), st.integers(1, 3000)),
+    }
+)
+
+
+class TestFuzzer:
+    """Every scenario ends in a result, exit 1 with a JSON reason or exit 2
+    with one line: never an exception out of ``main``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["analyze", "shadow", "instability"]), raw=fuzz_scenarios)
+    @example(command="shadow", raw=QUOTIENT_OVERFLOW)
+    @example(
+        command="analyze",
+        raw={"system": {"family": "periodic_linear", "coeffs": [1e300, 1e300, 1e-300, 1e-300]}},
+    )
+    @example(
+        command="analyze", raw={"system": {"family": "periodic_linear", "coeffs": [5e-324, 1e-320]}}
+    )
+    def test_main_ends_cleanly(self, command, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "scenario.json"
+            config.write_text(json.dumps(raw))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+        assert rc in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        if rc == 2:
+            assert len(lines) == 1 and lines[0].startswith("hu-shadow: config error: ")
+        for line in lines:
+            if not line.startswith("hu-shadow: "):
+                assert set(json.loads(line)) == {"error", "reason"}

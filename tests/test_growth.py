@@ -113,6 +113,21 @@ class TestClassification:
 
 
 class TestPeriodicDetection:
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ((1e300, 1e300, 1e-300, 1e-300), r"C_2 = exp\(1381\.\d+\)"),
+            ((5e-324, 1e-320), r"K_1 = exp\(740\.\d+\)"),
+        ],
+        ids=["constant", "rate_factor"],
+    )
+    def test_a_class_value_past_the_float_range_is_refused(self, coeffs, message):
+        # math.exp of the fitted log raised a bare OverflowError
+        sys = periodic_linear(coeffs)
+        match = rf"^periodic fit: {message} is past the float range$"
+        with pytest.raises(RateRangeError, match=match):
+            classify(profile_of(sys, 1000), sys)
+
     def test_parity_example(self):
         fit = detect_periodic_scaled(profile_of(power_two_parity(), 160), 8, 1e-4)
         assert fit is not None

@@ -517,9 +517,19 @@ class TestIntegerPairOrbit:
                 Fraction(-3, 32),
             ]
         ),
-        eps=st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(7, 3), Fraction(1, 1024)]),
+        eps=st.sampled_from(
+            [Fraction(0), Fraction(1, 1000), Fraction(7, 3), Fraction(1, 1024), Fraction(2)]
+        ),
         kind=st.sampled_from([PolicyKind.ZERO, PolicyKind.CONSTANT_REAL]),
         horizon=st.integers(1, 300),
+    )
+    # an integer residual, with no denominator to cancel: a is (1, 4, 10/3, 26/3, 44/9, 106/9)
+    @example(
+        sys=periodic_linear(),
+        a1=1,
+        eps=Fraction(2),
+        kind=PolicyKind.CONSTANT_REAL,
+        horizon=6,
     )
     # a negative power-of-two numerator and a power-of-two denominator, both
     # applied by shifts; a base below 1 with a negative shift; and zero

@@ -8,7 +8,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import shadowing
@@ -419,6 +419,21 @@ class TestExpandingNamedErrors:
     def test_errors_are_package_errors(self):
         assert issubclass(RateRangeError, HuShadowError)
 
+    def test_a_quotient_past_the_float_range_is_a_non_contraction(self):
+        # the phase residuals push the fixed point off the real line, where the
+        # map expands imaginary parts until cmath.sin overflows in eval_q
+        sys = affine_sinusoid(1.05)
+        policy = ResidualPolicy(kind=PolicyKind.CONSTANT_PHASE, theta=1.0)
+        pseudo = generate_pseudo_orbit(sys, 0.0, 1.0, policy, 10)
+        with pytest.raises(NonContraction, match=r"^q_111 left the float range at b_111 = "):
+            shadow_expanding(sys, pseudo, 1.05)
+
+    def test_a_sup_change_increasing_three_times_is_a_non_contraction(self):
+        sys = affine_sinusoid(1.5)
+        pseudo = generate_pseudo_orbit(sys, 2.0, 1.0, ResidualPolicy(), 5)
+        with pytest.raises(NonContraction, match="sup-change increased over 3 consecutive"):
+            shadow_expanding(sys, pseudo, 1.5)
+
 
 # -- the loops with a call per step, kept verbatim as references ----------
 
@@ -542,7 +557,13 @@ def _per_call_shadow_expanding(sys, pseudo, K, opts=ShadowOptions(), extend=_reg
         new_d = [0j] * (n_ext + 1)
         for n in range(J, 0, -1):
             if coeffs is None:
-                q = sys.eval_q(n, a[n - 1] + d[n - 1], a[n - 1])
+                b_n = a[n - 1] + d[n - 1]
+                try:
+                    q = sys.eval_q(n, b_n, a[n - 1])
+                except OverflowError:
+                    q = complex(math.inf, 0.0)
+                if not cmath.isfinite(q):
+                    raise NonContraction(f"q_{n} left the float range at b_{n} = {b_n!r}")
             else:
                 q = coeffs[n - 1]
             if abs(q) < shadowing.DEGENERATE_QUOTIENT_LIMIT:
@@ -847,6 +868,11 @@ class TestContinuedExtension:
         horizon=st.one_of(st.integers(1, 60), st.integers(1000, 1100)),
         scale=st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
         K=st.floats(1.01, 8.0),
+    )
+    # off the real line the sine overflows at q_7: both refuse with NonContraction
+    @example(
+        sys=affine_sinusoid(4.0), a1=1.0, eps=0.0, policy=ResidualPolicy(), horizon=8,
+        scale=1j, K=2.0,
     )
     def test_a_hand_built_orbit_is_shadowed_as_given(self, sys, a1, eps, policy, horizon, scale, K):
         # generation does not reproduce a_n scaled by a drawn factor

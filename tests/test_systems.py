@@ -8,7 +8,7 @@ from pathlib import Path
 from sys import float_info
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hu_shadow
@@ -177,6 +177,79 @@ class TestEvaluation:
             assert all(p > 0 for p in sys.rates(50))
 
 
+def _real_line_map(slope, n, x):
+    """``eval_map``'s deleted real-argument formula, verbatim."""
+    return complex(slope * x + math.sin(x / n) / n, 0.0)
+
+
+def _real_line_derivative(slope, n, u):
+    """``eval_q``'s deleted real-argument derivative at u == v, verbatim."""
+    return complex(slope + math.cos(u.real / n) / n**2, 0.0)
+
+
+def _real_line_quotient(slope, n, x, y):
+    """``eval_q``'s deleted real-argument quotient, verbatim."""
+    return complex(
+        slope + (math.sin(x / n) - math.sin(y / n)) / (n * (x - y)), 0.0
+    )
+
+
+sinusoid_slopes = st.one_of(st.just(3.0), st.floats(1.0, 10.0, exclude_min=True))
+sinusoid_steps = st.one_of(st.integers(1, 50), st.integers(1, 10**6))
+finite_reals = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestOneComplexFormula:
+    """The sinusoid's F and quotient are one complex formula each; on the
+    real line they give the bits of the deleted real-argument formulas."""
+
+    # x = -0.0 is left out: the complex formula's real part is +0.0 there,
+    # the real-line one's -0.0 (generation adds r_n to it, and every other
+    # caller takes a modulus or a difference)
+    @settings(max_examples=200)
+    @given(
+        slope=sinusoid_slopes,
+        n=sinusoid_steps,
+        x=finite_reals.filter(lambda x: _bits(x) != _bits(-0.0)),
+    )
+    @example(slope=3.0, n=1, x=5e-324)
+    @example(slope=3.0, n=2, x=1.7e308)
+    def test_map_equals_the_real_line_formula(self, slope, n, x):
+        assert _bits(affine_sinusoid(slope).eval_map(n, x)) == _bits(_real_line_map(slope, n, x))
+
+    def test_map_at_negative_zero(self):
+        assert _bits(affine_sinusoid().eval_map(2, -0.0)) == _bits(0j)
+        assert _bits(_real_line_map(3.0, 2, -0.0)) == _bits(complex(-0.0, 0.0))
+
+    # a pair whose difference x - y overflows is left out: n * (x - y) is then
+    # inf + NaN i in complex arithmetic and the quotient NaN, where the real
+    # line gave the slope; generated orbits stop at |a_n| <= OVERFLOW_LIMIT
+    @settings(max_examples=200)
+    @given(
+        slope=sinusoid_slopes,
+        n=sinusoid_steps,
+        x=finite_reals,
+        y=st.one_of(finite_reals, st.floats(-10.0, 10.0)),
+        same=st.booleans(),
+    )
+    @example(slope=3.0, n=3, x=0.0, y=-0.0, same=False)
+    def test_quotient_equals_the_real_line_formula(self, slope, n, x, y, same):
+        y = x if same else y
+        assume(math.isfinite(x - y))
+        if x == y:
+            reference = _real_line_derivative(slope, n, complex(x))
+        else:
+            reference = _real_line_quotient(slope, n, x, y)
+        assert _bits(affine_sinusoid(slope).eval_q(n, x, y)) == _bits(reference)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_argument_gives_nan_parts(self, x):
+        # the real-line formulas raised ValueError('math domain error') at +-inf
+        sys = affine_sinusoid()
+        for value in (sys.eval_map(3, x), sys.eval_q(3, x, 1.0), sys.eval_q(3, x, x)):
+            assert math.isnan(value.real) and math.isnan(value.imag)
+
+
 class TestResidualPolicies:
     @given(
         kind=st.sampled_from(list(PolicyKind)),
@@ -186,9 +259,18 @@ class TestResidualPolicies:
     )
     # a subnormal epsilon: the phase product's parts once rounded past it
     @example(kind=PolicyKind.LOW_DISCREPANCY_PHASE, theta=0.0, n=46159, eps=2.2250738585e-313)
+    # a normal epsilon: |r| once landed one ulp above it
+    @example(kind=PolicyKind.CONSTANT_PHASE, theta=0.1, n=1, eps=1e-3)
+    @example(kind=PolicyKind.LOW_DISCREPANCY_PHASE, theta=0.0, n=15, eps=1e-3)
     def test_magnitude_within_epsilon(self, kind, theta, n, eps):
         policy = ResidualPolicy(kind=kind, theta=theta)
-        assert abs(policy.residual(n, eps)) <= eps * (1 + 1e-12)
+        assert abs(policy.residual(n, eps)) <= eps
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_negative_epsilon_ends_within_its_magnitude(self, kind):
+        # the clamp steps toward zero until |r| <= |epsilon|: for a negative
+        # epsilon, which generation refuses, |r| <= epsilon would never hold
+        assert abs(ResidualPolicy(kind=kind, theta=0.1).residual(1, -1e-3)) <= 1e-3
 
     @given(
         kind=st.sampled_from(list(PolicyKind)),
