@@ -27,8 +27,8 @@ entry 0 of the float and rate tables of the one step n.
 A float table is built over its whole range at once: the periodic cycle
 and its moduli are tiled; the index-scaled and parity families fill one
 complex array a parity class at a time, by float64 division where the
-integers convert exactly, by ``ldexp`` for a parity base 2**s, and by a
-running bigint product for any other rational base.  The sinusoid's rates
+integers convert exactly and by ``ldexp`` for a parity base 2**s; any other
+rational parity base is rounded from its exact pairs.  The sinusoid's rates
 are one array expression.
 """
 
@@ -130,14 +130,13 @@ class MapSystem:
         if self.family is Family.POWER_TWO_PARITY:
             base, even_shift = self.params
             power = _power_of_two(base)
+            if power is None and _rational(base):  # each pair rounds correctly by int division
+                return np.array([_quotient(*pair) for pair in self._pairs(ns)], dtype=complex)
             for steps, exponents in _parity_exponents(ns, even_shift):
-                if power is not None:  # base = 2**power: c_n = 2**(power*e)
-                    table[steps.start - ns.start::2] = _ldexp_table(power, exponents)
-                elif not _rational(base):  # float powers round per index
-                    table[steps.start - ns.start::2] = [_float_power(base, e) for e in exponents]
-                else:  # c_{n+2} = c_n * base**(e_{n+2} - e_n)
-                    first, ratio = Fraction(base) ** exponents[0], Fraction(base) ** exponents.step
-                    table[steps.start - ns.start::2] = _geometric(first, ratio, len(steps))
+                table[steps.start - ns.start::2] = (
+                    _ldexp_table(power, exponents) if power is not None  # c_n = 2**(power*e)
+                    else [_float_power(base, e) for e in exponents]  # float powers round per index
+                )
             return table
         raise UnsupportedFamily(f"{self.family.value} is not linear")
 
@@ -384,29 +383,6 @@ def _float_power(base: float, e: int) -> complex:
         return complex(math.inf, 0.0)
 
 
-def _geometric(value: Fraction, ratio: Fraction, count: int) -> np.ndarray:
-    """complex(value * ratio**k) for 0 <= k < count, count >= 1, for
-    positive value and ratio.
-
-    A running integer product, not reduced: the correctly rounded
-    quotient depends only on its exact value.  Once a value leaves the
-    float range (inf or 0.0) in the direction the ratio moves it, every
-    later one rounds to the same limit, so the rest are filled in.
-    """
-    num, den = value.numerator, value.denominator
-    rnum, rden = ratio.numerator, ratio.denominator
-    values = []
-    for _ in range(count):
-        values.append(c := _quotient(num, den))
-        if (c.real == math.inf and rnum >= rden) or (c.real == 0.0 and rnum <= rden):
-            break
-        num *= rnum
-        den *= rden
-    table = np.full(count, values[-1], dtype=complex)
-    table[:len(values)] = values
-    return table
-
-
 def _rational(x: Number) -> bool:
     return type(x) is int or type(x) is Fraction  # isinstance on a Fraction is slow
 
@@ -452,6 +428,8 @@ def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
     if isinstance(even_shift, bool) or not isinstance(even_shift, int):
         raise ValueError(f"even_shift must be an integer, got {even_shift!r}")
     _require_finite(base)
+    if isinstance(base, complex):
+        raise ValueError(f"base must be real, got {base!r}")
     if base < 0:
         raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.POWER_TWO_PARITY, params=(base, even_shift))
@@ -460,6 +438,8 @@ def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
 def affine_sinusoid(slope: float = 3.0) -> MapSystem:
     """Real maps x -> slope*x + sin(x/n)/n; expanding rate slope - 1/n^2."""
     _require_finite(slope)
+    if isinstance(slope, complex):
+        raise ValueError(f"slope must be real, got {slope!r}")
     if slope <= 1.0:
         raise ValueError("affine_sinusoid requires slope > 1 for a positive expanding rate")
     return MapSystem(family=Family.AFFINE_SINUSOID, params=(slope,))
@@ -569,10 +549,11 @@ def generate_pseudo_orbit(
 ) -> PseudoOrbit:
     """Propagate a_1 forward under F with policy-generated residuals.
 
-    ``epsilon`` must be finite and nonnegative.  The residual of the three
-    constant policies is read once; ``low_discrepancy_phase`` reads it per
-    step.  A linear family steps through its coefficient table, so a step
-    makes no call; the nonlinear family steps through ``eval_map``.
+    Each part of ``a1`` must be finite and at most ``OVERFLOW_LIMIT`` in
+    magnitude, and ``epsilon`` finite and nonnegative.  The residual of the
+    three constant policies is read once; ``low_discrepancy_phase`` reads it
+    per step.  A linear family steps through its coefficient table, so a
+    step makes no call; the nonlinear family steps through ``eval_map``.
     Generation stops at the first value that is not finite or exceeds
     ``OVERFLOW_LIMIT`` in either part.
     """
@@ -607,6 +588,8 @@ def _pseudo_orbit(
         residuals = [policy.residual(1, epsilon)] * len(steps) if steps else []
     if head is None:
         z = complex(a1)
+        if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):
+            raise ValueError(f"a1 must have finite parts of at most {OVERFLOW_LIMIT:g}, got {a1!r}")
         a, r = [z], []
     else:
         a, r, z = list(head.a), list(head.r), head.a[-1]

@@ -135,6 +135,23 @@ class TestShadow:
         assert err["reason"].startswith("q_111 left the float range")
         assert not (tmp_path / "out").exists()
 
+    def test_a_degenerate_quotient_exits_with_reason(self, tmp_path, capsys):
+        # |c_3| = 1e-301 is below the degenerate-quotient limit of the expanding recurrence
+        raw = {
+            "system": {"family": "periodic_linear", "coeffs": [f"1/{10**301}", 10**302]},
+            "a1": 1,
+            "epsilon": 1e-3,
+            "horizon": 20,
+        }
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(raw))
+        rc = main(["shadow", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        reason = "|q_3| ~ 0; error dynamics singular"
+        assert err == {"error": "DegenerateQuotient", "reason": reason}
+        assert not (tmp_path / "out").exists()
+
     def test_nonlinear_fixture_passes(self, tmp_path):
         rc = main(
             ["shadow", "--config", str(fixture_path("nonlinear_sinusoid")), "--out", str(tmp_path)]
@@ -446,6 +463,33 @@ class TestUsageAndConfig:
         assert not (tmp_path / "ignored").exists()
 
 
+def _within(got, want, tol) -> bool:
+    if isinstance(want, str):
+        return got == want
+    if isinstance(want, list):
+        return len(got) == len(want) and all(_within(g, w, tol) for g, w in zip(got, want))
+    return abs(got - want) < tol
+
+
+def _printed_verdict(claim: dict) -> bool:
+    """A reproduce claim's verdict from its printed ``observed`` and
+    ``required`` values alone."""
+    observed, required = claim["observed"], claim["required"]
+    if claim["claim"] == "divergence_growth":
+        low, high = observed["ratio_range"]
+        return observed["error_at_n21"] >= required["error_at_n21_min"] and all(
+            abs(r - required["ratio"]) <= required["ratio_tol"] for r in (low, high)
+        )
+    if "tol" in required:
+        return observed is not None and all(
+            _within(observed[key], want, required["tol"])
+            for key, want in required.items()
+            if key != "tol"
+        )
+    assert set(required) == {f"{key}_max" for key in observed}
+    return all(observed[key] <= required[f"{key}_max"] for key in observed)
+
+
 class TestReproduce:
     def test_report_and_exit_status(self, tmp_path):
         rc = main(["reproduce", "--out", str(tmp_path)])
@@ -465,6 +509,13 @@ class TestReproduce:
         assert claims["expanding_sup_bound"] == "fail"
         assert report["verdict"] == "fail"
         assert rc == 1
+
+    def test_each_verdict_follows_from_its_printed_values(self, tmp_path):
+        main(["reproduce", "--out", str(tmp_path)])
+        claims = json.loads((tmp_path / "reproduce.json").read_text())["claims"]
+        assert len(claims) == 9
+        for claim in claims:
+            assert claim["verdict"] == ("pass" if _printed_verdict(claim) else "fail"), claim
 
     def test_exit_zero_iff_all_pass(self, tmp_path):
         rc = main(["reproduce", "--out", str(tmp_path)])
@@ -768,21 +819,87 @@ fuzz_systems = st.one_of(
         st.one_of(st.floats(1.0, 6.0), st.sampled_from(EXTREME)),
     ),
 )
-fuzz_scenarios = st.fixed_dictionaries(
-    {
-        "system": fuzz_systems,
-        "a1": st.one_of(fuzz_reals, st.lists(fuzz_reals, min_size=2, max_size=2)),
-        "epsilon": st.one_of(
-            st.sampled_from([0.0, 5e-324, 1e-310, 1e-3, 1.0, 1e3, 1e300]), st.floats(0.0, 10.0)
-        ),
-        "residual": st.builds(
-            lambda kind, theta: {"kind": kind, "theta": theta},
-            st.sampled_from([kind.value for kind in PolicyKind]),
-            st.floats(-7.0, 7.0),
-        ),
-        "horizon": st.one_of(st.integers(1, 200), st.integers(1, 3000)),
-    }
+fuzz_residuals = st.builds(
+    lambda kind, theta: {"kind": kind, "theta": theta},
+    st.sampled_from([kind.value for kind in PolicyKind]),
+    st.floats(-7.0, 7.0),
 )
+
+
+def fuzz_runs(command: str):
+    """(command, scenario): instability's residuals are constant_real, the one
+    kind it takes, so that its runs reach the witness."""
+    residuals = st.just({"kind": "constant_real"}) if command == "instability" else fuzz_residuals
+    scenarios = st.fixed_dictionaries(
+        {
+            "system": fuzz_systems,
+            "a1": st.one_of(fuzz_reals, st.lists(fuzz_reals, min_size=2, max_size=2)),
+            "epsilon": st.one_of(
+                st.sampled_from([0.0, 5e-324, 1e-310, 1e-3, 1.0, 1e3, 1e300]),
+                st.floats(0.0, 10.0),
+            ),
+            "residual": residuals,
+            "horizon": st.one_of(st.integers(1, 200), st.integers(1, 3000)),
+        }
+    )
+    return st.tuples(st.just(command), scenarios)
+
+
+#: ``--horizon`` and ``--epsilon`` as single ``--flag=value`` tokens, so that
+#: argparse reads a value such as -inf as a value, not as an option.
+fuzz_flags = st.lists(
+    st.one_of(
+        st.builds(
+            "--horizon={}".format,
+            st.one_of(
+                st.sampled_from(["0", "-1", "nan", "inf", str(MAX_HORIZON + 1)]),
+                st.integers(1, 3000),
+            ),
+        ),
+        st.builds(
+            "--epsilon={}".format,
+            st.one_of(
+                st.sampled_from(["0", "-1e-3", "nan", "inf", "-inf", "5e-324", "1e300"]),
+                st.floats(0.0, 10.0),
+            ),
+        ),
+    ),
+    max_size=2,
+)
+
+
+def _with_examples(test):
+    """The inputs that once ended in a traceback or a silent bad run."""
+    parity = json.loads(fixture_path("unstable_parity").read_text())
+    sinusoid = json.loads(fixture_path("nonlinear_sinusoid").read_text())
+    examples = [
+        ("shadow", QUOTIENT_OVERFLOW, []),
+        *(
+            ("analyze", {"system": {"family": "periodic_linear", "coeffs": coeffs}}, [])
+            for coeffs in ([1e300, 1e300, 1e-300, 1e-300], [5e-324, 1e-320])
+        ),
+        ("instability", {**parity, "system": {**parity["system"], "even_shift": -5}}, []),
+        ("analyze", parity, ["--horizon=2000"]),
+        ("shadow", sinusoid, ["--epsilon=nan"]),
+        ("analyze", {"system": {"family": "affine_sinusoid", "base": 2}}, []),
+        *(
+            ("shadow", {**sinusoid, key: value}, [])
+            for key, value in [
+                ("epsilon", "1/x"),
+                ("epsilon", True),
+                ("a1", [1, 2, 3]),
+                ("analysis", []),
+                ("analysis", {"window": 0}),
+                ("system", {"family": "periodic_linear", "coeffs": []}),
+                ("residual", {"kind": "spiral"}),
+                ("system", []),
+                ("shadow", {"tail_fraction": 1.0}),
+            ]
+        ),
+    ]
+    for command, raw, flags in reversed(examples):
+        test = example(run=(command, raw), flags=flags)(test)
+    return test
 
 
 class TestFuzzer:
@@ -790,24 +907,30 @@ class TestFuzzer:
     with one line: never an exception out of ``main``."""
 
     @settings(max_examples=60, deadline=None)
-    @given(command=st.sampled_from(["analyze", "shadow", "instability"]), raw=fuzz_scenarios)
-    @example(command="shadow", raw=QUOTIENT_OVERFLOW)
-    @example(
-        command="analyze",
-        raw={"system": {"family": "periodic_linear", "coeffs": [1e300, 1e300, 1e-300, 1e-300]}},
+    @given(
+        run=st.sampled_from(["analyze", "shadow", "instability"]).flatmap(fuzz_runs),
+        flags=fuzz_flags,
     )
-    @example(
-        command="analyze", raw={"system": {"family": "periodic_linear", "coeffs": [5e-324, 1e-320]}}
-    )
-    def test_main_ends_cleanly(self, command, raw):
+    @_with_examples
+    def test_main_ends_cleanly(self, run, flags):
+        command, raw = run
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "scenario.json"
             config.write_text(json.dumps(raw))
+            argv = [command, "--config", str(config), "--out", str(Path(tmp) / "out"), *flags]
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                rc = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
-        assert rc in (0, 1, 2)
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # argparse's usage error, for a --horizon that is no int
+                    rc, usage = exc.code, True
+                else:
+                    usage = False
         lines = err.getvalue().splitlines()
+        if usage:
+            assert rc == 2 and lines[-1].startswith("hu-shadow: error: argument --horizon")
+            return
+        assert rc in (0, 1, 2)
         if rc == 2:
             assert len(lines) == 1 and lines[0].startswith("hu-shadow: config error: ")
         for line in lines:

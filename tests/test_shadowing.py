@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -14,12 +15,16 @@ from hypothesis import strategies as st
 from hu_shadow import shadowing
 from hu_shadow.systems import OVERFLOW_LIMIT
 from hu_shadow import (
+    AnalysisOptions,
+    Classification,
+    ClassificationKind,
     DegenerateQuotient,
     Family,
     HuShadowError,
     HypothesisViolation,
     MapSystem,
     NonContraction,
+    PeriodicFit,
     PolicyKind,
     PseudoOrbit,
     RateRangeError,
@@ -31,6 +36,9 @@ from hu_shadow import (
     accumulated_rate_bound,
     affine_sinusoid,
     bounded_factor_expanding_bound,
+    classify,
+    detect_periodic_scaled,
+    double_factorial_envelope,
     early_index_bound,
     exact_propagate,
     generate_pseudo_orbit,
@@ -38,10 +46,13 @@ from hu_shadow import (
     periodic_linear,
     perturbation_partial_sum,
     power_two_parity,
+    profile_of,
+    ratio_check,
     shadow_contracting,
     shadow_expanding,
     telescope_difference,
     uniform_contraction_bound,
+    witness_divergence,
 )
 
 SQRT_3_2 = math.sqrt(1.5)
@@ -135,6 +146,96 @@ def rate_lists(draw):
         # log-product past 700: prod saturates to inf, or to 0.0 for a zero gap
         rates[:0] = [1e300, 1e300, 1e300]
     return rates
+
+
+def _equal_factor_classification() -> Classification:
+    fit = PeriodicFit(m=2, prefix=0, rate_factors=(2.0, 2.0), constants=(1, 1), max_residual=0.0)
+    return Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
+
+
+def _orbit(horizon: int) -> PseudoOrbit:
+    return generate_pseudo_orbit(periodic_linear(), 1.0, 1e-3, ResidualPolicy(), horizon)
+
+
+#: Public calls refused for their arguments: the error each raises, or the
+#: value it returns in place of a result.
+REFUSALS = {
+    "uniform_n_below_one": (
+        lambda: uniform_contraction_bound(0.5, 0, 1e-3, 0.0), ValueError("n must be >= 1, got 0")
+    ),
+    "uniform_negative_eps": (
+        lambda: uniform_contraction_bound(0.5, 3, -1e-3, 0.0),
+        ValueError("eps and gap must be nonnegative"),
+    ),
+    "uniform_negative_gap": (
+        lambda: uniform_contraction_bound(0.5, 3, 1e-3, -1.0),
+        ValueError("eps and gap must be nonnegative"),
+    ),
+    "accumulated_n_below_one": (
+        lambda: accumulated_rate_bound([2.0], 0, 1e-3, 0.0), ValueError("n must be >= 1, got 0")
+    ),
+    "accumulated_too_few_rates": (
+        lambda: accumulated_rate_bound([2.0], 4, 1e-3, 0.0),
+        ValueError("need rates p_1..p_3, got 1"),
+    ),
+    "partial_sum_n_below_one": (
+        lambda: perturbation_partial_sum([2.0], 0), ValueError("n must be >= 1, got 0")
+    ),
+    "partial_sum_too_few_rates": (
+        lambda: perturbation_partial_sum([2.0, 0.5], 3), ValueError("need rates p_1..p_3, got 2")
+    ),
+    "bounded_factor_m_above_M": (
+        lambda: bounded_factor_expanding_bound(2.0, 1.0, 1.5, 1e-3),
+        ValueError("need 0 < m_low <= M_high"),
+    ),
+    "early_index_K_one": (
+        lambda: early_index_bound([2.0] * 5, 1, 5, 1.0, 1e-3),
+        HypothesisViolation("K must exceed 1, got 1.0"),
+    ),
+    "early_index_too_few_rates": (
+        lambda: early_index_bound([2.0] * 4, 1, 5, 1.5, 1e-3),
+        ValueError("need rates p_1..p_5, got 4"),
+    ),
+    "telescope_n_zero": (
+        lambda: telescope_difference(periodic_linear(), _orbit(5), 1.0, 0),
+        ValueError("n must be in 1..5, got 0"),
+    ),
+    "telescope_n_past_horizon": (
+        lambda: telescope_difference(periodic_linear(), _orbit(5), 1.0, 6),
+        ValueError("n must be in 1..5, got 6"),
+    ),
+    "exact_propagate_horizon_zero": (
+        lambda: exact_propagate(periodic_linear(), Fraction(1), Fraction(1, 1000), 0),
+        ValueError("horizon must be >= 1, got 0"),
+    ),
+    "ratio_check_too_few_t": (
+        lambda: ratio_check([1.0, 1.0], 1.5, 3), ValueError("need t_1..t_3, got 2 values")
+    ),
+    "envelope_k_zero": (lambda: double_factorial_envelope(0), ValueError("k must be >= 1, got 0")),
+    # max_period 2 finds the parity family's period-2 fit on the same profile
+    "detect_max_period_one": (
+        lambda: detect_periodic_scaled(profile_of(power_two_parity(), 1000), 1, 1e-4), None
+    ),
+    "classify_window_one_at_four": (
+        lambda: classify(profile_of(periodic_linear(), 4), None, AnalysisOptions(window=1)),
+        Classification(kind=ClassificationKind.UNDETERMINED),
+    ),
+    "witness_equal_rate_factors": (
+        lambda: witness_divergence(power_two_parity(), 1e-3, 40, _equal_factor_classification()),
+        HypothesisViolation("rate factors are all equal; no witness"),
+    ),
+}
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refused(self, name):
+        call, outcome = REFUSALS[name]
+        if isinstance(outcome, Exception):
+            with pytest.raises(type(outcome), match=f"^{re.escape(str(outcome))}$"):
+                call()
+        else:
+            assert call() == outcome
 
 
 class TestSoundBoundSweep:
@@ -418,6 +519,13 @@ class TestExpandingNamedErrors:
 
     def test_errors_are_package_errors(self):
         assert issubclass(RateRangeError, HuShadowError)
+
+    def test_a_quotient_that_rounds_to_zero_is_degenerate(self):
+        # |c_3| = 1e-301 is a float, but below 1e-300 the backward recurrence divides by ~0
+        sys = periodic_linear((Fraction(1, 10**301), 10**302))
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 20)
+        with pytest.raises(DegenerateQuotient, match=r"^\|q_3\| ~ 0; error dynamics singular$"):
+            shadow_expanding(sys, pseudo, math.sqrt(10))
 
     def test_a_quotient_past_the_float_range_is_a_non_contraction(self):
         # the phase residuals push the fixed point off the real line, where the

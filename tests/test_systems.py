@@ -507,7 +507,7 @@ TABLE_SYSTEMS = {
     },
     # bases 2**s read c_n from the exponent alone: 4 overflows from n = 513,
     # 1/8 underflows from n = 359, 1/2 rounds the tie 2**-1075 to 0.0 at
-    # n = 1075; 2/3 stays on the running bigint product
+    # n = 1075; 2/3 is rounded from its exact pairs
     "parity_4_3": power_two_parity(4, 3),
     "parity_1/8_3": power_two_parity(Fraction(1, 8), 3),
     "parity_1/2_3": power_two_parity(Fraction(1, 2), 3),
@@ -961,6 +961,36 @@ class TestNonFiniteInputs:
         # returned a horizon-1 orbit before
         with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
             generate_pseudo_orbit(periodic_linear(), 1.0, eps, ResidualPolicy(), 10)
+
+    @pytest.mark.parametrize("a1", [1e301, math.inf, math.nan, complex(1.7e308, 1.7e308)])
+    @pytest.mark.parametrize(
+        "build", [periodic_linear, index_scaled_linear, power_two_parity, affine_sinusoid]
+    )
+    def test_a1_out_of_range_rejected(self, monkeypatch, build, a1):
+        # kept before as a one-value truncated orbit: shadow_expanding then raised a
+        # bare OverflowError and shadow_contracting returned a NaN sup_diff
+        sys = build()
+        calls = []
+        for name in ("_tables", "_floats", "_pairs"):
+            monkeypatch.setattr(MapSystem, name, lambda self, ns, _n=name: calls.append(_n))
+        message = f"a1 must have finite parts of at most 1e+300, got {a1!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_pseudo_orbit(sys, a1, 1e-3, ResidualPolicy(), 10)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: power_two_parity(1j), "base must be real, got 1j"),
+            (lambda: power_two_parity(complex(2.0, 0.0)), "base must be real, got (2+0j)"),
+            (lambda: affine_sinusoid(1j), "slope must be real, got 1j"),
+            (lambda: affine_sinusoid(3.0 + 0.5j), "slope must be real, got (3+0.5j)"),
+        ],
+    )
+    def test_complex_base_or_slope_rejected(self, build, message):
+        # ended in a bare TypeError from the order comparison before
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def _fraction_log_growth_rate(sys: MapSystem, n: int) -> float:
