@@ -384,14 +384,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "command", choices=["analyze", "shadow", "instability", "reproduce"]
     )
     parser.add_argument("--config", help="scenario file (JSON)")
-    parser.add_argument("--horizon", type=int, help="override the scenario horizon")
-    parser.add_argument("--epsilon", type=float, help="override the residual size")
+    parser.add_argument("--horizon", help="override the scenario horizon")
+    parser.add_argument("--epsilon", help="override the residual size")
     parser.add_argument(
         "--out",
         help="output directory (also overridable via the "
         f"{OUTPUT_DIR_ENV} environment variable)",
     )
     return parser
+
+
+def _flag_value(text: str, kind: type):
+    """A flag's text as ``kind`` reads it, or the text itself, which the
+    scenario's own check then refuses with one line."""
+    try:
+        return kind(text)
+    except ValueError:
+        return text
 
 
 def _resolve_out(scenario: Optional[Scenario], args: argparse.Namespace) -> Path:
@@ -414,8 +423,10 @@ def main(argv: Optional[list] = None) -> int:
             if not args.config:
                 parser.error(f"command {args.command!r} requires --config")
             scenario = load_scenario(args.config)
-            overrides = {"horizon": args.horizon, "epsilon": args.epsilon}
-            overrides = {k: v for k, v in overrides.items() if v is not None}
+            flags = {"horizon": (args.horizon, int), "epsilon": (args.epsilon, float)}
+            overrides = {
+                key: _flag_value(text, kind) for key, (text, kind) in flags.items() if text is not None
+            }
             if overrides:
                 # re-read, so a flag meets the same checks as a file value
                 scenario = scenario_from_dict({**scenario_to_dict(scenario), **overrides})

@@ -24,7 +24,9 @@ from typing import Any, Union
 from .errors import ConfigError
 from .growth import AnalysisOptions
 from .shadowing import ShadowOptions
-from .systems import FACTORIES, OVERFLOW_LIMIT, Family, MapSystem, PolicyKind, ResidualPolicy
+from .systems import (
+    FACTORIES, OVERFLOW_LIMIT, Family, MapSystem, PolicyKind, ResidualPolicy, _within_limit,
+)
 
 
 #: Largest horizon a scenario may ask for, directly or as 4 * analysis.window:
@@ -194,7 +196,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     system = _build_system(system_cfg)
 
     a1 = _complex(raw.get("a1", 1), "a1")
-    if not (abs(a1.real) <= OVERFLOW_LIMIT and abs(a1.imag) <= OVERFLOW_LIMIT):
+    if not _within_limit(a1):
         raise ConfigError(f"a1: each part must be at most {OVERFLOW_LIMIT:g} in magnitude")
     epsilon = float(_real(raw.get("epsilon", 1e-3), "epsilon"))
     if epsilon < 0:

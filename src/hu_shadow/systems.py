@@ -27,8 +27,8 @@ entry 0 of the float and rate tables of the one step n.
 A float table is built over its whole range at once: the periodic cycle
 and its moduli are tiled; the index-scaled and parity families fill one
 complex array a parity class at a time, by float64 division where the
-integers convert exactly and by ``ldexp`` for a parity base 2**s; any other
-rational parity base is rounded from its exact pairs.  The sinusoid's rates
+integers convert exactly, by ``ldexp`` for a parity base 2**s, and by a
+running bigint product for any other rational base.  The sinusoid's rates
 are one array expression.
 """
 
@@ -54,6 +54,16 @@ OVERFLOW_LIMIT = 1e300
 
 #: Fractional part multiplier of the low-discrepancy phase policy.
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _within_limit(z: Union[Number, complex]) -> bool:
+    """Each part of z is finite and at most ``OVERFLOW_LIMIT`` in magnitude;
+    an int or Fraction past the float range is not."""
+    try:
+        z = complex(z)
+    except OverflowError:
+        return False
+    return abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT
 
 
 class Family(str, Enum):
@@ -130,13 +140,14 @@ class MapSystem:
         if self.family is Family.POWER_TWO_PARITY:
             base, even_shift = self.params
             power = _power_of_two(base)
-            if power is None and _rational(base):  # each pair rounds correctly by int division
-                return np.array([_quotient(*pair) for pair in self._pairs(ns)], dtype=complex)
             for steps, exponents in _parity_exponents(ns, even_shift):
-                table[steps.start - ns.start::2] = (
-                    _ldexp_table(power, exponents) if power is not None  # c_n = 2**(power*e)
-                    else [_float_power(base, e) for e in exponents]  # float powers round per index
-                )
+                if power is not None:  # base = 2**power: c_n = 2**(power*e)
+                    table[steps.start - ns.start::2] = _ldexp_table(power, exponents)
+                elif not _rational(base):  # float powers round per index
+                    table[steps.start - ns.start::2] = [_float_power(base, e) for e in exponents]
+                else:  # c_{n+2} = c_n * base**(e_{n+2} - e_n)
+                    first, ratio = Fraction(base) ** exponents[0], Fraction(base) ** exponents.step
+                    table[steps.start - ns.start::2] = _geometric(first, ratio, len(steps))
             return table
         raise UnsupportedFamily(f"{self.family.value} is not linear")
 
@@ -383,6 +394,29 @@ def _float_power(base: float, e: int) -> complex:
         return complex(math.inf, 0.0)
 
 
+def _geometric(value: Fraction, ratio: Fraction, count: int) -> np.ndarray:
+    """complex(value * ratio**k) for 0 <= k < count, count >= 1, for
+    positive value and ratio.
+
+    A running integer product, not reduced: the correctly rounded
+    quotient depends only on its exact value.  Once a value leaves the
+    float range (inf or 0.0) in the direction the ratio moves it, every
+    later one rounds to the same limit, so the rest are filled in.
+    """
+    num, den = value.numerator, value.denominator
+    rnum, rden = ratio.numerator, ratio.denominator
+    values = []
+    for _ in range(count):
+        values.append(c := _quotient(num, den))
+        if (c.real == math.inf and rnum >= rden) or (c.real == 0.0 and rnum <= rden):
+            break
+        num *= rnum
+        den *= rden
+    table = np.full(count, values[-1], dtype=complex)
+    table[:len(values)] = values
+    return table
+
+
 def _rational(x: Number) -> bool:
     return type(x) is int or type(x) is Fraction  # isinstance on a Fraction is slow
 
@@ -560,12 +594,15 @@ def generate_pseudo_orbit(
     return _pseudo_orbit(sys, a1, epsilon, policy, horizon, None)
 
 
-def _check_orbit_request(epsilon: float, horizon: int) -> None:
-    """The checks :func:`generate_pseudo_orbit` makes before any work."""
+def _check_orbit_request(epsilon: float, horizon: int, a1: Optional[complex] = None) -> None:
+    """The checks :func:`generate_pseudo_orbit` makes before any work, of
+    ``a1`` too when the orbit starts from it."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if a1 is not None and not _within_limit(a1):
+        raise ValueError(f"a1 must have finite parts of at most {OVERFLOW_LIMIT:g}, got {a1!r}")
 
 
 def _pseudo_orbit(
@@ -579,7 +616,7 @@ def _pseudo_orbit(
 
     One loop steps both kinds of family: a linear step multiplies by its
     table entry, a nonlinear one calls ``eval_map``."""
-    _check_orbit_request(epsilon, horizon)
+    _check_orbit_request(epsilon, horizon, a1 if head is None else None)
     start = 1 if head is None else head.horizon
     steps = range(start, horizon)
     if policy.kind is PolicyKind.LOW_DISCREPANCY_PHASE:
@@ -588,8 +625,6 @@ def _pseudo_orbit(
         residuals = [policy.residual(1, epsilon)] * len(steps) if steps else []
     if head is None:
         z = complex(a1)
-        if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):
-            raise ValueError(f"a1 must have finite parts of at most {OVERFLOW_LIMIT:g}, got {a1!r}")
         a, r = [z], []
     else:
         a, r, z = list(head.a), list(head.r), head.a[-1]
@@ -609,7 +644,7 @@ def _pseudo_orbit(
             z = (x * z if linear else eval_map(x, z)) + r_n
         except OverflowError:
             z = complex(math.nan, math.nan)
-        if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):
+        if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):  # _within_limit
             truncated = True
             break
         a.append(z)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from sys import float_info
@@ -28,6 +29,7 @@ from hu_shadow import (
     profile_of,
     shadow_expanding,
 )
+from hu_shadow.scenario import MAX_HORIZON
 from hu_shadow.systems import OVERFLOW_LIMIT, modulus
 
 
@@ -507,7 +509,7 @@ TABLE_SYSTEMS = {
     },
     # bases 2**s read c_n from the exponent alone: 4 overflows from n = 513,
     # 1/8 underflows from n = 359, 1/2 rounds the tie 2**-1075 to 0.0 at
-    # n = 1075; 2/3 is rounded from its exact pairs
+    # n = 1075; 2/3 stays on the running bigint product
     "parity_4_3": power_two_parity(4, 3),
     "parity_1/8_3": power_two_parity(Fraction(1, 8), 3),
     "parity_1/2_3": power_two_parity(Fraction(1, 2), 3),
@@ -761,6 +763,19 @@ class TestWholeRangeTables:
         affine_sinusoid().tables(10_000)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("base", [3, Fraction(3, 2), 10**30])
+    def test_rational_parity_base_memory_at_the_horizon_cap(self, base):
+        # the running product keeps one power at a time and stops where the
+        # class leaves the float range; the exact pairs of every step would
+        # hold about 1 GB of powers of 3 at this horizon
+        tracemalloc.start()
+        try:
+            power_two_parity(base).tables(MAX_HORIZON)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
 
 def _float_power_log_rate(base: float, even_shift: int, n: int):
     """ln p_n for a float parity base by the direct rule, None where it fails."""
@@ -962,7 +977,10 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
             generate_pseudo_orbit(periodic_linear(), 1.0, eps, ResidualPolicy(), 10)
 
-    @pytest.mark.parametrize("a1", [1e301, math.inf, math.nan, complex(1.7e308, 1.7e308)])
+    @pytest.mark.parametrize(
+        "a1",
+        [1e301, math.inf, math.nan, complex(1.7e308, 1.7e308), pytest.param(10**400, id="10**400")],
+    )
     @pytest.mark.parametrize(
         "build", [periodic_linear, index_scaled_linear, power_two_parity, affine_sinusoid]
     )
