@@ -383,35 +383,51 @@ def double_factorial_envelope(k: int) -> tuple[float, float, float]:
     return (1.0 / math.sqrt(4 * k + 1), value, 1.0 / math.sqrt(3 * k + 1))
 
 
+#: Steps per block of :func:`double_factorial_envelope_holds`: its arrays
+#: stay a few pages long at any k_max.
+ENVELOPE_BLOCK = 4096
+
+
 def double_factorial_envelope_holds(k_max: int) -> bool:
     """Certified check of the envelope for every k <= k_max: a float
     screen with an exact fallback.
 
     (2k-1)!!/(2k)!! is r = C(2k,k)/4^k, and the bounds 1/sqrt(4k+1) <= r
     <= 1/sqrt(3k+1) say r^2 (4k+1) >= 1 >= r^2 (3k+1).  The running float
-    r^ = r^_{k-1} * ((2k-1)/(2k)) carries 2k roundings at step k, a
-    relative error of at most gamma_2k = 2ku/(1 - 2ku), u = 2^-53.
-    :func:`_envelope_screen` decides each sign this bound allows, and
+    r^_k = r^_{k-1} * ((2k-1)/(2k)) carries 2k roundings at step k, a
+    relative error of at most gamma_2k = 2ku/(1 - 2ku), u = 2^-53.  The
+    r^_k come in blocks of ``ENVELOPE_BLOCK`` steps, each one
+    ``numpy.cumprod`` of the correctly rounded factors, the first times the
+    previous block's last r^: cumprod multiplies in sequence, so each entry
+    is the running float's, bit for bit.  :func:`_envelope_screen` decides,
+    for a whole block at once, each sign this bound allows, and
     :func:`_square_cmp` on C(2k,k) the rest: up to k = 10^4 only k = 1,
     where c^2 * 4 = 16.  So every per-k decision is the exact check's.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    r = 1.0
-    for k in range(1, k_max + 1):
-        r *= (2 * k - 1) / (2 * k)
+    r_last = 1.0  # r^_{k-1} before each block
+    for start in range(1, k_max + 1, ENVELOPE_BLOCK):
+        # floats: k, k - 1/2, 3k + 1 and 4k + 1 are exact
+        k = np.arange(float(start), float(min(start + ENVELOPE_BLOCK, k_max + 1)))
+        r = (k - 0.5) / k  # (2k-1)/(2k), correctly rounded
+        r[0] *= r_last
+        np.cumprod(r, out=r)
+        r_last = r[-1]
         for m, fails in ((4 * k + 1, -1), (3 * k + 1, 1)):  # r < or > its bound
-            sign = _envelope_screen(r, m, k)
-            if sign is None:
-                sign = _square_cmp(math.comb(2 * k, k), m, k)
-            if sign == fails:
+            signs = _envelope_screen(r, m, k)
+            for i in np.flatnonzero(signs == 0):
+                j = int(k[i])  # Python ints: 1 << 4j overflows a numpy integer
+                signs[i] = _square_cmp(math.comb(2 * j, j), int(m[i]), j)
+            if (signs == fails).any():
                 return False
     return True
 
 
-def _envelope_screen(r: float, m: int, k: int) -> Optional[int]:
-    """The sign of t - 1, t = r_exact^2 m, from the running float r at step
-    k; None where floats cannot decide it.
+def _envelope_screen(r: np.ndarray, m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The sign of t - 1, t = r_exact^2 m, from the running floats r at
+    steps k, elementwise as -1.0, 0.0 or 1.0; 0.0 where floats cannot
+    decide it.
 
     t^ = fl(fl(r*r) * m) adds two roundings (m < 2^53 converts exactly),
     so t^ = t (1 + theta) with |theta| <= gamma_{4k+2} <= tol = (4k+2) 2^-52
@@ -419,8 +435,8 @@ def _envelope_screen(r: float, m: int, k: int) -> Optional[int]:
     and at least 1/2 in size outside it, so |t^ - 1| > tol proves the sign.
     """
     d = r * r * m - 1.0
-    tol = (4 * k + 2) * 2.0**-52
-    return 1 if d > tol else -1 if d < -tol else None
+    tol = (4.0 * k + 2.0) * 2.0**-52
+    return np.where(np.abs(d) > tol, np.sign(d), 0.0)
 
 
 def _square_cmp(c: int, m: int, k: int) -> int:

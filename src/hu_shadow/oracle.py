@@ -244,34 +244,110 @@ def sup_error_for_start(
     return worst
 
 
+def _step_parts(
+    re: np.ndarray, im: np.ndarray, c: complex, new_re: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """b = c * b in place on the parts re, im of b, as Python's complex
+    product (numpy's may fuse the multiply-add): re' = c.real*re - c.imag*im
+    into ``new_re`` and im' = c.real*im + c.imag*re into ``im``, with ``t``
+    as a temporary.  Returns (re', the buffer free for the next step)."""
+    np.multiply(re, c.real, out=new_re)
+    np.multiply(im, c.imag, out=t)
+    np.subtract(new_re, t, out=new_re)
+    np.multiply(re, c.imag, out=t)
+    np.multiply(im, c.real, out=im)
+    np.add(im, t, out=im)
+    return new_re, re
+
+
+#: A start whose runner-up squared distance is within this relative gap of
+#: its largest goes to the per-step hypot loop: the two might round to the
+#: same modulus, or to swapped ones.
+TIE_GAP = 1e-12
+#: A start whose largest squared distance lies outside [Q_MIN, Q_MAX] goes
+#: to the per-step hypot loop: near the ends of the float range a square
+#: may lose its relative error bound.
+Q_MIN, Q_MAX = 2.0**-900, 2.0**900
+
+
 def _sup_errors(
-    sys: MapSystem, pseudo: PseudoOrbit, starts: np.ndarray, horizon: int
+    sys: MapSystem,
+    pseudo: PseudoOrbit,
+    starts: np.ndarray,
+    horizon: int,
+    coeffs: Optional[Sequence[complex]],
 ) -> np.ndarray:
     """:func:`sup_error_for_start` for every start point of ``starts``.
 
-    A nonlinear family loops over the scalar function itself.  A linear
-    family steps every start point at once through its coefficient table,
-    whose entries are the values ``eval_map`` multiplies by, bit-identical
-    to the scalar function elementwise: each step repeats its float
-    operations in the same order.  The real and imaginary parts are
-    stepped in place through preallocated buffers; ``starts`` itself is
-    never written.  The product c_n * b is written out as Python's complex
-    product (numpy's may fuse the multiply-add), and the modulus is C
-    ``hypot`` as in ``modulus``.  The running maximum is ``numpy.fmax``:
-    against a later NaN modulus it keeps the running value, as ``max``
-    keeps its first argument.  A NaN first modulus ``max`` keeps to the
-    end, so a start whose first modulus is NaN is set to NaN at the end.
+    A nonlinear family (``coeffs`` is ``None``) loops over the scalar
+    function itself.  A linear family steps every start point at once
+    through ``coeffs``, its table ``sys.coefficients`` read once by the
+    caller, whose entries are the values ``eval_map`` multiplies by: each
+    step repeats the scalar function's float operations in the same order
+    (:func:`_step_parts`), in place, through preallocated buffers;
+    ``starts`` itself is never written.
 
-    A start point fails where the scalar function would raise; if any
-    fails, the first exception of the first failing one in ``starts`` is
-    raised, as a loop over the scalar function would.  On the linear path
-    every failure is a modulus that overflows from finite parts, which
-    ``modulus`` raises as the same :class:`OverflowError`, so the first
-    one found is raised.
+    The screen ranks squared distances q = d_re^2 + d_im^2 in place of C
+    ``hypot``.  Per start it keeps the largest q with the two parts d where
+    it was reached, the runner-up ``fmax(runner_up, minimum(q, best))`` and
+    a running sum of q, and takes one ``hypot`` of the kept parts at the
+    end.  That is the maximum modulus exactly: q carries at most 3
+    roundings and ``hypot`` errs by less than 1 ulp, so a runner-up below
+    best * (1 - ``TIE_GAP``) can never give a larger ``hypot``.  The starts
+    the screen cannot decide go to :func:`_hypot_sup_errors`, the per-step
+    ``hypot`` loop with every NaN, overflow and first-exception rule, on
+    that subset only: a sum that is not finite (some step was NaN or inf,
+    or some square overflowed), a largest q outside [``Q_MIN``, ``Q_MAX``],
+    or a runner-up within ``TIE_GAP`` of the largest.
     """
-    if not sys.is_linear:
+    if coeffs is None:
         return np.array([sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts])
     starts = np.asarray(starts, dtype=complex)
+    re, im = starts.real.copy(), starts.imag.copy()  # b_n, stepped in place
+    new_re, t, d_re, d_im, q = (np.empty_like(re) for _ in range(5))
+    better = np.empty(re.shape, dtype=bool)
+    a = pseudo.value(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_re, best_im = np.subtract(re, a.real), np.subtract(im, a.imag)
+        best = np.multiply(best_re, best_re)
+        best += np.multiply(best_im, best_im, out=t)
+        total, runner = best.copy(), np.zeros_like(re)
+        for n, c in zip(range(1, min(horizon, pseudo.horizon)), coeffs):
+            re, new_re = _step_parts(re, im, c, new_re, t)
+            a = pseudo.value(n + 1)
+            np.subtract(re, a.real, out=d_re)
+            np.subtract(im, a.imag, out=d_im)
+            np.multiply(d_re, d_re, out=q)
+            q += np.multiply(d_im, d_im, out=t)
+            total += q
+            np.fmax(runner, np.minimum(q, best, out=t), out=runner)
+            np.greater(q, best, out=better)
+            np.copyto(best_re, d_re, where=better)
+            np.copyto(best_im, d_im, where=better)
+            np.maximum(best, q, out=best)
+        undecided = ~np.isfinite(total)
+        undecided |= best < Q_MIN
+        undecided |= best > Q_MAX
+        undecided |= runner >= best * (1.0 - TIE_GAP)
+        worst = np.hypot(best_re, best_im)
+    if undecided.any():
+        worst[undecided] = _hypot_sup_errors(pseudo, starts[undecided], horizon, coeffs)
+    return worst
+
+
+def _hypot_sup_errors(
+    pseudo: PseudoOrbit, starts: np.ndarray, horizon: int, coeffs: Sequence[complex]
+) -> np.ndarray:
+    """The linear path of :func:`_sup_errors` with a C ``hypot`` at every step.
+
+    The modulus is C ``hypot`` as in ``modulus``.  The running maximum is
+    ``numpy.fmax``: against a later NaN modulus it keeps the running value,
+    as ``max`` keeps its first argument.  A NaN first modulus ``max`` keeps
+    to the end, so a start whose first modulus is NaN is set to NaN at the
+    end.  Every failure is a modulus that overflows from finite parts, which
+    ``modulus`` raises as the same :class:`OverflowError`, so the first one
+    found is the first failing start's exception.
+    """
     re, im = starts.real.copy(), starts.imag.copy()  # b_n, stepped in place
     new_re, t, d_re, d_im, x = (np.empty_like(re) for _ in range(5))
 
@@ -285,19 +361,11 @@ def _sup_errors(
             raise OverflowError("absolute value too large")
         return out
 
-    steps = range(1, min(horizon, pseudo.horizon))
     with np.errstate(over="ignore", invalid="ignore"):
         worst = moduli(re, im, pseudo.value(1), np.empty_like(re))
         first_nan = np.isnan(worst)
-        for n, c in zip(steps, sys.coefficients(len(steps))):
-            # re' = c.real*re - c.imag*im, im' = c.real*im + c.imag*re
-            np.multiply(re, c.real, out=new_re)
-            np.multiply(im, c.imag, out=t)
-            np.subtract(new_re, t, out=new_re)
-            np.multiply(re, c.imag, out=t)
-            np.multiply(im, c.real, out=im)
-            np.add(im, t, out=im)
-            re, new_re = new_re, re
+        for n, c in zip(range(1, min(horizon, pseudo.horizon)), coeffs):
+            re, new_re = _step_parts(re, im, c, new_re, t)
             np.fmax(worst, moduli(re, im, pseudo.value(n + 1), x), out=worst)
     worst[first_nan] = np.nan
     return worst
@@ -334,14 +402,15 @@ def best_b1_search(
                 f"search grid around {center!r} with radius {radius!r} "
                 "spans past the float range"
             )
+    coeffs = sys.coefficients(max(min(horizon, pseudo.horizon) - 1, 0)) if sys.is_linear else None
     best_b1 = center
-    best_err = float(_sup_errors(sys, pseudo, np.array([center]), horizon)[0])
+    best_err = float(_sup_errors(sys, pseudo, np.array([center]), horizon, coeffs)[0])
     for _ in range(refinements + 1):
         cands = np.empty((grid, grid), dtype=complex)
         cands.real = np.linspace(center.real - radius, center.real + radius, grid)[:, None]
         cands.imag = np.linspace(center.imag - radius, center.imag + radius, grid)
         cands = cands.ravel()
-        errs = _sup_errors(sys, pseudo, cands, horizon)
+        errs = _sup_errors(sys, pseudo, cands, horizon, coeffs)
         better = errs < best_err  # NaN never qualifies
         if better.any():
             i = int(np.argmin(np.where(better, errs, np.inf)))

@@ -31,7 +31,8 @@ O(horizon) instead of O(horizon^2) cost.
 
 The per-step loops of a linear family read the coefficient table of
 ``MapSystem.tables`` and make no call: every step is a table multiply.
-Only the nonlinear family goes through ``eval_map`` or ``eval_q``.  Both
+Only the nonlinear family goes through ``eval_map`` or ``eval_q``, and only
+in ``shadow_expanding``: ``shadow_contracting`` refuses it.  Both
 constructions refuse, up front, a given orbit whose own steps pass
 through a c_n past the float range (the table's infinity) with
 :class:`RateRangeError`; a generated orbit never does, as generation
@@ -143,8 +144,8 @@ def _accumulated_rate_bounds(
     evaluation, so every value (and hence the built-in ``max`` over them)
     is bit-identical at O(horizon) total cost.  ``math.log`` and
     ``math.exp`` are kept: numpy's are not bit-equal.  A zero gap takes
-    no product: 0.0 * gap, where inf * 0.0 past 700 would be NaN.
-    A rate that is not positive (NaN included) raises
+    no product, and so no log: 0.0 * gap, where inf * 0.0 past 700 would
+    be NaN.  A rate that is not positive (NaN included) raises
     :class:`RateRangeError`; ``inf`` is allowed.
     """
     log, exp, inf = math.log, math.exp, math.inf
@@ -154,9 +155,12 @@ def _accumulated_rate_bounds(
     for n, p in enumerate(rates[: horizon - 1], 1):
         if not p > 0:
             raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
-        log_prod += log(p)
         S = S * p + 1.0
-        out.append(((exp(log_prod) if log_prod < 700 else inf) if gap else 0.0) * gap + S * eps)
+        if gap:
+            log_prod += log(p)
+            out.append((exp(log_prod) if log_prod < 700 else inf) * gap + S * eps)
+        else:
+            out.append(0.0 * gap + S * eps)
     return out
 
 
@@ -253,20 +257,24 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     ``accumulated_rate_bound``, sound for every linear family, and
     exceeding *that* by more than 5% signals a misclassified system.
     A c_n past the float range at a step n < horizon raises
-    :class:`RateRangeError` before any step.
+    :class:`RateRangeError` before any step.  A nonlinear system raises
+    :class:`HypothesisViolation`: its rates bound its expansion from
+    below, so no contracting construction is sound for it.
     """
     if K <= 1.0:
         raise HypothesisViolation(f"K must exceed 1, got {K}")
+    if not sys.is_linear:
+        raise HypothesisViolation(
+            f"the contracting construction needs a linear family, got {sys.family.value}"
+        )
     horizon = pseudo.horizon
     eps = pseudo.epsilon
     coeffs, rates = sys.tables(horizon)
     _check_finite_steps(coeffs, rates, horizon - 1)
-    eval_map = sys.eval_map
-    steps = coeffs if coeffs is not None else repeat(None)
     z = pseudo.value(1)
     b = [z]
-    for n, c in zip(range(1, horizon), steps):
-        z = c * z if c is not None else eval_map(n, z)
+    for c in coeffs[: horizon - 1]:
+        z = c * z
         b.append(z)
     d = tuple([x - y for x, y in zip(b, pseudo.a)])
     sup = max([abs(x) for x in d])

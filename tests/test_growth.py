@@ -531,17 +531,39 @@ class TestScreenedSquareComparison:
 UNIT_ROUNDOFF = Fraction(1, 2**53)
 
 
+def _screen_one(r: float, m: int, k: int) -> int:
+    """The screen's sign for one (r, m, k), through its array signature."""
+    return int(growth._envelope_screen(np.array([r]), np.array([m]), np.array([k]))[0])
+
+
 class TestEnvelopeScreen:
-    def test_every_float_decision_is_the_exact_sign_to_ten_thousand(self):
-        # the running float as the check forms it; c = C(2k, k) exactly
+    def test_every_float_decision_is_the_exact_sign_to_ten_thousand(self, monkeypatch):
+        # the arrays the check hands its screen
+        calls = []
+        screen = growth._envelope_screen
+        monkeypatch.setattr(
+            growth, "_envelope_screen", lambda r, m, k: calls.append((r, m, k)) or screen(r, m, k)
+        )
+        assert double_factorial_envelope_holds(10**4)
+        # the running float product, verbatim, and c = C(2k, k) exactly
         r, c = 1.0, 1
-        deferred = []
+        running, binomials = [], []
         for k in range(1, 10**4 + 1):
             r *= (2 * k - 1) / (2 * k)
             c = c * (4 * k - 2) // k
-            for m in (4 * k + 1, 3 * k + 1):
-                sign = growth._envelope_screen(r, m, k)
-                if sign is None:
+            running.append(r)
+            binomials.append(c)
+        deferred = []
+        for upper in (False, True):  # each bound's blocks, in order
+            block = [call for call in calls if (call[1] == 3 * call[2] + 1).all() == upper]
+            r_arr, m_arr, k_arr = (np.concatenate(arrays) for arrays in zip(*block))
+            assert k_arr.tolist() == list(range(1, 10**4 + 1))
+            assert m_arr.tolist() == [(3 if upper else 4) * k + 1 for k in range(1, 10**4 + 1)]
+            assert r_arr.tobytes() == np.array(running).tobytes()  # bit for bit
+            signs = np.concatenate([screen(*call) for call in block]).tolist()
+            for k, c, sign in zip(range(1, 10**4 + 1), binomials, signs):
+                m = (3 if upper else 4) * k + 1
+                if sign == 0:
                     deferred.append((k, m))
                 else:
                     assert sign == growth._square_cmp(c, m, k), (k, m)
@@ -559,7 +581,7 @@ class TestEnvelopeScreen:
         r = r0 + round(offset * 2 * k) * math.ulp(r0)
         gamma = 2 * k * UNIT_ROUNDOFF / (1 - 2 * k * UNIT_ROUNDOFF)
         assume((1 - gamma) ** 2 <= Fraction(r) ** 2 * m <= (1 + gamma) ** 2)
-        assert growth._envelope_screen(r, m, k) is None
+        assert _screen_one(r, m, k) == 0
 
     @pytest.mark.parametrize("k", [1, 2, 5, 21, 341, 5461, 10**4])
     def test_values_next_to_the_bounds_are_deferred(self, k):
@@ -567,13 +589,26 @@ class TestEnvelopeScreen:
         for m in (4 * k + 1, 3 * k + 1):
             r0 = 1.0 / math.sqrt(m)
             for r in (r0, math.nextafter(r0, 0.0), math.nextafter(r0, 1.0)):
-                assert growth._envelope_screen(r, m, k) is None
+                assert _screen_one(r, m, k) == 0
 
     @pytest.mark.parametrize("k_max", [1, 2, 3, 50, 400])
     def test_exact_fallback_alone_gives_the_same_verdict(self, k_max, monkeypatch):
         # a screen that defers everything leaves the exact path to decide
-        monkeypatch.setattr(growth, "_envelope_screen", lambda r, m, k: None)
+        monkeypatch.setattr(growth, "_envelope_screen", lambda r, m, k: np.zeros_like(k))
         assert double_factorial_envelope_holds(k_max) == _running_square_envelope_holds(k_max)
+
+    def test_exact_path_is_handed_python_ints(self, monkeypatch):
+        # 1 << 4k overflows a numpy integer from k = 16 on
+        seen = []
+        square_cmp = growth._square_cmp
+        monkeypatch.setattr(growth, "_envelope_screen", lambda r, m, k: np.zeros_like(k))
+        monkeypatch.setattr(
+            growth,
+            "_square_cmp",
+            lambda c, m, k: seen.append((type(c), type(m), type(k))) or square_cmp(c, m, k),
+        )
+        assert double_factorial_envelope_holds(40)
+        assert len(seen) == 80 and set(seen) == {(int, int, int)}
 
     @pytest.mark.parametrize("k_bad", [1, 7])
     @pytest.mark.parametrize("upper", [False, True])
@@ -582,7 +617,9 @@ class TestEnvelopeScreen:
         violation = 1 if upper else -1
 
         def failing(r, m, k):
-            return violation if k == k_bad and (m == 3 * k + 1) == upper else screen(r, m, k)
+            signs = screen(r, m, k)
+            signs[(k == k_bad) & ((m == 3 * k + 1) == upper)] = violation
+            return signs
 
         monkeypatch.setattr(growth, "_envelope_screen", failing)
         assert not double_factorial_envelope_holds(k_bad)

@@ -410,7 +410,7 @@ class TestVectorisedSearch:
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 12)
         starts = np.array([1.0 + 0.5j, -2.0 + 0j, 0.25 - 1j])
         kept = starts.copy()
-        errs = oracle._sup_errors(sys, pseudo, starts, 12)
+        errs = oracle._sup_errors(sys, pseudo, starts, 12, sys.coefficients(11))
         assert np.array_equal(starts, kept)
         assert errs.tolist() == [sup_error_for_start(sys, pseudo, b1, 12) for b1 in kept]
 
@@ -437,6 +437,103 @@ class TestVectorisedSearch:
         expected = _outcome(_scalar_best_b1_search, *args, grid=3, refinements=1)
         got = _outcome(best_b1_search, *args, grid=3, refinements=1)
         assert _same(got, expected), (got, expected)
+
+
+def _spy_fallback(monkeypatch) -> list:
+    """Record the number of start points each call of the hypot loop gets."""
+    sizes = []
+    fallback = oracle._hypot_sup_errors
+
+    def spy(pseudo, starts, horizon, coeffs):
+        sizes.append(len(starts))
+        return fallback(pseudo, starts, horizon, coeffs)
+
+    monkeypatch.setattr(oracle, "_hypot_sup_errors", spy)
+    return sizes
+
+
+def _constant_orbit(values) -> PseudoOrbit:
+    """A pseudo-orbit through ``values`` with zero residuals, built directly."""
+    a = tuple(complex(z) for z in values)
+    return PseudoOrbit(
+        a=a, r=(0j,) * (len(a) - 1), epsilon=0.0, horizon=len(a), policy=ResidualPolicy()
+    )
+
+
+class TestSquaredDistanceScreen:
+    """The screen decides a start from its squared distances only where the
+    largest clears its runner-up and lies in [2^-900, 2^900]; each trigger
+    below sends starts to the per-step hypot loop, and the search stays
+    bit-identical to the scalar loop."""
+
+    def _check(self, monkeypatch, sys, pseudo, horizon, region, grid=3, refinements=1):
+        sizes = _spy_fallback(monkeypatch)
+        args = (sys, pseudo, horizon, region)
+        expected = _outcome(_scalar_best_b1_search, *args, grid=grid, refinements=refinements)
+        got = _outcome(best_b1_search, *args, grid=grid, refinements=refinements)
+        assert _same(got, expected), (got, expected)
+        return got, sizes
+
+    def test_an_exact_tie_at_every_step(self, monkeypatch):
+        # c = 1 and r = 0: b_n - a_n is the same at every step
+        sys = periodic_linear((1,))
+        pseudo = generate_pseudo_orbit(sys, 1.0, 0.0, ResidualPolicy(), 8)
+        _, sizes = self._check(monkeypatch, sys, pseudo, 8, SearchRegion(1.5 + 0.5j, 0.25))
+        # the centre, then both rounds of 3 x 3 starts, every one of them
+        assert sizes == [1, 9, 9]
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e-160, 1e-200])
+    def test_distances_below_two_to_the_minus_450(self, scale, monkeypatch):
+        # a_n = 0 and d_n halves each step: q = |d_1|^2 < 2^-900 is the largest,
+        # from a square near the bottom of the normal range to one that underflows
+        sys = periodic_linear((0.5,))
+        pseudo = generate_pseudo_orbit(sys, 0.0, 0.0, ResidualPolicy(), 10)
+        got, sizes = self._check(monkeypatch, sys, pseudo, 10, SearchRegion(scale, scale / 4))
+        assert sizes == [1, 9, 9]
+        assert 0.0 < got[1] < 2.0**-450
+
+    def test_a_step_with_hypot_of_nan_and_inf(self, monkeypatch):
+        # b_2 = 1e308 * b_1 has an infinite imaginary part and a_2 a NaN real
+        # part: hypot(NaN, inf) = inf, where d_re^2 + d_im^2 is NaN
+        sys = periodic_linear((1e308,))
+        pseudo = _constant_orbit([1.0, complex(math.nan, 0.0), 3.0, 4.0])
+        got, sizes = self._check(monkeypatch, sys, pseudo, 4, SearchRegion(1.0 + 10j, 0.5))
+        assert got[1] == math.inf
+        assert sizes == [1, 9, 9]
+
+    def test_a_modulus_that_overflows_from_finite_parts(self, monkeypatch):
+        # |b_1 - a_1| > 1.8e308 with finite parts: the hypot loop raises as abs does
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 1)
+        got, sizes = self._check(monkeypatch, sys, pseudo, 1, SearchRegion(1e308 + 1e308j, 4e307))
+        assert got == (OverflowError, "absolute value too large")
+        assert sizes == [1, 9]  # the centre, then the first round, where it raises
+
+    @pytest.mark.parametrize("scale", [1e140, 1e200])
+    def test_distances_above_two_to_the_450(self, scale, monkeypatch):
+        # |d| about 1e140: a finite square above 2^900; about 1e200: the
+        # square overflows to inf under a finite modulus
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 3)
+        got, sizes = self._check(monkeypatch, sys, pseudo, 3, SearchRegion(scale, scale / 10))
+        assert math.isfinite(got[1]) and got[1] > 2.0**450
+        assert sizes == [1, 9, 9]
+
+    @pytest.mark.parametrize("horizon", [12, 60])
+    def test_acceptance_grids_send_no_start_to_the_hypot_loop(self, horizon, monkeypatch):
+        # the acceptance-9 setting, as the benchmark runs it at H = 12 and 60
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
+        region = SearchRegion(center=shadow_expanding(sys, pseudo, SQRT_3_2).b[0], radius=0.01)
+        sizes = _spy_fallback(monkeypatch)
+        tables = []
+        coefficients = MapSystem.coefficients
+        monkeypatch.setattr(
+            MapSystem, "coefficients", lambda self, n: tables.append(n) or coefficients(self, n)
+        )
+        best_b1_search(sys, pseudo, horizon, region, grid=64, refinements=6)
+        assert sizes == []
+        assert tables == [horizon - 1]  # one table read for the centre and all 7 rounds
 
 
 # -- integer-pair exact orbit ----------------------------------------------

@@ -810,6 +810,11 @@ shadow_systems = st.one_of(
     ),
     st.builds(power_two_parity, st.one_of(st.integers(1, 3), st.floats(0.5, 3.0)), st.integers(-4, 4)),
 )
+#: ``shadow_contracting``'s refusal of the nonlinear family, as ``_outcome`` reports it
+NONLINEAR_CONTRACTING = (
+    HypothesisViolation,
+    "the contracting construction needs a linear family, got affine_sinusoid",
+)
 lean_policies = st.builds(ResidualPolicy, st.sampled_from(list(PolicyKind)), st.floats(-7.0, 7.0))
 
 
@@ -848,13 +853,18 @@ class TestLeanConstructions:
         assert _shadow_outcome(shadow_expanding, sys, pseudo, K, opts) == _shadow_outcome(
             _per_call_shadow_expanding, sys, pseudo, K, opts
         )
-        assert _shadow_outcome(shadow_contracting, sys, pseudo, K) == _shadow_outcome(
-            _per_call_shadow_contracting, sys, pseudo, K
-        )
+        assert _shadow_outcome(shadow_contracting, sys, pseudo, K) == NONLINEAR_CONTRACTING
+
+    @pytest.mark.parametrize("K", [0.5, 1.0])
+    def test_contracting_checks_k_before_linearity(self, K):
+        sys = affine_sinusoid()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 10)
+        with pytest.raises(HypothesisViolation, match=f"K must exceed 1, got {K}"):
+            shadow_contracting(sys, pseudo, K)
 
     @settings(max_examples=80, deadline=None)
     @given(
-        sys=st.one_of(shadow_systems, st.floats(1.5, 4.0).map(affine_sinusoid)),
+        sys=shadow_systems,
         a1=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
         eps=st.floats(0, 1e-2),
         policy=lean_policies,
@@ -881,10 +891,12 @@ class TestLeanConstructions:
     )
     def test_benchmark_settings(self, sys, horizon, K):
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
-        for new, old in (
-            (shadow_contracting, _per_call_shadow_contracting),
-            (shadow_expanding, _per_call_shadow_expanding),
-        ):
+        pairs = [(shadow_expanding, _per_call_shadow_expanding)]
+        if sys.is_linear:
+            pairs.append((shadow_contracting, _per_call_shadow_contracting))
+        else:
+            assert _shadow_outcome(shadow_contracting, sys, pseudo, K) == NONLINEAR_CONTRACTING
+        for new, old in pairs:
             assert _shadow_outcome(new, sys, pseudo, K) == _shadow_outcome(old, sys, pseudo, K)
 
     @pytest.mark.parametrize("kind", [PolicyKind.CONSTANT_REAL, PolicyKind.ZERO])
@@ -1130,6 +1142,15 @@ class TestLeanSweeps:
         sweep = shadowing._accumulated_rate_bounds(rates, len(rates) + 1, eps, gap)
         expected = _exp_every_step_accumulated_rate_bounds(rates, len(rates) + 1, eps, gap)
         assert [_float_bits(x) for x in sweep] == [_float_bits(x) for x in expected]
+
+    @pytest.mark.parametrize("gap, logs", [(0.0, 0), (-0.0, 0), (1e-3, 99)])
+    def test_zero_gap_takes_no_log(self, gap, logs, monkeypatch):
+        # a zero gap's bound never reads the log-product, so it is not formed
+        calls = []
+        log = math.log
+        monkeypatch.setattr(math, "log", lambda x: calls.append(x) or log(x))
+        shadowing._accumulated_rate_bounds([0.5, 2.0] * 50, 100, 1e-3, gap)
+        assert len(calls) == logs
 
     @given(rates=rate_lists(), eps=st.sampled_from([0.0, -0.0, 1e-3]))
     def test_zero_gap_skip_on_drawn_rates(self, rates, eps):
