@@ -27,9 +27,10 @@ entry 0 of the float and rate tables of the one step n.
 A float table is built over its whole range at once: the periodic cycle
 and its moduli are tiled; the index-scaled and parity families fill one
 complex array a parity class at a time, by float64 division where the
-integers convert exactly, by ``ldexp`` for a parity base 2**s, and by a
-running bigint product for any other rational base.  The sinusoid's rates
-are one array expression.
+integers convert exactly, by ``ldexp`` for a parity base 2**s, and for any
+other rational base by rounding the exact powers base**e of a class, which
+one stream makes one at a time for the float table, the log rates and the
+pair table alike.  The sinusoid's rates are one array expression.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -145,9 +146,15 @@ class MapSystem:
                     table[steps.start - ns.start::2] = _ldexp_table(power, exponents)
                 elif not _rational(base):  # float powers round per index
                     table[steps.start - ns.start::2] = [_float_power(base, e) for e in exponents]
-                else:  # c_{n+2} = c_n * base**(e_{n+2} - e_n)
-                    first, ratio = Fraction(base) ** exponents[0], Fraction(base) ** exponents.step
-                    table[steps.start - ns.start::2] = _geometric(first, ratio, len(steps))
+                else:  # each exact power rounded, until the class leaves the float range for good
+                    values = []
+                    for e, pair in zip(exponents, _class_powers(*_exact(base), exponents)):
+                        values.append(c := _quotient(*pair))
+                        if not 0.0 < abs(c.real) < math.inf and (e > 0) == (exponents.step > 0):
+                            break  # |e| only grows: every later entry rounds to this limit
+                    part = table[steps.start - ns.start::2]  # a view: writes fill the table
+                    part[:] = values[-1]
+                    part[:len(values)] = values
             return table
         raise UnsupportedFamily(f"{self.family.value} is not linear")
 
@@ -155,61 +162,57 @@ class MapSystem:
         """c_n for the consecutive steps ns as reduced (numerator, denominator)
         pairs, the sign on the numerator; ``None`` where c_n reads a float or
         complex parameter, whose binary value is not the rational meant."""
-        if self.family is Family.PERIODIC_LINEAR:
-            return _cycle([_exact(c) for c in self.params], ns)
         table: list[Optional[tuple[int, int]]] = [None] * len(ns)
+        for steps, pairs in self._exact_runs(ns):
+            table[steps.start - ns.start::steps.step] = pairs
+        return table
+
+    def _exact_runs(self, ns: range) -> list[tuple[range, Iterable]]:
+        """(steps, pairs) for each run of ns, all of it or one parity class,
+        whose family rule gives exact pairs: the :meth:`_pairs` entries of
+        those steps in order, those of a class made one at a time as read."""
+        if self.family is Family.PERIODIC_LINEAR:
+            return [(ns, _cycle([_exact(c) for c in self.params], ns))]
         if self.family is Family.INDEX_SCALED_LINEAR:
             # p*n/q and q/(p*n), with gcd(p, q) = 1 so that gcd(n, q) reduces both
             odd, even = _parity_classes(ns)
+            runs = []
             if odd_scale := _exact(self.params[0]):
                 p, q = odd_scale
-                table[odd.start - ns.start::2] = [(p * n // (g := gcd(n, q)), q // g) for n in odd]
+                runs.append((odd, ((p * n // (g := gcd(n, q)), q // g) for n in odd)))
             if even_scale := _exact(self.params[1]):
                 u, v = even_scale if even_scale[0] > 0 else (-even_scale[0], -even_scale[1])
-                table[even.start - ns.start::2] = [
-                    (v // (g := gcd(n, v)), u * n // g) for n in even
-                ]
-            return table
+                runs.append((even, ((v // (g := gcd(n, v)), u * n // g) for n in even)))
+            return runs
         if self.family is Family.POWER_TWO_PARITY:
             base, even_shift = self.params
             if not _rational(base):
-                return table
-            bn, bd = _exact(base)
-            for steps, exponents in _parity_exponents(ns, even_shift):
-                # base**e from running powers over |e|, least where e crosses zero:
-                # a running product of the pairs would not be reduced there (8/1 * 1/4)
-                first, last = abs(exponents[0]), abs(exponents[-1])
-                low = min(first, last) if (exponents[0] < 0) == (exponents[-1] < 0) else first % 2
-                xs, ys = [bn**low], [bd**low]
-                for _ in range((max(first, last) - low) // 2):
-                    xs.append(xs[-1] * bn * bn)
-                    ys.append(ys[-1] * bd * bd)
-                table[steps.start - ns.start::2] = [
-                    (xs[i], ys[i]) if e >= 0 else (ys[i], xs[i]) if xs[i] > 0 else (-ys[i], -xs[i])
-                    for e in exponents
-                    for i in [(abs(e) - low) // 2]
-                ]
-            return table
+                return []
+            return [(steps, _class_powers(*_exact(base), exponents))
+                    for steps, exponents in _parity_exponents(ns, even_shift)]
         raise UnsupportedFamily(f"{self.family.value} is not linear")
 
     def _log_rates(self, ns: range) -> list[float]:
-        """ln p_n for n in ns: ln|num| - ln den from the exact pair, else
-        ln of the table's rate, and e*ln(base) for a float parity base
-        whose power base**e is past the float range."""
+        """ln p_n for n in ns: ln|num| - ln den of each exact pair as it is
+        made, with no table of pairs; else ln of the table's rate, and e*ln(base)
+        where a float parity base's power base**e is past the float range."""
         log = math.log
-        pairs = self._pairs(ns) if self.is_linear else [None] * len(ns)
-        if None not in pairs:
-            return [log(abs(num)) - log(den) for num, den in pairs]
-        out = []
-        for n, pair, p in zip(ns, pairs, self._tables(ns)[1]):
-            if pair is not None:
-                out.append(log(abs(pair[0])) - log(pair[1]))
-            elif 0.0 < p < math.inf or self.family is not Family.POWER_TWO_PARITY:
+        out: list = [None] * len(ns)
+        for steps, pairs in self._exact_runs(ns) if self.is_linear else ():
+            out[steps.start - ns.start::steps.step] = [
+                None if pair is None else log(abs(pair[0])) - log(pair[1]) for pair in pairs
+            ]
+        if None not in out:
+            return out
+        for i, (n, p) in enumerate(zip(ns, self._tables(ns)[1])):
+            if out[i] is not None:
+                continue
+            if 0.0 < p < math.inf or self.family is not Family.POWER_TWO_PARITY:
                 if p == 0.0:  # a float parameter's rate that underflowed
                     raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
-                out.append(log(p))  # inf or NaN, as ln p_n
+                out[i] = log(p)  # inf or NaN, as ln p_n
             else:
-                out.append(_parity_exponent(n, self.params[1]) * log(float(self.params[0])))
+                out[i] = _parity_exponent(n, self.params[1]) * log(float(self.params[0]))
         return out
 
     def coefficient(self, n: int) -> complex:
@@ -394,27 +397,22 @@ def _float_power(base: float, e: int) -> complex:
         return complex(math.inf, 0.0)
 
 
-def _geometric(value: Fraction, ratio: Fraction, count: int) -> np.ndarray:
-    """complex(value * ratio**k) for 0 <= k < count, count >= 1, for
-    positive value and ratio.
-
-    A running integer product, not reduced: the correctly rounded
-    quotient depends only on its exact value.  Once a value leaves the
-    float range (inf or 0.0) in the direction the ratio moves it, every
-    later one rounds to the same limit, so the rest are filled in.
-    """
-    num, den = value.numerator, value.denominator
-    rnum, rden = ratio.numerator, ratio.denominator
-    values = []
-    for _ in range(count):
-        values.append(c := _quotient(num, den))
-        if (c.real == math.inf and rnum >= rden) or (c.real == 0.0 and rnum <= rden):
-            break
-        num *= rnum
-        den *= rden
-    table = np.full(count, values[-1], dtype=complex)
-    table[:len(values)] = values
-    return table
+def _class_powers(bn: int, bd: int, exponents: range) -> Iterator[tuple[int, int]]:
+    """(bn/bd)**e for e in a parity class's exponents, each a reduced pair
+    with the sign on the numerator, for coprime bn, bd.  One power bn**|e|,
+    bd**|e| is held: it is multiplied by bn**2, bd**2 where |e| grows and
+    divided exactly where |e| shrinks toward a sign crossing; a running
+    product of the pairs would not be reduced there (8/1 * 1/4)."""
+    size = abs(exponents[0])
+    x, y = bn**size, bd**size
+    bn2, bd2 = bn * bn, bd * bd
+    for e in exponents:
+        if abs(e) > size:
+            x, y = x * bn2, y * bd2
+        elif abs(e) < size:
+            x, y = x // bn2, y // bd2
+        size = abs(e)
+        yield (x, y) if e >= 0 else (y, x) if x > 0 else (-y, -x)
 
 
 def _rational(x: Number) -> bool:

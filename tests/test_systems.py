@@ -509,7 +509,7 @@ TABLE_SYSTEMS = {
     },
     # bases 2**s read c_n from the exponent alone: 4 overflows from n = 513,
     # 1/8 underflows from n = 359, 1/2 rounds the tie 2**-1075 to 0.0 at
-    # n = 1075; 2/3 stays on the running bigint product
+    # n = 1075; 2/3 rounds each exact power of its class stream
     "parity_4_3": power_two_parity(4, 3),
     "parity_1/8_3": power_two_parity(Fraction(1, 8), 3),
     "parity_1/2_3": power_two_parity(Fraction(1, 2), 3),
@@ -754,6 +754,20 @@ class TestWholeRangeTables:
         power_two_parity().tables(10_000)
         assert calls == []
 
+    def test_rational_parity_base_stops_rounding_where_it_leaves_the_float_range(
+        self, monkeypatch
+    ):
+        # each class of base 3 leaves the float range near n = 650-680; past
+        # that every entry is the same limit, and rounding each exact power
+        # to the end would make the build quadratic in the horizon
+        calls = []
+        quotient = hu_shadow.systems._quotient
+        monkeypatch.setattr(
+            hu_shadow.systems, "_quotient", lambda num, den: calls.append(num) or quotient(num, den)
+        )
+        power_two_parity(3).tables(10**4)
+        assert len(calls) <= 700
+
     def test_sinusoid_evaluates_its_rate_rule_once(self, monkeypatch):
         calls = []
         rate = hu_shadow.systems._expanding_rate
@@ -765,9 +779,9 @@ class TestWholeRangeTables:
 
     @pytest.mark.parametrize("base", [3, Fraction(3, 2), 10**30])
     def test_rational_parity_base_memory_at_the_horizon_cap(self, base):
-        # the running product keeps one power at a time and stops where the
-        # class leaves the float range; the exact pairs of every step would
-        # hold about 1 GB of powers of 3 at this horizon
+        # the class stream holds one power at a time and the float table stops
+        # reading it where the class leaves the float range; the exact pairs of
+        # every step would hold about 1 GB of powers of 3 at this horizon
         tracemalloc.start()
         try:
             power_two_parity(base).tables(MAX_HORIZON)
@@ -775,6 +789,18 @@ class TestWholeRangeTables:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+    @pytest.mark.parametrize("base", [2, 3, Fraction(3, 2)])
+    def test_parity_log_rates_hold_one_power_per_class(self, base):
+        # each log is taken as the class stream makes its pair; a table of
+        # every pair grows as the square of the horizon (64-160 MB here)
+        tracemalloc.start()
+        try:
+            power_two_parity(base).log_rates(3 * 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def _float_power_log_rate(base: float, even_shift: int, n: int):
@@ -1018,14 +1044,20 @@ def _fraction_log_growth_rate(sys: MapSystem, n: int) -> float:
 
 
 class TestIntegerBaseLogRate:
-    @pytest.mark.parametrize("base, even_shift", [(2, 3), (3, -5), (1, 0), (7, 2), (2, -2000)])
+    @pytest.mark.parametrize(
+        "base, even_shift",
+        [(2, 3), (3, -5), (1, 0), (7, 2), (2, -2000), (Fraction(3, 2), -101), (Fraction(2, 3), -7)],
+    )
     def test_equals_reduced_fraction_rule(self, base, even_shift):
         sys = power_two_parity(base, even_shift)
         log_rates = sys.log_rates(4000)
+        pairs = sys.coefficient_pairs(4000)
         for n in [*range(1, 1200), *range(1200, 4000, 37)]:
             got = log_rates[n - 1].hex()
             assert got == _fraction_log_growth_rate(sys, n).hex(), n
             assert got == reference_log_growth_rate(sys, n).hex(), n
+            c = reference_rational_coefficient(sys, n)
+            assert pairs[n - 1] == (c.numerator, c.denominator), n
 
 
 #: rational scales whose table switches from float64 to ``_quotient`` inside
