@@ -20,17 +20,17 @@ Only these parameterized families are supported: their difference
 quotients can be evaluated exactly, which the shadowing constructions
 rely on.
 
-Each linear family states its multiplier c_n twice, over a range of steps:
-as floats and as exact reduced pairs.  The rates and the log rates read
-these two, and the scalars ``coefficient(n)`` and ``growth_rate(n)`` are
-entry 0 of the float and rate tables of the one step n.
-A float table is built over its whole range at once: the periodic cycle
-and its moduli are tiled; the index-scaled and parity families fill one
-complex array a parity class at a time, by float64 division where the
-integers convert exactly, by ``ldexp`` for a parity base 2**s, and for any
-other rational base by rounding the exact powers base**e of a class, which
-one stream makes one at a time for the float table, the log rates and the
-pair table alike.  The sinusoid's rates are one array expression.
+Each linear family states its multiplier c_n once, as one law per residue
+class n = l + 1 (mod m) of the steps (``_laws``): m constants for
+``periodic_linear``, odd_scale*n and 1/(even_inverse_scale*n) for
+``index_scaled_linear``, base**n and base**-(n + even_shift) for
+``power_two_parity``.  Every table fills one residue class at a time, by
+the float and the exact route that the law's values choose: float64
+division for a rational monomial, ``ldexp`` for a base 2**s, for any other
+rational base one stream of exact powers, held one at a time, and a float
+parameter's own expression.  The rates and log rates read these two tables;
+the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the
+tables of the one step n.  The sinusoid's rates are one array expression.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -82,10 +82,10 @@ class MapSystem:
     params: tuple
 
     def __post_init__(self) -> None:
-        # c_n divides by the index-scaled even scale and by the parity base
-        divisor = {Family.INDEX_SCALED_LINEAR: 1, Family.POWER_TWO_PARITY: 0}.get(self.family)
-        if divisor is not None and self.params[divisor] == 0:
-            raise ValueError("growth rate must be positive")
+        # c_n divides by an inverted law's scale and by a base
+        for law in _laws(self.family, self.params) if self.is_linear else ():
+            if law.base == 0 or law.invert and law.scale == 0:
+                raise ValueError("growth rate must be positive")
 
     # -- linear structure ------------------------------------------------
 
@@ -114,105 +114,51 @@ class MapSystem:
         rational parameters and a float parity base, else ``inf``."""
         return self._log_rates(range(1, horizon + 1))
 
+    def _classes(self, ns: range) -> list[tuple[range, _Law]]:
+        """(steps, law) of each residue class of the consecutive steps ns that holds any."""
+        laws = _laws(self.family, self.params)
+        m = len(laws)
+        return [(steps, law) for l, law in enumerate(laws)
+                if (steps := range(ns.start + (l + 1 - ns.start) % m, ns.stop, m))]
+
     def _floats(self, ns: range) -> list[complex]:
         """c_n for the consecutive steps ns, correctly rounded to complex, and
         the infinity of its sign past the float range."""
-        if self.family is Family.PERIODIC_LINEAR:
-            return _cycle(self._cycle_floats(), ns)
         return self._float_table(ns).tolist()
 
-    def _cycle_floats(self) -> list[complex]:
-        """The cycle of ``periodic_linear``; rational entries are carried as
-        integer pairs."""
-        return [_quotient(*x) if (x := _exact(c)) else complex(c) for c in self.params]
-
     def _float_table(self, ns: range) -> np.ndarray:
-        """:meth:`_floats` of an index-scaled or parity family as one complex
-        array, filled a parity class at a time over the whole range."""
+        """:meth:`_floats` as one complex array, filled a residue class at a
+        time over the whole range."""
         table = np.empty(len(ns), dtype=complex)
-        if self.family is Family.INDEX_SCALED_LINEAR:
-            # scale*n at odd steps, 1/(scale*n) at even ones; see _rational_table
-            for steps, scale, invert in zip(_parity_classes(ns), self.params, (False, True)):
-                table[steps.start - ns.start::2] = (
-                    _rational_table(*_exact(scale), steps, invert) if _rational(scale)
-                    else [complex(1.0 / (scale * n) if invert else scale * n) for n in steps]
-                )
-            return table
-        if self.family is Family.POWER_TWO_PARITY:
-            base, even_shift = self.params
-            power = _power_of_two(base)
-            for steps, exponents in _parity_exponents(ns, even_shift):
-                if power is not None:  # base = 2**power: c_n = 2**(power*e)
-                    table[steps.start - ns.start::2] = _ldexp_table(power, exponents)
-                elif not _rational(base):  # float powers round per index
-                    table[steps.start - ns.start::2] = [_float_power(base, e) for e in exponents]
-                else:  # each exact power rounded, until the class leaves the float range for good
-                    values = []
-                    for e, pair in zip(exponents, _class_powers(*_exact(base), exponents)):
-                        values.append(c := _quotient(*pair))
-                        if not 0.0 < abs(c.real) < math.inf and (e > 0) == (exponents.step > 0):
-                            break  # |e| only grows: every later entry rounds to this limit
-                    part = table[steps.start - ns.start::2]  # a view: writes fill the table
-                    part[:] = values[-1]
-                    part[:len(values)] = values
-            return table
-        raise UnsupportedFamily(f"{self.family.value} is not linear")
+        for steps, law in self._classes(ns):
+            law.fill(table[steps.start - ns.start::steps.step], steps)
+        return table
 
     def _pairs(self, ns: range) -> list[Optional[tuple[int, int]]]:
         """c_n for the consecutive steps ns as reduced (numerator, denominator)
         pairs, the sign on the numerator; ``None`` where c_n reads a float or
         complex parameter, whose binary value is not the rational meant."""
         table: list[Optional[tuple[int, int]]] = [None] * len(ns)
-        for steps, pairs in self._exact_runs(ns):
-            table[steps.start - ns.start::steps.step] = pairs
+        for steps, law in self._classes(ns):
+            if (pairs := law.pairs(steps)) is not None:
+                table[steps.start - ns.start::steps.step] = pairs
         return table
-
-    def _exact_runs(self, ns: range) -> list[tuple[range, Iterable]]:
-        """(steps, pairs) for each run of ns, all of it or one parity class,
-        whose family rule gives exact pairs: the :meth:`_pairs` entries of
-        those steps in order, those of a class made one at a time as read."""
-        if self.family is Family.PERIODIC_LINEAR:
-            return [(ns, _cycle([_exact(c) for c in self.params], ns))]
-        if self.family is Family.INDEX_SCALED_LINEAR:
-            # p*n/q and q/(p*n), with gcd(p, q) = 1 so that gcd(n, q) reduces both
-            odd, even = _parity_classes(ns)
-            runs = []
-            if odd_scale := _exact(self.params[0]):
-                p, q = odd_scale
-                runs.append((odd, ((p * n // (g := gcd(n, q)), q // g) for n in odd)))
-            if even_scale := _exact(self.params[1]):
-                u, v = even_scale if even_scale[0] > 0 else (-even_scale[0], -even_scale[1])
-                runs.append((even, ((v // (g := gcd(n, v)), u * n // g) for n in even)))
-            return runs
-        if self.family is Family.POWER_TWO_PARITY:
-            base, even_shift = self.params
-            if not _rational(base):
-                return []
-            return [(steps, _class_powers(*_exact(base), exponents))
-                    for steps, exponents in _parity_exponents(ns, even_shift)]
-        raise UnsupportedFamily(f"{self.family.value} is not linear")
 
     def _log_rates(self, ns: range) -> list[float]:
         """ln p_n for n in ns: ln|num| - ln den of each exact pair as it is
         made, with no table of pairs; else ln of the table's rate, and e*ln(base)
-        where a float parity base's power base**e is past the float range."""
+        where a float base's power base**e is past the float range."""
         log = math.log
         out: list = [None] * len(ns)
-        for steps, pairs in self._exact_runs(ns) if self.is_linear else ():
-            out[steps.start - ns.start::steps.step] = [
-                None if pair is None else log(abs(pair[0])) - log(pair[1]) for pair in pairs
-            ]
-        if None not in out:
-            return out
-        for i, (n, p) in enumerate(zip(ns, self._tables(ns)[1])):
-            if out[i] is not None:
-                continue
-            if 0.0 < p < math.inf or self.family is not Family.POWER_TWO_PARITY:
-                if p == 0.0:  # a float parameter's rate that underflowed
-                    raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
-                out[i] = log(p)  # inf or NaN, as ln p_n
+        rates = None
+        # the sinusoid's steps are one class with no law
+        for steps, law in self._classes(ns) if self.is_linear else [(ns, None)]:
+            at = slice(steps.start - ns.start, None, steps.step)
+            if law is not None and (pairs := law.pairs(steps)) is not None:
+                out[at] = [log(abs(num)) - log(den) for num, den in pairs]
             else:
-                out[i] = _parity_exponent(n, self.params[1]) * log(float(self.params[0]))
+                rates = rates or self._tables(ns)[1]
+                out[at] = [_log_rate(n, p, law) for n, p in zip(steps, rates[at])]
         return out
 
     def coefficient(self, n: int) -> complex:
@@ -236,7 +182,8 @@ class MapSystem:
         """Difference quotient (F(n,u) - F(n,v)) / (u - v).
 
         For ``u == v`` the analytic derivative of F(n, .) at u is
-        returned; every built-in family is differentiable.
+        returned; every built-in family is differentiable.  Where u - v
+        overflows, the sinusoid's is its slope, the real-line value.
         """
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
@@ -247,7 +194,10 @@ class MapSystem:
         v = complex(v)
         if u == v:
             return slope + cmath.cos(u / n) / n**2
-        return slope + (cmath.sin(u / n) - cmath.sin(v / n)) / (n * (u - v))
+        sines = cmath.sin(u / n) - cmath.sin(v / n)
+        if cmath.isinf(u - v) and cmath.isfinite(u) and cmath.isfinite(v):
+            return complex(slope, 0.0)  # not slope + sines / (inf + NaN i)
+        return slope + sines / (n * (u - v))
 
     def growth_rate(self, n: int) -> float:
         """Per-step growth rate p_n (always positive): entry n of
@@ -272,9 +222,6 @@ class MapSystem:
         if not self.is_linear:
             steps = np.arange(ns.start, ns.stop, dtype=float)
             return None, _expanding_rate(self.params[0], steps).tolist()
-        if self.family is Family.PERIODIC_LINEAR:
-            cycle = self._cycle_floats()
-            return _cycle(cycle, ns), _cycle(_moduli(np.array(cycle, dtype=complex)), ns)
         table = self._float_table(ns)
         return table.tolist(), _moduli(table)
 
@@ -313,28 +260,86 @@ def _step(n: int) -> range:
     return range(n, n + 1)
 
 
-def _parity_exponent(n: int, even_shift: int) -> int:
-    """e with c_n = base**e in ``power_two_parity``."""
-    return n if n % 2 == 1 else -(n + even_shift)
+# -- class laws ----------------------------------------------------------
 
 
-def _parity_classes(ns: range) -> tuple[range, range]:
-    """The odd and the even steps of the consecutive steps ``ns``."""
-    return range(ns.start | 1, ns.stop, 2), range(ns.start + ns.start % 2, ns.stop, 2)
+class _Law(NamedTuple):
+    """c_n on one residue class of steps: scale * n**power * base**(n + shift),
+    or its reciprocal where ``invert``; no base reads as 1.  The factories
+    give power 0 or 1, and a base only with the default scale and power."""
+
+    scale: Number = 1
+    power: int = 0
+    base: Optional[Number] = None
+    shift: int = 0
+    invert: bool = False
+
+    def exponents(self, steps: range) -> range:
+        """e with c_n = base**e, for the steps of this class."""
+        e = range(steps.start + self.shift, steps.stop + self.shift, steps.step)
+        return range(-e.start, -e.stop, -e.step) if self.invert else e
+
+    def fill(self, out: np.ndarray, steps: range) -> None:
+        """Write c_n for the steps of this class, correctly rounded to complex,
+        into ``out``, a view of the table."""
+        exact = _exact(self.scale if self.base is None else self.base)
+        scale, invert = self.scale, self.invert
+        if self.base is None and not self.power:  # one constant for the class
+            out[:] = _quotient(*exact) if exact else complex(scale)
+        elif self.base is None and exact:  # a rational monomial, see _rational_table
+            _rational_table(out, *exact, steps, invert)
+        elif self.base is None:  # the float expressions
+            out[:] = [complex(1.0 / (scale * n) if invert else scale * n) for n in steps]
+        elif exact is None:  # float powers round per index
+            out[:] = [_float_power(self.base, e) for e in self.exponents(steps)]
+        elif (power := _power_of_two(*exact)) is not None:  # c_n = 2**(power*e)
+            out[:] = _ldexp_table(power, self.exponents(steps))
+        else:  # each exact power rounded, until the class leaves the float range for good
+            values = []
+            exponents = self.exponents(steps)
+            for e, pair in zip(exponents, _class_powers(*exact, exponents)):
+                values.append(c := _quotient(*pair))
+                if not 0.0 < abs(c.real) < math.inf and (e > 0) == (exponents.step > 0):
+                    break  # |e| only grows: every later entry rounds to this limit
+            out[:] = values[-1]
+            out[:len(values)] = values
+
+    def pairs(self, steps: range) -> Optional[Iterable[tuple[int, int]]]:
+        """c_n for the steps of this class as reduced (numerator, denominator)
+        pairs, the sign on the numerator, those of a base made one at a time as
+        read; None where c_n reads a float or complex parameter."""
+        if (exact := _exact(self.scale if self.base is None else self.base)) is None:
+            return None
+        if self.base is not None:
+            return _class_powers(*exact, self.exponents(steps))
+        if not self.power:
+            return [exact] * len(steps)
+        # p*n/q, with gcd(p, q) = 1 so that gcd(n, q) reduces it, or its reciprocal
+        p, q = exact
+        pairs = ((p * n // (g := gcd(n, q)), q // g) for n in steps)
+        return ((y, x) if x > 0 else (-y, -x) for x, y in pairs) if self.invert else pairs
 
 
-def _parity_exponents(ns: range, even_shift: int) -> list[tuple[range, range]]:
-    """(steps, exponents) for the odd and the even steps of ``ns`` that hold
-    any: the :func:`_parity_exponent` of each step, as a range."""
-    odd, even = _parity_classes(ns)
-    classes = (odd, odd), (even, range(-(even.start + even_shift), -(even.stop + even_shift), -2))
-    return [(steps, exponents) for steps, exponents in classes if steps]
+def _laws(family: Family, params: tuple) -> tuple[_Law, ...]:
+    """The law of c_n on each residue class n = l + 1 (mod m) of the steps."""
+    if family is Family.PERIODIC_LINEAR:
+        return tuple(_Law(c) for c in params)
+    if family is Family.INDEX_SCALED_LINEAR:
+        odd_scale, even_inverse_scale = params
+        return _Law(odd_scale, power=1), _Law(even_inverse_scale, power=1, invert=True)
+    if family is Family.POWER_TWO_PARITY:
+        base, even_shift = params
+        return _Law(base=base), _Law(base=base, shift=even_shift, invert=True)
+    raise UnsupportedFamily(f"{family.value} is not linear")
 
 
-def _cycle(cycle: list, ns: range) -> list:
-    """Entries n in ns of the sequence that repeats ``cycle`` from n = 1."""
-    shift = (ns.start - 1) % len(cycle)
-    return (cycle * (len(ns) // len(cycle) + 2))[shift : shift + len(ns)]
+def _log_rate(n: int, p: float, law: Optional[_Law]) -> float:
+    """ln p_n from the table's rate p; e*ln(base) where a float base**e leaves the float range."""
+    if 0.0 < p < math.inf or law is None or law.base is None:
+        if p == 0.0:  # a float parameter's rate that underflowed
+            raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
+        return math.log(p)  # inf or NaN, as ln p_n
+    return law.exponents(_step(n))[0] * math.log(float(law.base))
 
 
 def _quotient(num: int, den: int) -> complex:
@@ -349,8 +354,8 @@ def _quotient(num: int, den: int) -> complex:
 EXACT_INT_LIMIT = 2**53
 
 
-def _rational_table(p: int, q: int, ns: range, invert: bool) -> np.ndarray:
-    """complex((p*n)/q) for n in ns, or complex(q/(p*n)) if ``invert``.
+def _rational_table(table: np.ndarray, p: int, q: int, ns: range, invert: bool) -> None:
+    """complex((p*n)/q), or complex(q/(p*n)) if ``invert``, for n in ns into ``table``.
 
     Where q and |p*n| are below 2**53 the quotients are taken in float64
     arrays: both operands convert exactly, so one IEEE division gives the
@@ -361,23 +366,20 @@ def _rational_table(p: int, q: int, ns: range, invert: bool) -> np.ndarray:
         head = ns[:0]
     else:
         head = range(ns.start, min(ns.stop, (EXACT_INT_LIMIT - 1) // abs(p) + 1), ns.step)
-    table = np.empty(len(ns), dtype=complex)
     if head:
         scaled = np.arange(head.start, head.stop, head.step, dtype=float) * p
         table[:len(head)] = q / scaled if invert else scaled / q
     table[len(head):] = [
         _quotient(q, p * n) if invert else _quotient(p * n, q) for n in ns[len(head):]
     ]
-    return table
 
 
-def _power_of_two(base: Number) -> Optional[int]:
-    """s with base = 2**s, for a positive rational base whose reduced
-    numerator and denominator are powers of two; else None."""
-    pair = _exact(base)
-    if pair is None or pair[0] <= 0 or pair[0] & (pair[0] - 1) or pair[1] & (pair[1] - 1):
+def _power_of_two(num: int, den: int) -> Optional[int]:
+    """s with num/den = 2**s, for a reduced positive num/den whose terms are
+    powers of two; else None."""
+    if num <= 0 or num & (num - 1) or den & (den - 1):
         return None
-    return pair[0].bit_length() - pair[1].bit_length()
+    return num.bit_length() - den.bit_length()
 
 
 def _ldexp_table(power: int, exponents: range) -> np.ndarray:
@@ -415,12 +417,9 @@ def _class_powers(bn: int, bd: int, exponents: range) -> Iterator[tuple[int, int
         yield (x, y) if e >= 0 else (y, x) if x > 0 else (-y, -x)
 
 
-def _rational(x: Number) -> bool:
-    return type(x) is int or type(x) is Fraction  # isinstance on a Fraction is slow
-
-
 def _exact(x: Number) -> Optional[tuple[int, int]]:
-    """(numerator, denominator) of an int or a Fraction, else None."""
+    """(numerator, denominator) of an int or a Fraction (by type: isinstance
+    is slow on a Fraction), else None."""
     if type(x) is int:
         return x, 1
     return (x._numerator, x._denominator) if type(x) is Fraction else None
@@ -432,7 +431,7 @@ def _exact(x: Number) -> Optional[tuple[int, int]]:
 def _require_finite(*params: Number) -> None:
     """ValueError for a NaN or infinite parameter."""
     for x in params:
-        if not _rational(x) and not cmath.isfinite(complex(x)):
+        if _exact(x) is None and not cmath.isfinite(complex(x)):
             raise ValueError(f"parameters must be finite, got {x!r}")
 
 

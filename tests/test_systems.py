@@ -1,5 +1,6 @@
 """Map families, residual policies and pseudo-orbit generation."""
 
+import ast
 import cmath
 import math
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 from sys import float_info
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hu_shadow
@@ -223,9 +224,9 @@ class TestOneComplexFormula:
         assert _bits(affine_sinusoid().eval_map(2, -0.0)) == _bits(0j)
         assert _bits(_real_line_map(3.0, 2, -0.0)) == _bits(complex(-0.0, 0.0))
 
-    # a pair whose difference x - y overflows is left out: n * (x - y) is then
-    # inf + NaN i in complex arithmetic and the quotient NaN, where the real
-    # line gave the slope; generated orbits stop at |a_n| <= OVERFLOW_LIMIT
+    # a pair whose difference x - y overflows is kept: n * (x - y) would be
+    # inf + NaN i in complex arithmetic, and the quotient reads the slope there,
+    # as the real line does
     @settings(max_examples=200)
     @given(
         slope=sinusoid_slopes,
@@ -235,9 +236,9 @@ class TestOneComplexFormula:
         same=st.booleans(),
     )
     @example(slope=3.0, n=3, x=0.0, y=-0.0, same=False)
+    @example(slope=3.0, n=1, x=1e308, y=-1e308, same=False)
     def test_quotient_equals_the_real_line_formula(self, slope, n, x, y, same):
         y = x if same else y
-        assume(math.isfinite(x - y))
         if x == y:
             reference = _real_line_derivative(slope, n, complex(x))
         else:
@@ -1106,3 +1107,41 @@ class TestOneRulePerFamily:
         }
         assert {name: hits for name, hits in found.items() if hits} == {}
         assert len(found) >= 8  # every module was read
+
+    def test_systems_dispatches_the_linear_families_in_one_place(self):
+        # the law builder states each linear family's rule per residue class;
+        # the tables loop over its laws, and only the factories and FACTORIES
+        # name a linear family besides it
+        linear = {"PERIODIC_LINEAR", "INDEX_SCALED_LINEAR", "POWER_TWO_PARITY"}
+
+        def definitions(node, prefix=""):
+            """(qualified name, node) of a module statement, a class by member."""
+            if isinstance(node, ast.ClassDef):
+                return [d for member in node.body for d in definitions(member, f"{node.name}.")]
+            if isinstance(node, ast.FunctionDef):
+                return [(prefix + node.name, node)]
+            target = getattr(node, "target", None) or getattr(node, "targets", [node])[0]
+            return [(prefix + ast.unparse(target).splitlines()[0], node)]
+
+        tree = ast.parse((Path(hu_shadow.__file__).parent / "systems.py").read_text())
+        naming = {
+            name
+            for statement in tree.body
+            for name, definition in definitions(statement)
+            for x in ast.walk(definition)
+            if isinstance(x, ast.Attribute) and x.attr in linear
+            and isinstance(x.value, ast.Name) and x.value.id == "Family"
+        }
+        assert naming == {
+            "_laws", "periodic_linear", "index_scaled_linear", "power_two_parity", "FACTORIES"
+        }
+
+    def test_every_law_field_is_set_by_a_factory(self):
+        # a field that no factory sets would be a route that no family takes
+        laws = [
+            law
+            for sys in (periodic_linear(), index_scaled_linear(), power_two_parity())
+            for law in hu_shadow.systems._laws(sys.family, sys.params)
+        ]
+        for field, default in hu_shadow.systems._Law._field_defaults.items():
+            assert any(getattr(law, field) != default for law in laws), field
