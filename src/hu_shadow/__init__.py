@@ -36,7 +36,6 @@ from .instability import (
     DivergenceWitness,
     WitnessSample,
     default_witness_horizon,
-    divergence_lower_bound,
     divergence_lower_bound_log10,
     witness_divergence,
 )
@@ -64,12 +63,9 @@ from .shadowing import (
     ShadowResult,
     accumulated_rate_bound,
     bounded_factor_expanding_bound,
-    early_index_bound,
-    perturbation_partial_sum,
     shadow_contracting,
     shadow_expanding,
     telescope_difference,
-    uniform_contraction_bound,
 )
 from .systems import (
     Family,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 from .errors import HypothesisViolation
@@ -38,24 +37,6 @@ def _log10_add(x: float, y: float) -> float:
     return hi + math.log10(1.0 + 10.0 ** (lo - hi))
 
 
-def divergence_lower_bound(
-    K_p: float,
-    K_q: float,
-    p_idx: int,
-    q_idx: int,
-    m: int,
-    C_p: float,
-    k: int,
-) -> float:
-    """(K_q/K_p)^(k*m) * K_q^q / (C_p * K_p^(p+m)).
-
-    Lower bound for the partial sum S_n at n = k*m + p.  Evaluated in
-    the log domain; may return ``inf`` when the value exceeds the
-    floating range (use :func:`divergence_lower_bound_log10` then).
-    """
-    return 10.0 ** divergence_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k)
-
-
 def divergence_lower_bound_log10(
     K_p: float,
     K_q: float,
@@ -65,6 +46,13 @@ def divergence_lower_bound_log10(
     C_p: float,
     k: int,
 ) -> float:
+    """log10 of (K_q/K_p)^(k*m) * K_q^q / (C_p * K_p^(p+m)).
+
+    Lower bound for the partial sum S_n at n = k*m + p, evaluated in the
+    log domain, so it stays finite where the bound itself is past the
+    float range.  Raises :class:`HypothesisViolation` unless
+    K_q > K_p >= 1, and ``ValueError`` for m < 2, k < 0 or C_p <= 0.
+    """
     if not K_q > K_p >= 1.0:
         raise HypothesisViolation(
             f"no divergence witness: need K_q > K_p >= 1, got K_p={K_p}, K_q={K_q}"
@@ -130,6 +118,8 @@ def witness_divergence(
     two distinct rate factors.  Among the residue classes, the witness
     pairs the class of the largest value (smallest K_l) with the class
     maximizing K_q/K_p, which gives the fastest-growing lower bound.
+    A nonlinear system raises :class:`HypothesisViolation` before any
+    table: its p_n only bound its quotients from below.
     """
     if cls.kind is not ClassificationKind.PERIODIC_BELOW_ONE or cls.periodic is None:
         raise HypothesisViolation(
@@ -142,6 +132,10 @@ def witness_divergence(
     K_p, K_q = ks[p_pos], ks[q_pos]
     if not K_q > K_p:
         raise HypothesisViolation("rate factors are all equal; no witness")
+    if not sys.is_linear:
+        raise HypothesisViolation(
+            f"the divergence witness needs a linear family, got {sys.family.value}"
+        )
     p_idx, q_idx = p_pos + 1, q_pos + 1
     C_p = fit.constants[p_pos]
     m = fit.m
@@ -173,11 +167,9 @@ def witness_divergence(
     log10_T = None
     ln10 = math.log(10.0)
     log10, isfinite = math.log10, math.isfinite
-    a = pseudo.a
     steps = len(pseudo.r)  # the pseudo-orbit's last step index
     resonant = p_idx % m
-    table = coeffs if coeffs is not None else repeat(None)
-    for n, c, p_n, log_p in zip(range(1, horizon + 1), table, rates, sys.log_rates(horizon)):
+    for n, c, p_n, log_p in zip(range(1, horizon + 1), coeffs, rates, sys.log_rates(horizon)):
         lp10 = log_p / ln10
         if log10_T is None and T > 0.0 and (
             not isfinite(p_n) or log10(T) + lp10 > LOG10_LIMIT
@@ -196,8 +188,7 @@ def witness_divergence(
             log10_d = _log10_add(log10_d + lp10, log10_eps)
         elif n <= steps:
             # c_n is finite here: the pseudo-orbit stops at the first that is not
-            q = c if c is not None else sys.eval_q(n, a[n - 1] + d, a[n - 1])
-            d = q * d - r_n
+            d = c * d - r_n
         if n % m == resonant and n > fit.prefix:
             k = (n - p_idx) // m
             if k < 1:

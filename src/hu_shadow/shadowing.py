@@ -97,19 +97,7 @@ class ShadowResult:
         return self.sup_diff <= self.bound * (1.0 + 1e-6)
 
 
-# -- closed-form bounds ---------------------------------------------------
-
-
-def uniform_contraction_bound(p: float, n: int, eps: float, gap: float) -> float:
-    """p^(n-1)*gap + (1 - p^(n-1))/(1 - p) * eps for a uniform rate p < 1."""
-    if not 0.0 < p < 1.0:
-        raise HypothesisViolation(f"uniform rate must be in (0,1), got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if eps < 0 or gap < 0:
-        raise ValueError("eps and gap must be nonnegative")
-    pw = p ** (n - 1)
-    return pw * gap + (1.0 - pw) / (1.0 - p) * eps
+# -- rate-sum bounds ------------------------------------------------------
 
 
 def accumulated_rate_bound(
@@ -125,7 +113,8 @@ def accumulated_rate_bound(
     p_j = |c_j|.  The affine sinusoid's rates bound its expansion from
     below, so there it is no bound: F'(1, 0) = 4 > p_1 = 2.  The value
     is the n-th one of :func:`_accumulated_rate_bounds`, so it is
-    bit-identical to what the constructions maximise.
+    bit-identical to what the constructions maximise.  With eps = 1 and
+    a zero gap, the value at n + 1 is the perturbation partial sum S_n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -164,17 +153,6 @@ def _accumulated_rate_bounds(
     return out
 
 
-def perturbation_partial_sum(rates: Sequence[float], n: int) -> float:
-    """S_n = sum_{j=1..n} prod_{i=j+1..n} p_i via S <- S*p + 1: entry n + 1
-    of :func:`_accumulated_rate_bounds` with eps = 1 and a zero gap.  A
-    rate that is not positive (NaN included) raises :class:`RateRangeError`."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if len(rates) < n:
-        raise ValueError(f"need rates p_1..p_{n}, got {len(rates)}")
-    return _accumulated_rate_bounds(rates, n + 1, 1.0, 0.0)[-1]
-
-
 def bounded_factor_expanding_bound(
     m_low: float, M_high: float, K: float, eps: float
 ) -> float:
@@ -185,28 +163,6 @@ def bounded_factor_expanding_bound(
     if not 0.0 < m_low <= M_high:
         raise ValueError("need 0 < m_low <= M_high")
     return M_high * eps / (m_low * (K - 1.0))
-
-
-def early_index_bound(
-    rates: Sequence[float], N: int, n_star: int, K: float, eps: float
-) -> float:
-    """Error bound at an early index N of the expanding construction.
-
-    eps * [ sum_{j=N..n*} prod_{i=N..j} 1/p_i
-            + (prod_{i=N..n*} 1/p_i) * 2/ln K ].
-    """
-    if not 1 <= N < n_star:
-        raise ValueError(f"need 1 <= N < n_star, got N={N}, n_star={n_star}")
-    if K <= 1.0:
-        raise HypothesisViolation(f"K must exceed 1, got {K}")
-    if len(rates) < n_star:
-        raise ValueError(f"need rates p_1..p_{n_star}, got {len(rates)}")
-    total = 0.0
-    prod_inv = 1.0
-    for j in range(N, n_star + 1):
-        prod_inv /= rates[j - 1]
-        total += prod_inv
-    return eps * (total + prod_inv * 2.0 / math.log(K))
 
 
 # -- telescoping identity -------------------------------------------------

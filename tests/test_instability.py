@@ -17,14 +17,13 @@ from hu_shadow import (
     PolicyKind,
     ResidualPolicy,
     WitnessSample,
+    accumulated_rate_bound,
     affine_sinusoid,
     classify,
     default_witness_horizon,
-    divergence_lower_bound,
     divergence_lower_bound_log10,
     generate_pseudo_orbit,
     periodic_linear,
-    perturbation_partial_sum,
     power_two_parity,
     profile_of,
     witness_divergence,
@@ -43,7 +42,7 @@ class TestLowerBound:
         # K_p = 2, K_q = 4, p = 1, q = 2, m = 2, C_p = 4:
         # bound(k) = 4^k * 4^2 / (4 * 2^3) = 4^k / 2
         for k in range(0, 8):
-            val = divergence_lower_bound(2.0, 4.0, 1, 2, 2, 4.0, k)
+            val = 10.0 ** divergence_lower_bound_log10(2.0, 4.0, 1, 2, 2, 4.0, k)
             assert val == pytest.approx(4.0**k / 2.0, rel=1e-9)
 
     def test_log_domain_consistency(self):
@@ -59,9 +58,9 @@ class TestLowerBound:
 
     def test_requires_distinct_factors(self):
         with pytest.raises(HypothesisViolation):
-            divergence_lower_bound(2.0, 2.0, 1, 2, 2, 4.0, 3)
+            divergence_lower_bound_log10(2.0, 2.0, 1, 2, 2, 4.0, 3)
         with pytest.raises(HypothesisViolation):
-            divergence_lower_bound(0.5, 2.0, 1, 2, 2, 4.0, 3)
+            divergence_lower_bound_log10(0.5, 2.0, 1, 2, 2, 4.0, 3)
 
 
 class TestWitness:
@@ -87,7 +86,7 @@ class TestWitness:
         w = witness_divergence(power_two_parity(), eps, 30, cls)
         rates = power_two_parity().rates(30)
         for s in w.samples:
-            expected = eps * perturbation_partial_sum(rates, s.n)
+            expected = eps * accumulated_rate_bound(rates, s.n + 1, 1.0, 0.0)
             assert s.observed_error == pytest.approx(expected, rel=1e-9)
 
     def test_observed_error_dominates_lower_bound(self):
@@ -309,18 +308,23 @@ class TestLeanWitnessLoop:
         assert outcome[0] is ValueError
 
     @pytest.mark.parametrize("horizon", [2, 40, 628, 629, 700, None])
-    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-3])
-    def test_nonlinear_family_bit_identical_to_per_call_loop(self, eps, horizon):
-        # the quotient comes from eval_q; the orbit from 1.0 truncates at n = 629,
-        # past which a nonzero distance is carried as its log10
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-3, -1e-3, -math.inf])
+    def test_nonlinear_family_is_refused_before_any_table(self, eps, horizon, monkeypatch):
+        # its p_n only bound its quotients from below: past the orbit's truncation
+        # (n = 629 from 1.0) a distance carried by them would not be observed
         fit = PeriodicFit(m=2, prefix=0, rate_factors=(2.0, 4.0), constants=(4.0, 1.0), max_residual=0.0)
         cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
-        sys = affine_sinusoid()
-        outcome = _witness_outcome(witness_divergence, sys, eps, horizon, cls)
-        assert outcome == _witness_outcome(_per_call_witness_divergence, sys, eps, horizon, cls)
-        assert outcome[2].truncated == (horizon is None or horizon >= 629)
+        calls = []
+        monkeypatch.setattr(MapSystem, "tables", lambda self, *args: calls.append(args))
+        monkeypatch.setattr(MapSystem, "eval_q", lambda self, *args: calls.append(args))
+        with pytest.raises(
+            HypothesisViolation,
+            match="^the divergence witness needs a linear family, got affine_sinusoid$",
+        ):
+            witness_divergence(affine_sinusoid(), eps, horizon, cls)
+        assert calls == []
 
-    @pytest.mark.parametrize("sys", [affine_sinusoid(), power_two_parity()], ids=["sinusoid", "parity"])
+    @pytest.mark.parametrize("sys", [power_two_parity()], ids=["parity"])
     @pytest.mark.parametrize("eps", [-1e-3, -math.inf])
     def test_negative_epsilon_is_refused(self, sys, eps):
         # the orbit layer's check refuses it, with that layer's message

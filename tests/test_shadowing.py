@@ -39,19 +39,16 @@ from hu_shadow import (
     classify,
     detect_periodic_scaled,
     double_factorial_envelope,
-    early_index_bound,
     exact_propagate,
     generate_pseudo_orbit,
     index_scaled_linear,
     periodic_linear,
-    perturbation_partial_sum,
     power_two_parity,
     profile_of,
     ratio_check,
     shadow_contracting,
     shadow_expanding,
     telescope_difference,
-    uniform_contraction_bound,
     witness_divergence,
 )
 
@@ -59,15 +56,21 @@ SQRT_3_2 = math.sqrt(1.5)
 
 
 class TestClosedFormBounds:
-    def test_uniform_bound_values(self):
-        # p = 1/2, gap 0: the bound is eps * (2 - 2^(2-n))
-        assert uniform_contraction_bound(0.5, 1, 1e-3, 0.0) == 0.0
-        assert uniform_contraction_bound(0.5, 3, 1e-3, 0.0) == pytest.approx(1.5e-3)
-        assert uniform_contraction_bound(0.5, 2, 0.0, 1.0) == pytest.approx(0.5)
-
-    def test_uniform_bound_rejects_expansion(self):
-        with pytest.raises(HypothesisViolation):
-            uniform_contraction_bound(1.5, 5, 1e-3, 0.0)
+    @given(
+        p=st.floats(0.01, 0.99),
+        n=st.integers(1, 300),
+        eps=st.floats(0, 1e-2),
+        gap=st.floats(0, 1),
+    )
+    def test_uniform_rate_matches_the_closed_form(self, p, n, eps, gap):
+        # the paper's constant-rate sum p^(n-1)*gap + (1 - p^(n-1))/(1 - p)*eps
+        pw = p ** (n - 1)
+        assert math.isclose(
+            accumulated_rate_bound([p] * (n - 1), n, eps, gap),
+            pw * gap + (1.0 - pw) / (1.0 - p) * eps,
+            rel_tol=1e-10,
+            abs_tol=1e-300,
+        )
 
     def test_accumulated_bound_matches_exact_partial_sum(self):
         # frozen from the exact rational oracle: S_4 = 20/9 for rates
@@ -85,16 +88,16 @@ class TestClosedFormBounds:
             )
 
     def test_partial_sum_recurrence(self):
+        # S_n is entry n + 1 of the forward sweep with eps = 1 and a zero gap
         rates = [2.0, 0.5, 3.0]
-        assert perturbation_partial_sum(rates, 1) == 1.0
-        assert perturbation_partial_sum(rates, 2) == 1.5
-        assert perturbation_partial_sum(rates, 3) == 5.5
+        assert accumulated_rate_bound(rates, 2, 1.0, 0.0) == 1.0
+        assert accumulated_rate_bound(rates, 3, 1.0, 0.0) == 1.5
+        assert accumulated_rate_bound(rates, 4, 1.0, 0.0) == 5.5
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_partial_sum_refuses_a_rate_that_is_not_positive(self, bad):
-        # returned a number (NaN for a NaN rate) before
         with pytest.raises(RateRangeError, match=rf"p_n = {bad!r} at n = 2$"):
-            perturbation_partial_sum([2.0, bad, 3.0], 3)
+            accumulated_rate_bound([2.0, bad, 3.0], 4, 1.0, 0.0)
 
     @given(
         rates=st.lists(st.floats(0.1, 3.0), min_size=4, max_size=40),
@@ -112,13 +115,6 @@ class TestClosedFormBounds:
         assert bounded_factor_expanding_bound(1.0, 2.0, 3.0, 1e-3) == pytest.approx(1e-3)
         with pytest.raises(HypothesisViolation):
             bounded_factor_expanding_bound(1.0, 2.0, 0.9, 1e-3)
-
-    def test_early_index_bound_positive_and_validated(self):
-        rates = index_scaled_linear().rates(30)
-        val = early_index_bound(rates, 3, 20, SQRT_3_2, 1e-3)
-        assert val > 0
-        with pytest.raises(ValueError):
-            early_index_bound(rates, 20, 3, SQRT_3_2, 1e-3)
 
 
 def _reference_bound(rates, n, eps, gap):
@@ -160,17 +156,6 @@ def _orbit(horizon: int) -> PseudoOrbit:
 #: Public calls refused for their arguments: the error each raises, or the
 #: value it returns in place of a result.
 REFUSALS = {
-    "uniform_n_below_one": (
-        lambda: uniform_contraction_bound(0.5, 0, 1e-3, 0.0), ValueError("n must be >= 1, got 0")
-    ),
-    "uniform_negative_eps": (
-        lambda: uniform_contraction_bound(0.5, 3, -1e-3, 0.0),
-        ValueError("eps and gap must be nonnegative"),
-    ),
-    "uniform_negative_gap": (
-        lambda: uniform_contraction_bound(0.5, 3, 1e-3, -1.0),
-        ValueError("eps and gap must be nonnegative"),
-    ),
     "accumulated_n_below_one": (
         lambda: accumulated_rate_bound([2.0], 0, 1e-3, 0.0), ValueError("n must be >= 1, got 0")
     ),
@@ -178,23 +163,13 @@ REFUSALS = {
         lambda: accumulated_rate_bound([2.0], 4, 1e-3, 0.0),
         ValueError("need rates p_1..p_3, got 1"),
     ),
-    "partial_sum_n_below_one": (
-        lambda: perturbation_partial_sum([2.0], 0), ValueError("n must be >= 1, got 0")
-    ),
     "partial_sum_too_few_rates": (
-        lambda: perturbation_partial_sum([2.0, 0.5], 3), ValueError("need rates p_1..p_3, got 2")
+        lambda: accumulated_rate_bound([2.0, 0.5], 4, 1.0, 0.0),
+        ValueError("need rates p_1..p_3, got 2"),
     ),
     "bounded_factor_m_above_M": (
         lambda: bounded_factor_expanding_bound(2.0, 1.0, 1.5, 1e-3),
         ValueError("need 0 < m_low <= M_high"),
-    ),
-    "early_index_K_one": (
-        lambda: early_index_bound([2.0] * 5, 1, 5, 1.0, 1e-3),
-        HypothesisViolation("K must exceed 1, got 1.0"),
-    ),
-    "early_index_too_few_rates": (
-        lambda: early_index_bound([2.0] * 4, 1, 5, 1.5, 1e-3),
-        ValueError("need rates p_1..p_5, got 4"),
     ),
     "telescope_n_zero": (
         lambda: telescope_difference(periodic_linear(), _orbit(5), 1.0, 0),
@@ -742,7 +717,8 @@ def _exp_every_step_accumulated_rate_bounds(rates, horizon, eps, gap):
 
 
 def _loop_partial_sum(rates, n):
-    """``perturbation_partial_sum``'s own loop before it read the sweep, verbatim."""
+    """The perturbation partial sum S_n by its own loop S <- S*p + 1: the
+    reference for entry n + 1 of the forward sweep."""
     S = 0.0
     for i in range(1, n + 1):
         S = S * rates[i - 1] + 1.0
@@ -1119,7 +1095,7 @@ class TestLeanSweeps:
     def test_partial_sum_equals_its_own_loop(self, rates):
         # prefixes past exp(700) included: a zero gap's term is 0.0 there, not NaN
         for n in range(1, len(rates) + 1):
-            got = perturbation_partial_sum(rates, n)
+            got = accumulated_rate_bound(rates, n + 1, 1.0, 0.0)
             assert _float_bits(got) == _float_bits(_loop_partial_sum(rates, n)), n
 
     def test_sound_bound_keeps_libm_exp_and_log(self):
