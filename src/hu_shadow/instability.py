@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import HypothesisViolation
 from .growth import Classification, ClassificationKind, PeriodicFit
@@ -50,22 +50,35 @@ def divergence_lower_bound_log10(
 
     Lower bound for the partial sum S_n at n = k*m + p, evaluated in the
     log domain, so it stays finite where the bound itself is past the
-    float range.  Raises :class:`HypothesisViolation` unless
-    K_q > K_p >= 1, and ``ValueError`` for m < 2, k < 0 or C_p <= 0.
+    float range.  Raises ``ValueError`` for a NaN or infinite K_p, K_q or
+    C_p, then :class:`HypothesisViolation` unless K_q > K_p >= 1, and
+    ``ValueError`` for m < 2, k < 0 or C_p <= 0.
     """
+    bound = _lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p)
+    if k < 0:
+        raise ValueError("need m >= 2, k >= 0, C_p > 0")
+    return bound(k)
+
+
+def _lower_bound_log10(
+    K_p: float, K_q: float, p_idx: int, q_idx: int, m: int, C_p: float
+) -> Callable[[int], float]:
+    """:func:`divergence_lower_bound_log10` as a function of k >= 0, after
+    its checks of the other arguments: each log is read once, and every
+    value keeps the association of the one expression, bit for bit."""
+    if not (math.isfinite(K_p) and math.isfinite(K_q) and math.isfinite(C_p)):
+        raise ValueError(f"need finite K_p, K_q and C_p, got {K_p}, {K_q} and {C_p}")
     if not K_q > K_p >= 1.0:
         raise HypothesisViolation(
             f"no divergence witness: need K_q > K_p >= 1, got K_p={K_p}, K_q={K_q}"
         )
-    if m < 2 or k < 0 or C_p <= 0:
+    if m < 2 or C_p <= 0:
         raise ValueError("need m >= 2, k >= 0, C_p > 0")
-    ln = (
-        k * m * (math.log(K_q) - math.log(K_p))
-        + q_idx * math.log(K_q)
-        - math.log(C_p)
-        - (p_idx + m) * math.log(K_p)
-    )
-    return ln / math.log(10.0)
+    ln_p, ln_q, ln_c = math.log(K_p), math.log(K_q), math.log(C_p)
+    rise, head, tail = ln_q - ln_p, q_idx * ln_q, (p_idx + m) * ln_p
+    ln10 = math.log(10.0)
+    # k*m*(ln K_q - ln K_p) + q*ln K_q - ln C_p - (p + m)*ln K_p, left to right
+    return lambda k: (k * m * rise + head - ln_c - tail) / ln10
 
 
 @dataclass(frozen=True)
@@ -100,8 +113,9 @@ def default_witness_horizon(
     K_p: float, K_q: float, p_idx: int, q_idx: int, m: int, C_p: float
 ) -> int:
     """Largest resonant index whose lower bound stays below ``OVERFLOW_LIMIT``."""
+    bound = _lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p)
     k = 0
-    while divergence_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k + 1) < LOG10_LIMIT:
+    while bound(k + 1) < LOG10_LIMIT:
         k += 1
     return k * m + p_idx + 1
 
@@ -169,6 +183,7 @@ def witness_divergence(
     log10, isfinite = math.log10, math.isfinite
     steps = len(pseudo.r)  # the pseudo-orbit's last step index
     resonant = p_idx % m
+    bound = None  # the lower bound in k, checked at the first sample, as each sample's call was
     for n, c, p_n, log_p in zip(range(1, horizon + 1), coeffs, rates, sys.log_rates(horizon)):
         lp10 = log_p / ln10
         if log10_T is None and T > 0.0 and (
@@ -193,7 +208,9 @@ def witness_divergence(
             k = (n - p_idx) // m
             if k < 1:
                 continue
-            lb_log10 = divergence_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k)
+            if bound is None:
+                bound = _lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p)
+            lb_log10 = bound(k)
             ad = abs(d)
             obs_log10 = log10_d if log10_d is not None else (log10(ad) if ad > 0 else -math.inf)
             samples.append(

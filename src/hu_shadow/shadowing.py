@@ -23,16 +23,22 @@ the asymptotic bounds can be exceeded by finite data whenever the
 partial sums oscillate above their limiting value.  They report its
 maximum over n = 1..horizon, taken in one sweep:
 ``_accumulated_rate_bounds`` runs the recurrence of
-``accumulated_rate_bound`` once, in one loop over the rates, and returns
-the list of its values at every n.  Each value is produced by the same
-floating-point operations, in the same order, as a fresh per-index
-evaluation, so the maximum is bit-identical to the per-index one at
-O(horizon) instead of O(horizon^2) cost.
+``accumulated_rate_bound`` once, in one comprehension over the rates
+after one sign scan of them, and returns the list of its values at every
+n.  Each value is produced by the same floating-point operations, in the
+same order, as a fresh per-index evaluation, so the maximum is
+bit-identical to the per-index one at O(horizon) instead of O(horizon^2)
+cost.
 
-The per-step loops of a linear family read the coefficient table of
-``MapSystem.tables`` and make no call: every step is a table multiply.
-Only the nonlinear family goes through ``eval_map`` or ``eval_q``, and only
-in ``shadow_expanding``: ``shadow_contracting`` refuses it.  Both
+Every sweep whose step is one multiply-add on a linear family's
+coefficient table (``MapSystem.tables``) is one comprehension that makes
+no call: the forward propagation and its differences, the backward
+recurrence and the recomposition b = a + d, the rate sums and the
+residual sup.  Its checks run before or after it, never per step, and
+it does the float operations of the per-step loop in the same order, so
+every value is the loop's, bit for bit.  Only the nonlinear family goes
+through ``eval_map`` or ``eval_q``, and only in ``shadow_expanding``:
+``shadow_contracting`` refuses it.  Both
 constructions refuse, up front, a given orbit whose own steps pass
 through a c_n past the float range (the table's infinity) with
 :class:`RateRangeError`; a generated orbit never does, as generation
@@ -45,8 +51,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from operator import add, mul, sub
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateQuotient,
@@ -128,29 +136,33 @@ def _accumulated_rate_bounds(
 ) -> list[float]:
     """accumulated_rate_bound(rates, n, eps, gap) for n = 1..horizon, horizon >= 1.
 
-    One running recurrence: the n-th value extends the (n-1)-th by the
-    single rate p_{n-1}, with exactly the arithmetic of a fresh
-    evaluation, so every value (and hence the built-in ``max`` over them)
-    is bit-identical at O(horizon) total cost.  ``math.log`` and
+    One running recurrence, one comprehension: the n-th value extends the
+    (n-1)-th by the single rate p_{n-1}, with exactly the arithmetic of a
+    fresh evaluation, so every value (and hence the built-in ``max`` over
+    them) is bit-identical at O(horizon) total cost.  ``math.log`` and
     ``math.exp`` are kept: numpy's are not bit-equal.  A zero gap takes
     no product, and so no log: 0.0 * gap, where inf * 0.0 past 700 would
     be NaN.  A rate that is not positive (NaN included) raises
-    :class:`RateRangeError`; ``inf`` is allowed.
+    :class:`RateRangeError`, from one scan before the sweep, at the n the
+    per-step check would name; ``inf`` is allowed.
     """
+    head = rates[: horizon - 1]
+    positive = np.array(head, dtype=float) > 0.0  # min(head) would pass over a NaN after the first
+    if not positive.all():
+        n = int(positive.argmin()) + 1
+        raise RateRangeError(f"growth rate must be positive: p_n = {head[n - 1]!r} at n = {n}")
     log, exp, inf = math.log, math.exp, math.inf
-    log_prod = 0.0
     S = 0.0
-    out = [1.0 * gap + S * eps]  # n = 1: the empty product exp(0.0) = 1.0
-    for n, p in enumerate(rates[: horizon - 1], 1):
-        if not p > 0:
-            raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
-        S = S * p + 1.0
-        if gap:
-            log_prod += log(p)
-            out.append((exp(log_prod) if log_prod < 700 else inf) * gap + S * eps)
-        else:
-            out.append(0.0 * gap + S * eps)
-    return out
+    first = 1.0 * gap + S * eps  # n = 1: the empty product exp(0.0) = 1.0
+    if not gap:
+        zero = 0.0 * gap
+        return [first] + [zero + (S := S * p + 1.0) * eps for p in head]
+    log_prod = 0.0
+    return [first] + [
+        (exp(log_prod) if (log_prod := log_prod + log(p)) < 700 else inf) * gap
+        + (S := S * p + 1.0) * eps
+        for p in head
+    ]
 
 
 def bounded_factor_expanding_bound(
@@ -229,11 +241,9 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     _check_finite_steps(coeffs, rates, horizon - 1)
     z = pseudo.value(1)
     b = [z]
-    for c in coeffs[: horizon - 1]:
-        z = c * z
-        b.append(z)
-    d = tuple([x - y for x, y in zip(b, pseudo.a)])
-    sup = max([abs(x) for x in d])
+    b += [z := c * z for c in coeffs[: horizon - 1]]
+    d = tuple(map(sub, b, pseudo.a))
+    sup = max(map(abs, d))
     sound = max(_accumulated_rate_bounds(rates, horizon, eps, 0.0))
     if sup > sound * 1.05 + 1e-15:
         raise HypothesisViolation(
@@ -326,11 +336,8 @@ def shadow_expanding(
         if coeffs is None:
             _update_nonlinear_quotients(sys, a, d, quotients, points)
         # d_{J+1} = 0; backward recurrence d_n = (r_n + d_{n+1}) / q_n
-        backward = []  # d_J .. d_1
         nxt = 0j
-        for r_n, q in zip(reversed(r), quotients):
-            nxt = (r_n + nxt) / q
-            backward.append(nxt)
+        backward = [nxt := (r_n + nxt) / q for r_n, q in zip(reversed(r), quotients)]  # d_J .. d_1
         new_d = backward[::-1] + [0j] * (n_ext + 1 - J)
         if sys.is_linear or eps == 0.0:
             d = new_d
@@ -353,7 +360,7 @@ def shadow_expanding(
             raise NonContraction(
                 f"no fixed point within {opts.max_iter} iterations"
             )
-    b = tuple([x + y for x, y in zip(a[:horizon], d)])
+    b = tuple(map(add, a[:horizon], d))
     d_out = tuple(d[:horizon])
     sound = max(_accumulated_rate_bounds(rates, horizon, eps, abs(d[0])))
     meta = ShadowMeta(
@@ -462,15 +469,18 @@ def _relative_residual_sup(
     sys: MapSystem, coeffs: Optional[list], b: Sequence[complex]
 ) -> float:
     """sup_n |b_{n+1} - F(n, b_n)| / max(1, |b_n|), with F(n, b_n) = c_n b_n
-    from the table ``coeffs`` of a linear family, else from ``eval_map``."""
-    eval_map = sys.eval_map
-    worst = 0.0
-    steps = coeffs if coeffs is not None else repeat(None)
-    for n, c, z, nxt in zip(range(1, len(b)), steps, b, b[1:]):
-        res = abs(nxt - (c * z if c is not None else eval_map(n, z)))
-        m = abs(z)
-        x = res / (m if m > 1.0 else 1.0)  # max(1.0, m), NaN included
-        if x > worst:  # max(worst, x), NaN included
-            worst = x
-    return worst
+    from the table ``coeffs`` of a linear family, else from ``eval_map``.
 
+    The denominator ``m if m > 1.0 else 1.0`` is 1.0 for a NaN |b_n|.  The
+    sup is ``max([0.0, *xs])``, the loop ``if x > worst: worst = x`` from
+    0.0: the builtin skips a NaN after its first entry, so 0.0 goes first,
+    where ``max(xs)`` could start from a NaN."""
+    if coeffs is not None:
+        images = map(mul, coeffs, b)
+    else:
+        images = map(sys.eval_map, range(1, len(b)), b)
+    # zip takes b_{n+1} first, so no image is made past the last one
+    return max([0.0] + [
+        abs(nxt - image) / (m if (m := abs(z)) > 1.0 else 1.0)
+        for nxt, image, z in zip(b[1:], images, b)
+    ])

@@ -28,7 +28,9 @@ class n = l + 1 (mod m) of the steps (``_laws``): m constants for
 the float and the exact route that the law's values choose: float64
 division for a rational monomial, ``ldexp`` for a base 2**s, for any other
 rational base one stream of exact powers, held one at a time, and a float
-parameter's own expression.  The rates and log rates read these two tables;
+parameter's own expression.  Where every law is one constant, the float
+table rounds the m entries once and repeats them.  The rates and log rates
+read these two tables;
 the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the
 tables of the one step n.  The sinusoid's rates are one array expression.
 """
@@ -41,7 +43,7 @@ from math import gcd
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -124,7 +126,21 @@ class MapSystem:
     def _floats(self, ns: range) -> list[complex]:
         """c_n for the consecutive steps ns, correctly rounded to complex, and
         the infinity of its sign past the float range."""
-        return self._float_table(ns).tolist()
+        (floats,) = self._table_lists(ns, np.ndarray.tolist)
+        return floats
+
+    def _table_lists(self, ns: range, *reads) -> tuple[list, ...]:
+        """Each read (``ndarray.tolist`` or :func:`_moduli`) of the float table
+        of the consecutive steps ns.  Where every law is one constant, the m
+        laws' entries are rounded and read once and the lists repeated."""
+        if len(ns) > 1:  # a one-step read, coefficient(n) or growth_rate(n), has no cycle to repeat
+            laws = _laws(self.family, self.params)
+            m = len(laws)
+            if len(ns) > m and all(law.base is None and not law.power for law in laws):
+                cycle = self._float_table(ns[:m])
+                return tuple((read(cycle) * (len(ns) // m + 1))[: len(ns)] for read in reads)
+        table = self._float_table(ns)
+        return tuple(read(table) for read in reads)
 
     def _float_table(self, ns: range) -> np.ndarray:
         """:meth:`_floats` as one complex array, filled a residue class at a
@@ -183,7 +199,8 @@ class MapSystem:
 
         For ``u == v`` the analytic derivative of F(n, .) at u is
         returned; every built-in family is differentiable.  Where u - v
-        overflows, the sinusoid's is its slope, the real-line value.
+        overflows, the sinusoid's halves both differences first; on the
+        real line that is its slope, as the real-line formula gives.
         """
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
@@ -196,7 +213,7 @@ class MapSystem:
             return slope + cmath.cos(u / n) / n**2
         sines = cmath.sin(u / n) - cmath.sin(v / n)
         if cmath.isinf(u - v) and cmath.isfinite(u) and cmath.isfinite(v):
-            return complex(slope, 0.0)  # not slope + sines / (inf + NaN i)
+            return slope + (sines / 2) / (n * (u / 2 - v / 2))  # not sines / (inf + NaN i)
         return slope + sines / (n * (u - v))
 
     def growth_rate(self, n: int) -> float:
@@ -205,8 +222,13 @@ class MapSystem:
         return self._tables(_step(n))[1][0]
 
     def rates(self, horizon: int) -> list[float]:
-        """Growth rates p_1 .. p_horizon."""
-        return self.tables(horizon)[1]
+        """Growth rates p_1 .. p_horizon: the rates of :meth:`tables`, with no
+        list of coefficients made."""
+        ns = range(1, horizon + 1)
+        if not self.is_linear:
+            return self._tables(ns)[1]
+        (rates,) = self._table_lists(ns, _moduli)
+        return rates
 
     def tables(self, horizon: int) -> tuple[Optional[list[complex]], list[float]]:
         """(c_1 .. c_horizon, p_1 .. p_horizon) from one coefficient table.
@@ -222,8 +244,7 @@ class MapSystem:
         if not self.is_linear:
             steps = np.arange(ns.start, ns.stop, dtype=float)
             return None, _expanding_rate(self.params[0], steps).tolist()
-        table = self._float_table(ns)
-        return table.tolist(), _moduli(table)
+        return self._table_lists(ns, np.ndarray.tolist, _moduli)
 
 
 def _moduli(table: np.ndarray) -> list[float]:
@@ -583,10 +604,11 @@ def generate_pseudo_orbit(
     Each part of ``a1`` must be finite and at most ``OVERFLOW_LIMIT`` in
     magnitude, and ``epsilon`` finite and nonnegative.  The residual of the
     three constant policies is read once; ``low_discrepancy_phase`` reads it
-    per step.  A linear family steps through its coefficient table, so a
-    step makes no call; the nonlinear family steps through ``eval_map``.
-    Generation stops at the first value that is not finite or exceeds
-    ``OVERFLOW_LIMIT`` in either part.
+    per step.  A linear family steps through its coefficient table in
+    blocks of one comprehension each, so a step makes no call; the
+    nonlinear family steps through ``eval_map``.  Generation stops at the
+    first value that is not finite or exceeds ``OVERFLOW_LIMIT`` in either
+    part.
     """
     return _pseudo_orbit(sys, a1, epsilon, policy, horizon, None)
 
@@ -609,43 +631,24 @@ def _pseudo_orbit(
     """:func:`generate_pseudo_orbit`, stepping a linear family through
     ``coeffs`` when given: a table the caller already holds, c_1 .. c_M
     with M >= horizon - 1.  ``head``, an orbit up to a shorter horizon, is
-    kept as given and stepped on from its last value; ``a1`` is then unused.
-
-    One loop steps both kinds of family: a linear step multiplies by its
-    table entry, a nonlinear one calls ``eval_map``."""
+    kept as given and stepped on from its last value; ``a1`` is then unused."""
     _check_orbit_request(epsilon, horizon, a1 if head is None else None)
     start = 1 if head is None else head.horizon
     steps = range(start, horizon)
     if policy.kind is PolicyKind.LOW_DISCREPANCY_PHASE:
-        residuals = (policy.residual(n, epsilon) for n in steps)
+        residuals = map(policy.residual, steps, repeat(epsilon))
     else:
-        residuals = [policy.residual(1, epsilon)] * len(steps) if steps else []
+        residuals = repeat(policy.residual(1, epsilon), len(steps)) if steps else iter(())
     if head is None:
-        z = complex(a1)
-        a, r = [z], []
+        a, r = [complex(a1)], []
     else:
-        a, r, z = list(head.a), list(head.r), head.a[-1]
-    linear = sys.is_linear
-    if coeffs is None and linear:
-        coeffs = sys.coefficients(horizon - 1)
-    # x is c_n for a linear family and n for the nonlinear one: a step index
-    # beside c_n would cost a linear orbit about a tenth more.  An overflowing
-    # c_n is inf in the table, and cmath.sin past the float range raises:
-    # either way the step is not finite and truncates.  Complex * and + give
-    # inf or NaN, they do not raise.  zip stops at the residuals.
-    operands = islice(coeffs, start - 1, None) if linear else steps
-    eval_map = sys.eval_map
-    truncated = False
-    for x, r_n in zip(operands, residuals):
-        try:
-            z = (x * z if linear else eval_map(x, z)) + r_n
-        except OverflowError:
-            z = complex(math.nan, math.nan)
-        if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):  # _within_limit
-            truncated = True
-            break
-        a.append(z)
-        r.append(r_n)
+        a, r = list(head.a), list(head.r)
+    if sys.is_linear:
+        if coeffs is None:
+            coeffs = sys.coefficients(horizon - 1)
+        truncated = _step_linear(a, r, islice(coeffs, start - 1, None), residuals)
+    else:
+        truncated = _step_nonlinear(a, r, sys.eval_map, steps, residuals)
     return PseudoOrbit(
         a=tuple(a),
         r=tuple(r),
@@ -654,3 +657,50 @@ def _pseudo_orbit(
         policy=policy,
         truncated=truncated,
     )
+
+
+#: Steps of a linear orbit made between two range tests.
+_ORBIT_BLOCK = 1024
+
+
+def _step_linear(a: list, r: list, coeffs: Iterator[complex], residuals: Iterator[complex]) -> bool:
+    """Extend ``a`` by z <- c_n z + r_n from its last value and ``r`` by r_n,
+    for each c_n of ``coeffs`` and r_n of ``residuals`` until the residuals
+    end; True at the first value that is not finite or exceeds
+    ``OVERFLOW_LIMIT`` in either part, which is not kept.
+
+    Each block of ``_ORBIT_BLOCK`` steps is one comprehension, then one
+    array test of its parts.  Complex * and + give inf or NaN, they do not
+    raise, so the block's values past that first one are made and dropped."""
+    z = a[-1]
+    while block := list(islice(residuals, _ORBIT_BLOCK)):
+        # zip takes r_n first, so no c_n is taken past the last residual
+        zs = [z := c * z + r_n for r_n, c in zip(block, coeffs)]
+        inside = np.abs(np.array(zs, dtype=complex).view(float)) <= OVERFLOW_LIMIT  # _within_limit
+        if not inside.all():
+            k = int(inside.argmin()) // 2  # the two parts of value k are entries 2k and 2k + 1
+            a += zs[:k]
+            r += block[:k]
+            return True
+        a += zs
+        r += block
+    return False
+
+
+def _step_nonlinear(
+    a: list, r: list, eval_map, steps: range, residuals: Iterator[complex]
+) -> bool:
+    """:func:`_step_linear` for the nonlinear family, one ``eval_map`` call a
+    step: it stops at the first value out of range, which makes no later
+    call, and at a step whose sine overflows (``cmath.sin`` raises there)."""
+    z = a[-1]
+    for n, r_n in zip(steps, residuals):
+        try:
+            z = eval_map(n, z) + r_n
+        except OverflowError:
+            return True
+        if not (abs(z.real) <= OVERFLOW_LIMIT and abs(z.imag) <= OVERFLOW_LIMIT):  # _within_limit
+            return True
+        a.append(z)
+        r.append(r_n)
+    return False

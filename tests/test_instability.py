@@ -62,6 +62,29 @@ class TestLowerBound:
         with pytest.raises(HypothesisViolation):
             divergence_lower_bound_log10(0.5, 2.0, 1, 2, 2, 4.0, 3)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2.0, 4.0, 1, 2, 2, math.nan, 1),
+            (2.0, 4.0, 1, 2, 2, math.inf, 1),
+            (2.0, math.inf, 1, 2, 2, 4.0, 1),
+            (2.0, math.nan, 1, 2, 2, 4.0, 1),
+            (math.nan, 4.0, 1, 2, 2, 4.0, 1),
+        ],
+        ids=["C_p_nan", "C_p_inf", "K_q_inf", "K_q_nan", "K_p_nan"],
+    )
+    def test_a_value_that_is_not_finite_is_refused(self, args):
+        # (2.0, 4.0, 1, 2, 2, nan, 1) returned nan: a witness with no bound passed the CLI check
+        with pytest.raises(ValueError, match="^need finite K_p, K_q and C_p"):
+            divergence_lower_bound_log10(*args)
+
+    def test_a_witness_on_a_fit_that_is_not_finite_is_refused(self):
+        # its 19 samples had a NaN log10_lower_bound, which no comparison fails
+        fit = PeriodicFit(m=2, prefix=0, rate_factors=(2.0, 4.0), constants=(math.nan, 1.0), max_residual=0.0)
+        cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
+        with pytest.raises(ValueError, match="^need finite K_p, K_q and C_p"):
+            witness_divergence(power_two_parity(), 1e-3, 40, cls)
+
 
 class TestWitness:
     def test_requires_periodic_classification(self):

@@ -225,8 +225,8 @@ class TestOneComplexFormula:
         assert _bits(_real_line_map(3.0, 2, -0.0)) == _bits(complex(-0.0, 0.0))
 
     # a pair whose difference x - y overflows is kept: n * (x - y) would be
-    # inf + NaN i in complex arithmetic, and the quotient reads the slope there,
-    # as the real line does
+    # inf + NaN i in complex arithmetic, so the quotient halves both
+    # differences first, which gives the slope, as the real line does
     @settings(max_examples=200)
     @given(
         slope=sinusoid_slopes,
@@ -244,6 +244,13 @@ class TestOneComplexFormula:
         else:
             reference = _real_line_quotient(slope, n, x, y)
         assert _bits(affine_sinusoid(slope).eval_q(n, x, y)) == _bits(reference)
+
+    def test_quotient_off_the_real_line_where_the_difference_overflows(self):
+        # u - v = inf + 700i: the slope alone was returned, (3+0j)
+        q = affine_sinusoid().eval_q(1, 1e308 + 700j, -1e308)
+        assert q.real == pytest.approx(3.0000114962313544, rel=1e-15)
+        assert q.imag == pytest.approx(-2.26e-5, rel=1e-3)
+        assert _bits(affine_sinusoid().eval_q(1, 1e308, -1e308)) == _bits(3 + 0j)
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_argument_gives_nan_parts(self, x):
