@@ -27,7 +27,6 @@ from .growth import (
     build_profile,
     classify,
     detect_periodic_scaled,
-    double_factorial_envelope,
     double_factorial_envelope_holds,
     profile_of,
     ratio_check,

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import RateRangeError
-from .systems import MapSystem
+from .systems import MapSystem, check_rates
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,11 @@ class GrowthProfile:
 
 
 def build_profile(rates: Sequence[float]) -> GrowthProfile:
-    """Accumulate a rate sequence into a :class:`GrowthProfile`."""
-    arr = np.asarray(rates, dtype=float)
+    """Accumulate a rate sequence into a :class:`GrowthProfile`; a rate that
+    is not positive raises :class:`RateRangeError` (``check_rates``)."""
+    arr = check_rates(rates)
     if arr.size == 0:
         raise ValueError("rate sequence must be nonempty")
-    nonpositive = ~(arr > 0.0)  # NaN included; inf is allowed
-    if nonpositive.any():
-        first = int(np.argmax(nonpositive))
-        raise RateRangeError(
-            "growth rate must be positive: "
-            f"p_n = {float(arr[first])!r} at n = {first + 1}"
-        )
     log_partial = np.cumsum(np.log(arr))
     n = np.arange(1, arr.size + 1, dtype=float)
     avg = np.exp(log_partial / n)
@@ -367,20 +361,6 @@ def ratio_check(t: Sequence[float], K: float, n: int) -> float:
 
 
 # -- double-factorial envelope -------------------------------------------
-
-
-def double_factorial_envelope(k: int) -> tuple[float, float, float]:
-    """(1/sqrt(4k+1), (2k-1)!!/(2k)!!, 1/sqrt(3k+1)).
-
-    The middle ratio is computed by direct product; the outer values
-    bracket it for every k >= 1.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    value = 1.0
-    for j in range(1, k + 1):
-        value *= (2 * j - 1) / (2 * j)
-    return (1.0 / math.sqrt(4 * k + 1), value, 1.0 / math.sqrt(3 * k + 1))
 
 
 #: Steps per block of :func:`double_factorial_envelope_holds`: its arrays

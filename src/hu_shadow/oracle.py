@@ -261,11 +261,11 @@ def _step_parts(
 
 
 #: A start whose runner-up squared distance is within this relative gap of
-#: its largest goes to the per-step hypot loop: the two might round to the
-#: same modulus, or to swapped ones.
+#: its largest goes to :func:`sup_error_for_start`: the two might round to
+#: the same modulus, or to swapped ones.
 TIE_GAP = 1e-12
 #: A start whose largest squared distance lies outside [Q_MIN, Q_MAX] goes
-#: to the per-step hypot loop: near the ends of the float range a square
+#: to :func:`sup_error_for_start`: near the ends of the float range a square
 #: may lose its relative error bound.
 Q_MIN, Q_MAX = 2.0**-900, 2.0**900
 
@@ -294,11 +294,11 @@ def _sup_errors(
     end.  That is the maximum modulus exactly: q carries at most 3
     roundings and ``hypot`` errs by less than 1 ulp, so a runner-up below
     best * (1 - ``TIE_GAP``) can never give a larger ``hypot``.  The starts
-    the screen cannot decide go to :func:`_hypot_sup_errors`, the per-step
-    ``hypot`` loop with every NaN, overflow and first-exception rule, on
-    that subset only: a sum that is not finite (some step was NaN or inf,
-    or some square overflowed), a largest q outside [``Q_MIN``, ``Q_MAX``],
-    or a runner-up within ``TIE_GAP`` of the largest.
+    the screen cannot decide go, in order, to :func:`sup_error_for_start`
+    itself, so every NaN, overflow and first-exception rule is the
+    reference's: a sum that is not finite (some step was NaN or inf, or
+    some square overflowed), a largest q outside [``Q_MIN``, ``Q_MAX``], or
+    a runner-up within ``TIE_GAP`` of the largest.
     """
     if coeffs is None:
         return np.array([sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts])
@@ -331,43 +331,9 @@ def _sup_errors(
         undecided |= runner >= best * (1.0 - TIE_GAP)
         worst = np.hypot(best_re, best_im)
     if undecided.any():
-        worst[undecided] = _hypot_sup_errors(pseudo, starts[undecided], horizon, coeffs)
-    return worst
-
-
-def _hypot_sup_errors(
-    pseudo: PseudoOrbit, starts: np.ndarray, horizon: int, coeffs: Sequence[complex]
-) -> np.ndarray:
-    """The linear path of :func:`_sup_errors` with a C ``hypot`` at every step.
-
-    The modulus is C ``hypot`` as in ``modulus``.  The running maximum is
-    ``numpy.fmax``: against a later NaN modulus it keeps the running value,
-    as ``max`` keeps its first argument.  A NaN first modulus ``max`` keeps
-    to the end, so a start whose first modulus is NaN is set to NaN at the
-    end.  Every failure is a modulus that overflows from finite parts, which
-    ``modulus`` raises as the same :class:`OverflowError`, so the first one
-    found is the first failing start's exception.
-    """
-    re, im = starts.real.copy(), starts.imag.copy()  # b_n, stepped in place
-    new_re, t, d_re, d_im, x = (np.empty_like(re) for _ in range(5))
-
-    def moduli(re: np.ndarray, im: np.ndarray, a: complex, out: np.ndarray) -> np.ndarray:
-        """|b - a| into out for b = re + i*im; OverflowError where finite
-        parts overflow."""
-        np.subtract(re, a.real, out=d_re)
-        np.subtract(im, a.imag, out=d_im)
-        np.hypot(d_re, d_im, out=out)
-        if np.isinf(out).any() and (np.isinf(out) & np.isfinite(d_re) & np.isfinite(d_im)).any():
-            raise OverflowError("absolute value too large")
-        return out
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        worst = moduli(re, im, pseudo.value(1), np.empty_like(re))
-        first_nan = np.isnan(worst)
-        for n, c in zip(range(1, min(horizon, pseudo.horizon)), coeffs):
-            re, new_re = _step_parts(re, im, c, new_re, t)
-            np.fmax(worst, moduli(re, im, pseudo.value(n + 1), x), out=worst)
-    worst[first_nan] = np.nan
+        worst[undecided] = [
+            sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts[undecided]
+        ]
     return worst
 
 

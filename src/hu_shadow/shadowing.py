@@ -52,9 +52,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, mul, sub
+from sys import float_info
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateQuotient,
@@ -63,13 +62,16 @@ from .errors import (
     RateRangeError,
 )
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
-from .systems import MapSystem, PseudoOrbit, _pseudo_orbit, generate_pseudo_orbit
+from .systems import MapSystem, PseudoOrbit, _pseudo_orbit, check_rates, generate_pseudo_orbit
 
 #: |q| below this is treated as a degenerate quotient.
 DEGENERATE_QUOTIENT_LIMIT = 1e-300
 
 #: Extra steps past the horizon the tail series may use before capping.
 TAIL_CAP_MARGIN = 200
+
+#: ln of the largest float: ``math.exp`` is finite up to it and overflows past it.
+_LOG_FLOAT_MAX = math.log(float_info.max)
 
 
 class ShadowMethod(str, Enum):
@@ -144,13 +146,10 @@ def _accumulated_rate_bounds(
     no product, and so no log: 0.0 * gap, where inf * 0.0 past 700 would
     be NaN.  A rate that is not positive (NaN included) raises
     :class:`RateRangeError`, from one scan before the sweep, at the n the
-    per-step check would name; ``inf`` is allowed.
+    per-step check would name (``check_rates``); ``inf`` is allowed.
     """
     head = rates[: horizon - 1]
-    positive = np.array(head, dtype=float) > 0.0  # min(head) would pass over a NaN after the first
-    if not positive.all():
-        n = int(positive.argmin()) + 1
-        raise RateRangeError(f"growth rate must be positive: p_n = {head[n - 1]!r} at n = {n}")
+    check_rates(head)
     log, exp, inf = math.log, math.exp, math.inf
     S = 0.0
     first = 1.0 * gap + S * eps  # n = 1: the empty product exp(0.0) = 1.0
@@ -436,20 +435,22 @@ def _pick_truncation(
     The tail of the series for d_horizon beyond J is bounded by
     eps * sum_{j>J} prod_{i=horizon..j} 1/p_i; the unmeasured remainder
     past the cap is closed geometrically with ratio 1/K.  ``rates`` holds
-    p_1 .. p_cap; one among those read that is not positive (NaN
-    included) raises :class:`RateRangeError`.
+    p_1 .. p_cap; one among those read, p_horizon .. p_cap, that is not
+    positive (NaN included) raises :class:`RateRangeError` from one scan
+    before any term.  A term past the float range is ``inf``, so no J
+    before it is taken; every finite term is the per-step loop's.
     """
     cap = horizon + TAIL_CAP_MARGIN
     if eps == 0.0:
         return horizon, False
     target = tail_fraction * bound if bound > 0 else 0.0
-    log_c = 0.0  # log of prod_{i=horizon..j} 1/p_i
-    tail_terms = []  # c_j for j = horizon..cap
-    for n, p in enumerate(rates[horizon - 1 : cap], horizon):
-        if not p > 0:
-            raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
-        log_c -= math.log(p)
-        tail_terms.append(math.exp(log_c))
+    window = rates[horizon - 1 : cap]
+    check_rates(window, first=horizon)
+    log, exp, inf = math.log, math.exp, math.inf
+    log_c = 0.0  # log of c_j = prod_{i=horizon..j} 1/p_i, for j = horizon..cap
+    tail_terms = [
+        exp(log_c) if (log_c := log_c - log(p)) <= _LOG_FLOAT_MAX else inf for p in window
+    ]
     remainder = tail_terms[-1] / (K - 1.0)
     # suffix[i] = sum of terms past index i, plus the geometric remainder
     suffix = remainder

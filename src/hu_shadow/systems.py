@@ -254,6 +254,20 @@ def _moduli(table: np.ndarray) -> list[float]:
         return np.hypot(table.real, table.imag).tolist()
 
 
+def check_rates(rates: Sequence[float], first: int = 1) -> np.ndarray:
+    """p_first, p_first+1, ... as one float array, after one sign scan that
+    names the first rate that is not positive, NaN included, in a
+    :class:`RateRangeError`; ``inf`` passes.  Every rate reader checks here."""
+    arr = np.asarray(rates, dtype=float)
+    bad = ~(arr > 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise RateRangeError(
+            f"growth rate must be positive: p_n = {float(arr[i])!r} at n = {first + i}"
+        )
+    return arr
+
+
 def modulus(z: complex) -> float:
     """|z| by C ``hypot``, as ``abs(complex)`` and ``numpy.hypot`` compute it.
 
@@ -357,8 +371,8 @@ def _laws(family: Family, params: tuple) -> tuple[_Law, ...]:
 def _log_rate(n: int, p: float, law: Optional[_Law]) -> float:
     """ln p_n from the table's rate p; e*ln(base) where a float base**e leaves the float range."""
     if 0.0 < p < math.inf or law is None or law.base is None:
-        if p == 0.0:  # a float parameter's rate that underflowed
-            raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
+        if p == 0.0:  # a float parameter's rate that underflowed: check_rates names it
+            check_rates((p,), first=n)
         return math.log(p)  # inf or NaN, as ln p_n
     return law.exponents(_step(n))[0] * math.log(float(law.base))
 

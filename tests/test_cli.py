@@ -152,6 +152,22 @@ class TestShadow:
         assert err == {"error": "DegenerateQuotient", "reason": reason}
         assert not (tmp_path / "out").exists()
 
+    def test_a_tail_product_past_the_float_range_exits_with_a_verdict(self, tmp_path):
+        # the tail estimate's math.exp overflowed past 1/(10^-300)^2: a traceback
+        tiny = f"1/{10**300}"
+        raw = {
+            "system": {"family": "periodic_linear", "coeffs": [tiny, tiny, 1e300, 1e300, 1e10]},
+            "horizon": 1,
+        }
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(raw))
+        rc = main(["shadow", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["verdict"] == "fail"
+        assert summary["truncation"] == 3
+        assert summary["sup_err"] == math.inf
+
     def test_nonlinear_fixture_passes(self, tmp_path):
         rc = main(
             ["shadow", "--config", str(fixture_path("nonlinear_sinusoid")), "--out", str(tmp_path)]

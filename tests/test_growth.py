@@ -17,7 +17,6 @@ from hu_shadow import (
     build_profile,
     classify,
     detect_periodic_scaled,
-    double_factorial_envelope,
     double_factorial_envelope_holds,
     index_scaled_linear,
     periodic_linear,
@@ -431,17 +430,24 @@ class TestRatioCheck:
             ratio_check([1.0, -1.0], 2.0, 2)
 
 
+def _envelope_brackets(k: int) -> tuple[bool, bool]:
+    """1/sqrt(4k+1) <= r and r <= 1/sqrt(3k+1) for r = (2k-1)!!/(2k)!! = C(2k,k)/4^k,
+    in integers: C(2k,k)^2 (4k+1) >= 16^k and 16^k >= C(2k,k)^2 (3k+1)."""
+    square = math.comb(2 * k, k) ** 2
+    return square * (4 * k + 1) >= 16**k, 16**k >= square * (3 * k + 1)
+
+
 class TestDoubleFactorialEnvelope:
     def test_small_values(self):
-        lo, mid, hi = double_factorial_envelope(1)
-        assert mid == pytest.approx(0.5)
-        assert lo <= mid <= hi
+        # r_1 = C(2,1)/4 = 1/2 lies between 1/sqrt(5) and 1/sqrt(4), the upper bound attained
+        assert Fraction(math.comb(2, 1), 4) == Fraction(1, 2)
+        assert _envelope_brackets(1) == (True, True)
+        assert math.comb(2, 1) ** 2 * (3 * 1 + 1) == 16**1
 
     @given(k=st.integers(1, 500))
     @settings(max_examples=50)
     def test_bracketing(self, k):
-        lo, mid, hi = double_factorial_envelope(k)
-        assert lo <= mid <= hi
+        assert _envelope_brackets(k) == (True, True)
 
     def test_exact_check(self):
         assert double_factorial_envelope_holds(200)

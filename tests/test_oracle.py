@@ -440,15 +440,26 @@ class TestVectorisedSearch:
 
 
 def _spy_fallback(monkeypatch) -> list:
-    """Record the number of start points each call of the hypot loop gets."""
-    sizes = []
-    fallback = oracle._hypot_sup_errors
+    """Record, for each call of ``_sup_errors`` that sends any start to
+    ``sup_error_for_start``, the number of calls it makes there, the one
+    that raises included."""
+    sizes, calls = [], []
+    sup_errors, reference = oracle._sup_errors, oracle.sup_error_for_start
 
-    def spy(pseudo, starts, horizon, coeffs):
-        sizes.append(len(starts))
-        return fallback(pseudo, starts, horizon, coeffs)
+    def counted(*args):
+        calls.append(args)
+        return reference(*args)
 
-    monkeypatch.setattr(oracle, "_hypot_sup_errors", spy)
+    def spy(*args):
+        calls.clear()
+        try:
+            return sup_errors(*args)
+        finally:
+            if calls:
+                sizes.append(len(calls))
+
+    monkeypatch.setattr(oracle, "sup_error_for_start", counted)
+    monkeypatch.setattr(oracle, "_sup_errors", spy)
     return sizes
 
 
@@ -463,7 +474,7 @@ def _constant_orbit(values) -> PseudoOrbit:
 class TestSquaredDistanceScreen:
     """The screen decides a start from its squared distances only where the
     largest clears its runner-up and lies in [2^-900, 2^900]; each trigger
-    below sends starts to the per-step hypot loop, and the search stays
+    below sends starts to ``sup_error_for_start``, and the search stays
     bit-identical to the scalar loop."""
 
     def _check(self, monkeypatch, sys, pseudo, horizon, region, grid=3, refinements=1):
@@ -502,7 +513,7 @@ class TestSquaredDistanceScreen:
         assert sizes == [1, 9, 9]
 
     def test_a_modulus_that_overflows_from_finite_parts(self, monkeypatch):
-        # |b_1 - a_1| > 1.8e308 with finite parts: the hypot loop raises as abs does
+        # |b_1 - a_1| > 1.8e308 with finite parts: sup_error_for_start raises as abs does
         sys = index_scaled_linear()
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 1)
         got, sizes = self._check(monkeypatch, sys, pseudo, 1, SearchRegion(1e308 + 1e308j, 4e307))

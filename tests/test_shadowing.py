@@ -38,7 +38,6 @@ from hu_shadow import (
     bounded_factor_expanding_bound,
     classify,
     detect_periodic_scaled,
-    double_factorial_envelope,
     exact_propagate,
     generate_pseudo_orbit,
     index_scaled_linear,
@@ -186,7 +185,6 @@ REFUSALS = {
     "ratio_check_too_few_t": (
         lambda: ratio_check([1.0, 1.0], 1.5, 3), ValueError("need t_1..t_3, got 2 values")
     ),
-    "envelope_k_zero": (lambda: double_factorial_envelope(0), ValueError("k must be >= 1, got 0")),
     # max_period 2 finds the parity family's period-2 fit on the same profile
     "detect_max_period_one": (
         lambda: detect_periodic_scaled(profile_of(power_two_parity(), 1000), 1, 1e-4), None
@@ -1180,6 +1178,19 @@ class TestNonFiniteRates:
         # returned (210, True) before
         with pytest.raises(RateRangeError, match=r"p_n = nan at n = 10"):
             shadowing._pick_truncation([math.nan] * 300, 10, 1e-3, 0.01, 1e-3, 2.0)
+
+    def test_a_tail_product_past_the_float_range_saturates(self):
+        # ln 10^300 twice passes ln(max float): the tail estimate's math.exp
+        # raised a bare OverflowError('math range error')
+        tiny = Fraction(1, 10**300)
+        sys = periodic_linear((tiny, tiny, 10**300, 10**300, 10**10))
+        pseudo = PseudoOrbit((1 + 0j,), (), 1e-3, 1, ResidualPolicy())
+        bound = 2.0 * 1e-3 / math.log(2.0)
+        assert shadowing._pick_truncation(sys.rates(201), 1, 1e-3, bound, 1e-3, 2.0) == (197, False)
+        result = shadow_expanding(sys, pseudo, 2.0)
+        # J falls to the extension's last step: a_5 = 1e300 * a_4 leaves the float range
+        assert result.meta.truncation == 3
+        assert result.sup_diff == math.inf and not result.bound_ok
 
     def test_sound_bound_rejects_nan(self):
         # returned nan before

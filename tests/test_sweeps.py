@@ -224,6 +224,38 @@ def _loop_shadow_expanding(sys, pseudo, K, opts=ShadowOptions()):
     )
 
 
+def _loop_pick_truncation(rates, horizon, eps, bound, tail_fraction, K):
+    """The tail estimate's per-step loop, its check in the step, but for one
+    change: a term whose ``math.exp`` overflowed, where the loop raised
+    OverflowError, is ``inf``."""
+    cap = horizon + TAIL_CAP_MARGIN
+    if eps == 0.0:
+        return horizon, False
+    target = tail_fraction * bound if bound > 0 else 0.0
+    log_c = 0.0
+    tail_terms = []
+    for n, p in enumerate(rates[horizon - 1 : cap], horizon):
+        if not p > 0:
+            raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
+        log_c -= math.log(p)
+        try:
+            tail_terms.append(math.exp(log_c))
+        except OverflowError:
+            tail_terms.append(math.inf)
+    remainder = tail_terms[-1] / (K - 1.0)
+    suffix = remainder
+    best = cap
+    for i in range(len(tail_terms) - 1, -1, -1):
+        if eps * suffix < target:
+            best = horizon + i
+        else:
+            break
+        suffix += tail_terms[i]
+    if best < cap:
+        return best, False
+    return cap, True
+
+
 def _loop_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k):
     if not K_q > K_p >= 1.0:
         raise HypothesisViolation(
@@ -433,6 +465,30 @@ class TestRateSweeps:
             shadowing._accumulated_rate_bounds([0.5, 2.0, math.nan, -1.0], 5, 1e-3, 0.0)
         with pytest.raises(RateRangeError, match=r"p_n = -0\.0 at n = 1$"):
             shadowing._accumulated_rate_bounds([-0.0, math.nan], 3, 1e-3, 1.0)
+
+
+class TestTailEstimate:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rates=st.lists(
+            st.one_of(rate_values, st.sampled_from([1e-300, 1e300])), min_size=1, max_size=60
+        ),
+        horizon=st.integers(1, 20),
+        eps=st.sampled_from([0.0, 1e-3, 1.0]),
+        K=st.sampled_from([1.01, 2.0, 100.0]),
+    )
+    # the loop raised OverflowError at the first term, before the 0.0
+    @example(rates=[5e-324, 0.0], horizon=1, eps=1e-3, K=2.0)
+    @example(rates=[1e-300, 1e-300, 1e300, 1e300, 1e10] * 41, horizon=1, eps=1e-3, K=2.0)
+    def test_tail_estimate_equals_the_loop(self, rates, horizon, eps, K):
+        args = (rates, horizon, eps, 2.0 * eps / math.log(K), 1e-3, K)
+        assert _outcome(_pick_truncation, *args) == _outcome(_loop_pick_truncation, *args)
+
+    def test_a_term_saturates_only_past_the_overflow_of_exp(self):
+        # so every term that math.exp makes finite is the loop's, bit for bit
+        assert math.isfinite(math.exp(shadowing._LOG_FLOAT_MAX))
+        with pytest.raises(OverflowError):
+            math.exp(math.nextafter(shadowing._LOG_FLOAT_MAX, math.inf))
 
 
 class TestResidualSup:

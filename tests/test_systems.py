@@ -27,10 +27,13 @@ from hu_shadow import (
     index_scaled_linear,
     periodic_linear,
     power_two_parity,
+    accumulated_rate_bound,
+    build_profile,
     profile_of,
     shadow_expanding,
 )
 from hu_shadow.scenario import MAX_HORIZON
+from hu_shadow.shadowing import TAIL_CAP_MARGIN
 from hu_shadow.systems import OVERFLOW_LIMIT, modulus
 
 
@@ -1152,3 +1155,43 @@ class TestOneRulePerFamily:
         ]
         for field, default in hu_shadow.systems._Law._field_defaults.items():
             assert any(getattr(law, field) != default for law in laws), field
+
+
+class TestOneRateRule:
+    @pytest.mark.parametrize(
+        "bad", [math.nan, 0.0, -0.0, -1.0], ids=["nan", "zero", "negative_zero", "negative"]
+    )
+    def test_every_reader_names_the_same_rate_and_step(self, bad, monkeypatch):
+        # p_14 lies past the horizon 10, in the window the tail estimate reads
+        sys = periodic_linear((3, Fraction(1, 2)))
+        horizon, n = 10, 14
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
+        coeffs, rates = sys.tables(horizon + TAIL_CAP_MARGIN)
+        rates[n - 1] = bad
+        monkeypatch.setattr(MapSystem, "tables", lambda self, h: (coeffs[:h], rates[:h]))
+        message = f"^growth rate must be positive: p_n = {re.escape(repr(bad))} at n = {n}$"
+        readers = [
+            lambda: build_profile(rates),
+            lambda: accumulated_rate_bound(rates, n + 1, 1e-3, 0.0),
+            lambda: shadow_expanding(sys, pseudo, math.sqrt(1.5)),  # the tail estimate
+        ]
+        for read in readers:
+            with pytest.raises(RateRangeError, match=message):
+                read()
+
+    def test_the_rate_message_is_formatted_in_one_function(self):
+        # the positive-rate rule is stated by systems.check_rates alone; every
+        # other reader of the rates calls it
+        phrase = "growth rate must be positive: p_n"
+        package = Path(hu_shadow.__file__).parent
+        owners = [
+            (path.name, node.name)
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                isinstance(x, ast.Constant) and isinstance(x.value, str) and phrase in x.value
+                for x in ast.walk(node)
+            )
+        ]
+        assert owners == [("systems.py", "check_rates")]
