@@ -72,7 +72,21 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """``obj`` as strict JSON: a float that is not finite is written as the
+    string ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, which Python's
+    ``float()`` and JavaScript's ``Number()`` read back."""
+    _write_atomic(path, json.dumps(_strict(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _strict(obj):
+    """``obj`` with each float that is not finite replaced by its JSON name."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return json.dumps(obj)  # "Infinity", "-Infinity" or "NaN"
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
 
 
 def _write_csv(path: Path, header: list, row: str, rows: list) -> None:

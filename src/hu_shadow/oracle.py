@@ -289,16 +289,17 @@ def _sup_errors(
 
     The screen ranks squared distances q = d_re^2 + d_im^2 in place of C
     ``hypot``.  Per start it keeps the largest q with the two parts d where
-    it was reached, the runner-up ``fmax(runner_up, minimum(q, best))`` and
-    a running sum of q, and takes one ``hypot`` of the kept parts at the
-    end.  That is the maximum modulus exactly: q carries at most 3
-    roundings and ``hypot`` errs by less than 1 ulp, so a runner-up below
-    best * (1 - ``TIE_GAP``) can never give a larger ``hypot``.  The starts
-    the screen cannot decide go, in order, to :func:`sup_error_for_start`
-    itself, so every NaN, overflow and first-exception rule is the
-    reference's: a sum that is not finite (some step was NaN or inf, or
-    some square overflowed), a largest q outside [``Q_MIN``, ``Q_MAX``], or
-    a runner-up within ``TIE_GAP`` of the largest.
+    it was reached and the runner-up ``fmax(runner_up, minimum(q, best))``,
+    and takes one ``hypot`` of the kept parts at the end.  That is the
+    maximum modulus exactly: q carries at most 3 roundings and ``hypot``
+    errs by less than 1 ulp, so a runner-up below best * (1 - ``TIE_GAP``)
+    can never give a larger ``hypot``.  The starts the screen cannot decide
+    go, in order, to :func:`sup_error_for_start` itself, so every NaN,
+    overflow and first-exception rule is the reference's: a largest q that
+    is not in [``Q_MIN``, ``Q_MAX``], or a runner-up within ``TIE_GAP`` of
+    the largest.  ``np.maximum`` carries a NaN q into the largest, and an
+    infinite or overflowed q is above ``Q_MAX``, so a start with a NaN or
+    infinite step is undecided too.
     """
     if coeffs is None:
         return np.array([sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts])
@@ -311,7 +312,7 @@ def _sup_errors(
         best_re, best_im = np.subtract(re, a.real), np.subtract(im, a.imag)
         best = np.multiply(best_re, best_re)
         best += np.multiply(best_im, best_im, out=t)
-        total, runner = best.copy(), np.zeros_like(re)
+        runner = np.zeros_like(re)
         for n, c in zip(range(1, min(horizon, pseudo.horizon)), coeffs):
             re, new_re = _step_parts(re, im, c, new_re, t)
             a = pseudo.value(n + 1)
@@ -319,15 +320,12 @@ def _sup_errors(
             np.subtract(im, a.imag, out=d_im)
             np.multiply(d_re, d_re, out=q)
             q += np.multiply(d_im, d_im, out=t)
-            total += q
             np.fmax(runner, np.minimum(q, best, out=t), out=runner)
             np.greater(q, best, out=better)
             np.copyto(best_re, d_re, where=better)
             np.copyto(best_im, d_im, where=better)
             np.maximum(best, q, out=best)
-        undecided = ~np.isfinite(total)
-        undecided |= best < Q_MIN
-        undecided |= best > Q_MAX
+        undecided = ~((Q_MIN <= best) & (best <= Q_MAX))  # NaN too
         undecided |= runner >= best * (1.0 - TIE_GAP)
         worst = np.hypot(best_re, best_im)
     if undecided.any():

@@ -219,7 +219,8 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     """True orbit from b_1 = a_1 by forward propagation.
 
     ``K`` > 1 is the reciprocal of the limiting averaged rate.  The
-    reported bound K*eps/(K-1) is asymptotic; the measured differences
+    reported bound K*eps/(K-1), its limit eps where K is ``inf``, is
+    asymptotic; the measured differences
     are additionally checked against the finite-horizon
     ``accumulated_rate_bound``, sound for every linear family, and
     exceeding *that* by more than 5% signals a misclassified system.
@@ -249,7 +250,7 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
             f"measured sup-difference {sup:.3e} exceeds the sound rate bound "
             f"{sound:.3e}; the system is not contracting as classified"
         )
-    bound = K * eps / (K - 1.0)
+    bound = K * eps / (K - 1.0) if K < math.inf else eps  # its limit, where inf/inf is NaN
     meta = ShadowMeta(
         truncation=0,
         iterations=1,
@@ -302,7 +303,10 @@ def shadow_expanding(
 
     A rate in the tail estimate that is not positive (NaN included)
     raises :class:`RateRangeError`, and then a c_n past the float range
-    at a step n < horizon of the given orbit.
+    at a step n < horizon of the given orbit.  A sweep whose d_n leaves
+    the float range, where q_n is tiny but not below
+    ``DEGENERATE_QUOTIENT_LIMIT``, raises :class:`DegenerateQuotient`
+    naming the largest such n.
     """
     if K <= 1.0:
         raise HypothesisViolation(f"K must exceed 1, got {K}")
@@ -337,6 +341,10 @@ def shadow_expanding(
         # d_{J+1} = 0; backward recurrence d_n = (r_n + d_{n+1}) / q_n
         nxt = 0j
         backward = [nxt := (r_n + nxt) / q for r_n, q in zip(reversed(r), quotients)]  # d_J .. d_1
+        # nxt is d_1: each q is finite and nonzero, so a d_n that is not finite carries down to it
+        if not cmath.isfinite(nxt):
+            n = J - next(i for i, x in enumerate(backward) if not cmath.isfinite(x))
+            raise DegenerateQuotient(f"d_{n} = (r_{n} + d_{n + 1})/q_{n} left the float range")
         new_d = backward[::-1] + [0j] * (n_ext + 1 - J)
         if sys.is_linear or eps == 0.0:
             d = new_d

@@ -28,11 +28,11 @@ class n = l + 1 (mod m) of the steps (``_laws``): m constants for
 the float and the exact route that the law's values choose: float64
 division for a rational monomial, ``ldexp`` for a base 2**s, for any other
 rational base one stream of exact powers, held one at a time, and a float
-parameter's own expression.  Where every law is one constant, the float
-table rounds the m entries once and repeats them.  The rates and log rates
-read these two tables;
-the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the
-tables of the one step n.  The sinusoid's rates are one array expression.
+parameter's own expression.  Every float read of c_n and p_n makes one
+float table: the coefficients are its ``tolist`` and the rates its moduli.
+The log rates read the float and the exact tables; the scalars
+``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the tables of the
+one step n.  The sinusoid's rates are one array expression.
 """
 
 from __future__ import annotations
@@ -126,21 +126,7 @@ class MapSystem:
     def _floats(self, ns: range) -> list[complex]:
         """c_n for the consecutive steps ns, correctly rounded to complex, and
         the infinity of its sign past the float range."""
-        (floats,) = self._table_lists(ns, np.ndarray.tolist)
-        return floats
-
-    def _table_lists(self, ns: range, *reads) -> tuple[list, ...]:
-        """Each read (``ndarray.tolist`` or :func:`_moduli`) of the float table
-        of the consecutive steps ns.  Where every law is one constant, the m
-        laws' entries are rounded and read once and the lists repeated."""
-        if len(ns) > 1:  # a one-step read, coefficient(n) or growth_rate(n), has no cycle to repeat
-            laws = _laws(self.family, self.params)
-            m = len(laws)
-            if len(ns) > m and all(law.base is None and not law.power for law in laws):
-                cycle = self._float_table(ns[:m])
-                return tuple((read(cycle) * (len(ns) // m + 1))[: len(ns)] for read in reads)
-        table = self._float_table(ns)
-        return tuple(read(table) for read in reads)
+        return self._float_table(ns).tolist()
 
     def _float_table(self, ns: range) -> np.ndarray:
         """:meth:`_floats` as one complex array, filled a residue class at a
@@ -227,8 +213,7 @@ class MapSystem:
         ns = range(1, horizon + 1)
         if not self.is_linear:
             return self._tables(ns)[1]
-        (rates,) = self._table_lists(ns, _moduli)
-        return rates
+        return _moduli(self._float_table(ns))
 
     def tables(self, horizon: int) -> tuple[Optional[list[complex]], list[float]]:
         """(c_1 .. c_horizon, p_1 .. p_horizon) from one coefficient table.
@@ -244,7 +229,8 @@ class MapSystem:
         if not self.is_linear:
             steps = np.arange(ns.start, ns.stop, dtype=float)
             return None, _expanding_rate(self.params[0], steps).tolist()
-        return self._table_lists(ns, np.ndarray.tolist, _moduli)
+        table = self._float_table(ns)
+        return table.tolist(), _moduli(table)
 
 
 def _moduli(table: np.ndarray) -> list[float]:

@@ -53,7 +53,29 @@ QUOTIENT_OVERFLOW = {
 }
 
 
+#: A contracting system whose rate 5e-324 has a reciprocal past the float range: K = inf.
+TINY_RATE = {"system": {"family": "periodic_linear", "coeffs": [5e-324]}}
+
+
+def _strict_json(text: str):
+    """``json.loads`` refusing the bare tokens Infinity, -Infinity and NaN."""
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in the JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestAnalyze:
+    def test_an_infinite_K_is_written_as_a_string(self, tmp_path):
+        # K = 1/5e-324 = inf was written as the bare token Infinity
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(TINY_RATE))
+        assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        summary = _strict_json((tmp_path / "out" / "classification.json").read_text())
+        assert summary["K"] == summary["classification"]["K"] == "Infinity"
+        assert float(summary["K"]) == math.inf
+
     def test_contracting_fixture(self, tmp_path):
         rc = main(
             [
@@ -152,8 +174,9 @@ class TestShadow:
         assert err == {"error": "DegenerateQuotient", "reason": reason}
         assert not (tmp_path / "out").exists()
 
-    def test_a_tail_product_past_the_float_range_exits_with_a_verdict(self, tmp_path):
-        # the tail estimate's math.exp overflowed past 1/(10^-300)^2: a traceback
+    def test_a_tail_product_past_the_float_range_exits_with_a_verdict(self, tmp_path, capsys):
+        # the tail estimate's math.exp overflowed past 1/(10^-300)^2: a traceback;
+        # then d_1 overflowed and the verdict was fail with sup_err inf
         tiny = f"1/{10**300}"
         raw = {
             "system": {"family": "periodic_linear", "coeffs": [tiny, tiny, 1e300, 1e300, 1e10]},
@@ -163,10 +186,21 @@ class TestShadow:
         config.write_text(json.dumps(raw))
         rc = main(["shadow", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 1
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["verdict"] == "fail"
-        assert summary["truncation"] == 3
-        assert summary["sup_err"] == math.inf
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        reason = "d_1 = (r_1 + d_2)/q_1 left the float range"
+        assert json.loads(err) == {"error": "DegenerateQuotient", "reason": reason}
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_an_infinite_K_bounds_by_epsilon(self, tmp_path):
+        # K*eps/(K - 1) was inf/inf = NaN, so the verdict was fail
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(TINY_RATE))
+        assert main(["shadow", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        summary = _strict_json((tmp_path / "out" / "summary.json").read_text())
+        assert summary["K"] == "Infinity" and summary["horizon"] == 200
+        assert summary["bound"] == 1e-3
+        assert summary["verdict"] == "pass"
 
     def test_nonlinear_fixture_passes(self, tmp_path):
         rc = main(
@@ -809,6 +843,13 @@ class TestAtomicWrite:
             cli._write_atomic(tmp_path / "out" / "profile.csv", text)
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_a_float_that_is_not_finite_is_written_as_a_string(self, tmp_path):
+        obj = {"a": [math.inf, (-math.inf, 1.5)], "b": {"c": math.nan}, "d": None, "e": True}
+        cli._write_json(tmp_path / "out.json", obj)
+        assert _strict_json((tmp_path / "out.json").read_text()) == {
+            "a": ["Infinity", ["-Infinity", 1.5]], "b": {"c": "NaN"}, "d": None, "e": True
+        }
+
 
 # -- fuzzer ---------------------------------------------------------------
 
@@ -939,6 +980,8 @@ class TestFuzzer:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 rc = main(argv)
+            for written in (Path(tmp) / "out").glob("*.json"):
+                _strict_json(written.read_text())
         lines = err.getvalue().splitlines()
         assert rc in (0, 1, 2)
         if rc == 2:

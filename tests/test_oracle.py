@@ -512,6 +512,16 @@ class TestSquaredDistanceScreen:
         assert got[1] == math.inf
         assert sizes == [1, 9, 9]
 
+    def test_an_infinite_square_then_a_nan_square(self, monkeypatch):
+        # q_1 is 1e240; b_2 = 1e200 * b_1 has an infinite imaginary part, so
+        # q_2 = inf; b_3's real part is 1e200 * re - 0 * inf = NaN, so q_3 is
+        # NaN: the largest q carries that NaN, and each start is undecided
+        sys = periodic_linear((1e200,))
+        pseudo = _constant_orbit([0.0, 0.0, 0.0])
+        got, sizes = self._check(monkeypatch, sys, pseudo, 3, SearchRegion(1e-100 + 1e120j, 1e-101))
+        assert got[1] == math.inf
+        assert sizes == [1, 9, 9]
+
     def test_a_modulus_that_overflows_from_finite_parts(self, monkeypatch):
         # |b_1 - a_1| > 1.8e308 with finite parts: sup_error_for_start raises as abs does
         sys = index_scaled_linear()

@@ -364,6 +364,18 @@ class TestContracting:
         with pytest.raises(HypothesisViolation):
             shadow_contracting(sys, pseudo, 0.9)
 
+    def test_an_infinite_K_bounds_by_epsilon(self):
+        # 1/5e-324 overflows, so classify reports K = inf; K*eps/(K - 1) was NaN
+        sys = periodic_linear((5e-324,))
+        K = classify(profile_of(sys, 1000), sys).K
+        assert K == math.inf
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 200)
+        result = shadow_contracting(sys, pseudo, K)
+        assert result.bound == 1e-3 and result.sup_diff == 1e-3 and result.bound_ok
+        # a finite K keeps the expression, bit for bit
+        for K in (1e308, SQRT_3_2):
+            assert shadow_contracting(sys, pseudo, K).bound.hex() == (K * 1e-3 / (K - 1.0)).hex()
+
 
 class TestExpanding:
     def test_alternating_linear_true_orbit(self):
@@ -651,6 +663,8 @@ def _per_call_shadow_expanding(sys, pseudo, K, opts=ShadowOptions(), extend=_reg
                 raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
             r_n = ext.residual(n) if n <= len(ext.r) else 0j
             new_d[n - 1] = (r_n + new_d[n]) / q
+            if not cmath.isfinite(new_d[n - 1]):  # the refusal, checked in the step
+                raise DegenerateQuotient(f"d_{n} = (r_{n} + d_{n + 1})/q_{n} left the float range")
         change = max(abs(new_d[i] - d[i]) for i in range(horizon))
         d = new_d
         if sys.is_linear or eps == 0.0:
@@ -1187,10 +1201,11 @@ class TestNonFiniteRates:
         pseudo = PseudoOrbit((1 + 0j,), (), 1e-3, 1, ResidualPolicy())
         bound = 2.0 * 1e-3 / math.log(2.0)
         assert shadowing._pick_truncation(sys.rates(201), 1, 1e-3, bound, 1e-3, 2.0) == (197, False)
-        result = shadow_expanding(sys, pseudo, 2.0)
-        # J falls to the extension's last step: a_5 = 1e300 * a_4 leaves the float range
-        assert result.meta.truncation == 3
-        assert result.sup_diff == math.inf and not result.bound_ok
+        # J falls to the extension's last step, 3: a_5 = 1e300 * a_4 leaves the float
+        # range; then d_2 is about 1e297, and dividing by q_1 = 1e-300 overflows
+        message = r"^d_1 = \(r_1 \+ d_2\)/q_1 left the float range$"
+        with pytest.raises(DegenerateQuotient, match=message):
+            shadow_expanding(sys, pseudo, 2.0)
 
     def test_sound_bound_rejects_nan(self):
         # returned nan before

@@ -8,16 +8,19 @@ the index it names must agree with the loop's, NaN and the sign of zero
 included.
 """
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import shadowing, systems
 from hu_shadow import (
+    DegenerateQuotient,
     Family,
     HypothesisViolation,
     MapSystem,
@@ -186,8 +189,10 @@ def _loop_shadow_expanding(sys, pseudo, K, opts=ShadowOptions()):
             _update_nonlinear_quotients(sys, a, d, quotients, points)
         backward = []  # d_J .. d_1
         nxt = 0j
-        for r_n, q in zip(reversed(r), quotients):
+        for n, r_n, q in zip(range(J, 0, -1), reversed(r), quotients):
             nxt = (r_n + nxt) / q
+            if not cmath.isfinite(nxt):  # the refusal, checked in the step
+                raise DegenerateQuotient(f"d_{n} = (r_{n} + d_{n + 1})/q_{n} left the float range")
             backward.append(nxt)
         new_d = backward[::-1] + [0j] * (n_ext + 1 - J)
         if sys.is_linear or eps == 0.0:
@@ -625,21 +630,25 @@ class TestTiledTables:
         if start == 1:
             assert [_bits(p) for p in sys.rates(count)] == [_bits(p) for p in rates]
 
-    def test_a_cycle_is_rounded_once(self, monkeypatch):
-        calls = []
-        original = MapSystem._float_table
-        monkeypatch.setattr(MapSystem, "_float_table", lambda self, ns: calls.append(ns) or original(self, ns))
-        periodic_linear().tables(10**4)
-        periodic_linear((2, 3, 5)).rates(7)
-        periodic_linear().coefficients(2)
-        assert calls == [range(1, 3), range(1, 4), range(1, 3)]
-
     def test_rates_make_no_coefficient_list(self, monkeypatch):
-        reads = []
-        original = MapSystem._table_lists
-        monkeypatch.setattr(
-            MapSystem, "_table_lists", lambda self, ns, *r: reads.append(r) or original(self, ns, *r)
-        )
+        tables, moduli, lists = [], [], []
+
+        class Table(np.ndarray):
+            def tolist(self):
+                lists.append(self.dtype.kind)  # "c" for a list of coefficients
+                return super().tolist()
+
+        def float_table(self, ns):
+            tables.append(table := original(self, ns).view(Table))
+            return table
+
+        original, read_moduli = MapSystem._float_table, systems._moduli
+        monkeypatch.setattr(MapSystem, "_float_table", float_table)
+        monkeypatch.setattr(systems, "_moduli", lambda table: moduli.append(table) or read_moduli(table))
         for sys in (periodic_linear(), power_two_parity()):
-            assert sys.rates(50) == sys.tables(50)[1]
-        assert reads[0::2] == [(_moduli,)] * 2  # each rates call reads the moduli only
+            del tables[:], moduli[:], lists[:]
+            rates = sys.rates(50)
+            # one table, read by _moduli alone: the only list made is the rates'
+            assert len(tables) == 1 and len(moduli) == 1 and moduli[0] is tables[0]
+            assert lists == ["f"]
+            assert rates == sys.tables(50)[1]
