@@ -18,11 +18,13 @@ floating-point range are carried in the log domain.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import HypothesisViolation
 from .growth import Classification, ClassificationKind, PeriodicFit
+from .scenario import MAX_HORIZON
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, generate_pseudo_orbit
 from .systems import OVERFLOW_LIMIT, _check_orbit_request, _pseudo_orbit
@@ -112,11 +114,19 @@ class DivergenceWitness:
 def default_witness_horizon(
     K_p: float, K_q: float, p_idx: int, q_idx: int, m: int, C_p: float
 ) -> int:
-    """Largest resonant index whose lower bound stays below ``OVERFLOW_LIMIT``."""
+    """Largest resonant index whose lower bound stays below ``OVERFLOW_LIMIT``:
+    k*m + p_idx + 1 for the k before the first k >= 1 whose bound reaches it.
+
+    The bound is non-decreasing in k (a product by ln K_q - ln K_p >= 0, then
+    monotone adds and a division), so that k is found by bisection over
+    1..2**53.  :class:`HypothesisViolation` where none of them reaches it.
+    """
     bound = _lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p)
-    k = 0
-    while bound(k + 1) < LOG10_LIMIT:
-        k += 1
+    k = bisect_left(range(1, 2**53 + 1), True, key=lambda j: bound(j) >= LOG10_LIMIT)
+    if k == 2**53:  # a rise that rounds to 0.0, say
+        raise HypothesisViolation(
+            f"no witness horizon: the lower bound stays below {OVERFLOW_LIMIT:g} up to k = 2**53"
+        )
     return k * m + p_idx + 1
 
 
@@ -133,7 +143,8 @@ def witness_divergence(
     pairs the class of the largest value (smallest K_l) with the class
     maximizing K_q/K_p, which gives the fastest-growing lower bound.
     A nonlinear system raises :class:`HypothesisViolation` before any
-    table: its p_n only bound its quotients from below.
+    table: its p_n only bound its quotients from below.  So does a default
+    horizon (``horizon=None``) above ``MAX_HORIZON``.
     """
     if cls.kind is not ClassificationKind.PERIODIC_BELOW_ONE or cls.periodic is None:
         raise HypothesisViolation(
@@ -155,6 +166,10 @@ def witness_divergence(
     m = fit.m
     if horizon is None:
         horizon = default_witness_horizon(K_p, K_q, p_idx, q_idx, m, C_p)
+        if horizon > MAX_HORIZON:
+            raise HypothesisViolation(
+                f"default witness horizon {horizon} is above {MAX_HORIZON}; give a horizon"
+            )
 
     # the orbit steps through the table the loop reads, c_1 .. c_horizon; its
     # checks come first, so a bad epsilon is named where the table would fail

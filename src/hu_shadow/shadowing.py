@@ -51,6 +51,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, takewhile
 from operator import add, mul, sub
 from sys import float_info
 from typing import Optional, Sequence
@@ -169,7 +170,7 @@ def bounded_factor_expanding_bound(
 ) -> float:
     """M*eps/(m*(K-1)): expanding-case bound when the scale factors t_n
     of the rate products stay within [m, M]."""
-    if K <= 1.0:
+    if not K > 1.0:  # NaN too
         raise HypothesisViolation(f"K must exceed 1, got {K}")
     if not 0.0 < m_low <= M_high:
         raise ValueError("need 0 < m_low <= M_high")
@@ -229,7 +230,7 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     :class:`HypothesisViolation`: its rates bound its expansion from
     below, so no contracting construction is sound for it.
     """
-    if K <= 1.0:
+    if not K > 1.0:  # NaN too
         raise HypothesisViolation(f"K must exceed 1, got {K}")
     if not sys.is_linear:
         raise HypothesisViolation(
@@ -308,7 +309,7 @@ def shadow_expanding(
     ``DEGENERATE_QUOTIENT_LIMIT``, raises :class:`DegenerateQuotient`
     naming the largest such n.
     """
-    if K <= 1.0:
+    if not K > 1.0:  # NaN too
         raise HypothesisViolation(f"K must exceed 1, got {K}")
     horizon = pseudo.horizon
     eps = pseudo.epsilon
@@ -321,7 +322,6 @@ def shadow_expanding(
     ext = _pseudo_orbit(sys, pseudo.value(1), eps, pseudo.policy, J + 1, coeffs, pseudo)
     J = min(J, ext.horizon - 1)
 
-    n_ext = ext.horizon
     a = ext.a
     r = ext.r[:J]  # r_1 .. r_J: every n <= J has a residual, as J < ext.horizon
     if coeffs is not None:
@@ -329,7 +329,7 @@ def shadow_expanding(
         quotients = coeffs[J - 1 :: -1] if J else []  # q_J .. q_1
     else:  # q_n = q_n(a_n + d_n, a_n), kept with the argument it was made at
         quotients, points = [0j] * J, [None] * J
-    d = [0j] * (n_ext + 1)
+    d = [0j] * (J + 1)  # d_1 .. d_{J+1}
     scale = max(1.0, abs(a[0]))
     iterations = 0
     prev_change = math.inf
@@ -345,7 +345,7 @@ def shadow_expanding(
         if not cmath.isfinite(nxt):
             n = J - next(i for i, x in enumerate(backward) if not cmath.isfinite(x))
             raise DegenerateQuotient(f"d_{n} = (r_{n} + d_{n + 1})/q_{n} left the float range")
-        new_d = backward[::-1] + [0j] * (n_ext + 1 - J)
+        new_d = backward[::-1] + [0j]
         if sys.is_linear or eps == 0.0:
             d = new_d
             break
@@ -459,19 +459,12 @@ def _pick_truncation(
     tail_terms = [
         exp(log_c) if (log_c := log_c - log(p)) <= _LOG_FLOAT_MAX else inf for p in window
     ]
-    remainder = tail_terms[-1] / (K - 1.0)
-    # suffix[i] = sum of terms past index i, plus the geometric remainder
-    suffix = remainder
-    best = cap
-    for i in range(len(tail_terms) - 1, -1, -1):
-        if eps * suffix < target:
-            best = horizon + i
-        else:
-            break
-        suffix += tail_terms[i]
-    if best < cap:
-        return best, False
-    return cap, True
+    # the tail past each J from the last term down: the geometric remainder, then
+    # each term added to it in that order; the count-th is past J = horizon + len - count
+    suffixes = accumulate(reversed(tail_terms[1:]), initial=tail_terms[-1] / (K - 1.0))
+    count = sum(1 for _ in takewhile(lambda tail: eps * tail < target, suffixes))
+    J = horizon + len(tail_terms) - count if count else cap
+    return J, J == cap
 
 
 def _relative_residual_sup(

@@ -30,9 +30,9 @@ division for a rational monomial, ``ldexp`` for a base 2**s, for any other
 rational base one stream of exact powers, held one at a time, and a float
 parameter's own expression.  Every float read of c_n and p_n makes one
 float table: the coefficients are its ``tolist`` and the rates its moduli.
-The log rates read the float and the exact tables; the scalars
-``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the tables of the
-one step n.  The sinusoid's rates are one array expression.
+``MapSystem._rates`` alone states p_n, those moduli or the sinusoid's array
+expression; the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0
+of the tables of the one step n.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class MapSystem:
 
     def coefficients(self, horizon: int) -> list[complex]:
         """c_1 .. c_horizon of a linear family as floats, in one pass."""
-        return self._floats(range(1, horizon + 1))
+        return self._float_table(range(1, horizon + 1)).tolist()
 
     def coefficient_pairs(self, horizon: int) -> list[tuple[int, int]]:
         """c_1 .. c_horizon as exact reduced pairs, in one pass;
@@ -123,14 +123,9 @@ class MapSystem:
         return [(steps, law) for l, law in enumerate(laws)
                 if (steps := range(ns.start + (l + 1 - ns.start) % m, ns.stop, m))]
 
-    def _floats(self, ns: range) -> list[complex]:
-        """c_n for the consecutive steps ns, correctly rounded to complex, and
-        the infinity of its sign past the float range."""
-        return self._float_table(ns).tolist()
-
     def _float_table(self, ns: range) -> np.ndarray:
-        """:meth:`_floats` as one complex array, filled a residue class at a
-        time over the whole range."""
+        """c_n for the consecutive steps ns as one complex array, correctly rounded, and
+        the infinity of its sign past the float range; filled a class at a time."""
         table = np.empty(len(ns), dtype=complex)
         for steps, law in self._classes(ns):
             law.fill(table[steps.start - ns.start::steps.step], steps)
@@ -159,14 +154,14 @@ class MapSystem:
             if law is not None and (pairs := law.pairs(steps)) is not None:
                 out[at] = [log(abs(num)) - log(den) for num, den in pairs]
             else:
-                rates = rates or self._tables(ns)[1]
+                rates = rates or self._rates(ns)
                 out[at] = [_log_rate(n, p, law) for n, p in zip(steps, rates[at])]
         return out
 
     def coefficient(self, n: int) -> complex:
         """c_n (F(n,z) = c_n z): entry n of :meth:`coefficients`, the infinity
         of its sign past the float range."""
-        return self._floats(_step(n))[0]
+        return self._float_table(_step(n)).tolist()[0]
 
     # -- evaluation ------------------------------------------------------
 
@@ -205,15 +200,19 @@ class MapSystem:
     def growth_rate(self, n: int) -> float:
         """Per-step growth rate p_n (always positive): entry n of
         :meth:`rates`, ``inf`` past the float range."""
-        return self._tables(_step(n))[1][0]
+        return self._rates(_step(n))[0]
 
     def rates(self, horizon: int) -> list[float]:
         """Growth rates p_1 .. p_horizon: the rates of :meth:`tables`, with no
         list of coefficients made."""
-        ns = range(1, horizon + 1)
-        if not self.is_linear:
-            return self._tables(ns)[1]
-        return _moduli(self._float_table(ns))
+        return self._rates(range(1, horizon + 1))
+
+    def _rates(self, ns: range) -> list[float]:
+        """p_n for the consecutive steps ns, the one place p_n is stated: the
+        moduli of a linear family's float table, the sinusoid's expanding rate."""
+        if self.is_linear:
+            return _moduli(self._float_table(ns))
+        return _expanding_rate(self.params[0], np.arange(ns.start, ns.stop, dtype=float)).tolist()
 
     def tables(self, horizon: int) -> tuple[Optional[list[complex]], list[float]]:
         """(c_1 .. c_horizon, p_1 .. p_horizon) from one coefficient table.
@@ -227,8 +226,7 @@ class MapSystem:
     def _tables(self, ns: range) -> tuple[Optional[list[complex]], list[float]]:
         """:meth:`tables` for the consecutive steps ns."""
         if not self.is_linear:
-            steps = np.arange(ns.start, ns.stop, dtype=float)
-            return None, _expanding_rate(self.params[0], steps).tolist()
+            return None, self._rates(ns)
         table = self._float_table(ns)
         return table.tolist(), _moduli(table)
 
@@ -521,11 +519,18 @@ class ResidualPolicy:
     """Deterministic rule producing residuals with |r_n| <= epsilon.
 
     All policies are pure functions of (kind, theta, n, epsilon); two
-    calls with the same arguments produce bit-identical residuals.
+    calls with the same arguments produce bit-identical residuals.  A kind
+    given by its value is read as its :class:`PolicyKind`; an unknown one,
+    or a NaN or infinite ``theta``, raises ``ValueError``.
     """
 
     kind: PolicyKind = PolicyKind.CONSTANT_REAL
     theta: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", PolicyKind(self.kind))  # the residuals test by identity
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
 
     def residual(self, n: int, epsilon: float) -> complex:
         if self.kind is PolicyKind.ZERO:

@@ -463,7 +463,7 @@ class TestUsageAndConfig:
         self, tmp_path, capsys, monkeypatch, override, flags
     ):
         calls = []
-        for name in ("_tables", "_floats", "_pairs", "_log_rates"):
+        for name in ("_tables", "_float_table", "_pairs", "_log_rates"):
             monkeypatch.setattr(MapSystem, name, lambda self, ns, _n=name: calls.append(_n))
         raw = {**json.loads(fixture_path("contracting_periodic").read_text()), **override}
         config = tmp_path / "scenario.json"

@@ -28,7 +28,8 @@ from hu_shadow import (
     profile_of,
     witness_divergence,
 )
-from hu_shadow.instability import _log10_add
+from hu_shadow.instability import LOG10_LIMIT, _log10_add, _lower_bound_log10
+from hu_shadow.scenario import MAX_HORIZON
 from hu_shadow.systems import OVERFLOW_LIMIT
 from test_systems import reference_log_growth_rate  # the per-index rule, verbatim
 
@@ -84,6 +85,39 @@ class TestLowerBound:
         cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
         with pytest.raises(ValueError, match="^need finite K_p, K_q and C_p"):
             witness_divergence(power_two_parity(), 1e-3, 40, cls)
+
+
+#: A fit whose rise ln K_q - ln K_p is about 1e-12: the bound reaches the
+#: float range's margin only at k ~ 3.5e14
+SLOW_RISE = (2.0, 2.0 * (1.0 + 1e-12), 1, 2, 2, 4.0)
+
+
+class TestDefaultHorizon:
+    def test_a_rise_that_rounds_to_zero_is_refused(self):
+        # every bound is 0.0: the walk of k one step at a time never ended
+        K_p = 1e300
+        with pytest.raises(HypothesisViolation, match=r"^no witness horizon: .* up to k = 2\*\*53"):
+            default_witness_horizon(K_p, math.nextafter(K_p, math.inf), 1, 2, 2, 1e-300)
+
+    def test_a_slow_rise_is_found_at_once(self):
+        # horizon = k*m + p + 1, with the bound below the limit at k and not at k + 1
+        horizon = default_witness_horizon(*SLOW_RISE)
+        k = (horizon - 2) // 2
+        bound = _lower_bound_log10(*SLOW_RISE)
+        assert k > 10**14 and bound(k) < LOG10_LIMIT <= bound(k + 1)
+
+    def test_a_default_horizon_past_the_cap_is_refused_before_any_table(self, monkeypatch):
+        K_p, K_q, _, _, m, C_p = SLOW_RISE
+        fit = PeriodicFit(m=m, prefix=0, rate_factors=(K_p, K_q), constants=(C_p, 1.0), max_residual=0.0)
+        cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
+        calls = []
+        for name in ("_tables", "_float_table", "_pairs", "_log_rates"):
+            monkeypatch.setattr(MapSystem, name, lambda self, ns, _n=name: calls.append(_n))
+        horizon = default_witness_horizon(*SLOW_RISE)
+        message = f"^default witness horizon {horizon} is above {MAX_HORIZON}; give a horizon$"
+        with pytest.raises(HypothesisViolation, match=message):
+            witness_divergence(power_two_parity(), 1e-3, None, cls)
+        assert calls == []
 
 
 class TestWitness:

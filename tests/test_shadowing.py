@@ -166,6 +166,19 @@ REFUSALS = {
         lambda: accumulated_rate_bound([2.0, 0.5], 4, 1.0, 0.0),
         ValueError("need rates p_1..p_3, got 2"),
     ),
+    # K <= 1 let NaN through: the bound came out NaN, J the cap
+    "bounded_factor_k_nan": (
+        lambda: bounded_factor_expanding_bound(1.0, 2.0, math.nan, 1e-3),
+        HypothesisViolation("K must exceed 1, got nan"),
+    ),
+    "expanding_k_nan": (
+        lambda: shadow_expanding(
+            index_scaled_linear(),
+            generate_pseudo_orbit(index_scaled_linear(), 1.0, 1e-3, ResidualPolicy(), 50),
+            math.nan,
+        ),
+        HypothesisViolation("K must exceed 1, got nan"),
+    ),
     "bounded_factor_m_above_M": (
         lambda: bounded_factor_expanding_bound(2.0, 1.0, 1.5, 1e-3),
         ValueError("need 0 < m_low <= M_high"),
@@ -512,6 +525,13 @@ class TestExpandingNamedErrors:
         with pytest.raises(DegenerateQuotient, match=r"^\|q_3\| ~ 0; error dynamics singular$"):
             shadow_expanding(sys, pseudo, math.sqrt(10))
 
+    def test_a_nonlinear_quotient_of_zero_is_degenerate(self):
+        # slope 1 from a_1 = pi: q_1 = 1 + cos(pi) = 0j at the first fixed-point iterate
+        sys = MapSystem(Family.AFFINE_SINUSOID, (1.0,))
+        pseudo = generate_pseudo_orbit(sys, math.pi, 1e-3, ResidualPolicy(), 5)
+        with pytest.raises(DegenerateQuotient, match=r"^\|q_1\| ~ 0; error dynamics singular$"):
+            shadow_expanding(sys, pseudo, 1.5)
+
     def test_a_quotient_past_the_float_range_is_a_non_contraction(self):
         # the phase residuals push the fixed point off the real line, where the
         # map expands imaginary parts until cmath.sin overflows in eval_q
@@ -843,7 +863,7 @@ class TestLeanConstructions:
         )
         assert _shadow_outcome(shadow_contracting, sys, pseudo, K) == NONLINEAR_CONTRACTING
 
-    @pytest.mark.parametrize("K", [0.5, 1.0])
+    @pytest.mark.parametrize("K", [0.5, 1.0, math.nan])
     def test_contracting_checks_k_before_linearity(self, K):
         sys = affine_sinusoid()
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 10)

@@ -261,6 +261,15 @@ def _loop_pick_truncation(rates, horizon, eps, bound, tail_fraction, K):
     return cap, True
 
 
+def _loop_default_witness_horizon(K_p, K_q, p_idx, q_idx, m, C_p):
+    """The default witness horizon's walk of k one step at a time."""
+    bound = instability._lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p)
+    k = 0
+    while bound(k + 1) < instability.LOG10_LIMIT:
+        k += 1
+    return k * m + p_idx + 1
+
+
 def _loop_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k):
     if not K_q > K_p >= 1.0:
         raise HypothesisViolation(
@@ -485,6 +494,10 @@ class TestTailEstimate:
     # the loop raised OverflowError at the first term, before the 0.0
     @example(rates=[5e-324, 0.0], horizon=1, eps=1e-3, K=2.0)
     @example(rates=[1e-300, 1e-300, 1e300, 1e300, 1e10] * 41, horizon=1, eps=1e-3, K=2.0)
+    # the window ends before the cap: J counts back from its last term, not from the cap
+    @example(rates=[1e300], horizon=1, eps=1e-3, K=1.01)
+    # only the remainder is under the target, past a full window: J is the cap, capped
+    @example(rates=[1.0] * 200 + [500.0], horizon=1, eps=1e-3, K=2.0)
     def test_tail_estimate_equals_the_loop(self, rates, horizon, eps, K):
         args = (rates, horizon, eps, 2.0 * eps / math.log(K), 1e-3, K)
         assert _outcome(_pick_truncation, *args) == _outcome(_loop_pick_truncation, *args)
@@ -589,6 +602,22 @@ class TestLowerBound:
         args = (K_p, K_p * ratio, p_idx, q_idx, m, C_p, k)
         assert _outcome(divergence_lower_bound_log10, *args) == _outcome(_loop_lower_bound_log10, *args)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        K_p=st.floats(0.5, 1e6),
+        ratio=st.floats(1.05, 1e6),
+        p_idx=st.integers(1, 6),
+        q_idx=st.integers(1, 6),
+        m=st.integers(1, 6),
+        C_p=st.one_of(st.floats(1e-6, 1e6), st.floats(1e-300, 1e-200)),
+    )
+    @example(K_p=2.0, ratio=2.0, p_idx=1, q_idx=2, m=2, C_p=4.0)  # the parity family's fit
+    def test_default_horizon_equals_the_walk(self, K_p, ratio, p_idx, q_idx, m, C_p):
+        args = (K_p, K_p * ratio, p_idx, q_idx, m, C_p)
+        assert _outcome(instability.default_witness_horizon, *args) == _outcome(
+            _loop_default_witness_horizon, *args
+        )
+
     def test_witness_bounds_equal_the_expression(self, monkeypatch):
         calls = []
         original = instability._lower_bound_log10
@@ -623,7 +652,7 @@ class TestTiledTables:
     def test_tiled_reads_equal_the_whole_table(self, sys, start, count):
         ns = range(start, start + count)
         table = sys._float_table(ns)
-        assert [_bits(c) for c in sys._floats(ns)] == [_bits(c) for c in table.tolist()]
+        assert [_bits(sys.coefficient(n)) for n in ns] == [_bits(c) for c in table.tolist()]
         coefficients, rates = sys._tables(ns)
         assert [_bits(c) for c in coefficients] == [_bits(c) for c in table.tolist()]
         assert [_bits(p) for p in rates] == [_bits(p) for p in _moduli(table)]
@@ -645,10 +674,13 @@ class TestTiledTables:
         original, read_moduli = MapSystem._float_table, systems._moduli
         monkeypatch.setattr(MapSystem, "_float_table", float_table)
         monkeypatch.setattr(systems, "_moduli", lambda table: moduli.append(table) or read_moduli(table))
-        for sys in (periodic_linear(), power_two_parity()):
+        floats = periodic_linear((0.75, 2.5))  # its log rates read the float table
+        reads = [(sys, name) for sys in (periodic_linear(), power_two_parity(), floats)
+                 for name in ("rates", "growth_rate")] + [(floats, "log_rates")]
+        for sys, name in reads:
             del tables[:], moduli[:], lists[:]
-            rates = sys.rates(50)
+            getattr(sys, name)(50)
             # one table, read by _moduli alone: the only list made is the rates'
-            assert len(tables) == 1 and len(moduli) == 1 and moduli[0] is tables[0]
-            assert lists == ["f"]
-            assert rates == sys.tables(50)[1]
+            assert len(tables) == 1 and len(moduli) == 1 and moduli[0] is tables[0], name
+            assert lists == ["f"], name
+            assert sys.rates(50) == sys.tables(50)[1]

@@ -296,6 +296,22 @@ class TestResidualPolicies:
     def test_constant_real(self):
         assert ResidualPolicy().residual(17, 1e-3) == 1e-3 + 0j
 
+    def test_a_kind_given_by_its_value_is_the_kind(self):
+        # "zero" compared equal to PolicyKind.ZERO but failed each identity test: the
+        # residual was the low-discrepancy one and rational_residual raised AttributeError
+        policy = ResidualPolicy(kind="zero")
+        assert policy.kind is PolicyKind.ZERO
+        assert policy.residual(1, 1e-3) == 0j
+        assert policy.rational_residual(1, Fraction(1, 1000)) == 0
+        with pytest.raises(ValueError, match="'spiral' is not a valid PolicyKind"):
+            ResidualPolicy(kind="spiral")
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_a_theta_that_is_not_finite_is_refused(self, theta):
+        # its residual was NaN, and generation reported the orbit truncated at n = 1
+        with pytest.raises(ValueError, match=f"^theta must be finite, got {theta!r}$"):
+            ResidualPolicy(kind=PolicyKind.CONSTANT_PHASE, theta=theta)
+
     def test_rational_form_matches_float(self):
         policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
         assert policy.rational_residual(3, Fraction(1, 1000)) == Fraction(1, 1000)
@@ -635,7 +651,7 @@ class TestOneEntryReads:
         assert sys._log_rates(range(n, n + 1))[0].hex() == reference_log_growth_rate(sys, n).hex()
         ns = range(n, n + count)
         stop = n + count - 1
-        assert [_bits(c) for c in sys._floats(ns)] == [
+        assert [_bits(c) for c in sys._float_table(ns).tolist()] == [
             _bits(c) for c in sys.coefficients(stop)[n - 1:]
         ]
         assert sys._pairs(ns) == sys._pairs(range(1, stop + 1))[n - 1:]
@@ -1026,7 +1042,7 @@ class TestNonFiniteInputs:
         # bare OverflowError and shadow_contracting returned a NaN sup_diff
         sys = build()
         calls = []
-        for name in ("_tables", "_floats", "_pairs"):
+        for name in ("_tables", "_float_table", "_pairs"):
             monkeypatch.setattr(MapSystem, name, lambda self, ns, _n=name: calls.append(_n))
         message = f"a1 must have finite parts of at most 1e+300, got {a1!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -1195,3 +1211,20 @@ class TestOneRateRule:
             )
         ]
         assert owners == [("systems.py", "check_rates")]
+
+    def test_p_n_is_stated_in_one_method(self):
+        # the sinusoid's rate is read by MapSystem._rates alone, and the moduli of
+        # a float table by _rates and by _tables, which also keeps its coefficients
+        package = Path(hu_shadow.__file__).parent
+        callers = {"_expanding_rate": [], "_moduli": []}
+        for path in sorted(package.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                        callers[node.func.id].append((path.name, func.name))
+        assert callers == {
+            "_expanding_rate": [("systems.py", "_rates")],
+            "_moduli": [("systems.py", "_rates"), ("systems.py", "_tables")],
+        }
