@@ -54,8 +54,9 @@ def build_profile(rates: Sequence[float]) -> GrowthProfile:
 
 
 def profile_of(sys: MapSystem, horizon: int) -> GrowthProfile:
-    """Profile of a system's growth rates up to ``horizon``."""
-    return build_profile(sys.rates(horizon))
+    """Profile of a system's growth rates up to ``horizon``, read as the one
+    float array that ``MapSystem._rates`` makes, with no list between."""
+    return build_profile(sys._rates(range(1, horizon + 1)))
 
 
 class ClassificationKind(str, Enum):
@@ -142,6 +143,13 @@ def detect_periodic_scaled(
     (H = 10^3), the first class alone rejects every prefix at every
     period.
 
+    Cost: a class sees a prefix only through its first index past it, so
+    each screen quantity is computed once per such start (about
+    horizon/(4m) per class) and gathered to the prefixes; a period is
+    then one suffix-sum pass per class, O(horizon).  The default sinusoid
+    at H = 10^4, where every period builds the spread screen, takes about
+    2 ms for m = 2..8 (0.17 ms at m = 2, 0.41 ms at m = 8; 2-core VM).
+
     The margin is ``SCREEN_MARGIN`` times the data magnitude: max|L_n|,
     which bounds the rounding of the chord, of ``np.polyfit`` and of its
     residual evaluation, plus the class length times the largest chord
@@ -179,22 +187,25 @@ def _rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
         return rejected
     scale = float(np.max(np.abs(L)))
     bend_limit = 2.0 * (tol + SCREEN_MARGIN * scale)
+    # a class reads a prefix only through its first index past it, start;
+    # each quantity is computed once per distinct start, then gathered
     classes = []
     for l in range(1, m + 1):
         ns = np.arange(l, horizon + 1, m)
         ys = L[ns - 1]
         last = ns.size - 1
-        k0 = (prefixes - l) // m + 1  # first class index past the prefix
+        start = (prefixes - l) // m + 1  # runs 0, 0, .., 1, .. to start[-1]
+        k0 = np.arange(start[-1] + 1)
         k1 = (k0 + last) // 2
         h = ys[k1] - (ys[k0] + (ys[last] - ys[k0]) * ((k1 - k0) / (last - k0)))
-        rejected |= np.abs(h) >= bend_limit
+        rejected |= (np.abs(h) >= bend_limit)[start]
         if rejected.all():  # the spread screen cannot add a rejection
             return rejected
-        classes.append((ns, ys, last, k0))
+        classes.append((ns, ys, last, start, k0))
     slopes = np.empty((m, prefixes.size))
     intercepts = np.empty((m, prefixes.size))
     deviation = 0.0
-    for l, (ns, ys, last, k0) in enumerate(classes, 1):
+    for l, (ns, ys, last, start, k0) in enumerate(classes, 1):
         k = np.arange(last + 1)
         chord = (ys[last] - ys[0]) / last
         z = ys - (ys[0] + chord * k)
@@ -208,8 +219,8 @@ def _rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
         k_mean = (k0 + last) / 2
         y_mean = ys[0] + chord * k_mean + sum_z[k0] / count
         slope = (chord + slope_k) / m
-        slopes[l - 1] = slope
-        intercepts[l - 1] = y_mean - slope * (ns[0] + m * k_mean)
+        slopes[l - 1] = slope[start]
+        intercepts[l - 1] = (y_mean - slope * (ns[0] + m * k_mean))[start]
         deviation = max(deviation, ns.size * float(np.max(np.abs(z))))
     same_law = tol - 2.0 * SCREEN_MARGIN * (scale + deviation)
     rejected |= (np.ptp(slopes, axis=0) <= same_law) & (

@@ -28,11 +28,12 @@ class n = l + 1 (mod m) of the steps (``_laws``): m constants for
 the float and the exact route that the law's values choose: float64
 division for a rational monomial, ``ldexp`` for a base 2**s, for any other
 rational base one stream of exact powers, held one at a time, and a float
-parameter's own expression.  Every float read of c_n and p_n makes one
-float table: the coefficients are its ``tolist`` and the rates its moduli.
-``MapSystem._rates`` alone states p_n, those moduli or the sinusoid's array
-expression; the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0
-of the tables of the one step n.
+parameter's own expression.  Every float read of c_n and p_n makes one float
+table: the coefficients are its ``tolist`` and the rates its moduli.
+``MapSystem._rates`` alone states p_n, as one float array of those moduli or
+the sinusoid's expression, which ``profile_of`` reads with no list between;
+the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the
+tables of the one step n.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class MapSystem:
             if law is not None and (pairs := law.pairs(steps)) is not None:
                 out[at] = [log(abs(num)) - log(den) for num, den in pairs]
             else:
-                rates = rates or self._rates(ns)
+                rates = rates or self._rates(ns).tolist()
                 out[at] = [_log_rate(n, p, law) for n, p in zip(steps, rates[at])]
         return out
 
@@ -169,7 +170,7 @@ class MapSystem:
         """Evaluate F(n, z); the sinusoid's is one complex formula, NaN at a non-finite z."""
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
-        if self.is_linear:
+        if self.family is not Family.AFFINE_SINUSOID:  # else the sinusoid's formula
             return self.coefficient(n) * complex(z)
         (slope,) = self.params
         z = complex(z)
@@ -185,7 +186,7 @@ class MapSystem:
         """
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
-        if self.is_linear:
+        if self.family is not Family.AFFINE_SINUSOID:  # else the sinusoid's formula
             return self.coefficient(n)
         (slope,) = self.params
         u = complex(u)
@@ -200,19 +201,20 @@ class MapSystem:
     def growth_rate(self, n: int) -> float:
         """Per-step growth rate p_n (always positive): entry n of
         :meth:`rates`, ``inf`` past the float range."""
-        return self._rates(_step(n))[0]
+        return self._rates(_step(n)).tolist()[0]
 
     def rates(self, horizon: int) -> list[float]:
         """Growth rates p_1 .. p_horizon: the rates of :meth:`tables`, with no
         list of coefficients made."""
-        return self._rates(range(1, horizon + 1))
+        return self._rates(range(1, horizon + 1)).tolist()
 
-    def _rates(self, ns: range) -> list[float]:
-        """p_n for the consecutive steps ns, the one place p_n is stated: the
-        moduli of a linear family's float table, the sinusoid's expanding rate."""
+    def _rates(self, ns: range) -> np.ndarray:
+        """p_n for the consecutive steps ns as one float array, the one place
+        p_n is stated: the moduli of a linear family's float table, the
+        sinusoid's expanding rate."""
         if self.is_linear:
             return _moduli(self._float_table(ns))
-        return _expanding_rate(self.params[0], np.arange(ns.start, ns.stop, dtype=float)).tolist()
+        return _expanding_rate(self.params[0], np.arange(ns.start, ns.stop, dtype=float))
 
     def tables(self, horizon: int) -> tuple[Optional[list[complex]], list[float]]:
         """(c_1 .. c_horizon, p_1 .. p_horizon) from one coefficient table.
@@ -226,16 +228,16 @@ class MapSystem:
     def _tables(self, ns: range) -> tuple[Optional[list[complex]], list[float]]:
         """:meth:`tables` for the consecutive steps ns."""
         if not self.is_linear:
-            return None, self._rates(ns)
+            return None, self._rates(ns).tolist()
         table = self._float_table(ns)
-        return table.tolist(), _moduli(table)
+        return table.tolist(), _moduli(table).tolist()
 
 
-def _moduli(table: np.ndarray) -> list[float]:
+def _moduli(table: np.ndarray) -> np.ndarray:
     """|c| of each entry of a complex array by C ``hypot``, as
     ``abs(complex)`` computes it, and ``inf`` where that overflows."""
     with np.errstate(over="ignore"):
-        return np.hypot(table.real, table.imag).tolist()
+        return np.hypot(table.real, table.imag)
 
 
 def check_rates(rates: Sequence[float], first: int = 1) -> np.ndarray:

@@ -72,6 +72,42 @@ class TestProfile:
             profile_of(power_two_parity(), 2000)
 
 
+def _outcome(read, *args):
+    """The profile ``read`` makes, as bit patterns, or its error's type and message."""
+    try:
+        profile = read(*args)
+    except (RateRangeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return profile.horizon, profile.log_partial.tobytes(), profile.avg.tobytes()
+
+
+class TestProfileFromTheRateArray:
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            periodic_linear(),
+            index_scaled_linear(),
+            power_two_parity(),
+            affine_sinusoid(),
+            periodic_linear((0.75, 2.5, complex(0.5, 1.5))),
+            index_scaled_linear(2.5, 0.75),
+            index_scaled_linear(3, 1e308),  # p_2 underflows to 0.0
+            power_two_parity(2.0, 3),
+            power_two_parity(1.5, -4),
+            affine_sinusoid(2.25),
+        ],
+        ids=lambda sys: f"{sys.family.value}{sys.params}",
+    )
+    @pytest.mark.parametrize("horizon", [1, 2, 1000, 1071, 1072, 10_000])
+    def test_profile_of_equals_the_profile_of_the_rate_list(self, sys, horizon):
+        # profile_of hands the rate array straight to build_profile; the list
+        # route it replaced gives the same bits, and the same refusal: parity's
+        # even rates underflow at n = 1072
+        assert _outcome(profile_of, sys, horizon) == _outcome(
+            lambda: build_profile(sys.rates(horizon))
+        )
+
+
 class TestClassification:
     def test_contracting_periodic(self):
         cls = classify(profile_of(periodic_linear(), 1000))
@@ -399,6 +435,30 @@ class TestEarlyExitScreen:
     def test_non_finite_mask_equals_full_screen(self, L):
         _assert_same_masks(L, 1e-4)
         assert not growth._rejected_prefixes(L, 2, 1e-4).any()
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            lambda h: affine_sinusoid().rates(h),
+            lambda h: periodic_linear((2, Fraction(1, 3), 5)).rates(h),
+            lambda h: [2.0 if n % 3 else 0.5 for n in range(1, h + 1)],
+            lambda h: list(np.random.default_rng(h).uniform(0.1, 10.0, h)),
+            # laws that differ by about the tolerance: the spread screen decides
+            lambda h: [0.9 * math.exp(1e-4 * math.sin(n)) for n in range(1, h + 1)],
+            lambda h: [1.5 * (1 + 1e-5 * n) for n in range(1, h + 1)],
+        ],
+        ids=["sinusoid", "periodic_3", "every_third", "random", "wobble", "drift"],
+    )
+    def test_unequal_class_sizes_mask_equals_full_screen(self, m, rates):
+        # H = 4m + r: the first r classes hold one point more than the others,
+        # and the last prefixes move some classes' first start and not others'
+        for r in range(m):
+            L = build_profile(rates(4 * m + r)).log_partial
+            for tol in (1e-4, 1e-6):
+                got = growth._rejected_prefixes(L, m, tol)
+                expected = _reference_rejected_prefixes(L, m, tol)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), r
 
     def test_stable_profile_builds_no_spread_screen(self, monkeypatch):
         # the first class's bend screen rejects every prefix at every period

@@ -143,6 +143,20 @@ class TestEvaluation:
         assert sys.eval_map(1, 1 + 1j) == 2 + 2j
         assert sys.eval_map(2, 3.0) == pytest.approx(1.0)
 
+    def test_a_step_reads_no_is_linear_property(self, monkeypatch):
+        # the sinusoid's orbit and construction call these once per step
+        reads = []
+        is_linear = MapSystem.is_linear
+        systems = (affine_sinusoid(), periodic_linear())  # construction reads it once
+        monkeypatch.setattr(
+            MapSystem, "is_linear", property(lambda self: reads.append(1) or is_linear.fget(self))
+        )
+        for sys in systems:
+            assert sys.eval_map(3, 1.0) == sys.eval_map(3, 1.0 + 0j)
+            assert sys.eval_q(3, 2.0, 1.0) == sys.eval_q(3, 2.0 + 0j, 1.0)
+            assert sys.eval_q(3, 2.0, 2.0) == sys.eval_q(3, 2.0 + 0j, 2.0)
+        assert reads == []
+
     def test_sinusoid_map_real(self):
         sys = affine_sinusoid()
         x = 0.7
