@@ -236,7 +236,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -244,6 +244,8 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_dict(raw)
 
 

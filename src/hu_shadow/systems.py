@@ -28,8 +28,9 @@ class n = l + 1 (mod m) of the steps (``_laws``): m constants for
 the float and the exact route that the law's values choose: float64
 division for a rational monomial, ``ldexp`` for a base 2**s, for any other
 rational base one stream of exact powers, held one at a time, and a float
-parameter's own expression.  Every float read of c_n and p_n makes one float
-table: the coefficients are its ``tolist`` and the rates its moduli.
+parameter's own expression; a power past the float span is its limit.  Every
+float read of c_n and p_n makes one float table: the coefficients are its
+``tolist`` and the rates its moduli.
 ``MapSystem._rates`` alone states p_n, as one float array of those moduli or
 the sinusoid's expression, which ``profile_of`` reads with no list between;
 the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the
@@ -41,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from math import gcd
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -101,21 +103,38 @@ class MapSystem:
         return self._float_table(range(1, horizon + 1)).tolist()
 
     def coefficient_pairs(self, horizon: int) -> list[tuple[int, int]]:
-        """c_1 .. c_horizon as exact reduced pairs, in one pass;
-        :class:`UnsupportedFamily` where a c_n reads a float or complex
-        parameter."""
-        pairs = self._pairs(range(1, horizon + 1))
-        if None in pairs:
+        """c_1 .. c_horizon as exact reduced pairs, the sign on the numerator, in
+        one pass; :class:`UnsupportedFamily`, before any pair is made, where a c_n
+        reads a float or complex parameter, whose binary value is not the rational meant."""
+        ns = range(1, horizon + 1)
+        classes = [(steps, law.pairs(steps)) for steps, law in self._classes(ns)]
+        if any(pairs is None for _, pairs in classes):
             raise UnsupportedFamily(
                 f"family {self.family.value} with non-rational parameters has "
                 "no exact coefficient"
             )
-        return pairs
+        table: list = [None] * len(ns)
+        for steps, pairs in classes:
+            table[steps.start - 1::steps.step] = pairs
+        return table
 
     def log_rates(self, horizon: int) -> list[float]:
-        """ln p_1 .. ln p_horizon; where p_n overflows a float, finite for
-        rational parameters and a float parity base, else ``inf``."""
-        return self._log_rates(range(1, horizon + 1))
+        """ln p_1 .. ln p_horizon: ln|num| - ln den of each exact pair as it is
+        made, with no table of pairs; else ln of the table's rate, and e*ln(base)
+        where a float base's power base**e is past the float range."""
+        ns = range(1, horizon + 1)
+        log = math.log
+        out: list = [None] * len(ns)
+        rates = None
+        # the sinusoid's steps are one class with no law
+        for steps, law in self._classes(ns) if self.is_linear else [(ns, None)]:
+            at = slice(steps.start - 1, None, steps.step)
+            if law is not None and (pairs := law.pairs(steps)) is not None:
+                out[at] = [log(abs(num)) - log(den) for num, den in pairs]
+            else:
+                rates = rates or self._rates(ns).tolist()
+                out[at] = [_log_rate(n, p, law) for n, p in zip(steps, rates[at])]
+        return out
 
     def _classes(self, ns: range) -> list[tuple[range, _Law]]:
         """(steps, law) of each residue class of the consecutive steps ns that holds any."""
@@ -131,33 +150,6 @@ class MapSystem:
         for steps, law in self._classes(ns):
             law.fill(table[steps.start - ns.start::steps.step], steps)
         return table
-
-    def _pairs(self, ns: range) -> list[Optional[tuple[int, int]]]:
-        """c_n for the consecutive steps ns as reduced (numerator, denominator)
-        pairs, the sign on the numerator; ``None`` where c_n reads a float or
-        complex parameter, whose binary value is not the rational meant."""
-        table: list[Optional[tuple[int, int]]] = [None] * len(ns)
-        for steps, law in self._classes(ns):
-            if (pairs := law.pairs(steps)) is not None:
-                table[steps.start - ns.start::steps.step] = pairs
-        return table
-
-    def _log_rates(self, ns: range) -> list[float]:
-        """ln p_n for n in ns: ln|num| - ln den of each exact pair as it is
-        made, with no table of pairs; else ln of the table's rate, and e*ln(base)
-        where a float base's power base**e is past the float range."""
-        log = math.log
-        out: list = [None] * len(ns)
-        rates = None
-        # the sinusoid's steps are one class with no law
-        for steps, law in self._classes(ns) if self.is_linear else [(ns, None)]:
-            at = slice(steps.start - ns.start, None, steps.step)
-            if law is not None and (pairs := law.pairs(steps)) is not None:
-                out[at] = [log(abs(num)) - log(den) for num, den in pairs]
-            else:
-                rates = rates or self._rates(ns).tolist()
-                out[at] = [_log_rate(n, p, law) for n, p in zip(steps, rates[at])]
-        return out
 
     def coefficient(self, n: int) -> complex:
         """c_n (F(n,z) = c_n z): entry n of :meth:`coefficients`, the infinity
@@ -223,10 +215,7 @@ class MapSystem:
         is |c_n| by C ``hypot``, as ``abs(complex)`` computes it, and
         ``inf`` past the float range.
         """
-        return self._tables(range(1, horizon + 1))
-
-    def _tables(self, ns: range) -> tuple[Optional[list[complex]], list[float]]:
-        """:meth:`tables` for the consecutive steps ns."""
+        ns = range(1, horizon + 1)
         if not self.is_linear:
             return None, self._rates(ns).tolist()
         table = self._float_table(ns)
@@ -303,27 +292,15 @@ class _Law(NamedTuple):
     def fill(self, out: np.ndarray, steps: range) -> None:
         """Write c_n for the steps of this class, correctly rounded to complex,
         into ``out``, a view of the table."""
-        exact = _exact(self.scale if self.base is None else self.base)
-        scale, invert = self.scale, self.invert
-        if self.base is None and not self.power:  # one constant for the class
+        exact, scale, invert = _exact(self.scale), self.scale, self.invert
+        if self.base is not None:  # a class of powers
+            _power_table(out, self.base, self.exponents(steps))
+        elif not self.power:  # one constant for the class
             out[:] = _quotient(*exact) if exact else complex(scale)
-        elif self.base is None and exact:  # a rational monomial, see _rational_table
+        elif exact:  # a rational monomial, see _rational_table
             _rational_table(out, *exact, steps, invert)
-        elif self.base is None:  # the float expressions
+        else:  # the float expressions
             out[:] = [complex(1.0 / (scale * n) if invert else scale * n) for n in steps]
-        elif exact is None:  # float powers round per index
-            out[:] = [_float_power(self.base, e) for e in self.exponents(steps)]
-        elif (power := _power_of_two(*exact)) is not None:  # c_n = 2**(power*e)
-            out[:] = _ldexp_table(power, self.exponents(steps))
-        else:  # each exact power rounded, until the class leaves the float range for good
-            values = []
-            exponents = self.exponents(steps)
-            for e, pair in zip(exponents, _class_powers(*exact, exponents)):
-                values.append(c := _quotient(*pair))
-                if not 0.0 < abs(c.real) < math.inf and (e > 0) == (exponents.step > 0):
-                    break  # |e| only grows: every later entry rounds to this limit
-            out[:] = values[-1]
-            out[:len(values)] = values
 
     def pairs(self, steps: range) -> Optional[Iterable[tuple[int, int]]]:
         """c_n for the steps of this class as reduced (numerator, denominator)
@@ -418,6 +395,43 @@ def _float_power(base: float, e: int) -> complex:
         return complex(float(base) ** e)
     except OverflowError:
         return complex(math.inf, 0.0)
+
+
+#: A power past 2**this, or below its reciprocal, rounds to inf or 0.0:
+#: the floats lie between 2**-1075 and 2**1024.
+_LOG2_SPAN = 1100
+
+
+def _power_table(out: np.ndarray, base: Number, exponents: range) -> None:
+    """base**e for e in a parity class's exponents, correctly rounded to
+    complex, into ``out``.
+
+    Only the span of exponents with |e| * |log2 base| <= ``_LOG2_SPAN`` can
+    round to a finite nonzero float.  |e| falls, then rises, along the range,
+    so two bisections find that span, and each entry outside it is its limit,
+    0.0 or inf with the sign of base**e, decided from e alone.  Inside it a
+    float base rounds each power, a base 2**s takes ``ldexp`` and any other
+    rational base one stream of exact powers.  |log2 base| is taken low by a
+    bound on the rounding of its two logs, which cancel for a ratio near 1,
+    so that no finite power falls outside the span."""
+    exact = _exact(base)
+    num, den = (abs(exact[0]), exact[1]) if exact else (abs(base), 1)
+    logs = math.log2(num), math.log2(den)
+    low = abs(logs[0] - logs[1]) - 2**-50 * (abs(logs[0]) + logs[1])
+    bound = _LOG2_SPAN / low if low > 0 else math.inf
+    key = (lambda e: -e) if exponents.step < 0 else None
+    span = slice(bisect_left(exponents, -bound, key=key), bisect_right(exponents, bound, key=key))
+    for outside, e in ((slice(span.start), exponents[0]), (slice(span.stop, None), exponents[-1])):
+        limit = math.inf if (e > 0) == (logs[0] > logs[1]) else 0.0
+        out[outside] = math.copysign(limit, -1.0 if base < 0 and e % 2 else 1.0)
+    if not (inside := exponents[span]):  # every entry is a limit
+        return
+    if exact is None:
+        out[span] = [_float_power(base, e) for e in inside]
+    elif power := _power_of_two(*exact):  # a base 1 takes the stream: 1**e for any e
+        out[span] = _ldexp_table(power, inside)
+    else:
+        out[span] = [_quotient(*pair) for pair in _class_powers(*exact, inside)]
 
 
 def _class_powers(bn: int, bd: int, exponents: range) -> Iterator[tuple[int, int]]:

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,16 @@ QUOTIENT_OVERFLOW = {
 
 #: A contracting system whose rate 5e-324 has a reciprocal past the float range: K = inf.
 TINY_RATE = {"system": {"family": "periodic_linear", "coeffs": [5e-324]}}
+
+
+#: Parity systems whose even class is past the float range from its first step:
+#: 2 * e wrapped in int64 (an inf profile), e past int64 (a TypeError) and
+#: 3**(10**8 + 2) made before its first entry rounded to 0.0 (a hang).
+EVEN_SHIFT_EDGES = [
+    {"family": "power_two_parity", "base": 4, "even_shift": 2**62},
+    {"family": "power_two_parity", "base": 2, "even_shift": 2**63},
+    {"family": "power_two_parity", "base": 3, "even_shift": 10**8},
+]
 
 
 def _strict_json(text: str):
@@ -302,6 +313,24 @@ class TestShadow:
         assert "periodic_below_one" in err["reason"]
 
 
+class TestEvenShiftEdges:
+    @pytest.mark.parametrize("command", ["analyze", "instability"])
+    @pytest.mark.parametrize("system", EVEN_SHIFT_EDGES, ids=["wrap", "past_int64", "power_of_three"])
+    def test_an_even_class_past_the_float_range_exits_with_reason(
+        self, tmp_path, capsys, command, system
+    ):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"system": system, "horizon": 40}))
+        start = time.perf_counter()
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "RateRangeError",
+            "reason": "growth rate must be positive: p_n = 0.0 at n = 2",
+        }
+
+
 class TestInstability:
     def test_unstable_fixture(self, tmp_path):
         rc = main(
@@ -463,7 +492,7 @@ class TestUsageAndConfig:
         self, tmp_path, capsys, monkeypatch, override, flags
     ):
         calls = []
-        for name in ("_tables", "_float_table", "_pairs", "_log_rates"):
+        for name in ("_classes", "_rates"):
             monkeypatch.setattr(MapSystem, name, lambda self, ns, _n=name: calls.append(_n))
         raw = {**json.loads(fixture_path("contracting_periodic").read_text()), **override}
         config = tmp_path / "scenario.json"
@@ -843,6 +872,15 @@ class TestAtomicWrite:
             cli._write_atomic(tmp_path / "out" / "profile.csv", text)
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_the_replace_error_propagates_past_a_failed_unlink(self, tmp_path, monkeypatch):
+        def refuse(*paths):
+            raise OSError(f"{len(paths)} refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        monkeypatch.setattr(cli.os, "unlink", refuse)
+        with pytest.raises(OSError, match="^2 refused$"):
+            cli._write_atomic(tmp_path / "out" / "profile.csv", "n\n1\n")
+
     def test_a_float_that_is_not_finite_is_written_as_a_string(self, tmp_path):
         obj = {"a": [math.inf, (-math.inf, 1.5)], "b": {"c": math.nan}, "d": None, "e": True}
         cli._write_json(tmp_path / "out.json", obj)
@@ -867,11 +905,13 @@ fuzz_systems = st.one_of(
         fuzz_reals,
         fuzz_reals,
     ),
-    st.builds(
-        lambda base, shift: {"family": "power_two_parity", "base": base, "even_shift": shift},
-        st.integers(0, 12),
-        st.integers(-8, 8),
-    ),
+    st.one_of(
+        st.tuples(st.integers(0, 12), st.integers(-8, 8)),
+        st.tuples(
+            st.sampled_from([2, 3, 4]),
+            st.sampled_from([2**62, -(2**62), 2**63, -(2**63), 10**8]),
+        ),
+    ).map(lambda bs: {"family": "power_two_parity", "base": bs[0], "even_shift": bs[1]}),
     st.builds(
         lambda slope: {"family": "affine_sinusoid", "slope": slope},
         st.one_of(st.floats(1.0, 6.0), st.sampled_from(EXTREME)),
@@ -938,6 +978,11 @@ def _with_examples(test):
         ),
         ("instability", {**parity, "system": {**parity["system"], "even_shift": -5}}, []),
         ("analyze", parity, ["--horizon=2000"]),
+        *(
+            (command, {"system": system, "horizon": 40}, [])
+            for system in EVEN_SHIFT_EDGES
+            for command in ("analyze", "instability")
+        ),
         ("analyze", parity, ["--horizon=nan"]),
         ("shadow", sinusoid, ["--epsilon=nan"]),
         ("analyze", {"system": {"family": "affine_sinusoid", "base": 2}}, []),

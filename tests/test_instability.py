@@ -63,6 +63,10 @@ class TestLowerBound:
         with pytest.raises(HypothesisViolation):
             divergence_lower_bound_log10(0.5, 2.0, 1, 2, 2, 4.0, 3)
 
+    def test_a_negative_k_is_refused_after_the_other_checks(self):
+        with pytest.raises(ValueError, match="^need m >= 2, k >= 0, C_p > 0$"):
+            divergence_lower_bound_log10(2.0, 4.0, 1, 2, 2, 4.0, -1)
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -111,7 +115,7 @@ class TestDefaultHorizon:
         fit = PeriodicFit(m=m, prefix=0, rate_factors=(K_p, K_q), constants=(C_p, 1.0), max_residual=0.0)
         cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
         calls = []
-        for name in ("_tables", "_float_table", "_pairs", "_log_rates"):
+        for name in ("_classes", "_rates"):
             monkeypatch.setattr(MapSystem, name, lambda self, ns, _n=name: calls.append(_n))
         horizon = default_witness_horizon(*SLOW_RISE)
         message = f"^default witness horizon {horizon} is above {MAX_HORIZON}; give a horizon$"

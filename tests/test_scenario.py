@@ -79,6 +79,23 @@ class TestLoading:
         with pytest.raises(ConfigError, match=r":1:"):
             load_scenario(path)
 
+    def test_an_integer_literal_past_the_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        # json.dumps refuses to write such an int, so the text is written directly
+        path = tmp_path / "scenario.json"
+        path.write_text('{"system": {"family": "power_two_parity", "base": ' + "7" * 5000 + "}}")
+        with pytest.raises(ConfigError, match=r"scenario\.json: invalid JSON: Exceeds the limit"):
+            load_scenario(path)
+        rc = main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("hu-shadow: config error: ") and err.count("\n") == 1
+
+    def test_a_file_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"system": "\xff"}')
+        with pytest.raises(ConfigError, match="cannot read scenario file"):
+            load_scenario(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_scenario(tmp_path / "absent.json")

@@ -547,6 +547,12 @@ class TestExpandingNamedErrors:
         with pytest.raises(NonContraction, match="sup-change increased over 3 consecutive"):
             shadow_expanding(sys, pseudo, 1.5)
 
+    def test_no_fixed_point_within_max_iter_is_a_non_contraction(self):
+        sys = affine_sinusoid()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 60)
+        with pytest.raises(NonContraction, match="^no fixed point within 1 iterations$"):
+            shadow_expanding(sys, pseudo, 3.0, ShadowOptions(max_iter=1))
+
 
 # -- the loops with a call per step, kept verbatim as references ----------
 

@@ -4,6 +4,7 @@ import ast
 import cmath
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -595,6 +596,15 @@ class TestCoefficientTable:
     def test_tables_equal_scalar_rule(self, sys, horizon):
         _assert_tables_match_scalar_rule(sys, horizon)
 
+    def test_a_float_parameter_is_refused_before_any_pair(self, monkeypatch):
+        # each class is asked for its lazy pairs before any is read: the
+        # rational class of 3*n makes no gcd before the refusal
+        calls = []
+        monkeypatch.setattr(hu_shadow.systems, "gcd", lambda a, b: calls.append(a) or math.gcd(a, b))
+        with pytest.raises(UnsupportedFamily, match="non-rational parameters"):
+            index_scaled_linear(3, 0.5).coefficient_pairs(10**4)
+        assert calls == []
+
     def test_sinusoid_rates_and_no_coefficients(self):
         sys = affine_sinusoid(2.5)
         coeffs, rates = sys.tables(500)
@@ -657,20 +667,21 @@ class TestOneEntryReads:
             (MapSystem.growth_rate, reference_growth_rate),
         ):
             assert _outcome(read, sys, n) == _outcome(reference, sys, n), read.__name__
-        # the exact pair and the log rate of step n alone, as the range reads make them
-        (pair,) = sys._pairs(range(n, n + 1))
+        # the exact pair and the log rate of step n: entry n of the tables up to n,
+        # or, where a float parameter of another class refuses the whole pair
+        # table, the pair of step n's own class law (None for a float parameter)
+        try:
+            pair = sys.coefficient_pairs(n)[n - 1]
+        except UnsupportedFamily:
+            ((steps, law),) = sys._classes(range(n, n + 1))
+            (pair,) = law.pairs(steps) or [None]
         want = _outcome(reference_rational_coefficient, sys, n)
         # the per-index rule computed a float power before refusing it
         assert (pair or UnsupportedFamily) == (UnsupportedFamily if want is OverflowError else want)
-        assert sys._log_rates(range(n, n + 1))[0].hex() == reference_log_growth_rate(sys, n).hex()
+        assert sys.log_rates(n)[n - 1].hex() == reference_log_growth_rate(sys, n).hex()
         ns = range(n, n + count)
-        stop = n + count - 1
         assert [_bits(c) for c in sys._float_table(ns).tolist()] == [
-            _bits(c) for c in sys.coefficients(stop)[n - 1:]
-        ]
-        assert sys._pairs(ns) == sys._pairs(range(1, stop + 1))[n - 1:]
-        assert [x.hex() for x in sys._log_rates(ns)] == [
-            x.hex() for x in sys.log_rates(stop)[n - 1:]
+            _bits(c) for c in sys.coefficients(n + count - 1)[n - 1:]
         ]
 
     @pytest.mark.parametrize(
@@ -842,6 +853,55 @@ class TestWholeRangeTables:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestPowerSpan:
+    """A power class past the float range is its limit, decided from the
+    exponent alone: no int64 product of exponents, no exact power whose
+    rounding is already known."""
+
+    @pytest.mark.parametrize(
+        "sys, want",
+        [
+            (power_two_parity(4, 2**62), [4.0, 0.0, 64.0, 0.0]),  # 2 * e wrapped in int64
+            (power_two_parity(4, -(2**63)), [4.0, math.inf, 64.0, math.inf]),
+            (power_two_parity(3, 10**7), [3.0, 0.0, 27.0, 0.0]),  # made 3**(10**7 + 2) first
+            (power_two_parity(Fraction(3, 2), -(10**9)), [1.5, math.inf, 3.375, math.inf]),
+            (power_two_parity(2.5, 10**400), [2.5, 0.0, 15.625, 0.0]),  # ** raised, read as inf
+            (power_two_parity(1, 10**400), [1.0, 1.0, 1.0, 1.0]),
+        ],
+        ids=["wrap", "wrap_negative", "power_of_three", "fraction", "float_base", "base_one"],
+    )
+    def test_rates_past_the_float_range_are_the_limit(self, sys, want):
+        start = time.perf_counter()
+        assert sys.rates(4) == want
+        assert time.perf_counter() - start < 0.5
+
+    def test_an_exponent_past_int64_reads_the_limit(self):
+        # np.ldexp raised a bare TypeError on the float array that np.arange makes of 2**63 + 2
+        assert _bits(power_two_parity(2, 2**63).coefficient(2)) == _bits(0j)
+
+    @pytest.mark.parametrize("shift, zero", [(10**9, 0.0), (10**9 + 1, -0.0)])
+    @pytest.mark.parametrize("base", [-2, Fraction(-3, 2)])
+    def test_a_negative_base_keeps_the_sign_of_its_limit(self, base, shift, zero):
+        # built directly: the factory refuses a negative base; its exact powers
+        # round to the zero or infinity of their sign, as _quotient does
+        below = MapSystem(Family.POWER_TWO_PARITY, (base, shift))
+        assert _bits(below.coefficient(2)) == _bits(complex(zero, 0.0))
+        above = MapSystem(Family.POWER_TWO_PARITY, (base, -shift))
+        assert _bits(above.coefficient(2)) == _bits(complex(math.copysign(math.inf, zero), 0.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        base=st.sampled_from(
+            [2, 3, 4, 1, 1.0, 2.5, 0.3, Fraction(1, 8), Fraction(3, 2), Fraction(2, 3),
+             Fraction(2**40 + 1, 2**40)]
+        ),
+        shift=st.integers(-3000, 3000),
+        horizon=st.integers(0, 40),
+    )
+    def test_entries_at_the_span_edges_equal_the_scalar_rule(self, base, shift, horizon):
+        _assert_tables_match_scalar_rule(power_two_parity(base, shift), horizon)
 
 
 def _float_power_log_rate(base: float, even_shift: int, n: int):
@@ -1056,7 +1116,7 @@ class TestNonFiniteInputs:
         # bare OverflowError and shadow_contracting returned a NaN sup_diff
         sys = build()
         calls = []
-        for name in ("_tables", "_float_table", "_pairs"):
+        for name in ("_classes", "_rates"):
             monkeypatch.setattr(MapSystem, name, lambda self, ns, _n=name: calls.append(_n))
         message = f"a1 must have finite parts of at most 1e+300, got {a1!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -1228,7 +1288,7 @@ class TestOneRateRule:
 
     def test_p_n_is_stated_in_one_method(self):
         # the sinusoid's rate is read by MapSystem._rates alone, and the moduli of
-        # a float table by _rates and by _tables, which also keeps its coefficients
+        # a float table by _rates and by tables, which also keeps its coefficients
         package = Path(hu_shadow.__file__).parent
         callers = {"_expanding_rate": [], "_moduli": []}
         for path in sorted(package.glob("*.py")):
@@ -1240,5 +1300,5 @@ class TestOneRateRule:
                         callers[node.func.id].append((path.name, func.name))
         assert callers == {
             "_expanding_rate": [("systems.py", "_rates")],
-            "_moduli": [("systems.py", "_rates"), ("systems.py", "_tables")],
+            "_moduli": [("systems.py", "_rates"), ("systems.py", "tables")],
         }
