@@ -62,15 +62,18 @@ def exact_propagate(
     rational form.
 
     One loop over the pair table of ``MapSystem.coefficient_pairs`` runs
-    P*c, S*|c| + 1 and c*a + r on reduced integer pairs, with the cross-gcd
-    steps of ``Fraction._mul`` and ``_add``.  Whether a coefficient part
-    (|c_n|'s numerator, its denominator, the residual's denominator) is a
-    power of two is asked once, of that small part, never of a running
-    bigint.  A power-of-two part 2^k cancels by the trailing-zero count of
-    the other operand, capped at k, and multiplies by a shift; any other
-    part cancels by ``math.gcd`` and ``//``.  No gcd or product against 1
-    is taken.  Each entry is stored without a second gcd, so every value
-    equals the plain ``Fraction`` loop's.
+    P*c, S*|c| + 1 and c*a + r on reduced integer pairs, with the
+    cross-cancellation of ``Fraction._mul`` and ``_add`` written out and no
+    call per operand.  Each part of |c_n|, numerator and denominator, is
+    classed once per step: a part 1 is skipped; a part 2^k cancels by the
+    trailing-zero count of the other operand, capped at k, and multiplies by
+    a shift; any other part d takes one ``divmod`` of the running bigint x,
+    as gcd(x, d) = gcd(d, x mod d), and x / gcd follows from the quotient by
+    a product, with no second division.  The residual r = rn/rd is added as
+    ``Fraction._add`` adds it, from g = gcd(ad, rd) the same way: where
+    g = rd and the sum is coprime to rd, a_n's denominator is kept as it is.
+    Each entry is stored without a second gcd, so every value equals the
+    plain ``Fraction`` loop's.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -78,9 +81,9 @@ def exact_propagate(
         policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
     coeffs = sys.coefficient_pairs(horizon)
     if horizon > 1:  # the residual is the same at every step
-        r = policy.rational_residual(1, Fraction(eps))
-        rn, rd = r.numerator, r.denominator
-        rk = _log2(rd)
+        residual = policy.rational_residual(1, Fraction(eps))
+        rn, rd = residual.numerator, residual.denominator
+    gcd = math.gcd
     first = Fraction(a1)
     a = [first]
     products, sums = [], []
@@ -88,24 +91,129 @@ def exact_propagate(
     pn, pd = 1, 1  # prod_{j<=n} c_j
     sn, sd = 0, 1  # S_n
     for n, (cn, cd) in enumerate(coeffs, 1):
-        un = -cn if cn < 0 else cn
-        uk, dk = _log2(un), _log2(cd)
-        pn, pd = _times(pn, pd, cn, cd, uk, dk)
-        sn, sd = _times(sn, sd, un, cd, uk, dk)
+        # |c_n| = m/cd; each part is 1 (k = 0), 2^k (k > 0) or other (k = -1)
+        m = -cn if cn < 0 else cn
+        mk = m.bit_length() - 1 if not m & (m - 1) else -1
+        dk = cd.bit_length() - 1 if not cd & (cd - 1) else -1
+        # m against the denominators y: gcd(m, y) = 2^z with z = tz(y) capped
+        # at mk, or gcd(m, y mod m) = g with y / g = q * (m / g) + r / g
+        if not m:  # c_n = 0: P = a = 0 and S = 1
+            pn, pd, sn, sd, an, ad = 0, 1, 0, 1, 0, 1
+        elif mk > 0:
+            low = pd & (m - 1)
+            z = (low & -low).bit_length() - 1 if low else mk
+            if z:
+                pd >>= z
+            if z < mk:
+                pn <<= mk - z
+            low = sd & (m - 1)
+            z = (low & -low).bit_length() - 1 if low else mk
+            if z:
+                sd >>= z
+            if z < mk:
+                sn <<= mk - z
+            low = ad & (m - 1)
+            z = (low & -low).bit_length() - 1 if low else mk
+            if z:
+                ad >>= z
+            if z < mk:
+                an <<= mk - z
+        elif mk:
+            q, r = divmod(pd, m)
+            if (g := gcd(m, r)) == 1:
+                pn *= m
+            elif g == m:
+                pd = q
+            else:
+                e = m // g
+                pn, pd = pn * e, q * e + r // g
+            q, r = divmod(sd, m)
+            if (g := gcd(m, r)) == 1:
+                sn *= m
+            elif g == m:
+                sd = q
+            else:
+                e = m // g
+                sn, sd = sn * e, q * e + r // g
+            q, r = divmod(ad, m)
+            if (g := gcd(m, r)) == 1:
+                an *= m
+            elif g == m:
+                ad = q
+            else:
+                e = m // g
+                an, ad = an * e, q * e + r // g
+        # cd against the numerators, the same way
+        if dk > 0:
+            low = pn & (cd - 1)
+            z = (low & -low).bit_length() - 1 if low else dk
+            if z:
+                pn >>= z
+            if z < dk:
+                pd <<= dk - z
+            low = sn & (cd - 1)
+            z = (low & -low).bit_length() - 1 if low else dk
+            if z:
+                sn >>= z
+            if z < dk:
+                sd <<= dk - z
+            low = an & (cd - 1)
+            z = (low & -low).bit_length() - 1 if low else dk
+            if z:
+                an >>= z
+            if z < dk:
+                ad <<= dk - z
+        elif dk:
+            q, r = divmod(pn, cd)
+            if (g := gcd(cd, r)) == 1:
+                pd *= cd
+            elif g == cd:
+                pn = q
+            else:
+                e = cd // g
+                pn, pd = q * e + r // g, pd * e
+            q, r = divmod(sn, cd)
+            if (g := gcd(cd, r)) == 1:
+                sd *= cd
+            elif g == cd:
+                sn = q
+            else:
+                e = cd // g
+                sn, sd = q * e + r // g, sd * e
+            q, r = divmod(an, cd)
+            if (g := gcd(cd, r)) == 1:
+                ad *= cd
+            elif g == cd:
+                an = q
+            else:
+                e = cd // g
+                an, ad = q * e + r // g, ad * e
+        if cn < 0:
+            pn, an = -pn, -an
         sn += sd  # S*|c| + 1 is reduced: gcd(sn + sd, sd) = gcd(sn, sd) = 1
-        an, ad = _times(an, ad, cn, cd, uk, dk)
         products.append(_from_coprime_ints(pn, pd))
         sums.append(_from_coprime_ints(sn, sd))
-        if n < horizon:  # a + r, as Fraction._add reduces it
-            if rd != 1:  # g = gcd(ad, rd) = rd // rg; t = an*(rd/g) + rn*(ad/g)
-                ad, rg = _cancel(ad, rd, rk)
-                an = (an * rg if rg != 1 else an) + (ad * rn if rn != 1 else ad)
-                if (g := rd // rg) != 1:  # gcd(t, g) cancels too
-                    an, g = _cancel(an, g, _log2(g))
-                if (h := rg * g) != 1:
-                    ad *= h
-            elif rn:
-                an += ad * rn
+        if n < horizon:  # a + r as Fraction._add, g = gcd(ad, rd) = gcd(rd, ad mod rd)
+            if rd == 1:
+                if rn:
+                    an += rn * ad
+            else:
+                q, r = divmod(ad, rd)
+                if (g := gcd(rd, r)) == 1:  # (an*rd + rn*ad) / (ad*rd) is reduced
+                    an, ad = an * rd + (ad if rn == 1 else rn * ad), ad * rd
+                else:  # s = ad/g and t = an*(rd/g) + rn*s; gcd(t, rd) = gcd(t, g) = g2
+                    s = q
+                    if (e := rd // g) != 1:
+                        s, an = q * e + r // g, an * e
+                    t = an + (s if rn == 1 else rn * s)
+                    q, r = divmod(t, g)
+                    if (g2 := gcd(g, r)) != 1:
+                        e = g // g2
+                        an, ad = q * e + r // g2, s * (rd // g2)
+                    else:  # where g = rd, a_n's denominator s*rd is ad itself
+                        an = t
+                        if g != rd:
+                            ad = s * rd
             a.append(_from_coprime_ints(an, ad))
     return RationalOrbit(
         a=tuple(a), coefficient_products=tuple(products), partial_sums=tuple(sums)
@@ -119,63 +227,6 @@ def _from_coprime_ints(n: int, d: int) -> Fraction:
     value._numerator = n
     value._denominator = d
     return value
-
-
-def _log2(d: int) -> int:
-    """k for d = 2^k > 0, else -1."""
-    return d.bit_length() - 1 if not d & (d - 1) else -1
-
-
-def _cancel(x: int, d: int, k: int) -> tuple[int, int]:
-    """(x // g, d // g) for g = gcd(x, d), d > 0 and k = ``_log2(d)``.
-
-    For d = 2^k, g is 2^s with s the trailing-zero count of x capped at k
-    (k for x = 0), read from the low bits of x, and both divisions are
-    shifts; no gcd is taken.
-    """
-    if k >= 0:
-        low = x & (d - 1)
-        s = (low & -low).bit_length() - 1 if low else k
-        return (x >> s, d >> s) if s else (x, d)
-    g = math.gcd(x, d)
-    return (x // g, d // g) if g != 1 else (x, d)
-
-
-def _times(x: int, y: int, m: int, d: int, uk: int, dk: int) -> tuple[int, int]:
-    """x/y * m/d on coprime pairs (y, d > 0) as ``Fraction._mul`` reduces
-    it: gcd(x, d) and gcd(|m|, y) cancel first, so the product is reduced.
-
-    ``uk`` and ``dk`` are ``_log2`` of |m| and d.  A power-of-two part
-    cancels by a trailing-zero count and multiplies by a shift, any other
-    by ``math.gcd``, ``//`` and ``*``; a part that is 1 is skipped.
-    """
-    if dk < 0:
-        if (g := math.gcd(x, d)) != 1:
-            x, d = x // g, d // g
-    elif dk:  # d = 2^dk: 2^s = gcd(x, d), s = tz(x) capped at dk
-        low = x & (d - 1)
-        s = (low & -low).bit_length() - 1 if low else dk
-        if s:
-            x, dk = x >> s, dk - s
-    if uk < 0:
-        if (g := math.gcd(m, y)) != 1:
-            m, y = m // g, y // g
-    elif uk:  # |m| = 2^uk
-        low = y & ((1 << uk) - 1)
-        s = (low & -low).bit_length() - 1 if low else uk
-        if s:
-            y, uk = y >> s, uk - s
-    if uk < 0:
-        x *= m
-    elif m < 0:
-        x = -x << uk if uk else -x
-    elif uk:
-        x <<= uk
-    if dk < 0:
-        y *= d
-    elif dk:
-        y <<= dk
-    return x, y
 
 
 def exact_difference(

@@ -891,6 +891,18 @@ class TestPowerSpan:
         above = MapSystem(Family.POWER_TWO_PARITY, (base, -shift))
         assert _bits(above.coefficient(2)) == _bits(complex(math.copysign(math.inf, zero), 0.0))
 
+    @pytest.mark.parametrize("shift", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    @pytest.mark.parametrize("base", [1.0, -1.0])
+    def test_a_float_base_of_modulus_one_is_one_past_the_float_range(self, base, shift):
+        # 1.0 ** e raises OverflowError for an e past the float range, not an overflow;
+        # -1.0 is built directly (the factory refuses a negative base)
+        sys = MapSystem(Family.POWER_TWO_PARITY, (base, shift))
+        assert sys.rates(4) == [1.0] * 4
+        assert [_bits(c) for c in sys.coefficients(4)] == [
+            _bits(complex(x, 0.0)) for x in (base, 1.0, base, 1.0)
+        ]
+        assert sys.log_rates(4) == [0.0] * 4
+
     @settings(max_examples=80, deadline=None)
     @given(
         base=st.sampled_from(
