@@ -728,11 +728,15 @@ class TestIntegerPairOrbit:
     def test_equals_fraction_loop(self, sys, a1, eps, kind, horizon):
         _assert_orbit_matches_fraction_loop(sys, a1, eps, horizon, ResidualPolicy(kind=kind))
 
-    # the benchmark's start point at seed 0 and a dyadic one of another seed
-    @pytest.mark.parametrize("a1", [Fraction(1), Fraction(37, 32)], ids=["1", "37/32"])
+    # the benchmark's start point at seed 0
     @pytest.mark.parametrize("factory", [periodic_linear, index_scaled_linear, power_two_parity])
-    def test_benchmark_families_at_3000(self, factory, a1):
-        _assert_orbit_matches_fraction_loop(factory(), a1, Fraction(1, 1000), 3000)
+    def test_benchmark_families_at_3000(self, factory):
+        _assert_orbit_matches_fraction_loop(factory(), Fraction(1), Fraction(1, 1000), 3000)
+
+    # a dyadic start point of another seed
+    @pytest.mark.parametrize("factory", [periodic_linear, index_scaled_linear, power_two_parity])
+    def test_benchmark_families_at_3000_from_a_dyadic_start(self, factory):
+        _assert_orbit_matches_fraction_loop(factory(), Fraction(37, 32), Fraction(1, 1000), 3000)
 
     def test_unsupported_policy_needs_a_second_step(self):
         # the residual is read only for a_2 on, as in the Fraction loop
@@ -742,7 +746,56 @@ class TestIntegerPairOrbit:
             exact_propagate(periodic_linear(), Fraction(1), Fraction(1, 1000), 2, phase)
 
 
+big_power_of_two = st.integers(0, 4000).map(lambda j: 1 << j)
+pair_operand = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.just(0),
+    big_power_of_two,
+    big_power_of_two.map(lambda x: -x),
+    st.tuples(big_power_of_two, st.integers(-(2**40), 2**40)).map(lambda t: t[0] * t[1]),
+)
+positive_part = st.one_of(st.integers(2, 2**70), big_power_of_two.filter(lambda d: d > 1))
+
+
+def _one_step(a1, c):
+    """c * a1 as exact_propagate's loop reduces it: a_2 = c_1 a_1 with no residual."""
+    sys = MapSystem(Family.PERIODIC_LINEAR, (c,))
+    value = exact_propagate(sys, a1, Fraction(0), 2, ResidualPolicy(kind=PolicyKind.ZERO)).value(2)
+    assert type(value.numerator) is int and type(value.denominator) is int
+    return value.numerator, value.denominator
+
+
 class TestPairHelpers:
+    # the cancellation of x against a part d of c_n, written out in the loop:
+    # x as a_1's numerator against c's denominator, and as a_1's denominator
+    # against c's numerator
+    @settings(max_examples=300)
+    @given(x=pair_operand, d=positive_part)
+    def test_cancel_divides_out_the_gcd(self, x, d):
+        g = math.gcd(x, d)
+        assert _one_step(Fraction(x), Fraction(1, d)) == (x // g, d // g)
+        if x:
+            assert _one_step(Fraction(1, x), Fraction(d)) == Fraction(d, x).as_integer_ratio()
+
+    @pytest.mark.parametrize(
+        "x, d",
+        [(0, 2), (0, 3), (1, 1), (1, 2), (0, 2**4000), (-(2**4001), 2**4000), (-12, 8)],
+        ids=["0,2", "0,3", "1,1", "1,2", "0,2^4000", "-2^4001,2^4000", "-12,8"],
+    )
+    def test_cancel_edge_cases(self, x, d):
+        # a zero x has no trailing-zero count: the whole power of two cancels
+        g = math.gcd(x, d)
+        assert _one_step(Fraction(x), Fraction(1, d)) == (x // g, d // g)
+
+    @settings(max_examples=300)
+    @given(x=pair_operand, y=positive_part, m=pair_operand.filter(bool), d=positive_part)
+    @example(x=0, y=1, m=-(2**12), d=2**7)
+    @example(x=-(2**9) * 3, y=2**5 * 5, m=-(2**5), d=2**9)
+    @example(x=7, y=1, m=1, d=1)
+    def test_times_is_the_reduced_product(self, x, y, m, d):
+        a, c = Fraction(x, y), Fraction(m, d)
+        assert _one_step(a, c) == (a * c).as_integer_ratio()
+
     @given(n=st.integers(-(2**200), 2**200), d=st.integers(1, 2**200))
     def test_coprime_keeps_the_pair(self, n, d):
         g = math.gcd(n, d)
