@@ -1,12 +1,11 @@
 """Independent ground truth: exact rational orbits and brute-force search.
 
 These routines deliberately avoid the analytic constructions they are
-used to validate.  ``exact_propagate`` and ``exact_difference`` run the
-recurrences in exact rational arithmetic (``exact_propagate`` on reduced
-integer pairs, the others in :class:`fractions.Fraction`), so their
-output carries no rounding at all; ``best_b1_search`` finds a near-optimal
-shadowing start point by refined grid evaluation, an upper bound on the
-true optimum by construction.
+used to validate.  The exact ones carry no rounding at all:
+``exact_propagate`` runs one affine step z <- c_n z + r on reduced integer
+pairs three times, for P_n, S_n and a_n, the others run in ``Fraction``.
+``best_b1_search`` finds a near-optimal shadowing start point by refined
+grid evaluation, an upper bound on the true optimum by construction.
 
 Exact arithmetic is restricted to the linear families with rational
 parameters and real rational data, and reads c_n from the exact pair
@@ -19,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,163 +60,100 @@ def exact_propagate(
     Supported policies are constant-real and zero; others have no exact
     rational form.
 
-    One loop over the pair table of ``MapSystem.coefficient_pairs`` runs
-    P*c, S*|c| + 1 and c*a + r on reduced integer pairs, with the
-    cross-cancellation of ``Fraction._mul`` and ``_add`` written out and no
-    call per operand.  Each part of |c_n|, numerator and denominator, is
-    classed once per step: a part 1 is skipped; a part 2^k cancels by the
-    trailing-zero count of the other operand, capped at k, and multiplies by
-    a shift; any other part d takes one ``divmod`` of the running bigint x,
-    as gcd(x, d) = gcd(d, x mod d), and x / gcd follows from the quotient by
-    a product, with no second division.  The residual r = rn/rd is added as
-    ``Fraction._add`` adds it, from g = gcd(ad, rd) the same way: where
-    g = rd and the sum is coprime to rd, a_n's denominator is kept as it is.
-    Each entry is stored without a second gcd, so every value equals the
-    plain ``Fraction`` loop's.
+    Three runs of :func:`_affine_run` over one pair table of
+    ``MapSystem.coefficient_pairs``: P_n from 1 with r = 0, S_n over |c_n|
+    from 0 with r = 1, and a_{n+1} from a_1 with r = r_n over c_1..c_{H-1};
+    every value equals the plain ``Fraction`` loop's.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if policy is None:
         policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
     coeffs = sys.coefficient_pairs(horizon)
+    a = [Fraction(a1)]
     if horizon > 1:  # the residual is the same at every step
-        residual = policy.rational_residual(1, Fraction(eps))
-        rn, rd = residual.numerator, residual.denominator
-    gcd = math.gcd
-    first = Fraction(a1)
-    a = [first]
-    products, sums = [], []
-    an, ad = first.numerator, first.denominator
-    pn, pd = 1, 1  # prod_{j<=n} c_j
-    sn, sd = 0, 1  # S_n
-    for n, (cn, cd) in enumerate(coeffs, 1):
-        # |c_n| = m/cd; each part is 1 (k = 0), 2^k (k > 0) or other (k = -1)
-        m = -cn if cn < 0 else cn
-        mk = m.bit_length() - 1 if not m & (m - 1) else -1
-        dk = cd.bit_length() - 1 if not cd & (cd - 1) else -1
-        # m against the denominators y: gcd(m, y) = 2^z with z = tz(y) capped
-        # at mk, or gcd(m, y mod m) = g with y / g = q * (m / g) + r / g
-        if not m:  # c_n = 0: P = a = 0 and S = 1
-            pn, pd, sn, sd, an, ad = 0, 1, 0, 1, 0, 1
-        elif mk > 0:
-            low = pd & (m - 1)
-            z = (low & -low).bit_length() - 1 if low else mk
-            if z:
-                pd >>= z
-            if z < mk:
-                pn <<= mk - z
-            low = sd & (m - 1)
-            z = (low & -low).bit_length() - 1 if low else mk
-            if z:
-                sd >>= z
-            if z < mk:
-                sn <<= mk - z
-            low = ad & (m - 1)
-            z = (low & -low).bit_length() - 1 if low else mk
-            if z:
-                ad >>= z
-            if z < mk:
-                an <<= mk - z
-        elif mk:
-            q, r = divmod(pd, m)
-            if (g := gcd(m, r)) == 1:
-                pn *= m
-            elif g == m:
-                pd = q
-            else:
-                e = m // g
-                pn, pd = pn * e, q * e + r // g
-            q, r = divmod(sd, m)
-            if (g := gcd(m, r)) == 1:
-                sn *= m
-            elif g == m:
-                sd = q
-            else:
-                e = m // g
-                sn, sd = sn * e, q * e + r // g
-            q, r = divmod(ad, m)
-            if (g := gcd(m, r)) == 1:
-                an *= m
-            elif g == m:
-                ad = q
-            else:
-                e = m // g
-                an, ad = an * e, q * e + r // g
-        # cd against the numerators, the same way
-        if dk > 0:
-            low = pn & (cd - 1)
-            z = (low & -low).bit_length() - 1 if low else dk
-            if z:
-                pn >>= z
-            if z < dk:
-                pd <<= dk - z
-            low = sn & (cd - 1)
-            z = (low & -low).bit_length() - 1 if low else dk
-            if z:
-                sn >>= z
-            if z < dk:
-                sd <<= dk - z
-            low = an & (cd - 1)
-            z = (low & -low).bit_length() - 1 if low else dk
-            if z:
-                an >>= z
-            if z < dk:
-                ad <<= dk - z
-        elif dk:
-            q, r = divmod(pn, cd)
-            if (g := gcd(cd, r)) == 1:
-                pd *= cd
-            elif g == cd:
-                pn = q
-            else:
-                e = cd // g
-                pn, pd = q * e + r // g, pd * e
-            q, r = divmod(sn, cd)
-            if (g := gcd(cd, r)) == 1:
-                sd *= cd
-            elif g == cd:
-                sn = q
-            else:
-                e = cd // g
-                sn, sd = q * e + r // g, sd * e
-            q, r = divmod(an, cd)
-            if (g := gcd(cd, r)) == 1:
-                ad *= cd
-            elif g == cd:
-                an = q
-            else:
-                e = cd // g
-                an, ad = q * e + r // g, ad * e
-        if cn < 0:
-            pn, an = -pn, -an
-        sn += sd  # S*|c| + 1 is reduced: gcd(sn + sd, sd) = gcd(sn, sd) = 1
-        products.append(_from_coprime_ints(pn, pd))
-        sums.append(_from_coprime_ints(sn, sd))
-        if n < horizon:  # a + r as Fraction._add, g = gcd(ad, rd) = gcd(rd, ad mod rd)
-            if rd == 1:
-                if rn:
-                    an += rn * ad
-            else:
-                q, r = divmod(ad, rd)
-                if (g := gcd(rd, r)) == 1:  # (an*rd + rn*ad) / (ad*rd) is reduced
-                    an, ad = an * rd + (ad if rn == 1 else rn * ad), ad * rd
-                else:  # s = ad/g and t = an*(rd/g) + rn*s; gcd(t, rd) = gcd(t, g) = g2
-                    s = q
-                    if (e := rd // g) != 1:
-                        s, an = q * e + r // g, an * e
-                    t = an + (s if rn == 1 else rn * s)
-                    q, r = divmod(t, g)
-                    if (g2 := gcd(g, r)) != 1:
-                        e = g // g2
-                        an, ad = q * e + r // g2, s * (rd // g2)
-                    else:  # where g = rd, a_n's denominator s*rd is ad itself
-                        an = t
-                        if g != rd:
-                            ad = s * rd
-            a.append(_from_coprime_ints(an, ad))
+        r = policy.rational_residual(1, Fraction(eps))
+        a += _affine_run(coeffs[:-1], *a[0].as_integer_ratio(), *r.as_integer_ratio(), signed=True)
     return RationalOrbit(
-        a=tuple(a), coefficient_products=tuple(products), partial_sums=tuple(sums)
+        a=tuple(a),
+        coefficient_products=tuple(_affine_run(coeffs, 1, 1, 0, 1, signed=True)),
+        partial_sums=tuple(_affine_run(coeffs, 0, 1, 1, 1, signed=False)),
     )
+
+
+def _affine_run(
+    coeffs: Sequence[tuple[int, int]], zn: int, zd: int, rn: int, rd: int, signed: bool
+) -> Iterator[Fraction]:
+    """Yields z <- (cn zn)/(cd zd) + rn/rd, reduced, for each pair (cn, cd)
+    from z = zn/zd, with |cn| where not ``signed``.
+
+    ``Fraction``'s cross-cancellation is written out, with no call per
+    operand.  A part d of |c| cancels against z's other part x: d = 1 is
+    skipped; d = 2^k cancels by the trailing-zero count of x, capped at k
+    (all of k for x = 0), and multiplies by a shift; any other d takes one
+    ``divmod``, as gcd(x, d) = gcd(d, x mod d), and x / g follows from the
+    quotient by a product.  r is added as ``Fraction._add`` adds it, from
+    g = gcd(zd, rd) the same way; where g = rd and the sum is coprime to
+    rd, zd is kept.
+    """
+    gcd, new = math.gcd, object.__new__
+    for cn, cd in coeffs:
+        m = -cn if cn < 0 else cn
+        if not m:  # c_n = 0
+            zn, zd = 0, 1
+        elif m & (m - 1):  # m against zd: zd / g = q * (m / g) + t / g
+            q, t = divmod(zd, m)
+            if (g := gcd(m, t)) == 1:
+                zn *= m
+            elif g == m:
+                zd = q
+            else:
+                zn, zd = zn * (e := m // g), q * e + t // g
+        elif k := m.bit_length() - 1:  # m = 2^k
+            low = zd & (m - 1)
+            z = (low & -low).bit_length() - 1 if low else k
+            if z:
+                zd >>= z
+            if z < k:
+                zn <<= k - z
+        if cd & (cd - 1):  # cd against zn, the same way
+            q, t = divmod(zn, cd)
+            if (g := gcd(cd, t)) == 1:
+                zd *= cd
+            elif g == cd:
+                zn = q
+            else:
+                zn, zd = q * (e := cd // g) + t // g, zd * e
+        elif k := cd.bit_length() - 1:
+            low = zn & (cd - 1)
+            z = (low & -low).bit_length() - 1 if low else k
+            if z:
+                zn >>= z
+            if z < k:
+                zd <<= k - z
+        if signed and cn < 0:
+            zn = -zn
+        if rn and rd == 1:
+            zn += zd if rn == 1 else rn * zd
+        elif rn:  # g = gcd(zd, rd) = gcd(rd, zd mod rd)
+            q, t = divmod(zd, rd)
+            if (g := gcd(rd, t)) == 1:  # (zn*rd + rn*zd) / (zd*rd) is reduced
+                zn, zd = zn * rd + (zd if rn == 1 else rn * zd), zd * rd
+            else:  # s = zd/g and u = zn*(rd/g) + rn*s; gcd(u, rd) = gcd(u, g) = g2
+                s = q
+                if (e := rd // g) != 1:
+                    s, zn = q * e + t // g, zn * e
+                u = zn + (s if rn == 1 else rn * s)
+                q, t = divmod(u, g)
+                if (g2 := gcd(g, t)) != 1:
+                    zn, zd = q * (e := g // g2) + t // g2, s * (rd // g2)
+                else:  # where g = rd, z's denominator s*rd is zd itself
+                    zn = u
+                    if g != rd:
+                        zd = s * rd
+        value = new(Fraction)  # as _from_coprime_ints, with no call per value
+        value._numerator, value._denominator = zn, zd
+        yield value
 
 
 def _from_coprime_ints(n: int, d: int) -> Fraction:
@@ -401,6 +337,8 @@ def best_b1_search(
     The incumbent is carried between rounds, so the reported sup error
     never increases; the result is an upper bound on the true optimum.
 
+    The affine sinusoid maps the real line to itself and expands off it,
+    so its rounds search ``grid`` real points around ``center.real``.
     Each round returns exactly what a loop over :func:`sup_error_for_start`
     in row-major order (real part outer) with a strict ``<`` update would
     return: a nonlinear family's grid is that loop, a linear family's is
@@ -421,9 +359,11 @@ def best_b1_search(
     best_b1 = center
     best_err = float(_sup_errors(sys, pseudo, np.array([center]), horizon, coeffs)[0])
     for _ in range(refinements + 1):
-        cands = np.empty((grid, grid), dtype=complex)
+        ims = (np.linspace(center.imag - radius, center.imag + radius, grid)
+               if coeffs is not None else [0.0])
+        cands = np.empty((grid, len(ims)), dtype=complex)
         cands.real = np.linspace(center.real - radius, center.real + radius, grid)[:, None]
-        cands.imag = np.linspace(center.imag - radius, center.imag + radius, grid)
+        cands.imag = ims
         cands = cands.ravel()
         errs = _sup_errors(sys, pseudo, cands, horizon, coeffs)
         better = errs < best_err  # NaN never qualifies

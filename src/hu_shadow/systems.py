@@ -390,15 +390,16 @@ def _ldexp_table(power: int, exponents: range) -> np.ndarray:
 
 
 def _float_power(base: float, e: int) -> complex:
-    """complex(float(base) ** e), inf where it overflows; a base of modulus 1
-    is +-1, by the parity of e, at any e, which may be past the float range."""
+    """complex(float(base) ** e), the infinity of its sign where it overflows;
+    a base of modulus 1 is +-1, by the parity of e, at any e, which may be
+    past the float range."""
     base = float(base)
     if abs(base) == 1.0:
         return complex(base if e % 2 else 1.0)
     try:
         return complex(base**e)
     except OverflowError:
-        return complex(math.inf, 0.0)
+        return complex(-math.inf if base < 0 and e % 2 else math.inf, 0.0)
 
 
 #: A power past 2**this, or below its reciprocal, rounds to inf or 0.0:

@@ -1,9 +1,11 @@
 """Exact rational oracle and the brute-force start-point search."""
 
+import ast
 import cmath
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +166,17 @@ class TestStartPointSearch:
         with pytest.raises(ValueError, match="spans past the float range"):
             best_b1_search(sys, pseudo, 6, SearchRegion(center, radius), grid=4, refinements=1)
 
+    @pytest.mark.parametrize("horizon", [8, 12, 60])
+    def test_sinusoid_searches_the_real_line(self, horizon):
+        # a complex grid left the real line, where the map expands imaginary
+        # offsets about 3x per step, and raised OverflowError('math range error')
+        sys = affine_sinusoid()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
+        b1, err = best_b1_search(sys, pseudo, horizon, SearchRegion(1.0, 1.0))
+        assert b1.imag == 0.0
+        assert math.isfinite(err)
+        assert err <= sup_error_for_start(sys, pseudo, 1.0, horizon)
+
     def test_nan_start_after_a_failed_call_is_nan(self):
         # abs(complex) of a NaN once reported the ERANGE left by the failed
         # cmath.sin as OverflowError('absolute value too large')
@@ -185,7 +198,8 @@ def _scalar_best_b1_search(
     """The original scalar search, one start point at a time (the oracle).
 
     It refuses the regions the search refuses, with the same message, so
-    that both reject a grid span past the float range alike.
+    that both reject a grid span past the float range alike, and searches
+    the sinusoid's real line alike.
     """
     if grid < 2 or refinements < 0:
         raise ValueError("need grid >= 2 and refinements >= 0")
@@ -202,6 +216,8 @@ def _scalar_best_b1_search(
     for _ in range(refinements + 1):
         res = np.linspace(center.real - radius, center.real + radius, grid)
         ims = np.linspace(center.imag - radius, center.imag + radius, grid)
+        if not sys.is_linear:  # real start points only
+            ims = [0.0]
         for re in res:
             for im in ims:
                 cand = complex(re, im)
@@ -746,6 +762,50 @@ class TestIntegerPairOrbit:
             exact_propagate(periodic_linear(), Fraction(1), Fraction(1, 1000), 2, phase)
 
 
+class TestRunIdentities:
+    # exact_propagate's three runs against each other, with no reference
+    # loop: S_n = |P_n| sum_{j<=n} 1/|P_j|, that is s_{n+1} = 1 + S_n/|P_n|
+    # for s_n = sum_{k<n} 1/|P_k| (P_0 = 1); and, while c_1..c_n > 0,
+    # a_{n+1} = P_n a_1 + r S_n
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sys=rational_systems,
+        a1=small_fraction,
+        eps=small_fraction,
+        kind=st.sampled_from([PolicyKind.ZERO, PolicyKind.CONSTANT_REAL]),
+        horizon=st.integers(1, 200),
+    )
+    def test_sums_and_values_follow_from_the_products(self, sys, a1, eps, kind, horizon):
+        policy = ResidualPolicy(kind=kind)
+        orbit = exact_propagate(sys, a1, eps, horizon, policy)
+        r = policy.rational_residual(1, eps)
+        inverse_sum = Fraction(0)
+        positive = True
+        for n in range(1, horizon + 1):
+            p, s = orbit.product(n), orbit.partial_sum(n)
+            inverse_sum += 1 / abs(p)
+            assert s == abs(p) * inverse_sum
+            positive = positive and reference_rational_coefficient(sys, n) > 0
+            if positive and n < horizon:
+                assert orbit.value(n + 1) == p * a1 + r * s
+
+
+class TestOneReduction:
+    def test_every_divmod_and_gcd_is_in_the_runner(self):
+        # the pair reduction is stated once, in _affine_run: one divmod per
+        # part of c_n and two for + r, each with its gcd
+        def reductions(node):
+            names = (getattr(x.func, "id", None) or getattr(x.func, "attr", None)
+                     for x in ast.walk(node) if isinstance(x, ast.Call))
+            return sorted(name for name in names if name in ("divmod", "gcd"))
+
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        (runner,) = [
+            x for x in ast.walk(tree) if isinstance(x, ast.FunctionDef) and x.name == "_affine_run"
+        ]
+        assert reductions(tree) == reductions(runner) == ["divmod"] * 4 + ["gcd"] * 4
+
+
 big_power_of_two = st.integers(0, 4000).map(lambda j: 1 << j)
 pair_operand = st.one_of(
     st.integers(-(2**70), 2**70),
@@ -758,7 +818,7 @@ positive_part = st.one_of(st.integers(2, 2**70), big_power_of_two.filter(lambda 
 
 
 def _one_step(a1, c):
-    """c * a1 as exact_propagate's loop reduces it: a_2 = c_1 a_1 with no residual."""
+    """c * a1 as exact_propagate's runner reduces it: a_2 = c_1 a_1 with no residual."""
     sys = MapSystem(Family.PERIODIC_LINEAR, (c,))
     value = exact_propagate(sys, a1, Fraction(0), 2, ResidualPolicy(kind=PolicyKind.ZERO)).value(2)
     assert type(value.numerator) is int and type(value.denominator) is int
@@ -766,9 +826,9 @@ def _one_step(a1, c):
 
 
 class TestPairHelpers:
-    # the cancellation of x against a part d of c_n, written out in the loop:
-    # x as a_1's numerator against c's denominator, and as a_1's denominator
-    # against c's numerator
+    # the cancellation of x against a part d of c_n, stated once in
+    # _affine_run: x as a_1's numerator against c's denominator, and as a_1's
+    # denominator against c's numerator
     @settings(max_examples=300)
     @given(x=pair_operand, d=positive_part)
     def test_cancel_divides_out_the_gcd(self, x, d):

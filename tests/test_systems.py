@@ -510,8 +510,9 @@ def _scalar_entry(sys: MapSystem, n: int) -> complex:
     except OverflowError:
         try:
             positive = reference_rational_coefficient(sys, n) > 0
-        except (UnsupportedFamily, OverflowError):  # a float power of a positive base
-            positive = True
+        except (UnsupportedFamily, OverflowError):  # a float power base**e
+            base, even_shift = sys.params
+            positive = base > 0 or _parity_exponent(n, even_shift) % 2 == 0
         return complex(math.inf if positive else -math.inf, 0.0)
 
 
@@ -902,6 +903,13 @@ class TestPowerSpan:
             _bits(complex(x, 0.0)) for x in (base, 1.0, base, 1.0)
         ]
         assert sys.log_rates(4) == [0.0] * 4
+
+    def test_a_negative_float_base_overflows_to_the_infinity_of_its_sign(self):
+        # (-1.5)**1751 raises OverflowError inside the span, where it read +inf;
+        # built directly (the factory refuses a negative base)
+        sys = MapSystem(Family.POWER_TWO_PARITY, (-1.5, 3))
+        assert _bits(sys.coefficients(1760)[1750]) == _bits(complex(-math.inf, 0.0))
+        _assert_tables_match_scalar_rule(sys, 1760)
 
     @settings(max_examples=80, deadline=None)
     @given(
