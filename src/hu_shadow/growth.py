@@ -239,11 +239,8 @@ def _fit_period(
     intercepts = np.empty(m)
     max_residual = 0.0
     for l in range(1, m + 1):
-        # absolute residue class: n = km + l, n > prefix
-        start = l
-        while start <= prefix:
-            start += m
-        ns = np.arange(start, horizon + 1, m, dtype=float)
+        # absolute residue class: n = km + l, n > prefix, from the first such n
+        ns = np.arange(l + m * ((prefix - l) // m + 1), horizon + 1, m, dtype=float)
         ys = L[ns.astype(int) - 1]
         slope, intercept = np.polyfit(ns, ys, 1)
         resid = float(np.max(np.abs(ys - (slope * ns + intercept))))

@@ -24,10 +24,9 @@ from typing import Callable, Optional
 
 from .errors import HypothesisViolation
 from .growth import Classification, ClassificationKind, PeriodicFit
-from .scenario import MAX_HORIZON
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, generate_pseudo_orbit
-from .systems import OVERFLOW_LIMIT, _check_orbit_request, _pseudo_orbit
+from .systems import MAX_HORIZON, OVERFLOW_LIMIT, _check_orbit_request, _pseudo_orbit
 
 #: log10 of the orbit layer's margin; a value past it is carried as its log10 only.
 LOG10_LIMIT = math.log10(OVERFLOW_LIMIT)
@@ -157,10 +156,7 @@ def witness_divergence(
     K_p, K_q = ks[p_pos], ks[q_pos]
     if not K_q > K_p:
         raise HypothesisViolation("rate factors are all equal; no witness")
-    if not sys.is_linear:
-        raise HypothesisViolation(
-            f"the divergence witness needs a linear family, got {sys.family.value}"
-        )
+    sys.require_linear("the divergence witness")
     p_idx, q_idx = p_pos + 1, q_pos + 1
     C_p = fit.constants[p_pos]
     m = fit.m

@@ -3,7 +3,9 @@
 These routines deliberately avoid the analytic constructions they are
 used to validate.  The exact ones carry no rounding at all:
 ``exact_propagate`` runs one affine step z <- c_n z + r on reduced integer
-pairs three times, for P_n, S_n and a_n, the others run in ``Fraction``.
+pairs three times, for P_n, S_n and a_n, building each ``Fraction`` in place
+from its reduced pair; the references ``exact_difference`` and
+``exact_telescope`` read c_n as ``Fraction(num, den)`` and run in ``Fraction``.
 ``best_b1_search`` finds a near-optimal shadowing start point by refined
 grid evaluation, an upper bound on the true optimum by construction.
 
@@ -151,18 +153,9 @@ def _affine_run(
                     zn = u
                     if g != rd:
                         zd = s * rd
-        value = new(Fraction)  # as _from_coprime_ints, with no call per value
+        value = new(Fraction)  # the two slots of a reduced pair, with no gcd and no call
         value._numerator, value._denominator = zn, zd
         yield value
-
-
-def _from_coprime_ints(n: int, d: int) -> Fraction:
-    """Fraction(n, d) for coprime n and d > 0: sets the two slots, without
-    a gcd, as Python 3.12's ``Fraction._from_coprime_ints`` does."""
-    value = object.__new__(Fraction)
-    value._numerator = n
-    value._denominator = d
-    return value
 
 
 def exact_difference(
@@ -173,7 +166,7 @@ def exact_difference(
     horizon: int,
 ) -> list[Fraction]:
     """d_n = b_n - a_n by exact direct propagation of both orbits."""
-    coeffs = [_from_coprime_ints(*c) for c in sys.coefficient_pairs(horizon)]
+    coeffs = [Fraction(num, den) for num, den in sys.coefficient_pairs(horizon)]
     a = Fraction(a1)
     b = Fraction(b1)
     out = [b - a]
@@ -196,7 +189,7 @@ def exact_telescope(
     (prod_{j<n} c_j)(b_1 - a_1) - sum_{j<n} r_j prod_{j<i<n} c_i; for a
     linear family the quotients are the coefficients themselves.
     """
-    coeffs = [_from_coprime_ints(*c) for c in sys.coefficient_pairs(n)]
+    coeffs = [Fraction(num, den) for num, den in sys.coefficient_pairs(n)]
     prod = Fraction(1)
     acc = Fraction(0)
     for j in range(1, n):
@@ -338,7 +331,8 @@ def best_b1_search(
     never increases; the result is an upper bound on the true optimum.
 
     The affine sinusoid maps the real line to itself and expands off it,
-    so its rounds search ``grid`` real points around ``center.real``.
+    so its centre is taken as ``center.real``, before the span check and the
+    first evaluation, and its rounds search ``grid`` real points around it.
     Each round returns exactly what a loop over :func:`sup_error_for_start`
     in row-major order (real part outer) with a strict ``<`` update would
     return: a nonlinear family's grid is that loop, a linear family's is
@@ -348,6 +342,8 @@ def best_b1_search(
     if grid < 2 or refinements < 0:
         raise ValueError("need grid >= 2 and refinements >= 0")
     center = complex(region.center)
+    if not sys.is_linear:  # the sinusoid's search stays on the real line
+        center = complex(center.real)
     radius = float(region.radius)
     for part in (center.real, center.imag):
         if not math.isfinite((part + radius) - (part - radius)):

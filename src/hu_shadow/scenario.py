@@ -7,12 +7,14 @@ round-trips losslessly through :func:`scenario_to_dict`.
 Integer fields take JSON integers.  Every other numeric field takes a
 finite JSON number or an exact rational string ("1/3"), which keeps the
 exact-arithmetic oracle applicable.  ``horizon`` and 4 * ``analysis.window``
-are at most :data:`MAX_HORIZON`, and each part of ``a1`` is ``OVERFLOW_LIMIT``
-in size at most.  Anything else raises ConfigError.
+are at most :data:`~hu_shadow.systems.MAX_HORIZON`, and each part of ``a1``
+is ``OVERFLOW_LIMIT`` in size at most.  Anything else raises ConfigError.
+The ``system`` section is copied in and out, never shared with the caller.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
 import json
 import math
@@ -24,15 +26,8 @@ from typing import Any, Union
 from .errors import ConfigError
 from .growth import AnalysisOptions
 from .shadowing import ShadowOptions
-from .systems import (
-    FACTORIES, OVERFLOW_LIMIT, Family, MapSystem, PolicyKind, ResidualPolicy, _within_limit,
-)
-
-
-#: Largest horizon a scenario may ask for, directly or as 4 * analysis.window:
-#: ten times the benchmark's largest.  Every step has its table entries, so a
-#: larger one is refused before any table is allocated.
-MAX_HORIZON = 10**5
+from .systems import FACTORIES, MAX_HORIZON, OVERFLOW_LIMIT, Family, MapSystem, PolicyKind
+from .systems import ResidualPolicy, _within_limit
 
 
 @dataclass(frozen=True)
@@ -221,7 +216,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     return Scenario(
         system=system,
-        system_config=system_cfg,
+        system_config=copy.deepcopy(system_cfg),  # not the caller's object
         a1=a1,
         epsilon=epsilon,
         residual=_build_policy(_section(raw, "residual", {"kind", "theta"})),
@@ -252,7 +247,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 def scenario_to_dict(s: Scenario) -> dict:
     """Fully-defaulted dictionary form (lossless round trip)."""
     return {
-        "system": s.system_config,
+        "system": copy.deepcopy(s.system_config),  # not the scenario's own
         "a1": [s.a1.real, s.a1.imag],
         "epsilon": s.epsilon,
         "residual": {"kind": s.residual.kind.value, "theta": s.residual.theta},

@@ -232,10 +232,7 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     """
     if not K > 1.0:  # NaN too
         raise HypothesisViolation(f"K must exceed 1, got {K}")
-    if not sys.is_linear:
-        raise HypothesisViolation(
-            f"the contracting construction needs a linear family, got {sys.family.value}"
-        )
+    sys.require_linear("the contracting construction")
     horizon = pseudo.horizon
     eps = pseudo.epsilon
     coeffs, rates = sys.tables(horizon)

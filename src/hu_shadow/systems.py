@@ -51,12 +51,17 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import RateRangeError, UnsupportedFamily
+from .errors import HypothesisViolation, RateRangeError, UnsupportedFamily
 
 Number = Union[int, float, Fraction]
 
 #: Largest magnitude an orbit value may reach before generation truncates.
 OVERFLOW_LIMIT = 1e300
+
+#: Largest horizon a scenario (directly or as 4 * analysis.window) or a default
+#: witness may take: ten times the benchmark's largest.  Every step has its
+#: table entries, so a larger one is refused before any table is allocated.
+MAX_HORIZON = 10**5
 
 #: Fractional part multiplier of the low-discrepancy phase policy.
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -79,6 +84,11 @@ class Family(str, Enum):
     AFFINE_SINUSOID = "affine_sinusoid"
 
 
+def _is_linear(family: Family) -> bool:
+    """The one linearity rule: each family but the sinusoid is z -> c_n z, c_n by ``_laws``."""
+    return family is not Family.AFFINE_SINUSOID
+
+
 @dataclass(frozen=True)
 class MapSystem:
     """A time-indexed family of maps with known growth rates."""
@@ -87,8 +97,17 @@ class MapSystem:
     params: tuple
 
     def __post_init__(self) -> None:
-        # c_n divides by an inverted law's scale and by a base
-        for law in _laws(self.family, self.params) if self.is_linear else ():
+        # what the factories refuse and no table can read: no residue class, a complex
+        # base, a shift not an int, a zero c_n divides by (an inverted scale, a base)
+        if not self.is_linear:
+            return
+        if not (laws := _laws(self.family, self.params)):
+            raise ValueError(f"{self.family.value} needs at least one coefficient")
+        for law in laws:
+            if isinstance(law.base, complex):
+                raise ValueError(f"base must be real, got {law.base!r}")
+            if isinstance(law.shift, bool) or not isinstance(law.shift, int):
+                raise ValueError(f"even_shift must be an integer, got {law.shift!r}")
             if law.base == 0 or law.invert and law.scale == 0:
                 raise ValueError("growth rate must be positive")
 
@@ -96,7 +115,12 @@ class MapSystem:
 
     @property
     def is_linear(self) -> bool:
-        return self.family is not Family.AFFINE_SINUSOID
+        return _is_linear(self.family)
+
+    def require_linear(self, routine: str) -> None:
+        """:class:`HypothesisViolation`, naming ``routine``, for a nonlinear family."""
+        if not self.is_linear:
+            raise HypothesisViolation(f"{routine} needs a linear family, got {self.family.value}")
 
     def coefficients(self, horizon: int) -> list[complex]:
         """c_1 .. c_horizon of a linear family as floats, in one pass."""
@@ -160,10 +184,10 @@ class MapSystem:
 
     def eval_map(self, n: int, z: complex) -> complex:
         """Evaluate F(n, z); the sinusoid's is one complex formula, NaN at a non-finite z."""
-        if n < 1:
-            raise ValueError(f"step index must be >= 1, got {n}")
-        if self.family is not Family.AFFINE_SINUSOID:  # else the sinusoid's formula
+        if _is_linear(self.family):  # no property read per step; coefficient(n) checks n
             return self.coefficient(n) * complex(z)
+        if n < 1:  # the sinusoid's one check of n; _step words the refusal
+            _step(n)
         (slope,) = self.params
         z = complex(z)
         return slope * z + cmath.sin(z / n) / n
@@ -176,10 +200,10 @@ class MapSystem:
         overflows, the sinusoid's halves both differences first; on the
         real line that is its slope, as the real-line formula gives.
         """
-        if n < 1:
-            raise ValueError(f"step index must be >= 1, got {n}")
-        if self.family is not Family.AFFINE_SINUSOID:  # else the sinusoid's formula
+        if _is_linear(self.family):  # no property read per step; coefficient(n) checks n
             return self.coefficient(n)
+        if n < 1:  # the sinusoid's one check of n; _step words the refusal
+            _step(n)
         (slope,) = self.params
         u = complex(u)
         v = complex(v)
@@ -478,8 +502,6 @@ def _require_finite(*params: Number) -> None:
 def periodic_linear(coeffs: Sequence[Number] = (2, Fraction(1, 3))) -> MapSystem:
     """Linear maps whose coefficients cycle through ``coeffs``."""
     coeffs = tuple(coeffs)
-    if not coeffs:
-        raise ValueError("periodic_linear needs at least one coefficient")
     _require_finite(*coeffs)
     if any(c == 0 for c in coeffs):  # no float conversion: an int may pass the float range
         raise ValueError("growth rate must be positive")
@@ -496,14 +518,11 @@ def index_scaled_linear(odd_scale: Number = 3, even_inverse_scale: Number = 2) -
 
 def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
     """Linear maps c_n z with c_n = base^n (odd n), base^-(n+even_shift) (even n)."""
-    if isinstance(even_shift, bool) or not isinstance(even_shift, int):
-        raise ValueError(f"even_shift must be an integer, got {even_shift!r}")
     _require_finite(base)
-    if isinstance(base, complex):
-        raise ValueError(f"base must be real, got {base!r}")
-    if base < 0:
+    system = MapSystem(family=Family.POWER_TWO_PARITY, params=(base, even_shift))
+    if base < 0:  # a complex base or a shift that is not an int is refused by now
         raise ValueError("growth rate must be positive")
-    return MapSystem(family=Family.POWER_TWO_PARITY, params=(base, even_shift))
+    return system
 
 
 def affine_sinusoid(slope: float = 3.0) -> MapSystem:

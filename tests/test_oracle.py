@@ -177,6 +177,16 @@ class TestStartPointSearch:
         assert math.isfinite(err)
         assert err <= sup_error_for_start(sys, pseudo, 1.0, horizon)
 
+    def test_sinusoid_projects_a_complex_centre_onto_the_real_line(self):
+        # the centre 1 + 0.5j was evaluated before the real-line rounds, and the
+        # map's expansion off the real line raised OverflowError('math range error')
+        sys = affine_sinusoid()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 60)
+        b1, err = best_b1_search(sys, pseudo, 60, SearchRegion(1.0 + 0.5j, 1.0))
+        assert b1.imag == 0.0
+        assert math.isfinite(err)
+        assert err <= sup_error_for_start(sys, pseudo, 1.0, 60)
+
     def test_nan_start_after_a_failed_call_is_nan(self):
         # abs(complex) of a NaN once reported the ERANGE left by the failed
         # cmath.sin as OverflowError('absolute value too large')
@@ -199,11 +209,13 @@ def _scalar_best_b1_search(
 
     It refuses the regions the search refuses, with the same message, so
     that both reject a grid span past the float range alike, and searches
-    the sinusoid's real line alike.
+    the sinusoid's real line alike, from the real part of its centre.
     """
     if grid < 2 or refinements < 0:
         raise ValueError("need grid >= 2 and refinements >= 0")
     center = complex(region.center)
+    if not sys.is_linear:  # real start points only, the centre too
+        center = complex(center.real)
     radius = float(region.radius)
     for part in (center.real, center.imag):
         if not math.isfinite((part + radius) - (part - radius)):
@@ -805,6 +817,28 @@ class TestOneReduction:
         ]
         assert reductions(tree) == reductions(runner) == ["divmod"] * 4 + ["gcd"] * 4
 
+    def test_a_fraction_is_built_in_place_in_the_runner_alone(self):
+        # object.__new__ and the two slot writes of a reduced pair are stated
+        # once; exact_difference and exact_telescope read Fraction(num, den)
+        def builds(node):
+            return sorted(
+                x.attr for x in ast.walk(node)
+                if isinstance(x, ast.Attribute) and (
+                    x.attr == "__new__" and isinstance(x.value, ast.Name) and x.value.id == "object"
+                    or x.attr in ("_numerator", "_denominator") and isinstance(x.ctx, ast.Store)
+                )
+            )
+
+        package = Path(oracle.__file__).parent
+        everywhere = [
+            b for path in sorted(package.glob("*.py")) for b in builds(ast.parse(path.read_text()))
+        ]
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        (runner,) = [
+            x for x in ast.walk(tree) if isinstance(x, ast.FunctionDef) and x.name == "_affine_run"
+        ]
+        assert everywhere == builds(runner) == ["__new__", "_denominator", "_numerator"]
+
 
 big_power_of_two = st.integers(0, 4000).map(lambda j: 1 << j)
 pair_operand = st.one_of(
@@ -855,15 +889,6 @@ class TestPairHelpers:
     def test_times_is_the_reduced_product(self, x, y, m, d):
         a, c = Fraction(x, y), Fraction(m, d)
         assert _one_step(a, c) == (a * c).as_integer_ratio()
-
-    @given(n=st.integers(-(2**200), 2**200), d=st.integers(1, 2**200))
-    def test_coprime_keeps_the_pair(self, n, d):
-        g = math.gcd(n, d)
-        n, d = n // g, d // g
-        value = oracle._from_coprime_ints(n, d)
-        assert type(value) is Fraction
-        assert value.numerator == n and value.denominator == d
-        assert value == Fraction(n, d)
 
 
 # -- rational coefficient table ---------------------------------------------

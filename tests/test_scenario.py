@@ -172,6 +172,20 @@ class TestRoundTrip:
         assert again.shadow == sc.shadow
         assert again.output == sc.output
 
+    def test_the_system_section_is_the_scenarios_own(self):
+        # system_config was the caller's raw["system"] object, and scenario_to_dict
+        # returned it: a write on either side showed on the other
+        system = {"family": "periodic_linear", "coeffs": [2, "1/3"]}
+        raw = {**MINIMAL, "system": {**system, "coeffs": list(system["coeffs"])}}
+        sc = scenario_from_dict(raw)
+        raw["system"]["coeffs"] = [5]  # the caller's side
+        assert scenario_to_dict(sc)["system"] == system
+        out = scenario_to_dict(sc)
+        out["system"]["coeffs"].append(7)  # the returned side
+        out["system"]["family"] = "affine_sinusoid"
+        assert scenario_to_dict(sc)["system"] == system
+        assert scenario_from_dict(scenario_to_dict(sc)).system == sc.system
+
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_shipped_fixtures_load(self, name):
         sc = load_scenario(fixture_path(name))

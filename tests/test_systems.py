@@ -115,6 +115,27 @@ class TestFactories:
         with pytest.raises(ValueError):
             periodic_linear(())
 
+    @pytest.mark.parametrize(
+        "family, params, factory, message",
+        [
+            (Family.PERIODIC_LINEAR, (), lambda: periodic_linear(()),
+             "periodic_linear needs at least one coefficient"),
+            (Family.POWER_TWO_PARITY, (1j, 3), lambda: power_two_parity(1j, 3),
+             "base must be real, got 1j"),
+            (Family.POWER_TWO_PARITY, (2, 1.5), lambda: power_two_parity(2, 1.5),
+             "even_shift must be an integer, got 1.5"),
+        ],
+        ids=["no_coefficient", "complex_base", "float_shift"],
+    )
+    def test_a_direct_build_is_refused_as_its_factory_refuses_it(
+        self, family, params, factory, message
+    ):
+        # built before: the empty table was np.empty's memory (rates(4) read
+        # [4.66e-310, 2.4e-322, ...]), the other two ended in a bare TypeError
+        for build in (lambda: MapSystem(family, params), factory):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
     def test_sinusoid_slope_must_expand(self):
         with pytest.raises(ValueError):
             affine_sinusoid(slope=0.5)
@@ -1214,6 +1235,29 @@ class TestRationalTableSwitch:
         _assert_tables_match_scalar_rule(index_scaled_linear(scale, scale), horizon)
 
 
+def _definitions(node, prefix=""):
+    """(qualified name, node) of a module statement, a class by member."""
+    if isinstance(node, ast.ClassDef):
+        return [d for member in node.body for d in _definitions(member, f"{node.name}.")]
+    if isinstance(node, ast.FunctionDef):
+        return [(prefix + node.name, node)]
+    target = getattr(node, "target", None) or getattr(node, "targets", [node])[0]
+    return [(prefix + ast.unparse(target).splitlines()[0], node)]
+
+
+def _naming_a_family(members):
+    """The definitions of systems.py that name one of the Family ``members``."""
+    tree = ast.parse((Path(hu_shadow.__file__).parent / "systems.py").read_text())
+    return {
+        name
+        for statement in tree.body
+        for name, definition in _definitions(statement)
+        for x in ast.walk(definition)
+        if isinstance(x, ast.Attribute) and x.attr in members
+        and isinstance(x.value, ast.Name) and x.value.id == "Family"
+    }
+
+
 class TestOneRulePerFamily:
     def test_only_systems_branches_on_a_family(self):
         # c_n is stated in systems.py alone; the other modules read its
@@ -1233,26 +1277,7 @@ class TestOneRulePerFamily:
         # the tables loop over its laws, and only the factories and FACTORIES
         # name a linear family besides it
         linear = {"PERIODIC_LINEAR", "INDEX_SCALED_LINEAR", "POWER_TWO_PARITY"}
-
-        def definitions(node, prefix=""):
-            """(qualified name, node) of a module statement, a class by member."""
-            if isinstance(node, ast.ClassDef):
-                return [d for member in node.body for d in definitions(member, f"{node.name}.")]
-            if isinstance(node, ast.FunctionDef):
-                return [(prefix + node.name, node)]
-            target = getattr(node, "target", None) or getattr(node, "targets", [node])[0]
-            return [(prefix + ast.unparse(target).splitlines()[0], node)]
-
-        tree = ast.parse((Path(hu_shadow.__file__).parent / "systems.py").read_text())
-        naming = {
-            name
-            for statement in tree.body
-            for name, definition in definitions(statement)
-            for x in ast.walk(definition)
-            if isinstance(x, ast.Attribute) and x.attr in linear
-            and isinstance(x.value, ast.Name) and x.value.id == "Family"
-        }
-        assert naming == {
+        assert _naming_a_family(linear) == {
             "_laws", "periodic_linear", "index_scaled_linear", "power_two_parity", "FACTORIES"
         }
 
@@ -1265,6 +1290,45 @@ class TestOneRulePerFamily:
         ]
         for field, default in hu_shadow.systems._Law._field_defaults.items():
             assert any(getattr(law, field) != default for law in laws), field
+
+
+class TestOneHomePerRule:
+    def test_linearity_is_decided_in_one_function(self):
+        # eval_map and eval_q once tested the sinusoid's member themselves; every
+        # reader now asks _is_linear, through the is_linear property or directly
+        naming = _naming_a_family({"AFFINE_SINUSOID"})
+        assert naming == {"_is_linear", "affine_sinusoid", "FACTORIES"}
+
+    def test_the_linear_family_refusal_is_raised_in_one_method(self):
+        # shadow_contracting and witness_divergence each wrote this refusal out
+        phrase = "needs a linear family"
+        package = Path(hu_shadow.__file__).parent
+        owners = [
+            (path.name, name)
+            for path in sorted(package.glob("*.py"))
+            for statement in ast.parse(path.read_text()).body
+            for name, definition in _definitions(statement)
+            if any(
+                isinstance(x, ast.Constant) and isinstance(x.value, str) and phrase in x.value
+                for x in ast.walk(definition)
+            )
+        ]
+        assert owners == [("systems.py", "MapSystem.require_linear")]
+
+    @pytest.mark.parametrize(
+        "module", ["systems", "growth", "shadowing", "instability", "oracle"]
+    )
+    def test_no_library_module_imports_the_config_or_cli_layer(self, module):
+        # MAX_HORIZON lives in systems; instability read it from scenario before
+        tree = ast.parse((Path(hu_shadow.__file__).parent / f"{module}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+        assert imported  # the module was read
+        assert {name for name in imported if {"scenario", "cli"} & set(name.split("."))} == set()
 
 
 class TestOneRateRule:
