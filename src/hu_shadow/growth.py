@@ -135,20 +135,29 @@ def detect_periodic_scaled(
       the class chord.  If their spreads over the classes are both at
       most tol - 2*margin, those of ``np.polyfit`` are at most ``tol``,
       and the candidate is a single geometric law whatever its residuals.
+      Its rate-spread exit (``_rate_spread_exit``) proves this for every
+      prefix N >= N* at once, without building a class: past N the slopes
+      and intercepts spread by at most B*delta_N, delta_N the half range of
+      the rates L_n - L_{n-1} past N + 1 and B <= 25m (``_spread_bound``).
 
-    The bend screen runs class by class and stops as soon as it rejects
-    every prefix of the period; the spread screen's suffix sums are built
-    only when some prefix survives the bend screen of every class.  On
-    the default index-scaled system (H = 10^3, 10^4) and sinusoid
-    (H = 10^3), the first class alone rejects every prefix at every
-    period.
+    The bend screen runs class by class and stops as soon as it and the
+    exit reject every prefix of the period; the spread screen's suffix sums
+    are built only when some prefix survives both.  On the default
+    index-scaled system (H = 10^3, 10^4) and sinusoid (H = 10^3), the first
+    class alone rejects every prefix at every period; on the sinusoid at
+    H = 10^4 (rates 3 - 1/n^2, delta_677 = 3.6e-7) its first class rejects
+    the prefixes below about 677 and the exit every later one.
 
     Cost: a class sees a prefix only through its first index past it, so
     each screen quantity is computed once per such start (about
     horizon/(4m) per class) and gathered to the prefixes; a period is
-    then one suffix-sum pass per class, O(horizon).  The default sinusoid
-    at H = 10^4, where every period builds the spread screen, takes about
-    2 ms for m = 2..8 (0.17 ms at m = 2, 0.41 ms at m = 8; 2-core VM).
+    then one suffix-sum pass per class, O(horizon), where it builds the
+    spread screen.  The exit costs two scalar steps on a profile whose last
+    rates differ (periodic, parity, index-scaled) and one pass over the
+    rates otherwise.  The default sinusoid at H = 10^4 takes about 0.43 ms
+    for m = 2..8, one class and the exit per period; it took 2 ms when every
+    period built its spread screen (0.17 ms at m = 2, 0.41 ms at m = 8;
+    2-core VM).
 
     The margin is ``SCREEN_MARGIN`` times the data magnitude: max|L_n|,
     which bounds the rounding of the chord, of ``np.polyfit`` and of its
@@ -187,6 +196,7 @@ def _rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
         return rejected
     scale = float(np.max(np.abs(L)))
     bend_limit = 2.0 * (tol + SCREEN_MARGIN * scale)
+    cover = prefixes.size  # the spread screen provably rejects from this prefix on
     # a class reads a prefix only through its first index past it, start;
     # each quantity is computed once per distinct start, then gathered
     classes = []
@@ -199,7 +209,10 @@ def _rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
         k1 = (k0 + last) // 2
         h = ys[k1] - (ys[k0] + (ys[last] - ys[k0]) * ((k1 - k0) / (last - k0)))
         rejected |= (np.abs(h) >= bend_limit)[start]
-        if rejected.all():  # the spread screen cannot add a rejection
+        if l == 1 and not rejected.all():  # the first class's bend alone did not decide
+            cover = _rate_spread_exit(L, m, tol, scale)
+        if rejected[:cover].all():  # the spread screen rejects the rest
+            rejected[cover:] = True
             return rejected
         classes.append((ns, ys, last, start, k0))
     slopes = np.empty((m, prefixes.size))
@@ -227,6 +240,90 @@ def _rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
         np.ptp(intercepts, axis=0) <= same_law
     )
     return rejected
+
+
+def _spread_bound(horizon: int, m: int) -> float:
+    """B: past any prefix N <= horizon//4, the exact least-squares slopes and
+    intercepts of the m residue classes of L spread by at most B*delta, with
+    delta the half range of l_n = L_n - L_{n-1} over N + 1 < n <= horizon.
+    Proved in :func:`_rate_spread_exit`."""
+    top = horizon // 4
+    t = (top / m + 1) / ((horizon - top) // m - 1)  # a class keeps (H - N)//m >= 3 points
+    return m * (9.5 + 15.0 * t)
+
+
+def _rate_spread_exit(L: np.ndarray, m: int, tol: float, scale: float) -> int:
+    """The least prefix N* from which the spread screen rejects every prefix
+    of period m, decided from the spread of the rates l_n = L_n - L_{n-1}
+    alone; horizon//4 + 1 where no prefix can be decided so.
+
+    Let mu and delta_N be the midpoint and half range of l_n over
+    N + 1 < n <= H: delta_N does not grow with N, and reversed max and min
+    accumulates give it for every N at once.  Past a prefix N every class
+    point is n > N, where L_n = a + mu*n + E_n with |E_n' - E_n| <=
+    delta_N*|n' - n| (E continued past H with slope 0).  The affine part fits
+    every class exactly, so the spreads are those of the fitted lines of E.
+
+    * Slopes (delta = delta_N).  A least-squares slope is a positively
+      weighted mean of the pairwise slopes of its points, each a mean of
+      l_n - mu: every class's lies within delta of 0, so they spread by at
+      most 2*delta.
+    * Intercepts.  For a mass-0 measure nu on the integers, summation by
+      parts gives |sum nu_n E_n| <= delta * integral |G|, G(t) = nu(n <= t).
+      Let F_P(x) be the line of E fitted on the point set P, at x; class l's
+      intercept is F_P(0), P = P_l, with c points from n_0 in (N, N + m],
+      half length h = (c - 1)/2 and fitted weights w_i(x) = (1 + 3(x - h)
+      (i - h)/(h(h + 1)))/c at x in class steps, Lebesgue sum
+      sum |w_i(x)| <= 1 + 3|x - h|/(2h).  For l' = l + s, 0 < s < m, and
+      Q = P + s, P_l' is Q with at most the point p = q_0 - m put first and
+      the last point r of Q taken off, and F_P_l'(0) - F_P(0) sums:
+      - F_Q(s) - F_P(0), P's weights at 0 each moved by s:
+        integral |G| = s*sum|w_i| <= s(5/2 + 3 n_0/(m(c - 1)));
+      - F_Q(0) - F_Q(s), s times a slope of E: at most s*delta;
+      - putting p first: p's weight at 0 in the fit of c + 1 points,
+        (4 + 3(p/m - 1)/(c/2 + 1))/(c + 1), times its residual from F_Q,
+        whose G is 1 - W_j on gap j, W_j = (j + 1)(4 - 3j/(2h))/c in (0, 2],
+        so at most m*c*delta: m(4 + 6 N/(m(c + 2)))*delta;
+      - taking r off a fit R of c_R points: r's weight at 0, at most
+        (2 + 6(N/m + 1)/(c_R + 1))/c_R, times its residual from the other
+        c_R - 1: m(2 + 6(N/m + 1)/(c_R + 1))*delta.
+      Every c is at least (H - N)//m, and with t = (N/m + 1)/((H - N)//m - 1)
+      the sum is below m(19/2 + 15t)*delta_N; t grows with N, so
+      :func:`_spread_bound`'s B, taken at N = H//4, serves every prefix.
+    * Rounding.  The spread screen rejects where its computed spreads are at
+      most tol - 2*margin, margin = SCREEN_MARGIN * (scale + deviation), on
+      the premise that each computed slope and intercept lies within margin
+      of the exact one; so exact spreads of at most tol - 4*margin, less
+      2^-48 tol for the roundings of both tests, are rejected.  deviation,
+      the most class points times the largest chord deviation z, is at most
+      D: each z is a partial sum of the class's m-step increments less their
+      mean, so at most sum |l_n - mu| over 2 <= n <= H, and D adds the
+      rounding of z, of each l_n and of that sum.  delta is taken up by
+      2^-51 scale, the rounding of the differences l_n (each below 2 scale).
+
+    The last two rates alone bound delta_N from below for every N: a profile
+    whose rates vary (a periodic, parity or index-scaled one) is decided by
+    them, and one reduction over the shortest suffix decides the rest where
+    no prefix can pass.
+    """
+    horizon = L.size
+    top = horizon // 4
+    bound = _spread_bound(horizon, m)
+    if not bound * abs((L[-1] - L[-2]) - (L[-2] - L[-3])) <= 2.0 * tol:  # NaN fails
+        return top + 1
+    rates = np.diff(L)  # l_n, 2 <= n <= H; prefix N reads rates[N:]
+    high, low = float(rates[top:].max()), float(rates[top:].min())
+    # the roundings of both tests and of delta; then the spread at N = top
+    room = tol * (1 - 2.0**-48) - 4.0 * SCREEN_MARGIN * scale - bound * 2.0**-51 * scale
+    if not bound * (high - low) / 2 <= room:
+        return top + 1
+    absolute = float(np.sum(np.abs(rates - (high + low) / 2)))
+    deviation = -(-horizon // m) * (absolute + horizon * 2.0**-48 * scale) * (1 + 2.0**-40)
+    room -= 4.0 * SCREEN_MARGIN * deviation
+    highs = np.maximum(np.maximum.accumulate(rates[top::-1]), high)
+    lows = np.minimum(np.minimum.accumulate(rates[top::-1]), low)
+    # entry j is prefix top - j: the prefixes the bound leaves undecided lead
+    return int(np.count_nonzero(~(bound * (highs - lows) / 2 <= room)))
 
 
 def _fit_period(

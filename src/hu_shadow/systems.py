@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, repeat
+from numbers import Real
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -97,9 +98,21 @@ class MapSystem:
     params: tuple
 
     def __post_init__(self) -> None:
-        # what the factories refuse and no table can read: no residue class, a complex
-        # base, a shift not an int, a zero c_n divides by (an inverted scale, a base)
+        object.__setattr__(self, "family", Family(self.family))  # its rules test by identity
+        # what the factories refuse and no table can read: a sinusoid's slope that is
+        # not one real, finite number above 1; no residue class, a complex base, a
+        # shift not an int, a zero c_n divides by (an inverted scale, a base)
         if not self.is_linear:
+            if len(self.params) != 1:
+                raise ValueError(f"{self.family.value} takes one slope, got {self.params!r}")
+            (slope,) = self.params
+            _require_finite(slope)
+            if not isinstance(slope, Real):
+                raise ValueError(f"slope must be real, got {slope!r}")
+            if slope <= 1.0:
+                raise ValueError(
+                    "affine_sinusoid requires slope > 1 for a positive expanding rate"
+                )
             return
         if not (laws := _laws(self.family, self.params)):
             raise ValueError(f"{self.family.value} needs at least one coefficient")
@@ -153,7 +166,10 @@ class MapSystem:
         # the sinusoid's steps are one class with no law
         for steps, law in self._classes(ns) if self.is_linear else [(ns, None)]:
             at = slice(steps.start - 1, None, steps.step)
-            if law is not None and (pairs := law.pairs(steps)) is not None:
+            base = None if law is None else law.base
+            if base is not None and (exact := _exact(base)) and (power := _power_of_two(*exact)):
+                out[at] = _power_of_two_logs(power, law.exponents(steps))  # no power made
+            elif law is not None and (pairs := law.pairs(steps)) is not None:
                 out[at] = [log(abs(num)) - log(den) for num, den in pairs]
             else:
                 rates = rates or self._rates(ns).tolist()
@@ -413,6 +429,22 @@ def _ldexp_table(power: int, exponents: range) -> np.ndarray:
         return np.ldexp(1.0, power * np.arange(exponents.start, exponents.stop, exponents.step))
 
 
+def _power_of_two_logs(power: int, exponents: range) -> list[float]:
+    """ln|num| - ln den of the pair of each 2**(power*e), e in exponents, bit
+    for bit, from the exponent alone: CPython's ``math.log`` of the int 2**k is
+    ln of the float 2**k up to k = 1023 and ln(1/2) + ln(2)*(k + 1) past it,
+    negated where the pair is 1/2**k."""
+    log, ldexp = math.log, math.ldexp
+    ln2, half = log(2.0), log(0.5)
+    out = []
+    for e in exponents:
+        j = power * e
+        k = abs(j)
+        x = log(ldexp(1.0, k)) if k <= 1023 else half + ln2 * (k + 1)
+        out.append(x if j >= 0 else -x)
+    return out
+
+
 def _float_power(base: float, e: int) -> complex:
     """complex(float(base) ** e), the infinity of its sign where it overflows;
     a base of modulus 1 is +-1, by the parity of e, at any e, which may be
@@ -526,12 +558,8 @@ def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
 
 
 def affine_sinusoid(slope: float = 3.0) -> MapSystem:
-    """Real maps x -> slope*x + sin(x/n)/n; expanding rate slope - 1/n^2."""
-    _require_finite(slope)
-    if isinstance(slope, complex):
-        raise ValueError(f"slope must be real, got {slope!r}")
-    if slope <= 1.0:
-        raise ValueError("affine_sinusoid requires slope > 1 for a positive expanding rate")
+    """Real maps x -> slope*x + sin(x/n)/n; expanding rate slope - 1/n^2.  The
+    system refuses a slope that is not real, finite and above 1."""
     return MapSystem(family=Family.AFFINE_SINUSOID, params=(slope,))
 
 

@@ -249,6 +249,21 @@ profiles = st.one_of(
         lambda s, h: profile_of(affine_sinusoid(s), h), st.floats(1.1, 5.0), horizons
     ),
     st.lists(st.floats(1e-3, 1e3), min_size=16, max_size=300).map(build_profile),
+    # slowly varying rates, p*exp(A sin(n/T)) and c - d/n^2 (the sinusoid's form),
+    # with A and d/c on both sides of the rate-spread exit's threshold
+    st.builds(
+        lambda p, a, t, h: build_profile([p * math.exp(a * math.sin(n / t)) for n in range(1, h + 1)]),
+        rate,
+        st.floats(-10.0, -4.0).map(lambda u: 10**u),
+        st.floats(5.0, 2000.0),
+        horizons,
+    ),
+    st.builds(
+        lambda c, d, h: build_profile([c - c * d / n**2 for n in range(1, h + 1)]),
+        st.floats(0.5, 5.0),
+        st.floats(-9.0, -2.0).map(lambda u: 10**u),
+        horizons,
+    ),
 )
 
 
@@ -417,7 +432,7 @@ class TestEarlyExitScreen:
     def test_mask_equals_full_screen(self, profile, tol):
         _assert_same_masks(profile.log_partial, tol)
 
-    @pytest.mark.parametrize("horizon", [1000, 10_000])
+    @pytest.mark.parametrize("horizon", [1000, 10_000, 30_000])
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     def test_families_mask_equals_full_screen(self, horizon, tol):
         for L in _family_log_partials(horizon):
@@ -466,6 +481,85 @@ class TestEarlyExitScreen:
         calls = _count_numpy_calls(monkeypatch, "cumsum")
         assert detect_periodic_scaled(profile, 8, 1e-4) is None
         assert calls == []
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-4, 0.0])
+    @pytest.mark.parametrize("horizon", [1000, 10_000])
+    def test_tol_at_its_limits_mask_equals_full_screen(self, tol, horizon):
+        # a NaN tol fails every screen's test, the exit's too
+        _assert_same_masks(profile_of(affine_sinusoid(), horizon).log_partial, tol)
+
+    def test_smoothly_converging_profile_builds_no_spread_screen(self, monkeypatch):
+        # the sinusoid's rates 3 - 1/n^2: no bend rejects a prefix from 677 on, and
+        # the rate-spread exit rejects each of those at every period; every period
+        # built its spread screen before
+        L = profile_of(affine_sinusoid(), 10_000).log_partial
+        calls = _count_numpy_calls(monkeypatch, "cumsum")
+        for m in range(2, 9):
+            assert growth._rejected_prefixes(L, m, 1e-4).all()
+        assert calls == []
+
+
+def _class_points(horizon, prefix, m):
+    """The points n of each residue class l = 1..m with prefix < n <= horizon."""
+    return [np.arange(l + m * ((prefix - l) // m + 1), horizon + 1, m) for l in range(1, m + 1)]
+
+
+def _intercept_weights(ns):
+    """The weights of a class's least-squares intercept (its line at n = 0)."""
+    x = ns - ns.mean()
+    return 1.0 / ns.size - ns.mean() * x / (x @ x)
+
+
+def _intercept_kernel(points, l, lp):
+    """(t, G): the sorted points of classes l and l', and G(t) = nu(n <= t) on
+    each gap between them, nu the difference of their intercept weights."""
+    ns = np.concatenate([points[lp - 1], points[l - 1]])
+    nu = np.concatenate([_intercept_weights(points[lp - 1]), -_intercept_weights(points[l - 1])])
+    order = np.argsort(ns)
+    return ns[order], np.cumsum(nu[order])[:-1]
+
+
+def _worst_intercept_pair(horizon, prefix, m):
+    """(sup, l, l'): the largest |a_l' - a_l| / delta over rates l_n within delta
+    of one value past prefix + 1, with its classes.  Two intercepts differ by a
+    mass-0 measure nu on the points, and summation by parts makes the sup the
+    integral of |G|."""
+    points = _class_points(horizon, prefix, m)
+    best = (0.0, 1, 1)
+    for l in range(1, m + 1):
+        for lp in range(l + 1, m + 1):
+            t, G = _intercept_kernel(points, l, lp)
+            best = max(best, (float(np.abs(G) @ np.diff(t)), l, lp))
+    return best
+
+
+class TestRateSpreadBound:
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_bound_covers_every_class_pair_and_prefix(self, m):
+        # the closed form B against the exact constant of the intercept spread, from
+        # the shortest horizon 4m on; the slope spread is at most 2*delta
+        for horizon in [*range(4 * m, 7 * m), 97, 403]:
+            bound = growth._spread_bound(horizon, m)
+            assert bound >= 2.0
+            for prefix in range(horizon // 4 + 1):
+                assert _worst_intercept_pair(horizon, prefix, m)[0] <= bound, (horizon, prefix)
+
+    @pytest.mark.parametrize("horizon, prefix, m", [(40, 10, 8), (200, 12, 4), (200, 50, 3)])
+    def test_extremal_rates_reach_the_constant(self, horizon, prefix, m):
+        # rates mu -+ delta by the sign of G reach the integral of |G|: the constant
+        # the bound is checked against is the sup, not an estimate of it
+        sup, l, lp = _worst_intercept_pair(horizon, prefix, m)
+        points = _class_points(horizon, prefix, m)
+        t, G = _intercept_kernel(points, l, lp)
+        mu, delta = 0.3, 1e-3
+        rates = np.full(horizon + 1, mu)  # rates[n] = l_n
+        for g, lo, hi in zip(G, t[:-1], t[1:]):
+            rates[lo + 1:hi + 1] = mu - delta * np.sign(g)
+        L = np.cumsum(rates[1:])  # L_n, n = 1..horizon
+        fits = [np.polyfit(p, L[p - 1], 1) for p in points]
+        assert abs(fits[lp - 1][1] - fits[l - 1][1]) == pytest.approx(sup * delta, rel=1e-6)
+        slopes = [fit[0] for fit in fits]
+        assert max(slopes) - min(slopes) <= 2 * delta
 
 
 class TestRatioCheck:

@@ -525,10 +525,16 @@ class TestExpandingNamedErrors:
         with pytest.raises(DegenerateQuotient, match=r"^\|q_3\| ~ 0; error dynamics singular$"):
             shadow_expanding(sys, pseudo, math.sqrt(10))
 
-    def test_a_nonlinear_quotient_of_zero_is_degenerate(self):
-        # slope 1 from a_1 = pi: q_1 = 1 + cos(pi) = 0j at the first fixed-point iterate
-        sys = MapSystem(Family.AFFINE_SINUSOID, (1.0,))
+    def test_a_nonlinear_quotient_of_zero_is_degenerate(self, monkeypatch):
+        # slope 1 from a_1 = pi gave q_1 = 1 + cos(pi) = 0j at the first fixed-point
+        # iterate; a sinusoid's slope is now above 1, so q_1 >= slope - 1 > 0 on the
+        # real line, and the zero is q_1's alone here
+        sys = affine_sinusoid(1.5)
         pseudo = generate_pseudo_orbit(sys, math.pi, 1e-3, ResidualPolicy(), 5)
+        eval_q = MapSystem.eval_q
+        monkeypatch.setattr(
+            MapSystem, "eval_q", lambda self, n, u, v: 0j if n == 1 else eval_q(self, n, u, v)
+        )
         with pytest.raises(DegenerateQuotient, match=r"^\|q_1\| ~ 0; error dynamics singular$"):
             shadow_expanding(sys, pseudo, 1.5)
 

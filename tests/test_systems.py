@@ -124,17 +124,49 @@ class TestFactories:
              "base must be real, got 1j"),
             (Family.POWER_TWO_PARITY, (2, 1.5), lambda: power_two_parity(2, 1.5),
              "even_shift must be an integer, got 1.5"),
+            # no factory call passes no slope
+            (Family.AFFINE_SINUSOID, (), None, "affine_sinusoid takes one slope, got ()"),
+            (Family.AFFINE_SINUSOID, (1j,), lambda: affine_sinusoid(1j),
+             "slope must be real, got 1j"),
+            (Family.AFFINE_SINUSOID, (0.5,), lambda: affine_sinusoid(0.5),
+             "affine_sinusoid requires slope > 1 for a positive expanding rate"),
+            (Family.AFFINE_SINUSOID, (math.nan,), lambda: affine_sinusoid(math.nan),
+             "parameters must be finite, got nan"),
+            (Family.AFFINE_SINUSOID, ("3",), lambda: affine_sinusoid("3"),
+             "slope must be real, got '3'"),
         ],
-        ids=["no_coefficient", "complex_base", "float_shift"],
+        ids=[
+            "no_coefficient", "complex_base", "float_shift",
+            "sinusoid_no_slope", "sinusoid_complex_slope", "sinusoid_slope_below_one",
+            "sinusoid_nan_slope", "sinusoid_string_slope",
+        ],
     )
     def test_a_direct_build_is_refused_as_its_factory_refuses_it(
         self, family, params, factory, message
     ):
         # built before: the empty table was np.empty's memory (rates(4) read
-        # [4.66e-310, 2.4e-322, ...]), the other two ended in a bare TypeError
+        # [4.66e-310, 2.4e-322, ...]), the parity two and the sinusoid's first two
+        # ended in a bare TypeError or IndexError, the next two built a sinusoid
+        # whose rates(3) read -0.5 or NaN, and a string slope was a bare TypeError
         for build in (lambda: MapSystem(family, params), factory):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                build()
+            if build is not None:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build()
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("periodic_linear", (2,)), ("affine_sinusoid", (3.0,)), ("power_two_parity", (2, 3))],
+    )
+    def test_a_family_given_by_value_is_its_member(self, name, params):
+        # a bare AttributeError ('str' object has no attribute 'value') before
+        sys = MapSystem(name, params)
+        assert sys.family is Family(name)
+        assert sys == MapSystem(Family(name), params)
+        assert sys.rates(6) == MapSystem(Family(name), params).rates(6)
+
+    def test_an_unknown_family_name_is_refused(self):
+        with pytest.raises(ValueError, match="'lorenz' is not a valid Family"):
+            MapSystem("lorenz", (2,))
 
     def test_sinusoid_slope_must_expand(self):
         with pytest.raises(ValueError):
@@ -977,6 +1009,35 @@ class TestFloatBaseLogRate:
             direct = _float_power_log_rate(base, even_shift, n)
             if direct is not None:
                 assert got == direct
+
+
+class TestPowerOfTwoLogRate:
+    @pytest.mark.parametrize("base", [2, 4, Fraction(1, 2)], ids=["2", "4", "1/2"])
+    @pytest.mark.parametrize(
+        "even_shift", [0, 3, -5, -1030, 1019, 1020, 1021, 1024, 2000, 10**5, -(10**5)]
+    )
+    def test_equals_the_pair_route(self, base, even_shift):
+        # exponents cross k = 1023, where CPython's math.log of the int 2**k
+        # changes rule, and zero, where the pair flips to 1/2**k
+        sys = MapSystem(Family.POWER_TWO_PARITY, (base, even_shift))
+        pairs = sys.coefficient_pairs(64)
+        expected = [math.log(abs(num)) - math.log(den) for num, den in pairs]
+        assert [x.hex() for x in sys.log_rates(64)] == [x.hex() for x in expected]
+
+    def test_equals_the_pair_route_over_a_long_range(self):
+        sys = power_two_parity()
+        expected = [math.log(abs(num)) - math.log(den) for num, den in sys.coefficient_pairs(5000)]
+        assert [x.hex() for x in sys.log_rates(5000)] == [x.hex() for x in expected]
+
+    def test_makes_no_power(self, monkeypatch):
+        # every exact power 2**(10**7 + n) was made: 2.1 ms at a shift of 10**6
+        def refuse(*args):
+            raise AssertionError("an exact power was made")
+
+        monkeypatch.setattr(hu_shadow.systems, "_class_powers", refuse)
+        rates = power_two_parity(2, 10**7).log_rates(4)
+        assert rates[1] == -(math.log(0.5) + math.log(2.0) * (10**7 + 3))
+        assert rates[2] == math.log(8.0)
 
 
 # -- the loop with a call per step, kept verbatim as the reference --------
