@@ -48,13 +48,7 @@ from .oracle import (
     refined_cell_size,
     sup_error_for_start,
 )
-from .scenario import (
-    OutputOptions,
-    Scenario,
-    load_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from .scenario import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 from .shadowing import (
     ShadowMeta,
     ShadowMethod,

@@ -1,6 +1,8 @@
 """Command-line experiment runner.
 
-Four subcommands, all driven by a scenario file:
+Three subcommands driven by a scenario file (``--config``), and one
+that runs the shipped fixtures; each writes into ``--out`` (default
+``out``):
 
 * ``analyze``     -- growth profile CSV plus classification JSON.
 * ``shadow``      -- shadowing orbit CSV plus a summary JSON with a
@@ -26,9 +28,8 @@ import os
 import sys
 import tempfile
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import fixture_path
 from .errors import ConfigError, HuShadowError
@@ -46,9 +47,6 @@ from .instability import WitnessSample, witness_divergence
 from .scenario import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 from .shadowing import shadow_contracting, shadow_expanding
 from .systems import PolicyKind, generate_pseudo_orbit
-
-#: Environment variable overriding the output directory.
-OUTPUT_DIR_ENV = "HU_SHADOW_OUT"
 
 #: Classification is asymptotic and the rate profile is orbit-independent,
 #: so the CLI evaluates it over at least this many steps regardless of the
@@ -89,7 +87,7 @@ def _strict(obj):
     return obj
 
 
-def _write_csv(path: Path, header: list, row: str, rows: list) -> None:
+def _write_csv(path: Path, header: Sequence[str], row: str, rows: Sequence[tuple]) -> None:
     """``header``, then one line per tuple of ``rows``, each formatted by the
     %-template ``row``.  All lines are formatted in one ``%`` pass; ``%.17g``,
     17 significant digits, is enough for exact float round-trips.
@@ -234,12 +232,11 @@ def _cmd_instability(scenario: Scenario, out: Path) -> int:
         # distance is epsilon times at least that sum
         if s.log10_observed_error < log10_eps + s.log10_lower_bound - 1e-9:
             ok = False
-    header = [f.name for f in dataclasses.fields(WitnessSample)]
     _write_csv(
         out / "witness.csv",
-        header,
+        WitnessSample._fields,
         "%d,%d" + ",%.17g" * 6 + ",%d\n",  # %d writes the bool log_domain as 1 or 0
-        list(map(attrgetter(*header), witness.samples)),
+        witness.samples,
     )
 
     verdict = "pass" if (ok and witness.samples) else "fail"
@@ -397,14 +394,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "command", choices=["analyze", "shadow", "instability", "reproduce"]
     )
-    parser.add_argument("--config", help="scenario file (JSON)")
+    parser.add_argument("--config", help="scenario file (JSON); not taken by reproduce")
     parser.add_argument("--horizon", help="override the scenario horizon")
     parser.add_argument("--epsilon", help="override the residual size")
-    parser.add_argument(
-        "--out",
-        help="output directory (also overridable via the "
-        f"{OUTPUT_DIR_ENV} environment variable)",
-    )
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
@@ -417,41 +410,32 @@ def _flag_value(text: str, kind: type):
         return text
 
 
-def _resolve_out(scenario: Optional[Scenario], args: argparse.Namespace) -> Path:
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    if args.out:
-        return Path(args.out)
-    if scenario is not None:
-        return Path(scenario.output.directory)
-    return Path("out")
-
-
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
-        scenario = None
-        if args.command != "reproduce":
-            if not args.config:
-                parser.error(f"command {args.command!r} requires --config")
-            scenario = load_scenario(args.config)
-            flags = {"horizon": (args.horizon, int), "epsilon": (args.epsilon, float)}
-            overrides = {
-                key: _flag_value(text, kind) for key, (text, kind) in flags.items() if text is not None
-            }
-            if overrides:
-                # re-read, so a flag meets the same checks as a file value
-                scenario = scenario_from_dict({**scenario_to_dict(scenario), **overrides})
-        out = _resolve_out(scenario, args)
+        # the flag rules argparse cannot state, each refused with one line
+        if args.command == "reproduce":
+            given = [key for key in ("config", "horizon", "epsilon") if vars(args)[key] is not None]
+            if given:
+                named = " or ".join(f"--{key}" for key in given)
+                raise ConfigError(f"reproduce runs the shipped fixtures and takes no {named}")
+            return _cmd_reproduce(out)
+        if not args.config:
+            raise ConfigError(f"command {args.command!r} requires --config")
+        scenario = load_scenario(args.config)
+        flags = {"horizon": (args.horizon, int), "epsilon": (args.epsilon, float)}
+        overrides = {
+            key: _flag_value(text, kind) for key, (text, kind) in flags.items() if text is not None
+        }
+        if overrides:
+            # re-read, so a flag meets the same checks as a file value
+            scenario = scenario_from_dict({**scenario_to_dict(scenario), **overrides})
         if args.command == "analyze":
             return _cmd_analyze(scenario, out)
         if args.command == "shadow":
             return _cmd_shadow(scenario, out)
-        if args.command == "instability":
-            return _cmd_instability(scenario, out)
-        return _cmd_reproduce(out)
+        return _cmd_instability(scenario, out)
     except ConfigError as exc:
         print(f"hu-shadow: config error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import HypothesisViolation
 from .growth import Classification, ClassificationKind, PeriodicFit
@@ -82,8 +82,8 @@ def _lower_bound_log10(
     return lambda k: (k * m * rise + head - ln_c - tail) / ln10
 
 
-@dataclass(frozen=True)
-class WitnessSample:
+class WitnessSample(NamedTuple):
+    """One resonant step of the witness; a row of ``witness.csv``, in field order."""
     k: int
     n: int  # resonant index k*m + p
     lower_bound: float  # analytic lower bound for S_n (may be inf)

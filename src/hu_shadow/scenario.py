@@ -31,11 +31,6 @@ from .systems import ResidualPolicy, _within_limit
 
 
 @dataclass(frozen=True)
-class OutputOptions:
-    directory: str = "out"
-
-
-@dataclass(frozen=True)
 class Scenario:
     system: MapSystem
     system_config: dict
@@ -45,7 +40,6 @@ class Scenario:
     horizon: int
     analysis: AnalysisOptions
     shadow: ShadowOptions
-    output: OutputOptions
 
 
 def _real(value: Any, where: str) -> Union[int, float, Fraction]:
@@ -74,12 +68,6 @@ def _integer(value: Any, where: str) -> int:
 
 def _float(value: Any, where: str) -> float:
     return float(_real(value, where))
-
-
-def _text(value: Any, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{where}: expected a nonempty string")
-    return value
 
 
 def _complex(value: Any, where: str) -> complex:
@@ -122,7 +110,7 @@ _READERS = {
 }
 
 #: How an option field is read, by the type of its default.
-_OPTION_READERS = {int: _integer, float: _float, str: _text}
+_OPTION_READERS = {int: _integer, float: _float}
 
 
 def _options(raw: dict, key: str, cls: type):
@@ -142,8 +130,10 @@ _FACTORY_KEYS = {
 }
 
 
-def _build_system(cfg: dict) -> MapSystem:
-    """The family's factory called with its own keys; any other key is an error."""
+def _build_system(cfg: dict) -> tuple[MapSystem, dict]:
+    """The family's factory called with its own keys, any other key an error,
+    and the section with every key: a given value as written (copied, not
+    shared with the caller), a missing one the factory's default."""
     try:
         family = Family(cfg.get("family", ""))
     except ValueError:
@@ -154,12 +144,13 @@ def _build_system(cfg: dict) -> MapSystem:
     factory = FACTORIES[family]
     keys = _FACTORY_KEYS[family]
     _reject_unknown(cfg, {"family", *(key.name for key in keys)}, "system")
-    args = [
-        _READERS.get(key.name, _real)(cfg.get(key.name, key.default), f"system.{key.name}")
-        for key in keys
-    ]
+    config = {"family": family.value}
+    args = []
+    for key in keys:
+        value = config[key.name] = copy.deepcopy(cfg.get(key.name, key.default))
+        args.append(_READERS.get(key.name, _real)(value, f"system.{key.name}"))
     try:
-        return factory(*args)
+        return factory(*args), config
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from exc
 
@@ -179,16 +170,14 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError("scenario: expected a JSON object")
     _reject_unknown(
-        raw,
-        {"system", "a1", "epsilon", "residual", "horizon", "analysis", "shadow", "output"},
-        "scenario",
+        raw, {"system", "a1", "epsilon", "residual", "horizon", "analysis", "shadow"}, "scenario"
     )
     if "system" not in raw:
         raise ConfigError("scenario: missing required key 'system'")
     system_cfg = raw["system"]
     if not isinstance(system_cfg, dict):
         raise ConfigError("system: expected an object")
-    system = _build_system(system_cfg)
+    system, system_config = _build_system(system_cfg)
 
     a1 = _complex(raw.get("a1", 1), "a1")
     if not _within_limit(a1):
@@ -212,18 +201,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if shadow.tol <= 0 or shadow.max_iter < 1 or not 0 < shadow.tail_fraction < 1:
         raise ConfigError("shadow: tol > 0, max_iter >= 1, 0 < tail_fraction < 1 required")
 
-    output = _options(raw, "output", OutputOptions)
-
     return Scenario(
         system=system,
-        system_config=copy.deepcopy(system_cfg),  # not the caller's object
+        system_config=system_config,
         a1=a1,
         epsilon=epsilon,
         residual=_build_policy(_section(raw, "residual", {"kind", "theta"})),
         horizon=horizon,
         analysis=analysis,
         shadow=shadow,
-        output=output,
     )
 
 
@@ -254,5 +240,4 @@ def scenario_to_dict(s: Scenario) -> dict:
         "horizon": s.horizon,
         "analysis": asdict(s.analysis),
         "shadow": asdict(s.shadow),
-        "output": asdict(s.output),
     }

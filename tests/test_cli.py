@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import cli, fixture_path, growth
-from hu_shadow.cli import OUTPUT_DIR_ENV, main
+from hu_shadow.cli import main
 from hu_shadow.growth import Classification, ClassificationKind, build_profile
 from hu_shadow.instability import DivergenceWitness, WitnessSample
 from hu_shadow.scenario import MAX_HORIZON, load_scenario
@@ -28,20 +28,6 @@ from hu_shadow.systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy
 #: recorded for the benchmark (read only).
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 FIXTURES_CLI = json.loads(REFERENCES.read_text())["workloads"]["fixtures-cli"]
-
-
-def run(args, monkeypatch=None, env_out=None):
-    if monkeypatch is not None:
-        if env_out is None:
-            monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-        else:
-            monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_out))
-    return main(args)
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
 
 
 #: A sinusoid scenario whose fixed point leaves the real line until eval_q overflows.
@@ -405,10 +391,36 @@ class TestInstability:
 
 
 class TestUsageAndConfig:
-    def test_missing_config_flag(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze"])
-        assert exc.value.code == 2
+    def test_missing_config_flag(self, tmp_path, capsys, monkeypatch):
+        # argparse's four-line usage error before
+        monkeypatch.chdir(tmp_path)
+        for command in ("analyze", "shadow", "instability"):
+            assert main([command]) == 2
+            err = capsys.readouterr().err
+            assert err == f"hu-shadow: config error: command {command!r} requires --config\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--config", "/nonexistent.json"], "--config"),
+            (["--horizon", "5"], "--horizon"),
+            (["--epsilon", "0.5"], "--epsilon"),
+            (
+                ["--horizon", "5", "--epsilon", "0.5", "--config", "/nonexistent.json"],
+                "--config or --horizon or --epsilon",
+            ),
+        ],
+        ids=["config", "horizon", "epsilon", "all"],
+    )
+    def test_reproduce_refuses_the_scenario_flags(self, tmp_path, capsys, monkeypatch, flags, named):
+        # reproduce once parsed these, dropped them and ran the shipped fixtures
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"hu-shadow: config error: reproduce runs the shipped fixtures and takes no {named}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreadable_config(self, tmp_path):
         rc = main(["analyze", "--config", str(tmp_path / "absent.json")])
@@ -447,7 +459,6 @@ class TestUsageAndConfig:
             ("nonlinear_sinusoid", "epsilon", "1e999"),
             ("nonlinear_sinusoid", "analysis.tol", "NaN"),
             ("nonlinear_sinusoid", "horizon", "true"),
-            ("nonlinear_sinusoid", "output.directory", "null"),
             ("nonlinear_sinusoid", "epsilon", '"1/x"'),
             ("nonlinear_sinusoid", "epsilon", "true"),
             ("nonlinear_sinusoid", "a1", "[1, 2, 3]"),
@@ -514,33 +525,12 @@ class TestUsageAndConfig:
         assert not (tmp_path / "out").exists()
 
     def test_default_output_directories(self, tmp_path, monkeypatch):
-        # no HU_SHADOW_OUT and no --out: the scenario's directory, else "out",
-        # both relative to the working directory
+        # no --out: "out", relative to the working directory
         monkeypatch.chdir(tmp_path)
-        raw = json.loads(fixture_path("contracting_periodic").read_text())
-        raw.setdefault("output", {})["directory"] = "results"
-        config = tmp_path / "scenario.json"
-        config.write_text(json.dumps(raw))
-        assert main(["analyze", "--config", str(config)]) == 0
-        assert (tmp_path / "results" / "classification.json").exists()
+        assert main(["analyze", "--config", str(fixture_path("contracting_periodic"))]) == 0
+        assert (tmp_path / "out" / "classification.json").exists()
         main(["reproduce"])  # its exit status is TestReproduce's
         assert (tmp_path / "out" / "reproduce.json").exists()
-
-    def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))
-        rc = main(
-            [
-                "analyze",
-                "--config",
-                str(fixture_path("contracting_periodic")),
-                "--out",
-                str(tmp_path / "ignored"),
-            ]
-        )
-        assert rc == 0
-        assert (env_dir / "classification.json").exists()
-        assert not (tmp_path / "ignored").exists()
 
 
 def _within(got, want, tol) -> bool:

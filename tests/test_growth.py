@@ -344,8 +344,11 @@ class TestScreenedScan:
             profile_of(index_scaled_linear(), 10_000),
             profile_of(affine_sinusoid(), 10_000),
             build_profile([0.7] * 10_000),
+            # the bend screen and the rate-spread exit leave all 2,501 prefixes at
+            # every period; the spread screen alone rejects them
+            profile_of(periodic_linear((Fraction(10001, 10000), 1)), 10_000),
         ],
-        ids=["index_scaled_linear", "affine_sinusoid", "constant"],
+        ids=["index_scaled_linear", "affine_sinusoid", "constant", "near_constant_cycle"],
     )
     def test_polyfit_calls_do_not_grow_with_horizon(self, profile, monkeypatch):
         # the exhaustive scan fits more than 17,000 classes on each

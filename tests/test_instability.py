@@ -296,7 +296,7 @@ def _witness_bits(w) -> tuple:
     def bits(x):
         return x.hex() if isinstance(x, float) else x
 
-    samples = tuple(tuple(bits(getattr(s, f)) for f in s.__dataclass_fields__) for s in w.samples)
+    samples = tuple(tuple(bits(getattr(s, f)) for f in s._fields) for s in w.samples)
     head = tuple(bits(getattr(w, f)) for f in w.__dataclass_fields__ if f not in ("samples", "pseudo"))
     return head, samples, w.pseudo
 

@@ -43,7 +43,6 @@ class TestLoading:
         assert sc.residual.kind is PolicyKind.CONSTANT_REAL
         assert sc.analysis.window == 32
         assert sc.shadow.max_iter == 100
-        assert sc.output.directory == "out"
 
     def test_fraction_strings_stay_exact(self, tmp_path):
         payload = {"system": {"family": "periodic_linear", "coeffs": [2, "1/3"]}}
@@ -152,11 +151,16 @@ class TestLoading:
             load_scenario(fixture_path(name))
         assert calls == []
 
-    def test_formats_is_an_unknown_key(self, tmp_path, capsys):
-        # output.formats was parsed but never honoured; it is no longer a key
-        path = write_scenario(tmp_path, dict(MINIMAL, output={"formats": ["csv", "json"]}))
-        assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "output: unknown keys ['formats']" in capsys.readouterr().err
+    def test_formats_is_an_unknown_key(self, tmp_path, capsys, monkeypatch):
+        # output.formats was parsed but never honoured, and output.directory
+        # was a second route beside --out; the whole section is gone
+        monkeypatch.chdir(tmp_path)
+        for output in ({"formats": ["csv", "json"]}, {"directory": "results"}):
+            path = write_scenario(tmp_path, dict(MINIMAL, output=output))
+            assert main(["analyze", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == "hu-shadow: config error: scenario: unknown keys ['output']\n"
+            assert list(tmp_path.iterdir()) == [path]
 
 
 class TestRoundTrip:
@@ -170,7 +174,7 @@ class TestRoundTrip:
         assert again.horizon == sc.horizon
         assert again.analysis == sc.analysis
         assert again.shadow == sc.shadow
-        assert again.output == sc.output
+        assert scenario_to_dict(again) == scenario_to_dict(sc)
 
     def test_the_system_section_is_the_scenarios_own(self):
         # system_config was the caller's raw["system"] object, and scenario_to_dict
@@ -185,6 +189,26 @@ class TestRoundTrip:
         out["system"]["family"] = "affine_sinusoid"
         assert scenario_to_dict(sc)["system"] == system
         assert scenario_from_dict(scenario_to_dict(sc)).system == sc.system
+
+    @pytest.mark.parametrize(
+        "given, defaulted",
+        [
+            ({"family": "power_two_parity"}, {"base": 2, "even_shift": 3}),
+            ({"family": "power_two_parity", "even_shift": 5}, {"base": 2, "even_shift": 5}),
+            ({"family": "index_scaled_linear", "odd_scale": "1/3"},
+             {"odd_scale": "1/3", "even_inverse_scale": 2}),
+            ({"family": "affine_sinusoid"}, {"slope": 3.0}),
+        ],
+        ids=["parity", "parity_shift", "index_scaled", "sinusoid"],
+    )
+    def test_the_system_section_is_fully_defaulted(self, given, defaulted):
+        # a missing key was left out of the dict form, so it and the same key
+        # given its default gave unequal dicts; a given value stays as written
+        full = {"family": given["family"], **defaulted}
+        assert scenario_to_dict(scenario_from_dict({"system": given}))["system"] == full
+        assert scenario_to_dict(scenario_from_dict({"system": full})) == scenario_to_dict(
+            scenario_from_dict({"system": given})
+        )
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_shipped_fixtures_load(self, name):

@@ -1391,6 +1391,22 @@ class TestOneHomePerRule:
         assert imported  # the module was read
         assert {name for name in imported if {"scenario", "cli"} & set(name.split("."))} == set()
 
+    def test_no_module_reads_the_environment(self):
+        # the CLI once took its output directory from HU_SHADOW_OUT, over --out;
+        # every setting is now a flag or a scenario key
+        modules = sorted(Path(hu_shadow.__file__).parent.glob("*.py"))
+        readers = {"environ", "getenv", "environb", "getenvb"}
+        found = {
+            (path.name, node.lineno)
+            for path in modules
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr in readers)
+            or (isinstance(node, ast.Name) and node.id in readers)
+            or (isinstance(node, ast.alias) and node.name in readers)
+        }
+        assert len(modules) >= 8  # every module was read
+        assert found == set()
+
 
 class TestOneRateRule:
     @pytest.mark.parametrize(
