@@ -2,12 +2,14 @@
 
 These routines deliberately avoid the analytic constructions they are
 used to validate.  The exact ones carry no rounding at all:
-``exact_propagate`` runs one affine step z <- c_n z + r on reduced integer
-pairs three times, for P_n, S_n and a_n, building each ``Fraction`` in place
-from its reduced pair; the references ``exact_difference`` and
-``exact_telescope`` read c_n as ``Fraction(num, den)`` and run in ``Fraction``.
-``best_b1_search`` finds a near-optimal shadowing start point by refined
-grid evaluation, an upper bound on the true optimum by construction.
+``exact_propagate`` runs one affine step z <- c_n z + r, r an integer, on
+reduced integer pairs three times, for P_n, S_n and w_n = r_d a_n with the
+residual r_n / r_d, building each ``Fraction`` in place from its reduced
+pair; the references ``exact_difference`` and ``exact_telescope`` read c_n
+as ``Fraction(num, den)`` and run in ``Fraction``.  ``best_b1_search``
+finds a near-optimal shadowing start point by refined grid evaluation, an
+upper bound on the true optimum by construction; its grid steps a real c_n
+as one scaling of both parts.
 
 Exact arithmetic is restricted to the linear families with rational
 parameters and real rational data, and reads c_n from the exact pair
@@ -24,7 +26,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus, _step_index
+from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus
+from .systems import _check_orbit_request, _step_index
 
 
 @dataclass(frozen=True)
@@ -60,43 +63,45 @@ def exact_propagate(
     """Exact pseudo-orbit a_{n+1} = c_n a_n + r_n with constant residuals.
 
     Supported policies are constant-real and zero; others have no exact
-    rational form.
+    rational form.  ``eps`` and ``horizon`` are refused as
+    :func:`~hu_shadow.systems.generate_pseudo_orbit` refuses them, before
+    any work.
 
     Three runs of :func:`_affine_run` over one pair table of
     ``MapSystem.coefficient_pairs``: P_n from 1 with r = 0, S_n over |c_n|
-    from 0 with r = 1, and a_{n+1} from a_1 with r = r_n over c_1..c_{H-1};
-    every value equals the plain ``Fraction`` loop's.
+    from 0 with r = 1, and, for the residual r_n / r_d, w_{n+1} = r_d a_{n+1}
+    from r_d a_1 with the integer residual r_n over c_1..c_{H-1}, each
+    divided by r_d; every value equals the plain ``Fraction`` loop's.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_orbit_request(eps, horizon)
     if policy is None:
         policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
     coeffs = sys.coefficient_pairs(horizon)
     a = [Fraction(a1)]
     if horizon > 1:  # the residual is the same at every step
-        r = policy.rational_residual(1, Fraction(eps))
-        a += _affine_run(coeffs[:-1], *a[0].as_integer_ratio(), *r.as_integer_ratio(), signed=True)
+        rn, rd = policy.rational_residual(1, Fraction(eps)).as_integer_ratio()
+        a += _affine_run(coeffs[:-1], *(a[0] * rd).as_integer_ratio(), rn, signed=True, divisor=rd)
     return RationalOrbit(
         a=tuple(a),
-        coefficient_products=tuple(_affine_run(coeffs, 1, 1, 0, 1, signed=True)),
-        partial_sums=tuple(_affine_run(coeffs, 0, 1, 1, 1, signed=False)),
+        coefficient_products=tuple(_affine_run(coeffs, 1, 1, 0, signed=True)),
+        partial_sums=tuple(_affine_run(coeffs, 0, 1, 1, signed=False)),
     )
 
 
 def _affine_run(
-    coeffs: Sequence[tuple[int, int]], zn: int, zd: int, rn: int, rd: int, signed: bool
+    coeffs: Sequence[tuple[int, int]], zn: int, zd: int, r: int, signed: bool, divisor: int = 1
 ) -> Iterator[Fraction]:
-    """Yields z <- (cn zn)/(cd zd) + rn/rd, reduced, for each pair (cn, cd)
-    from z = zn/zd, with |cn| where not ``signed``.
+    """Yields z / ``divisor``, reduced, for z <- (cn zn)/(cd zd) + r over
+    each pair (cn, cd) from z = zn/zd, with |cn| where not ``signed``.
 
     ``Fraction``'s cross-cancellation is written out, with no call per
     operand.  A part d of |c| cancels against z's other part x: d = 1 is
     skipped; d = 2^k cancels by the trailing-zero count of x, capped at k
     (all of k for x = 0), and multiplies by a shift; any other d takes one
     ``divmod``, as gcd(x, d) = gcd(d, x mod d), and x / g follows from the
-    quotient by a product.  r is added as ``Fraction._add`` adds it, from
-    g = gcd(zd, rd) the same way; where g = rd and the sum is coprime to
-    rd, zd is kept.
+    quotient by a product.  The integer r adds r*zd to the numerator, which
+    keeps the pair reduced.  As gcd(zn, zd) = 1, z / ``divisor`` cancels by
+    g = gcd(divisor, zn mod divisor) alone: (zn / g) / (zd * (divisor / g)).
     """
     gcd, new = math.gcd, object.__new__
     for cn, cd in coeffs:
@@ -135,26 +140,16 @@ def _affine_run(
                 zd <<= k - z
         if signed and cn < 0:
             zn = -zn
-        if rn and rd == 1:
-            zn += zd if rn == 1 else rn * zd
-        elif rn:  # g = gcd(zd, rd) = gcd(rd, zd mod rd)
-            q, t = divmod(zd, rd)
-            if (g := gcd(rd, t)) == 1:  # (zn*rd + rn*zd) / (zd*rd) is reduced
-                zn, zd = zn * rd + (zd if rn == 1 else rn * zd), zd * rd
-            else:  # s = zd/g and u = zn*(rd/g) + rn*s; gcd(u, rd) = gcd(u, g) = g2
-                s = q
-                if (e := rd // g) != 1:
-                    s, zn = q * e + t // g, zn * e
-                u = zn + (s if rn == 1 else rn * s)
-                q, t = divmod(u, g)
-                if (g2 := gcd(g, t)) != 1:
-                    zn, zd = q * (e := g // g2) + t // g2, s * (rd // g2)
-                else:  # where g = rd, z's denominator s*rd is zd itself
-                    zn = u
-                    if g != rd:
-                        zd = s * rd
+        if r:
+            zn += zd if r == 1 else r * zd
+        if divisor == 1:
+            num, den = zn, zd
+        elif (g := gcd(divisor, zn % divisor)) == 1:
+            num, den = zn, zd * divisor
+        else:
+            num, den = zn // g, zd * (divisor // g)
         value = new(Fraction)  # the two slots of a reduced pair, with no gcd and no call
-        value._numerator, value._denominator = zn, zd
+        value._numerator, value._denominator = num, den
         yield value
 
 
@@ -213,13 +208,19 @@ def sup_error_for_start(
 ) -> float:
     """sup_{n<=horizon} |b_n - a_n| for the true orbit started at b1.
 
-    A modulus that overflows from finite parts raises OverflowError; a
-    NaN distance is NaN (see :func:`~hu_shadow.systems.modulus`).
+    A linear family steps b <- c_n b through its table ``sys.coefficients``,
+    read once: entry n is the c_n that ``eval_map`` multiplies by, so each
+    b_n is bit for bit ``eval_map``'s.  The nonlinear family calls
+    ``eval_map`` per step.  A modulus that overflows from finite parts
+    raises OverflowError; a NaN distance is NaN (see
+    :func:`~hu_shadow.systems.modulus`).
     """
     b = complex(b1)
     worst = modulus(b - pseudo.value(1))
-    for n in range(1, min(horizon, pseudo.horizon)):
-        b = sys.eval_map(n, b)
+    steps = range(1, min(horizon, pseudo.horizon))
+    coeffs = sys.coefficients(len(steps)) if sys.is_linear else None
+    for n in steps:
+        b = coeffs[n - 1] * b if coeffs is not None else sys.eval_map(n, b)
         worst = max(worst, modulus(b - pseudo.value(n + 1)))
     return worst
 
@@ -267,6 +268,18 @@ def _sup_errors(
     (:func:`_step_parts`), in place, through preallocated buffers;
     ``starts`` itself is never written.
 
+    A real entry c (``c.imag == 0.0``) steps as ``re *= c.real`` and
+    ``im *= c.real`` instead.  Python's product is c.real*re - c.imag*im
+    and c.real*im + c.imag*re.  For a finite part x, c.imag*x is a zero,
+    and adding or subtracting a zero changes at most the sign of a zero
+    result; squares and ``hypot`` ignore that sign, and +, - and * carry it
+    on only as the sign of a zero.  For a non-finite part x, c.imag*x is
+    NaN, so the other part may be a number here where the product has NaN;
+    but x's own part is then inf or NaN on both routes (c.real*x, plus a
+    zero or NaN in the product), so q is inf or NaN, the start is undecided
+    below and goes to :func:`sup_error_for_start`.  So every start the
+    screen decides gets the scalar function's value.
+
     The screen ranks squared distances q = d_re^2 + d_im^2 in place of C
     ``hypot``.  Per start it keeps the largest q with the two parts d where
     it was reached and the runner-up ``fmax(runner_up, minimum(q, best))``,
@@ -294,7 +307,11 @@ def _sup_errors(
         best += np.multiply(best_im, best_im, out=t)
         runner = np.zeros_like(re)
         for n, c in zip(range(1, min(horizon, pseudo.horizon)), coeffs):
-            re, new_re = _step_parts(re, im, c, new_re, t)
+            if c.imag == 0.0:  # a real c_n, as above
+                re *= c.real
+                im *= c.real
+            else:
+                re, new_re = _step_parts(re, im, c, new_re, t)
             a = pseudo.value(n + 1)
             np.subtract(re, a.real, out=d_re)
             np.subtract(im, a.imag, out=d_im)

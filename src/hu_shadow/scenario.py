@@ -9,7 +9,8 @@ finite JSON number or an exact rational string ("1/3"), which keeps the
 exact-arithmetic oracle applicable.  ``horizon`` and 4 * ``analysis.window``
 are at most :data:`~hu_shadow.systems.MAX_HORIZON`, and each part of ``a1``
 is ``OVERFLOW_LIMIT`` in size at most.  Anything else raises ConfigError.
-The ``system`` section is copied in and out, never shared with the caller.
+The ``system`` section is written out as it was parsed, so every spelling
+of one value writes alike, and is never shared with the caller.
 """
 
 from __future__ import annotations
@@ -130,10 +131,21 @@ _FACTORY_KEYS = {
 }
 
 
+def _as_written(value: Any) -> Any:
+    """A parsed ``system`` value as the dict form writes it: an integral
+    rational as an int, any other as "p/q" in lowest terms, a float as a
+    float, and a parameter list as a list of those."""
+    if isinstance(value, tuple):
+        return [_as_written(v) for v in value]
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else str(value)
+    return value
+
+
 def _build_system(cfg: dict) -> tuple[MapSystem, dict]:
     """The family's factory called with its own keys, any other key an error,
-    and the section with every key: a given value as written (copied, not
-    shared with the caller), a missing one the factory's default."""
+    and the section with every key, a missing one the factory's default, each
+    value :func:`_as_written` from what its reader parsed."""
     try:
         family = Family(cfg.get("family", ""))
     except ValueError:
@@ -147,8 +159,9 @@ def _build_system(cfg: dict) -> tuple[MapSystem, dict]:
     config = {"family": family.value}
     args = []
     for key in keys:
-        value = config[key.name] = copy.deepcopy(cfg.get(key.name, key.default))
-        args.append(_READERS.get(key.name, _real)(value, f"system.{key.name}"))
+        value = _READERS.get(key.name, _real)(cfg.get(key.name, key.default), f"system.{key.name}")
+        config[key.name] = _as_written(value)
+        args.append(value)
     try:
         return factory(*args), config
     except ValueError as exc:

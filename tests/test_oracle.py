@@ -34,6 +34,7 @@ from hu_shadow import (
     shadow_expanding,
     sup_error_for_start,
 )
+from hu_shadow.systems import modulus
 from test_systems import reference_rational_coefficient  # the per-index rule, verbatim
 
 SQRT_3_2 = math.sqrt(1.5)
@@ -69,6 +70,26 @@ class TestExactPropagation:
             assert float(orbit.value(n)) == pytest.approx(
                 pseudo.value(n).real, rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "eps, horizon, message",
+        [
+            (Fraction(-1, 1000), 5, "epsilon must be finite and nonnegative, got -1/1000"),
+            (math.nan, 5, "epsilon must be finite and nonnegative, got nan"),
+            (math.inf, 5, "epsilon must be finite and nonnegative, got inf"),
+            (Fraction(1, 1000), 0, "horizon must be >= 1, got 0"),
+        ],
+        ids=["negative", "nan", "inf", "horizon_0"],
+    )
+    def test_refuses_what_float_generation_refuses(self, eps, horizon, message):
+        # a negative epsilon gave an orbit whose residual was -epsilon, and a
+        # NaN one failed inside Fraction with "cannot convert NaN to integer ratio"
+        sys = periodic_linear()
+        with pytest.raises(ValueError) as float_side:
+            generate_pseudo_orbit(sys, 1.0, eps, ResidualPolicy(), horizon)
+        with pytest.raises(ValueError) as exact_side:
+            exact_propagate(sys, Fraction(1), eps, horizon)
+        assert str(exact_side.value) == str(float_side.value) == message
 
     def test_rejects_nonlinear(self):
         with pytest.raises(UnsupportedFamily):
@@ -195,6 +216,16 @@ class TestStartPointSearch:
         with pytest.raises(OverflowError):
             cmath.sin(1 + 1000j)
         assert math.isnan(sup_error_for_start(sys, pseudo, complex(math.nan, 0.0), 6))
+
+
+def _per_call_sup_error(sys, pseudo, b1, horizon):
+    """``sup_error_for_start`` with one ``eval_map`` call per step (the reference)."""
+    b = complex(b1)
+    worst = modulus(b - pseudo.value(1))
+    for n in range(1, min(horizon, pseudo.horizon)):
+        b = sys.eval_map(n, b)
+        worst = max(worst, modulus(b - pseudo.value(n + 1)))
+    return worst
 
 
 def _scalar_best_b1_search(
@@ -465,6 +496,73 @@ class TestVectorisedSearch:
         expected = _outcome(_scalar_best_b1_search, *args, grid=3, refinements=1)
         got = _outcome(best_b1_search, *args, grid=3, refinements=1)
         assert _same(got, expected), (got, expected)
+
+    def test_real_table_with_signed_zero_products(self, monkeypatch):
+        # a negative real c_n times a zero part: Python's product gives
+        # -2*0 - 0*(-1) = +0 where the real step's -2*0 gives -0
+        assert math.copysign(1.0, (complex(-2.0, 0.0) * complex(0.0, -1.0)).real) == 1.0
+        assert math.copysign(1.0, float(np.float64(0.0) * -2.0)) == -1.0
+        steps = []
+        monkeypatch.setattr(oracle, "_step_parts", lambda *args: steps.append(args[2]))
+        sys = periodic_linear((-2, Fraction(1, 2), -0.25))
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 12)
+        # starts on both axes, with zero parts of both signs
+        parts = (-1.0, -0.0, 0.0, 0.5)
+        starts = np.array([complex(x, y) for x in parts for y in parts])
+        errs = oracle._sup_errors(sys, pseudo, starts, 12, sys.coefficients(11))
+        assert errs.tolist() == [sup_error_for_start(sys, pseudo, b1, 12) for b1 in starts]
+        # an odd grid centred at 0 holds starts on both axes too
+        region = SearchRegion(center=0.0, radius=1.0)
+        got = best_b1_search(sys, pseudo, 12, region, grid=5, refinements=2)
+        assert got == _scalar_best_b1_search(sys, pseudo, 12, region, grid=5, refinements=2)
+        assert steps == []  # every entry is real
+
+    def test_mixed_cycle_steps_complex_entries_through_step_parts(self, monkeypatch):
+        sys = periodic_linear((2, complex(0.3, 0.5), -0.5, complex(0.2, -1.1), 1.5))
+        pseudo = generate_pseudo_orbit(sys, 1.0 + 0.5j, 1e-3, ResidualPolicy(), 14)
+        coeffs = sys.coefficients(13)
+        steps = []
+        step_parts = oracle._step_parts
+        monkeypatch.setattr(
+            oracle, "_step_parts", lambda *args: steps.append(args[2]) or step_parts(*args)
+        )
+        starts = np.array([complex(x, y) for x in (-1.0, 0.0, 1.25) for y in (-0.5, 0.0, 0.75)])
+        errs = oracle._sup_errors(sys, pseudo, starts, 14, coeffs)
+        assert steps == [c for c in coeffs if c.imag != 0.0]
+        assert errs.tolist() == [sup_error_for_start(sys, pseudo, b1, 14) for b1 in starts]
+        region = SearchRegion(center=1.0 + 0.5j, radius=0.5)
+        got = best_b1_search(sys, pseudo, 14, region, grid=5, refinements=2)
+        assert got == _scalar_best_b1_search(sys, pseudo, 14, region, grid=5, refinements=2)
+
+
+class TestSupErrorTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        inputs=search_inputs().filter(lambda inputs: inputs[0].is_linear),
+        offset=st.one_of(st.builds(complex, finite, finite), st.complex_numbers()),
+        search_horizon=st.integers(0, 5),
+    )
+    def test_table_route_equals_the_per_call_loop(self, inputs, offset, search_horizon):
+        sys, pseudo, horizon, region = inputs
+        horizon = max(1, horizon - 2 + search_horizon)
+        b1 = region.center + offset
+        expected = _outcome(_per_call_sup_error, sys, pseudo, b1, horizon)
+        got = _outcome(sup_error_for_start, sys, pseudo, b1, horizon)
+        nan = [isinstance(x, float) and math.isnan(x) for x in (got, expected)]
+        assert got == expected or all(nan), (got, expected)
+
+    def test_linear_family_reads_the_table_once(self, monkeypatch):
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 12)
+        expected = _per_call_sup_error(sys, pseudo, 1.01, 12)
+        tables = []
+        coefficients = MapSystem.coefficients
+        monkeypatch.setattr(
+            MapSystem, "coefficients", lambda self, n: tables.append(n) or coefficients(self, n)
+        )
+        monkeypatch.setattr(MapSystem, "eval_map", None)  # no call per step
+        assert sup_error_for_start(sys, pseudo, 1.01, 12) == expected
+        assert tables == [11]
 
 
 def _spy_fallback(monkeypatch) -> list:
@@ -753,6 +851,22 @@ class TestIntegerPairOrbit:
         kind=PolicyKind.CONSTANT_REAL,
         horizon=2,
     )
+    # a negative a_1 with residual numerators above 1: each a_n = w_n / r_d
+    # cancels by every divisor of r_d = 12 along the first run, by 1 and 3 along the second
+    @example(
+        sys=periodic_linear((Fraction(-4, 3), 6, Fraction(-5, 8))),
+        a1=Fraction(-22, 7),
+        eps=Fraction(5, 12),
+        kind=PolicyKind.CONSTANT_REAL,
+        horizon=40,
+    )
+    @example(
+        sys=index_scaled_linear(Fraction(-3, 2), 5),
+        a1=Fraction(-7, 4),
+        eps=Fraction(7, 3),
+        kind=PolicyKind.CONSTANT_REAL,
+        horizon=40,
+    )
     def test_equals_fraction_loop(self, sys, a1, eps, kind, horizon):
         _assert_orbit_matches_fraction_loop(sys, a1, eps, horizon, ResidualPolicy(kind=kind))
 
@@ -783,7 +897,7 @@ class TestRunIdentities:
     @given(
         sys=rational_systems,
         a1=small_fraction,
-        eps=small_fraction,
+        eps=small_fraction.map(abs),  # exact_propagate refuses a negative epsilon
         kind=st.sampled_from([PolicyKind.ZERO, PolicyKind.CONSTANT_REAL]),
         horizon=st.integers(1, 200),
     )
@@ -805,7 +919,8 @@ class TestRunIdentities:
 class TestOneReduction:
     def test_every_divmod_and_gcd_is_in_the_runner(self):
         # the pair reduction is stated once, in _affine_run: one divmod per
-        # part of c_n and two for + r, each with its gcd
+        # part of c_n, each with its gcd, and the gcd that divides a value by
+        # the residual's denominator; adding an integer residual needs none
         def reductions(node):
             names = (getattr(x.func, "id", None) or getattr(x.func, "attr", None)
                      for x in ast.walk(node) if isinstance(x, ast.Call))
@@ -815,7 +930,7 @@ class TestOneReduction:
         (runner,) = [
             x for x in ast.walk(tree) if isinstance(x, ast.FunctionDef) and x.name == "_affine_run"
         ]
-        assert reductions(tree) == reductions(runner) == ["divmod"] * 4 + ["gcd"] * 4
+        assert reductions(tree) == reductions(runner) == ["divmod"] * 2 + ["gcd"] * 3
 
     def test_a_fraction_is_built_in_place_in_the_runner_alone(self):
         # object.__new__ and the two slot writes of a reduced pair are stated

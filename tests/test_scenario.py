@@ -203,12 +203,43 @@ class TestRoundTrip:
     )
     def test_the_system_section_is_fully_defaulted(self, given, defaulted):
         # a missing key was left out of the dict form, so it and the same key
-        # given its default gave unequal dicts; a given value stays as written
+        # given its default gave unequal dicts
         full = {"family": given["family"], **defaulted}
         assert scenario_to_dict(scenario_from_dict({"system": given}))["system"] == full
         assert scenario_to_dict(scenario_from_dict({"system": full})) == scenario_to_dict(
             scenario_from_dict({"system": given})
         )
+
+    @pytest.mark.parametrize(
+        "key, spellings, written",
+        [
+            ("odd_scale", [3, "3/1", "6/2", "3.0"], 3),
+            ("odd_scale", ["3/2", "6/4", "1.5", "15e-1"], "3/2"),
+            ("even_inverse_scale", ["-1/3", "-2/6", "-3/9"], "-1/3"),
+        ],
+        ids=["integral", "rational", "negative"],
+    )
+    def test_spellings_of_one_rational_give_one_dict(self, key, spellings, written):
+        # each value was kept as the file wrote it, so 3, "3/1" and "6/2" gave
+        # unequal dicts for one experiment
+        dicts = []
+        for spelling in spellings:
+            sc = scenario_from_dict({"system": {"family": "index_scaled_linear", key: spelling}})
+            out = scenario_to_dict(sc)
+            assert out["system"][key] == written and type(out["system"][key]) is type(written)
+            again = scenario_from_dict(out)  # the round trip
+            assert again.system == sc.system
+            assert scenario_to_dict(again) == out
+            dicts.append(out)
+        assert all(d == dicts[0] for d in dicts)
+
+    def test_a_float_parameter_stays_a_float(self):
+        # coefficient_pairs refuses a float parameter, so 0.5 and "1/2" stay distinct
+        coeffs = [2, 0.5, "1/2", "4/2"]
+        sc = scenario_from_dict({"system": {"family": "periodic_linear", "coeffs": coeffs}})
+        out = scenario_to_dict(sc)
+        assert out["system"]["coeffs"] == [2, 0.5, "1/2", 2]
+        assert [type(c) for c in out["system"]["coeffs"]] == [int, float, str, int]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_shipped_fixtures_load(self, name):
