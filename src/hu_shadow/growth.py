@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -153,11 +154,14 @@ def detect_periodic_scaled(
     horizon/(4m) per class) and gathered to the prefixes; a period is
     then one suffix-sum pass per class, O(horizon), where it builds the
     spread screen.  The exit costs two scalar steps on a profile whose last
-    rates differ (periodic, parity, index-scaled) and one pass over the
-    rates otherwise.  The default sinusoid at H = 10^4 takes about 0.43 ms
-    for m = 2..8, one class and the exit per period; it took 2 ms when every
-    period built its spread screen (0.17 ms at m = 2, 0.41 ms at m = 8;
-    2-core VM).
+    rates differ (periodic, parity, index-scaled) and otherwise one pass
+    over the rates per profile: what depends on L alone (its finiteness,
+    max|L_n|, the rates, their deviation sum and range accumulates) is made
+    at its first use and shared by every period (``_ProfileScan``).  The
+    default sinusoid at H = 10^4 takes about 0.43 ms for m = 2..8, one class
+    and the exit per period; it took 2 ms when every period built its spread
+    screen, and 0.88 ms when every period made the exit's arrays again
+    (2-core VM).
 
     The margin is ``SCREEN_MARGIN`` times the data magnitude: max|L_n|,
     which bounds the rounding of the chord, of ``np.polyfit`` and of its
@@ -169,10 +173,11 @@ def detect_periodic_scaled(
     if max_period < 2:
         return None
     horizon = profile.horizon
+    scan = _ProfileScan(profile.log_partial)  # shared by every period
     for m in range(2, max_period + 1):
         if horizon < 4 * m:
             break
-        rejected = _rejected_prefixes(profile.log_partial, m, tol)
+        rejected = _rejected_prefixes(profile.log_partial, m, tol, scan=scan)
         for prefix in np.flatnonzero(~rejected):
             fit = _fit_period(profile, m, int(prefix), tol)
             if fit is not None:
@@ -185,16 +190,54 @@ def detect_periodic_scaled(
 SCREEN_MARGIN = 1e-12
 
 
-def _rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
+class _ProfileScan:
+    """The quantities of the periodic screens that depend on the profile L
+    alone, not on the period: each is computed at its first use and kept for
+    every later period, so a profile the rate-spread exit never reads past
+    its last three rates (a periodic, parity or index-scaled one) builds none
+    of the exit's arrays."""
+
+    def __init__(self, L: np.ndarray):
+        self.L = L
+        self.top = L.size // 4  # the last prefix
+
+    @cached_property
+    def scale(self) -> Optional[float]:
+        """max|L_n|; None where L is not finite, which is not screened."""
+        return float(np.max(np.abs(self.L))) if np.all(np.isfinite(self.L)) else None
+
+    @cached_property
+    def rates(self) -> tuple[np.ndarray, float, float]:
+        """(l_n = L_n - L_{n-1} for 2 <= n <= H, their max and min past the
+        last prefix): prefix N reads rates[N:]."""
+        rates = np.diff(self.L)
+        return rates, float(rates[self.top:].max()), float(rates[self.top:].min())
+
+    @cached_property
+    def spreads(self) -> tuple[float, np.ndarray]:
+        """(sum |l_n - mu| over 2 <= n <= H, mu the midpoint of the range past
+        the last prefix; the range of l_n past each prefix top - j, entry j)."""
+        rates, high, low = self.rates
+        absolute = float(np.sum(np.abs(rates - (high + low) / 2)))
+        highs = np.maximum(np.maximum.accumulate(rates[self.top::-1]), high)
+        lows = np.minimum(np.minimum.accumulate(rates[self.top::-1]), low)
+        return absolute, highs - lows
+
+
+def _rejected_prefixes(
+    L: np.ndarray, m: int, tol: float, *, scan: Optional[_ProfileScan] = None
+) -> np.ndarray:
     """Mask over prefixes 0..horizon//4: True where ``_fit_period`` with
     period m provably returns None, by the screens of
-    :func:`detect_periodic_scaled`."""
+    :func:`detect_periodic_scaled`.  ``scan`` holds L's period-free
+    quantities across periods; by default they are computed here."""
     horizon = L.size
     prefixes = np.arange(horizon // 4 + 1)
     rejected = np.zeros(prefixes.size, dtype=bool)
-    if not np.all(np.isfinite(L)):
+    if scan is None:
+        scan = _ProfileScan(L)
+    if (scale := scan.scale) is None:
         return rejected
-    scale = float(np.max(np.abs(L)))
     bend_limit = 2.0 * (tol + SCREEN_MARGIN * scale)
     cover = prefixes.size  # the spread screen provably rejects from this prefix on
     # a class reads a prefix only through its first index past it, start;
@@ -210,7 +253,7 @@ def _rejected_prefixes(L: np.ndarray, m: int, tol: float) -> np.ndarray:
         h = ys[k1] - (ys[k0] + (ys[last] - ys[k0]) * ((k1 - k0) / (last - k0)))
         rejected |= (np.abs(h) >= bend_limit)[start]
         if l == 1 and not rejected.all():  # the first class's bend alone did not decide
-            cover = _rate_spread_exit(L, m, tol, scale)
+            cover = _rate_spread_exit(scan, m, tol)
         if rejected[:cover].all():  # the spread screen rejects the rest
             rejected[cover:] = True
             return rejected
@@ -252,7 +295,7 @@ def _spread_bound(horizon: int, m: int) -> float:
     return m * (9.5 + 15.0 * t)
 
 
-def _rate_spread_exit(L: np.ndarray, m: int, tol: float, scale: float) -> int:
+def _rate_spread_exit(scan: _ProfileScan, m: int, tol: float) -> int:
     """The least prefix N* from which the spread screen rejects every prefix
     of period m, decided from the spread of the rates l_n = L_n - L_{n-1}
     alone; horizon//4 + 1 where no prefix can be decided so.
@@ -306,24 +349,21 @@ def _rate_spread_exit(L: np.ndarray, m: int, tol: float, scale: float) -> int:
     them, and one reduction over the shortest suffix decides the rest where
     no prefix can pass.
     """
+    L, top, scale = scan.L, scan.top, scan.scale
     horizon = L.size
-    top = horizon // 4
     bound = _spread_bound(horizon, m)
     if not bound * abs((L[-1] - L[-2]) - (L[-2] - L[-3])) <= 2.0 * tol:  # NaN fails
         return top + 1
-    rates = np.diff(L)  # l_n, 2 <= n <= H; prefix N reads rates[N:]
-    high, low = float(rates[top:].max()), float(rates[top:].min())
+    _, high, low = scan.rates
     # the roundings of both tests and of delta; then the spread at N = top
     room = tol * (1 - 2.0**-48) - 4.0 * SCREEN_MARGIN * scale - bound * 2.0**-51 * scale
     if not bound * (high - low) / 2 <= room:
         return top + 1
-    absolute = float(np.sum(np.abs(rates - (high + low) / 2)))
+    absolute, spreads = scan.spreads
     deviation = -(-horizon // m) * (absolute + horizon * 2.0**-48 * scale) * (1 + 2.0**-40)
     room -= 4.0 * SCREEN_MARGIN * deviation
-    highs = np.maximum(np.maximum.accumulate(rates[top::-1]), high)
-    lows = np.minimum(np.minimum.accumulate(rates[top::-1]), low)
     # entry j is prefix top - j: the prefixes the bound leaves undecided lead
-    return int(np.count_nonzero(~(bound * (highs - lows) / 2 <= room)))
+    return int(np.count_nonzero(~(bound * spreads / 2 <= room)))
 
 
 def _fit_period(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Complex, Real
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -65,7 +66,8 @@ def exact_propagate(
     Supported policies are constant-real and zero; others have no exact
     rational form.  ``eps`` and ``horizon`` are refused as
     :func:`~hu_shadow.systems.generate_pseudo_orbit` refuses them, before
-    any work.
+    any work, and so is an ``a1`` that is complex or a NaN or infinite
+    float; an exact a_1 has no range limit.
 
     Three runs of :func:`_affine_run` over one pair table of
     ``MapSystem.coefficient_pairs``: P_n from 1 with r = 0, S_n over |c_n|
@@ -74,6 +76,10 @@ def exact_propagate(
     divided by r_d; every value equals the plain ``Fraction`` loop's.
     """
     _check_orbit_request(eps, horizon)
+    if isinstance(a1, Complex) and not isinstance(a1, Real) or (
+        isinstance(a1, float) and not math.isfinite(a1)
+    ):
+        raise ValueError(f"a1 must be finite and real, got {a1!r}")
     if policy is None:
         policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
     coeffs = sys.coefficient_pairs(horizon)

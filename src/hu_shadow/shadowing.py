@@ -33,12 +33,17 @@ cost.
 Every sweep whose step is one multiply-add on a linear family's
 coefficient table (``MapSystem.tables``) is one comprehension that makes
 no call: the forward propagation and its differences, the backward
-recurrence and the recomposition b = a + d, the rate sums and the
-residual sup.  Its checks run before or after it, never per step, and
-it does the float operations of the per-step loop in the same order, so
-every value is the loop's, bit for bit.  Only the nonlinear family goes
-through ``eval_map`` or ``eval_q``, and only in ``shadow_expanding``:
-``shadow_contracting`` refuses it.  Both
+recurrence and the recomposition b = a + d and the rate sums; the
+residual sup is one pass of numpy ufuncs over the parts.  Its checks run
+before or after it, never per step, and it does the float operations of
+the per-step loop in the same order, so every value is the loop's, bit
+for bit.  On a table of constants (``MapSystem._period``)
+``shadow_contracting``'s forward propagation and its zero-gap rate sums
+step in blocks and stop at the first bit-exact cycle
+(``systems._cycle_closed``), repeating it to the horizon; the differences
+and their sup, which read a given orbit, are swept in full.  Only the
+nonlinear family goes through ``eval_map`` or ``eval_q``, and only in
+``shadow_expanding``: ``shadow_contracting`` refuses it.  Both
 constructions refuse, up front, a given orbit whose own steps pass
 through a c_n past the float range (the table's infinity) with
 :class:`RateRangeError`; a generated orbit never does, as generation
@@ -51,10 +56,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, takewhile
-from operator import add, mul, sub
+from itertools import accumulate, islice, takewhile
+from operator import add, sub
 from sys import float_info
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateQuotient,
@@ -64,6 +71,7 @@ from .errors import (
 )
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PseudoOrbit, _pseudo_orbit, check_rates, generate_pseudo_orbit
+from .systems import _ORBIT_BLOCK, _cycle_closed, _repeat_tail
 
 #: |q| below this is treated as a degenerate quotient.
 DEGENERATE_QUOTIENT_LIMIT = 1e-300
@@ -135,7 +143,7 @@ def accumulated_rate_bound(
 
 
 def _accumulated_rate_bounds(
-    rates: Sequence[float], horizon: int, eps: float, gap: float
+    rates: Sequence[float], horizon: int, eps: float, gap: float, period: Optional[int] = None
 ) -> list[float]:
     """accumulated_rate_bound(rates, n, eps, gap) for n = 1..horizon, horizon >= 1.
 
@@ -148,21 +156,37 @@ def _accumulated_rate_bounds(
     be NaN.  A rate that is not positive (NaN included) raises
     :class:`RateRangeError`, from one scan before the sweep, at the n the
     per-step check would name (``check_rates``); ``inf`` is allowed.
+
+    ``period`` is the period of a table the caller built itself
+    (``MapSystem._period``).  With a zero gap each value is zero + S_n*eps, a
+    function of S_n alone, so the sums S_n step in blocks of
+    ``systems._ORBIT_BLOCK`` and the list repeats its last ``period`` values
+    once the sums close a cycle (``systems._cycle_closed``).  A nonzero gap
+    sweeps in full: e^{L_n} does not repeat.
     """
     head = rates[: horizon - 1]
     check_rates(head)
     log, exp, inf = math.log, math.exp, math.inf
     S = 0.0
     first = 1.0 * gap + S * eps  # n = 1: the empty product exp(0.0) = 1.0
-    if not gap:
-        zero = 0.0 * gap
+    if gap:
+        log_prod = 0.0
+        return [first] + [
+            (exp(log_prod) if (log_prod := log_prod + log(p)) < 700 else inf) * gap
+            + (S := S * p + 1.0) * eps
+            for p in head
+        ]
+    zero = 0.0 * gap
+    if period is None:
         return [first] + [zero + (S := S * p + 1.0) * eps for p in head]
-    log_prod = 0.0
-    return [first] + [
-        (exp(log_prod) if (log_prod := log_prod + log(p)) < 700 else inf) * gap
-        + (S := S * p + 1.0) * eps
-        for p in head
-    ]
+    out, sums, steps = [first], [], iter(head)
+    while block := [S := S * p + 1.0 for p in islice(steps, _ORBIT_BLOCK)]:
+        sums += block
+        out += [zero + s * eps for s in block]
+        if _cycle_closed(sums, period, 0):  # each value is a function of S_n
+            _repeat_tail(out, period, horizon)
+            break
+    return out
 
 
 def bounded_factor_expanding_bound(
@@ -237,12 +261,18 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     eps = pseudo.epsilon
     coeffs, rates = sys.tables(horizon)
     _check_finite_steps(coeffs, rates, horizon - 1)
+    period = sys._period()  # the table is built here: the cycle rule may tile b and the sums
     z = pseudo.value(1)
     b = [z]
-    b += [z := c * z for c in coeffs[: horizon - 1]]
+    steps = iter(coeffs[: horizon - 1])
+    while block := [z := c * z for c in islice(steps, _ORBIT_BLOCK)]:
+        b += block
+        if _cycle_closed(b, period, 1):  # b_1 is read from the orbit
+            _repeat_tail(b, period, horizon)
+            break
     d = tuple(map(sub, b, pseudo.a))
     sup = max(map(abs, d))
-    sound = max(_accumulated_rate_bounds(rates, horizon, eps, 0.0))
+    sound = max(_accumulated_rate_bounds(rates, horizon, eps, 0.0, period))
     if sup > sound * 1.05 + 1e-15:
         raise HypothesisViolation(
             f"measured sup-difference {sup:.3e} exceeds the sound rate bound "
@@ -470,16 +500,45 @@ def _relative_residual_sup(
     """sup_n |b_{n+1} - F(n, b_n)| / max(1, |b_n|), with F(n, b_n) = c_n b_n
     from the table ``coeffs`` of a linear family, else from ``eval_map``.
 
-    The denominator ``m if m > 1.0 else 1.0`` is 1.0 for a NaN |b_n|.  The
-    sup is ``max([0.0, *xs])``, the loop ``if x > worst: worst = x`` from
-    0.0: the builtin skips a NaN after its first entry, so 0.0 goes first,
-    where ``max(xs)`` could start from a NaN."""
-    if coeffs is not None:
-        images = map(mul, coeffs, b)
-    else:
+    The nonlinear family runs the reference loop over complex b_n: x =
+    abs(b_{n+1} - F(n, b_n)) / (m if (m := abs(b_n)) > 1.0 else 1.0), and
+    ``max([0.0, *xs])``.  A table runs it in arrays, every value the loop's:
+
+    * the image parts are Python's complex product, c.real*b.real -
+      c.imag*b.imag and c.real*b.imag + c.imag*b.real, one ufunc each, as
+      ``oracle._step_parts`` takes them (numpy's complex product may fuse
+      the multiply-add); complex subtraction is part by part;
+    * each modulus is C ``hypot``, as ``abs(complex)`` takes it; where
+      finite parts overflow, ``abs`` raises ``OverflowError`` and so does
+      this, for either modulus (the loop raises at the first such n, and
+      nothing else in it raises);
+    * ``np.where(m > 1.0, m, 1.0)`` is 1.0 for a NaN m, as the conditional is;
+    * ``max([0.0, *xs])`` skips a NaN, as ``np.fmax.reduce(xs,
+      initial=0.0)`` does, and no x is -0.0, so no tie turns on a zero's sign.
+    """
+    if coeffs is None:
         images = map(sys.eval_map, range(1, len(b)), b)
-    # zip takes b_{n+1} first, so no image is made past the last one
-    return max([0.0] + [
-        abs(nxt - image) / (m if (m := abs(z)) > 1.0 else 1.0)
-        for nxt, image, z in zip(b[1:], images, b)
-    ])
+        # zip takes b_{n+1} first, so no image is made past the last one
+        return max([0.0] + [
+            abs(nxt - image) / (m if (m := abs(z)) > 1.0 else 1.0)
+            for nxt, image, z in zip(b[1:], images, b)
+        ])
+    steps = min(len(b) - 1, len(coeffs))
+    values = np.array(b[: steps + 1], dtype=complex)
+    c = np.array(coeffs[:steps], dtype=complex)
+    z, nxt = values[:-1], values[1:]
+    with np.errstate(all="ignore"):  # inf and NaN are values here, not warnings
+        re = np.subtract(np.multiply(c.real, z.real), np.multiply(c.imag, z.imag))
+        im = np.add(np.multiply(c.real, z.imag), np.multiply(c.imag, z.real))
+        res = _abs_parts(nxt.real - re, nxt.imag - im)
+        m = _abs_parts(z.real, z.imag)
+        return float(np.fmax.reduce(res / np.where(m > 1.0, m, 1.0), initial=0.0))
+
+
+def _abs_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``abs`` of each complex re + im*j by C ``hypot``, raising its
+    ``OverflowError`` where finite parts overflow."""
+    m = np.hypot(re, im)
+    if (over := np.isinf(m)).any() and (over & np.isfinite(re) & np.isfinite(im)).any():
+        raise OverflowError("absolute value too large")
+    return m

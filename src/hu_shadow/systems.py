@@ -35,13 +35,22 @@ float read of c_n and p_n makes one float table: the coefficients are its
 the sinusoid's expression, which ``profile_of`` reads with no list between;
 the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the
 tables of the one step n.
+
+Tables are built whole, but a sweep over one may stop early.  Where every
+law is a constant, c_n repeats with period m, the number of classes
+(``MapSystem._period``), and a sweep whose inputs repeat with it (orbit
+generation under a constant residual, the contracting construction's true
+orbit and rate sums) ends each block of steps with one cycle rule,
+``_cycle_closed``: once its last state equals, bit for bit, the state m
+steps before, every later state repeats the last m, and the sweep repeats
+them in place of stepping.  Every value is the one the steps would make.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from math import gcd
+from math import copysign, gcd
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -175,6 +184,15 @@ class MapSystem:
                 rates = rates or self._rates(ns).tolist()
                 out[at] = [_log_rate(n, p, law) for n, p in zip(steps, rates[at])]
         return out
+
+    def _period(self) -> Optional[int]:
+        """m with c_{n+m} = c_n, bit for bit, at every n: the number of classes
+        where each law is a constant (no base and power 0), which the table
+        fills with one value per class; None where some law varies with n."""
+        laws = _laws(self.family, self.params) if self.is_linear else ()
+        if laws and all(law.base is None and not law.power for law in laws):
+            return len(laws)
+        return None
 
     def _classes(self, ns: range) -> list[tuple[range, _Law]]:
         """(steps, law) of each residue class of the consecutive steps ns that holds any."""
@@ -717,9 +735,14 @@ def _pseudo_orbit(
     else:
         a, r = list(head.a), list(head.r)
     if sys.is_linear:
+        period = None  # the cycle rule reads only a table built here, under a constant residual
         if coeffs is None:
             coeffs = sys.coefficients(horizon - 1)
-        truncated = _step_linear(a, r, islice(coeffs, start - 1, None), residuals)
+            if policy.kind is not PolicyKind.LOW_DISCREPANCY_PHASE:
+                period = sys._period()
+        truncated = _step_linear(
+            a, r, islice(coeffs, start - 1, None), residuals, period, horizon
+        )
     else:
         truncated = _step_nonlinear(a, r, sys.eval_map, steps, residuals)
     return PseudoOrbit(
@@ -736,7 +759,42 @@ def _pseudo_orbit(
 _ORBIT_BLOCK = 1024
 
 
-def _step_linear(a: list, r: list, coeffs: Iterator[complex], residuals: Iterator[complex]) -> bool:
+def _cycle_closed(states: list, period: Optional[int], first: int) -> bool:
+    """The cycle rule of a sweep s_{k+1} = f(s_k, x_k): True where its last
+    state equals, bit for bit, the state ``period`` steps before it, both at
+    index ``first`` or later of ``states``; never where ``period`` is None.
+
+    Let the inputs repeat with period m, x_{k+m} = x_k bit for bit (the
+    coefficients of a table with ``MapSystem._period`` m, a constant
+    residual), and let f be a fixed function of the bits of its operands, as
+    IEEE float operations are.  If s_j = s_{j-m}, then s_{j+1} = f(s_j, x_j)
+    = f(s_{j-m}, x_{j-m}) = s_{j-m+1}, and by induction s_{j+i} = s_{j-m+i}
+    for every i >= 0: every later state repeats the last m, so the sweep may
+    extend its list by repeating them (:func:`_repeat_tail`) in place of
+    stepping, with every value the steps would make.  Bit for bit means both
+    parts equal with the same sign: a product carries the sign of a zero on
+    (the law (-1/2,) from 0 alternates +0.0 and -0.0), and a NaN equals
+    nothing.  A state before ``first`` was read, not made by f (a given head's
+    values, the start), so it is never compared."""
+    if period is None or len(states) - 1 - period < first:
+        return False
+    u, v = states[-1], states[-1 - period]
+    return u == v and (copysign(1.0, u.real), copysign(1.0, u.imag)) == (
+        copysign(1.0, v.real), copysign(1.0, v.imag)
+    )
+
+
+def _repeat_tail(values: list, period: int, total: int) -> None:
+    """Extend ``values`` to ``total`` entries by repeating its last ``period``."""
+    tail = values[-period:]
+    count = total - len(values)
+    values += tail * (count // period) + tail[: count % period]
+
+
+def _step_linear(
+    a: list, r: list, coeffs: Iterator[complex], residuals: Iterator[complex],
+    period: Optional[int], horizon: int,
+) -> bool:
     """Extend ``a`` by z <- c_n z + r_n from its last value and ``r`` by r_n,
     for each c_n of ``coeffs`` and r_n of ``residuals`` until the residuals
     end; True at the first value that is not finite or exceeds
@@ -744,8 +802,12 @@ def _step_linear(a: list, r: list, coeffs: Iterator[complex], residuals: Iterato
 
     Each block of ``_ORBIT_BLOCK`` steps is one comprehension, then one
     array test of its parts.  Complex * and + give inf or NaN, they do not
-    raise, so the block's values past that first one are made and dropped."""
-    z = a[-1]
+    raise, so the block's values past that first one are made and dropped.
+    With ``period``, the coefficients' period under a constant residual, each
+    block ends with the cycle rule (:func:`_cycle_closed`): once it holds,
+    ``a`` and ``r`` repeat their last ``period`` entries up to ``horizon``
+    values, each already range-tested."""
+    first, z = len(a), a[-1]
     while block := list(islice(residuals, _ORBIT_BLOCK)):
         # zip takes r_n first, so no c_n is taken past the last residual
         zs = [z := c * z + r_n for r_n, c in zip(block, coeffs)]
@@ -757,6 +819,10 @@ def _step_linear(a: list, r: list, coeffs: Iterator[complex], residuals: Iterato
             return True
         a += zs
         r += block
+        if _cycle_closed(a, period, first):
+            _repeat_tail(a, period, horizon)
+            _repeat_tail(r, period, horizon - 1)
+            break
     return False
 
 

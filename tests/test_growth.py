@@ -501,6 +501,35 @@ class TestEarlyExitScreen:
             assert growth._rejected_prefixes(L, m, 1e-4).all()
         assert calls == []
 
+    @pytest.mark.parametrize("name", ["isfinite", "diff", "sum"])
+    @pytest.mark.parametrize(
+        "sys, calls",
+        [
+            # the sinusoid's exit reads the rates at every period
+            (affine_sinusoid(), {"isfinite": 1, "diff": 1, "sum": 1}),
+            # the other profiles' last rates differ: the exit reads three L_n
+            (periodic_linear(), {"isfinite": 1, "diff": 0, "sum": 0}),
+            (index_scaled_linear(), {"isfinite": 1, "diff": 0, "sum": 0}),
+        ],
+        ids=["sinusoid", "periodic", "index_scaled"],
+    )
+    def test_profile_wide_quantities_are_made_once_per_profile(self, sys, calls, name, monkeypatch):
+        # the finiteness of L, max|L| and the exit's rate differences, their
+        # deviation sum and range accumulates were made again at every period
+        profile = profile_of(sys, 10_000)
+        expected = detect_periodic_scaled(profile, 8, 1e-4)
+        counted = _count_numpy_calls(monkeypatch, name)
+        assert detect_periodic_scaled(profile, 8, 1e-4) == expected
+        assert len(counted) == calls[name]
+
+    @pytest.mark.parametrize("horizon", [1000, 10_000])
+    def test_a_shared_scan_gives_every_period_its_own_mask(self, horizon):
+        for L in _family_log_partials(horizon):
+            scan = growth._ProfileScan(L)
+            for m in range(2, 9):
+                got = growth._rejected_prefixes(L, m, 1e-4, scan=scan)
+                assert np.array_equal(got, growth._rejected_prefixes(L, m, 1e-4)), m
+
 
 def _class_points(horizon, prefix, m):
     """The points n of each residue class l = 1..m with prefix < n <= horizon."""

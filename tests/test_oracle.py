@@ -91,6 +91,30 @@ class TestExactPropagation:
             exact_propagate(sys, Fraction(1), eps, horizon)
         assert str(exact_side.value) == str(float_side.value) == message
 
+    @pytest.mark.parametrize(
+        "a1", [math.nan, math.inf, -math.inf, 1j, 1 + 0j, np.complex128(2.0)],
+        ids=["nan", "inf", "minus_inf", "complex", "complex_real_value", "numpy_complex"],
+    )
+    def test_refuses_a_start_that_is_not_finite_and_real(self, a1, monkeypatch):
+        # NaN failed inside Fraction with a ValueError, inf with an OverflowError
+        # and a complex a1 with a TypeError; now one line, before any table is read
+        pairs = []
+        monkeypatch.setattr(MapSystem, "coefficient_pairs", lambda self, horizon: pairs.append(horizon))
+        with pytest.raises(ValueError) as refusal:
+            exact_propagate(periodic_linear(), a1, Fraction(1, 1000), 5)
+        assert str(refusal.value) == f"a1 must be finite and real, got {a1!r}"
+        assert pairs == []
+
+    @pytest.mark.parametrize(
+        "a1", [3, Fraction(-2, 3), 0.75, -0.0, 1.7e308],
+        ids=["int", "fraction", "float", "negative_zero", "past_the_float_limit"],
+    )
+    def test_accepts_an_int_a_fraction_and_a_finite_float(self, a1):
+        # the exact side keeps no range limit: 1.7e308 is past generation's 1e300
+        orbit = exact_propagate(periodic_linear(), a1, Fraction(1, 1000), 3)
+        assert orbit.value(1) == Fraction(a1)
+        assert orbit.value(2) == 2 * Fraction(a1) + Fraction(1, 1000)
+
     def test_rejects_nonlinear(self):
         with pytest.raises(UnsupportedFamily):
             exact_propagate(affine_sinusoid(), Fraction(1), Fraction(0), 5)

@@ -10,8 +10,10 @@ included.
 
 import cmath
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from hu_shadow import (
     affine_sinusoid,
     divergence_lower_bound_log10,
     generate_pseudo_orbit,
+    index_scaled_linear,
     periodic_linear,
     power_two_parity,
     shadow_contracting,
@@ -52,6 +55,7 @@ from hu_shadow.shadowing import (
 )
 from hu_shadow.systems import OVERFLOW_LIMIT, _moduli
 from test_instability import parity_classification
+from test_shadowing import _per_call_accumulated_rate_bounds, _per_call_shadow_contracting
 
 BLOCK = systems._ORBIT_BLOCK
 
@@ -532,6 +536,39 @@ class TestResidualSup:
             _outcome(_loop_relative_residual_sup, sys, coeffs, b)
         )
 
+    @pytest.mark.parametrize(
+        "b, coeffs",
+        [
+            ([complex(1.5e308, 1.5e308), 0j], [1 + 0j]),  # |b_1| overflows
+            ([1 + 0j, complex(1.5e308, 1.5e308)], [1 + 0j]),  # |b_2 - c_1 b_1| alone overflows
+            ([2 + 0j, complex(1.5e308, 1.5e308), complex(math.nan, 1.0)], [1 + 0j, 1j]),
+        ],
+        ids=["modulus", "difference", "difference_before_nan"],
+    )
+    def test_a_finite_modulus_overflow_raises_on_both_sides(self, b, coeffs):
+        # abs raises OverflowError where finite parts overflow; hypot gives inf
+        sys = periodic_linear()
+        expected = (OverflowError, "absolute value too large")
+        assert _outcome(shadowing._relative_residual_sup, sys, coeffs, b) == expected
+        assert _outcome(_loop_relative_residual_sup, sys, coeffs, b) == expected
+
+    @pytest.mark.parametrize(
+        "b, coeffs",
+        [
+            ([complex(math.nan, 1.0), 1j, 2.0 + 0j], [2 + 0j, 1j]),  # a NaN modulus, denominator 1.0
+            ([complex(math.inf, math.nan), 1j, 2j], [1 + 0j, 1j]),  # |inf + NaN j| is inf
+            ([1j, complex(1.0, math.inf), 1e300 + 0j], [1 + 0j, 1 + 0j]),  # an inf residual
+            ([1e300 + 0j, 1e300 + 0j, 1.0 + 0j], [complex(math.inf, 0.0), 1 + 0j]),  # inf - inf
+            ([-0.0 + 0j, complex(0.0, -0.0)], [complex(-1.0, 0.0)]),  # zeros of both signs
+        ],
+        ids=["nan_part", "inf_and_nan", "inf_residual", "inf_image", "signed_zeros"],
+    )
+    def test_nan_and_inf_parts_equal_the_loop(self, b, coeffs):
+        sys = periodic_linear()
+        assert _outcome(shadowing._relative_residual_sup, sys, coeffs, b) == (
+            _outcome(_loop_relative_residual_sup, sys, coeffs, b)
+        )
+
     @settings(max_examples=50, deadline=None)
     @given(b=st.lists(st.floats(-1e3, 1e3).map(complex), min_size=1, max_size=30), slope=st.floats(1.5, 4.0))
     def test_nonlinear_equals_the_loop(self, b, slope):
@@ -684,3 +721,177 @@ class TestTiledTables:
             assert len(tables) == 1 and len(moduli) == 1 and moduli[0] is tables[0], name
             assert lists == ["f"], name
             assert sys.rates(50) == sys.tables(50)[1]
+
+
+# -- the cycle rule -------------------------------------------------------------
+
+#: constants of modulus 1e-3 to 0.9: rational, float, negative and complex
+contracting_constants = st.one_of(
+    st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=40).filter(
+        lambda x: abs(x) >= Fraction(1, 1000)
+    ),
+    st.floats(-0.9, 0.9).filter(lambda x: abs(x) >= 1e-3),
+    st.builds(complex, st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)).filter(lambda z: abs(z) >= 1e-3),
+)
+signed_zeros = st.sampled_from([0.0, -0.0])
+#: start points with zero parts of both signs among them
+cycle_starts = st.one_of(
+    st.builds(complex, signed_zeros, signed_zeros),
+    st.builds(complex, st.floats(-10.0, 10.0), signed_zeros),
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+)
+constant_policies = st.builds(
+    ResidualPolicy,
+    st.sampled_from([k for k in PolicyKind if k is not PolicyKind.LOW_DISCREPANCY_PHASE]),
+    st.floats(-7.0, 7.0),
+)
+
+
+@contextmanager
+def _tiling_spy():
+    """The number of entries each repeat of the cycle rule adds, in order of
+    the repeats, while the block is open; ``shadowing`` reads its own name."""
+    added = []
+    original = systems._repeat_tail
+
+    def spy(values, period, total):
+        added.append(total - len(values))
+        original(values, period, total)
+
+    with mock.patch.object(systems, "_repeat_tail", spy), mock.patch.object(shadowing, "_repeat_tail", spy):
+        yield added
+
+
+def _rule_sweeps(sys, a1, eps, policy, horizon, K):
+    """(new, reference) outcomes of the three sweeps the cycle rule may tile."""
+    rates = sys.rates(horizon)
+    pseudo = generate_pseudo_orbit(sys, a1, eps, policy, horizon)
+    return [
+        (_deep_bits(pseudo), _outcome(_loop_pseudo_orbit, sys, a1, eps, policy, horizon, None)),
+        (
+            _outcome(shadow_contracting, sys, pseudo, K),
+            _outcome(_per_call_shadow_contracting, sys, pseudo, K),
+        ),
+        (
+            _outcome(shadowing._accumulated_rate_bounds, rates, horizon, eps, 0.0, sys._period()),
+            _outcome(lambda: list(_per_call_accumulated_rate_bounds(rates, horizon, eps, 0.0))),
+        ),
+    ]
+
+
+class TestCycleRule:
+    def test_tiled_sweeps_equal_the_per_step_references(self):
+        fired, extended = [], []
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(
+            coeffs=st.lists(contracting_constants, min_size=1, max_size=4),
+            a1=cycle_starts,
+            eps=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+            policy=constant_policies,
+            horizon=st.integers(BLOCK + 1, 5000),
+            K=st.floats(1.01, 8.0),
+        )
+        def check(coeffs, a1, eps, policy, horizon, K):
+            with _tiling_spy() as added:
+                for new, reference in _rule_sweeps(periodic_linear(coeffs), a1, eps, policy, horizon, K):
+                    assert new == reference
+            fired.append(bool(added))
+            extended.append(any(added))  # at H = BLOCK + 1 the rule fires at the end
+
+        check()
+        # the tiled path is the one under test: a sweep closed its cycle in most
+        # examples, and in many it repeated it in place of steps
+        assert sum(fired) > len(fired) / 2, fired
+        assert sum(extended) > len(extended) / 4, extended
+
+    @pytest.mark.parametrize("kind", [PolicyKind.ZERO, PolicyKind.CONSTANT_REAL])
+    def test_zeros_of_alternating_signs_are_stepped(self, kind):
+        # b <- -b/2 from 0 runs (+0, +0), (-0, +0), (+0, -0): equal by ==, but a
+        # cycle of 3 steps, not of the law's 1
+        sys = periodic_linear((Fraction(-1, 2),))
+        result = shadow_contracting(sys, generate_pseudo_orbit(sys, 0.0, 0.0, ResidualPolicy(kind), 3000), 2.0)
+        assert [_bits(z) for z in result.b[:4]] == [
+            _bits(complex(0.0, 0.0)), _bits(complex(-0.0, 0.0)),
+            _bits(complex(0.0, -0.0)), _bits(complex(0.0, 0.0)),
+        ]
+        assert not systems._cycle_closed([0j, complex(-0.0, 0.0)], 1, 0)
+        for new, reference in _rule_sweeps(sys, 0.0, 0.0, ResidualPolicy(kind), 3000, 2.0):
+            assert new == reference
+
+    def test_a_state_cycle_longer_than_the_period_is_stepped(self):
+        # a <- -a + 1e-3 from 0.75 runs -0.749, 0.75, ...: a cycle of 2m, m = 1;
+        # b alternates its sign and the sums S_n = n never repeat
+        sys = periodic_linear((-1,))
+        with _tiling_spy() as added:
+            for new, reference in _rule_sweeps(sys, 0.75, 1e-3, ResidualPolicy(), 3000, 2.0):
+                assert new == reference
+        assert added == []
+
+    def test_a_head_made_by_another_policy_is_not_compared(self):
+        # m = BLOCK + 1 constants 1/2: after the first block a_H = 1/2 equals
+        # a_1 = 1/2, m steps back, but a_2 = 1/4 was made with a zero residual;
+        # repeating from there would be wrong, so the rule waits for two made states
+        sys = periodic_linear((0.5,) * (BLOCK + 1))
+        head = generate_pseudo_orbit(sys, 0.5, 0.0, ResidualPolicy(PolicyKind.ZERO), 2)
+        with _tiling_spy() as added:
+            new = systems._pseudo_orbit(sys, None, 0.25, ResidualPolicy(), 3000, None, head)
+        assert _deep_bits(new) == _outcome(_loop_pseudo_orbit, sys, None, 0.25, ResidualPolicy(), 3000, None, head)
+        assert new.a[1] == 0.25 and new.a[-1] == 0.5
+        assert added == [3000 - 2 - 2 * BLOCK] * 2  # a and r, at the second block's end
+
+    def test_a_table_passed_in_keeps_the_full_sweep(self):
+        # the system's period is 1, but the table given changes at step 2000
+        sys = periodic_linear((0.5,))
+        coeffs = [0.5 + 0j] * 2000 + [0.25 + 0j] * 1000
+        with _tiling_spy() as added:
+            new = systems._pseudo_orbit(sys, 1.0, 0.25, ResidualPolicy(), 3000, coeffs)
+        assert _deep_bits(new) == _outcome(_loop_pseudo_orbit, sys, 1.0, 0.25, ResidualPolicy(), 3000, coeffs)
+        assert added == []
+        assert new.a[1999] == 0.5 and new.a[-1] != 0.5
+
+    def test_a_varying_residual_keeps_the_full_sweep(self):
+        # c_n = 1 and |r_n| about half an ulp of the parts: some residuals round
+        # away, so a_1024 = a_1025 at the first block's end, and later ones do not
+        sys, a1, eps = periodic_linear((1,)), 1 + 1j, 18 * 2.0**-58
+        policy = ResidualPolicy(PolicyKind.LOW_DISCREPANCY_PHASE)
+        with _tiling_spy() as added:
+            new = generate_pseudo_orbit(sys, a1, eps, policy, 3000)
+        assert _deep_bits(new) == _outcome(_loop_pseudo_orbit, sys, a1, eps, policy, 3000, None)
+        assert added == []
+        assert new.a[BLOCK] == new.a[BLOCK - 1] != new.a[-1]
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5])
+    def test_the_public_bound_and_a_nonzero_gap_keep_the_full_sweep(self, gap):
+        rates = periodic_linear().rates(3000)
+        with _tiling_spy() as added:
+            public = shadowing.accumulated_rate_bound(rates, 3000, 1e-3, gap)
+            sweep = shadowing._accumulated_rate_bounds(rates, 3000, 1e-3, 0.5, 2)
+        assert added == []
+        assert _bits(public) == _bits(list(_per_call_accumulated_rate_bounds(rates, 3000, 1e-3, gap))[-1])
+        assert _deep_bits(sweep) == _outcome(lambda: list(_per_call_accumulated_rate_bounds(rates, 3000, 1e-3, 0.5)))
+
+    def test_the_benchmark_orbit_repeats_from_its_first_block(self):
+        # the paper's law (2, 1/3) from a_1 = 1: the orbit repeats from n = 203
+        # and the sums from n = 178, so a, r and the bounds are stepped one block;
+        # b reaches 0 past n = 3,600 and is stepped four
+        sys = periodic_linear()
+        with _tiling_spy() as added:
+            for new, reference in _rule_sweeps(sys, 1.0, 1e-3, ResidualPolicy(), 10**4, 3.0):
+                assert new == reference
+        one, four = 10**4 - 1 - BLOCK, 10**4 - 1 - 4 * BLOCK
+        assert added == [one, one, four, one, one]  # a, r, b, its bounds, the bounds
+
+    @pytest.mark.parametrize(
+        "sys, period",
+        [
+            (periodic_linear(), 2),
+            (periodic_linear((0.5j, Fraction(1, 3), -2.0)), 3),
+            (index_scaled_linear(), None),
+            (power_two_parity(), None),
+            (affine_sinusoid(), None),
+        ],
+        ids=["periodic", "periodic_mixed", "index_scaled", "parity", "sinusoid"],
+    )
+    def test_only_a_law_of_constants_has_a_period(self, sys, period):
+        assert sys._period() == period
