@@ -14,8 +14,9 @@ that runs the shipped fixtures; each writes into ``--out`` (default
 
 Exit status 0 means every checked claim passed, 1 means a bound check or
 hypothesis failed (the reason is in the emitted JSON), 2 means the
-invocation or the scenario file was invalid.  Outputs are written
-atomically and are byte-identical across repeated runs.
+invocation or the scenario file was invalid, or ``--out`` could not be
+written.  Outputs are written atomically and are byte-identical across
+repeated runs.
 """
 
 from __future__ import annotations
@@ -414,6 +415,9 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
     try:
+        for path in (out, *out.parents):  # before any work: nothing could be written there
+            if os.path.lexists(path) and not path.is_dir():  # a dangling link too
+                raise ConfigError(f"--out: {path} exists and is not a directory")
         # the flag rules argparse cannot state, each refused with one line
         if args.command == "reproduce":
             given = [key for key in ("config", "horizon", "epsilon") if vars(args)[key] is not None]
@@ -436,7 +440,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "shadow":
             return _cmd_shadow(scenario, out)
         return _cmd_instability(scenario, out)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError: an --out that could not be written
         print(f"hu-shadow: config error: {exc}", file=sys.stderr)
         return 2
     except HuShadowError as exc:

@@ -143,7 +143,8 @@ def witness_divergence(
     maximizing K_q/K_p, which gives the fastest-growing lower bound.
     A nonlinear system raises :class:`HypothesisViolation` before any
     table: its p_n only bound its quotients from below.  So does a default
-    horizon (``horizon=None``) above ``MAX_HORIZON``.
+    horizon (``horizon=None``) above ``MAX_HORIZON``.  A given ``horizon`` or
+    an ``eps`` that ``generate_pseudo_orbit`` refuses raises its ValueError.
     """
     if cls.kind is not ClassificationKind.PERIODIC_BELOW_ONE or cls.periodic is None:
         raise HypothesisViolation(
@@ -167,10 +168,10 @@ def witness_divergence(
                 f"default witness horizon {horizon} is above {MAX_HORIZON}; give a horizon"
             )
 
-    # the orbit steps through the table the loop reads, c_1 .. c_horizon; its
-    # checks come first, so a bad epsilon is named where the table would fail
+    # the orbit steps through the table the loop reads, c_1 .. c_horizon; the checks
+    # of the given horizon and epsilon come first, so each is named where a table fails
     policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
-    _check_orbit_request(eps, horizon + 1)
+    _check_orbit_request(eps, horizon)
     coeffs, rates = sys.tables(horizon)
     pseudo = _pseudo_orbit(sys, 1.0, eps, policy, horizon + 1, coeffs)
 

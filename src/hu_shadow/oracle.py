@@ -111,10 +111,8 @@ def _affine_run(
     """
     gcd, new = math.gcd, object.__new__
     for cn, cd in coeffs:
-        m = -cn if cn < 0 else cn
-        if not m:  # c_n = 0
-            zn, zd = 0, 1
-        elif m & (m - 1):  # m against zd: zd / g = q * (m / g) + t / g
+        m = -cn if cn < 0 else cn  # not 0: no system has a zero c_n
+        if m & (m - 1):  # m against zd: zd / g = q * (m / g) + t / g
             q, t = divmod(zd, m)
             if (g := gcd(m, t)) == 1:
                 zn *= m

@@ -176,6 +176,8 @@ def _build_policy(cfg: dict) -> ResidualPolicy:
             f"residual.kind: unknown kind {cfg.get('kind')!r}; "
             f"expected one of {[k.value for k in PolicyKind]}"
         ) from None
+    if "theta" in cfg and kind is not PolicyKind.CONSTANT_PHASE:  # the one kind that reads it
+        raise ConfigError(f"residual.theta: kind {kind.value!r} takes no theta")
     return ResidualPolicy(kind=kind, theta=float(_real(cfg.get("theta", 0.0), "residual.theta")))
 
 
@@ -245,11 +247,12 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Fully-defaulted dictionary form (lossless round trip)."""
+    theta = {"theta": s.residual.theta} if s.residual.kind is PolicyKind.CONSTANT_PHASE else {}
     return {
         "system": copy.deepcopy(s.system_config),  # not the scenario's own
         "a1": [s.a1.real, s.a1.imag],
         "epsilon": s.epsilon,
-        "residual": {"kind": s.residual.kind.value, "theta": s.residual.theta},
+        "residual": {"kind": s.residual.kind.value, **theta},  # theta where it is read
         "horizon": s.horizon,
         "analysis": asdict(s.analysis),
         "shadow": asdict(s.shadow),

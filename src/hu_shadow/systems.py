@@ -12,13 +12,14 @@ Four parameterized families are built in:
 * ``index_scaled_linear``   -- z -> 3n z at odd steps, z/(2n) at even
   steps (scales configurable).
 * ``power_two_parity``      -- z -> 2^n z at odd steps, 2^-(n+3) z at
-  even steps (base and shift configurable).
+  even steps (base, an int or Fraction above 0, and shift configurable).
 * ``affine_sinusoid``       -- x -> 3x + sin(x/n)/n on the real line,
   an expanding map with rate 3 - 1/n^2.
 
 Only these parameterized families are supported: their difference
 quotients can be evaluated exactly, which the shadowing constructions
-rely on.
+rely on.  ``MapSystem.__post_init__`` states every rule on a parameter's
+value, for a factory and a direct build alike; no c_n is zero.
 
 Each linear family states its multiplier c_n once, as one law per residue
 class n = l + 1 (mod m) of the steps (``_laws``): m constants for
@@ -27,10 +28,10 @@ class n = l + 1 (mod m) of the steps (``_laws``): m constants for
 ``power_two_parity``.  Every table fills one residue class at a time, by
 the float and the exact route that the law's values choose: float64
 division for a rational monomial, ``ldexp`` for a base 2**s, for any other
-rational base one stream of exact powers, held one at a time, and a float
-parameter's own expression; a power past the float span is its limit.  Every
-float read of c_n and p_n makes one float table: the coefficients are its
-``tolist`` and the rates its moduli.
+base one stream of exact powers, held one at a time, and a float
+parameter's own expression; a power past the float span is its limit, 0.0
+or inf.  Every float read of c_n and p_n makes one float table: the
+coefficients are its ``tolist`` and the rates its moduli.
 ``MapSystem._rates`` alone states p_n, as one float array of those moduli or
 the sinusoid's expression, which ``profile_of`` reads with no list between;
 the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the
@@ -108,9 +109,10 @@ class MapSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))  # its rules test by identity
-        # what the factories refuse and no table can read: a sinusoid's slope that is
-        # not one real, finite number above 1; no residue class, a complex base, a
-        # shift not an int, a zero c_n divides by (an inverted scale, a base)
+        # the one home of the value rules, for a factory and a direct build alike: a
+        # sinusoid's slope is one real, finite number above 1; a linear family has a
+        # residue class, a base is an int or Fraction above 0, a shift an int, and no
+        # scale is zero.  Only the factories refuse a NaN or infinite parameter.
         if not self.is_linear:
             if len(self.params) != 1:
                 raise ValueError(f"{self.family.value} takes one slope, got {self.params!r}")
@@ -126,11 +128,11 @@ class MapSystem:
         if not (laws := _laws(self.family, self.params)):
             raise ValueError(f"{self.family.value} needs at least one coefficient")
         for law in laws:
-            if isinstance(law.base, complex):
-                raise ValueError(f"base must be real, got {law.base!r}")
+            if law.base is not None and _exact(law.base) is None:
+                raise ValueError(f"base must be an int or Fraction, got {law.base!r}")
             if isinstance(law.shift, bool) or not isinstance(law.shift, int):
                 raise ValueError(f"even_shift must be an integer, got {law.shift!r}")
-            if law.base == 0 or law.invert and law.scale == 0:
+            if law.scale == 0 or law.base is not None and law.base <= 0:
                 raise ValueError("growth rate must be positive")
 
     # -- linear structure ------------------------------------------------
@@ -166,8 +168,8 @@ class MapSystem:
 
     def log_rates(self, horizon: int) -> list[float]:
         """ln p_1 .. ln p_horizon: ln|num| - ln den of each exact pair as it is
-        made, with no table of pairs; else ln of the table's rate, and e*ln(base)
-        where a float base's power base**e is past the float range."""
+        made, with no table of pairs, and from the exponent alone for a base
+        2**s; else, for a float or complex parameter, ln of the table's rate."""
         ns = range(1, horizon + 1)
         log = math.log
         out: list = [None] * len(ns)
@@ -176,13 +178,13 @@ class MapSystem:
         for steps, law in self._classes(ns) if self.is_linear else [(ns, None)]:
             at = slice(steps.start - 1, None, steps.step)
             base = None if law is None else law.base
-            if base is not None and (exact := _exact(base)) and (power := _power_of_two(*exact)):
+            if base is not None and (power := _power_of_two(*_exact(base))):
                 out[at] = _power_of_two_logs(power, law.exponents(steps))  # no power made
             elif law is not None and (pairs := law.pairs(steps)) is not None:
                 out[at] = [log(abs(num)) - log(den) for num, den in pairs]
             else:
                 rates = rates or self._rates(ns).tolist()
-                out[at] = [_log_rate(n, p, law) for n, p in zip(steps, rates[at])]
+                out[at] = [_log_rate(n, p) for n, p in zip(steps, rates[at])]
         return out
 
     def _period(self) -> Optional[int]:
@@ -334,7 +336,8 @@ def _step(n: int) -> range:
 class _Law(NamedTuple):
     """c_n on one residue class of steps: scale * n**power * base**(n + shift),
     or its reciprocal where ``invert``; no base reads as 1.  The factories
-    give power 0 or 1, and a base only with the default scale and power."""
+    give power 0 or 1, and a base, an int or Fraction above 0, only with the
+    default scale and power."""
 
     scale: Number = 1
     power: int = 0
@@ -352,7 +355,7 @@ class _Law(NamedTuple):
         into ``out``, a view of the table."""
         exact, scale, invert = _exact(self.scale), self.scale, self.invert
         if self.base is not None:  # a class of powers
-            _power_table(out, self.base, self.exponents(steps))
+            _power_table(out, *_exact(self.base), self.exponents(steps))
         elif not self.power:  # one constant for the class
             out[:] = _quotient(*exact) if exact else complex(scale)
         elif exact:  # a rational monomial, see _rational_table
@@ -389,13 +392,12 @@ def _laws(family: Family, params: tuple) -> tuple[_Law, ...]:
     raise UnsupportedFamily(f"{family.value} is not linear")
 
 
-def _log_rate(n: int, p: float, law: Optional[_Law]) -> float:
-    """ln p_n from the table's rate p; e*ln(base) where a float base**e leaves the float range."""
-    if 0.0 < p < math.inf or law is None or law.base is None:
-        if p == 0.0:  # a float parameter's rate that underflowed: check_rates names it
-            check_rates((p,), first=n)
-        return math.log(p)  # inf or NaN, as ln p_n
-    return law.exponents(_step(n))[0] * math.log(float(law.base))
+def _log_rate(n: int, p: float) -> float:
+    """ln p_n from the table's rate p of a law with no exact pair or of the
+    sinusoid: ``inf`` or NaN as p is."""
+    if p == 0.0:  # a float parameter's rate that underflowed: check_rates names it
+        check_rates((p,), first=n)
+    return math.log(p)
 
 
 def _quotient(num: int, den: int) -> complex:
@@ -416,9 +418,9 @@ def _rational_table(table: np.ndarray, p: int, q: int, ns: range, invert: bool) 
     Where q and |p*n| are below 2**53 the quotients are taken in float64
     arrays: both operands convert exactly, so one IEEE division gives the
     correctly rounded quotient, as int true division does.  Larger
-    integers, and p = 0, go through ``_quotient``.
+    integers go through ``_quotient``.  p is not 0: no scale is.
     """
-    if q >= EXACT_INT_LIMIT or p == 0:
+    if q >= EXACT_INT_LIMIT:
         head = ns[:0]
     else:
         head = range(ns.start, min(ns.stop, (EXACT_INT_LIMIT - 1) // abs(p) + 1), ns.step)
@@ -433,7 +435,7 @@ def _rational_table(table: np.ndarray, p: int, q: int, ns: range, invert: bool) 
 def _power_of_two(num: int, den: int) -> Optional[int]:
     """s with num/den = 2**s, for a reduced positive num/den whose terms are
     powers of two; else None."""
-    if num <= 0 or num & (num - 1) or den & (den - 1):
+    if num & (num - 1) or den & (den - 1):
         return None
     return num.bit_length() - den.bit_length()
 
@@ -463,62 +465,43 @@ def _power_of_two_logs(power: int, exponents: range) -> list[float]:
     return out
 
 
-def _float_power(base: float, e: int) -> complex:
-    """complex(float(base) ** e), the infinity of its sign where it overflows;
-    a base of modulus 1 is +-1, by the parity of e, at any e, which may be
-    past the float range."""
-    base = float(base)
-    if abs(base) == 1.0:
-        return complex(base if e % 2 else 1.0)
-    try:
-        return complex(base**e)
-    except OverflowError:
-        return complex(-math.inf if base < 0 and e % 2 else math.inf, 0.0)
-
-
 #: A power past 2**this, or below its reciprocal, rounds to inf or 0.0:
 #: the floats lie between 2**-1075 and 2**1024.
 _LOG2_SPAN = 1100
 
 
-def _power_table(out: np.ndarray, base: Number, exponents: range) -> None:
-    """base**e for e in a parity class's exponents, correctly rounded to
-    complex, into ``out``.
+def _power_table(out: np.ndarray, num: int, den: int, exponents: range) -> None:
+    """(num/den)**e for e in a parity class's exponents, correctly rounded to
+    complex, into ``out``, for a base num/den reduced and above 0.
 
     Only the span of exponents with |e| * |log2 base| <= ``_LOG2_SPAN`` can
     round to a finite nonzero float.  |e| falls, then rises, along the range,
     so two bisections find that span, and each entry outside it is its limit,
-    0.0 or inf with the sign of base**e, decided from e alone.  Inside it a
-    float base rounds each power, a base 2**s takes ``ldexp`` and any other
-    rational base one stream of exact powers.  |log2 base| is taken low by a
-    bound on the rounding of its two logs, which cancel for a ratio near 1,
-    so that no finite power falls outside the span."""
-    exact = _exact(base)
-    num, den = (abs(exact[0]), exact[1]) if exact else (abs(base), 1)
+    0.0 or inf, decided from e alone.  Inside it a base 2**s takes ``ldexp``
+    and any other base one stream of exact powers.  |log2 base| is taken low
+    by a bound on the rounding of its two logs, which cancel for a ratio near
+    1, so that no finite power falls outside the span."""
     logs = math.log2(num), math.log2(den)
-    low = abs(logs[0] - logs[1]) - 2**-50 * (abs(logs[0]) + logs[1])
+    low = abs(logs[0] - logs[1]) - 2**-50 * (logs[0] + logs[1])
     bound = _LOG2_SPAN / low if low > 0 else math.inf
     key = (lambda e: -e) if exponents.step < 0 else None
     span = slice(bisect_left(exponents, -bound, key=key), bisect_right(exponents, bound, key=key))
     for outside, e in ((slice(span.start), exponents[0]), (slice(span.stop, None), exponents[-1])):
-        limit = math.inf if (e > 0) == (logs[0] > logs[1]) else 0.0
-        out[outside] = math.copysign(limit, -1.0 if base < 0 and e % 2 else 1.0)
+        out[outside] = math.inf if (e > 0) == (logs[0] > logs[1]) else 0.0
     if not (inside := exponents[span]):  # every entry is a limit
         return
-    if exact is None:
-        out[span] = [_float_power(base, e) for e in inside]
-    elif power := _power_of_two(*exact):  # a base 1 takes the stream: 1**e for any e
+    if power := _power_of_two(num, den):  # a base 1 takes the stream: 1**e for any e
         out[span] = _ldexp_table(power, inside)
     else:
-        out[span] = [_quotient(*pair) for pair in _class_powers(*exact, inside)]
+        out[span] = [_quotient(*pair) for pair in _class_powers(num, den, inside)]
 
 
 def _class_powers(bn: int, bd: int, exponents: range) -> Iterator[tuple[int, int]]:
-    """(bn/bd)**e for e in a parity class's exponents, each a reduced pair
-    with the sign on the numerator, for coprime bn, bd.  One power bn**|e|,
-    bd**|e| is held: it is multiplied by bn**2, bd**2 where |e| grows and
-    divided exactly where |e| shrinks toward a sign crossing; a running
-    product of the pairs would not be reduced there (8/1 * 1/4)."""
+    """(bn/bd)**e for e in a parity class's exponents, each a reduced pair,
+    for coprime positive bn, bd.  One power bn**|e|, bd**|e| is held: it is
+    multiplied by bn**2, bd**2 where |e| grows and divided exactly where |e|
+    shrinks toward a sign crossing; a running product of the pairs would not
+    be reduced there (8/1 * 1/4)."""
     size = abs(exponents[0])
     x, y = bn**size, bd**size
     bn2, bd2 = bn * bn, bd * bd
@@ -528,7 +511,7 @@ def _class_powers(bn: int, bd: int, exponents: range) -> Iterator[tuple[int, int
         elif abs(e) < size:
             x, y = x // bn2, y // bd2
         size = abs(e)
-        yield (x, y) if e >= 0 else (y, x) if x > 0 else (-y, -x)
+        yield (x, y) if e >= 0 else (y, x)
 
 
 def _exact(x: Number) -> Optional[tuple[int, int]]:
@@ -550,29 +533,23 @@ def _require_finite(*params: Number) -> None:
 
 
 def periodic_linear(coeffs: Sequence[Number] = (2, Fraction(1, 3))) -> MapSystem:
-    """Linear maps whose coefficients cycle through ``coeffs``."""
+    """Linear maps whose coefficients cycle through ``coeffs``, none of them zero."""
     coeffs = tuple(coeffs)
     _require_finite(*coeffs)
-    if any(c == 0 for c in coeffs):  # no float conversion: an int may pass the float range
-        raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.PERIODIC_LINEAR, params=coeffs)
 
 
 def index_scaled_linear(odd_scale: Number = 3, even_inverse_scale: Number = 2) -> MapSystem:
-    """Linear maps c_n z with c_n = odd_scale*n (odd n), 1/(even_inverse_scale*n) (even n)."""
+    """Linear maps c_n z with c_n = odd_scale*n (odd n), 1/(even_inverse_scale*n)
+    (even n); neither scale is zero."""
     _require_finite(odd_scale, even_inverse_scale)
-    if odd_scale == 0:
-        raise ValueError("growth rate must be positive")
     return MapSystem(family=Family.INDEX_SCALED_LINEAR, params=(odd_scale, even_inverse_scale))
 
 
-def power_two_parity(base: int = 2, even_shift: int = 3) -> MapSystem:
-    """Linear maps c_n z with c_n = base^n (odd n), base^-(n+even_shift) (even n)."""
-    _require_finite(base)
-    system = MapSystem(family=Family.POWER_TWO_PARITY, params=(base, even_shift))
-    if base < 0:  # a complex base or a shift that is not an int is refused by now
-        raise ValueError("growth rate must be positive")
-    return system
+def power_two_parity(base: Union[int, Fraction] = 2, even_shift: int = 3) -> MapSystem:
+    """Linear maps c_n z with c_n = base^n (odd n), base^-(n+even_shift) (even n),
+    for an int or Fraction base above 0 and an int shift."""
+    return MapSystem(family=Family.POWER_TWO_PARITY, params=(base, even_shift))
 
 
 def affine_sinusoid(slope: float = 3.0) -> MapSystem:

@@ -847,6 +847,52 @@ class TestOneFormatPass:
         assert (tmp_path / "witness.csv").read_text() == _witness_text(witness)
 
 
+#: each subcommand's arguments but --out
+SUBCOMMAND_ARGS = {
+    "analyze": ["analyze", "--config", str(fixture_path("contracting_periodic"))],
+    "shadow": ["shadow", "--config", str(fixture_path("contracting_periodic"))],
+    "instability": ["instability", "--config", str(fixture_path("unstable_parity"))],
+    "reproduce": ["reproduce"],
+}
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("shape", ["a_file", "under_a_file", "a_dangling_link"])
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+    def test_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, shape):
+        # ended in FileExistsError (a file, a dangling link) or NotADirectoryError
+        # (a path under a file) after all the work was done
+        def refuse(*args):
+            raise AssertionError("work was done")
+
+        monkeypatch.setattr(cli, "load_scenario", refuse)
+        monkeypatch.setattr(cli, "_reproduce_claims", refuse)
+        taken = tmp_path / "taken"
+        if shape == "a_dangling_link":
+            taken.symlink_to(tmp_path / "nowhere" / "out")
+        else:
+            taken.write_text("kept")
+        out = taken / "sub" if shape == "under_a_file" else taken
+        assert main([*SUBCOMMAND_ARGS[command], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"hu-shadow: config error: --out: {taken} exists and is not a directory\n"
+        )
+        assert list(tmp_path.iterdir()) == [taken]
+        assert shape == "a_dangling_link" or taken.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+    def test_an_error_while_writing_is_one_line(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert main([*SUBCOMMAND_ARGS[command], "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        denied = f"hu-shadow: config error: [Errno 13] Permission denied: '{tmp_path}"
+        assert line.startswith(denied)
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize("fails", ["write", "replace"])
     def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch, fails):
@@ -907,17 +953,22 @@ fuzz_systems = st.one_of(
         st.one_of(st.floats(1.0, 6.0), st.sampled_from(EXTREME)),
     ),
 )
-fuzz_residuals = st.builds(
-    lambda kind, theta: {"kind": kind, "theta": theta},
-    st.sampled_from([kind.value for kind in PolicyKind]),
-    st.floats(-7.0, 7.0),
-)
+
+
+@st.composite
+def fuzz_residuals(draw):
+    """A residual section: a theta with constant_phase, the one kind that reads
+    it, and now and then with another kind, which the scenario refuses."""
+    kind = draw(st.sampled_from([kind.value for kind in PolicyKind]))
+    if kind == PolicyKind.CONSTANT_PHASE.value or draw(st.integers(0, 9)) == 0:
+        return {"kind": kind, "theta": draw(st.floats(-7.0, 7.0))}
+    return {"kind": kind}
 
 
 def fuzz_runs(command: str):
     """(command, scenario): instability's residuals are constant_real, the one
     kind it takes, so that its runs reach the witness."""
-    residuals = st.just({"kind": "constant_real"}) if command == "instability" else fuzz_residuals
+    residuals = st.just({"kind": "constant_real"}) if command == "instability" else fuzz_residuals()
     scenarios = st.fixed_dictionaries(
         {
             "system": fuzz_systems,

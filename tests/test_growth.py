@@ -92,8 +92,8 @@ class TestProfileFromTheRateArray:
             periodic_linear((0.75, 2.5, complex(0.5, 1.5))),
             index_scaled_linear(2.5, 0.75),
             index_scaled_linear(3, 1e308),  # p_2 underflows to 0.0
-            power_two_parity(2.0, 3),
-            power_two_parity(1.5, -4),
+            index_scaled_linear(2.9, -1.7),
+            power_two_parity(Fraction(3, 2), -4),
             affine_sinusoid(2.25),
         ],
         ids=lambda sys: f"{sys.family.value}{sys.params}",

@@ -211,6 +211,8 @@ def _per_call_witness_divergence(sys, eps, horizon, cls):
     m = fit.m
     if horizon is None:
         horizon = default_witness_horizon(K_p, K_q, p_idx, q_idx, m, C_p)
+    if horizon < 1:  # the horizon given, not the orbit's horizon + 1
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
 
@@ -313,7 +315,7 @@ class TestLeanWitnessLoop:
     @given(
         base=st.one_of(
             st.integers(2, 5),
-            st.floats(1.5, 5.0),
+            st.floats(1.5, 5.0).map(Fraction),
             st.fractions(min_value=Fraction(3, 2), max_value=5, max_denominator=7),
         ),
         even_shift=st.integers(-6, 8),
@@ -367,6 +369,16 @@ class TestLeanWitnessLoop:
         outcome = _witness_outcome(witness_divergence, power_two_parity(), eps, horizon, cls)
         assert outcome == _witness_outcome(_per_call_witness_divergence, power_two_parity(), eps, horizon, cls)
         assert outcome[0] is ValueError
+
+    @pytest.mark.parametrize("horizon", [-5, 0])
+    def test_the_horizon_given_is_checked(self, horizon, monkeypatch):
+        # checked as horizon + 1 before: -5 was named as -4, and 0 returned a
+        # witness with no samples where generate_pseudo_orbit refuses 0
+        calls = []
+        monkeypatch.setattr(MapSystem, "tables", lambda self, *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^horizon must be >= 1, got {horizon}$"):
+            witness_divergence(power_two_parity(), 1e-3, horizon, parity_classification())
+        assert calls == []
 
     @pytest.mark.parametrize("horizon", [2, 40, 628, 629, 700, None])
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-3, -1e-3, -math.inf])

@@ -834,14 +834,6 @@ class TestIntegerPairOrbit:
         kind=PolicyKind.CONSTANT_REAL,
         horizon=60,
     )
-    # a zero c_n, built directly (the factories refuse it): P and a are 0, S is 1
-    @example(
-        sys=MapSystem(Family.PERIODIC_LINEAR, (Fraction(3, 2), 0)),
-        a1=Fraction(-7, 4),
-        eps=Fraction(0),
-        kind=PolicyKind.CONSTANT_REAL,
-        horizon=6,
-    )
     # a + r, g = gcd(ad, rd): g = 1 at a_2 = 2 + 7/3
     @example(
         sys=periodic_linear((2,)),
@@ -1067,12 +1059,10 @@ class TestRationalTable:
         )
 
     @pytest.mark.parametrize("shift", [-9, -8, -3, -2, -1, 0])
-    @pytest.mark.parametrize("base", [2, 3, Fraction(3, 2), Fraction(1, 9), -2, Fraction(-3, 2)])
+    @pytest.mark.parametrize("base", [2, 3, Fraction(3, 2), Fraction(1, 9), 4, Fraction(2, 3)])
     def test_parity_exponents_crossing_zero(self, base, shift):
         # even n has e = -(n + shift) >= 0 for n <= -shift, so the even
-        # class steps through e = 0 (even shift) or from 1 to -1 (odd shift).
-        # The factory refuses a negative base; a MapSystem built directly
-        # still keeps the sign on the numerator.
+        # class steps through e = 0 (even shift) or from 1 to -1 (odd shift)
         sys = MapSystem(Family.POWER_TWO_PARITY, (base, shift))
         for horizon in (0, 1, 2, 3, 12, 25):
             assert _table_outcome(MapSystem.coefficient_pairs, sys, horizon) == _table_outcome(
@@ -1088,7 +1078,7 @@ class TestRationalTable:
             index_scaled_linear(3.0, 2),
             index_scaled_linear(3, 2.0),
             index_scaled_linear(Fraction(1, 3), 1j),
-            power_two_parity(2.0, 3),
+            index_scaled_linear(2.9, -1.7),
             affine_sinusoid(),
         ],
         ids=[
@@ -1098,7 +1088,7 @@ class TestRationalTable:
             "index-float-odd",
             "index-float-even",
             "index-complex-even",
-            "parity-float-base",
+            "index-float-both",
             "sinusoid",
         ],
     )
@@ -1119,12 +1109,18 @@ class TestRationalTable:
             (Family.INDEX_SCALED_LINEAR, (3, 0.0)),
             (Family.POWER_TWO_PARITY, (0, 3)),
             (Family.POWER_TWO_PARITY, (Fraction(0), -9)),
+            # once ran through _affine_run's zero-c_n step (P and a were 0 from
+            # n = 2, S was 1); no system has a zero c_n now
+            (Family.PERIODIC_LINEAR, (Fraction(3, 2), 0)),
         ],
-        ids=["index-zero-even-scale", "index-float-zero", "parity-zero-base", "parity-zero-fraction"],
+        ids=[
+            "index-zero-even-scale", "index-float-zero", "parity-zero-base", "parity-zero-fraction",
+            "periodic-zero-constant",
+        ],
     )
     def test_a_zero_divisor_is_refused_at_construction(self, params):
-        # c_n divides by these parameters: a MapSystem built directly is
-        # refused as the factories refuse it, before any table is read
+        # c_n divides by these parameters, or is zero: a MapSystem built
+        # directly is refused as the factories refuse it, before any table is read
         with pytest.raises(ValueError, match="growth rate must be positive"):
             MapSystem(*params)
 

@@ -54,6 +54,27 @@ class TestLoading:
         with pytest.raises(ConfigError, match="growth rate must be positive"):
             load_scenario(write_scenario(tmp_path, payload))
 
+    @pytest.mark.parametrize("base", [0, -2])
+    def test_a_parity_base_not_above_zero_is_a_config_error(self, tmp_path, capsys, base):
+        payload = {"system": {"family": "power_two_parity", "base": base}}
+        path = write_scenario(tmp_path, payload)
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "hu-shadow: config error: system: growth rate must be positive\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["constant_real", "low_discrepancy_phase", "zero"])
+    def test_a_theta_for_a_kind_that_does_not_read_it_is_refused(self, tmp_path, capsys, kind):
+        # ran as if theta were absent before: only constant_phase reads it
+        raw = {**MINIMAL, "residual": {"kind": kind, "theta": 0.5}}
+        message = f"residual.theta: kind '{kind}' takes no theta"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(raw)
+        path = write_scenario(tmp_path, raw)
+        assert main(["shadow", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"hu-shadow: config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_top_level_key(self, tmp_path):
         payload = dict(MINIMAL, extra=1)
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -175,6 +196,15 @@ class TestRoundTrip:
         assert again.analysis == sc.analysis
         assert again.shadow == sc.shadow
         assert scenario_to_dict(again) == scenario_to_dict(sc)
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_theta_is_written_for_the_kind_that_reads_it(self, kind):
+        residual = {"kind": kind.value}
+        if kind is PolicyKind.CONSTANT_PHASE:
+            residual["theta"] = -1.25
+        sc = scenario_from_dict({**MINIMAL, "residual": residual})
+        assert scenario_to_dict(sc)["residual"] == residual
+        assert scenario_from_dict(scenario_to_dict(sc)).residual == sc.residual
 
     def test_the_system_section_is_the_scenarios_own(self):
         # system_config was the caller's raw["system"] object, and scenario_to_dict

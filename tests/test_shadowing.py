@@ -828,7 +828,11 @@ shadow_systems = st.one_of(
         st.one_of(st.integers(-5, 5).filter(bool), st.floats(0.5, 5.0)),
         st.one_of(st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=7), st.floats(0.5, 5.0)),
     ),
-    st.builds(power_two_parity, st.one_of(st.integers(1, 3), st.floats(0.5, 3.0)), st.integers(-4, 4)),
+    st.builds(
+        power_two_parity,
+        st.one_of(st.integers(1, 3), st.floats(0.5, 3.0).map(Fraction)),
+        st.integers(-4, 4),
+    ),
 )
 #: ``shadow_contracting``'s refusal of the nonlinear family, as ``_outcome`` reports it
 NONLINEAR_CONTRACTING = (
@@ -1200,8 +1204,9 @@ class TestLeanSweeps:
         ),
         coefficients=st.lists(
             st.one_of(
-                st.complex_numbers(allow_nan=True, allow_infinity=True),
-                st.floats(allow_nan=True, allow_infinity=True).map(complex),
+                st.complex_numbers(allow_nan=True, allow_infinity=True).filter(bool),
+                st.floats(allow_nan=True, allow_infinity=True).map(complex).filter(bool),
+                st.just(Fraction(1, 10**400)),  # no zero constant: a 0.0 entry by underflow
             ),
             min_size=1,
             max_size=5,
