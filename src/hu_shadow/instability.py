@@ -26,7 +26,7 @@ from .errors import HypothesisViolation
 from .growth import Classification, ClassificationKind, PeriodicFit
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, generate_pseudo_orbit
-from .systems import MAX_HORIZON, OVERFLOW_LIMIT, _check_orbit_request, _pseudo_orbit
+from .systems import MAX_HORIZON, OVERFLOW_LIMIT, _check_orbit_request, _listed, _pseudo_orbit
 
 #: log10 of the orbit layer's margin; a value past it is carried as its log10 only.
 LOG10_LIMIT = math.log10(OVERFLOW_LIMIT)
@@ -196,7 +196,9 @@ def witness_divergence(
     steps = len(pseudo.r)  # the pseudo-orbit's last step index
     resonant = p_idx % m
     bound = None  # the lower bound in k, checked at the first sample, as each sample's call was
-    for n, c, p_n, log_p in zip(range(1, horizon + 1), coeffs, rates, sys.log_rates(horizon)):
+    for n, c, p_n, log_p in zip(
+        range(1, horizon + 1), _listed(coeffs), _listed(rates), sys.log_rates(horizon)
+    ):
         lp10 = log_p / ln10
         if log10_T is None and T > 0.0 and (
             not isfinite(p_n) or log10(T) + lp10 > LOG10_LIMIT

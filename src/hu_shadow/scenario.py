@@ -212,9 +212,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if analysis.window > MAX_HORIZON // 4:  # the CLI analyses at least 4 * window steps
         raise ConfigError(f"analysis.window: must be at most {MAX_HORIZON // 4}")
 
-    shadow = _options(raw, "shadow", ShadowOptions)
-    if shadow.tol <= 0 or shadow.max_iter < 1 or not 0 < shadow.tail_fraction < 1:
-        raise ConfigError("shadow: tol > 0, max_iter >= 1, 0 < tail_fraction < 1 required")
+    try:  # ShadowOptions states its own rules; a ConfigError from a reader passes through
+        shadow = _options(raw, "shadow", ShadowOptions)
+    except ValueError:
+        raise ConfigError(
+            "shadow: tol > 0, max_iter >= 1, 0 < tail_fraction < 1 required"
+        ) from None
 
     return Scenario(
         system=system,

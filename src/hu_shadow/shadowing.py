@@ -34,10 +34,12 @@ Every sweep whose step is one multiply-add on a linear family's
 coefficient table (``MapSystem.tables``) is one comprehension that makes
 no call: the forward propagation and its differences, the backward
 recurrence and the recomposition b = a + d and the rate sums; the
-residual sup is one pass of numpy ufuncs over the parts.  Its checks run
-before or after it, never per step, and it does the float operations of
-the per-step loop in the same order, so every value is the loop's, bit
-for bit.  On a table of constants (``MapSystem._period``)
+residual sup is one pass of numpy ufuncs over the parts.  The tables stay
+float arrays: each check scans them as arrays, before or after the sweep,
+never per step, and the sweep lists as Python scalars only the entries it
+steps, one block at a time (``systems._listed``).  It does the float
+operations of the per-step loop in the same order, so every value is the
+loop's, bit for bit.  On a table of constants (``MapSystem._period``)
 ``shadow_contracting``'s forward propagation and its zero-gap rate sums
 step in blocks and stop at the first bit-exact cycle
 (``systems._cycle_closed``), repeating it to the horizon; the differences
@@ -71,7 +73,7 @@ from .errors import (
 )
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PseudoOrbit, _pseudo_orbit, check_rates, generate_pseudo_orbit
-from .systems import _ORBIT_BLOCK, _cycle_closed, _repeat_tail
+from .systems import _ORBIT_BLOCK, _cycle_closed, _listed, _repeat_tail
 
 #: |q| below this is treated as a degenerate quotient.
 DEGENERATE_QUOTIENT_LIMIT = 1e-300
@@ -134,9 +136,17 @@ def accumulated_rate_bound(
     is the n-th one of :func:`_accumulated_rate_bounds`, so it is
     bit-identical to what the constructions maximise.  With eps = 1 and
     a zero gap, the value at n + 1 is the perturbation partial sum S_n.
+    A non-int n, or an eps or gap that is negative or NaN, is refused
+    before any sweep: no bound is made from it.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be nonnegative, got {eps!r}")
+    if not gap >= 0.0:
+        raise ValueError(f"gap must be nonnegative, got {gap!r}")
     if len(rates) < n - 1:
         raise ValueError(f"need rates p_1..p_{n - 1}, got {len(rates)}")
     return _accumulated_rate_bounds(rates, n, eps, gap)[-1]
@@ -155,7 +165,9 @@ def _accumulated_rate_bounds(
     no product, and so no log: 0.0 * gap, where inf * 0.0 past 700 would
     be NaN.  A rate that is not positive (NaN included) raises
     :class:`RateRangeError`, from one scan before the sweep, at the n the
-    per-step check would name (``check_rates``); ``inf`` is allowed.
+    per-step check would name (``check_rates``); ``inf`` is allowed.  The
+    scan's float array is what the sweep reads, a block listed at a time
+    (``systems._listed``), so ``rates`` may be an array or a list alike.
 
     ``period`` is the period of a table the caller built itself
     (``MapSystem._period``).  With a zero gap each value is zero + S_n*eps, a
@@ -164,8 +176,7 @@ def _accumulated_rate_bounds(
     once the sums close a cycle (``systems._cycle_closed``).  A nonzero gap
     sweeps in full: e^{L_n} does not repeat.
     """
-    head = rates[: horizon - 1]
-    check_rates(head)
+    head = check_rates(rates[: horizon - 1])
     log, exp, inf = math.log, math.exp, math.inf
     S = 0.0
     first = 1.0 * gap + S * eps  # n = 1: the empty product exp(0.0) = 1.0
@@ -174,12 +185,12 @@ def _accumulated_rate_bounds(
         return [first] + [
             (exp(log_prod) if (log_prod := log_prod + log(p)) < 700 else inf) * gap
             + (S := S * p + 1.0) * eps
-            for p in head
+            for p in _listed(head)
         ]
     zero = 0.0 * gap
     if period is None:
-        return [first] + [zero + (S := S * p + 1.0) * eps for p in head]
-    out, sums, steps = [first], [], iter(head)
+        return [first] + [zero + (S := S * p + 1.0) * eps for p in _listed(head)]
+    out, sums, steps = [first], [], _listed(head)
     while block := [S := S * p + 1.0 for p in islice(steps, _ORBIT_BLOCK)]:
         sums += block
         out += [zero + s * eps for s in block]
@@ -224,7 +235,7 @@ def telescope_difference(
     acc = 0j  # sum_{k<=j} r_k prod_{k<i<=j} q_i
     coeffs, rates = sys.tables(n - 1)
     _check_finite_steps(coeffs, rates, n - 1)
-    for j, c in enumerate(coeffs if coeffs is not None else [None] * (n - 1), 1):
+    for j, c in enumerate(_listed(coeffs) if coeffs is not None else [None] * (n - 1), 1):
         q = c if c is not None else sys.eval_q(j, b, pseudo.value(j))
         prod_q *= q
         acc = acc * q + pseudo.residual(j)
@@ -264,7 +275,7 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     period = sys._period()  # the table is built here: the cycle rule may tile b and the sums
     z = pseudo.value(1)
     b = [z]
-    steps = iter(coeffs[: horizon - 1])
+    steps = _listed(coeffs[: horizon - 1])
     while block := [z := c * z for c in islice(steps, _ORBIT_BLOCK)]:
         b += block
         if _cycle_closed(b, period, 1):  # b_1 is read from the orbit
@@ -297,9 +308,21 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
 
 @dataclass(frozen=True)
 class ShadowOptions:
+    """The fixed point's stopping rule and the tail estimate's target, the
+    one home of their rules: ``tol`` finite and above 0, ``max_iter`` an int
+    of at least 1 and 0 < ``tail_fraction`` < 1, else ``ValueError``."""
+
     tol: float = 1e-12
     max_iter: int = 100
     tail_fraction: float = 1e-3
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.tol < math.inf:  # NaN too
+            raise ValueError(f"tol must be finite and above 0, got {self.tol!r}")
+        if type(self.max_iter) is not int or self.max_iter < 1:  # a bool is no count
+            raise ValueError(f"max_iter must be an int of at least 1, got {self.max_iter!r}")
+        if not 0.0 < self.tail_fraction < 1.0:  # NaN too
+            raise ValueError(f"tail_fraction must lie in (0, 1), got {self.tail_fraction!r}")
 
 
 def shadow_expanding(
@@ -325,7 +348,9 @@ def shadow_expanding(
     true orbit, so the series is iterated to a fixed point: start from
     b = a, evaluate q_i(b_i, a_i), recompute every d_n, set b = a + d,
     repeat until the sup-change falls below ``opts.tol``.  A q_i is
-    evaluated again only where its argument b_i moved.  Contraction
+    evaluated again only where its argument b_i moved, and a sweep after
+    the first makes d_n again only for n up to the largest such i: each
+    d_n past it, and its zero change, carries over bit for bit.  Contraction
     is measured, not assumed: a sup-change increasing over three
     consecutive iterations aborts with :class:`NonContraction`.
 
@@ -353,31 +378,37 @@ def shadow_expanding(
     r = ext.r[:J]  # r_1 .. r_J: every n <= J has a residual, as J < ext.horizon
     if coeffs is not None:
         _check_linear_quotients(rates, J)
-        quotients = coeffs[J - 1 :: -1] if J else []  # q_J .. q_1
+        quotients = _listed(coeffs[J - 1 :: -1]) if J else []  # q_J .. q_1
     else:  # q_n = q_n(a_n + d_n, a_n), kept with the argument it was made at
         quotients, points = [0j] * J, [None] * J
     d = [0j] * (J + 1)  # d_1 .. d_{J+1}
+    top = J  # the largest n whose q_n moved: the first sweep makes every d_n
     scale = max(1.0, abs(a[0]))
     iterations = 0
     prev_change = math.inf
     increasing = 0
     while True:
         iterations += 1
-        if coeffs is None:
-            _update_nonlinear_quotients(sys, a, d, quotients, points)
-        # d_{J+1} = 0; backward recurrence d_n = (r_n + d_{n+1}) / q_n
-        nxt = 0j
-        backward = [nxt := (r_n + nxt) / q for r_n, q in zip(reversed(r), quotients)]  # d_J .. d_1
+        if coeffs is None:  # only a b_n = a_n + d_n with n <= top moved in the last sweep
+            top = _update_nonlinear_quotients(sys, a, d, quotients, points, top)
+        # backward recurrence d_n = (r_n + d_{n+1}) / q_n for n = top .. 1, from d_{J+1} = 0
+        # on the first sweep; no q_n past top moved, so d_{top+1} .. d_{J+1} carry over
+        nxt = d[top]
+        backward = [  # d_top .. d_1
+            nxt := (r_n + nxt) / q
+            for r_n, q in zip(islice(reversed(r), J - top, None), islice(quotients, J - top, None))
+        ]
         # nxt is d_1: each q is finite and nonzero, so a d_n that is not finite carries down to it
         if not cmath.isfinite(nxt):
-            n = J - next(i for i, x in enumerate(backward) if not cmath.isfinite(x))
+            n = top - next(i for i, x in enumerate(backward) if not cmath.isfinite(x))
             raise DegenerateQuotient(f"d_{n} = (r_{n} + d_{n + 1})/q_{n} left the float range")
-        new_d = backward[::-1] + [0j]
+        swept = backward[::-1]  # d_1 .. d_top
         if sys.is_linear or eps == 0.0:
-            d = new_d
+            d[:top] = swept
             break
-        change = max([abs(x - y) for x, y in zip(new_d[:horizon], d)])
-        d = new_d
+        # a carried d_n changes by exactly 0.0, so the sup-change is the swept prefix's
+        change = max([abs(x - y) for x, y in zip(swept[:horizon], d)], default=0.0)
+        d[:top] = swept
         if change < opts.tol * scale:
             break
         if change > prev_change:
@@ -409,39 +440,45 @@ def shadow_expanding(
     )
 
 
-def _check_finite_steps(coeffs: Optional[list], rates: Sequence[float], steps: int) -> None:
+def _check_finite_steps(coeffs: Optional[Sequence], rates: Sequence[float], steps: int) -> None:
     """:class:`RateRangeError` at the first n <= ``steps`` whose c_n is past
     the float range: a given orbit's own step there leaves it.  A finite
-    c_n whose modulus overflows has the rate ``inf`` too, and passes."""
-    if coeffs is None or math.inf not in rates[:steps]:
+    c_n whose modulus overflows has the rate ``inf`` too, and passes.  Each
+    table is an array or a list; the scans are numpy's, the message a
+    Python complex."""
+    if coeffs is None or not np.equal(rates[:steps], math.inf).any():
         return
-    for n, c in enumerate(coeffs[:steps], 1):
-        if not cmath.isfinite(c):
-            raise RateRangeError(f"coefficient past the float range: c_n = {c!r} at n = {n}")
+    if (past := np.flatnonzero(~np.isfinite(coeffs[:steps]))).size:
+        n = int(past[0]) + 1
+        raise RateRangeError(
+            f"coefficient past the float range: c_n = {complex(coeffs[n - 1])!r} at n = {n}"
+        )
 
 
 def _check_linear_quotients(rates: Sequence[float], J: int) -> None:
     """The degenerate-quotient check of q_J .. q_1 = c_J .. c_1, in that order,
     on the rates |c_n| (C ``hypot``, as ``abs`` computes it): the first
-    failure is met where the recurrence would meet it."""
-    head = rates[:J]
-    if not head or min(head) >= DEGENERATE_QUOTIENT_LIMIT:
-        return
-    for n in range(J, 0, -1):
-        if rates[n - 1] < DEGENERATE_QUOTIENT_LIMIT:
-            raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
+    failure is met where the recurrence would meet it, at the largest such n."""
+    if (small := np.flatnonzero(np.less(rates[:J], DEGENERATE_QUOTIENT_LIMIT))).size:
+        raise DegenerateQuotient(f"|q_{int(small[-1]) + 1}| ~ 0; error dynamics singular")
 
 
 def _update_nonlinear_quotients(
-    sys: MapSystem, a: Sequence[complex], d: Sequence[complex], quotients: list, points: list
-) -> None:
+    sys: MapSystem, a: Sequence[complex], d: Sequence[complex], quotients: list, points: list,
+    bound: Optional[int] = None,
+) -> int:
     """q_J .. q_1 brought up to date with d: ``quotients[J - n]`` holds q_n and
     ``points[J - n]`` the a_n + d_n it was made at.  Only a q_n whose argument
     moved is made again, in the order J .. 1, and checked as it is made: one
-    that is not finite, or whose sine overflows, is a :class:`NonContraction`."""
+    that is not finite, or whose sine overflows, is a :class:`NonContraction`.
+    With ``bound``, a caller that moved no d_n past it since the last update,
+    the scan starts at n = bound, every q_n past it being up to date.  Returns
+    the largest n whose q_n was made again, 0 where none was."""
     eval_q = sys.eval_q
     J = len(quotients)
-    for i, n in enumerate(range(J, 0, -1)):
+    top = 0
+    for n in range(J if bound is None else bound, 0, -1):
+        i = J - n
         v = a[n - 1]
         u = v + d[n - 1]
         if u != points[i]:
@@ -455,6 +492,8 @@ def _update_nonlinear_quotients(
                 raise DegenerateQuotient(f"|q_{n}| ~ 0; error dynamics singular")
             quotients[i] = q
             points[i] = u
+            top = top or n
+    return top
 
 
 def _pick_truncation(
@@ -479,12 +518,12 @@ def _pick_truncation(
     if eps == 0.0:
         return horizon, False
     target = tail_fraction * bound if bound > 0 else 0.0
-    window = rates[horizon - 1 : cap]
-    check_rates(window, first=horizon)
+    window = check_rates(rates[horizon - 1 : cap], first=horizon)
     log, exp, inf = math.log, math.exp, math.inf
     log_c = 0.0  # log of c_j = prod_{i=horizon..j} 1/p_i, for j = horizon..cap
     tail_terms = [
-        exp(log_c) if (log_c := log_c - log(p)) <= _LOG_FLOAT_MAX else inf for p in window
+        exp(log_c) if (log_c := log_c - log(p)) <= _LOG_FLOAT_MAX else inf
+        for p in _listed(window)
     ]
     # the tail past each J from the last term down: the geometric remainder, then
     # each term added to it in that order; the count-th is past J = horizon + len - count
@@ -495,7 +534,7 @@ def _pick_truncation(
 
 
 def _relative_residual_sup(
-    sys: MapSystem, coeffs: Optional[list], b: Sequence[complex]
+    sys: MapSystem, coeffs: Optional[Sequence], b: Sequence[complex]
 ) -> float:
     """sup_n |b_{n+1} - F(n, b_n)| / max(1, |b_n|), with F(n, b_n) = c_n b_n
     from the table ``coeffs`` of a linear family, else from ``eval_map``.
@@ -525,7 +564,7 @@ def _relative_residual_sup(
         ])
     steps = min(len(b) - 1, len(coeffs))
     values = np.array(b[: steps + 1], dtype=complex)
-    c = np.array(coeffs[:steps], dtype=complex)
+    c = np.asarray(coeffs[:steps], dtype=complex)  # a table's slice as it is
     z, nxt = values[:-1], values[1:]
     with np.errstate(all="ignore"):  # inf and NaN are values here, not warnings
         re = np.subtract(np.multiply(c.real, z.real), np.multiply(c.imag, z.imag))

@@ -31,7 +31,8 @@ division for a rational monomial, ``ldexp`` for a base 2**s, for any other
 base one stream of exact powers, held one at a time, and a float
 parameter's own expression; a power past the float span is its limit, 0.0
 or inf.  Every float read of c_n and p_n makes one float table: the
-coefficients are its ``tolist`` and the rates its moduli.
+coefficients are that array and the rates its moduli, and a sweep lists the
+entries it steps, one block at a time (``_listed``).
 ``MapSystem._rates`` alone states p_n, as one float array of those moduli or
 the sinusoid's expression, which ``profile_of`` reads with no list between;
 the scalars ``coefficient(n)`` and ``growth_rate(n)`` are entry 0 of the
@@ -56,7 +57,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from numbers import Real
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -268,8 +269,10 @@ class MapSystem:
             return _moduli(self._float_table(ns))
         return _expanding_rate(self.params[0], np.arange(ns.start, ns.stop, dtype=float))
 
-    def tables(self, horizon: int) -> tuple[Optional[list[complex]], list[float]]:
-        """(c_1 .. c_horizon, p_1 .. p_horizon) from one coefficient table.
+    def tables(self, horizon: int) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """(c_1 .. c_horizon, p_1 .. p_horizon) as the two arrays of one float
+        coefficient table, with no list made: a sweep lists the entries it
+        steps (:func:`_listed`).
 
         The coefficients are ``None`` for the nonlinear family.  Each rate
         is |c_n| by C ``hypot``, as ``abs(complex)`` computes it, and
@@ -277,9 +280,9 @@ class MapSystem:
         """
         ns = range(1, horizon + 1)
         if not self.is_linear:
-            return None, self._rates(ns).tolist()
+            return None, self._rates(ns)
         table = self._float_table(ns)
-        return table.tolist(), _moduli(table).tolist()
+        return table, _moduli(table)
 
 
 def _moduli(table: np.ndarray) -> np.ndarray:
@@ -287,6 +290,22 @@ def _moduli(table: np.ndarray) -> np.ndarray:
     ``abs(complex)`` computes it, and ``inf`` where that overflows."""
     with np.errstate(over="ignore"):
         return np.hypot(table.real, table.imag)
+
+
+def _listed(table: Sequence) -> Iterator:
+    """The entries of a table (an array, or a list numpy reads as one) as
+    Python scalars, in order, one block of ``_ORBIT_BLOCK`` listed
+    (:func:`_list_block`) as a sweep first reads into it: a sweep that stops
+    early lists no block past the one it stops in."""
+    table = np.asarray(table)
+    return chain.from_iterable(
+        map(_list_block, repeat(table), range(0, len(table), _ORBIT_BLOCK))
+    )
+
+
+def _list_block(table: np.ndarray, start: int) -> list:
+    """Entries start .. start + ``_ORBIT_BLOCK`` - 1 of ``table`` as Python scalars."""
+    return table[start : start + _ORBIT_BLOCK].tolist()
 
 
 def check_rates(rates: Sequence[float], first: int = 1) -> np.ndarray:
@@ -694,12 +713,13 @@ def _check_orbit_request(epsilon: float, horizon: int, a1: Optional[complex] = N
 
 def _pseudo_orbit(
     sys: MapSystem, a1: complex, epsilon: float, policy: ResidualPolicy, horizon: int,
-    coeffs: Optional[list], head: Optional[PseudoOrbit] = None,
+    coeffs: Optional[Sequence], head: Optional[PseudoOrbit] = None,
 ) -> PseudoOrbit:
     """:func:`generate_pseudo_orbit`, stepping a linear family through
     ``coeffs`` when given: a table the caller already holds, c_1 .. c_M
-    with M >= horizon - 1.  ``head``, an orbit up to a shorter horizon, is
-    kept as given and stepped on from its last value; ``a1`` is then unused."""
+    with M >= horizon - 1, listed a block at a time as the steps read it.
+    ``head``, an orbit up to a shorter horizon, is kept as given and stepped
+    on from its last value; ``a1`` is then unused."""
     _check_orbit_request(epsilon, horizon, a1 if head is None else None)
     start = 1 if head is None else head.horizon
     steps = range(start, horizon)
@@ -714,12 +734,10 @@ def _pseudo_orbit(
     if sys.is_linear:
         period = None  # the cycle rule reads only a table built here, under a constant residual
         if coeffs is None:
-            coeffs = sys.coefficients(horizon - 1)
+            coeffs = sys._float_table(range(1, horizon))
             if policy.kind is not PolicyKind.LOW_DISCREPANCY_PHASE:
                 period = sys._period()
-        truncated = _step_linear(
-            a, r, islice(coeffs, start - 1, None), residuals, period, horizon
-        )
+        truncated = _step_linear(a, r, _listed(coeffs[start - 1:]), residuals, period, horizon)
     else:
         truncated = _step_nonlinear(a, r, sys.eval_map, steps, residuals)
     return PseudoOrbit(
@@ -732,7 +750,8 @@ def _pseudo_orbit(
     )
 
 
-#: Steps of a linear orbit made between two range tests.
+#: Steps of a linear orbit made between two range tests, and entries of a
+#: table listed at a time (:func:`_listed`).
 _ORBIT_BLOCK = 1024
 
 

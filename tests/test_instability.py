@@ -218,7 +218,7 @@ def _per_call_witness_divergence(sys, eps, horizon, cls):
 
     policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
     pseudo = generate_pseudo_orbit(sys, 1.0, eps, policy, horizon + 1)
-    coeffs, rates = sys.tables(horizon)
+    coeffs, rates = (table.tolist() for table in sys.tables(horizon))
 
     samples = []
     log10_eps = math.log10(eps) if eps > 0 else -math.inf

@@ -75,6 +75,25 @@ class TestLoading:
         assert capsys.readouterr().err == f"hu-shadow: config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "shadow",
+        [{"tol": 0}, {"tol": -1e-12}, {"max_iter": 0}, {"tail_fraction": 0}, {"tail_fraction": 1}],
+    )
+    def test_shadow_options_outside_their_rules_are_one_config_line(self, tmp_path, capsys, shadow):
+        # ShadowOptions states the rules; the scenario words its refusal as before
+        raw = {**MINIMAL, "shadow": shadow}
+        message = "shadow: tol > 0, max_iter >= 1, 0 < tail_fraction < 1 required"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(raw)
+        path = write_scenario(tmp_path, raw)
+        assert main(["shadow", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"hu-shadow: config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_shadow_option_of_the_wrong_type_keeps_its_reader_message(self):
+        with pytest.raises(ConfigError, match="^shadow.max_iter: expected an integer, got float$"):
+            scenario_from_dict({**MINIMAL, "shadow": {"max_iter": 2.5}})
+
     def test_unknown_top_level_key(self, tmp_path):
         payload = dict(MINIMAL, extra=1)
         with pytest.raises(ConfigError, match="unknown keys"):

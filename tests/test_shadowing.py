@@ -166,6 +166,59 @@ REFUSALS = {
         lambda: accumulated_rate_bound([2.0, 0.5], 4, 1.0, 0.0),
         ValueError("need rates p_1..p_3, got 2"),
     ),
+    # each returned a value that bounds nothing, or failed inside the slicing; the
+    # NaN rate shows the refusal comes before the sweep's scan
+    "accumulated_n_not_int": (
+        lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 2.5, 1e-3, 0.0),
+        ValueError("n must be an int, got 2.5"),
+    ),
+    "accumulated_eps_nan": (
+        lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 3, math.nan, 0.0),
+        ValueError("eps must be nonnegative, got nan"),
+    ),
+    "accumulated_eps_negative": (
+        lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 3, -1e-3, 0.0),
+        ValueError("eps must be nonnegative, got -0.001"),
+    ),
+    "accumulated_gap_nan": (
+        lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 3, 1e-3, math.nan),
+        ValueError("gap must be nonnegative, got nan"),
+    ),
+    "accumulated_gap_negative": (
+        lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 3, 1e-3, -1.0),
+        ValueError("gap must be nonnegative, got -1.0"),
+    ),
+    # max_iter 0 ran one iteration and then named 0; a NaN tol ran every iteration;
+    # a NaN or negative tail_fraction capped J at horizon + 200 unsaid
+    "options_tol_zero": (
+        lambda: ShadowOptions(tol=0.0), ValueError("tol must be finite and above 0, got 0.0")
+    ),
+    "options_tol_nan": (
+        lambda: ShadowOptions(tol=math.nan), ValueError("tol must be finite and above 0, got nan")
+    ),
+    "options_tol_inf": (
+        lambda: ShadowOptions(tol=math.inf), ValueError("tol must be finite and above 0, got inf")
+    ),
+    "options_max_iter_zero": (
+        lambda: ShadowOptions(max_iter=0), ValueError("max_iter must be an int of at least 1, got 0")
+    ),
+    "options_max_iter_float": (
+        lambda: ShadowOptions(max_iter=2.0), ValueError("max_iter must be an int of at least 1, got 2.0")
+    ),
+    "options_max_iter_bool": (
+        lambda: ShadowOptions(max_iter=True), ValueError("max_iter must be an int of at least 1, got True")
+    ),
+    "options_tail_fraction_negative": (
+        lambda: ShadowOptions(tail_fraction=-1e-3),
+        ValueError("tail_fraction must lie in (0, 1), got -0.001"),
+    ),
+    "options_tail_fraction_nan": (
+        lambda: ShadowOptions(tail_fraction=math.nan),
+        ValueError("tail_fraction must lie in (0, 1), got nan"),
+    ),
+    "options_tail_fraction_one": (
+        lambda: ShadowOptions(tail_fraction=1.0), ValueError("tail_fraction must lie in (0, 1), got 1.0")
+    ),
     # K <= 1 let NaN through: the bound came out NaN, J the cap
     "bounded_factor_k_nan": (
         lambda: bounded_factor_expanding_bound(1.0, 2.0, math.nan, 1e-3),
@@ -577,6 +630,12 @@ def _per_call_accumulated_rate_bounds(rates, horizon, eps, gap):
         yield prod * gap + S * eps
 
 
+def _listed_tables(sys, horizon):
+    """``sys.tables(horizon)`` as the lists the per-step loops read."""
+    coeffs, rates = sys.tables(horizon)
+    return (None if coeffs is None else coeffs.tolist()), rates.tolist()
+
+
 def _per_call_apply(sys, coeffs, n, z):
     if coeffs is not None:
         c = coeffs[n - 1]
@@ -598,7 +657,7 @@ def _per_call_shadow_contracting(sys, pseudo, K):
         raise HypothesisViolation(f"K must exceed 1, got {K}")
     horizon = pseudo.horizon
     eps = pseudo.epsilon
-    coeffs, rates = sys.tables(horizon)
+    coeffs, rates = _listed_tables(sys, horizon)
     b = [pseudo.value(1)]
     for n in range(1, horizon):
         b.append(_per_call_apply(sys, coeffs, n, b[-1]))
@@ -660,7 +719,7 @@ def _per_call_shadow_expanding(sys, pseudo, K, opts=ShadowOptions(), extend=_reg
     eps = pseudo.epsilon
     bound = 2.0 * eps / math.log(K)
 
-    coeffs, rates = sys.tables(horizon + shadowing.TAIL_CAP_MARGIN)
+    coeffs, rates = _listed_tables(sys, horizon + shadowing.TAIL_CAP_MARGIN)
     J, capped = shadowing._pick_truncation(rates, horizon, eps, bound, opts.tail_fraction, K)
     ext = extend(sys, pseudo, max(J + 1, horizon))
     if ext.horizon < horizon:
@@ -899,7 +958,7 @@ class TestLeanConstructions:
         # the per-call residual pass over b re-steps it with b's own arithmetic
         result = _outcome(shadow_contracting, sys, generate_pseudo_orbit(sys, a1, eps, policy, horizon), K)
         if isinstance(result, ShadowResult):
-            coeffs = sys.tables(horizon)[0]
+            coeffs = _listed_tables(sys, horizon)[0]
             assert _bits(_per_call_relative_residual_sup(sys, coeffs, result.b)) == _bits(0.0)
             assert _bits(result.meta.residual_sup) == _bits(0.0)
 

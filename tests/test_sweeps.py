@@ -61,6 +61,11 @@ BLOCK = systems._ORBIT_BLOCK
 
 
 # -- the per-step loops, verbatim but for the names of the loops they call ---
+def _listed_tables(sys, horizon):
+    """``sys.tables(horizon)`` as the lists the per-step loops read."""
+    coeffs, rates = sys.tables(horizon)
+    return (None if coeffs is None else coeffs.tolist()), rates.tolist()
+
 
 
 def _loop_pseudo_orbit(sys, a1, epsilon, policy, horizon, coeffs, head=None):
@@ -141,7 +146,7 @@ def _loop_shadow_contracting(sys, pseudo, K):
         )
     horizon = pseudo.horizon
     eps = pseudo.epsilon
-    coeffs, rates = sys.tables(horizon)
+    coeffs, rates = _listed_tables(sys, horizon)
     _check_finite_steps(coeffs, rates, horizon - 1)
     z = pseudo.value(1)
     b = [z]
@@ -169,7 +174,7 @@ def _loop_shadow_expanding(sys, pseudo, K, opts=ShadowOptions()):
     horizon = pseudo.horizon
     eps = pseudo.epsilon
     bound = 2.0 * eps / math.log(K)
-    coeffs, rates = sys.tables(horizon + TAIL_CAP_MARGIN)
+    coeffs, rates = _listed_tables(sys, horizon + TAIL_CAP_MARGIN)
     J, capped = _pick_truncation(rates, horizon, eps, bound, opts.tail_fraction, K)
     _check_finite_steps(coeffs, rates, horizon - 1)
     ext = _loop_pseudo_orbit(sys, pseudo.value(1), eps, pseudo.policy, J + 1, coeffs, pseudo)
@@ -725,7 +730,7 @@ class TestTiledTables:
             # one table, read by _moduli alone: the only list made is the rates'
             assert len(tables) == 1 and len(moduli) == 1 and moduli[0] is tables[0], name
             assert lists == ["f"], name
-            assert sys.rates(50) == sys.tables(50)[1]
+            assert sys.rates(50) == sys.tables(50)[1].tolist()
 
 
 # -- the cycle rule -------------------------------------------------------------
@@ -900,3 +905,159 @@ class TestCycleRule:
     )
     def test_only_a_law_of_constants_has_a_period(self, sys, period):
         assert sys._period() == period
+
+
+# -- tables as arrays, listed a block at a time --------------------------------
+
+
+@contextmanager
+def _block_spy():
+    """(dtype kind, table length, first entry) of each block a sweep lists, in order."""
+    listed = []
+    original = systems._list_block
+
+    def spy(table, start):
+        listed.append((table.dtype.kind, len(table), start))
+        return original(table, start)
+
+    with mock.patch.object(systems, "_list_block", spy):
+        yield listed
+
+
+def _blocks(kind, length, stepped):
+    """The blocks a sweep of ``stepped`` entries lists from a table of ``length``."""
+    return [(kind, length, start) for start in range(0, stepped, BLOCK)]
+
+
+#: the fixed point's policies whose sinusoid orbit leaves the float range in
+#: about 15 steps, so that a q_n moves near the end of the orbit, not only at its start
+complex_phase_policies = st.builds(
+    ResidualPolicy,
+    st.sampled_from([PolicyKind.CONSTANT_PHASE, PolicyKind.LOW_DISCREPANCY_PHASE]),
+    st.floats(-7.0, 7.0),
+)
+
+
+class TestListedTables:
+    def test_a_cycle_lists_no_block_past_its_own(self):
+        # the paper's law (2, 1/3) at the benchmark's horizon: each sweep the cycle
+        # rule ends lists the blocks it stepped, none of the 10 of each table past them
+        sys, H = periodic_linear(), 10**4
+        with _tiling_spy() as added, _block_spy() as listed:
+            pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), H)
+        a, r = added
+        assert listed == _blocks("c", H - 1, H - 1 - a)
+        with _tiling_spy() as added, _block_spy() as listed:
+            shadow_contracting(sys, pseudo, 3.0)
+        b, sums = added  # each repeat adds what the sweep did not step
+        assert listed == _blocks("c", H - 1, H - 1 - b) + _blocks("f", H - 1, H - 1 - sums)
+        assert [len(_blocks("", H, H - 1 - x)) for x in (a, b, sums)] == [1, 4, 1]
+
+    def test_a_truncated_orbit_lists_no_block_past_its_last_step(self):
+        # index_scaled_linear leaves the range at n = 3386 of 10**4: 4 blocks of 10
+        sys, H = index_scaled_linear(), 10**4
+        with _block_spy() as listed:
+            pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), H)
+        assert pseudo.truncated and pseudo.horizon == 3385
+        assert listed == _blocks("c", H - 1, pseudo.horizon)
+
+    def test_every_value_returned_is_a_python_scalar(self):
+        # the tables are numpy arrays; nothing read from them reaches a result as
+        # a numpy scalar, whose repr and type differ (np.complex128(inf+0j))
+        H = 2 * BLOCK + 50
+        for sys, construct, K in (
+            (periodic_linear(), shadow_contracting, 1.2247),
+            (index_scaled_linear(), shadow_expanding, 1.2247),
+            (affine_sinusoid(), shadow_expanding, 3.0),
+        ):
+            pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), H)
+            result = construct(sys, pseudo, K)
+            assert {type(x) for x in pseudo.a + pseudo.r + result.b + result.d} == {complex}
+            meta = result.meta
+            assert {type(x) for x in (result.bound, meta.residual_sup, meta.sound_bound)} == {float}
+        pseudo = generate_pseudo_orbit(periodic_linear(), 1.0, 1e-3, ResidualPolicy(), H)
+        assert type(shadowing.telescope_difference(periodic_linear(), pseudo, 1.0, H)) is complex
+        witness = witness_divergence(power_two_parity(), 1e-3, H, parity_classification())
+        assert {type(x) for s in witness.samples for x in s[2:8]} == {float}
+
+    @pytest.mark.parametrize("construct", [shadow_contracting, shadowing.telescope_difference])
+    def test_the_past_range_message_reads_a_python_complex(self, construct):
+        # c_1025 = 2**1025 of the parity law is past the float range; a given
+        # orbit's own step there is refused, its c_n written as Python writes it
+        sys, H = power_two_parity(), 1100
+        pseudo = PseudoOrbit((1 + 0j,) * H, (0j,) * (H - 1), 1e-3, H, ResidualPolicy())
+        message = r"^coefficient past the float range: c_n = \(inf\+0j\) at n = 1025$"
+        args = (2.0,) if construct is shadow_contracting else (1.0, H)
+        with pytest.raises(RateRangeError, match=message):
+            construct(sys, pseudo, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rates=st.lists(rate_values, max_size=40),
+        extra=st.sampled_from([0, 1, 2]),
+        eps=st.floats(0, 1e-2),
+        gap=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0, 1.0)),
+    )
+    def test_the_public_bound_reads_an_array_as_its_list(self, rates, extra, eps, gap):
+        n = max(1, len(rates) + 1 - extra)
+        bound = shadowing.accumulated_rate_bound
+        listed = _outcome(bound, rates, n, eps, gap)
+        assert _outcome(bound, np.array(rates, dtype=float), n, eps, gap) == listed
+        if not isinstance(listed[0], type):  # a value, not an error
+            assert type(bound(np.array(rates), n, eps, gap)) is float
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        slope=st.floats(1.5, 4.0),
+        a1=st.one_of(st.floats(-2.0, 2.0), st.complex_numbers(max_magnitude=2, allow_nan=False)),
+        eps=st.floats(1e-6, 1e-2),
+        policy=complex_phase_policies,
+        horizon=st.integers(600, 700),
+    )
+    @example(slope=3.0, a1=1.0, eps=1e-3, policy=ResidualPolicy(PolicyKind.CONSTANT_PHASE, 0.7), horizon=650)
+    def test_the_fixed_point_resweeps_the_moved_prefix_as_the_loop(self, slope, a1, eps, policy, horizon):
+        # the loop re-sweeps every d_n and rescans every q_n; the construction only
+        # those up to the last q_n that moved, with the same eval_q calls in order
+        sys = affine_sinusoid(slope)
+        pseudo = generate_pseudo_orbit(sys, a1, eps, policy, horizon)
+        calls = {}
+        original = MapSystem.eval_q
+        for name, construct in (("new", shadow_expanding), ("loop", _loop_shadow_expanding)):
+            seen = calls[name] = []
+
+            def eval_q(self, n, u, v):
+                seen.append((n, _bits(u), _bits(v)))
+                return original(self, n, u, v)
+
+            with mock.patch.object(MapSystem, "eval_q", eval_q):
+                calls[name + "_outcome"] = _outcome(construct, sys, pseudo, slope - 0.25)
+        assert calls["new_outcome"] == calls["loop_outcome"]
+        assert calls["new"] == calls["loop"]
+
+    @pytest.mark.parametrize(
+        "a1, policy, horizon, scans",
+        [
+            # the benchmark's orbit: 628 quotients, then 27, 11 and 3 move
+            (1.0, ResidualPolicy(), 1000, [(628, 628), (628, 27), (27, 11), (11, 3)]),
+            # a complex phase: the moved prefix ends one or two steps before J = 14
+            (
+                1.0, ResidualPolicy(PolicyKind.CONSTANT_PHASE, 0.7), 650,
+                [(14, 14), (14, 13), (13, 13), (13, 12)],
+            ),
+        ],
+        ids=["benchmark", "complex_phase"],
+    )
+    def test_each_scan_starts_at_the_last_moved_quotient(self, a1, policy, horizon, scans):
+        sys = affine_sinusoid()
+        pseudo = generate_pseudo_orbit(sys, a1, 1e-3, policy, horizon)
+        seen = []
+        original = shadowing._update_nonlinear_quotients
+
+        def update(sys, a, d, quotients, points, bound=None):
+            seen.append((bound, top := original(sys, a, d, quotients, points, bound)))
+            return top
+
+        with mock.patch.object(shadowing, "_update_nonlinear_quotients", update):
+            result = shadow_expanding(sys, pseudo, 2.75)
+        assert seen == scans
+        assert _deep_bits(result) == _outcome(_loop_shadow_expanding, sys, pseudo, 2.75)

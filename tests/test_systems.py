@@ -727,6 +727,7 @@ class TestCoefficientTable:
         sys = affine_sinusoid(2.5)
         coeffs, rates = sys.tables(500)
         assert coeffs is None
+        rates = rates.tolist()
         assert [r.hex() for r in rates] == [
             reference_growth_rate(sys, n).hex() for n in range(1, 501)
         ]
