@@ -55,7 +55,6 @@ from .shadowing import (
     ShadowOptions,
     ShadowResult,
     accumulated_rate_bound,
-    bounded_factor_expanding_bound,
     shadow_contracting,
     shadow_expanding,
     telescope_difference,

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import RateRangeError
-from .systems import MapSystem, check_rates
+from .systems import MapSystem, check_count, check_rates
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,19 @@ class PeriodicFit:
 
 @dataclass(frozen=True)
 class AnalysisOptions:
+    """The classifier's tail window, tolerance and largest period, the one
+    home of their rules: ``window`` an int of at least 1, ``tol`` finite and
+    above 0 and ``max_period`` an int of at least 2, else ``ValueError``."""
+
     window: int = 32
     tol: float = 1e-4
     max_period: int = 8
+
+    def __post_init__(self) -> None:
+        check_count(self.window, "window", 1)
+        if not 0.0 < self.tol < math.inf:  # NaN too, as ShadowOptions.tol
+            raise ValueError(f"tol must be finite and above 0, got {self.tol!r}")
+        check_count(self.max_period, "max_period", 2)
 
 
 @dataclass(frozen=True)
@@ -224,18 +234,14 @@ class _ProfileScan:
         return absolute, highs - lows
 
 
-def _rejected_prefixes(
-    L: np.ndarray, m: int, tol: float, *, scan: Optional[_ProfileScan] = None
-) -> np.ndarray:
+def _rejected_prefixes(L: np.ndarray, m: int, tol: float, *, scan: _ProfileScan) -> np.ndarray:
     """Mask over prefixes 0..horizon//4: True where ``_fit_period`` with
     period m provably returns None, by the screens of
     :func:`detect_periodic_scaled`.  ``scan`` holds L's period-free
-    quantities across periods; by default they are computed here."""
+    quantities across periods."""
     horizon = L.size
     prefixes = np.arange(horizon // 4 + 1)
     rejected = np.zeros(prefixes.size, dtype=bool)
-    if scan is None:
-        scan = _ProfileScan(L)
     if (scale := scan.scale) is None:
         return rejected
     bend_limit = 2.0 * (tol + SCREEN_MARGIN * scale)
@@ -493,8 +499,7 @@ def ratio_check(t: Sequence[float], K: float, n: int) -> float:
     For positive t with t_n^(1/n) -> 1 and K > 1 this ratio tends to
     K - 1; the check is purely numerical, no limit is assumed.
     """
-    if n < 2:
-        raise ValueError(f"ratio_check needs n >= 2, got {n}")
+    check_count(n, "n", 2)
     if len(t) < n:
         raise ValueError(f"need t_1..t_{n}, got {len(t)} values")
     if any(x <= 0 for x in t[:n]):
@@ -529,8 +534,7 @@ def double_factorial_envelope_holds(k_max: int) -> bool:
     :func:`_square_cmp` on C(2k,k) the rest: up to k = 10^4 only k = 1,
     where c^2 * 4 = 16.  So every per-k decision is the exact check's.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    check_count(k_max, "k_max", 1)
     r_last = 1.0  # r^_{k-1} before each block
     for start in range(1, k_max + 1, ENVELOPE_BLOCK):
         # floats: k, k - 1/2, 3k + 1 and 4k + 1 are exact

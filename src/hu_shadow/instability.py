@@ -27,6 +27,7 @@ from .growth import Classification, ClassificationKind, PeriodicFit
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, generate_pseudo_orbit
 from .systems import MAX_HORIZON, OVERFLOW_LIMIT, _check_orbit_request, _listed, _pseudo_orbit
+from .systems import check_count
 
 #: log10 of the orbit layer's margin; a value past it is carried as its log10 only.
 LOG10_LIMIT = math.log10(OVERFLOW_LIMIT)
@@ -53,11 +54,10 @@ def divergence_lower_bound_log10(
     log domain, so it stays finite where the bound itself is past the
     float range.  Raises ``ValueError`` for a NaN or infinite K_p, K_q or
     C_p, then :class:`HypothesisViolation` unless K_q > K_p >= 1, and
-    ``ValueError`` for m < 2, k < 0 or C_p <= 0.
+    ``ValueError`` for m or k not an int of at least 2 or 0, or C_p <= 0.
     """
     bound = _lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p)
-    if k < 0:
-        raise ValueError("need m >= 2, k >= 0, C_p > 0")
+    check_count(k, "k", 0)
     return bound(k)
 
 
@@ -73,8 +73,9 @@ def _lower_bound_log10(
         raise HypothesisViolation(
             f"no divergence witness: need K_q > K_p >= 1, got K_p={K_p}, K_q={K_q}"
         )
-    if m < 2 or C_p <= 0:
-        raise ValueError("need m >= 2, k >= 0, C_p > 0")
+    check_count(m, "m", 2)
+    if C_p <= 0:
+        raise ValueError(f"C_p must be above 0, got {C_p!r}")
     ln_p, ln_q, ln_c = math.log(K_p), math.log(K_q), math.log(C_p)
     rise, head, tail = ln_q - ln_p, q_idx * ln_q, (p_idx + m) * ln_p
     ln10 = math.log(10.0)

@@ -28,7 +28,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus
-from .systems import _check_orbit_request, _step_index
+from .systems import _check_orbit_request, _step_index, check_count
 
 
 @dataclass(frozen=True)
@@ -357,11 +357,12 @@ def best_b1_search(
     Each round returns exactly what a loop over :func:`sup_error_for_start`
     in row-major order (real part outer) with a strict ``<`` update would
     return: a nonlinear family's grid is that loop, a linear family's is
-    evaluated as one array.  A region whose grid span is not finite
-    raises ValueError: its grid would hold NaN.
+    evaluated as one array.  A ``grid`` or ``refinements`` that is not an
+    int of at least 2 or 0, and a region whose grid span is not finite
+    (its grid would hold NaN), raise ValueError.
     """
-    if grid < 2 or refinements < 0:
-        raise ValueError("need grid >= 2 and refinements >= 0")
+    check_count(grid, "grid", 2)
+    check_count(refinements, "refinements", 0)
     center = complex(region.center)
     if not sys.is_linear:  # the sinusoid's search stays on the real line
         center = complex(center.real)
@@ -394,5 +395,7 @@ def best_b1_search(
 
 
 def refined_cell_size(region: SearchRegion, grid: int, refinements: int) -> float:
-    """Grid spacing of the final refinement round."""
+    """Grid spacing of the final refinement round, for counts as :func:`best_b1_search`'s."""
+    check_count(grid, "grid", 2)
+    check_count(refinements, "refinements", 0)
     return (2.0 * region.radius / (grid - 1)) / 4.0**refinements

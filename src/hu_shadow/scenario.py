@@ -6,9 +6,10 @@ round-trips losslessly through :func:`scenario_to_dict`.
 
 Integer fields take JSON integers.  Every other numeric field takes a
 finite JSON number or an exact rational string ("1/3"), which keeps the
-exact-arithmetic oracle applicable.  ``horizon`` and 4 * ``analysis.window``
-are at most :data:`~hu_shadow.systems.MAX_HORIZON`, and each part of ``a1``
-is ``OVERFLOW_LIMIT`` in size at most.  Anything else raises ConfigError.
+exact-arithmetic oracle applicable.  This module reads that JSON shape
+only: each value rule is the library's, and its refusal is one ConfigError.
+Two allocation caps are the scenario's own: ``horizon`` and
+4 * ``analysis.window`` are at most :data:`~hu_shadow.systems.MAX_HORIZON`.
 The ``system`` section is written out as it was parsed, so every spelling
 of one value writes alike, and is never shared with the caller.
 """
@@ -27,8 +28,8 @@ from typing import Any, Union
 from .errors import ConfigError
 from .growth import AnalysisOptions
 from .shadowing import ShadowOptions
-from .systems import FACTORIES, MAX_HORIZON, OVERFLOW_LIMIT, Family, MapSystem, PolicyKind
-from .systems import ResidualPolicy, _within_limit
+from .systems import FACTORIES, MAX_HORIZON, Family, MapSystem, PolicyKind, ResidualPolicy
+from .systems import _check_orbit_request
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,18 @@ _OPTION_READERS = {int: _integer, float: _float}
 
 
 def _options(raw: dict, key: str, cls: type):
-    """``raw[key]`` as a ``cls``: each field read by its default's type, or the default."""
+    """``raw[key]`` as a ``cls``: each field read by its default's type, or the
+    default; the class's own refusal of a value is one ConfigError."""
     options = fields(cls)
     section = _section(raw, key, {f.name for f in options})
-    return cls(**{
+    values = {
         f.name: _OPTION_READERS[type(f.default)](section.get(f.name, f.default), f"{key}.{f.name}")
         for f in options
-    })
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 #: The parameters of each family's factory, read once: their names are the keys.
@@ -195,29 +201,19 @@ def scenario_from_dict(raw: dict) -> Scenario:
     system, system_config = _build_system(system_cfg)
 
     a1 = _complex(raw.get("a1", 1), "a1")
-    if not _within_limit(a1):
-        raise ConfigError(f"a1: each part must be at most {OVERFLOW_LIMIT:g} in magnitude")
     epsilon = float(_real(raw.get("epsilon", 1e-3), "epsilon"))
-    if epsilon < 0:
-        raise ConfigError("epsilon: must be nonnegative")
     horizon = _integer(raw.get("horizon", 200), "horizon")
-    if horizon < 1:
-        raise ConfigError("horizon: must be a positive integer")
+    try:  # the checks generation makes; each message names its key
+        _check_orbit_request(epsilon, horizon, a1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if horizon > MAX_HORIZON:
         raise ConfigError(f"horizon: must be at most {MAX_HORIZON}, got {horizon}")
 
     analysis = _options(raw, "analysis", AnalysisOptions)
-    if analysis.window < 1 or analysis.tol <= 0 or analysis.max_period < 2:
-        raise ConfigError("analysis: window >= 1, tol > 0, max_period >= 2 required")
     if analysis.window > MAX_HORIZON // 4:  # the CLI analyses at least 4 * window steps
         raise ConfigError(f"analysis.window: must be at most {MAX_HORIZON // 4}")
-
-    try:  # ShadowOptions states its own rules; a ConfigError from a reader passes through
-        shadow = _options(raw, "shadow", ShadowOptions)
-    except ValueError:
-        raise ConfigError(
-            "shadow: tol > 0, max_iter >= 1, 0 < tail_fraction < 1 required"
-        ) from None
+    shadow = _options(raw, "shadow", ShadowOptions)
 
     return Scenario(
         system=system,

@@ -73,7 +73,7 @@ from .errors import (
 )
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PseudoOrbit, _pseudo_orbit, check_rates, generate_pseudo_orbit
-from .systems import _ORBIT_BLOCK, _cycle_closed, _listed, _repeat_tail
+from .systems import _ORBIT_BLOCK, _cycle_closed, _listed, _repeat_tail, check_count
 
 #: |q| below this is treated as a degenerate quotient.
 DEGENERATE_QUOTIENT_LIMIT = 1e-300
@@ -136,13 +136,11 @@ def accumulated_rate_bound(
     is the n-th one of :func:`_accumulated_rate_bounds`, so it is
     bit-identical to what the constructions maximise.  With eps = 1 and
     a zero gap, the value at n + 1 is the perturbation partial sum S_n.
-    A non-int n, or an eps or gap that is negative or NaN, is refused
-    before any sweep: no bound is made from it.
+    An n that is not an int of at least 1 (:func:`~hu_shadow.systems.check_count`),
+    or an eps or gap that is negative or NaN, is refused before any sweep:
+    no bound is made from it.
     """
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count(n, "n", 1)
     if not eps >= 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
     if not gap >= 0.0:
@@ -200,18 +198,6 @@ def _accumulated_rate_bounds(
     return out
 
 
-def bounded_factor_expanding_bound(
-    m_low: float, M_high: float, K: float, eps: float
-) -> float:
-    """M*eps/(m*(K-1)): expanding-case bound when the scale factors t_n
-    of the rate products stay within [m, M]."""
-    if not K > 1.0:  # NaN too
-        raise HypothesisViolation(f"K must exceed 1, got {K}")
-    if not 0.0 < m_low <= M_high:
-        raise ValueError("need 0 < m_low <= M_high")
-    return M_high * eps / (m_low * (K - 1.0))
-
-
 # -- telescoping identity -------------------------------------------------
 
 
@@ -227,7 +213,8 @@ def telescope_difference(
     coefficient table and steps b_{j+1} = c_j b_j, as the constructions do;
     like them, it first refuses a c_j (j < n) past the float range.
     """
-    if not 1 <= n <= pseudo.horizon:
+    check_count(n, "n", 1)
+    if n > pseudo.horizon:
         raise ValueError(f"n must be in 1..{pseudo.horizon}, got {n}")
     b = complex(b1)
     a1 = pseudo.value(1)
@@ -319,8 +306,7 @@ class ShadowOptions:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < math.inf:  # NaN too
             raise ValueError(f"tol must be finite and above 0, got {self.tol!r}")
-        if type(self.max_iter) is not int or self.max_iter < 1:  # a bool is no count
-            raise ValueError(f"max_iter must be an int of at least 1, got {self.max_iter!r}")
+        check_count(self.max_iter, "max_iter", 1)
         if not 0.0 < self.tail_fraction < 1.0:  # NaN too
             raise ValueError(f"tail_fraction must lie in (0, 1), got {self.tail_fraction!r}")
 
@@ -465,19 +451,19 @@ def _check_linear_quotients(rates: Sequence[float], J: int) -> None:
 
 def _update_nonlinear_quotients(
     sys: MapSystem, a: Sequence[complex], d: Sequence[complex], quotients: list, points: list,
-    bound: Optional[int] = None,
+    bound: int,
 ) -> int:
     """q_J .. q_1 brought up to date with d: ``quotients[J - n]`` holds q_n and
     ``points[J - n]`` the a_n + d_n it was made at.  Only a q_n whose argument
     moved is made again, in the order J .. 1, and checked as it is made: one
     that is not finite, or whose sine overflows, is a :class:`NonContraction`.
-    With ``bound``, a caller that moved no d_n past it since the last update,
-    the scan starts at n = bound, every q_n past it being up to date.  Returns
+    The scan starts at n = ``bound``, J on the first update: the caller moved
+    no d_n past it since the last one, so every q_n past it is up to date.  Returns
     the largest n whose q_n was made again, 0 where none was."""
     eval_q = sys.eval_q
     J = len(quotients)
     top = 0
-    for n in range(J if bound is None else bound, 0, -1):
+    for n in range(bound, 0, -1):
         i = J - n
         v = a[n - 1]
         u = v + d[n - 1]

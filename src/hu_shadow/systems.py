@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -320,6 +320,14 @@ def check_rates(rates: Sequence[float], first: int = 1) -> np.ndarray:
             f"growth rate must be positive: p_n = {float(arr[i])!r} at n = {first + i}"
         )
     return arr
+
+
+def check_count(value: int, name: str, least: int) -> None:
+    """The one count rule: ``value`` is an integer (``numbers.Integral``, a
+    numpy integer too) that is not a bool, and at least ``least``; else a
+    ``ValueError`` naming ``name``.  Every count argument checks here."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
 
 
 def modulus(z: complex) -> float:
@@ -688,8 +696,9 @@ def generate_pseudo_orbit(
 ) -> PseudoOrbit:
     """Propagate a_1 forward under F with policy-generated residuals.
 
-    Each part of ``a1`` must be finite and at most ``OVERFLOW_LIMIT`` in
-    magnitude, and ``epsilon`` finite and nonnegative.  The residual of the
+    ``horizon`` is a count of at least 1 (:func:`check_count`), each part of
+    ``a1`` must be finite and at most ``OVERFLOW_LIMIT`` in magnitude, and
+    ``epsilon`` finite and nonnegative.  The residual of the
     three constant policies is read once; ``low_discrepancy_phase`` reads it
     per step.  A linear family steps through its coefficient table in
     blocks of one comprehension each, so a step makes no call; the
@@ -703,8 +712,7 @@ def generate_pseudo_orbit(
 def _check_orbit_request(epsilon: float, horizon: int, a1: Optional[complex] = None) -> None:
     """The checks :func:`generate_pseudo_orbit` makes before any work, of
     ``a1`` too when the orbit starts from it."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_count(horizon, "horizon", 1)
     if not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if a1 is not None and not _within_limit(a1):

@@ -429,7 +429,7 @@ class TestUsageAndConfig:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--horizon", "0", "horizon: must be a positive integer"),
+            ("--horizon", "0", "horizon must be an int of at least 1, got 0"),
             ("--horizon", str(MAX_HORIZON + 1), f"horizon: must be at most {MAX_HORIZON}, got"),
             ("--epsilon", "nan", "epsilon: expected a finite number"),
             # argparse's four-line usage error and a SystemExit out of main before
@@ -965,6 +965,40 @@ def fuzz_residuals(draw):
     return {"kind": kind}
 
 
+#: Option values of the wrong type, for any field.
+WRONG_TYPES = [True, None, "x", [1], 2.5]
+
+
+def fuzz_count(low: int, high: int):
+    """A count option: values inside and outside its rule, and of the wrong type."""
+    return st.one_of(st.integers(low, high), st.sampled_from([-1, 0, *WRONG_TYPES]))
+
+
+def fuzz_fraction(low: float, high: float):
+    """A real option: values inside (low, high) and outside it, and of the wrong type."""
+    edges = [0.0, -1e-3, 1.0, math.nan, math.inf, "1/3", *WRONG_TYPES]
+    return st.one_of(st.floats(low, high), st.sampled_from(edges))
+
+
+#: ``analysis`` and ``shadow`` sections, each key drawn or left to its default.
+fuzz_analysis = st.fixed_dictionaries(
+    {},
+    optional={
+        "window": fuzz_count(1, 40),
+        "tol": fuzz_fraction(1e-8, 1e-2),
+        "max_period": fuzz_count(2, 10),
+    },
+)
+fuzz_shadow = st.fixed_dictionaries(
+    {},
+    optional={
+        "tol": fuzz_fraction(1e-15, 1e-6),
+        "max_iter": fuzz_count(1, 100),
+        "tail_fraction": fuzz_fraction(1e-6, 0.5),
+    },
+)
+
+
 def fuzz_runs(command: str):
     """(command, scenario): instability's residuals are constant_real, the one
     kind it takes, so that its runs reach the witness."""
@@ -979,7 +1013,8 @@ def fuzz_runs(command: str):
             ),
             "residual": residuals,
             "horizon": st.one_of(st.integers(1, 200), st.integers(1, 3000)),
-        }
+        },
+        optional={"analysis": fuzz_analysis, "shadow": fuzz_shadow},
     )
     return st.tuples(st.just(command), scenarios)
 
@@ -1039,6 +1074,14 @@ def _with_examples(test):
                 ("residual", {"kind": "spiral"}),
                 ("system", []),
                 ("shadow", {"tail_fraction": 1.0}),
+                # each a rule that moved from the scenario into the library
+                ("analysis", {"window": 2.5}),
+                ("analysis", {"tol": 0}),
+                ("analysis", {"max_period": 1}),
+                ("shadow", {"max_iter": 0}),
+                ("epsilon", -1e-3),
+                ("horizon", 0),
+                ("a1", 1e301),
             ]
         ),
     ]

@@ -1,6 +1,7 @@
 """Divergence witnesses for periodic-below-one systems."""
 
 import math
+import numbers
 from fractions import Fraction
 
 import pytest
@@ -64,7 +65,7 @@ class TestLowerBound:
             divergence_lower_bound_log10(0.5, 2.0, 1, 2, 2, 4.0, 3)
 
     def test_a_negative_k_is_refused_after_the_other_checks(self):
-        with pytest.raises(ValueError, match="^need m >= 2, k >= 0, C_p > 0$"):
+        with pytest.raises(ValueError, match="^k must be an int of at least 0, got -1$"):
             divergence_lower_bound_log10(2.0, 4.0, 1, 2, 2, 4.0, -1)
 
     @pytest.mark.parametrize(
@@ -211,8 +212,9 @@ def _per_call_witness_divergence(sys, eps, horizon, cls):
     m = fit.m
     if horizon is None:
         horizon = default_witness_horizon(K_p, K_q, p_idx, q_idx, m, C_p)
-    if horizon < 1:  # the horizon given, not the orbit's horizon + 1
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    # the horizon given, not the orbit's horizon + 1
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 1:
+        raise ValueError(f"horizon must be an int of at least 1, got {horizon!r}")
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
 
@@ -364,7 +366,7 @@ class TestLeanWitnessLoop:
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
     @pytest.mark.parametrize("horizon", [2.5, -3, 40])
     def test_orbit_checks_come_before_the_table(self, eps, horizon):
-        # a non-integer horizon fails in the table; a bad epsilon must be named first
+        # a horizon that is no count is named first, then a bad epsilon, before the table
         cls = parity_classification()
         outcome = _witness_outcome(witness_divergence, power_two_parity(), eps, horizon, cls)
         assert outcome == _witness_outcome(_per_call_witness_divergence, power_two_parity(), eps, horizon, cls)
@@ -376,7 +378,8 @@ class TestLeanWitnessLoop:
         # witness with no samples where generate_pseudo_orbit refuses 0
         calls = []
         monkeypatch.setattr(MapSystem, "tables", lambda self, *args: calls.append(args))
-        with pytest.raises(ValueError, match=f"^horizon must be >= 1, got {horizon}$"):
+        message = f"^horizon must be an int of at least 1, got {horizon}$"
+        with pytest.raises(ValueError, match=message):
             witness_divergence(power_two_parity(), 1e-3, horizon, parity_classification())
         assert calls == []
 

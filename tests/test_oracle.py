@@ -77,7 +77,7 @@ class TestExactPropagation:
             (Fraction(-1, 1000), 5, "epsilon must be finite and nonnegative, got -1/1000"),
             (math.nan, 5, "epsilon must be finite and nonnegative, got nan"),
             (math.inf, 5, "epsilon must be finite and nonnegative, got inf"),
-            (Fraction(1, 1000), 0, "horizon must be >= 1, got 0"),
+            (Fraction(1, 1000), 0, "horizon must be an int of at least 1, got 0"),
         ],
         ids=["negative", "nan", "inf", "horizon_0"],
     )

@@ -76,13 +76,49 @@ class TestLoading:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "shadow",
-        [{"tol": 0}, {"tol": -1e-12}, {"max_iter": 0}, {"tail_fraction": 0}, {"tail_fraction": 1}],
+        "shadow, message",
+        [
+            ({"tol": 0}, "tol must be finite and above 0, got 0.0"),
+            ({"tol": -1e-12}, "tol must be finite and above 0, got -1e-12"),
+            ({"max_iter": 0}, "max_iter must be an int of at least 1, got 0"),
+            ({"tail_fraction": 0}, "tail_fraction must lie in (0, 1), got 0.0"),
+            ({"tail_fraction": 1}, "tail_fraction must lie in (0, 1), got 1.0"),
+        ],
     )
-    def test_shadow_options_outside_their_rules_are_one_config_line(self, tmp_path, capsys, shadow):
-        # ShadowOptions states the rules; the scenario words its refusal as before
+    def test_shadow_options_outside_their_rules_are_one_config_line(
+        self, tmp_path, capsys, shadow, message
+    ):
+        # ShadowOptions states the rules and their words; the scenario names the section
         raw = {**MINIMAL, "shadow": shadow}
-        message = "shadow: tol > 0, max_iter >= 1, 0 < tail_fraction < 1 required"
+        message = f"shadow: {message}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(raw)
+        path = write_scenario(tmp_path, raw)
+        assert main(["shadow", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"hu-shadow: config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"analysis": {"window": 0}}, "analysis: window must be an int of at least 1, got 0"),
+            ({"analysis": {"tol": 0}}, "analysis: tol must be finite and above 0, got 0.0"),
+            (
+                {"analysis": {"max_period": 1}},
+                "analysis: max_period must be an int of at least 2, got 1",
+            ),
+            ({"epsilon": -1e-3}, "epsilon must be finite and nonnegative, got -0.001"),
+            ({"horizon": 0}, "horizon must be an int of at least 1, got 0"),
+            ({"a1": [1e301, 0]}, "a1 must have finite parts of at most 1e+300, got (1e+301+0j)"),
+        ],
+        ids=["window", "tol", "max_period", "epsilon", "horizon", "a1"],
+    )
+    def test_a_library_rule_is_one_config_line_in_its_words(
+        self, tmp_path, capsys, override, message
+    ):
+        # the scenario restated these rules in its own words; the library's own
+        # refusal now names the key, once
+        raw = {**MINIMAL, **override}
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             scenario_from_dict(raw)
         path = write_scenario(tmp_path, raw)

@@ -8,12 +8,13 @@ import re
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hu_shadow import shadowing
-from hu_shadow.systems import OVERFLOW_LIMIT
+from hu_shadow.systems import OVERFLOW_LIMIT, _pseudo_orbit
 from hu_shadow import (
     AnalysisOptions,
     Classification,
@@ -33,11 +34,14 @@ from hu_shadow import (
     ShadowMethod,
     ShadowOptions,
     ShadowResult,
+    SearchRegion,
     accumulated_rate_bound,
     affine_sinusoid,
-    bounded_factor_expanding_bound,
+    best_b1_search,
     classify,
     detect_periodic_scaled,
+    divergence_lower_bound_log10,
+    double_factorial_envelope_holds,
     exact_propagate,
     generate_pseudo_orbit,
     index_scaled_linear,
@@ -45,6 +49,7 @@ from hu_shadow import (
     power_two_parity,
     profile_of,
     ratio_check,
+    refined_cell_size,
     shadow_contracting,
     shadow_expanding,
     telescope_difference,
@@ -110,11 +115,6 @@ class TestClosedFormBounds:
         assert accumulated_rate_bound(rates, n, eps * 2, gap) >= base
         assert accumulated_rate_bound(rates, n, eps, gap * 2) >= base
 
-    def test_bounded_factor_bound(self):
-        assert bounded_factor_expanding_bound(1.0, 2.0, 3.0, 1e-3) == pytest.approx(1e-3)
-        with pytest.raises(HypothesisViolation):
-            bounded_factor_expanding_bound(1.0, 2.0, 0.9, 1e-3)
-
 
 def _reference_bound(rates, n, eps, gap):
     """The per-index bound evaluated afresh: the reference for the sweep."""
@@ -156,7 +156,8 @@ def _orbit(horizon: int) -> PseudoOrbit:
 #: value it returns in place of a result.
 REFUSALS = {
     "accumulated_n_below_one": (
-        lambda: accumulated_rate_bound([2.0], 0, 1e-3, 0.0), ValueError("n must be >= 1, got 0")
+        lambda: accumulated_rate_bound([2.0], 0, 1e-3, 0.0),
+        ValueError("n must be an int of at least 1, got 0"),
     ),
     "accumulated_too_few_rates": (
         lambda: accumulated_rate_bound([2.0], 4, 1e-3, 0.0),
@@ -170,7 +171,7 @@ REFUSALS = {
     # NaN rate shows the refusal comes before the sweep's scan
     "accumulated_n_not_int": (
         lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 2.5, 1e-3, 0.0),
-        ValueError("n must be an int, got 2.5"),
+        ValueError("n must be an int of at least 1, got 2.5"),
     ),
     "accumulated_eps_nan": (
         lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 3, math.nan, 0.0),
@@ -208,6 +209,15 @@ REFUSALS = {
     "options_max_iter_bool": (
         lambda: ShadowOptions(max_iter=True), ValueError("max_iter must be an int of at least 1, got True")
     ),
+    "analysis_tol_zero": (
+        lambda: AnalysisOptions(tol=0.0), ValueError("tol must be finite and above 0, got 0.0")
+    ),
+    "analysis_tol_nan": (
+        lambda: AnalysisOptions(tol=math.nan), ValueError("tol must be finite and above 0, got nan")
+    ),
+    "analysis_tol_inf": (
+        lambda: AnalysisOptions(tol=math.inf), ValueError("tol must be finite and above 0, got inf")
+    ),
     "options_tail_fraction_negative": (
         lambda: ShadowOptions(tail_fraction=-1e-3),
         ValueError("tail_fraction must lie in (0, 1), got -0.001"),
@@ -220,10 +230,6 @@ REFUSALS = {
         lambda: ShadowOptions(tail_fraction=1.0), ValueError("tail_fraction must lie in (0, 1), got 1.0")
     ),
     # K <= 1 let NaN through: the bound came out NaN, J the cap
-    "bounded_factor_k_nan": (
-        lambda: bounded_factor_expanding_bound(1.0, 2.0, math.nan, 1e-3),
-        HypothesisViolation("K must exceed 1, got nan"),
-    ),
     "expanding_k_nan": (
         lambda: shadow_expanding(
             index_scaled_linear(),
@@ -232,13 +238,9 @@ REFUSALS = {
         ),
         HypothesisViolation("K must exceed 1, got nan"),
     ),
-    "bounded_factor_m_above_M": (
-        lambda: bounded_factor_expanding_bound(2.0, 1.0, 1.5, 1e-3),
-        ValueError("need 0 < m_low <= M_high"),
-    ),
     "telescope_n_zero": (
         lambda: telescope_difference(periodic_linear(), _orbit(5), 1.0, 0),
-        ValueError("n must be in 1..5, got 0"),
+        ValueError("n must be an int of at least 1, got 0"),
     ),
     "telescope_n_past_horizon": (
         lambda: telescope_difference(periodic_linear(), _orbit(5), 1.0, 6),
@@ -246,7 +248,7 @@ REFUSALS = {
     ),
     "exact_propagate_horizon_zero": (
         lambda: exact_propagate(periodic_linear(), Fraction(1), Fraction(1, 1000), 0),
-        ValueError("horizon must be >= 1, got 0"),
+        ValueError("horizon must be an int of at least 1, got 0"),
     ),
     "ratio_check_too_few_t": (
         lambda: ratio_check([1.0, 1.0], 1.5, 3), ValueError("need t_1..t_3, got 2 values")
@@ -266,6 +268,54 @@ REFUSALS = {
 }
 
 
+def _count_arguments() -> dict:
+    """Every count argument of the library: (name, least, the call given it)."""
+    sys = periodic_linear()
+    orbit = _orbit(5)
+    region = SearchRegion(center=1.0, radius=0.01)
+    fit = PeriodicFit(m=2, prefix=0, rate_factors=(2.0, 4.0), constants=(4.0, 1.0),
+                      max_residual=0.0)
+    cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
+    return {
+        "generate_pseudo_orbit": (
+            "horizon", 1, lambda h: generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), h)
+        ),
+        "exact_propagate": (
+            "horizon", 1, lambda h: exact_propagate(sys, Fraction(1), Fraction(1, 1000), h)
+        ),
+        "witness_divergence": (
+            "horizon", 1, lambda h: witness_divergence(power_two_parity(), 1e-3, h, cls)
+        ),
+        # shadow_expanding steps a given orbit on from its last value this way
+        "shadow_extension": (
+            "horizon", 1, lambda h: _pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), h, None, orbit)
+        ),
+        "accumulated_rate_bound": (
+            "n", 1, lambda n: accumulated_rate_bound([2.0, 0.5], n, 1e-3, 0.0)
+        ),
+        "telescope_difference": ("n", 1, lambda n: telescope_difference(sys, orbit, 1.0, n)),
+        "ShadowOptions": ("max_iter", 1, lambda n: ShadowOptions(max_iter=n)),
+        "AnalysisOptions_window": ("window", 1, lambda n: AnalysisOptions(window=n)),
+        "AnalysisOptions_max_period": ("max_period", 2, lambda n: AnalysisOptions(max_period=n)),
+        "best_b1_search_grid": ("grid", 2, lambda n: best_b1_search(sys, orbit, 5, region, grid=n)),
+        "best_b1_search_refinements": (
+            "refinements", 0, lambda n: best_b1_search(sys, orbit, 5, region, refinements=n)
+        ),
+        "refined_cell_size_grid": ("grid", 2, lambda n: refined_cell_size(region, n, 0)),
+        "refined_cell_size_refinements": (
+            "refinements", 0, lambda n: refined_cell_size(region, 2, n)
+        ),
+        "double_factorial_envelope_holds": ("k_max", 1, double_factorial_envelope_holds),
+        "ratio_check": ("n", 2, lambda n: ratio_check([1.0, 2.0, 3.0], 1.5, n)),
+        "divergence_lower_bound_log10_k": (
+            "k", 0, lambda k: divergence_lower_bound_log10(2.0, 4.0, 1, 2, 2, 4.0, k)
+        ),
+        "divergence_lower_bound_log10_m": (
+            "m", 2, lambda m: divergence_lower_bound_log10(2.0, 4.0, 1, 2, m, 4.0, 3)
+        ),
+    }
+
+
 class TestArgumentRefusals:
     @pytest.mark.parametrize("name", sorted(REFUSALS))
     def test_refused(self, name):
@@ -275,6 +325,25 @@ class TestArgumentRefusals:
                 call()
         else:
             assert call() == outcome
+
+    @pytest.mark.parametrize("value", [True, 2.5, "least - 1"], ids=["bool", "float", "below"])
+    @pytest.mark.parametrize("entry", sorted(_count_arguments()))
+    def test_every_count_is_refused_before_any_table(self, entry, value, monkeypatch):
+        # a bool passed as a count, a float failed inside the table or the slicing
+        # with a TypeError, and refined_cell_size divided by zero at grid 1
+        name, least, call = _count_arguments()[entry]
+        value = least - 1 if value == "least - 1" else value
+        built = []
+        for table in ("_classes", "_rates"):  # every float and exact table reads one
+            monkeypatch.setattr(MapSystem, table, lambda self, *args: built.append(args))
+        message = f"{name} must be an int of at least {least}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+        assert built == []
+
+    def test_a_numpy_integer_is_a_count(self):
+        orbit = generate_pseudo_orbit(periodic_linear(), 1.0, 1e-3, ResidualPolicy(), np.int64(5))
+        assert orbit == _orbit(5)
 
 
 class TestSoundBoundSweep:

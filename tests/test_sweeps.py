@@ -195,7 +195,7 @@ def _loop_shadow_expanding(sys, pseudo, K, opts=ShadowOptions()):
     while True:
         iterations += 1
         if coeffs is None:
-            _update_nonlinear_quotients(sys, a, d, quotients, points)
+            _update_nonlinear_quotients(sys, a, d, quotients, points, J)
         backward = []  # d_J .. d_1
         nxt = 0j
         for n, r_n, q in zip(range(J, 0, -1), reversed(r), quotients):
@@ -284,8 +284,12 @@ def _loop_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k):
         raise HypothesisViolation(
             f"no divergence witness: need K_q > K_p >= 1, got K_p={K_p}, K_q={K_q}"
         )
-    if m < 2 or k < 0 or C_p <= 0:
-        raise ValueError("need m >= 2, k >= 0, C_p > 0")
+    if m < 2:
+        raise ValueError(f"m must be an int of at least 2, got {m!r}")
+    if C_p <= 0:
+        raise ValueError(f"C_p must be above 0, got {C_p!r}")
+    if k < 0:
+        raise ValueError(f"k must be an int of at least 0, got {k!r}")
     ln = (
         k * m * (math.log(K_q) - math.log(K_p))
         + q_idx * math.log(K_q)
@@ -1053,7 +1057,7 @@ class TestListedTables:
         seen = []
         original = shadowing._update_nonlinear_quotients
 
-        def update(sys, a, d, quotients, points, bound=None):
+        def update(sys, a, d, quotients, points, bound):
             seen.append((bound, top := original(sys, a, d, quotients, points, bound)))
             return top
 

@@ -2,6 +2,7 @@
 
 import ast
 import cmath
+import dataclasses
 import math
 import re
 import time
@@ -16,12 +17,14 @@ from hypothesis import strategies as st
 
 import hu_shadow
 from hu_shadow import (
+    AnalysisOptions,
     Family,
     MapSystem,
     PolicyKind,
     PseudoOrbit,
     RateRangeError,
     ResidualPolicy,
+    ShadowOptions,
     UnsupportedFamily,
     affine_sinusoid,
     generate_pseudo_orbit,
@@ -1411,6 +1414,21 @@ class TestOneRulePerFamily:
             assert any(getattr(law, field) != default for law in laws), field
 
 
+def _formatting_functions(phrase):
+    """(module, function) of every function of the package whose strings hold ``phrase``."""
+    package = Path(hu_shadow.__file__).parent
+    return [
+        (path.name, node.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(x, ast.Constant) and isinstance(x.value, str) and phrase in x.value
+            for x in ast.walk(node)
+        )
+    ]
+
+
 class TestOneHomePerRule:
     def test_linearity_is_decided_in_one_function(self):
         # eval_map and eval_q once tested the sinusoid's member themselves; every
@@ -1448,6 +1466,38 @@ class TestOneHomePerRule:
                 imported |= {alias.name for alias in node.names}
         assert imported  # the module was read
         assert {name for name in imported if {"scenario", "cli"} & set(name.split("."))} == set()
+
+    def test_the_count_message_is_formatted_in_one_function(self):
+        # "an integer count of at least k" was written seven ways, and a bool
+        # passed some of them; every count argument now calls systems.check_count
+        owners = _formatting_functions("must be an int of at least")
+        assert owners == [("systems.py", "check_count")]
+
+    def test_the_scenario_states_no_value_rule(self):
+        # scenario.py restated the checks of epsilon, the horizon, a1 and the
+        # analysis options; it reads the JSON shape, and compares a value only
+        # against its two allocation caps
+        tree = ast.parse((Path(hu_shadow.__file__).parent / "scenario.py").read_text())
+        options = [*dataclasses.fields(AnalysisOptions), *dataclasses.fields(ShadowOptions)]
+        rules = {"epsilon", "horizon", "a1", "_within_limit", "OVERFLOW_LIMIT"}
+        rules |= {f.name for f in options}
+
+        def names(node):
+            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+                n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            }
+
+        def is_a_cap(node):  # a value above MAX_HORIZON, or above a share of it
+            return [type(op) for op in node.ops] == [ast.Gt] and (
+                "MAX_HORIZON" in names(node.comparators[0])
+            )
+
+        compared = [
+            ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and names(node) & rules and not is_a_cap(node)
+        ]
+        assert compared == []
+        assert names(tree) & {"_within_limit", "OVERFLOW_LIMIT"} == set()
 
     def test_no_module_reads_the_environment(self):
         # the CLI once took its output directory from HU_SHADOW_OUT, over --out;
@@ -1491,19 +1541,9 @@ class TestOneRateRule:
     def test_the_rate_message_is_formatted_in_one_function(self):
         # the positive-rate rule is stated by systems.check_rates alone; every
         # other reader of the rates calls it
-        phrase = "growth rate must be positive: p_n"
-        package = Path(hu_shadow.__file__).parent
-        owners = [
-            (path.name, node.name)
-            for path in sorted(package.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.FunctionDef)
-            and any(
-                isinstance(x, ast.Constant) and isinstance(x.value, str) and phrase in x.value
-                for x in ast.walk(node)
-            )
+        assert _formatting_functions("growth rate must be positive: p_n") == [
+            ("systems.py", "check_rates")
         ]
-        assert owners == [("systems.py", "check_rates")]
 
     def test_p_n_is_stated_in_one_method(self):
         # the sinusoid's rate is read by MapSystem._rates alone, and the moduli of
