@@ -56,7 +56,9 @@ def build_profile(rates: Sequence[float]) -> GrowthProfile:
 
 def profile_of(sys: MapSystem, horizon: int) -> GrowthProfile:
     """Profile of a system's growth rates up to ``horizon``, read as the one
-    float array that ``MapSystem._rates`` makes, with no list between."""
+    float array that ``MapSystem._rates`` makes, with no list between;
+    ``horizon`` is an int of at least 1 (:func:`check_count`)."""
+    check_count(horizon, "horizon", 1)
     return build_profile(sys._rates(range(1, horizon + 1)))
 
 
@@ -179,7 +181,11 @@ def detect_periodic_scaled(
     deviation, which bounds the rounding of the suffix sums.  Measured
     gaps between the closed form and ``np.polyfit`` stay below 1e-3 of
     the margin.  A profile that is not finite is not screened.
+
+    ``max_period`` is an int of at least 1 (:func:`check_count`); 1 admits
+    no period, and the result is None.
     """
+    check_count(max_period, "max_period", 1)
     if max_period < 2:
         return None
     horizon = profile.horizon

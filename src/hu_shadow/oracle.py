@@ -8,8 +8,9 @@ residual r_n / r_d, building each ``Fraction`` in place from its reduced
 pair; the references ``exact_difference`` and ``exact_telescope`` read c_n
 as ``Fraction(num, den)`` and run in ``Fraction``.  ``best_b1_search``
 finds a near-optimal shadowing start point by refined grid evaluation, an
-upper bound on the true optimum by construction; its grid steps a real c_n
-as one scaling of both parts.
+upper bound on the true optimum by construction.  Where every c_n is real,
+its grid steps the real and the imaginary start parts as two axes, and
+ranks only the steps that can change some start's two largest distances.
 
 Exact arithmetic is restricted to the linear families with rational
 parameters and real rational data, and reads c_n from the exact pair
@@ -28,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus
-from .systems import _check_orbit_request, _step_index, check_count
+from .systems import _ORBIT_BLOCK, _check_orbit_request, _step_index, check_count
 
 
 @dataclass(frozen=True)
@@ -255,22 +256,123 @@ TIE_GAP = 1e-12
 Q_MIN, Q_MAX = 2.0**-900, 2.0**900
 
 
+class _Ranking:
+    """Per start of a grid, over the steps added: the largest squared
+    distance q (``np.maximum`` carries a NaN q), the parts d where a q first
+    rose above it, and the runner-up ``fmax(runner, minimum(q, best))``.
+
+    Over a set of steps with no NaN q the two are its largest and second
+    largest q, counted with multiplicity, whatever the order of the steps.
+    """
+
+    def __init__(self, shape: tuple[int, int]):
+        self.best = np.full(shape, -np.inf)
+        self.runner = np.zeros(shape)
+        self.best_re, self.best_im = np.zeros(shape), np.zeros(shape)
+        self._t, self._better = np.empty(shape), np.empty(shape, dtype=bool)
+
+    def add(self, q: np.ndarray, d_re: np.ndarray, d_im: np.ndarray) -> None:
+        """Rank one step's q, its parts d broadcast to the grid."""
+        np.fmax(self.runner, np.minimum(q, self.best, out=self._t), out=self.runner)
+        np.greater(q, self.best, out=self._better)
+        np.copyto(self.best_re, d_re, where=self._better)
+        np.copyto(self.best_im, d_im, where=self._better)
+        np.maximum(self.best, q, out=self.best)
+
+    def errors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(``hypot`` of the kept parts, the mask of starts it cannot decide):
+        a largest q outside [``Q_MIN``, ``Q_MAX``], NaN and inf included, or a
+        runner-up within ``TIE_GAP`` of it."""
+        undecided = ~((Q_MIN <= self.best) & (self.best <= Q_MAX))
+        undecided |= self.runner >= self.best * (1.0 - TIE_GAP)
+        return np.hypot(self.best_re, self.best_im), undecided
+
+
 def _sup_errors(
     sys: MapSystem,
     pseudo: PseudoOrbit,
-    starts: np.ndarray,
+    res: Sequence[float],
+    ims: Sequence[float],
     horizon: int,
     coeffs: Optional[Sequence[complex]],
 ) -> np.ndarray:
-    """:func:`sup_error_for_start` for every start point of ``starts``.
+    """:func:`sup_error_for_start` at every start x + iy of the grid ``res``
+    x ``ims``, row-major (real part outer), as one flat array.
 
     A nonlinear family (``coeffs`` is ``None``) loops over the scalar
-    function itself.  A linear family steps every start point at once
-    through ``coeffs``, its table ``sys.coefficients`` read once by the
-    caller, whose entries are the values ``eval_map`` multiplies by: each
-    step repeats the scalar function's float operations in the same order
-    (:func:`_step_parts`), in place, through preallocated buffers;
-    ``starts`` itself is never written.
+    function itself.  A linear family reads ``coeffs``, its table
+    ``sys.coefficients`` read once by the caller, whose entries are the
+    values ``eval_map`` multiplies by.  The grid is never written.
+
+    The screen ranks squared distances q = d_re^2 + d_im^2 in place of C
+    ``hypot`` (:class:`_Ranking`).  Per start it keeps the largest q with the
+    parts d where it was reached and the runner-up, and takes one ``hypot``
+    of the kept parts at the end.  That is the maximum modulus exactly: q
+    carries at most 3 roundings and ``hypot`` errs by less than 1 ulp, so a
+    runner-up below best * (1 - ``TIE_GAP``) can never give a larger
+    ``hypot``.  The starts the screen cannot decide go, in row-major order,
+    to :func:`sup_error_for_start` itself, so every NaN, overflow and
+    first-exception rule is the reference's: a largest q that is not in
+    [``Q_MIN``, ``Q_MAX``], or a runner-up within ``TIE_GAP`` of the
+    largest.  ``np.maximum`` carries a NaN q into the largest, and an
+    infinite or overflowed q is above ``Q_MAX``, so a start with a NaN or
+    infinite step is undecided too.
+
+    A table with a complex entry steps every start at once, step after step
+    (:func:`_step_grid`).  A table of real entries is screened by axes
+    (:func:`_screen_axes`), which returns the same floats, sends the same
+    starts to the scalar function and so raises its first exception:
+
+    * The axis split.  With a real c_n, ``re *= c`` never reads ``im`` and
+      ``im *= c`` never reads ``re``: the real part of b_n at start x + iy
+      depends on x alone, and its imaginary part on y alone.  So each axis
+      is stepped on its own, a product at a time, in order, and A_n =
+      (re_n - a_n.re)^2 and B_n = (im_n - a_n.im)^2 are squared per axis;
+      the q of start (x_i, y_j) is fl(A_n,i + B_n,j), the float of the
+      per-step loop.
+    * The stop rule.  Rounding is monotone, so U_n = fl(max A_n + max B_n)
+      bounds every start's q at step n, and ``np.max`` carries a NaN into
+      U_n.  Each block of steps is ranked in decreasing U_n, a NaN U_n
+      first, and stops at its first U_n below R, the least runner-up of the
+      grid then.  A skipped step has no NaN q, and each of its q lies below
+      R; a runner-up only grows, so R is at most every start's final
+      runner-up.  For a start with no NaN q among the ranked steps, the
+      largest and second largest q over all steps are then those over the
+      ranked ones, and the undecided test reads only these two.  Where the start is decided, its runner-up lies
+      strictly below its largest q, so the largest sits at one step, which
+      is ranked, and its kept parts are that step's.  A start with a NaN q
+      among the ranked steps is undecided on both routes.  So neither the
+      skipped steps nor the order of the ranked ones change a returned float.
+    """
+    if coeffs is None:
+        return np.array(
+            [sup_error_for_start(sys, pseudo, complex(x, y), horizon) for x in res for y in ims]
+        )
+    res, ims = np.asarray(res, dtype=float), np.asarray(ims, dtype=float)
+    table = np.asarray(coeffs, dtype=complex)[: max(min(horizon, pseudo.horizon) - 1, 0)]
+    ranking = _Ranking((len(res), len(ims)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if table.imag.any():  # NaN too
+            _step_grid(res, ims, table, pseudo.a, ranking)
+        else:
+            a = np.asarray(pseudo.a[: len(table) + 1], dtype=complex)
+            _screen_axes(res, ims, table.real, a, ranking)
+        worst, undecided = ranking.errors()
+    if undecided.any():
+        worst[undecided] = [
+            sup_error_for_start(sys, pseudo, complex(res[i], ims[j]), horizon)
+            for i, j in zip(*np.nonzero(undecided))
+        ]
+    return worst.ravel()
+
+
+def _step_grid(
+    res: np.ndarray, ims: np.ndarray, table: np.ndarray, a: Sequence[complex], ranking: _Ranking
+) -> None:
+    """Rank the q of every step of every start of the grid, the starts
+    stepped at once, in place, through preallocated buffers: each step
+    repeats the scalar function's float operations in the same order
+    (:func:`_step_parts`).
 
     A real entry c (``c.imag == 0.0``) steps as ``re *= c.real`` and
     ``im *= c.real`` instead.  Python's product is c.real*re - c.imag*im
@@ -280,60 +382,60 @@ def _sup_errors(
     on only as the sign of a zero.  For a non-finite part x, c.imag*x is
     NaN, so the other part may be a number here where the product has NaN;
     but x's own part is then inf or NaN on both routes (c.real*x, plus a
-    zero or NaN in the product), so q is inf or NaN, the start is undecided
-    below and goes to :func:`sup_error_for_start`.  So every start the
-    screen decides gets the scalar function's value.
-
-    The screen ranks squared distances q = d_re^2 + d_im^2 in place of C
-    ``hypot``.  Per start it keeps the largest q with the two parts d where
-    it was reached and the runner-up ``fmax(runner_up, minimum(q, best))``,
-    and takes one ``hypot`` of the kept parts at the end.  That is the
-    maximum modulus exactly: q carries at most 3 roundings and ``hypot``
-    errs by less than 1 ulp, so a runner-up below best * (1 - ``TIE_GAP``)
-    can never give a larger ``hypot``.  The starts the screen cannot decide
-    go, in order, to :func:`sup_error_for_start` itself, so every NaN,
-    overflow and first-exception rule is the reference's: a largest q that
-    is not in [``Q_MIN``, ``Q_MAX``], or a runner-up within ``TIE_GAP`` of
-    the largest.  ``np.maximum`` carries a NaN q into the largest, and an
-    infinite or overflowed q is above ``Q_MAX``, so a start with a NaN or
-    infinite step is undecided too.
+    zero or NaN in the product), so q is inf or NaN and the start is
+    undecided.  So every start the screen decides gets the scalar
+    function's value.
     """
-    if coeffs is None:
-        return np.array([sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts])
-    starts = np.asarray(starts, dtype=complex)
-    re, im = starts.real.copy(), starts.imag.copy()  # b_n, stepped in place
-    new_re, t, d_re, d_im, q = (np.empty_like(re) for _ in range(5))
-    better = np.empty(re.shape, dtype=bool)
-    a = pseudo.value(1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        best_re, best_im = np.subtract(re, a.real), np.subtract(im, a.imag)
-        best = np.multiply(best_re, best_re)
-        best += np.multiply(best_im, best_im, out=t)
-        runner = np.zeros_like(re)
-        for n, c in zip(range(1, min(horizon, pseudo.horizon)), coeffs):
-            if c.imag == 0.0:  # a real c_n, as above
-                re *= c.real
-                im *= c.real
-            else:
-                re, new_re = _step_parts(re, im, c, new_re, t)
-            a = pseudo.value(n + 1)
-            np.subtract(re, a.real, out=d_re)
-            np.subtract(im, a.imag, out=d_im)
-            np.multiply(d_re, d_re, out=q)
-            q += np.multiply(d_im, d_im, out=t)
-            np.fmax(runner, np.minimum(q, best, out=t), out=runner)
-            np.greater(q, best, out=better)
-            np.copyto(best_re, d_re, where=better)
-            np.copyto(best_im, d_im, where=better)
-            np.maximum(best, q, out=best)
-        undecided = ~((Q_MIN <= best) & (best <= Q_MAX))  # NaN too
-        undecided |= runner >= best * (1.0 - TIE_GAP)
-        worst = np.hypot(best_re, best_im)
-    if undecided.any():
-        worst[undecided] = [
-            sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts[undecided]
-        ]
-    return worst
+    shape = (len(res), len(ims))
+    re, im, new_re, t, d_re, d_im, q = (np.empty(shape) for _ in range(7))
+    re[...], im[...] = res[:, None], ims
+    for a_n, c in zip(a, [1.0, *table.tolist()]):  # b_1 is the start, times 1.0
+        if c.imag == 0.0:  # a real c_n, as above
+            re *= c.real
+            im *= c.real
+        else:
+            re, new_re = _step_parts(re, im, c, new_re, t)
+        np.subtract(re, a_n.real, out=d_re)
+        np.subtract(im, a_n.imag, out=d_im)
+        np.multiply(d_re, d_re, out=q)
+        q += np.multiply(d_im, d_im, out=t)
+        ranking.add(q, d_re, d_im)
+
+
+def _screen_axes(
+    res: np.ndarray, ims: np.ndarray, c: np.ndarray, a: np.ndarray, ranking: _Ranking
+) -> None:
+    """Rank the q of a real table's steps by axes, in decreasing bound U_n
+    on each block's steps, and stop a block below the least runner-up: the
+    axis split and the stop rule of :func:`_sup_errors`.  The axis arrays
+    are made a block of ``systems._ORBIT_BLOCK`` steps at a time, so memory
+    is O(grid^2 + block * grid) at any horizon."""
+    q = np.empty((len(res), len(ims)))
+    factors = np.concatenate(([1.0], c))  # b_1 is the start, times 1.0
+    last_re, last_im = res, ims
+    for start in range(0, len(factors), _ORBIT_BLOCK):
+        steps = slice(start, start + _ORBIT_BLOCK)
+        d_re, last_re = _axis_distances(last_re, factors[steps], a.real[steps])
+        d_im, last_im = _axis_distances(last_im, factors[steps], a.imag[steps])
+        sq_re, sq_im = d_re * d_re, d_im * d_im
+        bound = sq_re.max(axis=1) + sq_im.max(axis=1)
+        for n in np.argsort(-np.where(np.isnan(bound), np.inf, bound)):
+            if bound[n] < ranking.runner.min():  # never for a NaN bound
+                break
+            ranking.add(np.add(sq_re[n][:, None], sq_im[n], out=q), d_re[n][:, None], d_im[n])
+
+
+def _axis_distances(
+    last: np.ndarray, c: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(the distances b_n - a_n of one axis over a block of steps, a row per
+    step, and b at its last step): b_n = b_{n-1} * c_n, from ``last``, by
+    one ``np.multiply.accumulate``."""
+    rows = np.empty((len(c) + 1, len(last)))
+    rows[0], rows[1:] = last, c[:, None]
+    np.multiply.accumulate(rows, axis=0, out=rows)
+    last = rows[-1].copy()
+    return np.subtract(rows[1:], a[:, None], out=rows[1:]), last
 
 
 def best_b1_search(
@@ -357,7 +459,16 @@ def best_b1_search(
     Each round returns exactly what a loop over :func:`sup_error_for_start`
     in row-major order (real part outer) with a strict ``<`` update would
     return: a nonlinear family's grid is that loop, a linear family's is
-    evaluated as one array.  A ``grid`` or ``refinements`` that is not an
+    evaluated as arrays by :func:`_sup_errors`, from the coefficient table
+    read once per search.  On a table of real c_n the grid separates: the
+    real part of each b_n depends on the start's real part alone, and the
+    imaginary part on its imaginary part alone, so each round steps 2 *
+    ``grid`` parts instead of ``grid``^2 starts, and ranks a step only where
+    fl(max A_n + max B_n), which bounds every start's squared distance at
+    that step, reaches the grid's least runner-up (see :func:`_screen_axes`
+    for the proof that the skipped steps and the order change no value).
+    The acceptance-9 search at H = 60 ranks 11 to 14 of 60 steps a round.
+    A ``grid`` or ``refinements`` that is not an
     int of at least 2 or 0, and a region whose grid span is not finite
     (its grid would hold NaN), raise ValueError.
     """
@@ -373,22 +484,21 @@ def best_b1_search(
                 f"search grid around {center!r} with radius {radius!r} "
                 "spans past the float range"
             )
-    coeffs = sys.coefficients(max(min(horizon, pseudo.horizon) - 1, 0)) if sys.is_linear else None
+    coeffs = None
+    if sys.is_linear:
+        coeffs = np.array(sys.coefficients(max(min(horizon, pseudo.horizon) - 1, 0)))
     best_b1 = center
-    best_err = float(_sup_errors(sys, pseudo, np.array([center]), horizon, coeffs)[0])
+    best_err = float(_sup_errors(sys, pseudo, [center.real], [center.imag], horizon, coeffs)[0])
     for _ in range(refinements + 1):
+        res = np.linspace(center.real - radius, center.real + radius, grid)
         ims = (np.linspace(center.imag - radius, center.imag + radius, grid)
                if coeffs is not None else [0.0])
-        cands = np.empty((grid, len(ims)), dtype=complex)
-        cands.real = np.linspace(center.real - radius, center.real + radius, grid)[:, None]
-        cands.imag = ims
-        cands = cands.ravel()
-        errs = _sup_errors(sys, pseudo, cands, horizon, coeffs)
+        errs = _sup_errors(sys, pseudo, res, ims, horizon, coeffs)
         better = errs < best_err  # NaN never qualifies
         if better.any():
             i = int(np.argmin(np.where(better, errs, np.inf)))
             best_err = float(errs[i])
-            best_b1 = complex(cands[i])
+            best_b1 = complex(res[i // len(ims)], ims[i % len(ims)])
         center = best_b1
         radius /= 4.0
     return best_b1, best_err

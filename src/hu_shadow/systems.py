@@ -149,13 +149,13 @@ class MapSystem:
 
     def coefficients(self, horizon: int) -> list[complex]:
         """c_1 .. c_horizon of a linear family as floats, in one pass."""
-        return self._float_table(range(1, horizon + 1)).tolist()
+        return self._float_table(_steps_to(horizon)).tolist()
 
     def coefficient_pairs(self, horizon: int) -> list[tuple[int, int]]:
         """c_1 .. c_horizon as exact reduced pairs, the sign on the numerator, in
         one pass; :class:`UnsupportedFamily`, before any pair is made, where a c_n
         reads a float or complex parameter, whose binary value is not the rational meant."""
-        ns = range(1, horizon + 1)
+        ns = _steps_to(horizon)
         classes = [(steps, law.pairs(steps)) for steps, law in self._classes(ns)]
         if any(pairs is None for _, pairs in classes):
             raise UnsupportedFamily(
@@ -171,7 +171,7 @@ class MapSystem:
         """ln p_1 .. ln p_horizon: ln|num| - ln den of each exact pair as it is
         made, with no table of pairs, and from the exponent alone for a base
         2**s; else, for a float or complex parameter, ln of the table's rate."""
-        ns = range(1, horizon + 1)
+        ns = _steps_to(horizon)
         log = math.log
         out: list = [None] * len(ns)
         rates = None
@@ -259,7 +259,7 @@ class MapSystem:
     def rates(self, horizon: int) -> list[float]:
         """Growth rates p_1 .. p_horizon: the rates of :meth:`tables`, with no
         list of coefficients made."""
-        return self._rates(range(1, horizon + 1)).tolist()
+        return self._rates(_steps_to(horizon)).tolist()
 
     def _rates(self, ns: range) -> np.ndarray:
         """p_n for the consecutive steps ns as one float array, the one place
@@ -278,7 +278,7 @@ class MapSystem:
         is |c_n| by C ``hypot``, as ``abs(complex)`` computes it, and
         ``inf`` past the float range.
         """
-        ns = range(1, horizon + 1)
+        ns = _steps_to(horizon)
         if not self.is_linear:
             return None, self._rates(ns)
         table = self._float_table(ns)
@@ -348,6 +348,13 @@ def _expanding_rate(slope: float, n: np.ndarray) -> np.ndarray:
     of step indices: below 2**53 each is its int exactly, and ``n**2`` the
     int's square correctly rounded."""
     return float(slope) - 1.0 / n**2
+
+
+def _steps_to(horizon: int) -> range:
+    """Steps 1 .. horizon of a table reader, after the count rule
+    (:func:`check_count`): ``horizon`` is an int of at least 0."""
+    check_count(horizon, "horizon", 0)
+    return range(1, horizon + 1)
 
 
 def _step(n: int) -> range:

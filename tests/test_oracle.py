@@ -4,6 +4,7 @@ import ast
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -488,14 +489,17 @@ class TestVectorisedSearch:
         assert math.isnan(got[1])
 
     def test_start_points_are_not_written(self):
-        # best_b1_search reads its candidates back after the call
+        # best_b1_search reads its candidates back after the call; the grid
+        # holds 1 + 0.5j, -2 and 0.25 - 1j
         sys = index_scaled_linear()
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 12)
-        starts = np.array([1.0 + 0.5j, -2.0 + 0j, 0.25 - 1j])
-        kept = starts.copy()
-        errs = oracle._sup_errors(sys, pseudo, starts, 12, sys.coefficients(11))
-        assert np.array_equal(starts, kept)
-        assert errs.tolist() == [sup_error_for_start(sys, pseudo, b1, 12) for b1 in kept]
+        res, ims = np.array([1.0, -2.0, 0.25]), np.array([0.5, 0.0, -1.0])
+        kept = res.copy(), ims.copy()
+        errs = oracle._sup_errors(sys, pseudo, res, ims, 12, sys.coefficients(11))
+        assert np.array_equal(res, kept[0]) and np.array_equal(ims, kept[1])
+        assert errs.tolist() == [
+            sup_error_for_start(sys, pseudo, complex(x, y), 12) for x in kept[0] for y in kept[1]
+        ]
 
     @pytest.mark.parametrize(
         "sys",
@@ -532,8 +536,8 @@ class TestVectorisedSearch:
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 12)
         # starts on both axes, with zero parts of both signs
         parts = (-1.0, -0.0, 0.0, 0.5)
-        starts = np.array([complex(x, y) for x in parts for y in parts])
-        errs = oracle._sup_errors(sys, pseudo, starts, 12, sys.coefficients(11))
+        starts = [complex(x, y) for x in parts for y in parts]
+        errs = oracle._sup_errors(sys, pseudo, parts, parts, 12, sys.coefficients(11))
         assert errs.tolist() == [sup_error_for_start(sys, pseudo, b1, 12) for b1 in starts]
         # an odd grid centred at 0 holds starts on both axes too
         region = SearchRegion(center=0.0, radius=1.0)
@@ -550,8 +554,9 @@ class TestVectorisedSearch:
         monkeypatch.setattr(
             oracle, "_step_parts", lambda *args: steps.append(args[2]) or step_parts(*args)
         )
-        starts = np.array([complex(x, y) for x in (-1.0, 0.0, 1.25) for y in (-0.5, 0.0, 0.75)])
-        errs = oracle._sup_errors(sys, pseudo, starts, 14, coeffs)
+        res, ims = (-1.0, 0.0, 1.25), (-0.5, 0.0, 0.75)
+        starts = [complex(x, y) for x in res for y in ims]
+        errs = oracle._sup_errors(sys, pseudo, res, ims, 14, coeffs)
         assert steps == [c for c in coeffs if c.imag != 0.0]
         assert errs.tolist() == [sup_error_for_start(sys, pseudo, b1, 14) for b1 in starts]
         region = SearchRegion(center=1.0 + 0.5j, radius=0.5)
@@ -705,6 +710,42 @@ class TestSquaredDistanceScreen:
         best_b1_search(sys, pseudo, horizon, region, grid=64, refinements=6)
         assert sizes == []
         assert tables == [horizon - 1]  # one table read for the centre and all 7 rounds
+
+    @pytest.mark.parametrize("horizon, most", [(12, 11), (60, 20)])
+    def test_acceptance_rounds_rank_few_steps(self, horizon, most, monkeypatch):
+        # the same searches: each round ranks the steps in decreasing bound on
+        # their largest q, and stops below the grid's least runner-up (11 to 14
+        # of 60 steps per round at H = 60; 9 down to 2 of 12 at H = 12)
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
+        region = SearchRegion(center=shadow_expanding(sys, pseudo, SQRT_3_2).b[0], radius=0.01)
+        ranked = []
+        add, sup_errors = oracle._Ranking.add, oracle._sup_errors
+
+        def counted(self, *args):
+            ranked[-1] += 1
+            return add(self, *args)
+
+        monkeypatch.setattr(oracle._Ranking, "add", counted)
+        monkeypatch.setattr(oracle, "_sup_errors", lambda *args: ranked.append(0) or sup_errors(*args))
+        best_b1_search(sys, pseudo, horizon, region, grid=64, refinements=6)
+        assert len(ranked) == 8  # the centre, then 7 rounds
+        assert all(0 < steps <= most for steps in ranked[1:]), ranked
+
+    def test_a_long_search_holds_one_block_of_steps(self):
+        # the axis arrays are made 1,024 steps at a time: at H = 3e4 a whole
+        # 3e4 x 16 array of one axis would take 3.7 MB alone; the 3e4 entries
+        # of the coefficient list and table take about 1.7 MB
+        sys = periodic_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 30_000)
+        tracemalloc.start()
+        try:
+            got = best_b1_search(sys, pseudo, 30_000, SearchRegion(2.0, 0.5), grid=16, refinements=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (1.5 - 0.033333333333333326j, 1.0012219756100267)
+        assert peak < 3 * 2**20, peak
 
 
 # -- integer-pair exact orbit ----------------------------------------------

@@ -276,7 +276,17 @@ def _count_arguments() -> dict:
     fit = PeriodicFit(m=2, prefix=0, rate_factors=(2.0, 4.0), constants=(4.0, 1.0),
                       max_residual=0.0)
     cls = Classification(kind=ClassificationKind.PERIODIC_BELOW_ONE, periodic=fit)
+    profile = profile_of(power_two_parity(), 40)
     return {
+        # the five table readers take their steps from one checked range
+        **{
+            f"MapSystem.{reader}": ("horizon", 0, lambda h, reader=reader: getattr(sys, reader)(h))
+            for reader in ("coefficients", "coefficient_pairs", "log_rates", "rates", "tables")
+        },
+        "profile_of": ("horizon", 1, lambda h: profile_of(sys, h)),
+        "detect_periodic_scaled": (
+            "max_period", 1, lambda m: detect_periodic_scaled(profile, m, 1e-4)
+        ),
         "generate_pseudo_orbit": (
             "horizon", 1, lambda h: generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), h)
         ),
@@ -330,7 +340,9 @@ class TestArgumentRefusals:
     @pytest.mark.parametrize("entry", sorted(_count_arguments()))
     def test_every_count_is_refused_before_any_table(self, entry, value, monkeypatch):
         # a bool passed as a count, a float failed inside the table or the slicing
-        # with a TypeError, and refined_cell_size divided by zero at grid 1
+        # with a TypeError, and refined_cell_size divided by zero at grid 1; a table
+        # reader read a negative horizon as the empty table, and profile_of a True
+        # horizon as one step
         name, least, call = _count_arguments()[entry]
         value = least - 1 if value == "least - 1" else value
         built = []

@@ -45,7 +45,7 @@ from hu_shadow import (
     shadow_expanding,
     witness_divergence,
 )
-from hu_shadow import instability
+from hu_shadow import instability, oracle
 from hu_shadow.shadowing import (
     TAIL_CAP_MARGIN,
     _check_finite_steps,
@@ -55,6 +55,7 @@ from hu_shadow.shadowing import (
 )
 from hu_shadow.systems import OVERFLOW_LIMIT, _moduli
 from test_instability import parity_classification
+from test_oracle import _constant_orbit
 from test_shadowing import _per_call_accumulated_rate_bounds, _per_call_shadow_contracting
 
 BLOCK = systems._ORBIT_BLOCK
@@ -297,6 +298,45 @@ def _loop_lower_bound_log10(K_p, K_q, p_idx, q_idx, m, C_p, k):
         - (p_idx + m) * math.log(K_p)
     )
     return ln / math.log(10.0)
+
+
+def _loop_sup_errors(sys, pseudo, starts, horizon, coeffs):
+    if coeffs is None:
+        return np.array([oracle.sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts])
+    starts = np.asarray(starts, dtype=complex)
+    re, im = starts.real.copy(), starts.imag.copy()  # b_n, stepped in place
+    new_re, t, d_re, d_im, q = (np.empty_like(re) for _ in range(5))
+    better = np.empty(re.shape, dtype=bool)
+    a = pseudo.value(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_re, best_im = np.subtract(re, a.real), np.subtract(im, a.imag)
+        best = np.multiply(best_re, best_re)
+        best += np.multiply(best_im, best_im, out=t)
+        runner = np.zeros_like(re)
+        for n, c in zip(range(1, min(horizon, pseudo.horizon)), coeffs):
+            if c.imag == 0.0:  # a real c_n, as above
+                re *= c.real
+                im *= c.real
+            else:
+                re, new_re = oracle._step_parts(re, im, c, new_re, t)
+            a = pseudo.value(n + 1)
+            np.subtract(re, a.real, out=d_re)
+            np.subtract(im, a.imag, out=d_im)
+            np.multiply(d_re, d_re, out=q)
+            q += np.multiply(d_im, d_im, out=t)
+            np.fmax(runner, np.minimum(q, best, out=t), out=runner)
+            np.greater(q, best, out=better)
+            np.copyto(best_re, d_re, where=better)
+            np.copyto(best_im, d_im, where=better)
+            np.maximum(best, q, out=best)
+        undecided = ~((oracle.Q_MIN <= best) & (best <= oracle.Q_MAX))  # NaN too
+        undecided |= runner >= best * (1.0 - oracle.TIE_GAP)
+        worst = np.hypot(best_re, best_im)
+    if undecided.any():
+        worst[undecided] = [
+            oracle.sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts[undecided]
+        ]
+    return worst
 
 
 # -- comparison ---------------------------------------------------------------
@@ -1065,3 +1105,103 @@ class TestListedTables:
             result = shadow_expanding(sys, pseudo, 2.75)
         assert seen == scans
         assert _deep_bits(result) == _outcome(_loop_shadow_expanding, sys, pseudo, 2.75)
+
+
+# -- the grid search's axis screen ---------------------------------------------
+
+#: real table entries, with the exact 1.0 and -1.0 that tie a step's q with
+#: another's; and the values one entry may take instead, which make a step's
+#: q zero, NaN or infinite at some or all starts
+real_entries = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1.0, -1.0, 0.5]))
+odd_entries = st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e200, math.inf, -math.inf, math.nan])
+orbit_values = st.one_of(
+    st.just(0j), st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False)
+)
+odd_orbit_values = st.sampled_from(
+    [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, math.nan), 1e200 + 0j]
+)
+
+
+@st.composite
+def real_search_cases(draw):
+    """(axis parts re, axis parts im, a real table, a pseudo-orbit, the horizon):
+    grids up to 64 x 64 around a centre, at a scale from 1e-160 to 2.5e299;
+    a table and an orbit that cycle 1 to 3 drawn values or take seeded random
+    ones, the orbit maybe drifting by a drawn amount per step, and one entry
+    of either maybe put to an odd value anywhere."""
+    length = draw(st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 300])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def drawn(values, odd_values, n, noise):
+        if draw(st.booleans()):
+            cycle = draw(st.lists(values, min_size=1, max_size=3))
+            out = (cycle * n)[:n]
+        else:
+            out = noise(n).tolist()
+        if n and draw(st.integers(0, 3)) == 0:
+            out[draw(st.integers(0, n - 1))] = draw(odd_values)
+        return out
+
+    scale = draw(st.sampled_from([1.0] * 5 + [1e-160, 1e150, 2.5e299]))
+    axes = [
+        scale * np.linspace(c - r, c + r, draw(st.integers(1, 64)))
+        for c, r in ((draw(st.floats(-3.0, 3.0)), draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0])))
+                     for _ in range(2))
+    ]
+    drift = draw(st.sampled_from([0.0, 1e-3, 0.37]))  # 0: a cycled orbit repeats, q ties
+    orbit = drawn(orbit_values, odd_orbit_values, length,
+                  lambda n: rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n))
+    a = tuple(complex(z) + n * drift for n, z in enumerate(orbit))
+    pseudo = PseudoOrbit(a=a, r=(0j,) * (length - 1), epsilon=0.0, horizon=length, policy=ResidualPolicy())
+    table = [complex(c) for c in drawn(real_entries, odd_entries, length - 1,
+                                       lambda n: rng.uniform(-2, 2, n))]
+    horizon = draw(st.one_of(st.just(length), st.integers(0, length + 2)))
+    return axes[0], axes[1], table, pseudo, horizon
+
+
+class TestAxisScreen:
+    """``oracle._sup_errors`` on a real table steps the two axes of the grid and
+    skips steps; the per-step loop it replaced steps every start at every step.
+    Each start the two cannot decide goes to ``sup_error_for_start``, here a
+    recorder that returns the call's number and raises at a drawn call."""
+
+    def _run(self, fn, starts, sys, pseudo, horizon, table, raise_at):
+        calls = []
+
+        def fallback(sys_, pseudo_, b1, horizon_):
+            calls.append((_bits(b1), horizon_))
+            if len(calls) == raise_at:
+                raise OverflowError(f"call {len(calls)} at {complex(b1)!r}")
+            return float(len(calls))
+
+        with mock.patch.object(oracle, "sup_error_for_start", fallback):
+            try:
+                outcome = tuple(_bits(x) for x in fn(sys, pseudo, *starts, horizon, table))
+            except OverflowError as exc:
+                outcome = str(exc)
+        return outcome, calls
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=real_search_cases(), raise_at=st.one_of(st.none(), st.integers(1, 5)))
+    # an exact tie at every step: c = 1 and a constant orbit
+    @example(case=(np.linspace(-1.0, 1.0, 64), np.linspace(0.0, 2.0, 64), [1 + 0j] * 299,
+                   _constant_orbit([0.5 + 0.5j] * 300), 300), raise_at=None)
+    # a NaN orbit value at step 11, below the growing q of the later steps
+    @example(case=(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 4), [0.5 + 0j] * 49,
+                   _constant_orbit([complex(math.nan, 0.0) if n == 10 else complex(0.3 * n, 0.1)
+                                    for n in range(50)]), 50), raise_at=None)
+    # a start's largest q at a step where the mean square of the grid is small
+    @example(case=(np.linspace(-3.0, 3.0, 5), np.array([0.0]), [0.5 + 0j] * 8,
+                   _constant_orbit([-0.8, 0.3, 0.6, 2.1, -2.1, -0.6, 2.5, -2.7, 1.9]), 9),
+             raise_at=None)
+    # c = -1 about a zero orbit: |d_n| is the same at every step
+    @example(case=(np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 3), [-1 + 0j] * 9,
+                   _constant_orbit([0j] * 10), 10), raise_at=3)
+    def test_errors_and_fallback_calls_equal_the_per_step_loop(self, case, raise_at):
+        res, ims, table, pseudo, horizon = case
+        sys = periodic_linear()
+        grid = np.empty((len(res), len(ims)), dtype=complex)
+        grid.real, grid.imag = res[:, None], ims
+        new = self._run(oracle._sup_errors, (res, ims), sys, pseudo, horizon, table, raise_at)
+        loop = self._run(_loop_sup_errors, (grid.ravel(),), sys, pseudo, horizon, table, raise_at)
+        assert new == loop

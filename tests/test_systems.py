@@ -738,10 +738,12 @@ class TestCoefficientTable:
         with pytest.raises(UnsupportedFamily):
             sys.coefficients(3)
 
-    def test_nonpositive_horizon_is_empty(self):
-        for horizon in (0, -3):
-            assert power_two_parity().coefficients(horizon) == []
-            assert periodic_linear().rates(horizon) == []
+    def test_a_zero_horizon_is_empty_and_a_negative_one_refused(self):
+        assert power_two_parity().coefficients(0) == []
+        assert periodic_linear().rates(0) == []
+        for read in (power_two_parity().coefficients, periodic_linear().rates):
+            with pytest.raises(ValueError, match=r"^horizon must be an int of at least 0, got -3$"):
+                read(-3)
 
     def test_pipeline_reads_the_table(self, monkeypatch):
         # the parent made tens of thousands of scalar calls at this size
