@@ -4,13 +4,15 @@ These routines deliberately avoid the analytic constructions they are
 used to validate.  The exact ones carry no rounding at all:
 ``exact_propagate`` runs one affine step z <- c_n z + r, r an integer, on
 reduced integer pairs three times, for P_n, S_n and w_n = r_d a_n with the
-residual r_n / r_d, building each ``Fraction`` in place from its reduced
-pair; the references ``exact_difference`` and ``exact_telescope`` read c_n
-as ``Fraction(num, den)`` and run in ``Fraction``.  ``best_b1_search``
+residual eps = r_n / r_d at every step, building each ``Fraction`` in place
+from its reduced pair; the references ``exact_difference`` and
+``exact_telescope`` read c_n as ``Fraction(num, den)`` and run in
+``Fraction``.  ``best_b1_search``
 finds a near-optimal shadowing start point by refined grid evaluation, an
 upper bound on the true optimum by construction.  Where every c_n is real,
 its grid steps the real and the imaginary start parts as two axes, and
-ranks only the steps that can change some start's two largest distances.
+ranks only the steps that can change some start's two largest distances;
+where one is complex, every start takes each c_n's complex product.
 
 Exact arithmetic is restricted to the linear families with rational
 parameters and real rational data, and reads c_n from the exact pair
@@ -28,7 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .systems import MapSystem, PolicyKind, PseudoOrbit, ResidualPolicy, modulus
+from .systems import MapSystem, PseudoOrbit, modulus
 from .systems import _ORBIT_BLOCK, _check_orbit_request, _step_index, check_count
 
 
@@ -55,24 +57,18 @@ class RationalOrbit:
         return self.partial_sums[_step_index(n, len(self.a))]
 
 
-def exact_propagate(
-    sys: MapSystem,
-    a1: Fraction,
-    eps: Fraction,
-    horizon: int,
-    policy: Optional[ResidualPolicy] = None,
-) -> RationalOrbit:
-    """Exact pseudo-orbit a_{n+1} = c_n a_n + r_n with constant residuals.
+def exact_propagate(sys: MapSystem, a1: Fraction, eps: Fraction, horizon: int) -> RationalOrbit:
+    """Exact pseudo-orbit a_{n+1} = c_n a_n + eps, the residual eps at every
+    step; eps = 0 gives the true orbit.
 
-    Supported policies are constant-real and zero; others have no exact
-    rational form.  ``eps`` and ``horizon`` are refused as
+    ``eps`` and ``horizon`` are refused as
     :func:`~hu_shadow.systems.generate_pseudo_orbit` refuses them, before
     any work, and so is an ``a1`` that is complex or a NaN or infinite
     float; an exact a_1 has no range limit.
 
     Three runs of :func:`_affine_run` over one pair table of
     ``MapSystem.coefficient_pairs``: P_n from 1 with r = 0, S_n over |c_n|
-    from 0 with r = 1, and, for the residual r_n / r_d, w_{n+1} = r_d a_{n+1}
+    from 0 with r = 1, and, for eps = r_n / r_d, w_{n+1} = r_d a_{n+1}
     from r_d a_1 with the integer residual r_n over c_1..c_{H-1}, each
     divided by r_d; every value equals the plain ``Fraction`` loop's.
     """
@@ -81,12 +77,10 @@ def exact_propagate(
         isinstance(a1, float) and not math.isfinite(a1)
     ):
         raise ValueError(f"a1 must be finite and real, got {a1!r}")
-    if policy is None:
-        policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
     coeffs = sys.coefficient_pairs(horizon)
     a = [Fraction(a1)]
-    if horizon > 1:  # the residual is the same at every step
-        rn, rd = policy.rational_residual(1, Fraction(eps)).as_integer_ratio()
+    if horizon > 1:
+        rn, rd = Fraction(eps).as_integer_ratio()
         a += _affine_run(coeffs[:-1], *(a[0] * rd).as_integer_ratio(), rn, signed=True, divisor=rd)
     return RationalOrbit(
         a=tuple(a),
@@ -204,8 +198,15 @@ def exact_telescope(
 
 @dataclass(frozen=True)
 class SearchRegion:
+    """The disk a search covers; a radius that is negative, NaN or
+    infinite raises ``ValueError``."""
+
     center: complex
     radius: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(f"radius must be finite and nonnegative, got {self.radius!r}")
 
 
 def sup_error_for_start(
@@ -213,13 +214,15 @@ def sup_error_for_start(
 ) -> float:
     """sup_{n<=horizon} |b_n - a_n| for the true orbit started at b1.
 
-    A linear family steps b <- c_n b through its table ``sys.coefficients``,
+    ``horizon`` is a count of at least 1, checked before any table.  A
+    linear family steps b <- c_n b through its table ``sys.coefficients``,
     read once: entry n is the c_n that ``eval_map`` multiplies by, so each
     b_n is bit for bit ``eval_map``'s.  The nonlinear family calls
     ``eval_map`` per step.  A modulus that overflows from finite parts
     raises OverflowError; a NaN distance is NaN (see
     :func:`~hu_shadow.systems.modulus`).
     """
+    check_count(horizon, "horizon", 1)
     b = complex(b1)
     worst = modulus(b - pseudo.value(1))
     steps = range(1, min(horizon, pseudo.horizon))
@@ -300,8 +303,8 @@ def _sup_errors(
     x ``ims``, row-major (real part outer), as one flat array.
 
     A nonlinear family (``coeffs`` is ``None``) loops over the scalar
-    function itself.  A linear family reads ``coeffs``, its table
-    ``sys.coefficients`` read once by the caller, whose entries are the
+    function itself.  A linear family reads ``coeffs``, its coefficient
+    array of ``sys.tables`` read once by the caller, whose entries are the
     values ``eval_map`` multiplies by.  The grid is never written.
 
     The screen ranks squared distances q = d_re^2 + d_im^2 in place of C
@@ -318,7 +321,8 @@ def _sup_errors(
     infinite or overflowed q is above ``Q_MAX``, so a start with a NaN or
     infinite step is undecided too.
 
-    A table with a complex entry steps every start at once, step after step
+    A table with a complex entry steps every start at once, step after
+    step, each entry by the scalar function's complex product
     (:func:`_step_grid`).  A table of real entries is screened by axes
     (:func:`_screen_axes`), which returns the same floats, sends the same
     starts to the scalar function and so raises its first exception:
@@ -370,30 +374,15 @@ def _step_grid(
     res: np.ndarray, ims: np.ndarray, table: np.ndarray, a: Sequence[complex], ranking: _Ranking
 ) -> None:
     """Rank the q of every step of every start of the grid, the starts
-    stepped at once, in place, through preallocated buffers: each step
-    repeats the scalar function's float operations in the same order
-    (:func:`_step_parts`).
-
-    A real entry c (``c.imag == 0.0``) steps as ``re *= c.real`` and
-    ``im *= c.real`` instead.  Python's product is c.real*re - c.imag*im
-    and c.real*im + c.imag*re.  For a finite part x, c.imag*x is a zero,
-    and adding or subtracting a zero changes at most the sign of a zero
-    result; squares and ``hypot`` ignore that sign, and +, - and * carry it
-    on only as the sign of a zero.  For a non-finite part x, c.imag*x is
-    NaN, so the other part may be a number here where the product has NaN;
-    but x's own part is then inf or NaN on both routes (c.real*x, plus a
-    zero or NaN in the product), so q is inf or NaN and the start is
-    undecided.  So every start the screen decides gets the scalar
-    function's value.
-    """
+    stepped at once, in place, through preallocated buffers: b_1 is the
+    start, and each later step is the scalar function's complex product
+    c_n * b, its float operations in the same order (:func:`_step_parts`),
+    for every entry of the table, a real one too."""
     shape = (len(res), len(ims))
     re, im, new_re, t, d_re, d_im, q = (np.empty(shape) for _ in range(7))
     re[...], im[...] = res[:, None], ims
-    for a_n, c in zip(a, [1.0, *table.tolist()]):  # b_1 is the start, times 1.0
-        if c.imag == 0.0:  # a real c_n, as above
-            re *= c.real
-            im *= c.real
-        else:
+    for a_n, c in zip(a, [None, *table.tolist()]):
+        if c is not None:  # b_1 is the start itself
             re, new_re = _step_parts(re, im, c, new_re, t)
         np.subtract(re, a_n.real, out=d_re)
         np.subtract(im, a_n.imag, out=d_im)
@@ -459,19 +448,23 @@ def best_b1_search(
     Each round returns exactly what a loop over :func:`sup_error_for_start`
     in row-major order (real part outer) with a strict ``<`` update would
     return: a nonlinear family's grid is that loop, a linear family's is
-    evaluated as arrays by :func:`_sup_errors`, from the coefficient table
-    read once per search.  On a table of real c_n the grid separates: the
-    real part of each b_n depends on the start's real part alone, and the
-    imaginary part on its imaginary part alone, so each round steps 2 *
-    ``grid`` parts instead of ``grid``^2 starts, and ranks a step only where
-    fl(max A_n + max B_n), which bounds every start's squared distance at
-    that step, reaches the grid's least runner-up (see :func:`_screen_axes`
-    for the proof that the skipped steps and the order change no value).
+    evaluated as arrays by :func:`_sup_errors`, from the coefficient array
+    of ``sys.tables`` read once per search.  A table with a complex entry
+    steps all ``grid``^2 starts through each entry's complex product.  On a
+    table of real c_n the grid separates: the real part of each b_n depends
+    on the start's real part alone, and the imaginary part on its imaginary
+    part alone, so each round steps 2 * ``grid`` parts instead of
+    ``grid``^2 starts, and ranks a step only where fl(max A_n + max B_n),
+    which bounds every start's squared distance at that step, reaches the
+    grid's least runner-up (see :func:`_screen_axes` for the proof that the
+    skipped steps and the order change no value).
     The acceptance-9 search at H = 60 ranks 11 to 14 of 60 steps a round.
-    A ``grid`` or ``refinements`` that is not an
-    int of at least 2 or 0, and a region whose grid span is not finite
-    (its grid would hold NaN), raise ValueError.
+    A ``horizon``, ``grid`` or ``refinements`` that is not an int of at
+    least 1, 2 or 0, checked before any table, and a region whose grid span
+    is not finite (a huge centre; its grid would hold NaN), raise
+    ValueError.
     """
+    check_count(horizon, "horizon", 1)
     check_count(grid, "grid", 2)
     check_count(refinements, "refinements", 0)
     center = complex(region.center)
@@ -484,9 +477,7 @@ def best_b1_search(
                 f"search grid around {center!r} with radius {radius!r} "
                 "spans past the float range"
             )
-    coeffs = None
-    if sys.is_linear:
-        coeffs = np.array(sys.coefficients(max(min(horizon, pseudo.horizon) - 1, 0)))
+    coeffs = sys.tables(min(horizon, pseudo.horizon) - 1)[0]  # None for the sinusoid
     best_b1 = center
     best_err = float(_sup_errors(sys, pseudo, [center.real], [center.imag], horizon, coeffs)[0])
     for _ in range(refinements + 1):

@@ -644,23 +644,15 @@ class ResidualPolicy:
             r = complex(math.nextafter(r.real, 0.0), math.nextafter(r.imag, 0.0))
         return r
 
-    def rational_residual(self, n: int, epsilon: Fraction) -> Fraction:
-        if self.kind is PolicyKind.ZERO:
-            return Fraction(0)
-        if self.kind is PolicyKind.CONSTANT_REAL:
-            return Fraction(epsilon)
-        raise UnsupportedFamily(
-            f"policy {self.kind.value} has no exact rational form"
-        )
-
 
 @dataclass(frozen=True)
 class PseudoOrbit:
     """An approximate orbit a_{n+1} = F(n, a_n) + r_n with |r_n| <= epsilon.
 
     ``a`` holds a_1 .. a_N and ``r`` holds r_1 .. r_{N-1}, with N the
-    ``horizon``: any other lengths raise ``ValueError``, as does a step
-    index outside 1..N (1..N-1 for a residual).  ``truncated``
+    ``horizon``: any other lengths raise ``ValueError``, then a horizon or
+    an ``epsilon`` that generation refuses (:func:`_check_orbit_request`);
+    so does a step index outside 1..N (1..N-1 for a residual).  ``truncated``
     is set when generation stopped early because the orbit left the
     representable range; ``horizon`` is then the last finite index.
     """
@@ -678,6 +670,7 @@ class PseudoOrbit:
                 "a pseudo-orbit needs len(a) == horizon == len(r) + 1, got "
                 f"len(a) = {len(self.a)}, horizon = {self.horizon}, len(r) = {len(self.r)}"
             )
+        _check_orbit_request(self.epsilon, self.horizon)
 
     def value(self, n: int) -> complex:
         return self.a[_step_index(n, self.horizon)]

@@ -4,6 +4,7 @@ import ast
 import cmath
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -120,16 +121,6 @@ class TestExactPropagation:
         with pytest.raises(UnsupportedFamily):
             exact_propagate(affine_sinusoid(), Fraction(1), Fraction(0), 5)
 
-    def test_rejects_inexact_policy(self):
-        with pytest.raises(UnsupportedFamily):
-            exact_propagate(
-                periodic_linear(),
-                Fraction(1),
-                Fraction(1, 1000),
-                5,
-                ResidualPolicy(kind=PolicyKind.CONSTANT_PHASE, theta=1.0),
-            )
-
 
 class TestExactIdentity:
     @settings(max_examples=60, deadline=None)
@@ -202,7 +193,6 @@ class TestStartPointSearch:
             (0.0, 9e307),  # 2*radius overflows
             (1.7e308j, 1e307),  # center + radius overflows
             (complex(math.inf, 0.0), 1.0),
-            (0.0, math.nan),
         ],
     )
     def test_grid_span_past_float_range_rejected(self, center, radius):
@@ -211,6 +201,24 @@ class TestStartPointSearch:
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 6)
         with pytest.raises(ValueError, match="spans past the float range"):
             best_b1_search(sys, pseudo, 6, SearchRegion(center, radius), grid=4, refinements=1)
+
+    @pytest.mark.parametrize("radius", [-0.01, -math.inf, math.nan, math.inf])
+    def test_a_radius_that_is_negative_or_not_finite_is_refused(self, radius):
+        # a search with radius -0.01 stepped a reversed grid and returned a start
+        # ((1.00583...+0.000833...j) on index_scaled_linear at H = 12, grid 4, one
+        # refinement), and refined_cell_size a negative cell (-0.0016666...)
+        message = f"radius must be finite and nonnegative, got {radius!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SearchRegion(1.0, radius)
+
+    def test_a_zero_radius_searches_the_centre_alone(self):
+        sys = index_scaled_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 12)
+        region = SearchRegion(1.0, 0.0)
+        assert refined_cell_size(region, 4, 1) == 0.0
+        assert best_b1_search(sys, pseudo, 12, region, grid=4, refinements=1) == (
+            1.0 + 0j, sup_error_for_start(sys, pseudo, 1.0, 12)
+        )
 
     @pytest.mark.parametrize("horizon", [8, 12, 60])
     def test_sinusoid_searches_the_real_line(self, horizon):
@@ -557,7 +565,7 @@ class TestVectorisedSearch:
         res, ims = (-1.0, 0.0, 1.25), (-0.5, 0.0, 0.75)
         starts = [complex(x, y) for x in res for y in ims]
         errs = oracle._sup_errors(sys, pseudo, res, ims, 14, coeffs)
-        assert steps == [c for c in coeffs if c.imag != 0.0]
+        assert steps == coeffs  # the real entries too, with the complex product
         assert errs.tolist() == [sup_error_for_start(sys, pseudo, b1, 14) for b1 in starts]
         region = SearchRegion(center=1.0 + 0.5j, radius=0.5)
         got = best_b1_search(sys, pseudo, 14, region, grid=5, refinements=2)
@@ -702,14 +710,12 @@ class TestSquaredDistanceScreen:
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
         region = SearchRegion(center=shadow_expanding(sys, pseudo, SQRT_3_2).b[0], radius=0.01)
         sizes = _spy_fallback(monkeypatch)
-        tables = []
-        coefficients = MapSystem.coefficients
-        monkeypatch.setattr(
-            MapSystem, "coefficients", lambda self, n: tables.append(n) or coefficients(self, n)
-        )
+        reads = []
+        tables = MapSystem.tables
+        monkeypatch.setattr(MapSystem, "tables", lambda self, n: reads.append(n) or tables(self, n))
         best_b1_search(sys, pseudo, horizon, region, grid=64, refinements=6)
         assert sizes == []
-        assert tables == [horizon - 1]  # one table read for the centre and all 7 rounds
+        assert reads == [horizon - 1]  # one table read for the centre and all 7 rounds
 
     @pytest.mark.parametrize("horizon, most", [(12, 11), (60, 20)])
     def test_acceptance_rounds_rank_few_steps(self, horizon, most, monkeypatch):
@@ -751,12 +757,10 @@ class TestSquaredDistanceScreen:
 # -- integer-pair exact orbit ----------------------------------------------
 
 
-def _fraction_exact_propagate(sys, a1, eps, horizon, policy=None):
+def _fraction_exact_propagate(sys, a1, eps, horizon):
     """``exact_propagate`` as a plain ``Fraction`` loop (the reference)."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if policy is None:
-        policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
     coeffs = [reference_rational_coefficient(sys, n) for n in range(1, horizon + 1)]
     a = [Fraction(a1)]
     products = []
@@ -771,7 +775,7 @@ def _fraction_exact_propagate(sys, a1, eps, horizon, policy=None):
         products.append(prod)
         sums.append(S)
         if n < horizon:
-            a.append(c * a[-1] + policy.rational_residual(n, Fraction(eps)))
+            a.append(c * a[-1] + Fraction(eps))
     return a, products, sums
 
 
@@ -780,9 +784,9 @@ def _pairs(values):
     return [(x.numerator, x.denominator) for x in values]
 
 
-def _assert_orbit_matches_fraction_loop(sys, a1, eps, horizon, policy=None):
-    orbit = exact_propagate(sys, a1, eps, horizon, policy)
-    a, products, sums = _fraction_exact_propagate(sys, a1, eps, horizon, policy)
+def _assert_orbit_matches_fraction_loop(sys, a1, eps, horizon):
+    orbit = exact_propagate(sys, a1, eps, horizon)
+    a, products, sums = _fraction_exact_propagate(sys, a1, eps, horizon)
     assert _pairs(orbit.a) == _pairs(a)
     assert _pairs(orbit.coefficient_products) == _pairs(products)
     assert _pairs(orbit.partial_sums) == _pairs(sums)
@@ -829,7 +833,7 @@ class TestIntegerPairOrbit:
         eps=st.sampled_from(
             [Fraction(0), Fraction(1, 1000), Fraction(7, 3), Fraction(1, 1024), Fraction(2)]
         ),
-        kind=st.sampled_from([PolicyKind.ZERO, PolicyKind.CONSTANT_REAL]),
+        zero=st.booleans(),  # eps = 0: the true orbit
         horizon=st.integers(1, 300),
     )
     # an integer residual, with no denominator to cancel: a is (1, 4, 10/3, 26/3, 44/9, 106/9)
@@ -837,7 +841,7 @@ class TestIntegerPairOrbit:
         sys=periodic_linear(),
         a1=1,
         eps=Fraction(2),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=6,
     )
     # a negative power-of-two numerator and a power-of-two denominator, both
@@ -847,21 +851,21 @@ class TestIntegerPairOrbit:
         sys=periodic_linear((-8, Fraction(1, 4))),
         a1=Fraction(-3, 32),
         eps=Fraction(1, 1024),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=40,
     )
     @example(
         sys=power_two_parity(Fraction(1, 2), -3),
         a1=Fraction(5, 8),
         eps=Fraction(1, 1024),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=40,
     )
     @example(
         sys=periodic_linear((-8, Fraction(1, 4))),
         a1=Fraction(0),
         eps=Fraction(0),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=40,
     )
     # each part of c_n is 1, a power of two or neither, with negative
@@ -872,7 +876,7 @@ class TestIntegerPairOrbit:
         ),
         a1=Fraction(9, 5),
         eps=Fraction(1, 1000),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=60,
     )
     # a + r, g = gcd(ad, rd): g = 1 at a_2 = 2 + 7/3
@@ -880,7 +884,7 @@ class TestIntegerPairOrbit:
         sys=periodic_linear((2,)),
         a1=1,
         eps=Fraction(7, 3),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=2,
     )
     # a sum coprime to g: 1 < g < rd at a_2 = 1/6 + 5/12 = 7/12, and g = rd at
@@ -889,7 +893,7 @@ class TestIntegerPairOrbit:
         sys=periodic_linear((Fraction(1, 6),)),
         a1=1,
         eps=Fraction(5, 12),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=3,
     )
     # a sum sharing a factor with g: g = rd at a_2 = 1/3 + 2/3 = 1, and
@@ -898,14 +902,14 @@ class TestIntegerPairOrbit:
         sys=periodic_linear((Fraction(1, 3),)),
         a1=1,
         eps=Fraction(2, 3),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=2,
     )
     @example(
         sys=periodic_linear((Fraction(1, 6),)),
         a1=1,
         eps=Fraction(1, 10),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=2,
     )
     # a negative a_1 with residual numerators above 1: each a_n = w_n / r_d
@@ -914,18 +918,18 @@ class TestIntegerPairOrbit:
         sys=periodic_linear((Fraction(-4, 3), 6, Fraction(-5, 8))),
         a1=Fraction(-22, 7),
         eps=Fraction(5, 12),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=40,
     )
     @example(
         sys=index_scaled_linear(Fraction(-3, 2), 5),
         a1=Fraction(-7, 4),
         eps=Fraction(7, 3),
-        kind=PolicyKind.CONSTANT_REAL,
+        zero=False,
         horizon=40,
     )
-    def test_equals_fraction_loop(self, sys, a1, eps, kind, horizon):
-        _assert_orbit_matches_fraction_loop(sys, a1, eps, horizon, ResidualPolicy(kind=kind))
+    def test_equals_fraction_loop(self, sys, a1, eps, zero, horizon):
+        _assert_orbit_matches_fraction_loop(sys, a1, Fraction(0) if zero else eps, horizon)
 
     # the benchmark's start point at seed 0
     @pytest.mark.parametrize("factory", [periodic_linear, index_scaled_linear, power_two_parity])
@@ -936,13 +940,6 @@ class TestIntegerPairOrbit:
     @pytest.mark.parametrize("factory", [periodic_linear, index_scaled_linear, power_two_parity])
     def test_benchmark_families_at_3000_from_a_dyadic_start(self, factory):
         _assert_orbit_matches_fraction_loop(factory(), Fraction(37, 32), Fraction(1, 1000), 3000)
-
-    def test_unsupported_policy_needs_a_second_step(self):
-        # the residual is read only for a_2 on, as in the Fraction loop
-        phase = ResidualPolicy(kind=PolicyKind.CONSTANT_PHASE, theta=1.0)
-        _assert_orbit_matches_fraction_loop(periodic_linear(), Fraction(1), Fraction(1, 1000), 1, phase)
-        with pytest.raises(UnsupportedFamily):
-            exact_propagate(periodic_linear(), Fraction(1), Fraction(1, 1000), 2, phase)
 
 
 class TestRunIdentities:
@@ -955,13 +952,12 @@ class TestRunIdentities:
         sys=rational_systems,
         a1=small_fraction,
         eps=small_fraction.map(abs),  # exact_propagate refuses a negative epsilon
-        kind=st.sampled_from([PolicyKind.ZERO, PolicyKind.CONSTANT_REAL]),
+        zero=st.booleans(),  # eps = 0: the true orbit
         horizon=st.integers(1, 200),
     )
-    def test_sums_and_values_follow_from_the_products(self, sys, a1, eps, kind, horizon):
-        policy = ResidualPolicy(kind=kind)
-        orbit = exact_propagate(sys, a1, eps, horizon, policy)
-        r = policy.rational_residual(1, eps)
+    def test_sums_and_values_follow_from_the_products(self, sys, a1, eps, zero, horizon):
+        r = Fraction(0) if zero else eps
+        orbit = exact_propagate(sys, a1, r, horizon)
         inverse_sum = Fraction(0)
         positive = True
         for n in range(1, horizon + 1):
@@ -1026,7 +1022,7 @@ positive_part = st.one_of(st.integers(2, 2**70), big_power_of_two.filter(lambda 
 def _one_step(a1, c):
     """c * a1 as exact_propagate's runner reduces it: a_2 = c_1 a_1 with no residual."""
     sys = MapSystem(Family.PERIODIC_LINEAR, (c,))
-    value = exact_propagate(sys, a1, Fraction(0), 2, ResidualPolicy(kind=PolicyKind.ZERO)).value(2)
+    value = exact_propagate(sys, a1, Fraction(0), 2).value(2)
     assert type(value.numerator) is int and type(value.denominator) is int
     return value.numerator, value.denominator
 

@@ -52,6 +52,7 @@ from hu_shadow import (
     refined_cell_size,
     shadow_contracting,
     shadow_expanding,
+    sup_error_for_start,
     telescope_difference,
     witness_divergence,
 )
@@ -307,10 +308,12 @@ def _count_arguments() -> dict:
         "ShadowOptions": ("max_iter", 1, lambda n: ShadowOptions(max_iter=n)),
         "AnalysisOptions_window": ("window", 1, lambda n: AnalysisOptions(window=n)),
         "AnalysisOptions_max_period": ("max_period", 2, lambda n: AnalysisOptions(max_period=n)),
+        "best_b1_search_horizon": ("horizon", 1, lambda h: best_b1_search(sys, orbit, h, region)),
         "best_b1_search_grid": ("grid", 2, lambda n: best_b1_search(sys, orbit, 5, region, grid=n)),
         "best_b1_search_refinements": (
             "refinements", 0, lambda n: best_b1_search(sys, orbit, 5, region, refinements=n)
         ),
+        "sup_error_for_start": ("horizon", 1, lambda h: sup_error_for_start(sys, orbit, 1.0, h)),
         "refined_cell_size_grid": ("grid", 2, lambda n: refined_cell_size(region, n, 0)),
         "refined_cell_size_refinements": (
             "refinements", 0, lambda n: refined_cell_size(region, 2, n)

@@ -451,11 +451,10 @@ class TestResidualPolicies:
 
     def test_a_kind_given_by_its_value_is_the_kind(self):
         # "zero" compared equal to PolicyKind.ZERO but failed each identity test: the
-        # residual was the low-discrepancy one and rational_residual raised AttributeError
+        # residual was the low-discrepancy one
         policy = ResidualPolicy(kind="zero")
         assert policy.kind is PolicyKind.ZERO
         assert policy.residual(1, 1e-3) == 0j
-        assert policy.rational_residual(1, Fraction(1, 1000)) == 0
         with pytest.raises(ValueError, match="'spiral' is not a valid PolicyKind"):
             ResidualPolicy(kind="spiral")
 
@@ -464,14 +463,6 @@ class TestResidualPolicies:
         # its residual was NaN, and generation reported the orbit truncated at n = 1
         with pytest.raises(ValueError, match=f"^theta must be finite, got {theta!r}$"):
             ResidualPolicy(kind=PolicyKind.CONSTANT_PHASE, theta=theta)
-
-    def test_rational_form_matches_float(self):
-        policy = ResidualPolicy(kind=PolicyKind.CONSTANT_REAL)
-        assert policy.rational_residual(3, Fraction(1, 1000)) == Fraction(1, 1000)
-        with pytest.raises(UnsupportedFamily):
-            ResidualPolicy(kind=PolicyKind.CONSTANT_PHASE, theta=1.0).rational_residual(
-                3, Fraction(1, 1000)
-            )
 
 
 class TestPseudoOrbit:
@@ -507,6 +498,22 @@ class TestPseudoOrbit:
             generate_pseudo_orbit(sys, 1.0, -1.0, ResidualPolicy(), 10)
         with pytest.raises(ValueError):
             generate_pseudo_orbit(sys, 1.0, 1.0, ResidualPolicy(), 0)
+
+    @pytest.mark.parametrize("eps", [math.nan, -1e-3, math.inf])
+    def test_an_epsilon_generation_refuses_is_refused(self, eps):
+        # a hand-built orbit with epsilon NaN gave shadow_contracting a NaN
+        # sound bound, and with -1e-3 a sound bound of 0.0
+        with pytest.raises(ValueError) as generated:
+            generate_pseudo_orbit(periodic_linear(), 1.0, eps, ResidualPolicy(), 2)
+        with pytest.raises(ValueError) as built:
+            PseudoOrbit(a=(1 + 0j, 2 + 0j), r=(0j,), epsilon=eps, horizon=2, policy=ResidualPolicy())
+        assert str(built.value) == str(generated.value)
+        assert str(built.value) == f"epsilon must be finite and nonnegative, got {eps}"
+
+    def test_a_horizon_that_is_not_a_count_is_refused(self):
+        # True passed the length check as 1
+        with pytest.raises(ValueError, match="^horizon must be an int of at least 1, got True$"):
+            PseudoOrbit(a=(1 + 0j,), r=(), epsilon=0.0, horizon=True, policy=ResidualPolicy())
 
     def test_step_index_outside_the_orbit_is_refused(self):
         # value(0) read a_5 and residual(0) read r_4 before: the index wrapped
