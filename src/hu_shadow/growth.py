@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import RateRangeError
-from .systems import MapSystem, check_count, check_rates
+from .systems import MapSystem, check_count, check_positive, check_rates
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ class AnalysisOptions:
 
     def __post_init__(self) -> None:
         check_count(self.window, "window", 1)
-        if not 0.0 < self.tol < math.inf:  # NaN too, as ShadowOptions.tol
-            raise ValueError(f"tol must be finite and above 0, got {self.tol!r}")
+        check_positive(self.tol, "tol")
         check_count(self.max_period, "max_period", 2)
 
 
@@ -183,9 +182,11 @@ def detect_periodic_scaled(
     the margin.  A profile that is not finite is not screened.
 
     ``max_period`` is an int of at least 1 (:func:`check_count`); 1 admits
-    no period, and the result is None.
+    no period, and the result is None.  ``tol`` is finite and above 0
+    (:func:`check_positive`), checked before any fit.
     """
     check_count(max_period, "max_period", 1)
+    check_positive(tol, "tol")
     if max_period < 2:
         return None
     horizon = profile.horizon
@@ -193,7 +194,7 @@ def detect_periodic_scaled(
     for m in range(2, max_period + 1):
         if horizon < 4 * m:
             break
-        rejected = _rejected_prefixes(profile.log_partial, m, tol, scan=scan)
+        rejected = _rejected_prefixes(scan, m, tol)
         for prefix in np.flatnonzero(~rejected):
             fit = _fit_period(profile, m, int(prefix), tol)
             if fit is not None:
@@ -240,11 +241,12 @@ class _ProfileScan:
         return absolute, highs - lows
 
 
-def _rejected_prefixes(L: np.ndarray, m: int, tol: float, *, scan: _ProfileScan) -> np.ndarray:
-    """Mask over prefixes 0..horizon//4: True where ``_fit_period`` with
-    period m provably returns None, by the screens of
-    :func:`detect_periodic_scaled`.  ``scan`` holds L's period-free
-    quantities across periods."""
+def _rejected_prefixes(scan: _ProfileScan, m: int, tol: float) -> np.ndarray:
+    """Mask over prefixes 0..horizon//4 of the profile L = ``scan.L``: True
+    where ``_fit_period`` with period m provably returns None, by the
+    screens of :func:`detect_periodic_scaled`.  ``scan`` holds L's
+    period-free quantities across periods."""
+    L = scan.L
     horizon = L.size
     prefixes = np.arange(horizon // 4 + 1)
     rejected = np.zeros(prefixes.size, dtype=bool)
@@ -503,12 +505,14 @@ def ratio_check(t: Sequence[float], K: float, n: int) -> float:
     """t_n K^n / sum_{j<n} t_j K^j, evaluated with K^n factored out.
 
     For positive t with t_n^(1/n) -> 1 and K > 1 this ratio tends to
-    K - 1; the check is purely numerical, no limit is assumed.
+    K - 1; the check is purely numerical, no limit is assumed.  ``K`` is
+    finite and above 0, and each t_j above 0 (not NaN), else ``ValueError``.
     """
     check_count(n, "n", 2)
+    check_positive(K, "K")
     if len(t) < n:
         raise ValueError(f"need t_1..t_{n}, got {len(t)} values")
-    if any(x <= 0 for x in t[:n]):
+    if not all(x > 0 for x in t[:n]):  # NaN too
         raise ValueError("t must be positive")
     denom = 0.0
     for j in range(1, n):

@@ -11,8 +11,8 @@ from its reduced pair; the references ``exact_difference`` and
 finds a near-optimal shadowing start point by refined grid evaluation, an
 upper bound on the true optimum by construction.  Where every c_n is real,
 its grid steps the real and the imaginary start parts as two axes, and
-ranks only the steps that can change some start's two largest distances;
-where one is complex, every start takes each c_n's complex product.
+ranks only the steps that can hold some start's largest distance; where
+one is complex, every start takes each c_n's complex product.
 
 Exact arithmetic is restricted to the linear families with rational
 parameters and real rational data, and reads c_n from the exact pair
@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .systems import MapSystem, PseudoOrbit, modulus
+from .systems import MapSystem, PseudoOrbit, check_nonnegative, modulus
 from .systems import _ORBIT_BLOCK, _check_orbit_request, _step_index, check_count
 
 
@@ -205,8 +205,7 @@ class SearchRegion:
     radius: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.radius < math.inf:
-            raise ValueError(f"radius must be finite and nonnegative, got {self.radius!r}")
+        check_nonnegative(self.radius, "radius")
 
 
 def sup_error_for_start(
@@ -249,9 +248,9 @@ def _step_parts(
     return new_re, re
 
 
-#: A start whose runner-up squared distance is within this relative gap of
-#: its largest goes to :func:`sup_error_for_start`: the two might round to
-#: the same modulus, or to swapped ones.
+#: The screen's margin: a step whose squared distance lies more than this
+#: relative gap below the largest of its start cannot have the larger
+#: modulus, so its ``hypot`` is never taken.
 TIE_GAP = 1e-12
 #: A start whose largest squared distance lies outside [Q_MIN, Q_MAX] goes
 #: to :func:`sup_error_for_start`: near the ends of the float range a square
@@ -261,34 +260,25 @@ Q_MIN, Q_MAX = 2.0**-900, 2.0**900
 
 class _Ranking:
     """Per start of a grid, over the steps added: the largest squared
-    distance q (``np.maximum`` carries a NaN q), the parts d where a q first
-    rose above it, and the runner-up ``fmax(runner, minimum(q, best))``.
-
-    Over a set of steps with no NaN q the two are its largest and second
-    largest q, counted with multiplicity, whatever the order of the steps.
-    """
+    distance q (``np.maximum`` carries a NaN q) and the largest modulus
+    ``hypot(d)`` of the steps whose q reaches the largest q so far times
+    1 - ``TIE_GAP``, whatever the order of the steps."""
 
     def __init__(self, shape: tuple[int, int]):
-        self.best = np.full(shape, -np.inf)
-        self.runner = np.zeros(shape)
-        self.best_re, self.best_im = np.zeros(shape), np.zeros(shape)
-        self._t, self._better = np.empty(shape), np.empty(shape, dtype=bool)
+        self.best, self.worst = np.full(shape, -np.inf), np.zeros(shape)
+        self._t, self._ranked = np.empty(shape), np.empty(shape, dtype=bool)
 
     def add(self, q: np.ndarray, d_re: np.ndarray, d_im: np.ndarray) -> None:
         """Rank one step's q, its parts d broadcast to the grid."""
-        np.fmax(self.runner, np.minimum(q, self.best, out=self._t), out=self.runner)
-        np.greater(q, self.best, out=self._better)
-        np.copyto(self.best_re, d_re, where=self._better)
-        np.copyto(self.best_im, d_im, where=self._better)
         np.maximum(self.best, q, out=self.best)
+        np.greater_equal(q, np.multiply(self.best, 1.0 - TIE_GAP, out=self._t), out=self._ranked)
+        np.hypot(d_re, d_im, out=self._t, where=self._ranked)
+        np.maximum(self.worst, self._t, out=self.worst, where=self._ranked)
 
     def errors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(``hypot`` of the kept parts, the mask of starts it cannot decide):
-        a largest q outside [``Q_MIN``, ``Q_MAX``], NaN and inf included, or a
-        runner-up within ``TIE_GAP`` of it."""
-        undecided = ~((Q_MIN <= self.best) & (self.best <= Q_MAX))
-        undecided |= self.runner >= self.best * (1.0 - TIE_GAP)
-        return np.hypot(self.best_re, self.best_im), undecided
+        """(the largest modulus, the mask of starts it cannot decide: a
+        largest q outside [``Q_MIN``, ``Q_MAX``], NaN and inf included)."""
+        return self.worst, ~((Q_MIN <= self.best) & (self.best <= Q_MAX))
 
 
 def _sup_errors(
@@ -307,19 +297,18 @@ def _sup_errors(
     array of ``sys.tables`` read once by the caller, whose entries are the
     values ``eval_map`` multiplies by.  The grid is never written.
 
-    The screen ranks squared distances q = d_re^2 + d_im^2 in place of C
-    ``hypot`` (:class:`_Ranking`).  Per start it keeps the largest q with the
-    parts d where it was reached and the runner-up, and takes one ``hypot``
-    of the kept parts at the end.  That is the maximum modulus exactly: q
-    carries at most 3 roundings and ``hypot`` errs by less than 1 ulp, so a
-    runner-up below best * (1 - ``TIE_GAP``) can never give a larger
-    ``hypot``.  The starts the screen cannot decide go, in row-major order,
-    to :func:`sup_error_for_start` itself, so every NaN, overflow and
-    first-exception rule is the reference's: a largest q that is not in
-    [``Q_MIN``, ``Q_MAX``], or a runner-up within ``TIE_GAP`` of the
-    largest.  ``np.maximum`` carries a NaN q into the largest, and an
-    infinite or overflowed q is above ``Q_MAX``, so a start with a NaN or
-    infinite step is undecided too.
+    The screen ranks squared distances q = d_re^2 + d_im^2 (:class:`_Ranking`)
+    and takes C ``hypot``, the scalar function's modulus, of a step's parts
+    only where q reaches the start's largest q so far times 1 - ``TIE_GAP``.
+    That gives the largest modulus exactly where the start's final largest
+    q, Q, lies in [``Q_MIN``, ``Q_MAX``]: q carries at most 3 roundings and
+    ``hypot`` errs by less than 1 ulp, so a step whose q lies below
+    fl(Q * (1 - ``TIE_GAP``)) has a smaller ``hypot`` than Q's step, and the
+    step of the largest modulus passes the mask when it is added.  The other
+    starts go, in row-major order, to :func:`sup_error_for_start` itself, so
+    every NaN, overflow and first-exception rule is the reference's:
+    ``np.maximum`` carries a NaN q into Q, and an infinite or overflowed q
+    is above ``Q_MAX``.
 
     A table with a complex entry steps every start at once, step after
     step, each entry by the scalar function's complex product
@@ -337,16 +326,14 @@ def _sup_errors(
     * The stop rule.  Rounding is monotone, so U_n = fl(max A_n + max B_n)
       bounds every start's q at step n, and ``np.max`` carries a NaN into
       U_n.  Each block of steps is ranked in decreasing U_n, a NaN U_n
-      first, and stops at its first U_n below R, the least runner-up of the
-      grid then.  A skipped step has no NaN q, and each of its q lies below
-      R; a runner-up only grows, so R is at most every start's final
-      runner-up.  For a start with no NaN q among the ranked steps, the
-      largest and second largest q over all steps are then those over the
-      ranked ones, and the undecided test reads only these two.  Where the start is decided, its runner-up lies
-      strictly below its largest q, so the largest sits at one step, which
-      is ranked, and its kept parts are that step's.  A start with a NaN q
-      among the ranked steps is undecided on both routes.  So neither the
-      skipped steps nor the order of the ranked ones change a returned float.
+      first, and stops at its first U_n below fl(m * (1 - ``TIE_GAP``)), m
+      the least largest q then over the starts that are not NaN.  A skipped
+      step has no NaN q, and a largest q only grows, so for a start with no
+      NaN q among the ranked steps each skipped q lies below fl(Q * (1 -
+      ``TIE_GAP``)): it changes neither Q nor, by the bound above, the
+      largest modulus.  A start with a NaN q among the ranked steps is
+      undecided on both routes.  So neither the skipped steps nor the order
+      of the ranked ones change a returned float.
     """
     if coeffs is None:
         return np.array(
@@ -395,10 +382,10 @@ def _screen_axes(
     res: np.ndarray, ims: np.ndarray, c: np.ndarray, a: np.ndarray, ranking: _Ranking
 ) -> None:
     """Rank the q of a real table's steps by axes, in decreasing bound U_n
-    on each block's steps, and stop a block below the least runner-up: the
-    axis split and the stop rule of :func:`_sup_errors`.  The axis arrays
-    are made a block of ``systems._ORBIT_BLOCK`` steps at a time, so memory
-    is O(grid^2 + block * grid) at any horizon."""
+    on each block's steps, and stop a block below the least largest q times
+    1 - ``TIE_GAP``: the axis split and the stop rule of :func:`_sup_errors`.
+    The axis arrays are made a block of ``systems._ORBIT_BLOCK`` steps at a
+    time, so memory is O(grid^2 + block * grid) at any horizon."""
     q = np.empty((len(res), len(ims)))
     factors = np.concatenate(([1.0], c))  # b_1 is the start, times 1.0
     last_re, last_im = res, ims
@@ -409,7 +396,7 @@ def _screen_axes(
         sq_re, sq_im = d_re * d_re, d_im * d_im
         bound = sq_re.max(axis=1) + sq_im.max(axis=1)
         for n in np.argsort(-np.where(np.isnan(bound), np.inf, bound)):
-            if bound[n] < ranking.runner.min():  # never for a NaN bound
+            if bound[n] < np.fmin.reduce(ranking.best, axis=None) * (1.0 - TIE_GAP):
                 break
             ranking.add(np.add(sq_re[n][:, None], sq_im[n], out=q), d_re[n][:, None], d_im[n])
 
@@ -456,9 +443,9 @@ def best_b1_search(
     part alone, so each round steps 2 * ``grid`` parts instead of
     ``grid``^2 starts, and ranks a step only where fl(max A_n + max B_n),
     which bounds every start's squared distance at that step, reaches the
-    grid's least runner-up (see :func:`_screen_axes` for the proof that the
-    skipped steps and the order change no value).
-    The acceptance-9 search at H = 60 ranks 11 to 14 of 60 steps a round.
+    grid's least largest one times 1 - ``TIE_GAP`` (see :func:`_sup_errors`
+    for the proof that the skipped steps and the order change no value).
+    The acceptance-9 search at H = 60 ranks 10 to 13 of 60 steps a round.
     A ``horizon``, ``grid`` or ``refinements`` that is not an int of at
     least 1, 2 or 0, checked before any table, and a region whose grid span
     is not finite (a huge centre; its grid would hold NaN), raise

@@ -74,6 +74,7 @@ from .errors import (
 # perfbench/tracer.py wraps generate_pseudo_orbit here, so the import stays though unused.
 from .systems import MapSystem, PseudoOrbit, _pseudo_orbit, check_rates, generate_pseudo_orbit
 from .systems import _ORBIT_BLOCK, _cycle_closed, _listed, _repeat_tail, check_count
+from .systems import check_nonnegative, check_positive
 
 #: |q| below this is treated as a degenerate quotient.
 DEGENERATE_QUOTIENT_LIMIT = 1e-300
@@ -137,14 +138,13 @@ def accumulated_rate_bound(
     bit-identical to what the constructions maximise.  With eps = 1 and
     a zero gap, the value at n + 1 is the perturbation partial sum S_n.
     An n that is not an int of at least 1 (:func:`~hu_shadow.systems.check_count`),
-    or an eps or gap that is negative or NaN, is refused before any sweep:
-    no bound is made from it.
+    or an eps or gap that is not finite and nonnegative
+    (:func:`~hu_shadow.systems.check_nonnegative`), is refused before any
+    sweep: no bound is made from it.
     """
     check_count(n, "n", 1)
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    if not gap >= 0.0:
-        raise ValueError(f"gap must be nonnegative, got {gap!r}")
+    check_nonnegative(eps, "eps")
+    check_nonnegative(gap, "gap")
     if len(rates) < n - 1:
         raise ValueError(f"need rates p_1..p_{n - 1}, got {len(rates)}")
     return _accumulated_rate_bounds(rates, n, eps, gap)[-1]
@@ -168,11 +168,11 @@ def _accumulated_rate_bounds(
     (``systems._listed``), so ``rates`` may be an array or a list alike.
 
     ``period`` is the period of a table the caller built itself
-    (``MapSystem._period``).  With a zero gap each value is zero + S_n*eps, a
-    function of S_n alone, so the sums S_n step in blocks of
+    (``MapSystem._period``), or None.  With a zero gap each value is zero +
+    S_n*eps, a function of S_n alone, so the sums S_n step in blocks of
     ``systems._ORBIT_BLOCK`` and the list repeats its last ``period`` values
-    once the sums close a cycle (``systems._cycle_closed``).  A nonzero gap
-    sweeps in full: e^{L_n} does not repeat.
+    once the sums close a cycle (``systems._cycle_closed``, never true for
+    None).  A nonzero gap sweeps in full: e^{L_n} does not repeat.
     """
     head = check_rates(rates[: horizon - 1])
     log, exp, inf = math.log, math.exp, math.inf
@@ -186,8 +186,6 @@ def _accumulated_rate_bounds(
             for p in _listed(head)
         ]
     zero = 0.0 * gap
-    if period is None:
-        return [first] + [zero + (S := S * p + 1.0) * eps for p in _listed(head)]
     out, sums, steps = [first], [], _listed(head)
     while block := [S := S * p + 1.0 for p in islice(steps, _ORBIT_BLOCK)]:
         sums += block
@@ -304,8 +302,7 @@ class ShadowOptions:
     tail_fraction: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tol < math.inf:  # NaN too
-            raise ValueError(f"tol must be finite and above 0, got {self.tol!r}")
+        check_positive(self.tol, "tol")
         check_count(self.max_iter, "max_iter", 1)
         if not 0.0 < self.tail_fraction < 1.0:  # NaN too
             raise ValueError(f"tail_fraction must lie in (0, 1), got {self.tail_fraction!r}")

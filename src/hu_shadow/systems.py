@@ -330,6 +330,18 @@ def check_count(value: int, name: str, least: int) -> None:
         raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
 
 
+def check_nonnegative(value: float, name: str) -> None:
+    """The one rule of a real that is finite and nonnegative, NaN refused."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def check_positive(value: float, name: str) -> None:
+    """The one rule of a real that is finite and above 0, NaN refused."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and above 0, got {value}")
+
+
 def modulus(z: complex) -> float:
     """|z| by C ``hypot``, as ``abs(complex)`` and ``numpy.hypot`` compute it.
 
@@ -713,8 +725,7 @@ def _check_orbit_request(epsilon: float, horizon: int, a1: Optional[complex] = N
     """The checks :func:`generate_pseudo_orbit` makes before any work, of
     ``a1`` too when the orbit starts from it."""
     check_count(horizon, "horizon", 1)
-    if not 0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    check_nonnegative(epsilon, "epsilon")
     if a1 is not None and not _within_limit(a1):
         raise ValueError(f"a1 must have finite parts of at most {OVERFLOW_LIMIT:g}, got {a1!r}")
 

@@ -416,7 +416,7 @@ def _assert_same_masks(L, tol):
     for m in range(2, 9):
         if L.size < 4 * m:
             break
-        got = growth._rejected_prefixes(L, m, tol, scan=growth._ProfileScan(L))
+        got = growth._rejected_prefixes(growth._ProfileScan(L), m, tol)
         expected = _reference_rejected_prefixes(L, m, tol)
         assert got.dtype == expected.dtype and np.array_equal(got, expected), m
 
@@ -452,7 +452,7 @@ class TestEarlyExitScreen:
     )
     def test_non_finite_mask_equals_full_screen(self, L):
         _assert_same_masks(L, 1e-4)
-        assert not growth._rejected_prefixes(L, 2, 1e-4, scan=growth._ProfileScan(L)).any()
+        assert not growth._rejected_prefixes(growth._ProfileScan(L), 2, 1e-4).any()
 
     @pytest.mark.parametrize("m", range(2, 9))
     @pytest.mark.parametrize(
@@ -474,7 +474,7 @@ class TestEarlyExitScreen:
         for r in range(m):
             L = build_profile(rates(4 * m + r)).log_partial
             for tol in (1e-4, 1e-6):
-                got = growth._rejected_prefixes(L, m, tol, scan=growth._ProfileScan(L))
+                got = growth._rejected_prefixes(growth._ProfileScan(L), m, tol)
                 expected = _reference_rejected_prefixes(L, m, tol)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected), r
 
@@ -498,7 +498,7 @@ class TestEarlyExitScreen:
         L = profile_of(affine_sinusoid(), 10_000).log_partial
         calls = _count_numpy_calls(monkeypatch, "cumsum")
         for m in range(2, 9):
-            assert growth._rejected_prefixes(L, m, 1e-4, scan=growth._ProfileScan(L)).all()
+            assert growth._rejected_prefixes(growth._ProfileScan(L), m, 1e-4).all()
         assert calls == []
 
     @pytest.mark.parametrize("name", ["isfinite", "diff", "sum"])
@@ -527,8 +527,8 @@ class TestEarlyExitScreen:
         for L in _family_log_partials(horizon):
             scan = growth._ProfileScan(L)
             for m in range(2, 9):
-                got = growth._rejected_prefixes(L, m, 1e-4, scan=scan)
-                fresh = growth._rejected_prefixes(L, m, 1e-4, scan=growth._ProfileScan(L))
+                got = growth._rejected_prefixes(scan, m, 1e-4)
+                fresh = growth._rejected_prefixes(growth._ProfileScan(L), m, 1e-4)
                 assert np.array_equal(got, fresh), m
 
 

@@ -636,8 +636,8 @@ def _constant_orbit(values) -> PseudoOrbit:
 
 class TestSquaredDistanceScreen:
     """The screen decides a start from its squared distances only where the
-    largest clears its runner-up and lies in [2^-900, 2^900]; each trigger
-    below sends starts to ``sup_error_for_start``, and the search stays
+    largest lies in [2^-900, 2^900]; each trigger below sends starts to
+    ``sup_error_for_start``, a tie sends none, and the search stays
     bit-identical to the scalar loop."""
 
     def _check(self, monkeypatch, sys, pseudo, horizon, region, grid=3, refinements=1):
@@ -653,8 +653,20 @@ class TestSquaredDistanceScreen:
         sys = periodic_linear((1,))
         pseudo = generate_pseudo_orbit(sys, 1.0, 0.0, ResidualPolicy(), 8)
         _, sizes = self._check(monkeypatch, sys, pseudo, 8, SearchRegion(1.5 + 0.5j, 0.25))
-        # the centre, then both rounds of 3 x 3 starts, every one of them
-        assert sizes == [1, 9, 9]
+        # every tied step takes hypot of its parts, the scalar loop's modulus:
+        # no start goes to it (the centre and both rounds of 3 x 3 did)
+        assert sizes == []
+
+    def test_an_orbit_in_its_cycle_sends_no_start_to_the_hypot_loop(self, monkeypatch):
+        # periodic_linear's orbit reaches its cycle, so the largest q of a start
+        # ties at many steps; 37 of the 256 starts went to sup_error_for_start
+        sys = periodic_linear()
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 4000)
+        sizes = _spy_fallback(monkeypatch)
+        b1, err = best_b1_search(sys, pseudo, 4000, SearchRegion(1.0, 0.01), grid=16, refinements=0)
+        assert sizes == []
+        got = (b1.real.hex(), b1.imag.hex(), err.hex())
+        assert got == ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.26e978d4fdf3ep-7")
 
     @pytest.mark.parametrize("scale", [1e-140, 1e-160, 1e-200])
     def test_distances_below_two_to_the_minus_450(self, scale, monkeypatch):
@@ -720,8 +732,8 @@ class TestSquaredDistanceScreen:
     @pytest.mark.parametrize("horizon, most", [(12, 11), (60, 20)])
     def test_acceptance_rounds_rank_few_steps(self, horizon, most, monkeypatch):
         # the same searches: each round ranks the steps in decreasing bound on
-        # their largest q, and stops below the grid's least runner-up (11 to 14
-        # of 60 steps per round at H = 60; 9 down to 2 of 12 at H = 12)
+        # their q, and stops below the grid's least largest q times 1 - TIE_GAP
+        # (10 to 13 of 60 steps per round at H = 60; 7 down to 2 of 12 at H = 12)
         sys = index_scaled_linear()
         pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), horizon)
         region = SearchRegion(center=shadow_expanding(sys, pseudo, SQRT_3_2).b[0], radius=0.01)

@@ -176,19 +176,28 @@ REFUSALS = {
     ),
     "accumulated_eps_nan": (
         lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 3, math.nan, 0.0),
-        ValueError("eps must be nonnegative, got nan"),
+        ValueError("eps must be finite and nonnegative, got nan"),
     ),
     "accumulated_eps_negative": (
         lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 3, -1e-3, 0.0),
-        ValueError("eps must be nonnegative, got -0.001"),
+        ValueError("eps must be finite and nonnegative, got -0.001"),
     ),
     "accumulated_gap_nan": (
         lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 3, 1e-3, math.nan),
-        ValueError("gap must be nonnegative, got nan"),
+        ValueError("gap must be finite and nonnegative, got nan"),
     ),
     "accumulated_gap_negative": (
         lambda: accumulated_rate_bound([2.0, math.nan, 3.0], 3, 1e-3, -1.0),
-        ValueError("gap must be nonnegative, got -1.0"),
+        ValueError("gap must be finite and nonnegative, got -1.0"),
+    ),
+    # an infinite gap returned nan, inf * 0.0 past 700; an infinite eps returned inf
+    "accumulated_gap_inf": (
+        lambda: accumulated_rate_bound([1e-300] * 5, 4, 1e-3, math.inf),
+        ValueError("gap must be finite and nonnegative, got inf"),
+    ),
+    "accumulated_eps_inf": (
+        lambda: accumulated_rate_bound([2.0, 0.5], 3, math.inf, 0.0),
+        ValueError("eps must be finite and nonnegative, got inf"),
     ),
     # max_iter 0 ran one iteration and then named 0; a NaN tol ran every iteration;
     # a NaN or negative tail_fraction capped J at horizon + 200 unsaid
@@ -253,6 +262,35 @@ REFUSALS = {
     ),
     "ratio_check_too_few_t": (
         lambda: ratio_check([1.0, 1.0], 1.5, 3), ValueError("need t_1..t_3, got 2 values")
+    ),
+    # K = 0 divided by zero; K = nan and a NaN t_10 each returned nan
+    "ratio_check_k_zero": (
+        lambda: ratio_check([1.0] * 10, 0.0, 10), ValueError("K must be finite and above 0, got 0.0")
+    ),
+    "ratio_check_k_nan": (
+        lambda: ratio_check([1.0] * 10, math.nan, 10),
+        ValueError("K must be finite and above 0, got nan"),
+    ),
+    "ratio_check_k_inf": (
+        lambda: ratio_check([1.0] * 10, math.inf, 10),
+        ValueError("K must be finite and above 0, got inf"),
+    ),
+    "ratio_check_t_nan": (
+        lambda: ratio_check([1.0] * 9 + [math.nan], 2.0, 10), ValueError("t must be positive")
+    ),
+    # a NaN tol fitted every candidate and returned None, as did an infinite one;
+    # tol = 1e-4 finds the period-2 fit on the same profile
+    "detect_tol_nan": (
+        lambda: detect_periodic_scaled(profile_of(power_two_parity(), 1000), 8, math.nan),
+        ValueError("tol must be finite and above 0, got nan"),
+    ),
+    "detect_tol_inf": (
+        lambda: detect_periodic_scaled(profile_of(power_two_parity(), 1000), 8, math.inf),
+        ValueError("tol must be finite and above 0, got inf"),
+    ),
+    "detect_tol_zero": (
+        lambda: detect_periodic_scaled(profile_of(power_two_parity(), 1000), 8, 0.0),
+        ValueError("tol must be finite and above 0, got 0.0"),
     ),
     # max_period 2 finds the parity family's period-2 fit on the same profile
     "detect_max_period_one": (

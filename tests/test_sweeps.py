@@ -306,13 +306,13 @@ def _loop_sup_errors(sys, pseudo, starts, horizon, coeffs):
     starts = np.asarray(starts, dtype=complex)
     re, im = starts.real.copy(), starts.imag.copy()  # b_n, stepped in place
     new_re, t, d_re, d_im, q = (np.empty_like(re) for _ in range(5))
-    better = np.empty(re.shape, dtype=bool)
     a = pseudo.value(1)
     with np.errstate(over="ignore", invalid="ignore"):
-        best_re, best_im = np.subtract(re, a.real), np.subtract(im, a.imag)
-        best = np.multiply(best_re, best_re)
-        best += np.multiply(best_im, best_im, out=t)
-        runner = np.zeros_like(re)
+        np.subtract(re, a.real, out=d_re)
+        np.subtract(im, a.imag, out=d_im)
+        best = np.multiply(d_re, d_re)
+        best += np.multiply(d_im, d_im, out=t)
+        worst = np.hypot(d_re, d_im)
         for n, c in zip(range(1, min(horizon, pseudo.horizon)), coeffs):
             if c.imag == 0.0:  # a real c_n, as above
                 re *= c.real
@@ -324,14 +324,9 @@ def _loop_sup_errors(sys, pseudo, starts, horizon, coeffs):
             np.subtract(im, a.imag, out=d_im)
             np.multiply(d_re, d_re, out=q)
             q += np.multiply(d_im, d_im, out=t)
-            np.fmax(runner, np.minimum(q, best, out=t), out=runner)
-            np.greater(q, best, out=better)
-            np.copyto(best_re, d_re, where=better)
-            np.copyto(best_im, d_im, where=better)
             np.maximum(best, q, out=best)
+            np.maximum(worst, np.hypot(d_re, d_im), out=worst)  # every step's modulus
         undecided = ~((oracle.Q_MIN <= best) & (best <= oracle.Q_MAX))  # NaN too
-        undecided |= runner >= best * (1.0 - oracle.TIE_GAP)
-        worst = np.hypot(best_re, best_im)
     if undecided.any():
         worst[undecided] = [
             oracle.sup_error_for_start(sys, pseudo, b1, horizon) for b1 in starts[undecided]

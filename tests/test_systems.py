@@ -1482,6 +1482,16 @@ class TestOneHomePerRule:
         owners = _formatting_functions("must be an int of at least")
         assert owners == [("systems.py", "check_count")]
 
+    @pytest.mark.parametrize(
+        "phrase, owner",
+        [("must be finite and nonnegative", "check_nonnegative"),
+         ("must be finite and above 0", "check_positive")],
+    )
+    def test_each_real_number_message_is_formatted_in_one_function(self, phrase, owner):
+        # "finite and nonnegative" was written out for epsilon and the search
+        # radius, and "finite and above 0" for the tol of both option classes
+        assert _formatting_functions(phrase) == [("systems.py", owner)]
+
     def test_the_scenario_states_no_value_rule(self):
         # scenario.py restated the checks of epsilon, the horizon, a1 and the
         # analysis options; it reads the JSON shape, and compares a value only
