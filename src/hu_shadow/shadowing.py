@@ -21,14 +21,15 @@ p_n bounds |F(n,u) - F(n,v)|/|u - v| from above (every linear family;
 not the affine sinusoid, whose p_n bounds its expansion from below);
 the asymptotic bounds can be exceeded by finite data whenever the
 partial sums oscillate above their limiting value.  They report its
-maximum over n = 1..horizon, taken in one sweep:
-``_accumulated_rate_bounds`` runs the recurrence of
-``accumulated_rate_bound`` once, in one comprehension over the rates
-after one sign scan of them, and returns the list of its values at every
-n.  Each value is produced by the same floating-point operations, in the
-same order, as a fresh per-index evaluation, so the maximum is
-bit-identical to the per-index one at O(horizon) instead of O(horizon^2)
-cost.
+maximum over n = 1..horizon, taken in one sweep with no list of values:
+``_rate_recurrence`` states the recurrence of ``accumulated_rate_bound``
+once, after one sign scan of the rates, as the running log-products and
+sums; ``_accumulated_rate_bounds`` makes the list of its values at every
+n from them, and ``_accumulated_rate_bound_max`` their maximum, bit for
+bit the list's ``max``, making ``math.exp`` only where a numpy screen
+leaves a candidate.  Each value is produced by the same floating-point
+operations, in the same order, as a fresh per-index evaluation, at
+O(horizon) instead of O(horizon^2) cost.
 
 Every sweep whose step is one multiply-add on a linear family's
 coefficient table (``MapSystem.tables``) is one comprehension that makes
@@ -42,8 +43,10 @@ operations of the per-step loop in the same order, so every value is the
 loop's, bit for bit.  On a table of constants (``MapSystem._period``)
 ``shadow_contracting``'s forward propagation and its zero-gap rate sums
 step in blocks and stop at the first bit-exact cycle
-(``systems._cycle_closed``), repeating it to the horizon; the differences
-and their sup, which read a given orbit, are swept in full.  Only the
+(``systems._cycle_closed``), repeating the orbit to the horizon; the
+differences and their sup, which read a given orbit, are swept only up to
+that cycle where the orbit's entries from there repeat by identity, as
+generation's repeat makes them, and in full otherwise.  Only the
 nonlinear family goes through ``eval_map`` or ``eval_q``, and only in
 ``shadow_expanding``: ``shadow_contracting`` refuses it.  Both
 constructions refuse, up front, a given orbit whose own steps pass
@@ -59,7 +62,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, islice, takewhile
-from operator import add, sub
+from operator import add, is_, sub
 from sys import float_info
 from typing import Optional, Sequence
 
@@ -155,45 +158,110 @@ def _accumulated_rate_bounds(
 ) -> list[float]:
     """accumulated_rate_bound(rates, n, eps, gap) for n = 1..horizon, horizon >= 1.
 
-    One running recurrence, one comprehension: the n-th value extends the
-    (n-1)-th by the single rate p_{n-1}, with exactly the arithmetic of a
-    fresh evaluation, so every value (and hence the built-in ``max`` over
-    them) is bit-identical at O(horizon) total cost.  ``math.log`` and
-    ``math.exp`` are kept: numpy's are not bit-equal.  A zero gap takes
-    no product, and so no log: 0.0 * gap, where inf * 0.0 past 700 would
-    be NaN.  A rate that is not positive (NaN included) raises
+    The n-th value is E_{n-1}*gap + S_n*eps from the running quantities of
+    :func:`_rate_recurrence` (:func:`_gap_values`), so every value, and
+    hence the built-in ``max`` over them, is that of a fresh per-index
+    evaluation, at O(horizon) total cost.  The first value is the
+    gap: the empty product is 1.0 and S_1 = 0.  A zero gap takes no product,
+    and so no log: its values are 0.0*gap + S_n*eps, where inf * 0.0 past
+    700 would be NaN.  Where the sums closed a cycle (``period``), the list
+    repeats its last ``period`` values to the horizon.
+    """
+    logs, sums = _rate_recurrence(rates, horizon, gap, period)
+    first = 1.0 * gap + 0.0 * eps
+    if logs is None:
+        zero = 0.0 * gap
+        out = [first] + [zero + s * eps for s in sums]
+        if _cycle_closed(sums, period, 0):  # the sweep stopped here: each value is one of S_n
+            _repeat_tail(out, period, horizon)
+        return out
+    return [first] + _gap_values(logs.tolist(), sums, eps, gap)
+
+
+def _accumulated_rate_bound_max(
+    rates: Sequence[float], horizon: int, eps: float, gap: float, period: Optional[int] = None
+) -> float:
+    """``max(_accumulated_rate_bounds(rates, horizon, eps, gap, period))``, bit
+    for bit, with no list of the values.
+
+    The built-in ``max`` keeps its first value (the gap, finite) until a
+    later one is larger, so a NaN never wins: the result is the first of the
+    largest values that are not NaN.  With a zero gap each later value is
+    0.0 + S_n*eps: for eps > 0 it is positive and nondecreasing in S_n
+    (rounding is monotone; S_n >= 1), so the largest is the one at the
+    largest swept S_n; for a zero eps it is a zero or NaN (S_n = inf), none
+    larger than the first.  With a gap every largest value is positive, so
+    equal ones have equal bits.  The values are screened in numpy, E_{n-1}
+    taken by ``np.exp``, a few ulp from ``math.exp``: the largest value lies
+    within 1e-9 of the screen's largest (a value past the float range
+    within 1e-9 of the largest float; a subnormal product within the
+    absolute slack of the least normal float), so ``math.exp`` runs only at
+    the screen's candidates there, and ``max`` takes the first value and
+    theirs in order.
+    """
+    logs, sums = _rate_recurrence(rates, horizon, gap, period)
+    first = 1.0 * gap + 0.0 * eps
+    if logs is None:
+        return 0.0 + max(sums) * eps if sums and eps else first
+    sums = np.array(sums, dtype=float)
+    with np.errstate(all="ignore"):  # inf and NaN are values here, not warnings
+        screen = np.where(logs < 700, np.exp(logs), math.inf) * gap + sums * eps
+        top = min(np.fmax.reduce(screen, initial=first), float_info.max)
+        kept = np.flatnonzero(screen >= top * (1.0 - 1e-9) - float_info.min)  # the candidates
+    return max([first] + _gap_values(logs[kept].tolist(), sums[kept].tolist(), eps, gap))
+
+
+def _gap_values(logs: list, sums: list, eps: float, gap: float) -> list[float]:
+    """E_{n-1}*gap + S_n*eps at each pair of L_{n-1} and S_n, with E_{n-1} =
+    ``math.exp(L_{n-1})`` below 700 and ``inf`` from there (``math.exp``:
+    numpy's is not bit-equal)."""
+    exp, inf = math.exp, math.inf
+    return [
+        (exp(log_prod) if log_prod < 700 else inf) * gap + s * eps
+        for log_prod, s in zip(logs, sums)
+    ]
+
+
+def _rate_recurrence(
+    rates: Sequence[float], horizon: int, gap: float, period: Optional[int] = None
+) -> tuple[Optional[np.ndarray], list[float]]:
+    """The running quantities of accumulated_rate_bound at n = 2..horizon: the
+    log-products L_1 .. L_{horizon-1}, L_k = ln p_1 + ... + ln p_k, and the
+    sums S_2 .. S_horizon, S_{k+1} = S_k*p_k + 1.0.
+
+    The one statement of the recurrence, read by :func:`_accumulated_rate_bounds`,
+    :func:`_accumulated_rate_bound_max` and the tests.  S_2 is 1.0 exactly:
+    0.0*p_1 + 1.0 for every finite p_1, and for an infinite one too, where
+    0.0*inf would be NaN; each later S_n is one multiply-add on Python floats.  L is
+    ``np.add.accumulate`` over ``math.log`` of each rate, the running sum
+    0.0 + ln p_1 + ... in order, bit for bit; it is None for a zero gap,
+    which takes no product.  A rate that is not positive (NaN included) raises
     :class:`RateRangeError`, from one scan before the sweep, at the n the
     per-step check would name (``check_rates``); ``inf`` is allowed.  The
-    scan's float array is what the sweep reads, a block listed at a time
-    (``systems._listed``), so ``rates`` may be an array or a list alike.
+    scan's float array is what the sweep reads, so ``rates`` may be an array
+    or a list alike: listed whole with a gap, which reads every rate twice,
+    else a block at a time (``systems._listed``).
 
     ``period`` is the period of a table the caller built itself
-    (``MapSystem._period``), or None.  With a zero gap each value is zero +
-    S_n*eps, a function of S_n alone, so the sums S_n step in blocks of
-    ``systems._ORBIT_BLOCK`` and the list repeats its last ``period`` values
-    once the sums close a cycle (``systems._cycle_closed``, never true for
-    None).  A nonzero gap sweeps in full: e^{L_n} does not repeat.
+    (``MapSystem._period``), or None.  With a zero gap each value is a
+    function of S_n alone, so the sums step in blocks of
+    ``systems._ORBIT_BLOCK`` and stop once they close a cycle
+    (``systems._cycle_closed``, never true for None): every later S_n repeats
+    the last ``period``.  A nonzero gap sweeps in full: e^{L_n} does not repeat.
     """
     head = check_rates(rates[: horizon - 1])
-    log, exp, inf = math.log, math.exp, math.inf
-    S = 0.0
-    first = 1.0 * gap + S * eps  # n = 1: the empty product exp(0.0) = 1.0
-    if gap:
-        log_prod = 0.0
-        return [first] + [
-            (exp(log_prod) if (log_prod := log_prod + log(p)) < 700 else inf) * gap
-            + (S := S * p + 1.0) * eps
-            for p in _listed(head)
-        ]
-    zero = 0.0 * gap
-    out, sums, steps = [first], [], _listed(head)
+    S = 1.0
+    sums = [S] if len(head) else []
+    if gap:  # the whole head is read: listed once, for both
+        listed = head.tolist()
+        sums += [S := S * p + 1.0 for p in islice(listed, 1, None)]
+        return np.add.accumulate(np.fromiter(map(math.log, listed), float, len(listed))), sums
+    steps = _listed(head[1:])
     while block := [S := S * p + 1.0 for p in islice(steps, _ORBIT_BLOCK)]:
         sums += block
-        out += [zero + s * eps for s in block]
-        if _cycle_closed(sums, period, 0):  # each value is a function of S_n
-            _repeat_tail(out, period, horizon)
+        if _cycle_closed(sums, period, 0):  # S_2 is the start, each later sum made here
             break
-    return out
+    return None, sums
 
 
 # -- telescoping identity -------------------------------------------------
@@ -258,17 +326,25 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
     coeffs, rates = sys.tables(horizon)
     _check_finite_steps(coeffs, rates, horizon - 1)
     period = sys._period()  # the table is built here: the cycle rule may tile b and the sums
-    z = pseudo.value(1)
+    a = pseudo.a
+    z = a[0]
     b = [z]
+    swept = horizon  # the d_n made by a subtraction
     steps = _listed(coeffs[: horizon - 1])
     while block := [z := c * z for c in islice(steps, _ORBIT_BLOCK)]:
         b += block
         if _cycle_closed(b, period, 1):  # b_1 is read from the orbit
+            # past here each b_n is b_{n - period}; where each a_n is a_{n - period}
+            # too, the very object, as generation's _repeat_tail makes it, so is d_n
+            if all(map(is_, a[len(b):], a[len(b) - period : horizon - period])):
+                swept = len(b)
             _repeat_tail(b, period, horizon)
             break
-    d = tuple(map(sub, b, pseudo.a))
-    sup = max(map(abs, d))
-    sound = max(_accumulated_rate_bounds(rates, horizon, eps, 0.0, period))
+    d = list(map(sub, b[:swept], a[:swept]))
+    sup = max(map(abs, d))  # a repeated d_n changes no max
+    if swept < horizon:
+        _repeat_tail(d, period, horizon)
+    sound = _accumulated_rate_bound_max(rates, horizon, eps, 0.0, period)
     if sup > sound * 1.05 + 1e-15:
         raise HypothesisViolation(
             f"measured sup-difference {sup:.3e} exceeds the sound rate bound "
@@ -284,7 +360,7 @@ def shadow_contracting(sys: MapSystem, pseudo: PseudoOrbit, K: float) -> ShadowR
         sound_bound=sound,
     )
     return ShadowResult(
-        b=tuple(b), d=d, bound=bound, method=ShadowMethod.CONTRACTING_DIRECT, meta=meta
+        b=tuple(b), d=tuple(d), bound=bound, method=ShadowMethod.CONTRACTING_DIRECT, meta=meta
     )
 
 
@@ -410,7 +486,7 @@ def shadow_expanding(
             )
     b = tuple(map(add, a[:horizon], d))
     d_out = tuple(d[:horizon])
-    sound = max(_accumulated_rate_bounds(rates, horizon, eps, abs(d[0])))
+    sound = _accumulated_rate_bound_max(rates, horizon, eps, abs(d[0]))
     meta = ShadowMeta(
         truncation=J,
         iterations=iterations,

@@ -110,11 +110,13 @@ class MapSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))  # its rules test by identity
+        # linearity is read once here, so a step of eval_map or eval_q reads no Enum member
+        object.__setattr__(self, "_linear", _is_linear(self.family))
         # the one home of the value rules, for a factory and a direct build alike: a
         # sinusoid's slope is one real, finite number above 1; a linear family has a
         # residue class, a base is an int or Fraction above 0, a shift an int, and no
         # scale is zero.  Only the factories refuse a NaN or infinite parameter.
-        if not self.is_linear:
+        if not self._linear:
             if len(self.params) != 1:
                 raise ValueError(f"{self.family.value} takes one slope, got {self.params!r}")
             (slope,) = self.params
@@ -140,7 +142,8 @@ class MapSystem:
 
     @property
     def is_linear(self) -> bool:
-        return _is_linear(self.family)
+        """``_is_linear(family)``, stored when the system is built."""
+        return self._linear
 
     def require_linear(self, routine: str) -> None:
         """:class:`HypothesisViolation`, naming ``routine``, for a nonlinear family."""
@@ -221,10 +224,10 @@ class MapSystem:
 
     def eval_map(self, n: int, z: complex) -> complex:
         """Evaluate F(n, z); the sinusoid's is one complex formula, NaN at a non-finite z."""
-        if _is_linear(self.family):  # no property read per step; coefficient(n) checks n
+        if self._linear:  # no property read per step; coefficient(n) checks n
             return self.coefficient(n) * complex(z)
-        if n < 1:  # the sinusoid's one check of n; _step words the refusal
-            _step(n)
+        if type(n) is not int or n < 1:  # the sinusoid's one check of n; _step words the refusal
+            n = _step(n).start  # a numpy integer steps as its int, with the int's bits
         (slope,) = self.params
         z = complex(z)
         return slope * z + cmath.sin(z / n) / n
@@ -237,19 +240,20 @@ class MapSystem:
         overflows, the sinusoid's halves both differences first; on the
         real line that is its slope, as the real-line formula gives.
         """
-        if _is_linear(self.family):  # no property read per step; coefficient(n) checks n
+        if self._linear:  # no property read per step; coefficient(n) checks n
             return self.coefficient(n)
-        if n < 1:  # the sinusoid's one check of n; _step words the refusal
-            _step(n)
+        if type(n) is not int or n < 1:  # the sinusoid's one check of n; _step words the refusal
+            n = _step(n).start  # a numpy integer steps as its int, with the int's bits
         (slope,) = self.params
         u = complex(u)
         v = complex(v)
         if u == v:
             return slope + cmath.cos(u / n) / n**2
         sines = cmath.sin(u / n) - cmath.sin(v / n)
-        if cmath.isinf(u - v) and cmath.isfinite(u) and cmath.isfinite(v):
+        h = u - v
+        if cmath.isinf(h) and cmath.isfinite(u) and cmath.isfinite(v):
             return slope + (sines / 2) / (n * (u / 2 - v / 2))  # not sines / (inf + NaN i)
-        return slope + sines / (n * (u - v))
+        return slope + sines / (n * h)
 
     def growth_rate(self, n: int) -> float:
         """Per-step growth rate p_n (always positive): entry n of
@@ -370,9 +374,9 @@ def _steps_to(horizon: int) -> range:
 
 
 def _step(n: int) -> range:
-    """The one step n as a range of steps; ValueError below 1."""
-    if n < 1:
-        raise ValueError(f"step index must be >= 1, got {n}")
+    """The one step n as a range of steps, after the count rule
+    (:func:`check_count`): ``n`` is an int of at least 1."""
+    check_count(n, "step index", 1)
     return range(n, n + 1)
 
 

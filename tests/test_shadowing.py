@@ -7,6 +7,7 @@ import random
 import re
 import struct
 from fractions import Fraction
+from sys import float_info
 
 import numpy as np
 import pytest
@@ -474,6 +475,158 @@ class TestSoundBoundSweep:
         assert pseudo.horizon == horizon
         shadow_expanding(sys, pseudo, SQRT_3_2)
         assert len(calls) <= 1
+
+
+#: rates the maximum's screen must keep bit for bit: inf, 1e+-300 and subnormals
+max_rate_values = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.sampled_from([math.inf, 1e300, 1e-300, 5e-324, 2.0**-1060, 2.0**-1022]),
+)
+#: eps and gap values at the float range's ends, zero included
+range_ends = st.sampled_from([0.0, 1.0, 1e300, 1e-300, 5e-324])
+
+
+@st.composite
+def bound_inputs(draw):
+    """(rates, period): any rates with no period, or a cycle repeated past a
+    block or three of the sweep, with its period or none."""
+    if draw(st.booleans()):
+        return draw(st.lists(max_rate_values, max_size=200)), None
+    cycle = draw(st.lists(max_rate_values, min_size=1, max_size=3))
+    length = draw(st.integers(0, 3000))
+    rates = (cycle * (length // len(cycle) + 1))[:length]
+    return rates, draw(st.sampled_from([None, len(cycle)]))
+
+
+class TestBoundMaximum:
+    """The constructions' maximum of the forward bound, made with no list, is
+    the list's built-in ``max`` to the last bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        inputs=bound_inputs(),
+        eps=st.one_of(st.floats(0, 1e-2), range_ends),
+        gap=st.one_of(st.floats(0, 1.0), range_ends),
+    )
+    @example(inputs=([math.inf, 2.0], None), eps=1e-3, gap=1e-3)
+    @example(inputs=([math.inf, 2.0], None), eps=1e-3, gap=0.0)
+    @example(inputs=([0.5, 3.0] * 1500, 2), eps=1e-3, gap=0.0)
+    @example(inputs=([0.5, 3.0] * 1500, 2), eps=1e-3, gap=0.5)
+    def test_the_maximum_is_the_lists(self, inputs, eps, gap):
+        rates, period = inputs
+        horizon = len(rates) + 1
+        got = shadowing._accumulated_rate_bound_max(rates, horizon, eps, gap, period)
+        want = max(shadowing._accumulated_rate_bounds(rates, horizon, eps, gap, period))
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rates=st.lists(max_rate_values, max_size=200))
+    def test_the_recurrence_is_the_running_loop(self, rates):
+        # L_k is the running sum 0.0 + ln p_1 + ... + ln p_k in order, and S_2 = 1
+        logs, sums = shadowing._rate_recurrence(rates, len(rates) + 1, 1.0)
+        log_prod, S, want_logs, want_sums = 0.0, 1.0, [], []
+        for k, p in enumerate(rates):
+            log_prod += math.log(p)
+            S = S * p + 1.0 if k else 1.0
+            want_logs.append(log_prod)
+            want_sums.append(S)
+        assert [x.hex() for x in logs.tolist()] == [x.hex() for x in want_logs]
+        assert [x.hex() for x in sums] == [x.hex() for x in want_sums]
+        assert shadowing._rate_recurrence(rates, len(rates) + 1, 0.0) == (None, sums)
+
+    @pytest.mark.parametrize("ulps", range(-4, 5))
+    def test_a_product_at_the_largest_float_is_kept(self, ulps):
+        # E_1 * gap lands within a few ulp of the largest float, where np.exp and
+        # math.exp may round it to either side of the overflow
+        e = math.exp(699.0)
+        gap = float_info.max / e
+        for _ in range(abs(ulps)):
+            gap = math.nextafter(gap, math.inf if ulps > 0 else 0.0)
+        rates = [e, 1.0 - 2.0**-52, 0.5]
+        got = shadowing._accumulated_rate_bound_max(rates, 4, 0.0, gap)
+        assert got.hex() == max(shadowing._accumulated_rate_bounds(rates, 4, 0.0, gap)).hex()
+
+    @pytest.mark.parametrize("gap", [5e-324, 2.0**-1060, 2.0**-1022])
+    def test_subnormal_values_are_kept(self, gap):
+        # every value is on the subnormal grid, where a product's rounding is coarse
+        rates = [0.7, 1.3, 0.9, 1.1, 1.0 + 2.0**-52, 0.999]
+        for eps in (0.0, 5e-324, 2.0**-1070):
+            got = shadowing._accumulated_rate_bound_max(rates, 7, eps, gap)
+            assert got.hex() == max(shadowing._accumulated_rate_bounds(rates, 7, eps, gap)).hex()
+
+    @pytest.mark.parametrize(
+        "first, top",
+        [(1.5, 1.0), (1.5, float_info.max), (1.5 * math.exp(-200 * 2.0**-52), None)],
+        ids=["unit", "largest_float", "least_subnormal"],
+    )
+    def test_the_screen_keeps_the_maximum_with_np_exp_a_few_ulp_off(self, monkeypatch, first, top):
+        # E_n grows by about an ulp a step, so the largest value is the last one;
+        # the screen's exp is taken 4 ulp low at even entries and 4 ulp high at
+        # odd ones, so the entry before the last screens above it: at the largest
+        # float it overflows where the last does not, and with a gap of one
+        # subnormal unit, as E_n crosses 1.5 at the last entry, it rounds to two
+        # units where the exact product rounds to one, and the last to one for two
+        rates = [first] + [1.0 + 2.0**-52] * 200
+        values = shadowing._accumulated_rate_bounds(rates, 202, 0.0, 1.0)
+        gap = 5e-324 if top is None else math.nextafter(top, 0.0) / values[-1]
+        exp = np.exp
+
+        def off(x):
+            y = exp(x)
+            sides = np.where(np.arange(y.size) % 2, np.inf, 0.0)
+            for _ in range(4):
+                y = np.nextafter(y, sides)
+            return y
+
+        want = max(shadowing._accumulated_rate_bounds(rates, 202, 0.0, gap))
+        monkeypatch.setattr(np, "exp", off)
+        got = shadowing._accumulated_rate_bound_max(rates, 202, 0.0, gap)
+        assert got.hex() == want.hex()
+
+    def test_an_infinite_first_rate_makes_the_bound_infinite_not_nan(self):
+        # S_2 = 0.0 * inf + 1.0 was NaN: the zero-gap bound read nan, and the
+        # list's max skipped the NaNs and reported the gap, 0.001, for a bound of inf
+        assert accumulated_rate_bound([math.inf, 2.0], 3, 1e-3, 0.0) == 0.003
+        assert accumulated_rate_bound([math.inf, 2.0], 3, 1e-3, 1e-3) == math.inf
+        bounds = shadowing._accumulated_rate_bounds([math.inf, 2.0], 3, 1e-3, 1e-3)
+        assert bounds == [0.001, math.inf, math.inf]
+        assert shadowing._accumulated_rate_bound_max([math.inf, 2.0], 3, 1e-3, 1e-3) == math.inf
+
+    def test_constructions_build_no_bound_list(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a construction built the bound list")
+
+        monkeypatch.setattr(shadowing, "_accumulated_rate_bounds", refused)
+        sys = periodic_linear()
+        shadow_contracting(sys, generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 3000), 3.0)
+        for sys in (index_scaled_linear(), affine_sinusoid()):
+            shadow_expanding(sys, generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 300), 3.0)
+
+
+class TestSinusoidEvaluationCounts:
+    def test_the_benchmark_orbit_and_construction_count_their_evaluations(self, monkeypatch):
+        # the long-horizon sinusoid at H = 10**3: generation makes one eval_map a
+        # step, the fixed point one eval_q per moved b_n and the residual sup one
+        # eval_map a step; a change that adds or drops an evaluation moves these
+        sys = affine_sinusoid()
+        profile = profile_of(sys, 1000)
+        K = classify(profile, sys).K
+        counts = {"eval_map": 0, "eval_q": 0}
+        for name in counts:
+            method = getattr(MapSystem, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                counts[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(MapSystem, name, counted)
+        pseudo = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), 1000)
+        assert counts == {"eval_map": 629, "eval_q": 0}
+        assert pseudo.horizon == 629
+        result = shadow_expanding(sys, pseudo, K)
+        assert counts == {"eval_map": 1258, "eval_q": 669}
+        assert result.meta.iterations == 4
 
 
 class TestTelescopeIdentity:

@@ -116,7 +116,7 @@ def _loop_accumulated_rate_bounds(rates, horizon, eps, gap):
     for n, p in enumerate(rates[: horizon - 1], 1):
         if not p > 0:
             raise RateRangeError(f"growth rate must be positive: p_n = {p!r} at n = {n}")
-        S = S * p + 1.0
+        S = S * p + 1.0 if n > 1 else 1.0  # S_2 = 1 exactly, also for p_1 = inf
         if gap:
             log_prod += log(p)
             out.append((exp(log_prod) if log_prod < 700 else inf) * gap + S * eps)
@@ -515,7 +515,9 @@ class TestRateSweeps:
     # a NaN after the first entry, which min(rates) > 0 passes over
     @example(rates=[0.5, math.nan, 0.5], extra=1, eps=1e-3, gap=0.0)
     @example(rates=[0.5, 2.0, math.nan], extra=1, eps=1e-3, gap=0.5)
-    @example(rates=[math.inf, 2.0], extra=1, eps=1e-3, gap=0.0)  # S = 0 * inf + 1 is NaN
+    # S_2 = 1, not 0 * inf + 1 = NaN, with either gap
+    @example(rates=[math.inf, 2.0], extra=1, eps=1e-3, gap=0.0)
+    @example(rates=[math.inf, 2.0], extra=1, eps=1e-3, gap=1e-3)
     def test_forward_sweep_equals_the_loop(self, rates, extra, eps, gap):
         horizon = max(len(rates) + extra, 1)
         assert _outcome(shadowing._accumulated_rate_bounds, rates, horizon, eps, gap) == (
@@ -922,14 +924,87 @@ class TestCycleRule:
 
     def test_the_benchmark_orbit_repeats_from_its_first_block(self):
         # the paper's law (2, 1/3) from a_1 = 1: the orbit repeats from n = 203
-        # and the sums from n = 178, so a, r and the bounds are stepped one block;
-        # b reaches 0 past n = 3,600 and is stepped four
+        # and the sums from n = 178, so a, r and the sums are stepped one block;
+        # b reaches 0 past n = 3,600 and is stepped four, and d = b - a repeats
+        # where b does, as a repeats there too; the construction's bound maximum
+        # reads the swept sums and repeats none, and the bound list's sums are
+        # S_2 and one block after it, so it repeats one entry fewer than a
         sys = periodic_linear()
         with _tiling_spy() as added:
             for new, reference in _rule_sweeps(sys, 1.0, 1e-3, ResidualPolicy(), 10**4, 3.0):
                 assert new == reference
         one, four = 10**4 - 1 - BLOCK, 10**4 - 1 - 4 * BLOCK
-        assert added == [one, one, four, one, one]  # a, r, b, its bounds, the bounds
+        assert added == [one, one, four, four, one - 1]  # a, r, b, d, the bounds
+
+    def test_contracting_differences_equal_the_full_sweep_to_ten_thousand(self):
+        # d = b - a and its sup come from the steps before b's cycle where the
+        # generated orbit repeats from there by identity, and d repeats its last m
+        tiled = []
+
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(
+            coeffs=st.lists(contracting_constants, min_size=1, max_size=4),
+            a1=cycle_starts,
+            eps=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+            policy=constant_policies,
+            horizon=st.integers(BLOCK + 1, 10**4),
+            K=st.floats(1.01, 8.0),
+        )
+        def check(coeffs, a1, eps, policy, horizon, K):
+            sys = periodic_linear(coeffs)
+            pseudo = generate_pseudo_orbit(sys, a1, eps, policy, horizon)
+            with _tiling_spy() as added:
+                new = _outcome(shadow_contracting, sys, pseudo, K)
+            assert new == _outcome(_per_call_shadow_contracting, sys, pseudo, K)
+            tiled.append(len(added) == 2)  # b and d
+
+        check()
+        assert sum(tiled) > len(tiled) / 6, tiled  # 7 of the 30 derandomized examples
+
+    @staticmethod
+    def _counted_differences(monkeypatch, sys, pseudo, K):
+        """The outcome of ``shadow_contracting`` and the subtractions it made."""
+        made = []
+
+        def counted(x, y):
+            made.append(1)
+            return x - y
+
+        monkeypatch.setattr(shadowing, "sub", counted)
+        outcome = _outcome(shadow_contracting, sys, pseudo, K)
+        monkeypatch.undo()
+        return outcome, len(made)
+
+    def test_a_tail_equal_only_by_value_is_swept_in_full(self, monkeypatch):
+        # the benchmark orbit with every a_n a new object: the same values, so the
+        # same d, but nothing shows that a repeats, so each d_n is a subtraction
+        sys, H = periodic_linear(), 10**4
+        generated = generate_pseudo_orbit(sys, 1.0, 1e-3, ResidualPolicy(), H)
+        assert self._counted_differences(monkeypatch, sys, generated, 3.0)[1] == H - 5903
+        a = tuple(complex(z.real, z.imag) for z in generated.a)
+        pseudo = PseudoOrbit(a, generated.r, 1e-3, H, ResidualPolicy())
+        outcome, made = self._counted_differences(monkeypatch, sys, pseudo, 3.0)
+        assert made == H
+        assert outcome == _outcome(_per_call_shadow_contracting, sys, pseudo, 3.0)
+        assert outcome == _outcome(shadow_contracting, sys, generated, 3.0)
+
+    def test_a_tail_that_differs_in_the_sign_of_a_zero_is_swept_in_full(self, monkeypatch):
+        # b <- -b/2 twice a period from 1 reaches the cycle (+0, -0) in its real
+        # part; the true orbit given as a (a zero residual) is b itself, but for
+        # its last entry, whose zero takes the other sign
+        sys, H = periodic_linear((-0.5, -0.5)), 3000
+        generated = generate_pseudo_orbit(sys, 1.0, 0.0, ResidualPolicy(PolicyKind.ZERO), H)
+        a = list(generated.a)
+        last = a[-1]
+        a[-1] = complex(-last.real, last.imag)
+        assert a[-1] == last and _bits(a[-1]) != _bits(last)
+        pseudo = PseudoOrbit(tuple(a), generated.r, 0.0, H, generated.policy)
+        outcome, made = self._counted_differences(monkeypatch, sys, pseudo, 2.0)
+        assert made == H
+        assert outcome == _outcome(_per_call_shadow_contracting, sys, pseudo, 2.0)
+        # the last d_n is not the one a period back, as a tiled d would make it
+        d = shadow_contracting(sys, pseudo, 2.0).d
+        assert _bits(d[-1]) != _bits(d[-3])
 
     @pytest.mark.parametrize(
         "sys, period",
@@ -988,9 +1063,11 @@ class TestListedTables:
         assert listed == _blocks("c", H - 1, H - 1 - a)
         with _tiling_spy() as added, _block_spy() as listed:
             shadow_contracting(sys, pseudo, 3.0)
-        b, sums = added  # each repeat adds what the sweep did not step
-        assert listed == _blocks("c", H - 1, H - 1 - b) + _blocks("f", H - 1, H - 1 - sums)
-        assert [len(_blocks("", H, H - 1 - x)) for x in (a, b, sums)] == [1, 4, 1]
+        b, d = added  # each repeat adds what the sweep did not step; d repeats where b does
+        assert d == b
+        # the sums S_3 .. read p_2 .., S_2 = 1 exactly, and close their cycle in one block
+        assert listed == _blocks("c", H - 1, H - 1 - b) + _blocks("f", H - 2, BLOCK)
+        assert [len(_blocks("", H, H - 1 - x)) for x in (a, b)] == [1, 4]
 
     def test_a_truncated_orbit_lists_no_block_past_its_last_step(self):
         # index_scaled_linear leaves the range at n = 3386 of 10**4: 4 blocks of 10

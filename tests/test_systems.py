@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from sys import float_info
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -569,7 +570,7 @@ def _expanding_rate(slope: float, n: int) -> float:
 
 def reference_raw_coefficient(self, n: int):
     if n < 1:
-        raise ValueError(f"step index must be >= 1, got {n}")
+        raise ValueError(f"step index must be an int of at least 1, got {n}")
     if self.family is Family.PERIODIC_LINEAR:
         coeffs = self.params
         return coeffs[(n - 1) % len(coeffs)]
@@ -606,7 +607,7 @@ def reference_rational_coefficient(self, n: int) -> Fraction:
 
 def reference_growth_rate(self, n: int) -> float:
     if n < 1:
-        raise ValueError(f"step index must be >= 1, got {n}")
+        raise ValueError(f"step index must be an int of at least 1, got {n}")
     if not self.is_linear:
         return _expanding_rate(self.params[0], n)
     try:
@@ -617,7 +618,7 @@ def reference_growth_rate(self, n: int) -> float:
 
 def reference_log_growth_rate(self, n: int) -> float:
     if n < 1:
-        raise ValueError(f"step index must be >= 1, got {n}")
+        raise ValueError(f"step index must be an int of at least 1, got {n}")
     if self.family is Family.POWER_TWO_PARITY:
         base, even_shift = self.params
         e = _parity_exponent(n, even_shift)
@@ -780,6 +781,24 @@ def _outcome(read, sys: MapSystem, n: int):
     return _bits(complex(value))
 
 
+#: the four reads at one step n, as the step-index tests call them
+step_reads = pytest.mark.parametrize(
+    "read",
+    [
+        MapSystem.coefficient,
+        lambda sys, n: sys.eval_map(n, 1.0),
+        lambda sys, n: sys.eval_q(n, 2.0, 1.0),
+        MapSystem.growth_rate,
+    ],
+    ids=["coefficient", "eval_map", "eval_q", "growth_rate"],
+)
+every_family = pytest.mark.parametrize(
+    "sys",
+    [periodic_linear(), index_scaled_linear(), power_two_parity(), affine_sinusoid()],
+    ids=["periodic", "index_scaled", "parity", "sinusoid"],
+)
+
+
 class TestOneEntryReads:
     """The scalars read one entry of the tables; at any step they equal
     the per-index rule, and a table started at any step equals the
@@ -827,24 +846,35 @@ class TestOneEntryReads:
         assert sys.log_rates(n)[-1] == reference_log_growth_rate(sys, n)
 
     @pytest.mark.parametrize("n", [0, -1])
-    @pytest.mark.parametrize(
-        "read",
-        [
-            MapSystem.coefficient,
-            lambda sys, n: sys.eval_map(n, 1.0),
-            lambda sys, n: sys.eval_q(n, 2.0, 1.0),
-            MapSystem.growth_rate,
-        ],
-        ids=["coefficient", "eval_map", "eval_q", "growth_rate"],
-    )
-    @pytest.mark.parametrize(
-        "sys",
-        [periodic_linear(), index_scaled_linear(), power_two_parity(), affine_sinusoid()],
-        ids=["periodic", "index_scaled", "parity", "sinusoid"],
-    )
+    @step_reads
+    @every_family
     def test_a_step_index_below_one_is_refused(self, sys, read, n):
-        with pytest.raises(ValueError, match=rf"^step index must be >= 1, got {n}$"):
+        message = rf"^step index must be an int of at least 1, got {n}$"
+        with pytest.raises(ValueError, match=message):
             read(sys, n)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    @step_reads
+    @every_family
+    def test_a_step_index_that_is_not_an_int_is_refused(self, sys, read, n):
+        # a linear family's range raised a bare TypeError at 2.5, and the sinusoid
+        # evaluated its map at n = 2.5 (3.1557...) and at n = True
+        message = rf"^step index must be an int of at least 1, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            read(sys, n)
+
+    @every_family
+    def test_a_numpy_step_index_reads_as_its_int(self, sys):
+        # the sinusoid divided by the numpy integer itself: its values were
+        # numpy.complex128, and some of them an ulp or so off the int's
+        for n in range(1, 40):
+            for z, w in ((1.0, 2.0), (0.3 + 0.7j, 123.456), (-5.5e3 + 2j, 1.0)):
+                reads = [
+                    sys.eval_map(k, z) for k in (n, np.int64(n))
+                ] + [sys.eval_q(k, z, w) for k in (n, np.int64(n))]
+                assert [type(x) for x in reads] == [complex] * 4
+                assert _bits(reads[0]) == _bits(reads[1]) and _bits(reads[2]) == _bits(reads[3])
+            assert sys.growth_rate(np.int64(n)) == sys.growth_rate(n)
 
     def test_a_modulus_past_the_float_range_reads_inf(self):
         # both parts are finite, |c_1| is not: abs raises, the rate is the table's inf
